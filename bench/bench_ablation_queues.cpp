@@ -19,14 +19,13 @@
 // factors — the paper's design is not load-bearing on the container
 // choice, the log-N costs stay in the microsecond band regardless.
 //
-// A third tier joined with the kernel's EventQueue slot: BM_SimLarge_*
-// runs a 16-core partition end-to-end per EVENT-queue backend — the DES
-// throughput hot path the ROADMAP flags at large core counts, where the
-// bucketed calendar queue is the contender. After the google-benchmark
-// pass, a batch sweep (sim/batch.hpp, SPS_JOBS workers) re-runs every
-// role x backend combination once and writes BENCH_queues.json —
-// wall-clock, dispatched events/sec, and per-backend op counts — so the
-// perf trajectory is tracked across PRs.
+// The kernel's own event queue is not swept: it is one fixed sorted
+// vector (sim/kernel.hpp EventQueue; DESIGN.md §6 A1b and §9 give the
+// measurements behind that). After the google-benchmark pass, a
+// batch sweep (sim/batch.hpp, SPS_JOBS workers) re-runs every
+// ready/sleep x backend combination at m=4, 16 and 64 and writes
+// BENCH_queues.json — wall-clock, dispatched events/sec, and per-backend
+// op counts — so the perf trajectory is tracked across PRs.
 
 #include <benchmark/benchmark.h>
 
@@ -34,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -171,37 +171,18 @@ const partition::Partition& AblationPartition() {
   return p;
 }
 
-/// The large-core-count workload for the EVENT-queue tier: 16 cores keep
-/// ~4x the events in flight, which is where the event queue dominates.
+/// The large-core-count workloads (JSON sweep only): 16 cores keep ~4x
+/// the events in flight, 64 cores / 384 tasks ~16x.
 const partition::Partition& LargeAblationPartition() {
   static const partition::Partition p =
       MakeAblationPartition(16, 96, 0.80, 777);
   return p;
 }
 
-/// 64 cores / 384 tasks: the event population where bucketed O(1)
-/// calendar access should clear the O(log n) heaps (JSON sweep only —
-/// too slow for a registered google-benchmark).
 const partition::Partition& HugeAblationPartition() {
   static const partition::Partition p =
       MakeAblationPartition(64, 384, 0.75, 777);
   return p;
-}
-
-void SimWithConfig(benchmark::State& state, const partition::Partition& p,
-                   const sim::SimConfig& cfg) {
-  std::uint64_t queue_ops = 0;
-  Time simulated = 0;
-  for (auto _ : state) {
-    const sim::SimResult r = Simulate(p, cfg);
-    benchmark::DoNotOptimize(r.total_misses);
-    queue_ops += r.ready_ops.total() + r.sleep_ops.total() +
-                 r.event_ops.total();
-    simulated += r.simulated;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(queue_ops));
-  state.counters["sim_ms_per_iter"] = benchmark::Counter(
-      ToMillis(simulated) / static_cast<double>(state.iterations()));
 }
 
 void SimEndToEnd(benchmark::State& state, QueueBackend ready,
@@ -211,15 +192,18 @@ void SimEndToEnd(benchmark::State& state, QueueBackend ready,
   cfg.overheads = overhead::OverheadModel::PaperCoreI7();
   cfg.ready_backend = ready;
   cfg.sleep_backend = sleep;
-  SimWithConfig(state, AblationPartition(), cfg);
-}
-
-void SimLargeWithEventBackend(benchmark::State& state, QueueBackend event) {
-  sim::SimConfig cfg;
-  cfg.horizon = Millis(200);
-  cfg.overheads = overhead::OverheadModel::PaperCoreI7();
-  cfg.event_backend = event;
-  SimWithConfig(state, LargeAblationPartition(), cfg);
+  std::uint64_t queue_ops = 0;
+  Time simulated = 0;
+  for (auto _ : state) {
+    const sim::SimResult r = Simulate(AblationPartition(), cfg);
+    benchmark::DoNotOptimize(r.total_misses);
+    queue_ops += r.ready_ops.total() + r.sleep_ops.total() +
+                 r.event_ops.total();
+    simulated += r.simulated;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(queue_ops));
+  state.counters["sim_ms_per_iter"] = benchmark::Counter(
+      ToMillis(simulated) / static_cast<double>(state.iterations()));
 }
 
 // Ready-queue sweep (sleep fixed at the paper's RB tree) and sleep-queue
@@ -262,27 +246,6 @@ BENCHMARK(BM_Sim_Sleep_SortedVector);
 BENCHMARK(BM_Sim_Sleep_Binomial);
 BENCHMARK(BM_Sim_Sleep_Pairing);
 BENCHMARK(BM_Sim_Sleep_Calendar);
-
-// ---- Tier 3: the EVENT queue at the largest core count --------------------
-// The acceptance headline: the calendar event queue vs the binomial-heap
-// default on the 16-core workload.
-
-void BM_SimLarge_Event_Binomial(benchmark::State& s) {
-  SimLargeWithEventBackend(s, QueueBackend::kBinomialHeap);
-}
-void BM_SimLarge_Event_Pairing(benchmark::State& s) {
-  SimLargeWithEventBackend(s, QueueBackend::kPairingHeap);
-}
-void BM_SimLarge_Event_RbTree(benchmark::State& s) {
-  SimLargeWithEventBackend(s, QueueBackend::kRbTree);
-}
-void BM_SimLarge_Event_Calendar(benchmark::State& s) {
-  SimLargeWithEventBackend(s, QueueBackend::kCalendar);
-}
-BENCHMARK(BM_SimLarge_Event_Binomial);
-BENCHMARK(BM_SimLarge_Event_Pairing);
-BENCHMARK(BM_SimLarge_Event_RbTree);
-BENCHMARK(BM_SimLarge_Event_Calendar);
 
 // ---- BENCH_queues.json: one batch sweep over every role x backend ---------
 
@@ -333,17 +296,16 @@ void WriteQueuesJson() {
   json.Key("bench").Value("ablation_queues");
   json.Key("jobs").Value(jobs);
   json.Key("runs").BeginArray();
-  for (const sim::QueueRole role :
-       {sim::QueueRole::kReady, sim::QueueRole::kSleep,
-        sim::QueueRole::kEvent}) {
-    AppendSweep(json, "m4", AblationPartition(),
-                sim::BackendVariants(base, role), jobs);
+  const std::pair<const char*, const partition::Partition*> workloads[] = {
+      {"m4", &AblationPartition()},
+      {"m16", &LargeAblationPartition()},
+      {"m64", &HugeAblationPartition()}};
+  for (const auto& [name, p] : workloads) {
+    for (const sim::QueueRole role :
+         {sim::QueueRole::kReady, sim::QueueRole::kSleep}) {
+      AppendSweep(json, name, *p, sim::BackendVariants(base, role), jobs);
+    }
   }
-  // The headline tier: event backends at the largest core counts.
-  AppendSweep(json, "m16", LargeAblationPartition(),
-              sim::BackendVariants(base, sim::QueueRole::kEvent), jobs);
-  AppendSweep(json, "m64", HugeAblationPartition(),
-              sim::BackendVariants(base, sim::QueueRole::kEvent), jobs);
   json.EndArray();
   json.EndObject();
   if (!json.WriteFile("BENCH_queues.json")) {

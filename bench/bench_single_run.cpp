@@ -1,16 +1,10 @@
 // E7 — single-run speed (DESIGN.md §9): how fast is ONE big simulation,
-// end-to-end, under the PR-3 kernel changes? Four configurations of the
-// SAME workload, bit-identity enforced between them:
+// end-to-end? Four configurations of the SAME workload, bit-identity
+// enforced between them:
 //
-//   serial_pr2_kernel   type-erased event queue + unique_ptr-per-release
-//                       job allocation — the PR-2 hot path, kept behind
-//                       SimConfig::{force_dynamic_event_queue,job_arena}
-//                       precisely for this A/B;
-//   serial_dynamic      type-erased event queue, arena-recycled jobs
-//                       (isolates the allocation win);
-//   serial              the devirtualized default path (static event
-//                       queue + job arena + NullSink) — what every
-//                       default-config simulation now runs on;
+//   serial              the default path (sorted-vector event queue + job
+//                       arena + NullSink) — what every default-config
+//                       simulation runs on;
 //   sharded             the per-core parallel runner (shards=0: one
 //                       worker per hardware thread);
 //   serial_traced       serial with the RecordSink (trace + metrics
@@ -89,13 +83,6 @@ std::vector<Variant> Variants(Time horizon) {
   base.horizon = horizon;
   base.overheads = overhead::OverheadModel::PaperCoreI7();
 
-  Variant pr2{"serial_pr2_kernel", base};
-  pr2.cfg.force_dynamic_event_queue = true;
-  pr2.cfg.job_arena = false;
-
-  Variant dyn{"serial_dynamic", base};
-  dyn.cfg.force_dynamic_event_queue = true;
-
   Variant serial{"serial", base};
 
   Variant sharded{"sharded", base};
@@ -110,7 +97,7 @@ std::vector<Variant> Variants(Time horizon) {
   sharded_traced.cfg.record_trace = true;
   sharded_traced.cfg.record_metrics = true;
 
-  return {pr2, dyn, serial, sharded, traced, sharded_traced};
+  return {serial, sharded, traced, sharded_traced};
 }
 
 /// The fields the differential tests compare, flattened for equality.

@@ -11,7 +11,7 @@
 //           [--trace-out=FILE.json] [--metrics-out=FILE.json]
 //           [--arrivals=periodic|sporadic|jittered|bursty] [--sporadic]
 //           [--ready-queue=binomial|pairing|rbtree|vector|calendar]
-//           [--sleep-queue=...] [--event-queue=...] [--shards=N]
+//           [--sleep-queue=...] [--shards=N]
 //           [--acceptance] [--acceptance-validate] [--sets=50] [--jobs=N]
 //           [--online] [--online-requests=128] [--online-leave=0.5]
 //           [--online-epoch-ms=1000] [--online-place=ff|wf|spa]
@@ -140,7 +140,7 @@
 //   ./build/examples/sps_cli --algo=spa2 --util=0.95
 //   ./build/examples/sps_cli --algo=edf-wm --tasks=24 --sim-ms=5000
 //   ./build/examples/sps_cli --algo=ffd --overheads=zero --trace
-//   ./build/examples/sps_cli --ready-queue=pairing --event-queue=calendar
+//   ./build/examples/sps_cli --ready-queue=pairing --sleep-queue=calendar
 //   ./build/examples/sps_cli --arrivals=bursty --util=0.7
 //   ./build/examples/sps_cli --cores=16 --tasks=96 --shards=0
 //   ./build/examples/sps_cli --acceptance --jobs=0 --sets=100
@@ -245,8 +245,6 @@ struct Options {
   containers::QueueBackend ready_queue =
       containers::QueueBackend::kBinomialHeap;
   containers::QueueBackend sleep_queue = containers::QueueBackend::kRbTree;
-  containers::QueueBackend event_queue =
-      containers::QueueBackend::kBinomialHeap;
 };
 
 bool ParseArg(const char* arg, Options& o) {
@@ -277,9 +275,6 @@ bool ParseArg(const char* arg, Options& o) {
   }
   if (const char* v = value("--sleep-queue")) {
     return parse_backend(v, o.sleep_queue);
-  }
-  if (const char* v = value("--event-queue")) {
-    return parse_backend(v, o.event_queue);
   }
   if (const char* v = value("--arrivals")) { o.arrivals = v; return true; }
   if (const char* v = value("--sets")) { o.sets = std::atoi(v); return true; }
@@ -681,7 +676,6 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
     rcfg.validate_sim.horizon = o.sim_ms;
     rcfg.validate_sim.ready_backend = o.ready_queue;
     rcfg.validate_sim.sleep_backend = o.sleep_queue;
-    rcfg.validate_sim.event_backend = o.event_queue;
     rcfg.validate_sim.shards = o.shards;
     if (o.exec_model == "spiky") {
       rcfg.validate_sim.exec.kind = sim::ExecModel::Kind::kSpiky;
@@ -1077,7 +1071,6 @@ int main(int argc, char** argv) {
       }
       acfg.validate_sim.ready_backend = o.ready_queue;
       acfg.validate_sim.sleep_backend = o.sleep_queue;
-      acfg.validate_sim.event_backend = o.event_queue;
       acfg.validate_sim.shards = o.shards;
     }
     std::printf("acceptance sweep: m=%u, n=%zu, %d sets/point, jobs=%u%s%s\n\n",
@@ -1140,7 +1133,6 @@ int main(int argc, char** argv) {
   cfg.record_metrics = o.metrics;
   cfg.ready_backend = o.ready_queue;
   cfg.sleep_backend = o.sleep_queue;
-  cfg.event_backend = o.event_queue;
   cfg.shards = o.shards;
   // Streaming trace window (DESIGN.md §15): drain the trace into the
   // incremental Perfetto serializer DURING the run — byte-identical
@@ -1160,12 +1152,11 @@ int main(int argc, char** argv) {
   }
   const sim::SimResult r = Simulate(pr.partition, cfg);
   std::printf("queues: ready=%s (%llu ops) sleep=%s (%llu ops) "
-              "event=%s (%llu ops)\n",
+              "event=vector (%llu ops)\n",
               std::string(containers::to_string(o.ready_queue)).c_str(),
               static_cast<unsigned long long>(r.ready_ops.total()),
               std::string(containers::to_string(o.sleep_queue)).c_str(),
               static_cast<unsigned long long>(r.sleep_ops.total()),
-              std::string(containers::to_string(o.event_queue)).c_str(),
               static_cast<unsigned long long>(r.event_ops.total()));
   std::printf("%s\n", r.summary().c_str());
   if (o.trace) {

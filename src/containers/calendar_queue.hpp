@@ -1,13 +1,12 @@
 #pragma once
-// Calendar queue — the bucketed event-queue structure of discrete-event
-// simulation (R. Brown, CACM 1988), behind the same KeyedMinQueue
-// contract as every other scheduler queue (DESIGN.md §4). Time is hashed
-// into an array of "days": bucket(key) = (key / width) % num_buckets.
-// When the bucket width matches the typical key spacing, push and
-// pop_min touch O(1) elements — the reason calendar queues dominate
-// binary/binomial heaps as THE event queue of large simulations, and the
-// ROADMAP's "kernel fast path" candidate (the event priority-queue
-// dominates sim throughput at large core counts).
+// Calendar queue — the bucketed priority queue of discrete-event
+// simulation (R. Brown, CACM 1988), here one of the runtime-selectable
+// ready/sleep backends behind the same KeyedMinQueue contract as every
+// other scheduler queue (DESIGN.md §4). Time is hashed into an array of
+// "days": bucket(key) = (key / width) % num_buckets. When the bucket
+// width matches the typical key spacing, push and pop_min touch O(1)
+// elements. (The simulation kernel's own event queue is not a
+// KeyedMinQueue; see sim/kernel.hpp.)
 //
 // Contract fit:
 //   * nodes are individually arena-allocated and never move, so the node

@@ -375,7 +375,7 @@ enum class QueueBackend : std::uint8_t {
   kPairingHeap,    ///< LITMUS^RT-style contender
   kRbTree,         ///< the paper's sleep-queue choice
   kSortedVector,   ///< contiguous-memory contender (small N)
-  kCalendar,       ///< bucketed calendar queue (event-queue fast path)
+  kCalendar,       ///< bucketed calendar queue (DES-style time buckets)
 };
 
 inline constexpr QueueBackend kAllQueueBackends[] = {

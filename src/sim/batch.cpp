@@ -55,7 +55,6 @@ const char* ToString(QueueRole role) {
   switch (role) {
     case QueueRole::kReady: return "ready";
     case QueueRole::kSleep: return "sleep";
-    case QueueRole::kEvent: return "event";
   }
   return "?";
 }
@@ -71,7 +70,6 @@ std::vector<BatchVariant> BackendVariants(const SimConfig& base,
     switch (role) {
       case QueueRole::kReady: bv.cfg.ready_backend = b; break;
       case QueueRole::kSleep: bv.cfg.sleep_backend = b; break;
-      case QueueRole::kEvent: bv.cfg.event_backend = b; break;
     }
     v.push_back(std::move(bv));
   }

@@ -68,8 +68,8 @@ std::vector<BatchVariant> OverheadScaleVariants(
 std::vector<BatchVariant> ExecFractionVariants(
     const SimConfig& base, const std::vector<double>& fractions);
 
-/// Which queue slot a backend sweep varies.
-enum class QueueRole { kReady, kSleep, kEvent };
+/// Which per-core queue a backend sweep varies.
+enum class QueueRole { kReady, kSleep };
 std::vector<BatchVariant> BackendVariants(const SimConfig& base,
                                           QueueRole role);
 

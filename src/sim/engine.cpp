@@ -17,7 +17,6 @@ namespace sps::sim {
 
 namespace {
 
-using containers::QueueBackend;
 using partition::PlacedTask;
 
 /// Width of the EDF ready-key task-index tie-break (CurKey): task
@@ -59,24 +58,22 @@ struct PerCoreQueues {
 /// The semi-partitioned scheduling policy, hosted on the shared kernel.
 /// ReadyQ orders jobs by scheduling key (fixed priority under FP, the
 /// absolute window deadline under EDF; FIFO among ties). SleepQ orders
-/// inactive tasks by wake-up time. EventQ is the kernel's event-queue
-/// policy: the static (devirtualized) default or the dynamic slot for
-/// --event-queue overrides (DESIGN.md §9). Sink is the observability
-/// policy (DESIGN.md §10): obs::NullSink unless the run records a trace
-/// or metrics.
-template <typename ReadyQ, typename SleepQ, typename EventQ, typename Sink>
+/// inactive tasks by wake-up time. The kernel's event queue is fixed
+/// (kernel::EventQueue, DESIGN.md §9). Sink is the observability policy
+/// (DESIGN.md §10): obs::NullSink unless the run records a trace or
+/// metrics.
+template <typename ReadyQ, typename SleepQ, typename Sink>
 class Engine final
-    : public kernel::KernelBase<Engine<ReadyQ, SleepQ, EventQ, Sink>, Job,
+    : public kernel::KernelBase<Engine<ReadyQ, SleepQ, Sink>, Job,
                                 TaskRt<SleepQ>, PerCoreQueues<ReadyQ, SleepQ>,
-                                EventQ, Sink> {
+                                Sink> {
   static_assert(containers::ReadyQueueFor<ReadyQ, std::uint64_t, Job*>);
   static_assert(containers::SleepQueueFor<SleepQ, Time, std::size_t>);
 
  public:
-  using Base = kernel::KernelBase<Engine<ReadyQ, SleepQ, EventQ, Sink>, Job,
+  using Base = kernel::KernelBase<Engine<ReadyQ, SleepQ, Sink>, Job,
                                   TaskRt<SleepQ>,
-                                  PerCoreQueues<ReadyQ, SleepQ>, EventQ,
-                                  Sink>;
+                                  PerCoreQueues<ReadyQ, SleepQ>, Sink>;
   friend Base;
   using Ev = kernel::Event<Job>;
   using EvKind = kernel::EvKind;
@@ -86,15 +83,18 @@ class Engine final
 
   static kernel::KernelConfig MakeKernelConfig(const partition::Partition& p,
                                                const SimConfig& cfg) {
-    kernel::KernelConfig k{p.num_cores, cfg.horizon, cfg.overheads,
-                           cfg.exec, cfg.arrivals,
-                           cfg.stop_on_first_miss,
-                           cfg.event_backend, cfg.job_arena,
-                           cfg.record_trace, cfg.record_metrics};
-    k.exec_generations = cfg.exec_generations;
-    k.trace_drain = cfg.trace_drain;
-    k.trace_window = cfg.trace_window;
-    return k;
+    return kernel::KernelConfig{
+        .num_cores = p.num_cores,
+        .horizon = cfg.horizon,
+        .overheads = cfg.overheads,
+        .exec = cfg.exec,
+        .arrivals = cfg.arrivals,
+        .stop_on_first_miss = cfg.stop_on_first_miss,
+        .record_trace = cfg.record_trace,
+        .record_metrics = cfg.record_metrics,
+        .exec_generations = cfg.exec_generations,
+        .trace_drain = cfg.trace_drain,
+        .trace_window = cfg.trace_window};
   }
 
   Engine(const partition::Partition& p, const SimConfig& cfg,
@@ -466,16 +466,6 @@ class Engine final
   std::vector<std::size_t> n_of_core_;
 };
 
-/// The default backend combination runs with the event queue inlined
-/// into the kernel (no virtual dispatch on the per-event hot path).
-using DefaultReadyQ = containers::BinomialHeapQueue<std::uint64_t, Job*>;
-using DefaultSleepQ = containers::RbTreeQueue<Time, std::size_t>;
-using StaticEventQ =
-    kernel::StaticEventQueue<Job, QueueBackend::kBinomialHeap>;
-using DynamicEventQ = kernel::DynamicEventQueue<Job>;
-using obs::NullSink;
-using obs::RecordSink;
-
 /// Which cores can push cross-lane events INTO core c (DESIGN.md §9).
 /// In a semi-partitioned system the only cross-core edges are the split
 /// pipeline (part i's core -> part i+1's core: migration arrivals) and
@@ -517,10 +507,10 @@ std::vector<std::vector<std::uint32_t>> SenderLanes(
 /// per-lane halt flags are aggregated at the drain barrier, the sharded
 /// attempt is abandoned (lanes have over-processed past the miss), and
 /// the caller reruns serially for the exact serial halt point.
-template <typename ReadyQ, typename SleepQ, typename EventQ, typename Sink>
+template <typename ReadyQ, typename SleepQ, typename Sink>
 std::optional<SimResult> RunSharded(const partition::Partition& p,
                                     const SimConfig& cfg, unsigned threads) {
-  using Eng = Engine<ReadyQ, SleepQ, EventQ, Sink>;
+  using Eng = Engine<ReadyQ, SleepQ, Sink>;
   const std::size_t m = p.num_cores;
 
   kernel::ShardRouter<Job> router(m);
@@ -719,7 +709,7 @@ std::optional<SimResult> RunSharded(const partition::Partition& p,
   return out;
 }
 
-template <typename ReadyQ, typename SleepQ, typename EventQ, typename Sink>
+template <typename ReadyQ, typename SleepQ, typename Sink>
 SimResult Dispatch(const partition::Partition& p, const SimConfig& cfg) {
   const unsigned threads =
       cfg.shards == 0 ? std::max(1u, std::thread::hardware_concurrency())
@@ -739,10 +729,10 @@ SimResult Dispatch(const partition::Partition& p, const SimConfig& cfg) {
       cfg.trace_drain != nullptr && cfg.stop_on_first_miss;
   if (threads > 1 && p.num_cores > 1 && !edf_alias && !stream_needs_serial) {
     std::optional<SimResult> r =
-        RunSharded<ReadyQ, SleepQ, EventQ, Sink>(p, cfg, threads);
+        RunSharded<ReadyQ, SleepQ, Sink>(p, cfg, threads);
     if (r.has_value()) return *std::move(r);
   }
-  Engine<ReadyQ, SleepQ, EventQ, Sink> engine(p, cfg);
+  Engine<ReadyQ, SleepQ, Sink> engine(p, cfg);
   return engine.Run();
 }
 
@@ -783,48 +773,22 @@ std::string SimResult::summary() const {
   return out;
 }
 
-SimResult Simulate(const partition::Partition& p, const SimConfig& cfg,
-                   trace::Recorder* recorder) {
-  // A non-null enabled recorder is the legacy way to ask for a trace.
-  SimConfig ecfg = cfg;
-  if (recorder != nullptr && recorder->enabled()) ecfg.record_trace = true;
-  const bool recording = ecfg.record_trace || ecfg.record_metrics;
-
-  // The default backend combination takes the fully-devirtualized
-  // kernel; any override keeps the runtime-selected (type-erased) event
-  // slot so the instantiation count stays ready x sleep + 1. The sink
+SimResult Simulate(const partition::Partition& p, const SimConfig& cfg) {
+  // One instantiation per ready x sleep backend pair and sink. The sink
   // doubles that only at compile time: at run time a simulation is
   // either all-NullSink (every hook compiled away — the perf-guarded
   // default) or recording.
-  SimResult r = [&]() -> SimResult {
-    if (!ecfg.force_dynamic_event_queue &&
-        ecfg.ready_backend == QueueBackend::kBinomialHeap &&
-        ecfg.sleep_backend == QueueBackend::kRbTree &&
-        ecfg.event_backend == QueueBackend::kBinomialHeap) {
-      return recording
-                 ? Dispatch<DefaultReadyQ, DefaultSleepQ, StaticEventQ,
-                            RecordSink>(p, ecfg)
-                 : Dispatch<DefaultReadyQ, DefaultSleepQ, StaticEventQ,
-                            NullSink>(p, ecfg);
-    }
-    return containers::WithQueueBackend(ecfg.ready_backend, [&](auto rb) {
-      return containers::WithQueueBackend(ecfg.sleep_backend, [&](auto sb) {
-        using ReadyQ =
-            containers::QueueOf<decltype(rb)::value, std::uint64_t, Job*>;
-        using SleepQ = containers::QueueOf<decltype(sb)::value, Time,
-                                           std::size_t>;
-        return recording
-                   ? Dispatch<ReadyQ, SleepQ, DynamicEventQ, RecordSink>(
-                         p, ecfg)
-                   : Dispatch<ReadyQ, SleepQ, DynamicEventQ, NullSink>(
-                         p, ecfg);
-      });
+  const bool recording = cfg.record_trace || cfg.record_metrics;
+  return containers::WithQueueBackend(cfg.ready_backend, [&](auto rb) {
+    return containers::WithQueueBackend(cfg.sleep_backend, [&](auto sb) {
+      using ReadyQ =
+          containers::QueueOf<decltype(rb)::value, std::uint64_t, Job*>;
+      using SleepQ =
+          containers::QueueOf<decltype(sb)::value, Time, std::size_t>;
+      return recording ? Dispatch<ReadyQ, SleepQ, obs::RecordSink>(p, cfg)
+                       : Dispatch<ReadyQ, SleepQ, obs::NullSink>(p, cfg);
     });
-  }();
-  if (recorder != nullptr && recorder->enabled()) {
-    for (const trace::Event& e : r.trace_events) recorder->record(e);
-  }
-  return r;
+  });
 }
 
 }  // namespace sps::sim

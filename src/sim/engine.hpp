@@ -27,7 +27,12 @@
 //
 // The event-processing machinery itself (event queue, overhead charging,
 // statistics) lives in sim/kernel.hpp and is shared with the global
-// engine; this engine contributes the semi-partitioned POLICY.
+// engine; this engine contributes the semi-partitioned POLICY. The
+// kernel's event queue is one fixed sorted vector (kernel::EventQueue),
+// not a backend knob: only the per-core ready/sleep queues — the paper's
+// Table-1 subjects — are selectable. Events pop in a total order (packed
+// time/kind key, then insertion order), so any correct FIFO-stable queue
+// would replay the same run (DESIGN.md §5, §9).
 
 #include <cstdint>
 #include <string>
@@ -71,12 +76,6 @@ struct SimConfig {
   containers::QueueBackend ready_backend =
       containers::QueueBackend::kBinomialHeap;
   containers::QueueBackend sleep_backend = containers::QueueBackend::kRbTree;
-  /// Backend of the kernel's EVENT queue (the DES throughput hot path;
-  /// the calendar queue is the large-core-count contender). The default
-  /// backend runs DEVIRTUALIZED (inlined into the kernel); any override
-  /// goes through the type-erased runtime slot (DESIGN.md §9).
-  containers::QueueBackend event_backend =
-      containers::QueueBackend::kBinomialHeap;
   /// Worker threads for the per-core sharded run of ONE simulation
   /// (DESIGN.md §9): 1 = the classic serial event loop, 0 = one thread
   /// per hardware thread, N = exactly N total threads (the caller
@@ -85,11 +84,6 @@ struct SimConfig {
   /// metrics (DESIGN.md §10). Only EDF sets past the (now 16-bit)
   /// tie-break width still fall back to serial.
   unsigned shards = 1;
-  /// Bench A/B knobs (bench_single_run): force the type-erased event
-  /// queue even for the default backend / restore PR-2's per-release
-  /// job allocation. Not for normal use.
-  bool force_dynamic_event_queue = false;
-  bool job_arena = true;
   /// Per-task admission generations, indexed by the task's position in
   /// the partition (ascending id for online-controller partitions;
   /// missing entries = 0). Generation g != 0 salts that task's
@@ -111,10 +105,7 @@ struct SimConfig {
 };
 
 /// Run the partition under the config. The canonical trace / metrics
-/// land in SimResult (record_trace / record_metrics). A non-null enabled
-/// recorder is a convenience alias for record_trace: it receives a copy
-/// of SimResult::trace_events after the run.
-SimResult Simulate(const partition::Partition& p, const SimConfig& cfg,
-                   trace::Recorder* recorder = nullptr);
+/// land in SimResult (record_trace / record_metrics).
+SimResult Simulate(const partition::Partition& p, const SimConfig& cfg);
 
 }  // namespace sps::sim

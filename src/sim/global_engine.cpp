@@ -9,8 +9,6 @@ namespace sps::sim {
 
 namespace {
 
-using containers::QueueBackend;
-
 struct GJob : kernel::JobBase {
   int last_core = -1;           ///< core of the last execution segment
   bool resume_pending = false;  ///< preempted; pays CPMD at next start
@@ -28,24 +26,20 @@ struct NoPerCoreQueues {};
 
 /// The global scheduling policy, hosted on the shared kernel. One ReadyQ
 /// (keyed by RM priority or absolute deadline) and one SleepQ (keyed by
-/// next release) serve all cores. EventQ as in the partitioned engine:
-/// devirtualized for the default backend combination, type-erased for
-/// runtime overrides; Sink likewise (NullSink unless the run records a
-/// trace or metrics, DESIGN.md §10). (This engine never shards — its
-/// queues are globally shared, the exact coupling semi-partitioning
-/// removes.)
-template <typename ReadyQ, typename SleepQ, typename EventQ, typename Sink>
+/// next release) serve all cores. Sink as in the partitioned engine
+/// (NullSink unless the run records a trace or metrics, DESIGN.md §10).
+/// (This engine never shards — its queues are globally shared, the
+/// exact coupling semi-partitioning removes.)
+template <typename ReadyQ, typename SleepQ, typename Sink>
 class GlobalEngine final
-    : public kernel::KernelBase<GlobalEngine<ReadyQ, SleepQ, EventQ, Sink>,
-                                GJob, GTaskRt<SleepQ>, NoPerCoreQueues,
-                                EventQ, Sink> {
+    : public kernel::KernelBase<GlobalEngine<ReadyQ, SleepQ, Sink>, GJob,
+                                GTaskRt<SleepQ>, NoPerCoreQueues, Sink> {
   static_assert(containers::ReadyQueueFor<ReadyQ, std::uint64_t, GJob*>);
   static_assert(containers::SleepQueueFor<SleepQ, Time, std::size_t>);
 
  public:
-  using Base = kernel::KernelBase<GlobalEngine<ReadyQ, SleepQ, EventQ, Sink>,
-                                  GJob, GTaskRt<SleepQ>, NoPerCoreQueues,
-                                  EventQ, Sink>;
+  using Base = kernel::KernelBase<GlobalEngine<ReadyQ, SleepQ, Sink>, GJob,
+                                  GTaskRt<SleepQ>, NoPerCoreQueues, Sink>;
   friend Base;
   using Ev = kernel::Event<GJob>;
   using EvKind = kernel::EvKind;
@@ -60,7 +54,6 @@ class GlobalEngine final
                                   .arrivals = cfg.arrivals,
                                   .stop_on_first_miss =
                                       cfg.stop_on_first_miss,
-                                  .event_backend = cfg.event_backend,
                                   .record_trace = cfg.record_trace,
                                   .record_metrics = cfg.record_metrics},
              ts.size()),
@@ -295,51 +288,22 @@ class GlobalEngine final
 
 }  // namespace
 
-SimResult SimulateGlobal(const rt::TaskSet& ts, const GlobalSimConfig& cfg,
-                         trace::Recorder* recorder) {
-  using containers::QueueBackend;
-  // As in the partitioned Simulate: the recorder is the legacy way to
-  // ask for a trace; the sink instantiation splits null/recording.
-  GlobalSimConfig ecfg = cfg;
-  if (recorder != nullptr && recorder->enabled()) ecfg.record_trace = true;
-  const bool recording = ecfg.record_trace || ecfg.record_metrics;
-
-  auto run = [&]<typename ReadyQ, typename SleepQ,
-                 typename EventQ>() -> SimResult {
-    if (recording) {
-      GlobalEngine<ReadyQ, SleepQ, EventQ, obs::RecordSink> engine(ts, ecfg);
+SimResult SimulateGlobal(const rt::TaskSet& ts, const GlobalSimConfig& cfg) {
+  const bool recording = cfg.record_trace || cfg.record_metrics;
+  return containers::WithQueueBackend(cfg.ready_backend, [&](auto rb) {
+    return containers::WithQueueBackend(cfg.sleep_backend, [&](auto sb) {
+      using ReadyQ =
+          containers::QueueOf<decltype(rb)::value, std::uint64_t, GJob*>;
+      using SleepQ =
+          containers::QueueOf<decltype(sb)::value, Time, std::size_t>;
+      if (recording) {
+        GlobalEngine<ReadyQ, SleepQ, obs::RecordSink> engine(ts, cfg);
+        return engine.Run();
+      }
+      GlobalEngine<ReadyQ, SleepQ, obs::NullSink> engine(ts, cfg);
       return engine.Run();
-    }
-    GlobalEngine<ReadyQ, SleepQ, EventQ, obs::NullSink> engine(ts, ecfg);
-    return engine.Run();
-  };
-
-  SimResult r = [&]() -> SimResult {
-    if (ecfg.ready_backend == QueueBackend::kBinomialHeap &&
-        ecfg.sleep_backend == QueueBackend::kRbTree &&
-        ecfg.event_backend == QueueBackend::kBinomialHeap) {
-      // Default combination: devirtualized event queue (DESIGN.md §9).
-      using ReadyQ = containers::BinomialHeapQueue<std::uint64_t, GJob*>;
-      using SleepQ = containers::RbTreeQueue<Time, std::size_t>;
-      using EventQ =
-          kernel::StaticEventQueue<GJob, QueueBackend::kBinomialHeap>;
-      return run.template operator()<ReadyQ, SleepQ, EventQ>();
-    }
-    return containers::WithQueueBackend(ecfg.ready_backend, [&](auto rb) {
-      return containers::WithQueueBackend(ecfg.sleep_backend, [&](auto sb) {
-        using ReadyQ =
-            containers::QueueOf<decltype(rb)::value, std::uint64_t, GJob*>;
-        using SleepQ = containers::QueueOf<decltype(sb)::value, Time,
-                                           std::size_t>;
-        return run.template
-            operator()<ReadyQ, SleepQ, kernel::DynamicEventQueue<GJob>>();
-      });
     });
-  }();
-  if (recorder != nullptr && recorder->enabled()) {
-    for (const trace::Event& e : r.trace_events) recorder->record(e);
-  }
-  return r;
+  });
 }
 
 }  // namespace sps::sim

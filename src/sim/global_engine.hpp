@@ -55,15 +55,13 @@ struct GlobalSimConfig {
   containers::QueueBackend ready_backend =
       containers::QueueBackend::kBinomialHeap;
   containers::QueueBackend sleep_backend = containers::QueueBackend::kRbTree;
-  containers::QueueBackend event_backend =
-      containers::QueueBackend::kBinomialHeap;
 };
 
 /// Run the task set under global scheduling. Requires assigned priorities
 /// for kGlobalRm. Returns the same statistics structure as the
 /// partitioned engine (migrations here count every resume on a different
-/// core than the job last ran on).
-SimResult SimulateGlobal(const rt::TaskSet& ts, const GlobalSimConfig& cfg,
-                         trace::Recorder* recorder = nullptr);
+/// core than the job last ran on). The canonical trace / metrics land
+/// in SimResult (record_trace / record_metrics), as in Simulate.
+SimResult SimulateGlobal(const rt::TaskSet& ts, const GlobalSimConfig& cfg);
 
 }  // namespace sps::sim

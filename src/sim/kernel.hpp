@@ -7,7 +7,7 @@
 // bookkeeping, completion statistics, and end-of-run finalization.
 //
 // The kernel is policy-based (CRTP): an engine derives from
-// KernelBase<Engine, Job, TaskRt, PerCore, EventQueueT> and supplies
+// KernelBase<Engine, Job, TaskRt, PerCore, Sink> and supplies
 //
 //   Boot()                    initial releases / timers
 //   Dispatch(event)           event handlers (the scheduling POLICY:
@@ -25,25 +25,19 @@
 // Ready/sleep queue backends are template parameters OF THE ENGINES,
 // not of the kernel: the kernel never touches a ready/sleep queue
 // directly — it only prices their operations through the OverheadModel.
-// The kernel's own EVENT queue is the EventQueueT template parameter,
-// with two implementations (DESIGN.md §9):
-//
-//   * StaticEventQueue<JobT, B> — the concrete backend inlined into the
-//     kernel, zero virtual dispatch on the per-event hot path. The
-//     engines instantiate it for the DEFAULT backend combination, which
-//     is what every simulation that does not override --event-queue
-//     runs on.
-//   * DynamicEventQueue<JobT> — the PR-2 type-erased slot (one virtual
-//     hop per op) kept for runtime `--event-queue` overrides, so the
-//     engines' instantiation count stays ready x sleep instead of
-//     gaining a full third axis.
+// The kernel's own EVENT queue is not a policy slot: it is always
+// EventQueue below, a descending sorted vector called directly from the
+// event loop (DESIGN.md §5, §9). The loop only ever pushes, pops the
+// minimum and peeks its key — no handles, no erase — and the order
+// (packed t<<2 | kind key, then insertion order) is total, so ANY
+// correct FIFO-stable priority queue replays the same event sequence
+// bit for bit.
 //
 // Hot-path memory (DESIGN.md §9): job objects live in per-core
 // SlabArenas and are RECYCLED — a task's dead job is destroyed and its
 // slot reused when the next release of that task is created, on the
-// same core — so a run of millions of events performs O(1) steady-state
-// allocations (KernelConfig::job_arena=false keeps the PR-2
-// unique_ptr-per-release pattern for the bench_single_run A/B).
+// same core — and the event queue's storage only ever grows, so a run of
+// millions of events performs O(1) steady-state allocations.
 //
 // Determinism & sharding: all random sampling draws from PER-TASK
 // SplitMix64 streams seeded by (config seed, task index) — never from a
@@ -72,12 +66,12 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "containers/op_counters.hpp"
 #include "containers/queue_traits.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
@@ -238,7 +232,6 @@ inline constexpr unsigned kEvKindBits = 2;
 template <typename JobT>
 struct Event {
   Time t = 0;
-  std::uint64_t seq = 0;
   EvKind kind = EvKind::kTimer;
   std::uint32_t core = 0;
   std::size_t task_idx = 0;
@@ -246,13 +239,10 @@ struct Event {
   JobT* job = nullptr;
 };
 
-/// The event queue's ordering is (t, kind-rank, insertion order). Every
-/// KeyedMinQueue backend is FIFO among equal keys and the kernel pushes
-/// events in seq order, so packing (t, kind) into one integer key gives
-/// exactly that total order on every backend — which makes the EVENT
-/// queue a policy slot selectable at runtime like the ready/sleep queues
-/// (KernelConfig::event_backend), with bit-identical results across all
-/// of them. Packing needs t < 2^61 (an ~73-year horizon in ns).
+/// The event queue's ordering is (t, kind-rank, insertion order).
+/// Packing (t, kind) into one integer key and popping equal keys in
+/// insertion order (EventQueue is FIFO-stable) makes that a strict total
+/// order. Packing needs t < 2^61 (an ~73-year horizon in ns).
 template <typename JobT>
 [[nodiscard]] inline std::uint64_t EventKey(const Event<JobT>& e) {
   static_assert(kNumEvKinds <= (1u << kEvKindBits),
@@ -269,96 +259,31 @@ template <typename JobT>
   return static_cast<Time>(key >> kEvKindBits);
 }
 
-/// Type-erased event queue: one virtual hop per operation buys runtime
-/// backend selection WITHOUT multiplying the engines' template
-/// instantiations by another backend axis. Since PR 3 this is only the
-/// OVERRIDE path (--event-queue); the default backend runs through
-/// StaticEventQueue below with no virtual dispatch.
+/// The kernel's event queue: the containers::SortedVectorStableQueue
+/// backend used directly, with no runtime backend selection. EventQueue
+/// derives each entry's key from its event, so the two cannot disagree.
+/// The backend keeps the packed keys in a descending vector, so pop_min is a
+/// pop_back and a push is a binary search plus a memmove of the entries
+/// due SOONER than the new one. Most DES pushes are due soon (segment
+/// ends, overhead ends, the next release of a just-finished task), so
+/// that memmove is short. Equal keys pop in insertion (FIFO) order. The
+/// vector and the slot arena only grow, so the steady state does not
+/// allocate. The op counters are the backend's own, so
+/// SimResult::event_ops compares with ready_ops/sleep_ops.
 template <typename JobT>
-class EventQueueBase {
+class EventQueue {
  public:
-  virtual ~EventQueueBase() = default;
-  virtual void push(std::uint64_t key, const Event<JobT>& e) = 0;
-  virtual Event<JobT> pop_min() = 0;
-  [[nodiscard]] virtual std::uint64_t min_key() const = 0;
-  [[nodiscard]] virtual bool empty() const = 0;
-  [[nodiscard]] virtual std::size_t size() const = 0;
-  [[nodiscard]] virtual const containers::QueueOpCounters& counters()
-      const = 0;
-};
-
-template <typename JobT, typename Q>
-class EventQueueImpl final : public EventQueueBase<JobT> {
-  static_assert(
-      containers::ReadyQueueFor<Q, std::uint64_t, Event<JobT>>);
-
- public:
-  void push(std::uint64_t key, const Event<JobT>& e) override {
-    q_.push(key, e);
-  }
-  Event<JobT> pop_min() override { return q_.pop_min().second; }
-  [[nodiscard]] std::uint64_t min_key() const override {
-    return q_.min_key();
-  }
-  [[nodiscard]] bool empty() const override { return q_.empty(); }
-  [[nodiscard]] std::size_t size() const override { return q_.size(); }
-  [[nodiscard]] const containers::QueueOpCounters& counters()
-      const override {
-    return q_.counters();
-  }
-
- private:
-  Q q_;
-};
-
-template <typename JobT>
-std::unique_ptr<EventQueueBase<JobT>> MakeEventQueue(
-    containers::QueueBackend b) {
-  return containers::WithQueueBackend(
-      b, [](auto tag) -> std::unique_ptr<EventQueueBase<JobT>> {
-        using Q = containers::QueueOf<decltype(tag)::value, std::uint64_t,
-                                      Event<JobT>>;
-        return std::make_unique<EventQueueImpl<JobT, Q>>();
-      });
-}
-
-/// EventQueueT for runtime-selected backends: the PR-2 type-erased slot.
-template <typename JobT>
-class DynamicEventQueue {
- public:
-  explicit DynamicEventQueue(containers::QueueBackend b)
-      : q_(MakeEventQueue<JobT>(b)) {}
-  void push(std::uint64_t key, const Event<JobT>& e) { q_->push(key, e); }
-  Event<JobT> pop_min() { return q_->pop_min(); }
-  [[nodiscard]] std::uint64_t min_key() const { return q_->min_key(); }
-  [[nodiscard]] bool empty() const { return q_->empty(); }
-  [[nodiscard]] const containers::QueueOpCounters& counters() const {
-    return q_->counters();
-  }
-
- private:
-  std::unique_ptr<EventQueueBase<JobT>> q_;
-};
-
-/// EventQueueT for the default backend: the concrete container inlined
-/// into the kernel — every per-event operation devirtualized.
-template <typename JobT, containers::QueueBackend B>
-class StaticEventQueue {
- public:
-  explicit StaticEventQueue(containers::QueueBackend b) {
-    assert(b == B);
-    (void)b;
-  }
-  void push(std::uint64_t key, const Event<JobT>& e) { q_.push(key, e); }
+  void push(const Event<JobT>& e) { q_.push(EventKey(e), e); }
   Event<JobT> pop_min() { return q_.pop_min().second; }
   [[nodiscard]] std::uint64_t min_key() const { return q_.min_key(); }
   [[nodiscard]] bool empty() const { return q_.empty(); }
+  [[nodiscard]] std::size_t size() const { return q_.size(); }
   [[nodiscard]] const containers::QueueOpCounters& counters() const {
     return q_.counters();
   }
 
  private:
-  containers::QueueOf<B, std::uint64_t, Event<JobT>> q_;
+  containers::SortedVectorStableQueue<std::uint64_t, Event<JobT>> q_;
 };
 
 /// Per-lane mailboxes for cross-shard event delivery (DESIGN.md §9).
@@ -425,7 +350,7 @@ struct TaskRunBase {
   double response_sum = 0.0;
   util::SplitMix64 exec_rng;
   util::SplitMix64 arrival_rng;
-  JobT* last_job = nullptr;  ///< dead job awaiting recycling (job_arena)
+  JobT* last_job = nullptr;  ///< dead job awaiting recycling (NewJob)
 };
 
 /// The engine-independent slice of a simulation config.
@@ -436,14 +361,6 @@ struct KernelConfig {
   ExecModel exec;
   ArrivalModel arrivals;
   bool stop_on_first_miss = false;
-  /// Backend of the kernel's event queue (runtime-selectable policy
-  /// slot, like the engines' ready/sleep backends).
-  containers::QueueBackend event_backend =
-      containers::QueueBackend::kBinomialHeap;
-  /// Recycle job objects through per-core slab arenas (the default).
-  /// false restores PR 2's unique_ptr-per-release allocation pattern —
-  /// kept ONLY as the bench_single_run A/B comparison point.
-  bool job_arena = true;
   /// Observability switches (DESIGN.md §10). Only honored when the
   /// engine is instantiated with a recording sink; the NullSink
   /// instantiation ignores them by construction.
@@ -455,7 +372,7 @@ struct KernelConfig {
   /// re-ADMIT of the same task id does not resume the departed
   /// incarnation's RNG position (DESIGN.md §13). Generation 0 is
   /// bit-identical to configs that never set this field.
-  std::vector<std::uint32_t> exec_generations;
+  std::vector<std::uint32_t> exec_generations = {};
   /// Streaming trace window (DESIGN.md §15): when non-null (and
   /// record_trace is on), finalized stamped records are drained to this
   /// consumer mid-run — in canonical merge order, byte-identical to the
@@ -468,7 +385,6 @@ struct KernelConfig {
 };
 
 template <typename Policy, typename JobT, typename TaskRtT, typename PerCoreT,
-          typename EventQueueT = DynamicEventQueue<JobT>,
           typename SinkT = obs::NullSink>
 class KernelBase {
  public:
@@ -525,9 +441,9 @@ class KernelBase {
                 if (ka != kb) return ka < kb;
                 return DeliveryRank(a) < DeliveryRank(b);
               });
-    for (Event<JobT>& ev : in) {
+    for (const Event<JobT>& ev : in) {
       policy().OnDeliver(ev);
-      PushLocal(ev);
+      events_.push(ev);
     }
   }
 
@@ -641,9 +557,9 @@ class KernelBase {
     Time busy_until = 0;
     Time seg_start = 0;
     std::uint64_t epoch = 0;  ///< invalidates stale core events
-    /// Job storage of the tasks released on this core (recycled slots;
-    /// see KernelConfig::job_arena). Strictly lane-local in sharded
-    /// runs — arenas are never crossed.
+    /// Job storage of the tasks released on this core (recycled slots,
+    /// see NewJob). Strictly lane-local in sharded runs — arenas are
+    /// never crossed.
     util::SlabArena<JobT> job_arena;
   };
 
@@ -658,7 +574,6 @@ class KernelBase {
         // shard mode (lane-local accesses only — asserted) and is the
         // identity in serial mode, keeping the hot path branch-free.
         cores_(shard != nullptr ? 1 : kcfg.num_cores),
-        events_(kcfg.event_backend),
         core_slot_mask_(shard != nullptr ? 0u : ~0u),
         sink_(obs::SinkConfig{kcfg.record_trace, kcfg.record_metrics,
                               num_tasks, kcfg.num_cores, shard != nullptr,
@@ -751,17 +666,12 @@ class KernelBase {
 
   [[nodiscard]] std::size_t NumTasks() const { return num_tasks_; }
 
-  void Push(Event<JobT> e) {
+  void Push(const Event<JobT>& e) {
     if (IsRemoteLane(e.core)) {
-      router_->Deliver(e);  // seq assigned by the receiving lane
+      router_->Deliver(e);
       return;
     }
-    PushLocal(e);
-  }
-
-  void PushLocal(Event<JobT>& e) {
-    e.seq = ++ev_seq_;
-    events_.push(EventKey(e), e);
+    events_.push(e);
   }
 
   /// Create the job object for task ti's release at now_ and mark the
@@ -770,18 +680,10 @@ class KernelBase {
   /// fills its own fields (budgets etc.) afterwards.
   JobT* NewJob(std::size_t ti, std::uint32_t core) {
     TaskRtT& tr = tasks_[ti];
-    JobT* j;
-    if (kcfg_.job_arena) {
-      util::SlabArena<JobT>& arena = CoreAt(core).job_arena;
-      if (tr.last_job != nullptr) arena.destroy(tr.last_job);
-      j = arena.create();
-      tr.last_job = j;
-    } else {
-      // PR-2 allocation pattern (bench A/B only): one heap allocation
-      // per release, never freed until the run ends.
-      jobs_legacy_.push_back(std::make_unique<JobT>());
-      j = jobs_legacy_.back().get();
-    }
+    util::SlabArena<JobT>& arena = CoreAt(core).job_arena;
+    if (tr.last_job != nullptr) arena.destroy(tr.last_job);
+    JobT* j = arena.create();
+    tr.last_job = j;
     j->task_idx = ti;
     j->seq = ++tr.stats.released;
     j->release_time = now_;
@@ -1028,8 +930,7 @@ class KernelBase {
   std::vector<TaskRtT> tasks_own_;
   TaskRtT* tasks_ = nullptr;
   std::size_t num_tasks_ = 0;
-  std::vector<std::unique_ptr<JobT>> jobs_legacy_;  ///< job_arena=false only
-  EventQueueT events_;
+  EventQueue<JobT> events_;
   /// Folds core indices to the local slot: identity in serial mode, 0 in
   /// shard mode (the lane materializes only its own core's state).
   std::uint32_t core_slot_mask_ = ~0u;
@@ -1037,7 +938,6 @@ class KernelBase {
   std::uint32_t lane_ = 0;
   ShardRouter<JobT>* router_ = nullptr;
   Time now_ = 0;
-  std::uint64_t ev_seq_ = 0;
   bool halted_ = false;
   /// Streaming-window scratch (serial loop only; reused across drains so
   /// the steady state allocates nothing).

@@ -184,7 +184,7 @@ TEST(BatchParallel, ConfigSweepMatchesDirectSimulation) {
   base.horizon = Millis(250);
   base.overheads = overhead::OverheadModel::PaperCoreI7();
 
-  auto variants = sim::BackendVariants(base, sim::QueueRole::kEvent);
+  auto variants = sim::BackendVariants(base, sim::QueueRole::kReady);
   const auto extra = sim::OverheadScaleVariants(base, {0.0, 2.0});
   variants.insert(variants.end(), extra.begin(), extra.end());
 

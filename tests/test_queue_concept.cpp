@@ -315,6 +315,8 @@ TEST(DifferentialSim, PartitionedIdenticalWithOverheadsAndSporadics) {
   // Stronger than the acceptance criterion: overhead charging is
   // model-based (costs don't depend on the container), so results stay
   // identical even with the paper's overheads and sporadic arrivals.
+  // ExpectSameResult also compares event_ops: the kernel's event queue
+  // sees the same push/pop sequence whichever per-core queues feed it.
   const partition::Partition p = DifferentialPartition();
   SimConfig cfg;
   cfg.horizon = Millis(400);
@@ -322,6 +324,7 @@ TEST(DifferentialSim, PartitionedIdenticalWithOverheadsAndSporadics) {
   cfg.arrivals.kind = ArrivalModel::Kind::kSporadicUniformDelay;
   cfg.exec.kind = ExecModel::Kind::kUniform;
   const SimResult baseline = Simulate(p, cfg);
+  EXPECT_GT(baseline.event_ops.total(), 0u);
   for (QueueBackend rb : kAllQueueBackends) {
     for (QueueBackend sb : kAllQueueBackends) {
       cfg.ready_backend = rb;
@@ -362,25 +365,7 @@ TEST(DifferentialSim, GeneratedWorkloadIdenticalAcrossBackends) {
   }
 }
 
-TEST(DifferentialSim, PartitionedIdenticalAcrossEventBackends) {
-  // The kernel's EVENT queue is the third policy slot: every backend
-  // must produce the same simulation, overheads and sporadics included.
-  const partition::Partition p = DifferentialPartition();
-  SimConfig cfg;
-  cfg.horizon = Millis(400);
-  cfg.overheads = overhead::OverheadModel::PaperCoreI7();
-  cfg.arrivals.kind = ArrivalModel::Kind::kSporadicUniformDelay;
-  const SimResult baseline = Simulate(p, cfg);
-  EXPECT_GT(baseline.event_ops.total(), 0u);
-  for (QueueBackend b : kAllQueueBackends) {
-    cfg.event_backend = b;
-    ExpectSameResult(baseline, Simulate(p, cfg),
-                     std::string("event=") +
-                         std::string(containers::to_string(b)));
-  }
-}
-
-TEST(DifferentialSim, IdenticalAcrossEventBackendsUnderJitterAndBursts) {
+TEST(DifferentialSim, IdenticalAcrossReadySleepBackendsUnderJitterAndBursts) {
   // The scenario-diversity arrival models go through the same kernel
   // sampling path — backend invariance must hold there too.
   const partition::Partition p = DifferentialPartition();
@@ -392,10 +377,10 @@ TEST(DifferentialSim, IdenticalAcrossEventBackendsUnderJitterAndBursts) {
     const SimResult baseline = Simulate(p, cfg);
     EXPECT_GT(baseline.tasks.at(0).released, 1u);
     for (QueueBackend b : kAllQueueBackends) {
-      cfg.event_backend = b;
       cfg.ready_backend = b;
+      cfg.sleep_backend = b;
       ExpectSameResult(baseline, Simulate(p, cfg),
-                       std::string("arrivals+event=") +
+                       std::string("arrivals+both=") +
                            std::string(containers::to_string(b)));
     }
   }
@@ -422,7 +407,6 @@ TEST(ShardedSim, IdenticalToSerialAcrossBackendsAndArrivals) {
       cfg.arrivals.kind = kind;
       cfg.ready_backend = b;
       cfg.sleep_backend = b;
-      cfg.event_backend = b;
       cfg.shards = 1;
       const SimResult serial = Simulate(p, cfg);
       EXPECT_GT(serial.total_migrations, 0u);
@@ -522,7 +506,6 @@ TEST(ShardedSim, TracedByteIdenticalAcrossShardCountsBackendsAndArrivals) {
       cfg.arrivals.kind = kind;
       cfg.ready_backend = b;
       cfg.sleep_backend = b;
-      cfg.event_backend = b;
       cfg.record_trace = true;
       cfg.record_metrics = true;
       cfg.shards = 1;
@@ -576,18 +559,18 @@ TEST(ShardedSim, TracedByteIdenticalOnGeneratedSpa2Workload) {
   EXPECT_TRUE(serial.metrics == sharded.metrics);
 }
 
-TEST(ShardedSim, LegacyRecorderStillFilledUnderSharding) {
-  // The recorder-pointer API remains a thin alias for record_trace.
+TEST(ShardedSim, RecordTraceUnderShardingLeavesResultUnchanged) {
+  // Recording is observation only: a traced sharded run returns the
+  // plain serial result and a non-empty canonical trace.
   const partition::Partition p = DifferentialPartition();
   SimConfig cfg;
   cfg.horizon = Millis(100);
   const SimResult plain = Simulate(p, cfg);
   cfg.shards = 4;
-  trace::Recorder rec(true);
-  const SimResult traced = Simulate(p, cfg, &rec);
-  ExpectSameResult(plain, traced, "recorder alias");
-  EXPECT_FALSE(rec.events().empty());
-  EXPECT_EQ(rec.events().size(), traced.trace_events.size());
+  cfg.record_trace = true;
+  const SimResult traced = Simulate(p, cfg);
+  ExpectSameResult(plain, traced, "record_trace");
+  EXPECT_FALSE(traced.trace_events.empty());
 }
 
 TEST(ShardedSim, StopOnFirstMissMatchesSerialHaltExactly) {

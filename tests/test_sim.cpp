@@ -74,13 +74,12 @@ TEST(Sim, Figure1SequenceWithOverheads) {
   cfg.horizon = Millis(40);
   cfg.overheads = OverheadModel::PaperCoreI7();
   cfg.record_trace = true;
-  trace::Recorder rec;
-  const SimResult r = Simulate(p, cfg, &rec);
+  const SimResult r = Simulate(p, cfg);
   EXPECT_EQ(r.total_misses, 0u);
   EXPECT_GE(r.tasks[1].preemptions, 1u);
 
   // Find tau1's release at t=10ms and verify the overhead chain after it.
-  const auto& ev = rec.events();
+  const auto& ev = r.trace_events;
   auto it = std::find_if(ev.begin(), ev.end(), [](const trace::Event& e) {
     return e.kind == trace::EventKind::kRelease && e.task == 1 &&
            e.time == Millis(10);
@@ -116,8 +115,7 @@ TEST(Sim, SplitTaskMigratesBetweenCores) {
   SimConfig cfg;
   cfg.horizon = Millis(50);
   cfg.record_trace = true;
-  trace::Recorder rec;
-  const SimResult r = Simulate(p, cfg, &rec);
+  const SimResult r = Simulate(p, cfg);
   EXPECT_EQ(r.total_misses, 0u);
   EXPECT_EQ(r.tasks[0].completed, 5u);
   EXPECT_EQ(r.tasks[0].migrations, 5u);  // one per period
@@ -126,7 +124,7 @@ TEST(Sim, SplitTaskMigratesBetweenCores) {
   EXPECT_EQ(r.cores[0].busy_exec, Millis(15));
   EXPECT_EQ(r.cores[1].busy_exec, Millis(10));
   // Trace contains the migration pair each period.
-  const auto& ev = rec.events();
+  const auto& ev = r.trace_events;
   const auto outs = std::count_if(ev.begin(), ev.end(), [](const auto& e) {
     return e.kind == trace::EventKind::kMigrateOut;
   });
@@ -150,9 +148,9 @@ TEST(Sim, TailReturnsToFirstCoreSleepQueueAndReleasesThere) {
   SimConfig cfg;
   cfg.horizon = Millis(30);
   cfg.record_trace = true;
-  trace::Recorder rec;
-  Simulate(p, cfg, &rec);
-  for (const trace::Event& e : rec.events()) {
+  const SimResult r = Simulate(p, cfg);
+  ASSERT_FALSE(r.trace_events.empty());
+  for (const trace::Event& e : r.trace_events) {
     if (e.kind == trace::EventKind::kRelease) {
       EXPECT_EQ(e.core, 0u);
     }
@@ -279,9 +277,8 @@ TEST(Sim, GanttRendersSplitExecution) {
   SimConfig cfg;
   cfg.horizon = Millis(10);
   cfg.record_trace = true;
-  trace::Recorder rec;
-  Simulate(p, cfg, &rec);
-  const std::string g = trace::RenderGantt(rec.events(), {});
+  const SimResult r = Simulate(p, cfg);
+  const std::string g = trace::RenderGantt(r.trace_events, {});
   EXPECT_NE(g.find("core0"), std::string::npos);
   EXPECT_NE(g.find("core1"), std::string::npos);
   EXPECT_NE(g.find('3'), std::string::npos);  // task glyph on both rows

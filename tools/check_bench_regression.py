@@ -12,7 +12,7 @@ variant's wall time is normalized by the workload's reference variant
 (the variant literally named "serial" if present, else the first one
 recorded), and the normalized ratios are compared baseline-vs-current.
 That catches the regressions this repo actually cares about — "the
-devirtualized path lost its edge over the type-erased one", "sharding
+recording sink got slower relative to the NullSink path", "sharding
 got slower relative to serial" — on any machine.
 
 The check is one-sided by default: getting FASTER relative to the
