@@ -1,7 +1,8 @@
 // Ablation A1 (DESIGN.md §6) — ready-queue and sleep-queue data-structure
 // choices. The paper picked a binomial heap (ready) and a red-black tree
-// (sleep); this bench compares them against a pairing heap and a sorted
-// vector at the paper's queue sizes.
+// (sleep); this bench compares the two in both roles at the paper's queue
+// sizes, next to the sorted vector behind the kernel's event queue and a
+// handle-less std::priority_queue speed reference.
 //
 // Two tiers of measurement, both through the SAME queue concept
 // (containers/queue_traits.hpp) the scheduler uses:
@@ -74,9 +75,6 @@ void ReadyPairBench(benchmark::State& state) {
 void BM_Ready_BinomialHeap(benchmark::State& s) {
   ReadyPairBench<BinomialHeapQueue<std::uint64_t, Payload>>(s);
 }
-void BM_Ready_PairingHeap(benchmark::State& s) {
-  ReadyPairBench<PairingHeapQueue<std::uint64_t, Payload>>(s);
-}
 void BM_Ready_RbTree(benchmark::State& s) {
   ReadyPairBench<RbTreeQueue<std::uint64_t, Payload>>(s);
 }
@@ -100,7 +98,6 @@ void BM_Ready_StdPriorityQueue(benchmark::State& s) {
   }
 }
 BENCHMARK(BM_Ready_BinomialHeap)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-BENCHMARK(BM_Ready_PairingHeap)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Ready_RbTree)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Ready_SortedVector)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Ready_StdPriorityQueue)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
@@ -129,13 +126,9 @@ void BM_Sleep_SortedVector(benchmark::State& s) {
 void BM_Sleep_BinomialHeap(benchmark::State& s) {
   SleepPairBench<BinomialHeapQueue<std::uint64_t, Payload>>(s);
 }
-void BM_Sleep_PairingHeap(benchmark::State& s) {
-  SleepPairBench<PairingHeapQueue<std::uint64_t, Payload>>(s);
-}
 BENCHMARK(BM_Sleep_RbTree)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Sleep_SortedVector)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Sleep_BinomialHeap)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-BENCHMARK(BM_Sleep_PairingHeap)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 // ---- Tier 2: whole simulations per backend --------------------------------
 
@@ -213,39 +206,15 @@ void SimEndToEnd(benchmark::State& state, QueueBackend ready,
 void BM_Sim_Ready_Binomial(benchmark::State& s) {
   SimEndToEnd(s, QueueBackend::kBinomialHeap, QueueBackend::kRbTree);
 }
-void BM_Sim_Ready_Pairing(benchmark::State& s) {
-  SimEndToEnd(s, QueueBackend::kPairingHeap, QueueBackend::kRbTree);
-}
 void BM_Sim_Ready_RbTree(benchmark::State& s) {
   SimEndToEnd(s, QueueBackend::kRbTree, QueueBackend::kRbTree);
-}
-void BM_Sim_Ready_SortedVector(benchmark::State& s) {
-  SimEndToEnd(s, QueueBackend::kSortedVector, QueueBackend::kRbTree);
-}
-void BM_Sim_Sleep_SortedVector(benchmark::State& s) {
-  SimEndToEnd(s, QueueBackend::kBinomialHeap, QueueBackend::kSortedVector);
 }
 void BM_Sim_Sleep_Binomial(benchmark::State& s) {
   SimEndToEnd(s, QueueBackend::kBinomialHeap, QueueBackend::kBinomialHeap);
 }
-void BM_Sim_Sleep_Pairing(benchmark::State& s) {
-  SimEndToEnd(s, QueueBackend::kBinomialHeap, QueueBackend::kPairingHeap);
-}
-void BM_Sim_Ready_Calendar(benchmark::State& s) {
-  SimEndToEnd(s, QueueBackend::kCalendar, QueueBackend::kRbTree);
-}
-void BM_Sim_Sleep_Calendar(benchmark::State& s) {
-  SimEndToEnd(s, QueueBackend::kBinomialHeap, QueueBackend::kCalendar);
-}
 BENCHMARK(BM_Sim_Ready_Binomial);
-BENCHMARK(BM_Sim_Ready_Pairing);
 BENCHMARK(BM_Sim_Ready_RbTree);
-BENCHMARK(BM_Sim_Ready_SortedVector);
-BENCHMARK(BM_Sim_Ready_Calendar);
-BENCHMARK(BM_Sim_Sleep_SortedVector);
 BENCHMARK(BM_Sim_Sleep_Binomial);
-BENCHMARK(BM_Sim_Sleep_Pairing);
-BENCHMARK(BM_Sim_Sleep_Calendar);
 
 // ---- BENCH_queues.json: one batch sweep over every role x backend ---------
 

@@ -10,8 +10,8 @@
 //           [--sim-ms=2000] [--trace] [--metrics]
 //           [--trace-out=FILE.json] [--metrics-out=FILE.json]
 //           [--arrivals=periodic|sporadic|jittered|bursty] [--sporadic]
-//           [--ready-queue=binomial|pairing|rbtree|vector|calendar]
-//           [--sleep-queue=...] [--shards=N]
+//           [--ready-queue=binomial|rbtree]
+//           [--sleep-queue=binomial|rbtree] [--shards=N]
 //           [--acceptance] [--acceptance-validate] [--sets=50] [--jobs=N]
 //           [--online] [--online-requests=128] [--online-leave=0.5]
 //           [--online-epoch-ms=1000] [--online-place=ff|wf|spa]
@@ -140,7 +140,7 @@
 //   ./build/examples/sps_cli --algo=spa2 --util=0.95
 //   ./build/examples/sps_cli --algo=edf-wm --tasks=24 --sim-ms=5000
 //   ./build/examples/sps_cli --algo=ffd --overheads=zero --trace
-//   ./build/examples/sps_cli --ready-queue=pairing --sleep-queue=calendar
+//   ./build/examples/sps_cli --ready-queue=rbtree --sleep-queue=binomial
 //   ./build/examples/sps_cli --arrivals=bursty --util=0.7
 //   ./build/examples/sps_cli --cores=16 --tasks=96 --shards=0
 //   ./build/examples/sps_cli --acceptance --jobs=0 --sets=100
@@ -149,11 +149,16 @@
 //   ./build/examples/sps_cli --cores=8 --tasks=48 --shards=0 \
 //       --trace-out=run.json --metrics-out=metrics.json
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
 #include <memory>
 
@@ -247,6 +252,39 @@ struct Options {
   containers::QueueBackend sleep_queue = containers::QueueBackend::kRbTree;
 };
 
+/// Parse ALL of `text` as a T no smaller than `min`: empty text,
+/// trailing characters, values outside T's range (or below `min`) and
+/// non-finite floats are rejected with a message naming `flag`, so a
+/// typo can never silently become 0.
+template <typename T>
+bool ParseNumber(const char* flag, std::string_view text, T& out,
+                 T min = std::numeric_limits<T>::lowest()) {
+  T x{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, x);
+  bool ok = ec == std::errc() && ptr == end && !text.empty() && x >= min;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(x);
+  if (!ok) {
+    std::fprintf(stderr, "invalid %s=%.*s (want a number", flag,
+                 static_cast<int>(text.size()), text.data());
+    if (min != std::numeric_limits<T>::lowest()) {
+      std::fprintf(stderr, " >= %g", static_cast<double>(min));
+    }
+    std::fprintf(stderr, ")\n");
+    return false;
+  }
+  out = x;
+  return true;
+}
+
+/// ParseNumber for a millisecond flag stored as Time.
+bool ParseMillis(const char* flag, std::string_view text, Time& out) {
+  double ms = 0.0;
+  if (!ParseNumber(flag, text, ms)) return false;
+  out = Millis(ms);
+  return true;
+}
+
 bool ParseArg(const char* arg, Options& o) {
   auto value = [&](const char* key) -> const char* {
     const std::size_t n = std::strlen(key);
@@ -254,13 +292,21 @@ bool ParseArg(const char* arg, Options& o) {
     return nullptr;
   };
   if (const char* v = value("--algo")) { o.algo = v; return true; }
-  if (const char* v = value("--cores")) { o.cores = std::strtoul(v, nullptr, 10); return true; }
-  if (const char* v = value("--tasks")) { o.tasks = std::strtoul(v, nullptr, 10); return true; }
-  if (const char* v = value("--util")) { o.util = std::strtod(v, nullptr); return true; }
-  if (const char* v = value("--seed")) { o.seed = std::strtoull(v, nullptr, 10); return true; }
+  if (const char* v = value("--cores")) {
+    return ParseNumber("--cores", v, o.cores, 1u);
+  }
+  if (const char* v = value("--tasks")) {
+    return ParseNumber("--tasks", v, o.tasks, std::size_t{1});
+  }
+  if (const char* v = value("--util")) return ParseNumber("--util", v, o.util);
+  if (const char* v = value("--seed")) return ParseNumber("--seed", v, o.seed);
   if (const char* v = value("--overheads")) { o.overheads = v; return true; }
-  if (const char* v = value("--scale")) { o.scale = std::strtod(v, nullptr); return true; }
-  if (const char* v = value("--sim-ms")) { o.sim_ms = Millis(std::strtod(v, nullptr)); return true; }
+  if (const char* v = value("--scale")) {
+    return ParseNumber("--scale", v, o.scale);
+  }
+  if (const char* v = value("--sim-ms")) {
+    return ParseMillis("--sim-ms", v, o.sim_ms);
+  }
   auto parse_backend = [](const char* v, containers::QueueBackend& out) {
     if (containers::ParseQueueBackend(v, out)) return true;
     std::fprintf(stderr, "invalid queue backend '%s'; one of:", v);
@@ -277,14 +323,10 @@ bool ParseArg(const char* arg, Options& o) {
     return parse_backend(v, o.sleep_queue);
   }
   if (const char* v = value("--arrivals")) { o.arrivals = v; return true; }
-  if (const char* v = value("--sets")) { o.sets = std::atoi(v); return true; }
-  if (const char* v = value("--jobs")) {
-    o.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    return true;
-  }
+  if (const char* v = value("--sets")) return ParseNumber("--sets", v, o.sets);
+  if (const char* v = value("--jobs")) return ParseNumber("--jobs", v, o.jobs);
   if (const char* v = value("--shards")) {
-    o.shards = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    return true;
+    return ParseNumber("--shards", v, o.shards);
   }
   if (std::strcmp(arg, "--sporadic") == 0) {
     o.arrivals = "sporadic";
@@ -302,18 +344,15 @@ bool ParseArg(const char* arg, Options& o) {
   if (std::strcmp(arg, "--online") == 0) { o.online = true; return true; }
   if (const char* v = value("--online-requests")) {
     o.online = true;
-    o.online_requests = std::strtoul(v, nullptr, 10);
-    return true;
+    return ParseNumber("--online-requests", v, o.online_requests);
   }
   if (const char* v = value("--online-leave")) {
     o.online = true;
-    o.online_leave = std::strtod(v, nullptr);
-    return true;
+    return ParseNumber("--online-leave", v, o.online_leave);
   }
   if (const char* v = value("--online-epoch-ms")) {
     o.online = true;
-    o.online_epoch = Millis(std::strtod(v, nullptr));
-    return true;
+    return ParseMillis("--online-epoch-ms", v, o.online_epoch);
   }
   if (const char* v = value("--online-place")) {
     o.online = true;
@@ -347,55 +386,42 @@ bool ParseArg(const char* arg, Options& o) {
   }
   if (const char* v = value("--online-soft")) {
     o.online = true;
-    o.online_soft = std::strtod(v, nullptr);
-    return true;
+    return ParseNumber("--online-soft", v, o.online_soft);
   }
   if (const char* v = value("--online-drain")) {
     o.online = true;
-    o.online_drain = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    return true;
+    return ParseNumber("--online-drain", v, o.online_drain);
   }
-  auto parse_window = [](const char* v, Time& start, Time& end) {
-    char* sep = nullptr;
-    const double a = std::strtod(v, &sep);
-    if (sep == v || *sep != ',') return false;
-    const char* second = sep + 1;
-    char* tail = nullptr;
-    const double b = std::strtod(second, &tail);
-    if (tail == second || *tail != '\0' || b <= a) return false;
-    start = Millis(a);
-    end = Millis(b);
-    return true;
+  auto parse_window = [](const char* flag, std::string_view v, Time& start,
+                         Time& end) {
+    const std::size_t comma = v.find(',');
+    if (comma != std::string_view::npos &&
+        ParseMillis(flag, v.substr(0, comma), start) &&
+        ParseMillis(flag, v.substr(comma + 1), end) && start < end) {
+      return true;
+    }
+    std::fprintf(stderr, "invalid %s=%.*s (want A,B ms with A < B)\n", flag,
+                 static_cast<int>(v.size()), v.data());
+    return false;
   };
   if (const char* v = value("--spike-window-ms")) {
     o.online = true;
     o.have_spike = true;
-    if (!parse_window(v, o.spike_start, o.spike_end)) {
-      std::fprintf(stderr, "invalid --spike-window-ms=%s (want A,B ms)\n", v);
-      return false;
-    }
-    return true;
+    return parse_window("--spike-window-ms", v, o.spike_start, o.spike_end);
   }
   if (const char* v = value("--spike-prob")) {
-    o.spike_prob = std::strtod(v, nullptr);
-    return true;
+    return ParseNumber("--spike-prob", v, o.spike_prob);
   }
   if (const char* v = value("--spike-mag")) {
-    o.spike_mag = std::strtod(v, nullptr);
-    return true;
+    return ParseNumber("--spike-mag", v, o.spike_mag);
   }
   if (const char* v = value("--storm-window-ms")) {
     o.online = true;
     o.have_storm = true;
-    if (!parse_window(v, o.storm_start, o.storm_end)) {
-      std::fprintf(stderr, "invalid --storm-window-ms=%s (want A,B ms)\n", v);
-      return false;
-    }
-    return true;
+    return parse_window("--storm-window-ms", v, o.storm_start, o.storm_end);
   }
   if (const char* v = value("--storm-burst")) {
-    o.storm_burst = std::strtod(v, nullptr);
-    return true;
+    return ParseNumber("--storm-burst", v, o.storm_burst);
   }
   if (std::strcmp(arg, "--no-ladder") == 0) {
     o.overload_ladder = false;
@@ -426,9 +452,8 @@ bool ParseArg(const char* arg, Options& o) {
   }
   if (const char* v = value("--checkpoint-every")) {
     o.online = true;
-    o.durability.checkpoint_every =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    return true;
+    return ParseNumber("--checkpoint-every", v,
+                       o.durability.checkpoint_every);
   }
   if (std::strcmp(arg, "--recover") == 0) {
     o.online = true;
@@ -448,24 +473,16 @@ bool ParseArg(const char* arg, Options& o) {
   }
   if (const char* v = value("--crash-after")) {
     o.online = true;
-    o.durability.crash_after_appends =
-        static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    return true;
+    return ParseNumber("--crash-after", v, o.durability.crash_after_appends);
   }
   if (const char* v = value("--analysis-cache")) {
     if (std::strcmp(v, "off") == 0) {
       o.memo.enabled = false;
       return true;
     }
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0' || n == 0) {
-      std::fprintf(stderr, "invalid --analysis-cache=%s (off or a slot "
-                           "count)\n",
-                   v);
+    if (!ParseNumber("--analysis-cache", v, o.memo.entries, std::size_t{1})) {
       return false;
     }
-    o.memo.entries = static_cast<std::size_t>(n);
     analysis::ResizeSharedMemo(o.memo.entries);
     return true;
   }
@@ -480,8 +497,7 @@ bool ParseArg(const char* arg, Options& o) {
     return true;
   }
   if (const char* v = value("--heartbeat")) {
-    o.heartbeat = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    return true;
+    return ParseNumber("--heartbeat", v, o.heartbeat);
   }
   if (std::strcmp(arg, "--trace-requests") == 0) {
     o.online = true;
@@ -491,15 +507,8 @@ bool ParseArg(const char* arg, Options& o) {
   if (const char* v = value("--trace-requests")) {
     o.online = true;
     o.trace_requests = true;
-    const unsigned long long k = std::strtoull(v, nullptr, 10);
-    if (k == 0) {
-      std::fprintf(stderr, "invalid --trace-requests=%s (K must be a "
-                           "positive trace count)\n",
-                   v);
-      return false;
-    }
-    o.trace_requests_k = static_cast<std::uint32_t>(k);
-    return true;
+    return ParseNumber("--trace-requests", v, o.trace_requests_k,
+                       std::uint32_t{1});
   }
   if (const char* v = value("--reqtrace-out")) {
     o.online = true;
@@ -519,15 +528,8 @@ bool ParseArg(const char* arg, Options& o) {
   }
   if (const char* v = value("--trace-stream")) {
     o.trace_stream = true;
-    const unsigned long long w = std::strtoull(v, nullptr, 10);
-    if (w == 0) {
-      std::fprintf(stderr, "invalid --trace-stream=%s (window must be a "
-                           "positive record count)\n",
-                   v);
-      return false;
-    }
-    o.trace_stream_window = static_cast<std::size_t>(w);
-    return true;
+    return ParseNumber("--trace-stream", v, o.trace_stream_window,
+                       std::size_t{1});
   }
   if (std::strcmp(arg, "--trace") == 0) { o.trace = true; return true; }
   if (std::strcmp(arg, "--metrics") == 0) { o.metrics = true; return true; }

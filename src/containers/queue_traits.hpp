@@ -3,12 +3,15 @@
 // models (DESIGN.md "Queue concept"). The paper's scheduler needs exactly
 // three queue capabilities: insert a keyed element, extract the minimum,
 // and remove an arbitrary element through a stable handle (a split task
-// leaving a sleep queue early, a preempted job being requeued). The four
+// leaving a sleep queue early, a preempted job being requeued). The three
 // container implementations in this directory each provide a different
 // cost trade-off for those capabilities; this header adapts all of them
-// to one interface so the simulator kernel (sim/kernel.hpp), the
-// calibration harness (overhead/calibrate.hpp), and the ablation benches
-// can swap backends at runtime without touching scheduler logic.
+// to one interface. The paper's two Table-1 structures (binomial heap,
+// red-black tree) are runtime-selectable per scheduler role, so the
+// engines (sim/engine.cpp, sim/global_engine.cpp), the calibration
+// harness (overhead/calibrate.hpp) and the ablation bench can swap them
+// without touching scheduler logic; the sorted vector is the storage of
+// the kernel's fixed event queue (sim/kernel.hpp).
 //
 // The KeyedMinQueue contract:
 //
@@ -26,12 +29,12 @@
 //   validate()                       structural self-check (tests)
 //
 // Semantics every backend must honour (the conformance suite
-// tests/test_queue_concept.cpp checks them against all four):
+// tests/test_queue_concept.cpp checks them against all three):
 //   * min/pop order is total: ascending key, FIFO among equal keys. This
 //     is what makes whole simulations bit-identical across backends.
 //   * erase(h) never invalidates other handles.
 //
-// The heap backends get FIFO tie-breaking from an internal insertion
+// The binomial heap gets FIFO tie-breaking from an internal insertion
 // sequence number folded into the comparison; RbTree and the sorted
 // vector provide it structurally (duplicates insert after equals).
 
@@ -46,9 +49,7 @@
 #include <vector>
 
 #include "containers/binomial_heap.hpp"
-#include "containers/calendar_queue.hpp"
 #include "containers/op_counters.hpp"
-#include "containers/pairing_heap.hpp"
 #include "containers/rb_tree.hpp"
 #include "containers/sorted_vector_queue.hpp"
 #include "util/arena.hpp"
@@ -189,56 +190,6 @@ class BinomialHeapQueue {
   QueueOpCounters counters_;
 };
 
-/// PairingHeap behind the queue concept. Pairing-heap nodes never move,
-/// so the node pointer itself is the stable handle.
-template <typename Key, typename Value, typename Less = std::less<Key>>
-class PairingHeapQueue {
-  struct NoExtra {};
-  using Entry = detail::SeqEntry<Key, Value, NoExtra>;
-  using Heap = PairingHeap<Entry, detail::SeqEntryLess<Less>>;
-
- public:
-  using key_type = Key;
-  using mapped_type = Value;
-  using handle = typename Heap::handle;
-
-  PairingHeapQueue() = default;
-  PairingHeapQueue(const PairingHeapQueue&) = delete;
-  PairingHeapQueue& operator=(const PairingHeapQueue&) = delete;
-  PairingHeapQueue(PairingHeapQueue&&) noexcept = default;
-
-  handle push(Key key, Value value) {
-    ++counters_.pushes;
-    return heap_.push(Entry{std::move(key), ++seq_, std::move(value)});
-  }
-
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  [[nodiscard]] const Key& min_key() const { return heap_.top().key; }
-  [[nodiscard]] const Value& min_value() const { return heap_.top().value; }
-
-  std::pair<Key, Value> pop_min() {
-    Entry e = heap_.pop();
-    ++counters_.pops;
-    return {std::move(e.key), std::move(e.value)};
-  }
-
-  Value erase(handle h) {
-    assert(h != nullptr);
-    Entry e = heap_.erase(h);
-    ++counters_.erases;
-    return std::move(e.value);
-  }
-
-  [[nodiscard]] const QueueOpCounters& counters() const { return counters_; }
-  [[nodiscard]] bool validate() const { return heap_.validate(); }
-
- private:
-  Heap heap_;
-  std::uint64_t seq_ = 0;
-  QueueOpCounters counters_;
-};
-
 /// RbTree behind the queue concept. The tree is already a stable-handle
 /// multimap with FIFO duplicates (inserts after equal keys, erase by
 /// pointer transplanting) — the adapter only adds the counters.
@@ -295,9 +246,9 @@ class RbTreeQueue {
 /// What this costs the contiguity story: the KEYS — which is what the
 /// base container's binary searches and memmoves touch — stay inline in
 /// the vector; only min_value()/pop_min() chase one pointer into the
-/// slot arena. So the ablation still measures contiguous key traffic,
-/// plus the one indirection stable handles fundamentally require of a
-/// moving container.
+/// slot arena. So the queue keeps contiguous key traffic, plus the one
+/// indirection stable handles fundamentally require of a moving
+/// container.
 template <typename Key, typename Value, typename Less = std::less<Key>>
 class SortedVectorStableQueue {
   struct Slot {
@@ -367,32 +318,25 @@ class SortedVectorStableQueue {
 // Runtime backend selection
 // ---------------------------------------------------------------------------
 
-/// Which container implements a scheduler queue. Selected at runtime in
-/// SimConfig / GlobalSimConfig / CalibrationConfig; the dispatch helpers
-/// below turn the enum into the concrete adapter type.
+/// Which container implements a scheduler queue: the paper's two Table-1
+/// structures. Selected at runtime in SimConfig / GlobalSimConfig /
+/// CalibrationConfig; the dispatch helpers below turn the enum into the
+/// concrete adapter type. (SortedVectorStableQueue models the concept
+/// too, but only as the kernel's fixed event-queue storage.)
 enum class QueueBackend : std::uint8_t {
   kBinomialHeap,   ///< the paper's ready-queue choice
-  kPairingHeap,    ///< LITMUS^RT-style contender
   kRbTree,         ///< the paper's sleep-queue choice
-  kSortedVector,   ///< contiguous-memory contender (small N)
-  kCalendar,       ///< bucketed calendar queue (DES-style time buckets)
 };
 
 inline constexpr QueueBackend kAllQueueBackends[] = {
     QueueBackend::kBinomialHeap,
-    QueueBackend::kPairingHeap,
     QueueBackend::kRbTree,
-    QueueBackend::kSortedVector,
-    QueueBackend::kCalendar,
 };
 
 [[nodiscard]] constexpr std::string_view to_string(QueueBackend b) {
   switch (b) {
     case QueueBackend::kBinomialHeap: return "binomial";
-    case QueueBackend::kPairingHeap: return "pairing";
     case QueueBackend::kRbTree: return "rbtree";
-    case QueueBackend::kSortedVector: return "vector";
-    case QueueBackend::kCalendar: return "calendar";
   }
   return "?";
 }
@@ -420,20 +364,8 @@ struct QueueBackendSelector<QueueBackend::kBinomialHeap, K, V, L> {
   using type = BinomialHeapQueue<K, V, L>;
 };
 template <typename K, typename V, typename L>
-struct QueueBackendSelector<QueueBackend::kPairingHeap, K, V, L> {
-  using type = PairingHeapQueue<K, V, L>;
-};
-template <typename K, typename V, typename L>
 struct QueueBackendSelector<QueueBackend::kRbTree, K, V, L> {
   using type = RbTreeQueue<K, V, L>;
-};
-template <typename K, typename V, typename L>
-struct QueueBackendSelector<QueueBackend::kSortedVector, K, V, L> {
-  using type = SortedVectorStableQueue<K, V, L>;
-};
-template <typename K, typename V, typename L>
-struct QueueBackendSelector<QueueBackend::kCalendar, K, V, L> {
-  using type = CalendarQueue<K, V, L>;
 };
 
 template <QueueBackend B, typename Key, typename Value,
@@ -446,18 +378,9 @@ using QueueOf = typename QueueBackendSelector<B, Key, Value, Less>::type;
 template <typename Fn>
 decltype(auto) WithQueueBackend(QueueBackend b, Fn&& fn) {
   switch (b) {
-    case QueueBackend::kPairingHeap:
-      return fn(std::integral_constant<QueueBackend,
-                                       QueueBackend::kPairingHeap>{});
     case QueueBackend::kRbTree:
       return fn(
           std::integral_constant<QueueBackend, QueueBackend::kRbTree>{});
-    case QueueBackend::kSortedVector:
-      return fn(std::integral_constant<QueueBackend,
-                                       QueueBackend::kSortedVector>{});
-    case QueueBackend::kCalendar:
-      return fn(
-          std::integral_constant<QueueBackend, QueueBackend::kCalendar>{});
     case QueueBackend::kBinomialHeap:
     default:
       return fn(std::integral_constant<QueueBackend,
@@ -467,9 +390,7 @@ decltype(auto) WithQueueBackend(QueueBackend b, Fn&& fn) {
 
 // Every adapter must model the contract, for every plausible role.
 static_assert(KeyedMinQueue<BinomialHeapQueue<std::uint64_t, void*>>);
-static_assert(KeyedMinQueue<PairingHeapQueue<std::uint64_t, void*>>);
 static_assert(KeyedMinQueue<RbTreeQueue<std::uint64_t, void*>>);
 static_assert(KeyedMinQueue<SortedVectorStableQueue<std::uint64_t, void*>>);
-static_assert(KeyedMinQueue<CalendarQueue<std::uint64_t, void*>>);
 
 }  // namespace sps::containers

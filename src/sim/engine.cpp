@@ -774,10 +774,10 @@ std::string SimResult::summary() const {
 }
 
 SimResult Simulate(const partition::Partition& p, const SimConfig& cfg) {
-  // One instantiation per ready x sleep backend pair and sink. The sink
-  // doubles that only at compile time: at run time a simulation is
-  // either all-NullSink (every hook compiled away — the perf-guarded
-  // default) or recording.
+  // One instantiation per ready x sleep backend pair and sink (2 x 2 x 2
+  // = 8). The sink doubles that only at compile time: at run time a
+  // simulation is either all-NullSink (every hook compiled away — the
+  // perf-guarded default) or recording.
   const bool recording = cfg.record_trace || cfg.record_metrics;
   return containers::WithQueueBackend(cfg.ready_backend, [&](auto rb) {
     return containers::WithQueueBackend(cfg.sleep_backend, [&](auto sb) {

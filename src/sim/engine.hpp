@@ -5,8 +5,9 @@
 //
 //   * per-core READY queue (priority-ordered; binomial heap by default)
 //     and SLEEP queue (keyed by wake-up time; red-black tree by default)
-//     — the very container implementations from src/containers. Both are
-//     runtime-selectable via SimConfig::ready_backend / sleep_backend
+//     — the very container implementations from src/containers. Either
+//     role takes either structure via SimConfig::ready_backend /
+//     sleep_backend: 2 x 2 pairs x 2 sinks = 8 engine instantiations
 //     (the DESIGN.md §6 ablation runs whole simulations per backend);
 //   * normal tasks released / executed / put to sleep on one fixed core;
 //   * split tasks carrying a per-core budget: when a BODY subtask's budget

@@ -1,8 +1,9 @@
 // The queue-concept conformance suite: ONE behavioural contract
-// (containers/queue_traits.hpp), typed-tested against all four backend
-// adapters — plus the differential simulations proving the contract is
-// strong enough that whole scheduler runs are bit-identical across
-// backends (the tentpole acceptance criterion).
+// (containers/queue_traits.hpp), typed-tested against all three adapters
+// (the two runtime-selectable backends plus the sorted vector behind the
+// kernel's event queue) — plus the differential simulations proving the
+// contract is strong enough that whole scheduler runs are bit-identical
+// across backends.
 
 #include "containers/queue_traits.hpp"
 
@@ -34,24 +35,20 @@ class QueueConcept : public ::testing::Test {};
 
 using AllBackends =
     ::testing::Types<BinomialHeapQueue<std::uint64_t, int>,
-                     PairingHeapQueue<std::uint64_t, int>,
                      RbTreeQueue<std::uint64_t, int>,
-                     SortedVectorStableQueue<std::uint64_t, int>,
-                     CalendarQueue<std::uint64_t, int>>;
+                     SortedVectorStableQueue<std::uint64_t, int>>;
 TYPED_TEST_SUITE(QueueConcept, AllBackends);
 
 // Compile-time: every backend models the concept, in both roles.
 static_assert(ReadyQueueFor<BinomialHeapQueue<std::uint64_t, int>,
                             std::uint64_t, int>);
-static_assert(ReadyQueueFor<PairingHeapQueue<std::uint64_t, int>,
+static_assert(SleepQueueFor<BinomialHeapQueue<std::uint64_t, int>,
                             std::uint64_t, int>);
+static_assert(ReadyQueueFor<RbTreeQueue<std::uint64_t, int>, std::uint64_t,
+                            int>);
 static_assert(SleepQueueFor<RbTreeQueue<std::uint64_t, int>, std::uint64_t,
                             int>);
 static_assert(SleepQueueFor<SortedVectorStableQueue<std::uint64_t, int>,
-                            std::uint64_t, int>);
-static_assert(ReadyQueueFor<CalendarQueue<std::uint64_t, int>,
-                            std::uint64_t, int>);
-static_assert(SleepQueueFor<CalendarQueue<std::uint64_t, int>,
                             std::uint64_t, int>);
 
 TYPED_TEST(QueueConcept, StartsEmpty) {
@@ -199,8 +196,12 @@ TEST(QueueBackendEnum, ParseRoundTrips) {
     EXPECT_EQ(out, b);
   }
   QueueBackend out = QueueBackend::kRbTree;
-  EXPECT_FALSE(ParseQueueBackend("std::map", out));
-  EXPECT_EQ(out, QueueBackend::kRbTree);  // untouched on failure
+  // Only the paper's two Table-1 structures are selectable; any other
+  // container name is rejected.
+  for (const char* name : {"std::map", "pairing", "calendar", "vector"}) {
+    EXPECT_FALSE(ParseQueueBackend(name, out)) << name;
+    EXPECT_EQ(out, QueueBackend::kRbTree);  // untouched on failure
+  }
 }
 
 }  // namespace
