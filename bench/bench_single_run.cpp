@@ -5,13 +5,13 @@
 //   serial              the default path (sorted-vector event queue + job
 //                       arena + NullSink) — what every default-config
 //                       simulation runs on;
-//   sharded             the per-core parallel runner (shards=0: one
-//                       worker per hardware thread);
+//   sharded             the core groups packed onto one lane per
+//                       hardware thread (shards=0, DESIGN.md §9);
 //   serial_traced       serial with the RecordSink (trace + metrics
 //                       recording, DESIGN.md §10) — the
 //                       NullSink-vs-recording A/B;
-//   sharded_traced      the sharded runner with per-lane RecordSinks and
-//                       the post-run canonical merge.
+//   sharded_traced      the lanes with per-lane RecordSinks and the
+//                       post-run canonical merge.
 //
 // On top of the SimResult bit-identity check, the two traced variants'
 // merged traces are compared BYTE-FOR-BYTE (the §10 determinism
@@ -27,11 +27,12 @@
 // deviates from the serial default's — the determinism contract is
 // checked on every perf run, not only in ctest.
 //
-// NOTE on expectations: the sharded runner only pays off when the
-// machine has cores to spare AND the partition's split-task coupling is
-// sparse (DESIGN.md §9). On a single-hardware-thread host it degrades
-// to the serial schedule plus round overhead — the JSON records
-// hardware_threads so the trajectory is interpretable.
+// NOTE on expectations: the lanes only pay off when the machine has
+// cores to spare AND the partition has several core groups (cores
+// joined by split tasks, DESIGN.md §9). On a single-hardware-thread
+// host shards=0 is one lane, i.e. the serial run — the JSON's machine
+// block records hardware_threads, compiler and build type so the
+// trajectory is interpretable.
 
 #include <algorithm>
 #include <chrono>
@@ -130,20 +131,23 @@ struct Measured {
 
 bool RunWorkload(util::JsonWriter& json, const char* label,
                  const partition::Partition& p, Time horizon, int reps) {
-  std::vector<Measured> out;
-  for (const Variant& v : Variants(horizon)) {
-    Measured m;
-    m.name = v.name;
-    m.wall_s = 1e100;
-    for (int rep = 0; rep < reps; ++rep) {
+  const std::vector<Variant> variants = Variants(horizon);
+  std::vector<Measured> out(variants.size());
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    out[i].name = variants[i].name;
+    out[i].wall_s = 1e100;
+  }
+  // Each rep runs every variant once, so a slow phase of the machine
+  // hits all variants alike instead of skewing their ratios.
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < variants.size(); ++i) {
       const auto t0 = std::chrono::steady_clock::now();
-      sim::SimResult r = sim::Simulate(p, v.cfg);
+      sim::SimResult r = sim::Simulate(p, variants[i].cfg);
       const auto t1 = std::chrono::steady_clock::now();
-      m.wall_s = std::min(m.wall_s,
-                          std::chrono::duration<double>(t1 - t0).count());
-      m.result = std::move(r);
+      out[i].wall_s = std::min(
+          out[i].wall_s, std::chrono::duration<double>(t1 - t0).count());
+      out[i].result = std::move(r);
     }
-    out.push_back(std::move(m));
   }
 
   // Bit-identity across every configuration (the serial default is the
@@ -216,9 +220,13 @@ int main() {
   util::JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("single_run");
+  json.Key("machine").BeginObject();
   json.Key("hardware_threads")
       .Value(static_cast<std::uint64_t>(
           std::max(1u, std::thread::hardware_concurrency())));
+  json.Key("compiler").Value(SPS_BENCH_COMPILER);
+  json.Key("build_type").Value(SPS_BENCH_BUILD_TYPE);
+  json.EndObject();
   json.Key("reps").Value(static_cast<std::uint64_t>(reps));
   json.Key("runs").BeginArray();
 

@@ -83,11 +83,13 @@
 // additionally SIMULATES every accepted partition (horizon --sim-ms)
 // and reports the fraction that run without a deadline miss.
 //
-// --shards=N runs the per-core sharded simulator with N total threads
-// (this process counts as one; 0 = one per hardware thread) for
-// single-run mode and the validation simulations; results are
-// bit-identical to --shards=1 — including traces and metrics
-// (DESIGN.md §10), so every observability flag composes with --shards.
+// --shards=N lets one simulation use at most N threads (this process
+// counts as one; 0 = one per hardware thread) in single-run mode and
+// the validation simulations: the partition's core groups — cores
+// joined by split tasks — run as independent lanes (DESIGN.md §9).
+// Results are bit-identical to --shards=1 — including traces and
+// metrics (DESIGN.md §10), so every observability flag composes with
+// --shards. A --trace-stream run always uses one lane.
 //
 // Observability (DESIGN.md §10):
 //   --trace             record the scheduler event stream, print Gantt

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "analysis/overhead_aware.hpp"
 
@@ -20,6 +21,37 @@ double EdfUtilization(std::span<const EdfTask> tasks) {
   }
   return u;
 }
+
+namespace {
+
+/// Check bound for a set whose utilization is 1 up to rounding: H +
+/// max(D - J), where H is the hyperperiod. For U <= 1 the demand bound
+/// function satisfies dbf(t + H) <= dbf(t) + U*H <= dbf(t) + H, so the
+/// first violation, if any, lies at or before H. Returns 0 (no bound)
+/// unless every D - J is positive, U <= 1 holds EXACTLY (in integers),
+/// and the bound fits in `cap`.
+Time HyperperiodBound(std::span<const EdfTask> tasks, Time cap) {
+  Time h = 1;
+  Time d_max = 0;
+  for (const EdfTask& t : tasks) {
+    const Time d = t.deadline - t.jitter;
+    if (d <= 0 || t.period <= 0) return 0;
+    d_max = std::max(d_max, d);
+    const Time g = std::gcd(h, t.period);
+    if (h / g > cap / t.period) return 0;  // the hyperperiod exceeds cap
+    h = h / g * t.period;
+  }
+  if (h > cap - d_max) return 0;
+  Time demand = 0;  // sum of C * H / T: U <= 1 iff demand <= H
+  for (const EdfTask& t : tasks) {
+    const Time jobs = h / t.period;
+    if (t.wcet > (h - demand) / jobs) return 0;
+    demand += t.wcet * jobs;
+  }
+  return h + d_max;
+}
+
+}  // namespace
 
 EdfResult EdfDemandTest(std::span<const EdfTask> tasks, Time max_horizon) {
   EdfResult res;
@@ -44,11 +76,10 @@ EdfResult EdfDemandTest(std::span<const EdfTask> tasks, Time max_horizon) {
     la /= (1.0 - u);
     horizon = static_cast<Time>(la) + 1;
   } else {
-    // U == 1: the theoretical bound is the hyperperiod; fall back to the
-    // configured cap (conservatively fail if demand keeps fitting only
-    // because we stopped looking — handled below by requiring the bound
-    // to fit the cap).
-    horizon = max_horizon;
+    // U == 1: the theoretical bound is the hyperperiod; when it does not
+    // fit, fall back to the configured cap.
+    horizon = HyperperiodBound(tasks, max_horizon);
+    if (horizon == 0) horizon = max_horizon;
   }
   for (const EdfTask& t : tasks) {
     horizon = std::max(horizon, t.deadline - t.jitter);

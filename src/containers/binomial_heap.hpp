@@ -13,7 +13,6 @@
 //   top         O(log n)
 //   pop         O(log n)
 //   erase       O(log n)   (arbitrary element, via its handle)
-//   merge       O(log n)
 //
 // Handles: `push` returns a stable `handle` identifying the element. The
 // heap never moves *nodes*; `erase` bubbles the stored value to the root of
@@ -118,16 +117,6 @@ class BinomialHeap {
     assert(h != nullptr);
     Node* root = bubble_to_root(h);
     return remove_root(root);
-  }
-
-  /// Merge another heap into this one; `other` is left empty.
-  void merge(BinomialHeap& other) {
-    if (this == &other || other.empty()) return;
-    head_ = merge_root_lists(head_, other.head_);
-    size_ += other.size_;
-    other.head_ = nullptr;
-    other.size_ = 0;
-    consolidate();
   }
 
   void clear() noexcept {

@@ -3,10 +3,10 @@
 // of response time and tardiness per task, and wall-occupancy accounting
 // (busy / overhead / idle) per core. Everything here is accumulated
 // ONLINE by the recording sink (obs/sink.hpp) — plain integer adds into
-// fixed-size storage, no allocation on the simulation hot path — and is
-// merged across shard lanes by commutative sums/maxes, so a sharded run
-// reports exactly the metrics of the serial run (the same determinism
-// contract as SimResult itself).
+// fixed-size storage, no allocation on the simulation hot path. A
+// sharded run takes every core's and task's rows from the lane that
+// simulated them, so it reports exactly the metrics of the serial run
+// (the same determinism contract as SimResult itself).
 //
 // This header is layering-bottom: it depends only on rt/time.hpp so the
 // kernel can embed RunMetrics in SimResult without a cycle. Assembly of

@@ -8,12 +8,11 @@
 //     EXACTLY what it paid before the subsystem existed. This is the
 //     path every sweep/bench/acceptance run takes.
 //   * RecordSink — instantiated only when a run asks for a trace or for
-//     metrics. Appends stamped events to a per-lane TraceBuffer
+//     metrics. Appends stamped events to a TraceBuffer
 //     (obs/trace_buffer.hpp) and accumulates streaming metrics
-//     (obs/metrics.hpp) into fixed preallocated storage. Strictly
-//     lane-local: the sharded driver gives each lane its own sink and
-//     merges afterwards, so recording needs no locks and no longer
-//     forces the serial fallback.
+//     (obs/metrics.hpp) into fixed preallocated storage. One sink per
+//     kernel: a sharded run gives each lane its own and merges
+//     afterwards, so recording needs no locks.
 //
 // Trace and metrics recording are independent runtime switches WITHIN
 // RecordSink (one extra branch per hook on the already-recording path);
@@ -36,11 +35,6 @@ struct SinkConfig {
   bool metrics = false;
   std::size_t num_tasks = 0;
   std::uint32_t num_cores = 1;
-  /// Sharded lanes store per-core state for their OWN core only (the
-  /// per-lane-state sizing contract of DESIGN.md §10); serial sinks for
-  /// all cores.
-  bool sharded = false;
-  std::uint32_t lane = 0;
   Time horizon = 0;
 };
 
@@ -65,15 +59,14 @@ class RecordSink {
   static constexpr bool kActive = true;
 
   explicit RecordSink(const SinkConfig& cfg) : cfg_(cfg) {
-    const std::size_t core_slots = cfg.sharded ? 1 : cfg.num_cores;
     if (cfg_.trace) {
-      core_chain_.resize(core_slots);
+      core_chain_.resize(cfg.num_cores);
       task_chain_.resize(cfg.num_tasks);
     }
     if (cfg_.metrics) {
       met_.tasks.resize(cfg.num_tasks);
-      met_.cores.resize(core_slots);
-      core_clock_.resize(core_slots, 0);
+      met_.cores.resize(cfg.num_cores);
+      core_clock_.resize(cfg.num_cores, 0);
     }
   }
 
@@ -87,9 +80,7 @@ class RecordSink {
   /// shard-invariant total order).
   void BeginDispatch(std::uint64_t key, bool core_keyed, std::uint64_t idx) {
     if (!cfg_.trace) return;
-    Chain& c = core_keyed ? core_chain_[CoreSlot(static_cast<std::uint32_t>(
-                                idx))]
-                          : task_chain_[idx];
+    Chain& c = core_keyed ? core_chain_[idx] : task_chain_[idx];
     if (c.last_key == key) {
       ++c.chain;
     } else {
@@ -152,7 +143,6 @@ class RecordSink {
     met_.span = span;
   }
 
-  [[nodiscard]] const RunMetrics& run_metrics() const { return met_; }
   [[nodiscard]] RunMetrics&& TakeMetrics() { return std::move(met_); }
 
  private:
@@ -160,13 +150,6 @@ class RecordSink {
     std::uint64_t last_key = ~0ull;
     std::uint32_t chain = 0;
   };
-
-  [[nodiscard]] std::size_t CoreSlot(std::uint32_t core) const {
-    if (!cfg_.sharded) return core;
-    assert(core == cfg_.lane && "sharded sink fed a remote core");
-    (void)core;
-    return 0;
-  }
 
   /// Book a clamped interval into `field`, accumulating the idle gap
   /// since the previous activity. Intervals arrive begin-ordered and
@@ -177,13 +160,12 @@ class RecordSink {
   void AddInterval(std::uint32_t core, Time t0, Time t1,
                    Time CoreMetrics::*field) {
     if (!cfg_.metrics) return;
-    const std::size_t s = CoreSlot(core);
     const Time b = std::min(t0, cfg_.horizon);
     const Time e = std::min(t1, cfg_.horizon);
-    Time& clock = core_clock_[s];
+    Time& clock = core_clock_[core];
     assert(b >= clock && "overlapping per-core activity intervals");
-    if (b > clock) met_.cores[s].idle += b - clock;
-    if (e > b) met_.cores[s].*field += e - b;
+    if (b > clock) met_.cores[core].idle += b - clock;
+    if (e > b) met_.cores[core].*field += e - b;
     clock = std::max(clock, e);
   }
 

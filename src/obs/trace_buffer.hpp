@@ -1,10 +1,8 @@
 #pragma once
-// Per-lane trace recording (DESIGN.md §10). The kernel no longer streams
-// trace events into a shared vector (which is what forced traced runs
-// onto the serial path): each lane appends STAMPED events to its own
-// arena-backed TraceBuffer, and the canonical trace of a run — serial or
-// sharded, byte-identical either way — is produced afterwards by a
-// deterministic k-way merge over the lane buffers.
+// Trace recording (DESIGN.md §10). Each kernel appends STAMPED events to
+// its own arena-backed TraceBuffer, and the canonical trace of a run —
+// one lane or several, byte-identical either way — is produced
+// afterwards by a deterministic k-way merge over the lane buffers.
 //
 // The stamp is what makes the merge exact. Every record carries the
 // identity of the DISPATCH that emitted it:
@@ -21,8 +19,8 @@
 //            for one core at one instant the NORM, so a per-subject
 //            counter disambiguates them. The chain index is lane-local
 //            state, and it is shard-invariant because a subject's events
-//            are only ever pushed by that subject's own lane, in the
-//            lane's deterministic dispatch order;
+//            all dispatch on the lane that owns its core group, in the
+//            serial run's order;
 //   ordinal  position within the dispatch (a handler emits several
 //            events: release + overhead begin, ...).
 //
@@ -71,7 +69,7 @@ struct StampedEvent {
 ///
 /// Streaming-window mode (DESIGN.md §15) additionally POPS from the
 /// front: DrainBelow() removes the finalized prefix (records whose key
-/// is below a watermark the driver proves no future dispatch can
+/// is below the event queue's minimum, which no future dispatch can
 /// undercut), recycling fully-consumed chunks back into the arena — so
 /// a horizon-scale traced run holds O(window) records instead of
 /// O(events).
@@ -96,7 +94,7 @@ class TraceBuffer {
 
   /// Pop the finalized prefix: every record whose stamp key is strictly
   /// below `key_limit`, appended (stamp-sorted) to `out`. Valid because
-  /// a lane's append order is key-monotone — DES dispatch time never
+  /// the append order is key-monotone — DES dispatch time never
   /// decreases — so the below-limit records form exactly the front of
   /// the buffer; the sort only settles same-key ties (chain/ordinal).
   /// Fully-consumed chunks are recycled into the arena.
@@ -128,8 +126,8 @@ class TraceBuffer {
               });
   }
 
-  /// Copy out every live record, sorted by stamp. Lane-local append order
-  /// is already key-sorted (DES time never goes backwards), so this sort
+  /// Copy out every live record, sorted by stamp. The append order is
+  /// already key-sorted (DES time never goes backwards), so this sort
   /// only reorders same-key ties — near-linear in practice.
   [[nodiscard]] std::vector<StampedEvent> Sorted() const {
     std::vector<StampedEvent> out;
@@ -157,8 +155,8 @@ class TraceBuffer {
 
 /// Statistics of one streamed run, handed to TraceDrain::OnFinish.
 /// peak_resident is the maximum LIVE stamped-record count observed at
-/// the drain points (summed over lanes) — the bounded-memory claim the
-/// streaming-window tests assert against the configured window.
+/// the drain points — the bounded-memory claim the streaming-window
+/// tests assert against the configured window.
 struct TraceStreamStats {
   std::size_t events = 0;
   std::size_t batches = 0;
@@ -176,18 +174,21 @@ class TraceDrain {
   virtual void OnFinish(const TraceStreamStats& stats) = 0;
 };
 
-/// K-way merge of per-lane stamp-SORTED runs, appended to `out` in
-/// stamp order. The heap repeatedly takes the lane whose head stamp is
-/// smallest (ties impossible: a stamp identifies one dispatch of one
-/// subject, and a subject's dispatches all happen on one lane). Shared
-/// by the post-run full-buffer merge and the streaming-window drain —
-/// one merge order, so the two paths are byte-identical by
-/// construction.
-inline void MergeSortedRuns(const std::vector<std::vector<StampedEvent>>& sorted,
-                            std::vector<trace::Event>& out) {
+/// Deterministic k-way merge of per-lane buffers into the canonical
+/// event sequence. The heap repeatedly takes the lane whose head stamp
+/// is smallest (ties impossible: a stamp identifies one dispatch of one
+/// subject, and a subject's dispatches all happen on one lane).
+[[nodiscard]] inline std::vector<trace::Event> MergeTraceBuffers(
+    const std::vector<const TraceBuffer*>& lanes) {
+  std::vector<std::vector<StampedEvent>> sorted;
+  sorted.reserve(lanes.size());
   std::size_t total = 0;
-  for (const std::vector<StampedEvent>& run : sorted) total += run.size();
-  out.reserve(out.size() + total);
+  for (const TraceBuffer* b : lanes) {
+    sorted.push_back(b->Sorted());
+    total += sorted.back().size();
+  }
+  std::vector<trace::Event> out;
+  out.reserve(total);
 
   // Binary min-heap of lane heads, keyed by stamp.
   std::vector<std::size_t> head(sorted.size(), 0);
@@ -213,17 +214,6 @@ inline void MergeSortedRuns(const std::vector<std::vector<StampedEvent>>& sorted
       std::push_heap(heap.begin(), heap.end(), heap_less);
     }
   }
-}
-
-/// Deterministic k-way merge of per-lane buffers into the canonical
-/// event sequence (the full-buffer path).
-[[nodiscard]] inline std::vector<trace::Event> MergeTraceBuffers(
-    const std::vector<const TraceBuffer*>& lanes) {
-  std::vector<std::vector<StampedEvent>> sorted;
-  sorted.reserve(lanes.size());
-  for (const TraceBuffer* b : lanes) sorted.push_back(b->Sorted());
-  std::vector<trace::Event> out;
-  MergeSortedRuns(sorted, out);
   return out;
 }
 

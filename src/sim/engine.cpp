@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <memory>
-#include <optional>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -20,12 +20,11 @@ namespace {
 using partition::PlacedTask;
 
 /// Width of the EDF ready-key task-index tie-break (CurKey): task
-/// indices are packed into 16 bits below the absolute deadline (widened
-/// from 10 in PR 4 so realistically sized sets never hit the limit).
-/// EDF partitions with more tasks would alias indices — equal-deadline
-/// order would fall back to insertion FIFO, which is interleaving-
-/// dependent — so the sharded runner declines them (serial fallback in
-/// Dispatch) rather than quietly lose bit-identity.
+/// indices are packed into 16 bits below the absolute deadline. EDF
+/// partitions with more tasks alias indices, and equal-deadline order
+/// falls back to insertion FIFO — still deterministic, and the same on
+/// every lane count, because a lane replays its groups' serial event
+/// order exactly.
 inline constexpr std::size_t kEdfTieBreakTasks = 1u << 16;
 
 struct Job : kernel::JobBase {
@@ -61,7 +60,10 @@ struct PerCoreQueues {
 /// inactive tasks by wake-up time. The kernel's event queue is fixed
 /// (kernel::EventQueue, DESIGN.md §9). Sink is the observability policy
 /// (DESIGN.md §10): obs::NullSink unless the run records a trace or
-/// metrics.
+/// metrics. One instance simulates the core groups of one lane
+/// (DESIGN.md §9): it boots only the tasks whose first core belongs to
+/// its lane, and no event of those tasks ever reaches another lane's
+/// cores.
 template <typename ReadyQ, typename SleepQ, typename Sink>
 class Engine final
     : public kernel::KernelBase<Engine<ReadyQ, SleepQ, Sink>, Job,
@@ -79,7 +81,6 @@ class Engine final
   using EvKind = kernel::EvKind;
   using CoreState = kernel::CoreState;
   using Core = typename Base::Core;
-  using ShardContext = typename Base::ShardContext;
 
   static kernel::KernelConfig MakeKernelConfig(const partition::Partition& p,
                                                const SimConfig& cfg) {
@@ -98,9 +99,11 @@ class Engine final
   }
 
   Engine(const partition::Partition& p, const SimConfig& cfg,
-         const ShardContext* shard = nullptr)
-      : Base(MakeKernelConfig(p, cfg), p.tasks.size(), shard),
-        p_(p) {
+         const std::vector<std::uint32_t>& lane_of_core, std::uint32_t lane)
+      : Base(MakeKernelConfig(p, cfg), p.tasks.size()),
+        p_(p),
+        lane_of_core_(lane_of_core),
+        lane_(lane) {
     for (std::size_t i = 0; i < p.tasks.size(); ++i) {
       tasks_[i].pt = &p.tasks[i];
       tasks_[i].stats.id = p.tasks[i].task.id;
@@ -112,38 +115,27 @@ class Engine final
     }
   }
 
-  using Base::BootShard;
-  using Base::CollectShardInto;
-  using Base::DrainMailbox;
-  using Base::FinalizeShardObservability;
-  using Base::FinalizeTasksInto;
   using Base::halted;
-  using Base::NextEventKey;
   using Base::Run;
-  using Base::RunWindow;
   using Base::sink;
 
  private:
-  using Base::CoreAt;
-  using Base::CoreStatsAt;
   using Base::cores_;
   using Base::kcfg_;
-  using Base::lane_;
   using Base::now_;
   using Base::result_;
-  using Base::router_;
   using Base::tasks_;
 
   // ---- kernel policy hooks ----------------------------------------------
 
   void Boot() {
     // All tasks start in their first core's sleep queue, waking at t=0
-    // (synchronous release — the critical instant). A shard boots only
-    // the tasks whose first core is its own lane.
+    // (synchronous release — the critical instant). A lane boots only
+    // the tasks whose first core is one of its own.
     for (std::size_t i = 0; i < p_.tasks.size(); ++i) {
       const partition::CoreId c = FirstCore(i);
-      if (router_ != nullptr && c != lane_) continue;
-      tasks_[i].sleep_handle = CoreAt(c).sleep.push(0, i);
+      if (lane_of_core_[c] != lane_) continue;
+      tasks_[i].sleep_handle = cores_[c].sleep.push(0, i);
       tasks_[i].next_release = 0;
       this->Push(Ev{.t = 0, .kind = EvKind::kTimer, .core = c,
                     .task_idx = i});
@@ -157,19 +149,6 @@ class Engine final
       case EvKind::kSegmentEnd: OnSegmentEnd(ev); break;
       case EvKind::kMigrationArrival: OnMigrationArrival(ev); break;
     }
-  }
-
-  /// Cross-lane delivery hook: a remote finish's wake-up timer
-  /// materializes the sleep-queue entry HERE, on the queue's owning
-  /// lane — in the serial engine FinishJob pushes it directly. Same
-  /// push/erase counts either way; the sleep queue is write-only
-  /// bookkeeping (never popped), so the result cannot differ.
-  void OnDeliver(const Ev& ev) {
-    if (ev.kind != EvKind::kTimer) return;
-    assert(FirstCore(ev.task_idx) == lane_);
-    TaskRt<SleepQ>& tr = tasks_[ev.task_idx];
-    assert(tr.sleep_handle == nullptr);
-    tr.sleep_handle = CoreAt(lane_).sleep.push(ev.t, ev.task_idx);
   }
 
   Time WcetOf(std::size_t ti) const { return TaskOf(ti).wcet; }
@@ -197,8 +176,7 @@ class Engine final
   /// under EDF the absolute window deadline, tie-broken by task index.
   /// The deterministic EDF tie-break (vs. PR-2's arrival-order FIFO)
   /// makes the ready order a pure function of job state, independent of
-  /// the event interleaving — required for shard-count invariance and a
-  /// common choice in real EDF schedulers.
+  /// the event interleaving — a common choice in real EDF schedulers.
   std::uint64_t CurKey(const Job* j) const {
     const auto& part = tasks_[j->task_idx].pt->parts[j->part];
     if (p_.policy == partition::SchedPolicy::kFixedPriority) {
@@ -213,8 +191,7 @@ class Engine final
     // maximum key and order FIFO among themselves.
     const std::uint64_t capped = std::min<std::uint64_t>(
         static_cast<std::uint64_t>(d), (1ull << 48) - 1);
-    // Aliased indices (> kEdfTieBreakTasks tasks) only ever run serial
-    // (Dispatch declines to shard them), where FIFO ties are fine.
+    // Aliased indices (> kEdfTieBreakTasks tasks) tie FIFO.
     return (capped << 16) | (static_cast<std::uint64_t>(j->task_idx) &
                              (kEdfTieBreakTasks - 1));
   }
@@ -222,7 +199,7 @@ class Engine final
   /// Suspend execution (if any), account progress, queue a scheduling
   /// decision after `cost` of overhead.
   void InterruptCore(std::uint32_t c, trace::OverheadKind kind, Time cost) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     if (core.state == CoreState::kExec) {
       this->SuspendRunning(c);
     }
@@ -243,7 +220,7 @@ class Engine final
     const std::size_t ti = ev.task_idx;
     TaskRt<SleepQ>& tr = tasks_[ti];
     const std::uint32_t c = ev.core;
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     assert(!tr.active && tr.sleep_handle != nullptr);
 
     // The timer handler removes the task from this core's sleep queue and
@@ -267,7 +244,7 @@ class Engine final
   }
 
   void OnOverheadEnd(const Ev& ev) {
-    Core& core = CoreAt(ev.core);
+    Core& core = cores_[ev.core];
     if (ev.epoch != core.epoch || core.state != CoreState::kOvh) return;
 
     if (core.pending_start != nullptr) {
@@ -297,7 +274,7 @@ class Engine final
   /// current one on preemption, charge the corresponding costs, and leave
   /// the winner in pending_start for the post-overhead switch-in.
   void MakeSchedulingDecision(std::uint32_t c) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     const std::size_t n = n_of_core_[c];
     const bool have_top = !core.ready.empty();
 
@@ -315,7 +292,7 @@ class Engine final
         Job* top = core.ready.pop_min().second;
         core.ready.push(run_key, preempted);
         core.pending_start = top;
-        ++CoreStatsAt(c).context_switches;
+        ++result_.cores[c].context_switches;
         this->BurnOverhead(c, trace::OverheadKind::kSch,
                            kcfg_.overheads.sched_overhead(n, true));
         this->BurnOverhead(c, trace::OverheadKind::kCnt1,
@@ -330,7 +307,7 @@ class Engine final
     } else if (have_top) {
       Job* top = core.ready.pop_min().second;
       core.pending_start = top;
-      ++CoreStatsAt(c).context_switches;
+      ++result_.cores[c].context_switches;
       this->BurnOverhead(c, trace::OverheadKind::kSch,
                          kcfg_.overheads.sched_overhead(n, false));
       this->BurnOverhead(c, trace::OverheadKind::kCnt1,
@@ -342,7 +319,7 @@ class Engine final
   }
 
   void StartSegment(std::uint32_t c) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     Job* j = core.running;
     assert(j != nullptr);
     if (j->cpmd_pending > 0) {
@@ -355,7 +332,7 @@ class Engine final
       if (j->budget_remaining < kTimeNever / 2) {
         j->budget_remaining += j->cpmd_pending;
       }
-      CoreStatsAt(c).cpmd_charged += j->cpmd_pending;
+      result_.cores[c].cpmd_charged += j->cpmd_pending;
       this->Trace(trace::EventKind::kOverheadBegin, c, j,
                   trace::OverheadKind::kCache, j->cpmd_pending);
       j->cpmd_pending = 0;
@@ -370,7 +347,7 @@ class Engine final
   }
 
   void OnSegmentEnd(const Ev& ev) {
-    Core& core = CoreAt(ev.core);
+    Core& core = cores_[ev.core];
     if (ev.epoch != core.epoch || core.state != CoreState::kExec) return;
     Job* j = core.running;
     this->BookProgress(ev.core, j);
@@ -383,7 +360,7 @@ class Engine final
   }
 
   void FinishJob(std::uint32_t c, Job* j) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     TaskRt<SleepQ>& tr = tasks_[j->task_idx];
 
     this->RecordCompletion(c, j);
@@ -403,14 +380,7 @@ class Engine final
     }
     tr.next_release = wake;
     tr.active = false;
-    if (this->IsRemoteLane(first)) {
-      // Sharded cross-lane finish: the sleep-queue entry is created on
-      // delivery of the timer event by the owning lane (OnDeliver) —
-      // this lane must not touch a remote core's queues.
-      assert(tr.sleep_handle == nullptr);
-    } else {
-      tr.sleep_handle = CoreAt(first).sleep.push(wake, j->task_idx);
-    }
+    tr.sleep_handle = cores_[first].sleep.push(wake, j->task_idx);
     this->Push(Ev{.t = wake, .kind = EvKind::kTimer, .core = first,
                   .task_idx = j->task_idx});
 
@@ -425,7 +395,7 @@ class Engine final
   }
 
   void MigrateJob(std::uint32_t c, Job* j) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     const PlacedTask& pt = *tasks_[j->task_idx].pt;
     assert(j->part + 1 < pt.parts.size());
 
@@ -454,7 +424,7 @@ class Engine final
 
   void OnMigrationArrival(const Ev& ev) {
     Job* j = ev.job;
-    Core& dest = CoreAt(ev.core);
+    Core& dest = cores_[ev.core];
     this->Trace(trace::EventKind::kMigrateIn, ev.core, j);
     dest.ready.push(CurKey(j), j);
     // The insert was paid by the source core; the destination only runs
@@ -463,277 +433,79 @@ class Engine final
   }
 
   const partition::Partition& p_;
+  const std::vector<std::uint32_t>& lane_of_core_;
+  const std::uint32_t lane_;
   std::vector<std::size_t> n_of_core_;
 };
 
-/// Which cores can push cross-lane events INTO core c (DESIGN.md §9).
-/// In a semi-partitioned system the only cross-core edges are the split
-/// pipeline (part i's core -> part i+1's core: migration arrivals) and
-/// the return to the first core's sleep queue (any part core can be the
-/// finisher -> timer wake-ups on the first core).
-std::vector<std::vector<std::uint32_t>> SenderLanes(
-    const partition::Partition& p) {
-  std::vector<std::vector<std::uint32_t>> senders(p.num_cores);
-  auto add = [&](partition::CoreId to, partition::CoreId from) {
-    if (to == from) return;
-    std::vector<std::uint32_t>& v = senders[to];
-    if (std::find(v.begin(), v.end(), from) == v.end()) v.push_back(from);
-  };
-  for (const PlacedTask& pt : p.tasks) {
-    if (pt.parts.size() < 2) continue;
-    const partition::CoreId first = pt.parts[0].core;
-    for (std::size_t i = 0; i < pt.parts.size(); ++i) {
-      add(first, pt.parts[i].core);
-      if (i + 1 < pt.parts.size()) {
-        add(pt.parts[i + 1].core, pt.parts[i].core);
-      }
-    }
-  }
-  return senders;
-}
-
-/// One simulation, sharded per core over the shared worker pool
-/// (DESIGN.md §9). Alternates two barrier-separated phases: every lane
-/// drains its mailbox and publishes the key of its next event, then
-/// every lane dispatches events up to the minimum published key of its
-/// sender lanes (a lane dispatching packed key K can only emit keys >=
-/// K+1 cross-lane, so nothing that orders before the bound can still
-/// arrive). Bit-identical to the serial engine by construction: per-task
-/// RNG streams, deterministic mailbox ordering, unique ready keys —
-/// and, with a recording sink, the per-lane trace buffers merge into
-/// the byte-identical canonical trace (DESIGN.md §10).
+/// One simulation over the core-group lanes of CoreGroupLanes
+/// (DESIGN.md §9). Every lane is an ordinary kernel that runs its own
+/// groups to the horizon on the shared pool; the lanes never exchange an
+/// event, and each replays exactly the serial event order of its groups.
+/// So the merge is bookkeeping: core and task rows from the owning lane,
+/// counters summed, the clock a max, and the stamped trace buffers
+/// k-way merged into the canonical trace (DESIGN.md §10). One lane IS
+/// the serial run.
 ///
-/// Returns nullopt when a stop_on_first_miss run observed a miss: the
-/// per-lane halt flags are aggregated at the drain barrier, the sharded
-/// attempt is abandoned (lanes have over-processed past the miss), and
-/// the caller reruns serially for the exact serial halt point.
+/// Under stop_on_first_miss a lane halts at its own first miss while
+/// the others run on, which the serial halt point cannot reproduce: if
+/// any lane halted, the run is repeated on one lane.
 template <typename ReadyQ, typename SleepQ, typename Sink>
-std::optional<SimResult> RunSharded(const partition::Partition& p,
-                                    const SimConfig& cfg, unsigned threads) {
+SimResult RunLanes(const partition::Partition& p, const SimConfig& cfg,
+                   unsigned max_lanes) {
   using Eng = Engine<ReadyQ, SleepQ, Sink>;
-  const std::size_t m = p.num_cores;
-
-  kernel::ShardRouter<Job> router(m);
-  std::vector<TaskRt<SleepQ>> tasks(p.tasks.size());
-  std::vector<std::unique_ptr<Eng>> shards;
-  shards.reserve(m);
-  for (std::size_t c = 0; c < m; ++c) {
-    const typename Eng::ShardContext ctx{
-        static_cast<std::uint32_t>(c), &router, tasks.data(), tasks.size()};
-    shards.push_back(std::make_unique<Eng>(p, cfg, &ctx));
+  const std::vector<std::uint32_t> lane_of_core = CoreGroupLanes(p, max_lanes);
+  std::size_t lanes = 1;
+  for (const std::uint32_t l : lane_of_core) {
+    lanes = std::max<std::size_t>(lanes, l + 1);
   }
-  const std::vector<std::vector<std::uint32_t>> senders = SenderLanes(p);
-
-  // Honor the requested width: SimConfig::shards caps TOTAL worker
-  // threads (caller included). The shared pool serves full-width runs;
-  // a narrower request gets a transient pool of its own (thread spawn
-  // is microseconds against a whole-simulation run).
-  std::unique_ptr<util::ThreadPool> own_pool;
-  util::ThreadPool* pool = &util::SharedPool();
-  if (threads - 1 < pool->num_threads()) {
-    own_pool = std::make_unique<util::ThreadPool>(threads - 1);
-    pool = own_pool.get();
-  }
-  pool->ParallelFor(m, [&](std::size_t c) { shards[c]->BootShard(); });
-
-  const std::uint64_t horizon_key_max =
-      (static_cast<std::uint64_t>(cfg.horizon) << kernel::kEvKindBits) |
-      ((1u << kernel::kEvKindBits) - 1);
-  std::vector<std::uint64_t> next_key(m, Eng::kNoEventKey);
-  std::vector<std::uint64_t> bound(m, Eng::kNoEventKey);
-
-  // Streaming trace window, sharded flavor (DESIGN.md §15): at the
-  // phase-1 barrier every lane's next-event key is published, and any
-  // future dispatch anywhere carries a key >= W = min(next_key) (a
-  // cross-lane emission adds at least one rank on top of its dispatch
-  // key). So each lane's below-W records — a stamp-key-monotone PREFIX
-  // of its append order — are final; DrainBelow pops and sorts them and
-  // the stamped k-way merge emits exactly the prefix the full-buffer
-  // merge would. Byte-identity with the serial and full-buffer paths by
-  // construction.
-  const bool streaming = cfg.trace_drain != nullptr && cfg.record_trace;
-  obs::TraceStreamStats stream_stats;
-  std::vector<std::vector<obs::StampedEvent>> stream_runs;
-  std::vector<trace::Event> stream_batch;
-  auto stream_drain_below = [&](std::uint64_t limit) {
-    if constexpr (Sink::kActive) {
-      std::size_t resident = 0;
-      for (std::size_t c = 0; c < m; ++c) {
-        resident += shards[c]->sink().buffer().size();
-      }
-      stream_stats.peak_resident =
-          std::max(stream_stats.peak_resident, resident);
-      if (stream_runs.size() != m) stream_runs.resize(m);
-      std::size_t total = 0;
-      for (std::size_t c = 0; c < m; ++c) {
-        stream_runs[c].clear();
-        shards[c]->sink_mut().buffer_mut().DrainBelow(limit, stream_runs[c]);
-        total += stream_runs[c].size();
-      }
-      if (total == 0) return;
-      stream_batch.clear();
-      obs::MergeSortedRuns(stream_runs, stream_batch);
-      cfg.trace_drain->OnEvents(stream_batch);
-      stream_stats.events += total;
-      ++stream_stats.batches;
-    } else {
-      (void)limit;
-    }
+  std::vector<std::unique_ptr<Eng>> engines(lanes);
+  std::vector<SimResult> results(lanes);
+  auto run_lane = [&](std::size_t l) {
+    engines[l] = std::make_unique<Eng>(p, cfg, lane_of_core,
+                                       static_cast<std::uint32_t>(l));
+    results[l] = engines[l]->Run();
   };
-
-  for (;;) {
-    // Phase 1: deliver cross-lane events, publish every lane's clock.
-    pool->ParallelFor(m, [&](std::size_t c) {
-      shards[c]->DrainMailbox();
-      next_key[c] = shards[c]->NextEventKey();
-    });
-    // Stop-on-first-miss: each lane raises its halt flag inside the
-    // processing window; the flags are read here, at the barrier. The
-    // over-processed sharded state cannot reproduce the serial halt
-    // point, so the whole attempt is discarded.
-    if (cfg.stop_on_first_miss) {
-      for (std::size_t c = 0; c < m; ++c) {
-        if (shards[c]->halted()) return std::nullopt;
-      }
+  if (lanes == 1) {
+    run_lane(0);
+  } else {
+    util::SharedPool().ParallelFor(lanes, run_lane);
+    if (cfg.stop_on_first_miss &&
+        std::any_of(engines.begin(), engines.end(),
+                    [](const auto& e) { return e->halted(); })) {
+      return RunLanes<ReadyQ, SleepQ, Sink>(p, cfg, 1);
     }
-    // All mailboxes are empty here (deliveries only happen in phase 2),
-    // so once every lane's next event is beyond the horizon nothing can
-    // ever be dispatched again.
-    if (*std::min_element(next_key.begin(), next_key.end()) >
-        horizon_key_max) {
-      break;
-    }
-    if constexpr (Sink::kActive) {
-      if (streaming) {
-        // Drain once any lane reached its backpressure share (see
-        // RunWindow): with every lane active that is when the total
-        // nears the window; with one active lane it keeps that lane
-        // from being throttled to one event per round.
-        const std::size_t lane_cap = std::max<std::size_t>(
-            1, cfg.trace_window / std::max<std::size_t>(1, m));
-        std::size_t resident = 0;
-        std::size_t max_lane = 0;
-        for (std::size_t c = 0; c < m; ++c) {
-          const std::size_t n = shards[c]->sink().buffer().size();
-          resident += n;
-          max_lane = std::max(max_lane, n);
-        }
-        stream_stats.peak_resident =
-            std::max(stream_stats.peak_resident, resident);
-        if (max_lane >= lane_cap) {
-          stream_drain_below(
-              *std::min_element(next_key.begin(), next_key.end()));
-        }
-      }
-    }
-    // Earliest key each lane could still DISPATCH — its own queue, or a
-    // chain of incoming emissions (each cross-lane hop adds at least one
-    // rank). The transitive closure matters: a lane whose own queue is
-    // quiet can still receive a migration and emit a wake-up back, so
-    // its raw queue minimum alone is NOT a valid send bound. Fixpoint a
-    // la Bellman-Ford; converges in <= m passes (keys only decrease,
-    // each pass relaxes one more hop).
-    bound.assign(next_key.begin(), next_key.end());
-    for (std::size_t pass = 0; pass < m; ++pass) {
-      bool changed = false;
-      for (std::size_t c = 0; c < m; ++c) {
-        for (const std::uint32_t s : senders[c]) {
-          const std::uint64_t via = bound[s] == Eng::kNoEventKey
-                                        ? Eng::kNoEventKey
-                                        : bound[s] + 1;
-          if (via < bound[c]) {
-            bound[c] = via;
-            changed = true;
-          }
-        }
-      }
-      if (!changed) break;
-    }
-    // Phase 2: each lane advances through its safe window — every key
-    // strictly below anything its senders could still emit. The global
-    // minimum holder always qualifies, so every round makes progress.
-    pool->ParallelFor(m, [&](std::size_t c) {
-      std::uint64_t safe = Eng::kNoEventKey;
-      for (const std::uint32_t s : senders[c]) {
-        safe = std::min(safe, bound[s]);
-      }
-      shards[c]->RunWindow(safe);
-    });
   }
 
-  SimResult out;
-  out.cores.resize(m);
-  for (std::size_t c = 0; c < m; ++c) shards[c]->CollectShardInto(out);
-  shards[0]->FinalizeTasksInto(out);
-
-  // Observability merge (DESIGN.md §10): close every lane's streams,
-  // k-way-merge the stamped trace buffers into the canonical sequence,
-  // and fold the per-lane metrics (task histograms sum; each lane owns
-  // exactly its core's occupancy row). All merging is commutative or
-  // stamp-ordered, so the output is byte-identical to the serial run's.
+  SimResult out = std::move(results[0]);
+  for (std::size_t l = 1; l < lanes; ++l) {
+    SimResult& r = results[l];
+    out.total_misses += r.total_misses;
+    out.total_migrations += r.total_migrations;
+    out.total_preemptions += r.total_preemptions;
+    out.simulated = std::max(out.simulated, r.simulated);
+    out.ready_ops += r.ready_ops;
+    out.sleep_ops += r.sleep_ops;
+    out.event_ops += r.event_ops;
+    for (std::size_t c = 0; c < p.num_cores; ++c) {
+      if (lane_of_core[c] != l) continue;
+      out.cores[c] = r.cores[c];
+      if (cfg.record_metrics) out.metrics.cores[c] = r.metrics.cores[c];
+    }
+    for (std::size_t i = 0; i < p.tasks.size(); ++i) {
+      if (lane_of_core[p.tasks[i].parts[0].core] != l) continue;
+      out.tasks[i] = r.tasks[i];
+      if (cfg.record_metrics) out.metrics.tasks[i] = r.metrics.tasks[i];
+    }
+  }
   if constexpr (Sink::kActive) {
-    for (std::size_t c = 0; c < m; ++c) {
-      shards[c]->FinalizeShardObservability();
-    }
-    if (cfg.record_trace) {
-      if (streaming) {
-        // Flush the remainder and report the stream's bounds; the
-        // canonical trace went through the drain (trace_events stays
-        // empty), exactly like the serial kernel's Finalize.
-        stream_drain_below(Eng::kNoEventKey);
-        cfg.trace_drain->OnFinish(stream_stats);
-      } else {
-        std::vector<const obs::TraceBuffer*> bufs;
-        bufs.reserve(m);
-        for (std::size_t c = 0; c < m; ++c) {
-          bufs.push_back(&shards[c]->sink().buffer());
-        }
-        out.trace_events = obs::MergeTraceBuffers(bufs);
-      }
-    }
-    if (cfg.record_metrics) {
-      obs::RunMetrics merged;
-      merged.tasks.resize(tasks.size());
-      merged.cores.resize(m);
-      for (std::size_t c = 0; c < m; ++c) {
-        const obs::RunMetrics& lane = shards[c]->sink().run_metrics();
-        merged.cores[c] = lane.cores[0];
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-          merged.tasks[i] += lane.tasks[i];
-        }
-        merged.span = lane.span;  // == horizon on every lane
-      }
-      out.metrics = std::move(merged);
+    if (cfg.record_trace && cfg.trace_drain == nullptr) {
+      std::vector<const obs::TraceBuffer*> bufs;
+      for (const auto& e : engines) bufs.push_back(&e->sink().buffer());
+      out.trace_events = obs::MergeTraceBuffers(bufs);
     }
   }
   return out;
-}
-
-template <typename ReadyQ, typename SleepQ, typename Sink>
-SimResult Dispatch(const partition::Partition& p, const SimConfig& cfg) {
-  const unsigned threads =
-      cfg.shards == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                      : cfg.shards;
-  // Sharding needs multiple lanes. Since PR 4 trace recording, metrics,
-  // and stop-on-first-miss all shard (the first two via per-lane sinks,
-  // the last optimistically — a detected miss falls back to the exact
-  // serial halt below). Only EDF partitions beyond the CurKey tie-break
-  // width stay serial: with aliased task indices the ready order would
-  // degrade to insertion FIFO, which is interleaving-dependent.
-  const bool edf_alias = p.policy == partition::SchedPolicy::kEdf &&
-                         p.tasks.size() > kEdfTieBreakTasks;
-  // Streaming + stop_on_first_miss must take the serial loop: an
-  // abandoned sharded attempt would already have streamed over-processed
-  // events the drain consumer cannot un-see (DESIGN.md §15).
-  const bool stream_needs_serial =
-      cfg.trace_drain != nullptr && cfg.stop_on_first_miss;
-  if (threads > 1 && p.num_cores > 1 && !edf_alias && !stream_needs_serial) {
-    std::optional<SimResult> r =
-        RunSharded<ReadyQ, SleepQ, Sink>(p, cfg, threads);
-    if (r.has_value()) return *std::move(r);
-  }
-  Engine<ReadyQ, SleepQ, Sink> engine(p, cfg);
-  return engine.Run();
 }
 
 }  // namespace
@@ -773,7 +545,62 @@ std::string SimResult::summary() const {
   return out;
 }
 
+std::vector<std::uint32_t> CoreGroupLanes(const partition::Partition& p,
+                                          unsigned max_lanes) {
+  const std::size_t m = p.num_cores;
+  // Union-find over the cores, joined along every split task's parts.
+  // Uniting roots under the smaller index keeps each group's root its
+  // lowest core.
+  std::vector<std::uint32_t> root(m);
+  std::iota(root.begin(), root.end(), 0u);
+  auto find = [&](std::uint32_t c) {
+    while (root[c] != c) c = root[c] = root[root[c]];
+    return c;
+  };
+  for (const PlacedTask& pt : p.tasks) {
+    for (const partition::SubtaskPlacement& part : pt.parts) {
+      const std::uint32_t a = find(pt.parts[0].core);
+      const std::uint32_t b = find(part.core);
+      root[std::max(a, b)] = std::min(a, b);
+    }
+  }
+  // Job rate of each group (jobs per ns over its tasks): the lane load.
+  std::vector<double> rate(m, 0.0);
+  for (const PlacedTask& pt : p.tasks) {
+    rate[find(pt.parts[0].core)] +=
+        1.0 / static_cast<double>(pt.task.period);
+  }
+  std::vector<std::uint32_t> groups;
+  for (std::uint32_t c = 0; c < m; ++c) {
+    if (find(c) == c) groups.push_back(c);
+  }
+  std::stable_sort(groups.begin(), groups.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return rate[a] > rate[b];
+                   });
+  // Largest first onto the least-loaded lane (lowest index on ties).
+  const std::size_t lanes = std::min<std::size_t>(
+      std::max(1u, max_lanes), std::max<std::size_t>(1, groups.size()));
+  std::vector<double> load(lanes, 0.0);
+  std::vector<std::uint32_t> lane_of_root(m, 0);
+  for (const std::uint32_t g : groups) {
+    const auto l = static_cast<std::uint32_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    lane_of_root[g] = l;
+    load[l] += rate[g];
+  }
+  std::vector<std::uint32_t> lane_of_core(m);
+  for (std::uint32_t c = 0; c < m; ++c) lane_of_core[c] = lane_of_root[find(c)];
+  return lane_of_core;
+}
+
 SimResult Simulate(const partition::Partition& p, const SimConfig& cfg) {
+  // At most one lane per thread. A streaming-trace run keeps one lane:
+  // its O(window) bound is one kernel's drain.
+  const unsigned max_lanes =
+      cfg.trace_drain != nullptr ? 1
+      : cfg.shards == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                        : cfg.shards;
   // One instantiation per ready x sleep backend pair and sink (2 x 2 x 2
   // = 8). The sink doubles that only at compile time: at run time a
   // simulation is either all-NullSink (every hook compiled away — the
@@ -785,8 +612,9 @@ SimResult Simulate(const partition::Partition& p, const SimConfig& cfg) {
           containers::QueueOf<decltype(rb)::value, std::uint64_t, Job*>;
       using SleepQ =
           containers::QueueOf<decltype(sb)::value, Time, std::size_t>;
-      return recording ? Dispatch<ReadyQ, SleepQ, obs::RecordSink>(p, cfg)
-                       : Dispatch<ReadyQ, SleepQ, obs::NullSink>(p, cfg);
+      return recording
+                 ? RunLanes<ReadyQ, SleepQ, obs::RecordSink>(p, cfg, max_lanes)
+                 : RunLanes<ReadyQ, SleepQ, obs::NullSink>(p, cfg, max_lanes);
     });
   });
 }

@@ -56,8 +56,8 @@ struct SimConfig {
   ArrivalModel arrivals = {};
   /// Record the scheduler event stream (DESIGN.md §10). The canonical
   /// trace lands in SimResult::trace_events — byte-identical for every
-  /// shard count (sharded lanes record into per-lane buffers merged by
-  /// the deterministic stamped k-way merge).
+  /// shard count (lanes record into their own buffers, merged by the
+  /// deterministic stamped k-way merge).
   bool record_trace = false;
   /// Record streaming metrics (SimResult::metrics): per-task log2
   /// response/tardiness histograms, per-core busy/overhead/idle wall
@@ -67,23 +67,23 @@ struct SimConfig {
   bool record_metrics = false;
   /// Stop the run at the first deadline miss (the validation experiments
   /// assert none happen; leaving it false measures all misses). Sharded
-  /// runs proceed optimistically and, if any lane observes a miss (the
-  /// per-window flag checked at the drain barrier), rerun serially for
-  /// the exact serial halt point — identical results either way, and the
-  /// expensive path only triggers when the validated property FAILED.
+  /// runs proceed optimistically and, if any lane halted on a miss,
+  /// rerun on one lane for the exact serial halt point — identical
+  /// results either way, and the expensive path only triggers when the
+  /// validated property FAILED.
   bool stop_on_first_miss = false;
   /// Queue backends (DESIGN.md §6 ablation): which container implements
   /// each per-core queue. Defaults are the paper's choices.
   containers::QueueBackend ready_backend =
       containers::QueueBackend::kBinomialHeap;
   containers::QueueBackend sleep_backend = containers::QueueBackend::kRbTree;
-  /// Worker threads for the per-core sharded run of ONE simulation
-  /// (DESIGN.md §9): 1 = the classic serial event loop, 0 = one thread
-  /// per hardware thread, N = exactly N total threads (the caller
-  /// counts as one). Results are BIT-IDENTICAL for every value
+  /// Maximum threads for ONE simulation (DESIGN.md §9): the partition's
+  /// core groups — cores joined by split tasks — are packed onto at most
+  /// this many independent lanes. 1 = one lane (the serial run), 0 = one
+  /// per hardware thread, N = at most N threads (the caller counts as
+  /// one). Results are BIT-IDENTICAL for every value
   /// (tests/test_queue_concept.cpp) — including recorded traces and
-  /// metrics (DESIGN.md §10). Only EDF sets past the (now 16-bit)
-  /// tie-break width still fall back to serial.
+  /// metrics (DESIGN.md §10).
   unsigned shards = 1;
   /// Per-task admission generations, indexed by the task's position in
   /// the partition (ascending id for online-controller partitions;
@@ -97,10 +97,8 @@ struct SimConfig {
   /// stamp-ordered batches DURING the run — byte-identical,
   /// concatenated, to SimResult::trace_events of the full-buffer path
   /// (which stays empty here) — while resident stamped records are
-  /// bounded by ~trace_window (asserted via TraceStreamStats). Works
-  /// for every shard count; stop_on_first_miss runs take the serial
-  /// loop (a miss aborts a sharded attempt AFTER lanes over-processed,
-  /// which a streaming consumer could not un-see).
+  /// bounded by ~trace_window (asserted via TraceStreamStats). A
+  /// streaming run always runs on one lane, whatever `shards` says.
   obs::TraceDrain* trace_drain = nullptr;
   std::size_t trace_window = 1u << 16;
 };
@@ -108,5 +106,15 @@ struct SimConfig {
 /// Run the partition under the config. The canonical trace / metrics
 /// land in SimResult (record_trace / record_metrics).
 SimResult Simulate(const partition::Partition& p, const SimConfig& cfg);
+
+/// The lane of every core in a run with at most `max_lanes` lanes
+/// (DESIGN.md §9). Cores joined by split tasks (a connected component
+/// over PlacedTask::parts) form a core group, and no event ever crosses
+/// between groups. The groups are packed onto min(max_lanes, #groups)
+/// lanes, largest job rate first, each onto the least-loaded lane. The
+/// result is a pure function of the partition and `max_lanes`; the used
+/// lanes are 0..k-1.
+std::vector<std::uint32_t> CoreGroupLanes(const partition::Partition& p,
+                                          unsigned max_lanes);
 
 }  // namespace sps::sim

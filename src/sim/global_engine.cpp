@@ -65,10 +65,9 @@ class GlobalEngine final
   }
 
   using Base::Run;
+  using Base::sink;
 
  private:
-  using Base::CoreAt;
-  using Base::CoreStatsAt;
   using Base::cores_;
   using Base::kcfg_;
   using Base::now_;
@@ -78,7 +77,7 @@ class GlobalEngine final
   // ---- kernel policy hooks ----------------------------------------------
 
   void Boot() {
-    for (std::size_t i = 0; i < this->NumTasks(); ++i) {
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
       tasks_[i].sleep_handle = sleep_.push(0, i);
       tasks_[i].next_release = 0;
       this->Push(Ev{.t = 0, .kind = EvKind::kTimer, .task_idx = i});
@@ -118,11 +117,11 @@ class GlobalEngine final
   void Reschedule() {
     // Fill idle cores.
     for (std::uint32_t c = 0; c < kcfg_.num_cores && !ready_.empty(); ++c) {
-      Core& core = CoreAt(c);
+      Core& core = cores_[c];
       if (core.state == CoreState::kIdle && core.pending_start == nullptr) {
         core.pending_start = ready_.pop_min().second;
         core.state = CoreState::kOvh;
-        ++CoreStatsAt(c).context_switches;
+        ++result_.cores[c].context_switches;
         this->BurnOverhead(c, trace::OverheadKind::kSch,
                            kcfg_.overheads.sched_overhead(n_queue_, false));
         this->BurnOverhead(c, trace::OverheadKind::kCnt1,
@@ -135,7 +134,7 @@ class GlobalEngine final
       int worst = -1;
       std::uint64_t worst_key = 0;
       for (std::uint32_t c = 0; c < kcfg_.num_cores; ++c) {
-        const Core& core = CoreAt(c);
+        const Core& core = cores_[c];
         const GJob* occupant = core.running != nullptr ? core.running
                                                        : core.pending_start;
         if (occupant == nullptr) continue;
@@ -152,7 +151,7 @@ class GlobalEngine final
   }
 
   void PreemptCore(std::uint32_t c) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     GJob* victim = core.running != nullptr ? core.running
                                            : core.pending_start;
     if (core.state == CoreState::kExec) this->SuspendRunning(c);
@@ -166,7 +165,7 @@ class GlobalEngine final
 
     core.pending_start = ready_.pop_min().second;
     core.state = CoreState::kOvh;
-    ++CoreStatsAt(c).context_switches;
+    ++result_.cores[c].context_switches;
     this->BurnOverhead(c, trace::OverheadKind::kSch,
                        kcfg_.overheads.sched_overhead(n_queue_, true));
     this->BurnOverhead(c, trace::OverheadKind::kCnt1,
@@ -205,10 +204,10 @@ class GlobalEngine final
 
     this->Trace(trace::EventKind::kRelease, irq_core, j);
     ready_.push(KeyOf(j), j);
-    if (CoreAt(irq_core).state == CoreState::kExec) {
+    if (cores_[irq_core].state == CoreState::kExec) {
       this->SuspendRunning(irq_core);
-      CoreAt(irq_core).pending_start = CoreAt(irq_core).running;
-      CoreAt(irq_core).running = nullptr;
+      cores_[irq_core].pending_start = cores_[irq_core].running;
+      cores_[irq_core].running = nullptr;
     }
     this->BurnOverhead(irq_core, trace::OverheadKind::kRls,
                        kcfg_.overheads.release_overhead(n_queue_), j);
@@ -216,7 +215,7 @@ class GlobalEngine final
   }
 
   void OnOvhEnd(std::uint32_t c, std::uint64_t epoch) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     if (epoch != core.epoch || core.state != CoreState::kOvh) return;
     if (core.pending_start != nullptr) {
       core.running = core.pending_start;
@@ -230,7 +229,7 @@ class GlobalEngine final
   }
 
   void StartSegment(std::uint32_t c) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     GJob* j = core.running;
     if (j->resume_pending) {
       const bool migrated = j->last_core >= 0 &&
@@ -243,7 +242,7 @@ class GlobalEngine final
       }
       if (cpmd > 0) {
         j->exec_remaining += cpmd;
-        CoreStatsAt(c).cpmd_charged += cpmd;
+        result_.cores[c].cpmd_charged += cpmd;
         this->Trace(trace::EventKind::kOverheadBegin, c, j,
                     trace::OverheadKind::kCache, cpmd);
       }
@@ -260,7 +259,7 @@ class GlobalEngine final
   }
 
   void OnSegEnd(std::uint32_t c, std::uint64_t epoch) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     if (epoch != core.epoch || core.state != CoreState::kExec) return;
     GJob* j = core.running;
     this->BookProgress(c, j);
@@ -298,7 +297,11 @@ SimResult SimulateGlobal(const rt::TaskSet& ts, const GlobalSimConfig& cfg) {
           containers::QueueOf<decltype(sb)::value, Time, std::size_t>;
       if (recording) {
         GlobalEngine<ReadyQ, SleepQ, obs::RecordSink> engine(ts, cfg);
-        return engine.Run();
+        SimResult r = engine.Run();
+        if (cfg.record_trace) {
+          r.trace_events = obs::MergeTraceBuffers({&engine.sink().buffer()});
+        }
+        return r;
       }
       GlobalEngine<ReadyQ, SleepQ, obs::NullSink> engine(ts, cfg);
       return engine.Run();

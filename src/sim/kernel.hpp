@@ -13,8 +13,6 @@
 //   Dispatch(event)           event handlers (the scheduling POLICY:
 //                             where jobs queue, who preempts whom, how
 //                             split budgets migrate)
-//   OnDeliver(event)          cross-shard delivery hook (sharded runs;
-//                             default no-op)
 //   WcetOf / PeriodOf / DeadlineOf / TaskIdOf(task_idx)
 //   CollectQueueStats(result) fold per-queue op counters into the result
 //
@@ -39,24 +37,23 @@
 // same core — and the event queue's storage only ever grows, so a run of
 // millions of events performs O(1) steady-state allocations.
 //
-// Determinism & sharding: all random sampling draws from PER-TASK
-// SplitMix64 streams seeded by (config seed, task index) — never from a
-// shared generator whose draw order would depend on the global event
-// interleaving. That makes the event-processing order across DIFFERENT
-// cores immaterial, which is what lets the sharded runner
-// (sim/engine.cpp, SimConfig::shards) execute each core's event loop
-// concurrently and still produce bit-identical SimResults: a shard only
-// processes an event once every potential sender shard can no longer
-// emit anything that would order before it (conservative sender-clock
-// windows, DESIGN.md §9).
+// Determinism: all random sampling draws from PER-TASK SplitMix64
+// streams seeded by (config seed, task index) — never from a shared
+// generator whose draw order would depend on the global event
+// interleaving. So a kernel whose Boot() releases only SOME tasks — a
+// set closed under sharing a core — replays exactly the events those
+// tasks have in the full run. That is what lets the partitioned engine
+// run independent core groups as separate kernels on separate threads
+// and still produce bit-identical SimResults (sim/engine.cpp,
+// SimConfig::shards, DESIGN.md §9).
 //
 // Observability (DESIGN.md §10): the kernel's third policy slot is the
 // SINK (obs/sink.hpp) — obs::NullSink compiles every trace/metrics hook
 // away (the default, perf-guarded path), obs::RecordSink appends stamped
-// trace events to a lane-local arena buffer and accumulates streaming
-// metrics, which is what lets SHARDED runs record traces and metrics
-// (merged deterministically afterwards) instead of falling back to the
-// serial loop.
+// trace events to an arena buffer and accumulates streaming metrics.
+// The caller turns the stamped buffer(s) into the canonical trace
+// (obs::MergeTraceBuffers), so runs split over several kernels merge
+// into the same bytes as one kernel.
 //
 // This header also hosts the public simulation types shared by both
 // engines (ExecModel, ArrivalModel, TaskStats, CoreStats, SimResult);
@@ -65,8 +62,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <limits>
-#include <mutex>
 #include <random>
 #include <string>
 #include <vector>
@@ -209,13 +204,6 @@ enum class CoreState : std::uint8_t { kIdle, kExec, kOvh };
 /// same instant, or the scheduler briefly starts a job it immediately
 /// preempts. The enum value IS the same-instant rank; ties break by
 /// insertion order.
-///
-/// The rank layout is also what gives the sharded runner its lookahead:
-/// only kSegmentEnd (rank 0) dispatches ever emit CROSS-core events
-/// (task finish -> wake timer on the first core; budget exhaustion ->
-/// migration arrival on the next core), and those emissions carry ranks
-/// >= 1 at the same instant or later — so a shard dispatching packed key
-/// K can never emit below K+1 (DESIGN.md §9).
 enum class EvKind : std::uint8_t {
   kSegmentEnd = 0,        // running segment ended (core, epoch)
   kTimer = 1,             // task release (task_idx)
@@ -286,39 +274,6 @@ class EventQueue {
   containers::SortedVectorStableQueue<std::uint64_t, Event<JobT>> q_;
 };
 
-/// Per-lane mailboxes for cross-shard event delivery (DESIGN.md §9).
-/// Senders append under the target's mutex during a processing window;
-/// the owning shard drains at the next window boundary, SORTS the batch
-/// into the deterministic (packed key, task index) order — arrival order
-/// depends on thread timing, the sorted order does not — and only then
-/// feeds its local event queue.
-template <typename JobT>
-class ShardRouter {
- public:
-  explicit ShardRouter(std::size_t lanes) : boxes_(lanes) {}
-
-  void Deliver(const Event<JobT>& e) {
-    Box& b = boxes_[e.core];
-    std::lock_guard<std::mutex> lock(b.mu);
-    b.in.push_back(e);
-  }
-
-  [[nodiscard]] std::vector<Event<JobT>> Take(std::size_t lane) {
-    Box& b = boxes_[lane];
-    std::lock_guard<std::mutex> lock(b.mu);
-    std::vector<Event<JobT>> out;
-    out.swap(b.in);
-    return out;
-  }
-
- private:
-  struct Box {
-    std::mutex mu;
-    std::vector<Event<JobT>> in;
-  };
-  std::vector<Box> boxes_;
-};
-
 /// Common per-job state. Engines derive and add policy state (split
 /// budgets, last-run core, ...) plus a charge(progress) method booking
 /// executed time against the job's counters.
@@ -337,9 +292,8 @@ struct JobBase {
 /// The RNG streams live HERE, not in the kernel: every draw a task ever
 /// makes comes from its own two generators, so the draw sequence is a
 /// pure function of (config seed, task index) — independent of how
-/// events of DIFFERENT tasks interleave, which is both a stronger
-/// determinism statement than PR 2's shared generators and the property
-/// that makes the sharded runner exact (DESIGN.md §9).
+/// events of DIFFERENT tasks interleave, which is what makes a kernel
+/// over a subset of the core groups exact (DESIGN.md §9).
 template <typename JobT>
 struct TaskRunBase {
   bool active = false;
@@ -378,8 +332,8 @@ struct KernelConfig {
   /// consumer mid-run — in canonical merge order, byte-identical to the
   /// post-run full-buffer merge — whenever the buffer holds at least
   /// trace_window records, and SimResult::trace_events stays empty. The
-  /// serial loop drains below its event queue's minimum key after each
-  /// dispatch; the sharded driver drains at its barrier watermark.
+  /// loop drains below its event queue's minimum key after each
+  /// dispatch.
   obs::TraceDrain* trace_drain = nullptr;
   std::size_t trace_window = 1u << 16;
 };
@@ -389,8 +343,8 @@ template <typename Policy, typename JobT, typename TaskRtT, typename PerCoreT,
 class KernelBase {
  public:
   /// Boot the policy, drain the event queue up to the horizon, finalize.
-  /// (The serial path; sharded runs drive BootShard/RunWindow/Collect*
-  /// from sim/engine.cpp instead.)
+  /// The one event-dispatch loop of the simulator: a sharded partitioned
+  /// run calls it once per lane (sim/engine.cpp).
   SimResult Run() {
     policy().Boot();
     while (!events_.empty() && !halted_) {
@@ -413,140 +367,17 @@ class KernelBase {
     return Finalize();
   }
 
-  // ---- sharded-run driver interface (DESIGN.md §9) ----------------------
-  // The driver owns one kernel (engine) instance per lane (= core), all
-  // sharing the task-state array, and alternates two phases over a
-  // worker pool: drain mailboxes + publish every lane's next-event key,
-  // then process each lane's events up to its safe bound (the minimum
-  // published key over its sender lanes). Causal safety: a lane
-  // dispatching packed key K only ever emits keys >= K+1 cross-lane, so
-  // events below the bound can no longer arrive.
-
-  /// Sentinel published by a lane whose event queue is empty.
-  static constexpr std::uint64_t kNoEventKey = ~0ull;
-
-  /// Boot only this shard's lane-local releases.
-  void BootShard() { policy().Boot(); }
-
-  /// Move mailbox deliveries into the local event queue (deterministic
-  /// order), running the policy's delivery hook for each.
-  void DrainMailbox() {
-    assert(router_ != nullptr);
-    std::vector<Event<JobT>> in = router_->Take(lane_);
-    if (in.empty()) return;
-    std::sort(in.begin(), in.end(),
-              [](const Event<JobT>& a, const Event<JobT>& b) {
-                const std::uint64_t ka = EventKey(a);
-                const std::uint64_t kb = EventKey(b);
-                if (ka != kb) return ka < kb;
-                return DeliveryRank(a) < DeliveryRank(b);
-              });
-    for (const Event<JobT>& ev : in) {
-      policy().OnDeliver(ev);
-      events_.push(ev);
-    }
-  }
-
-  /// Key of the next local event (the lane's published clock bound).
-  [[nodiscard]] std::uint64_t NextEventKey() const {
-    return events_.empty() ? kNoEventKey : events_.min_key();
-  }
-
-  /// Dispatch local events while their key is within `safe_key` and
-  /// their time within the horizon. A lane that records a miss under
-  /// stop_on_first_miss stops dispatching; the driver observes the flag
-  /// at the next barrier and abandons the sharded attempt (the exact
-  /// halt point is a serial-order property — see RunSharded).
-  ///
-  /// Streaming backpressure (DESIGN.md §15): with a trace drain
-  /// configured, a lane PAUSES once its buffer holds its share of the
-  /// window and resumes next round — stopping a window early is always
-  /// protocol-safe (the remaining events just dispatch in later
-  /// windows; other lanes' safe bounds never assumed this lane's
-  /// emissions arrive within the round). Without the pause, a
-  /// sender-free lane would run its whole horizon in ONE window and no
-  /// barrier could ever drain mid-run. At least one event dispatches
-  /// per window, so the global-minimum lane still guarantees progress.
-  void RunWindow(std::uint64_t safe_key) {
-    std::size_t lane_cap = std::numeric_limits<std::size_t>::max();
-    if constexpr (SinkT::kActive) {
-      if (kcfg_.trace_drain != nullptr && sink_.tracing()) {
-        lane_cap = std::max<std::size_t>(
-            1, kcfg_.trace_window / std::max(1u, kcfg_.num_cores));
-      }
-    }
-    while (!events_.empty() && !halted_) {
-      const std::uint64_t k = events_.min_key();
-      if (k > safe_key || EventKeyTime(k) > kcfg_.horizon) break;
-      const Event<JobT> ev = events_.pop_min();
-      now_ = ev.t;
-      BeginDispatch(ev);
-      policy().Dispatch(ev);
-      if constexpr (SinkT::kActive) {
-        if (sink_.buffer().size() >= lane_cap) break;
-      }
-    }
-  }
-
-  /// Whether this lane halted on a deadline miss (stop_on_first_miss).
+  /// Whether the run halted on a deadline miss (stop_on_first_miss).
   [[nodiscard]] bool halted() const { return halted_; }
 
-  /// Close this lane's observability streams (exec tail at the horizon,
-  /// trailing idle). Sharded driver only; the serial path does the same
-  /// inside Finalize.
-  void FinalizeShardObservability() { FinalizeObservability(); }
-
-  /// The lane's sink, for the driver's post-run trace/metrics merge.
+  /// The run's sink. After Run(), its stamped trace buffer is what the
+  /// caller merges into SimResult::trace_events (obs::MergeTraceBuffers).
   [[nodiscard]] const SinkT& sink() const { return sink_; }
-  /// Mutable sink access for the sharded driver's streaming-window
-  /// drain (DESIGN.md §15).
-  [[nodiscard]] SinkT& sink_mut() { return sink_; }
-
-  /// Fold this shard's slice into a merged result: its own core row,
-  /// its event/ready/sleep counters, and its clock.
-  void CollectShardInto(SimResult& r) const {
-    r.cores[lane_] = CoreStatsAt(lane_);
-    r.total_misses += result_.total_misses;
-    r.total_migrations += result_.total_migrations;
-    r.total_preemptions += result_.total_preemptions;
-    r.event_ops += events_.counters();
-    policy().CollectQueueStats(r);  // untouched cores contribute zeros
-    r.simulated = std::max(r.simulated, std::min(now_, kcfg_.horizon));
-  }
-
-  /// The per-task half of Finalize (end-of-horizon misses, response
-  /// averages). Shared task state: call on exactly ONE shard, after all
-  /// lanes finished.
-  void FinalizeTasksInto(SimResult& r) {
-    for (std::size_t i = 0; i < num_tasks_; ++i) {
-      TaskRtT& tr = tasks_[i];
-      if (tr.active) {
-        if (tr.last_release + policy().DeadlineOf(i) <= kcfg_.horizon) {
-          ++tr.stats.deadline_misses;
-          ++r.total_misses;
-        }
-      }
-      if (tr.stats.completed > 0) {
-        tr.stats.avg_response =
-            tr.response_sum / static_cast<double>(tr.stats.completed);
-      }
-      r.tasks.push_back(tr.stats);
-    }
-  }
-
-  /// Sharded-run wiring: lane = the one core this kernel instance
-  /// processes, router = the cross-lane mailboxes, tasks = the SHARED
-  /// task-state array (causally partitioned: a task's state is only
-  /// ever touched along its own release->run->migrate->finish event
-  /// chain, whose cross-lane edges all pass through the router).
-  struct ShardContext {
-    std::uint32_t lane = 0;
-    ShardRouter<JobT>* router = nullptr;
-    TaskRtT* tasks = nullptr;
-    std::size_t num_tasks = 0;
-  };
 
  protected:
+  /// Sentinel "no pending event" key for the streaming drain.
+  static constexpr std::uint64_t kNoEventKey = ~0ull;
+
   /// Per-core run state; PerCoreT adds the policy's per-core queues
   /// (partitioned: ready + sleep; global: none — queues are shared).
   struct Core : PerCoreT {
@@ -558,44 +389,21 @@ class KernelBase {
     Time seg_start = 0;
     std::uint64_t epoch = 0;  ///< invalidates stale core events
     /// Job storage of the tasks released on this core (recycled slots,
-    /// see NewJob). Strictly lane-local in sharded runs — arenas are
-    /// never crossed.
+    /// see NewJob).
     util::SlabArena<JobT> job_arena;
   };
 
-  KernelBase(const KernelConfig& kcfg, std::size_t num_tasks,
-             const ShardContext* shard = nullptr)
+  KernelBase(const KernelConfig& kcfg, std::size_t num_tasks)
       : kcfg_(kcfg),
-        // A sharded lane materializes run state for its OWN core only —
-        // one Core (queues + arenas) and one CoreStats row instead of
-        // all m of them, which is what keeps whole-system construction
-        // at O(m) instead of the O(m^2) the ROADMAP flagged. The
-        // core_slot_mask_ below folds every core index to slot 0 in
-        // shard mode (lane-local accesses only — asserted) and is the
-        // identity in serial mode, keeping the hot path branch-free.
-        cores_(shard != nullptr ? 1 : kcfg.num_cores),
-        core_slot_mask_(shard != nullptr ? 0u : ~0u),
+        cores_(kcfg.num_cores),
+        tasks_(num_tasks),
         sink_(obs::SinkConfig{kcfg.record_trace, kcfg.record_metrics,
-                              num_tasks, kcfg.num_cores, shard != nullptr,
-                              shard != nullptr ? shard->lane : 0,
-                              kcfg.horizon}) {
-    result_.cores.resize(shard != nullptr ? 1 : kcfg.num_cores);
-    if (shard != nullptr) {
-      assert(shard->num_tasks == num_tasks && shard->tasks != nullptr);
-      lane_ = shard->lane;
-      router_ = shard->router;
-      tasks_ = shard->tasks;
-    } else {
-      tasks_own_.resize(num_tasks);
-      tasks_ = tasks_own_.data();
-    }
-    num_tasks_ = num_tasks;
-    // Per-task RNG streams (see TaskRunBase). Re-seeding shared storage
-    // from every shard is idempotent: the seeds depend only on config
-    // and task index, and all shards are constructed before any runs.
-    // A non-zero admission generation re-derives both streams (the
-    // LEAVE/re-ADMIT fix, KernelConfig::exec_generations); generation 0
-    // keeps the historical seeds bit-for-bit.
+                              num_tasks, kcfg.num_cores, kcfg.horizon}) {
+    result_.cores.resize(kcfg.num_cores);
+    // Per-task RNG streams (see TaskRunBase). A non-zero admission
+    // generation re-derives both streams (the LEAVE/re-ADMIT fix,
+    // KernelConfig::exec_generations); generation 0 keeps the historical
+    // seeds bit-for-bit.
     for (std::size_t i = 0; i < num_tasks; ++i) {
       std::uint64_t eseed = util::DeriveSeed(kcfg.exec.seed, i, 0);
       std::uint64_t aseed = util::DeriveSeed(kcfg.arrivals.seed, i, 1);
@@ -614,65 +422,29 @@ class KernelBase {
   Policy& policy() { return static_cast<Policy&>(*this); }
   const Policy& policy() const { return static_cast<const Policy&>(*this); }
 
-  /// Per-core run state of core `c`. In sharded mode only the lane's own
-  /// core exists (slot 0); the mask makes the common serial case a plain
-  /// index with no branch.
-  Core& CoreAt(std::uint32_t c) {
-    assert(core_slot_mask_ == ~0u || c == lane_);
-    return cores_[c & core_slot_mask_];
-  }
-  const Core& CoreAt(std::uint32_t c) const {
-    assert(core_slot_mask_ == ~0u || c == lane_);
-    return cores_[c & core_slot_mask_];
-  }
-  CoreStats& CoreStatsAt(std::uint32_t c) {
-    assert(core_slot_mask_ == ~0u || c == lane_);
-    return result_.cores[c & core_slot_mask_];
-  }
-  const CoreStats& CoreStatsAt(std::uint32_t c) const {
-    assert(core_slot_mask_ == ~0u || c == lane_);
-    return result_.cores[c & core_slot_mask_];
-  }
-
   /// Stamp the upcoming dispatch for the recording sink (trace merge
   /// determinism, obs/trace_buffer.hpp). Compiled away under NullSink.
+  /// The stamp's subject is the core for core-owned kinds and the task
+  /// for task-owned ones (a migration arrival carries its job).
   void BeginDispatch(const Event<JobT>& e) {
     if constexpr (SinkT::kActive) {
       const bool core_keyed = e.kind == EvKind::kSegmentEnd ||
                               e.kind == EvKind::kOverheadEnd;
+      const std::size_t task = e.kind == EvKind::kMigrationArrival
+                                   ? e.job->task_idx
+                                   : e.task_idx;
       sink_.BeginDispatch(EventKey(e), core_keyed,
-                          core_keyed ? e.core : DeliveryRank(e));
+                          core_keyed ? e.core : task);
     } else {
       (void)e;
     }
   }
 
-  /// Cross-shard delivery hook; policies override (the partitioned
-  /// engine materializes deferred sleep-queue entries here).
-  void OnDeliver(const Event<JobT>& /*ev*/) {}
 
-  /// Deterministic mailbox tiebreak among equal packed keys: both
-  /// cross-lane event kinds (timer wake-ups, migration arrivals) are
-  /// per-task and a task has at most one in flight, so the task index
-  /// is a total order.
-  [[nodiscard]] static std::size_t DeliveryRank(const Event<JobT>& e) {
-    return e.kind == EvKind::kMigrationArrival ? e.job->task_idx
-                                               : e.task_idx;
-  }
-
-  [[nodiscard]] bool IsRemoteLane(std::uint32_t core) const {
-    return router_ != nullptr && core != lane_;
-  }
-
-  [[nodiscard]] std::size_t NumTasks() const { return num_tasks_; }
-
-  void Push(const Event<JobT>& e) {
-    if (IsRemoteLane(e.core)) {
-      router_->Deliver(e);
-      return;
-    }
-    events_.push(e);
-  }
+  /// Schedule an event. Deliberately out of line: with the sorted-vector
+  /// insert inlined at every push site the dispatch loop grows, and
+  /// bench/e2e des_m64 ran 14% slower (GCC 12 -O3, 4-vCPU Xeon VM).
+  [[gnu::noinline]] void Push(const Event<JobT>& e) { events_.push(e); }
 
   /// Create the job object for task ti's release at now_ and mark the
   /// task active. `core` is the (fixed) core whose arena hosts the
@@ -680,7 +452,7 @@ class KernelBase {
   /// fills its own fields (budgets etc.) afterwards.
   JobT* NewJob(std::size_t ti, std::uint32_t core) {
     TaskRtT& tr = tasks_[ti];
-    util::SlabArena<JobT>& arena = CoreAt(core).job_arena;
+    util::SlabArena<JobT>& arena = cores_[core].job_arena;
     if (tr.last_job != nullptr) arena.destroy(tr.last_job);
     JobT* j = arena.create();
     tr.last_job = j;
@@ -781,7 +553,7 @@ class KernelBase {
   }
 
   void AccountOverhead(std::uint32_t c, trace::OverheadKind kind, Time dur) {
-    CoreStats& s = CoreStatsAt(c);
+    CoreStats& s = result_.cores[c];
     switch (kind) {
       case trace::OverheadKind::kRls: s.overhead_rls += dur; break;
       case trace::OverheadKind::kSch: s.overhead_sch += dur; break;
@@ -796,7 +568,7 @@ class KernelBase {
   /// trace event (defaults to whichever job the core is holding).
   void BurnOverhead(std::uint32_t c, trace::OverheadKind kind, Time cost,
                     const JobT* who = nullptr) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     const Time base = std::max(now_, core.busy_until);
     if (cost > 0) {
       if (who == nullptr) {
@@ -817,10 +589,10 @@ class KernelBase {
   /// place execution time is accounted (both engines' segment-end
   /// handlers and SuspendRunning go through here).
   Time BookProgress(std::uint32_t c, JobT* j) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     const Time progress = now_ - core.seg_start;
     j->charge(progress);
-    CoreStatsAt(c).busy_exec += progress;
+    result_.cores[c].busy_exec += progress;
     sink_.OnExec(c, core.seg_start, now_);
     return progress;
   }
@@ -828,7 +600,7 @@ class KernelBase {
   /// Suspend the running job mid-segment: book its progress, invalidate
   /// the armed segment end, leave the core in the overhead state.
   void SuspendRunning(std::uint32_t c) {
-    Core& core = CoreAt(c);
+    Core& core = cores_[c];
     JobT* j = core.running;
     assert(core.state == CoreState::kExec && j != nullptr);
     BookProgress(c, j);
@@ -854,16 +626,15 @@ class KernelBase {
     }
   }
 
-  /// Close the observability streams for this kernel's local cores: the
-  /// in-flight execution segment is booked up to the horizon (it has no
-  /// segment-end event inside the horizon, so BookProgress never sees
-  /// it), then the sink fills trailing idle. No-op under NullSink.
+  /// Close the observability streams: the in-flight execution segment
+  /// is booked up to the horizon (it has no segment-end event inside the
+  /// horizon, so BookProgress never sees it), then the sink fills
+  /// trailing idle. No-op under NullSink.
   void FinalizeObservability() {
     if constexpr (SinkT::kActive) {
       if (!sink_.metrics()) return;
       for (std::uint32_t c = 0; c < kcfg_.num_cores; ++c) {
-        if (router_ != nullptr && c != lane_) continue;
-        Core& core = CoreAt(c);
+        const Core& core = cores_[c];
         if (core.state == CoreState::kExec && core.running != nullptr) {
           const Time end =
               std::min(halted_ ? now_ : kcfg_.horizon, kcfg_.horizon);
@@ -874,35 +645,46 @@ class KernelBase {
     }
   }
 
+  /// Close the run. The canonical trace is NOT built here: a
+  /// full-buffer run leaves it in the sink's stamped buffer for the
+  /// caller's merge (the caller may own several kernels).
   SimResult Finalize() {
     result_.simulated = std::min(now_, kcfg_.horizon);
     // Unfinished jobs whose deadline already passed are misses too. The
     // in-flight job's ACTUAL release is tracked (not reconstructed from
     // next_release, which would be off by the slack under sporadic
     // arrivals and undercount end-of-horizon misses).
-    FinalizeTasksInto(result_);
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      TaskRtT& tr = tasks_[i];
+      if (tr.active &&
+          tr.last_release + policy().DeadlineOf(i) <= kcfg_.horizon) {
+        ++tr.stats.deadline_misses;
+        ++result_.total_misses;
+      }
+      if (tr.stats.completed > 0) {
+        tr.stats.avg_response =
+            tr.response_sum / static_cast<double>(tr.stats.completed);
+      }
+      result_.tasks.push_back(tr.stats);
+    }
     result_.event_ops = events_.counters();
     policy().CollectQueueStats(result_);
     FinalizeObservability();
     if constexpr (SinkT::kActive) {
-      if (sink_.tracing()) {
-        if (kcfg_.trace_drain != nullptr) {
-          // Streaming mode: flush the remainder and report the stream's
-          // bounds; the canonical trace went through the drain, so
-          // SimResult::trace_events stays empty (bounded memory is the
-          // point).
-          StreamDrainBelow(kNoEventKey);
-          kcfg_.trace_drain->OnFinish(drain_stats_);
-        } else {
-          result_.trace_events = obs::MergeTraceBuffers({&sink_.buffer()});
-        }
+      if (sink_.tracing() && kcfg_.trace_drain != nullptr) {
+        // Streaming mode: flush the remainder and report the stream's
+        // bounds; the canonical trace went through the drain, so
+        // SimResult::trace_events stays empty (bounded memory is the
+        // point).
+        StreamDrainBelow(kNoEventKey);
+        kcfg_.trace_drain->OnFinish(drain_stats_);
       }
       if (sink_.metrics()) result_.metrics = sink_.TakeMetrics();
     }
     return std::move(result_);
   }
 
-  /// Serial-loop streaming drain: pop the finalized prefix (stamp key
+  /// Streaming drain: pop the finalized prefix (stamp key
   /// strictly below `limit`), already stamp-sorted by DrainBelow, and
   /// hand it to the configured TraceDrain.
   void StreamDrainBelow(std::uint64_t limit) {
@@ -925,22 +707,13 @@ class KernelBase {
 
   KernelConfig kcfg_;
   std::vector<Core> cores_;
-  /// Task run state: owned in serial runs, shared across shards in
-  /// sharded runs (see ShardContext).
-  std::vector<TaskRtT> tasks_own_;
-  TaskRtT* tasks_ = nullptr;
-  std::size_t num_tasks_ = 0;
+  std::vector<TaskRtT> tasks_;
   EventQueue<JobT> events_;
-  /// Folds core indices to the local slot: identity in serial mode, 0 in
-  /// shard mode (the lane materializes only its own core's state).
-  std::uint32_t core_slot_mask_ = ~0u;
   SinkT sink_;
-  std::uint32_t lane_ = 0;
-  ShardRouter<JobT>* router_ = nullptr;
   Time now_ = 0;
   bool halted_ = false;
-  /// Streaming-window scratch (serial loop only; reused across drains so
-  /// the steady state allocates nothing).
+  /// Streaming-window scratch (reused across drains so the steady state
+  /// allocates nothing).
   std::vector<obs::StampedEvent> drain_run_;
   std::vector<trace::Event> drain_batch_;
   obs::TraceStreamStats drain_stats_;

@@ -159,13 +159,12 @@ void ParallelFor(unsigned jobs, std::size_t n,
 
 /// Process-wide lazily-created pool with one worker per hardware thread
 /// minus one (the caller of ParallelFor participates, so total
-/// concurrency is the hardware). The sharded simulator's round protocol
-/// (DESIGN.md §9) dispatches two small batches per window — spawning a
-/// transient pool per simulation would put thread creation on the
-/// measured path, so those batches run here. Concurrent ParallelFor
-/// calls on this pool are safe (each caller drains its own batch) but
-/// serialize worker help; callers needing guaranteed width should own a
-/// ThreadPool.
+/// concurrency is the hardware). The sharded simulator runs its
+/// core-group lanes here (DESIGN.md §9) — spawning a transient pool per
+/// simulation would put thread creation on the measured path.
+/// Concurrent ParallelFor calls on this pool are safe (each caller
+/// drains its own batch) but serialize worker help; callers needing
+/// guaranteed width should own a ThreadPool.
 ThreadPool& SharedPool();
 
 }  // namespace sps::util

@@ -78,27 +78,6 @@ TEST(BinomialHeap, EraseRootAndLeaf) {
   EXPECT_EQ(h.size(), 6u);
 }
 
-TEST(BinomialHeap, MergeCombinesAllElements) {
-  Heap a, b;
-  for (int v : {1, 4, 6}) a.push(v);
-  for (int v : {2, 3, 5}) b.push(v);
-  a.merge(b);
-  EXPECT_TRUE(b.empty());
-  EXPECT_EQ(a.size(), 6u);
-  EXPECT_TRUE(a.validate());
-  for (int expect = 1; expect <= 6; ++expect) EXPECT_EQ(a.pop(), expect);
-}
-
-TEST(BinomialHeap, MergeWithEmptyIsNoop) {
-  Heap a, b;
-  a.push(1);
-  a.merge(b);
-  EXPECT_EQ(a.size(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.size(), 1u);
-  EXPECT_TRUE(a.empty());
-}
-
 TEST(BinomialHeap, MoveConstructionTransfersOwnership) {
   Heap a;
   for (int v : {3, 1, 2}) a.push(v);

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <vector>
+
 #include "analysis/edf.hpp"
 #include "overhead/model.hpp"
 #include "partition/edf_wm.hpp"
@@ -74,6 +79,62 @@ TEST(EdfTest, FullUtilizationImplicitDeadlinesSchedulable) {
   // EDF schedules any implicit-deadline set with U <= 1.
   std::vector<EdfTask> ts = {ET(2, 4), ET(3, 6)};  // U = 1.0
   EXPECT_TRUE(EdfDemandTest(ts).schedulable);
+}
+
+TEST(EdfTest, FullUtilizationMatchesExhaustiveDemandCheck) {
+  // At U == 1 the test stops at the hyperperiod bound instead of the
+  // cap. Its verdict and first violation must equal a check of every
+  // instant up to the cap, on seeded random constrained-deadline sets.
+  constexpr Time kCap = 5000;
+  const std::vector<Time> periods = {2, 3, 4, 6, 8, 12};
+  std::mt19937_64 rng(14);
+  int checked = 0;
+  int unschedulable = 0;
+  while (checked < 200) {
+    std::vector<EdfTask> ts;
+    const std::size_t n = 2 + rng() % 3;
+    Time h = 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      ts.push_back(ET(1, periods[rng() % periods.size()]));
+      h = std::lcm(h, ts.back().period);
+    }
+    // Spread the hyperperiod's H units of work: U == 1 exactly.
+    Time left = h;
+    for (std::size_t i = 0; i + 1 < n && left > 0; ++i) {
+      const Time jobs = h / ts[i].period;
+      const auto room =
+          static_cast<std::uint64_t>(std::max<Time>(1, left / jobs));
+      ts[i].wcet = 1 + static_cast<Time>(rng() % room);
+      left -= ts[i].wcet * jobs;
+    }
+    const Time last_jobs = h / ts.back().period;
+    if (left <= 0 || left % last_jobs != 0) continue;
+    ts.back().wcet = left / last_jobs;
+    for (EdfTask& t : ts) {
+      if (t.wcet > t.period) t.wcet = 0;
+      const auto slack = static_cast<std::uint64_t>(t.period - t.wcet + 1);
+      t.deadline = t.wcet + static_cast<Time>(rng() % slack);
+    }
+    if (std::any_of(ts.begin(), ts.end(), [](const EdfTask& t) {
+          return t.wcet <= 0 || t.deadline <= 0;
+        })) {
+      continue;
+    }
+    Time first_violation = 0;
+    for (Time t = 1; t <= kCap && first_violation == 0; ++t) {
+      Time demand = 0;
+      for (const EdfTask& task : ts) demand += Dbf(task, t);
+      if (demand > t) first_violation = t;
+    }
+    const auto res = EdfDemandTest(ts, kCap);
+    EXPECT_EQ(res.schedulable, first_violation == 0) << "set " << checked;
+    EXPECT_EQ(res.violation_at, first_violation) << "set " << checked;
+    EXPECT_LE(res.horizon, h + 12);  // stopped at the hyperperiod bound
+    unschedulable += first_violation != 0;
+    ++checked;
+  }
+  EXPECT_GT(unschedulable, 20);
+  EXPECT_LT(unschedulable, 180);
 }
 
 TEST(EdfTest, OverUtilizationFails) {

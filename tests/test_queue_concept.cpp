@@ -662,6 +662,85 @@ TEST(ShardedSim, WideEdfTieBreakShardsBeyond1024Tasks) {
   }
 }
 
+/// 13 cores in 7 core groups: one split chain over six NON-adjacent
+/// cores {1, 3, 4, 6, 9, 11} (a long SPA2 tail chain), a two-part split
+/// over {2, 7}, single-core groups 0, 5, 8, 10 with normal tasks only,
+/// and an empty core 12.
+partition::Partition CoreGroupPartition() {
+  partition::Partition p;
+  p.num_cores = 13;
+  {
+    partition::PlacedTask chain;
+    chain.task = MakeTask(0, Millis(6), Millis(20));
+    for (const partition::CoreId c : {1u, 3u, 4u, 6u, 9u, 11u}) {
+      chain.parts.push_back({c, Millis(1), 0});
+    }
+    p.tasks.push_back(chain);
+  }
+  {
+    partition::PlacedTask pair;
+    pair.task = MakeTask(1, Millis(5), Millis(15));
+    pair.parts = {{2, Millis(3), 0}, {7, Millis(2), 0}};
+    p.tasks.push_back(pair);
+  }
+  rt::TaskId id = 2;
+  for (partition::CoreId c = 0; c < 12; ++c) {
+    p.tasks.push_back(NormalOn(id++, Millis(2), Millis(9 + c % 4), c, 1));
+    p.tasks.push_back(NormalOn(id++, Millis(3), Millis(25 + c), c, 2));
+  }
+  return p;
+}
+
+TEST(ShardedSim, CoreGroupLanesKeepSplitTasksTogether) {
+  const partition::Partition p = CoreGroupPartition();
+  for (const unsigned max_lanes : {1u, 2u, 3u, 4u, 7u, 16u}) {
+    SCOPED_TRACE("max_lanes=" + std::to_string(max_lanes));
+    const std::vector<std::uint32_t> lanes = CoreGroupLanes(p, max_lanes);
+    // Every core sits in exactly one lane, and the lanes used are
+    // exactly 0..min(max_lanes, 7 groups)-1.
+    ASSERT_EQ(lanes.size(), p.num_cores);
+    const std::size_t expect = std::min<std::size_t>(max_lanes, 7);
+    std::vector<std::size_t> cores_in(expect, 0);
+    for (const std::uint32_t l : lanes) {
+      ASSERT_LT(l, expect);
+      ++cores_in[l];
+    }
+    for (std::size_t l = 0; l < expect; ++l) EXPECT_GT(cores_in[l], 0u);
+    // All cores of a split task share a lane.
+    for (const partition::PlacedTask& pt : p.tasks) {
+      for (const partition::SubtaskPlacement& part : pt.parts) {
+        EXPECT_EQ(lanes[part.core], lanes[pt.parts[0].core])
+            << "task " << pt.task.id;
+      }
+    }
+    EXPECT_EQ(lanes, CoreGroupLanes(p, max_lanes));  // deterministic
+  }
+  EXPECT_EQ(CoreGroupLanes(p, 1), std::vector<std::uint32_t>(13, 0));
+}
+
+TEST(ShardedSim, MoreCoreGroupsThanLanesMatchSerial) {
+  const partition::Partition p = CoreGroupPartition();
+  SimConfig cfg;
+  cfg.horizon = Millis(300);
+  cfg.overheads = overhead::OverheadModel::PaperCoreI7();
+  cfg.exec.kind = ExecModel::Kind::kUniform;
+  cfg.arrivals.kind = ArrivalModel::Kind::kSporadicUniformDelay;
+  cfg.record_trace = true;
+  cfg.record_metrics = true;
+  const SimResult serial = Simulate(p, cfg);
+  EXPECT_GT(serial.total_migrations, 0u);
+  ASSERT_FALSE(serial.trace_events.empty());
+  const std::string serial_bytes = trace::ToCsv(serial.trace_events);
+  for (const unsigned shards : {2u, 3u, 0u}) {
+    cfg.shards = shards;
+    const SimResult sharded = Simulate(p, cfg);
+    const std::string what = "core groups shards=" + std::to_string(shards);
+    ExpectSameResult(serial, sharded, what);
+    EXPECT_EQ(serial_bytes, trace::ToCsv(sharded.trace_events)) << what;
+    EXPECT_TRUE(serial.metrics == sharded.metrics) << what;
+  }
+}
+
 TEST(DifferentialSim, GlobalIdenticalAcrossBackends) {
   rt::TaskSet ts;
   // Dhall-style contention: m tiny tasks + one heavy task on m cores.
