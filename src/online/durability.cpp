@@ -5,11 +5,16 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <charconv>
+#include <concepts>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "analysis/memo.hpp"
 #include "obs/reqtrace.hpp"
@@ -47,11 +52,13 @@ bool ParseFsyncPolicy(const char* s, FsyncPolicy& policy,
     return true;
   }
   if (std::strncmp(s, "every-n:", 8) == 0) {
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(s + 8, &end, 10);
-    if (end == s + 8 || *end != '\0' || n == 0) return false;
+    // All of the rest must be a u32 >= 1: no sign, no wrap-around.
+    const char* end = s + std::strlen(s);
+    std::uint32_t n = 0;
+    const auto [ptr, ec] = std::from_chars(s + 8, end, n);
+    if (ec != std::errc() || ptr != end || n == 0) return false;
     policy = FsyncPolicy::kEveryN;
-    every_n = static_cast<std::uint32_t>(n);
+    every_n = n;
     return true;
   }
   return false;
@@ -92,22 +99,33 @@ constexpr char kJournalMagic[8] = {'S', 'P', 'S', 'J', 'R', 'N',
 constexpr std::size_t kJournalHeaderSize = 8 + 8 + 4;
 constexpr std::uint32_t kMaxRecordLen = 1024;
 
+// ---- the codec -------------------------------------------------------------
+// ByteWriter and ByteReader are the two archives of one codec. Every wire
+// type has exactly one `template <class Ar> void Visit(Ar&, T&)` naming
+// each field once with its wire width (U8/U32/U64/I64 little-endian
+// integers, F64 the IEEE-754 bits), so encode and decode cannot disagree.
+// The writer only reads the fields it is handed; the reader assigns them.
+
 struct ByteWriter {
   std::string buf;
 
-  void U8(std::uint8_t v) { buf.push_back(static_cast<char>(v)); }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-    }
+  /// `from_wire` (the reader's wire-to-value mapping) is unused here.
+  template <class T, class FromWire = std::nullptr_t>
+    requires std::integral<T> || std::is_enum_v<T>
+  void U8(T v, FromWire /*from_wire*/ = {}) {
+    buf.push_back(static_cast<char>(static_cast<std::uint8_t>(v)));
   }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-    }
-  }
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
+  void U32(std::integral auto v) { Put(static_cast<std::uint32_t>(v), 4); }
+  void U64(std::integral auto v) { Put(static_cast<std::uint64_t>(v), 8); }
+  void I64(std::integral auto v) { U64(static_cast<std::int64_t>(v)); }
   void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
+
+ private:
+  void Put(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+    }
+  }
 };
 
 struct ByteReader {
@@ -121,39 +139,22 @@ struct ByteReader {
 
   [[nodiscard]] std::size_t remaining() const { return n - pos; }
 
-  std::uint8_t U8() {
-    if (pos + 1 > n) {
-      ok = false;
-      return 0;
-    }
-    return p[pos++];
-  }
-  std::uint32_t U32() {
-    if (pos + 4 > n) {
-      ok = false;
-      return 0;
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(p[pos + i]) << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  std::uint64_t U64() {
-    if (pos + 8 > n) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(p[pos + i]) << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
-  double F64() { return std::bit_cast<double>(U64()); }
+  std::uint8_t U8() { return static_cast<std::uint8_t>(Get(1)); }
+  std::uint32_t U32() { return static_cast<std::uint32_t>(Get(4)); }
+  std::uint64_t U64() { return Get(8); }
+
+  // The in-place forms Visit uses; a bool decodes as "any non-zero".
+  template <std::integral T>
+  void U8(T& v) { v = static_cast<T>(U8()); }
+  template <class T, class FromWire>
+  void U8(T& v, FromWire from_wire) { v = from_wire(U8()); }
+  template <std::integral T>
+  void U32(T& v) { v = static_cast<T>(U32()); }
+  template <std::integral T>
+  void U64(T& v) { v = static_cast<T>(U64()); }
+  template <std::integral T>
+  void I64(T& v) { v = static_cast<T>(static_cast<std::int64_t>(U64())); }
+  void F64(double& v) { v = std::bit_cast<double>(U64()); }
 
   /// A claimed element count is plausible only if `count * min_size`
   /// bytes can still be present — the huge-bogus-count guard.
@@ -165,88 +166,245 @@ struct ByteReader {
     }
     return true;
   }
+
+ private:
+  /// A short read fails the reader; once failed, every read yields 0 and
+  /// `pos` stays where parsing stopped.
+  std::uint64_t Get(std::size_t bytes) {
+    if (!ok || bytes > remaining()) {
+      ok = false;
+      return 0;
+    }
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(p[pos + i]) << (8 * i);
+    }
+    pos += bytes;
+    return v;
+  }
 };
 
-void EncodeTask(ByteWriter& w, const rt::Task& t) {
-  w.U32(t.id);
-  w.I64(t.wcet);
-  w.I64(t.period);
-  w.I64(t.deadline);
-  w.U32(t.priority);
-  w.U8(static_cast<std::uint8_t>(t.crit));
-  w.I64(t.tardiness_bound);
-  w.I64(t.degraded_wcet);
-  w.U32(t.value);
+/// Encode `v`. Visit takes T& so one function serves both archives; the
+/// writer never modifies what it visits.
+template <class T>
+void Write(ByteWriter& w, const T& v) {
+  Visit(w, const_cast<T&>(v));
 }
 
-rt::Task DecodeTask(ByteReader& r) {
-  rt::Task t;
-  t.id = r.U32();
-  t.wcet = r.I64();
-  t.period = r.I64();
-  t.deadline = r.I64();
-  t.priority = r.U32();
-  t.crit = r.U8() == 1 ? rt::Criticality::kSoft : rt::Criticality::kHard;
-  t.tardiness_bound = r.I64();
-  t.degraded_wcet = r.I64();
-  t.value = r.U32();
-  return t;
+/// Decode `v` from all of `r`'s remaining bytes. False on a short, long
+/// or implausible payload; `r.pos` is then where parsing stopped.
+template <class T>
+bool ReadExactly(ByteReader& r, T& v) {
+  Visit(r, v);
+  return r.ok && r.remaining() == 0;
 }
 
-void EncodeChurn(ByteWriter& w, const ChurnStats& c) {
-  w.U64(c.moved);
-  w.U64(c.split);
-  w.U64(c.unsplit);
-  w.U64(c.repartitions);
+/// The fewest bytes a T encodes to: a default T (its sequences empty).
+template <class T>
+std::size_t MinWireSize() {
+  static const std::size_t size = [] {
+    ByteWriter w;
+    Write(w, T{});
+    return w.buf.size();
+  }();
+  return size;
 }
 
-ChurnStats DecodeChurn(ByteReader& r) {
-  ChurnStats c;
-  c.moved = r.U64();
-  c.split = r.U64();
-  c.unsplit = r.U64();
-  c.repartitions = r.U64();
-  return c;
+/// A vector on the wire: its count as a `Count`, then each element. The
+/// reader refuses a count the remaining bytes cannot hold before it
+/// allocates.
+template <class Count = std::uint64_t, class Ar, class T>
+void Seq(Ar& ar, std::vector<T>& v) {
+  Count count = static_cast<Count>(v.size());
+  if constexpr (sizeof(Count) == 4) {
+    ar.U32(count);
+  } else {
+    ar.U64(count);
+  }
+  if constexpr (std::is_same_v<Ar, ByteReader>) {
+    if (!ar.PlausibleCount(count, MinWireSize<T>())) return;
+    v.resize(count);
+  }
+  for (T& e : v) Visit(ar, e);
 }
 
-void EncodeOverload(ByteWriter& w, const OverloadStats& o) {
-  w.U64(o.degrades);
-  w.U64(o.degrade_restores);
-  w.U64(o.sheds);
-  w.U64(o.shed_restores);
-  w.U64(o.retry_attempts);
-  w.U64(o.hysteresis_blocks);
+template <class Ar>
+void Visit(Ar& ar, std::uint32_t& v) {
+  ar.U32(v);
 }
 
-OverloadStats DecodeOverload(ByteReader& r) {
-  OverloadStats o;
-  o.degrades = r.U64();
-  o.degrade_restores = r.U64();
-  o.sheds = r.U64();
-  o.shed_restores = r.U64();
-  o.retry_attempts = r.U64();
-  o.hysteresis_blocks = r.U64();
-  return o;
+template <class Ar>
+void Visit(Ar& ar, std::uint64_t& v) {
+  ar.U64(v);
 }
 
-void EncodeAdmitStats(ByteWriter& w, const partition::AdmitStats& s) {
-  w.U64(s.util_rejects);
-  w.U64(s.density_accepts);
-  w.U64(s.full_tests);
-  w.U64(s.memo_hits);
-  w.U64(s.memo_misses);
-  w.U64(s.memo_evicts);
+template <class Ar, class A, class B>
+void Visit(Ar& ar, std::pair<A, B>& p) {
+  Visit(ar, p.first);
+  Visit(ar, p.second);
 }
 
-partition::AdmitStats DecodeAdmitStats(ByteReader& r) {
-  partition::AdmitStats s;
-  s.util_rejects = r.U64();
-  s.density_accepts = r.U64();
-  s.full_tests = r.U64();
-  s.memo_hits = r.U64();
-  s.memo_misses = r.U64();
-  s.memo_evicts = r.U64();
-  return s;
+template <class Ar>
+void Visit(Ar& ar, rt::Task& t) {
+  ar.U32(t.id);
+  ar.I64(t.wcet);
+  ar.I64(t.period);
+  ar.I64(t.deadline);
+  ar.U32(t.priority);
+  ar.U8(t.crit, [](std::uint8_t b) {
+    return b == 1 ? rt::Criticality::kSoft : rt::Criticality::kHard;
+  });
+  ar.I64(t.tardiness_bound);
+  ar.I64(t.degraded_wcet);
+  ar.U32(t.value);
+}
+
+template <class Ar>
+void Visit(Ar& ar, partition::SubtaskPlacement& sp) {
+  ar.U32(sp.core);
+  ar.I64(sp.budget);
+  ar.U32(sp.local_priority);
+  ar.I64(sp.rel_deadline);
+}
+
+template <class Ar>
+void Visit(Ar& ar, partition::PlacedTask& pt) {
+  Visit(ar, pt.task);
+  Seq<std::uint32_t>(ar, pt.parts);
+}
+
+template <class Ar>
+void Visit(Ar& ar, ChurnStats& c) {
+  ar.U64(c.moved);
+  ar.U64(c.split);
+  ar.U64(c.unsplit);
+  ar.U64(c.repartitions);
+}
+
+template <class Ar>
+void Visit(Ar& ar, OverloadStats& o) {
+  ar.U64(o.degrades);
+  ar.U64(o.degrade_restores);
+  ar.U64(o.sheds);
+  ar.U64(o.shed_restores);
+  ar.U64(o.retry_attempts);
+  ar.U64(o.hysteresis_blocks);
+}
+
+template <class Ar>
+void Visit(Ar& ar, partition::AdmitStats& s) {
+  ar.U64(s.util_rejects);
+  ar.U64(s.density_accepts);
+  ar.U64(s.full_tests);
+  ar.U64(s.memo_hits);
+  ar.U64(s.memo_misses);
+  ar.U64(s.memo_evicts);
+}
+
+template <class Ar>
+void Visit(Ar& ar, EpochStats& e) {
+  ar.I64(e.start);
+  ar.I64(e.end);
+  ar.U32(e.admits);
+  ar.U32(e.rejects);
+  ar.U32(e.leaves);
+  Visit(ar, e.churn);
+  Visit(ar, e.overload);
+  ar.U64(e.resident);
+  ar.U64(e.shed_resident);
+  ar.U64(e.degraded_resident);
+  ar.F64(e.utilization);
+  ar.U8(e.validated);
+  ar.U8(e.fault_active);
+  ar.U64(e.sim_misses);
+  ar.U64(e.hard_misses);
+}
+
+template <class Ar>
+void Visit(Ar& ar, analysis::EdfCoreEntry& e) {
+  ar.I64(e.exec);
+  ar.I64(e.period);
+  ar.I64(e.deadline);
+  ar.I64(e.jitter);
+  ar.I64(e.kind);
+  ar.U64(e.dest_queue_size);
+  ar.U64(e.first_core_queue_size);
+  ar.U32(e.id);
+}
+
+template <class Ar>
+void Visit(Ar& ar, analysis::MemoKey& k) {
+  ar.U64(k.lo);
+  ar.U64(k.hi);
+}
+
+template <class Ar>
+void Visit(Ar& ar, partition::EdfCoreState& core) {
+  Seq(ar, core.entries);
+  ar.F64(core.utilization);
+  Visit(ar, core.zobrist);
+}
+
+template <class Ar>
+void Visit(Ar& ar, partition::FpCoreState& core) {
+  Seq(ar, core.tasks);
+  ar.F64(core.utilization);
+  Visit(ar, core.zobrist);
+}
+
+/// One tag byte (0 = EDF, 1 = FP) picks which core vector is on the wire;
+/// a snapshot with neither encodes as EDF.
+template <class Ar>
+void Visit(Ar& ar, AdmissionSnapshot& a) {
+  bool fp = a.edf_cores.empty() && !a.fp_cores.empty();
+  ar.U8(fp);
+  if (fp) {
+    Seq(ar, a.fp_cores);
+  } else {
+    Seq(ar, a.edf_cores);
+  }
+  Visit(ar, a.stats);
+}
+
+template <class Ar>
+void Visit(Ar& ar, ControllerSnapshot::ShedEntry& e) {
+  Visit(ar, e.task);
+  ar.U64(e.admit_seq);
+  ar.U32(e.retry_in);
+  ar.U32(e.backoff);
+}
+
+template <class Ar>
+void Visit(Ar& ar, ControllerSnapshot& c) {
+  Seq(ar, c.placements);
+  Seq(ar, c.degraded_full);
+  Seq(ar, c.admit_seq_of);
+  Seq(ar, c.generation_of);
+  Seq(ar, c.shed);
+  Visit(ar, c.churn);
+  Visit(ar, c.overload);
+  ar.U64(c.admit_seq);
+  ar.U64(c.epoch);
+  ar.U64(c.last_fallback_epoch);
+  ar.F64(c.last_fallback_util);
+  ar.U8(c.any_fallback);
+  Visit(ar, c.admission);
+}
+
+/// Not a checkpoint field: the fingerprint hashes the admission model.
+template <class Ar>
+void Visit(Ar& ar, overhead::OverheadModel& m) {
+  for (overhead::OpCost* c :
+       {&m.ready_add_local, &m.ready_add_remote, &m.ready_del_local,
+        &m.sleep_add_local, &m.sleep_add_remote, &m.sleep_del_local}) {
+    ar.I64(c->at_n4);
+    ar.I64(c->at_n64);
+  }
+  for (Time* t : {&m.release_exec, &m.sched_exec, &m.ctxsw_exec,
+                  &m.cpmd_local, &m.cpmd_migration}) {
+    ar.I64(*t);
+  }
+  ar.F64(m.scale);
 }
 
 // ---- fingerprint -----------------------------------------------------------
@@ -295,14 +453,15 @@ std::uint64_t Fingerprint(const WorkloadStream& s, const ReplayConfig& cfg) {
     h = Mix(h, static_cast<std::uint64_t>(st.end));
     h = MixF(h, st.burst_prob);
   }
-  // Stream content: CRC32 over the canonical request encoding (cheap,
-  // and any edit to any request perturbs it).
+  // The admission overhead model, then the stream content: CRC32 over
+  // the canonical encoding (cheap, and any edit to either perturbs it).
   ByteWriter w;
+  Write(w, cc.admission.model);
   for (const Request& r : s.requests()) {
     w.I64(r.at);
-    w.U8(static_cast<std::uint8_t>(r.kind));
+    w.U8(r.kind);
     w.U32(r.id);
-    if (r.kind == RequestKind::kAdmit) EncodeTask(w, r.task);
+    if (r.kind == RequestKind::kAdmit) Write(w, r.task);
   }
   h = Mix(h, s.size());
   h = Mix(h, util::Crc32Of(w.buf));
@@ -326,166 +485,33 @@ struct CheckpointState {
   ControllerSnapshot ctrl;
 };
 
-void EncodeEpochStats(ByteWriter& w, const EpochStats& e) {
-  w.I64(e.start);
-  w.I64(e.end);
-  w.U32(e.admits);
-  w.U32(e.rejects);
-  w.U32(e.leaves);
-  EncodeChurn(w, e.churn);
-  EncodeOverload(w, e.overload);
-  w.U64(e.resident);
-  w.U64(e.shed_resident);
-  w.U64(e.degraded_resident);
-  w.F64(e.utilization);
-  w.U8(e.validated ? 1 : 0);
-  w.U8(e.fault_active ? 1 : 0);
-  w.U64(e.sim_misses);
-  w.U64(e.hard_misses);
-}
-
-EpochStats DecodeEpochStats(ByteReader& r) {
-  EpochStats e;
-  e.start = r.I64();
-  e.end = r.I64();
-  e.admits = r.U32();
-  e.rejects = r.U32();
-  e.leaves = r.U32();
-  e.churn = DecodeChurn(r);
-  e.overload = DecodeOverload(r);
-  e.resident = r.U64();
-  e.shed_resident = r.U64();
-  e.degraded_resident = r.U64();
-  e.utilization = r.F64();
-  e.validated = r.U8() != 0;
-  e.fault_active = r.U8() != 0;
-  e.sim_misses = r.U64();
-  e.hard_misses = r.U64();
-  return e;
-}
-
-void EncodePlacedTask(ByteWriter& w, const partition::PlacedTask& pt) {
-  EncodeTask(w, pt.task);
-  w.U32(static_cast<std::uint32_t>(pt.parts.size()));
-  for (const partition::SubtaskPlacement& sp : pt.parts) {
-    w.U32(sp.core);
-    w.I64(sp.budget);
-    w.U32(sp.local_priority);
-    w.I64(sp.rel_deadline);
-  }
-}
-
-partition::PlacedTask DecodePlacedTask(ByteReader& r) {
-  partition::PlacedTask pt;
-  pt.task = DecodeTask(r);
-  const std::uint32_t nparts = r.U32();
-  if (!r.PlausibleCount(nparts, 24)) return pt;
-  pt.parts.reserve(nparts);
-  for (std::uint32_t k = 0; k < nparts && r.ok; ++k) {
-    partition::SubtaskPlacement sp;
-    sp.core = r.U32();
-    sp.budget = r.I64();
-    sp.local_priority = r.U32();
-    sp.rel_deadline = r.I64();
-    pt.parts.push_back(sp);
-  }
-  return pt;
+template <class Ar>
+void Visit(Ar& ar, CheckpointState& st) {
+  ar.U64(st.next_request);
+  ar.I64(st.epoch_start);
+  ar.U64(st.epoch_index);
+  Visit(ar, st.churn_before);
+  Visit(ar, st.overload_before);
+  ar.U64(st.admits);
+  ar.U64(st.rejects);
+  ar.U64(st.leaves);
+  Seq(ar, st.epochs);
+  Visit(ar, st.ctrl);
 }
 
 std::string EncodeCheckpoint(const CheckpointState& st,
                              std::uint64_t fingerprint) {
-  ByteWriter w;
-  w.U64(st.next_request);
-  w.I64(st.epoch_start);
-  w.U64(st.epoch_index);
-  EncodeChurn(w, st.churn_before);
-  EncodeOverload(w, st.overload_before);
-  w.U64(st.admits);
-  w.U64(st.rejects);
-  w.U64(st.leaves);
-  w.U64(st.epochs.size());
-  for (const EpochStats& e : st.epochs) EncodeEpochStats(w, e);
-
-  const ControllerSnapshot& c = st.ctrl;
-  w.U64(c.placements.size());
-  for (const partition::PlacedTask& pt : c.placements) {
-    EncodePlacedTask(w, pt);
-  }
-  w.U64(c.degraded_full.size());
-  for (const auto& [id, t] : c.degraded_full) {
-    w.U32(id);
-    EncodeTask(w, t);
-  }
-  w.U64(c.admit_seq_of.size());
-  for (const auto& [id, seq] : c.admit_seq_of) {
-    w.U32(id);
-    w.U64(seq);
-  }
-  w.U64(c.generation_of.size());
-  for (const auto& [id, gen] : c.generation_of) {
-    w.U32(id);
-    w.U32(gen);
-  }
-  w.U64(c.shed.size());
-  for (const ControllerSnapshot::ShedEntry& e : c.shed) {
-    EncodeTask(w, e.task);
-    w.U64(e.admit_seq);
-    w.U32(e.retry_in);
-    w.U32(e.backoff);
-  }
-  EncodeChurn(w, c.churn);
-  EncodeOverload(w, c.overload);
-  w.U64(c.admit_seq);
-  w.U64(c.epoch);
-  w.U64(c.last_fallback_epoch);
-  w.F64(c.last_fallback_util);
-  w.U8(c.any_fallback ? 1 : 0);
-
-  const AdmissionSnapshot& a = c.admission;
-  const bool edf = !a.edf_cores.empty() || a.fp_cores.empty();
-  w.U8(edf ? 0 : 1);
-  if (edf) {
-    w.U64(a.edf_cores.size());
-    for (const partition::EdfCoreState& core : a.edf_cores) {
-      w.U64(core.entries.size());
-      for (const analysis::EdfCoreEntry& e : core.entries) {
-        w.I64(e.exec);
-        w.I64(e.period);
-        w.I64(e.deadline);
-        w.I64(e.jitter);
-        w.I64(e.kind);
-        w.U64(e.dest_queue_size);
-        w.U64(e.first_core_queue_size);
-        w.U32(e.id);
-      }
-      w.F64(core.utilization);
-      w.U64(core.zobrist.lo);
-      w.U64(core.zobrist.hi);
-    }
-  } else {
-    w.U64(a.fp_cores.size());
-    for (const partition::FpCoreState& core : a.fp_cores) {
-      w.U64(core.tasks.size());
-      for (const rt::Task& t : core.tasks) EncodeTask(w, t);
-      w.F64(core.utilization);
-      w.U64(core.zobrist.lo);
-      w.U64(core.zobrist.hi);
-    }
-  }
-  EncodeAdmitStats(w, a.stats);
+  ByteWriter payload;
+  Write(payload, st);
 
   // Frame: magic, fingerprint, payload length, payload, CRC over all of
   // the preceding bytes.
-  std::string out(kCheckpointMagic, sizeof(kCheckpointMagic));
-  ByteWriter hdr;
-  hdr.U64(fingerprint);
-  hdr.U64(w.buf.size());
-  out += hdr.buf;
-  out += w.buf;
-  ByteWriter crc;
-  crc.U32(util::Crc32Of(out));
-  out += crc.buf;
-  return out;
+  ByteWriter out{std::string(kCheckpointMagic, sizeof(kCheckpointMagic))};
+  out.U64(fingerprint);
+  out.U64(payload.buf.size());
+  out.buf += payload.buf;
+  out.U32(util::Crc32Of(out.buf));
+  return out.buf;
 }
 
 bool DecodeCheckpoint(std::string_view bytes, const std::string& path,
@@ -493,10 +519,7 @@ bool DecodeCheckpoint(std::string_view bytes, const std::string& path,
                       DurabilityError& err) {
   const auto fail = [&](DurabilityError::Kind kind, std::uint64_t offset,
                         const std::string& detail) {
-    err.kind = kind;
-    err.path = path;
-    err.offset = offset;
-    err.message = path + ": " + detail;
+    err = DurabilityError{kind, path, offset, path + ": " + detail};
     return false;
   };
   if (bytes.size() < sizeof(kCheckpointMagic) + 16 + 4) {
@@ -531,135 +554,7 @@ bool DecodeCheckpoint(std::string_view bytes, const std::string& path,
                 "checkpoint payload length does not match the file");
   }
 
-  st.next_request = r.U64();
-  st.epoch_start = r.I64();
-  st.epoch_index = r.U64();
-  st.churn_before = DecodeChurn(r);
-  st.overload_before = DecodeOverload(r);
-  st.admits = r.U64();
-  st.rejects = r.U64();
-  st.leaves = r.U64();
-  const std::uint64_t n_epochs = r.U64();
-  if (!r.PlausibleCount(n_epochs, 100)) {
-    return fail(DurabilityError::Kind::kParse, r.pos,
-                "implausible epoch count");
-  }
-  st.epochs.reserve(n_epochs);
-  for (std::uint64_t i = 0; i < n_epochs && r.ok; ++i) {
-    st.epochs.push_back(DecodeEpochStats(r));
-  }
-
-  ControllerSnapshot& c = st.ctrl;
-  const std::uint64_t n_pl = r.U64();
-  if (!r.PlausibleCount(n_pl, 41 + 4)) {
-    return fail(DurabilityError::Kind::kParse, r.pos,
-                "implausible placement count");
-  }
-  c.placements.reserve(n_pl);
-  for (std::uint64_t i = 0; i < n_pl && r.ok; ++i) {
-    c.placements.push_back(DecodePlacedTask(r));
-  }
-  const std::uint64_t n_df = r.U64();
-  if (!r.PlausibleCount(n_df, 45)) {
-    return fail(DurabilityError::Kind::kParse, r.pos,
-                "implausible degraded count");
-  }
-  for (std::uint64_t i = 0; i < n_df && r.ok; ++i) {
-    const rt::TaskId id = r.U32();
-    c.degraded_full.emplace_back(id, DecodeTask(r));
-  }
-  const std::uint64_t n_as = r.U64();
-  if (!r.PlausibleCount(n_as, 12)) {
-    return fail(DurabilityError::Kind::kParse, r.pos,
-                "implausible admit-seq count");
-  }
-  for (std::uint64_t i = 0; i < n_as && r.ok; ++i) {
-    const rt::TaskId id = r.U32();
-    const std::uint64_t seq = r.U64();
-    c.admit_seq_of.emplace_back(id, seq);
-  }
-  const std::uint64_t n_gen = r.U64();
-  if (!r.PlausibleCount(n_gen, 8)) {
-    return fail(DurabilityError::Kind::kParse, r.pos,
-                "implausible generation count");
-  }
-  for (std::uint64_t i = 0; i < n_gen && r.ok; ++i) {
-    const rt::TaskId id = r.U32();
-    const std::uint32_t gen = r.U32();
-    c.generation_of.emplace_back(id, gen);
-  }
-  const std::uint64_t n_shed = r.U64();
-  if (!r.PlausibleCount(n_shed, 57)) {
-    return fail(DurabilityError::Kind::kParse, r.pos,
-                "implausible shed count");
-  }
-  for (std::uint64_t i = 0; i < n_shed && r.ok; ++i) {
-    ControllerSnapshot::ShedEntry e;
-    e.task = DecodeTask(r);
-    e.admit_seq = r.U64();
-    e.retry_in = r.U32();
-    e.backoff = r.U32();
-    c.shed.push_back(std::move(e));
-  }
-  c.churn = DecodeChurn(r);
-  c.overload = DecodeOverload(r);
-  c.admit_seq = r.U64();
-  c.epoch = r.U64();
-  c.last_fallback_epoch = r.U64();
-  c.last_fallback_util = r.F64();
-  c.any_fallback = r.U8() != 0;
-
-  AdmissionSnapshot& a = c.admission;
-  const bool edf = r.U8() == 0;
-  const std::uint64_t n_cores = r.U64();
-  if (!r.PlausibleCount(n_cores, 24)) {
-    return fail(DurabilityError::Kind::kParse, r.pos,
-                "implausible core count");
-  }
-  for (std::uint64_t ci = 0; ci < n_cores && r.ok; ++ci) {
-    if (edf) {
-      partition::EdfCoreState core;
-      const std::uint64_t n_e = r.U64();
-      if (!r.PlausibleCount(n_e, 56)) {
-        return fail(DurabilityError::Kind::kParse, r.pos,
-                    "implausible entry count");
-      }
-      core.entries.reserve(n_e);
-      for (std::uint64_t k = 0; k < n_e && r.ok; ++k) {
-        analysis::EdfCoreEntry e;
-        e.exec = r.I64();
-        e.period = r.I64();
-        e.deadline = r.I64();
-        e.jitter = r.I64();
-        e.kind = static_cast<int>(r.I64());
-        e.dest_queue_size = r.U64();
-        e.first_core_queue_size = r.U64();
-        e.id = r.U32();
-        core.entries.push_back(e);
-      }
-      core.utilization = r.F64();
-      core.zobrist.lo = r.U64();
-      core.zobrist.hi = r.U64();
-      a.edf_cores.push_back(std::move(core));
-    } else {
-      partition::FpCoreState core;
-      const std::uint64_t n_t = r.U64();
-      if (!r.PlausibleCount(n_t, 45)) {
-        return fail(DurabilityError::Kind::kParse, r.pos,
-                    "implausible task count");
-      }
-      core.tasks.reserve(n_t);
-      for (std::uint64_t k = 0; k < n_t && r.ok; ++k) {
-        core.tasks.push_back(DecodeTask(r));
-      }
-      core.utilization = r.F64();
-      core.zobrist.lo = r.U64();
-      core.zobrist.hi = r.U64();
-      a.fp_cores.push_back(std::move(core));
-    }
-  }
-  a.stats = DecodeAdmitStats(r);
-  if (!r.ok || r.remaining() != 0) {
+  if (!ReadExactly(r, st)) {
     return fail(DurabilityError::Kind::kParse, r.pos,
                 "checkpoint payload undecodable");
   }
@@ -668,6 +563,10 @@ bool DecodeCheckpoint(std::string_view bytes, const std::string& path,
   // must re-derive from the entries they claim to cover (order-free XOR,
   // so this catches mixed-up sections that still CRC fine), and the
   // placement parts must account for exactly the per-core entry counts.
+  const ControllerSnapshot& c = st.ctrl;
+  const AdmissionSnapshot& a = c.admission;
+  const bool edf = a.fp_cores.empty();
+  const std::size_t n_cores = edf ? a.edf_cores.size() : a.fp_cores.size();
   std::vector<std::size_t> parts_on(n_cores, 0);
   for (const partition::PlacedTask& pt : c.placements) {
     for (const partition::SubtaskPlacement& sp : pt.parts) {
@@ -678,7 +577,7 @@ bool DecodeCheckpoint(std::string_view bytes, const std::string& path,
       ++parts_on[sp.core];
     }
   }
-  for (std::uint64_t ci = 0; ci < n_cores; ++ci) {
+  for (std::size_t ci = 0; ci < n_cores; ++ci) {
     if (edf) {
       const partition::EdfCoreState& core = a.edf_cores[ci];
       if (analysis::ZobristOfEdfEntries(core.entries) != core.zobrist) {
@@ -701,6 +600,35 @@ bool DecodeCheckpoint(std::string_view bytes, const std::string& path,
       }
     }
   }
+  // The controller looks its id-keyed ledgers up unchecked, and analysis
+  // of an ill-formed task need not terminate: placement ids ascend, each
+  // resident has exactly one admission sequence (both lists are exported
+  // in id order), each degraded original is resident, and every task is
+  // well-formed.
+  const auto id_of = [](const partition::PlacedTask& pt) {
+    return pt.task.id;
+  };
+  const auto valid = [](const auto& x) { return x.task.valid(); };
+  if (std::ranges::adjacent_find(c.placements, std::greater_equal{},
+                                 id_of) != c.placements.end() ||
+      !std::ranges::equal(c.admit_seq_of, c.placements, {},
+                          &std::pair<rt::TaskId, std::uint64_t>::first,
+                          id_of)) {
+    return fail(DurabilityError::Kind::kStateMismatch, 0,
+                "placement ids disagree with the admission ledger");
+  }
+  for (const auto& [id, full] : c.degraded_full) {
+    if (!std::ranges::binary_search(c.placements, id, {}, id_of) ||
+        !full.valid()) {
+      return fail(DurabilityError::Kind::kStateMismatch, 0,
+                  "a degraded original is not a well-formed resident");
+    }
+  }
+  if (!std::ranges::all_of(c.placements, valid) ||
+      !std::ranges::all_of(c.shed, valid)) {
+    return fail(DurabilityError::Kind::kStateMismatch, 0,
+                "a resident or shed task is not well-formed");
+  }
   return true;
 }
 
@@ -720,15 +648,20 @@ struct JournalRecord {
       default;
 };
 
+template <class Ar>
+void Visit(Ar& ar, JournalRecord& rec) {
+  ar.U64(rec.seq);
+  ar.U8(rec.kind);
+  ar.U8(rec.flags);
+  ar.U32(rec.parts);
+  ar.U32(rec.id);
+  Visit(ar, rec.churn_delta);
+  Visit(ar, rec.overload_delta);
+}
+
 std::string EncodeRecord(const JournalRecord& rec) {
   ByteWriter p;
-  p.U64(rec.seq);
-  p.U8(rec.kind);
-  p.U8(rec.flags);
-  p.U32(rec.parts);
-  p.U32(rec.id);
-  EncodeChurn(p, rec.churn_delta);
-  EncodeOverload(p, rec.overload_delta);
+  Write(p, rec);
   ByteWriter f;
   f.U32(static_cast<std::uint32_t>(p.buf.size()));
   f.buf += p.buf;
@@ -736,27 +669,11 @@ std::string EncodeRecord(const JournalRecord& rec) {
   return f.buf;
 }
 
-bool DecodeRecordPayload(std::string_view payload, JournalRecord& rec) {
-  ByteReader r(payload);
-  rec.seq = r.U64();
-  rec.kind = r.U8();
-  rec.flags = r.U8();
-  rec.parts = r.U32();
-  rec.id = r.U32();
-  rec.churn_delta = DecodeChurn(r);
-  rec.overload_delta = DecodeOverload(r);
-  return r.ok && r.remaining() == 0;
-}
-
 std::string JournalHeader(std::uint64_t fingerprint) {
-  std::string out(kJournalMagic, sizeof(kJournalMagic));
-  ByteWriter w;
-  w.U64(fingerprint);
-  out += w.buf;
-  ByteWriter crc;
-  crc.U32(util::Crc32Of(out));
-  out += crc.buf;
-  return out;
+  ByteWriter out{std::string(kJournalMagic, sizeof(kJournalMagic))};
+  out.U64(fingerprint);
+  out.U32(util::Crc32Of(out.buf));
+  return out.buf;
 }
 
 /// Scan `bytes`: header check, then records until the first invalid
@@ -768,10 +685,7 @@ bool ScanJournalBytes(std::string_view bytes, const std::string& path,
   const auto fail = [&](DurabilityError::Kind kind, std::uint64_t offset,
                         const std::string& detail) {
     if (error != nullptr) {
-      error->kind = kind;
-      error->path = path;
-      error->offset = offset;
-      error->message = path + ": " + detail;
+      *error = DurabilityError{kind, path, offset, path + ": " + detail};
     }
     return false;
   };
@@ -807,8 +721,9 @@ bool ScanJournalBytes(std::string_view bytes, const std::string& path,
     const std::string_view payload = bytes.substr(pos + 4, len);
     ByteReader crcr(bytes.substr(pos + 4 + len, 4));
     if (crcr.U32() != util::Crc32Of(payload)) break;     // torn/corrupt
+    ByteReader r(payload);
     JournalRecord rec;
-    if (!DecodeRecordPayload(payload, rec)) break;
+    if (!ReadExactly(r, rec)) break;
     if (records != nullptr) records->push_back(rec);
     pos += 4 + len + 4;
     ++out.records;
@@ -983,10 +898,7 @@ class DurabilityEngine {
  private:
   bool Fail(DurabilityError::Kind kind, const std::string& path,
             std::uint64_t offset, const std::string& message) {
-    error_.kind = kind;
-    error_.path = path;
-    error_.offset = offset;
-    error_.message = message;
+    error_ = DurabilityError{kind, path, offset, message};
     return false;
   }
 
@@ -1161,9 +1073,7 @@ bool ScanJournal(const std::string& path, JournalScan& out,
   std::string io_err;
   if (!util::ReadFileBytes(path, bytes, &io_err)) {
     if (error != nullptr) {
-      error->kind = DurabilityError::Kind::kIo;
-      error->path = path;
-      error->message = io_err;
+      *error = DurabilityError{DurabilityError::Kind::kIo, path, 0, io_err};
     }
     return false;
   }
@@ -1271,14 +1181,18 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
     }
   };
 
-  const auto fail_durability = [&]() {
-    out.durability_error = dur.error();
+  // Every return past this point reports the totals reached so far.
+  const auto finish = [&] {
     out.churn = ctrl.churn();
     out.overload = ctrl.overload_stats();
     out.shed_outstanding = ctrl.shed_resident();
     out.admission = ctrl.admission_stats();
     out.final_partition = ctrl.CurrentPartition();
-    return out;
+    return std::move(out);
+  };
+  const auto fail_durability = [&] {
+    out.durability_error = dur.error();
+    return finish();
   };
 
   const std::vector<Request>& reqs = s.requests();
@@ -1369,12 +1283,7 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
           tracer->EndTrace((flags & 4u) != 0, (flags & 2u) != 0, false);
         }
         out.recovery.halted_by_injection = true;
-        out.churn = ctrl.churn();
-        out.overload = ctrl.overload_stats();
-        out.shed_outstanding = ctrl.shed_resident();
-        out.admission = ctrl.admission_stats();
-        out.final_partition = ctrl.CurrentPartition();
-        return out;
+        return finish();
       }
     }
     // Tail-sampling decision: ladder/fallback traces always retained,
@@ -1408,13 +1317,7 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
                churn_before, overload_before, cur, out);
   }
   if (durable) dur.Finish();
-
-  out.churn = ctrl.churn();
-  out.overload = ctrl.overload_stats();
-  out.shed_outstanding = ctrl.shed_resident();
-  out.admission = ctrl.admission_stats();
-  out.final_partition = ctrl.CurrentPartition();
-  return out;
+  return finish();
 }
 
 std::vector<ReplayResult> ReplayBatch(std::span<const WorkloadStream> streams,

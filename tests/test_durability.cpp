@@ -1,12 +1,13 @@
 // Durable online service (DESIGN.md §14): CRC32 vectors, atomic file
 // writes, the stream CRC footer, controller snapshot round-trips, the
 // crash/recover differential (halt-injection matrix across placement
-// policies, scheduling policies and fault windows, plus a real
-// fork+SIGKILL), and the corrupted-artifact ladder — bit-flipped
-// checkpoints, torn journal tails, stale-checkpoint-long-tail,
-// wrong-stream fingerprints. Recovery must be decision- and
-// byte-identical to the never-crashed run; corruption must map to typed
-// errors, never UB.
+// policies, scheduling policies and fault windows, every crash point of
+// a short stream, plus a real fork+SIGKILL), the corrupted-artifact
+// ladder — bit-flipped checkpoints, torn journal tails,
+// stale-checkpoint-long-tail, wrong-stream or wrong-model fingerprints —
+// and a seeded mutation driver over real checkpoints and journals.
+// Recovery must be decision- and byte-identical to the never-crashed
+// run; corruption must map to typed errors, never UB.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -19,8 +20,10 @@
 #include "online/controller.hpp"
 #include "online/durability.hpp"
 #include "online/workload_stream.hpp"
+#include "overhead/model.hpp"
 #include "util/crc32.hpp"
 #include "util/file_io.hpp"
+#include "util/rng.hpp"
 
 namespace sps::online {
 namespace {
@@ -358,6 +361,23 @@ TEST(CrashRecovery, StaleCheckpointWithLongJournalTail) {
   RunHaltRecoverDifferential(cfg, s, 48, 16, "staletail");
 }
 
+TEST(CrashRecovery, EveryCrashPointOfAShortStream) {
+  // Halt after every journal append of one short stream, fault windows
+  // on, and recover each time.
+  const WorkloadStream s = SmallStream(23, 24);
+  for (const partition::SchedPolicy policy :
+       {partition::SchedPolicy::kEdf,
+        partition::SchedPolicy::kFixedPriority}) {
+    const ReplayConfig cfg =
+        MakeReplayConfig(PlacePolicy::kFirstFit, policy, /*faults=*/true);
+    const std::string tag =
+        policy == partition::SchedPolicy::kEdf ? "every_edf" : "every_fp";
+    for (std::uint32_t halt = 1; halt <= s.size(); ++halt) {
+      RunHaltRecoverDifferential(cfg, s, halt, 2, tag);
+    }
+  }
+}
+
 TEST(CrashRecovery, EmptyDirectoryRecoversFromScratch) {
   const WorkloadStream s = SmallStream(5, 16);
   const ReplayConfig base = MakeReplayConfig(
@@ -593,6 +613,30 @@ TEST(CorruptArtifacts, WrongStreamFingerprintIsATypedError) {
   fs::remove_all(dir);
 }
 
+TEST(CorruptArtifacts, DifferentOverheadModelIsAFingerprintMismatch) {
+  // The admission overhead model changes admission decisions, so
+  // artifacts written under one model must not resume under another.
+  const WorkloadStream s = SmallStream(79, 24);
+  ReplayConfig base = MakeReplayConfig(PlacePolicy::kFirstFit,
+                                       partition::SchedPolicy::kEdf, false);
+  base.controller.admission.num_cores = 4;
+  base.controller.admission.model = overhead::OverheadModel::PaperCoreI7();
+  const std::string dir = MakeCrashArtifacts(s, base, 30, 2, "wrongmodel");
+
+  ReplayConfig rec = base;
+  rec.durability.dir = dir;
+  rec.durability.recover = true;
+  for (const overhead::OverheadModel& model :
+       {overhead::OverheadModel::Zero(),
+        overhead::OverheadModel::PaperScaled(1.5)}) {
+    rec.controller.admission.model = model;
+    const ReplayResult r = ReplayStream(s, rec);
+    EXPECT_EQ(r.durability_error.kind,
+              DurabilityError::Kind::kFingerprintMismatch);
+  }
+  fs::remove_all(dir);
+}
+
 TEST(CorruptArtifacts, GarbageFilesYieldTypedErrorsNeverUB) {
   const std::string dir = FreshDir("garbage");
   fs::create_directories(dir);
@@ -631,6 +675,118 @@ TEST(CorruptArtifacts, GarbageFilesYieldTypedErrorsNeverUB) {
   fs::remove_all(dir);
 }
 
+// ---------------------------------------------------------------------------
+// Mutation driver: seeded corruptions of real checkpoints and journals
+// ---------------------------------------------------------------------------
+
+/// One seeded corruption: a bit flip, an 8-byte run of 0x00 or 0xFF (the
+/// width of a count field) or a truncation.
+std::string Mutate(std::string bytes, util::SplitMix64& rng) {
+  const std::size_t at = rng() % bytes.size();
+  switch (rng() % 4) {
+    case 0:
+      bytes[at] = static_cast<char>(bytes[at] ^ (1u << (rng() % 8)));
+      break;
+    case 1:
+    case 2: {
+      const char fill = (rng() & 1) != 0 ? '\xFF' : '\0';
+      for (std::size_t i = at; i < bytes.size() && i < at + 8; ++i) {
+        bytes[i] = fill;
+      }
+      break;
+    }
+    default:
+      bytes.resize(at);
+  }
+  return bytes;
+}
+
+/// Recompute a checkpoint's trailing frame CRC, so the mutation reaches
+/// the payload decoder instead of stopping at the CRC check.
+void ResealCheckpoint(std::string& bytes) {
+  if (bytes.size() < 4) return;
+  const std::size_t body = bytes.size() - 4;
+  const std::uint32_t crc =
+      util::Crc32Of(std::string_view(bytes).substr(0, body));
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[body + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
+  }
+}
+
+TEST(MutationFuzz, MutatedArtifactsRecoverOrFailTyped) {
+  // Every mutant of a real checkpoint or journal either recovers or
+  // fails with a typed error. A skipped checkpoint or a torn journal
+  // must still reproduce the uninterrupted run.
+  constexpr int kMutantsPerPolicy = 400;
+  const WorkloadStream s = SmallStream(29, 24);
+  for (const partition::SchedPolicy policy :
+       {partition::SchedPolicy::kEdf,
+        partition::SchedPolicy::kFixedPriority}) {
+    const bool edf = policy == partition::SchedPolicy::kEdf;
+    SCOPED_TRACE(edf ? "edf" : "fp");
+    const ReplayConfig base =
+        MakeReplayConfig(PlacePolicy::kFirstFit, policy, /*faults=*/true);
+    const ReplayResult plain = ReplayStream(s, base);
+    const std::string dir =
+        MakeCrashArtifacts(s, base, 30, 2, edf ? "fuzz_edf" : "fuzz_fp");
+    // originals[0] is the journal, originals[1] the newest checkpoint;
+    // the older checkpoints are the intact fallback behind its mutants.
+    std::vector<std::string> paths = ListCheckpoints(dir);
+    ASSERT_GE(paths.size(), 2u);
+    paths.insert(paths.begin(), dir + "/journal.wal");
+    std::vector<std::pair<std::string, std::string>> originals;
+    for (const std::string& path : paths) {
+      std::string bytes;
+      std::string err;
+      ASSERT_TRUE(util::ReadFileBytes(path, bytes, &err)) << err;
+      originals.emplace_back(path, std::move(bytes));
+    }
+
+    ReplayConfig rec = base;
+    rec.durability.dir = dir;
+    rec.durability.checkpoint_every = 2;
+    rec.durability.recover = true;
+    util::SplitMix64 rng(edf ? 0xF022 : 0xF023);
+    int skipped = 0;
+    int failed = 0;
+    for (int i = 0; i < kMutantsPerPolicy; ++i) {
+      // Three checkpoint mutants for every journal mutant. Recovery
+      // rewrites the journal and adds and prunes checkpoints, so every
+      // mutant starts from the original artifacts.
+      const bool ckpt = i % 4 != 3;
+      std::string err;
+      fs::remove_all(dir);
+      fs::create_directories(dir);
+      for (const auto& [path, bytes] : originals) {
+        ASSERT_TRUE(util::WriteFileAtomic(path, bytes, false, &err)) << err;
+      }
+      const auto& [path, bytes] = originals[ckpt ? 1 : 0];
+      std::string mutant = Mutate(bytes, rng);
+      if (ckpt) ResealCheckpoint(mutant);
+      ASSERT_TRUE(util::WriteFileAtomic(path, mutant, false, &err)) << err;
+
+      const ReplayResult r = ReplayStream(s, rec);
+      SCOPED_TRACE("mutant " + std::to_string(i));
+      if (!r.durability_error.ok()) {
+        ++failed;
+        EXPECT_FALSE(r.durability_error.path.empty());
+        EXPECT_FALSE(r.durability_error.message.empty());
+        continue;
+      }
+      EXPECT_TRUE(r.recovery.recovered);
+      if (r.recovery.checkpoints_skipped > 0) ++skipped;
+      if (!ckpt || r.recovery.checkpoints_skipped > 0) {
+        ExpectSameReplay(plain, r);
+      }
+    }
+    // Both outcomes occur: mutants the readers reject and skip, and
+    // mutants that end in a typed error.
+    EXPECT_GT(skipped, 0);
+    EXPECT_GT(failed, 0);
+    fs::remove_all(dir);
+  }
+}
+
 TEST(Durability, FsyncPolicyParsesAllSpellings) {
   FsyncPolicy p = FsyncPolicy::kOff;
   std::uint32_t n = 0;
@@ -645,6 +801,8 @@ TEST(Durability, FsyncPolicyParsesAllSpellings) {
   EXPECT_FALSE(ParseFsyncPolicy("every-n:", p, n));
   EXPECT_FALSE(ParseFsyncPolicy("sometimes", p, n));
   EXPECT_FALSE(ParseFsyncPolicy("every-n:0", p, n));
+  EXPECT_FALSE(ParseFsyncPolicy("every-n:-5", p, n));
+  EXPECT_FALSE(ParseFsyncPolicy("every-n:4294967296", p, n));
 }
 
 TEST(Durability, FreshRunWipesStaleArtifacts) {
