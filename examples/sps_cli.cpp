@@ -1,168 +1,71 @@
-// sps_cli — command-line driver for one-off experiments with the library:
-// generate (or densely parameterize) a task set, run a chosen partitioning
-// algorithm, verify, simulate, and report. The fifth runnable example and
-// the quickest way to poke at the system without writing code.
+// sps_cli — command-line front end for one-off experiments with the library.
+// Every flag is one row of FlagTable() below: its value syntax, range,
+// implied mode and help come from that row, its default from Options. A
+// bad or out-of-range value exits 2 with the usage on stderr before any
+// work.
+// Exit codes: 0 = ran clean, 1 = deadline misses or partition rejected,
+// 2 = bad arguments, or a file that cannot be read, written or trusted
+// (a corrupt durability artifact).
 //
-// Usage:
-//   sps_cli [--algo=spa2|spa1|ffd|wfd|bfd|edf-ffd|edf-wm]
-//           [--cores=4] [--tasks=16] [--util=0.85] [--seed=1]
-//           [--overheads=paper|zero|calibrated] [--scale=1.0]
-//           [--sim-ms=2000] [--trace] [--metrics]
-//           [--trace-out=FILE.json] [--metrics-out=FILE.json]
-//           [--arrivals=periodic|sporadic|jittered|bursty] [--sporadic]
-//           [--ready-queue=binomial|rbtree]
-//           [--sleep-queue=binomial|rbtree] [--shards=N]
-//           [--acceptance] [--acceptance-validate] [--sets=50] [--jobs=N]
-//           [--online] [--online-requests=128] [--online-leave=0.5]
-//           [--online-epoch-ms=1000] [--online-place=ff|wf|spa]
-//           [--online-policy=edf|fp] [--online-no-split]
-//           [--online-no-fallback] [--online-unsplit] [--online-validate]
-//           [--online-soft=0.4] [--online-drain=N]
-//           [--spike-window-ms=A,B] [--spike-prob=0.2] [--spike-mag=1.3]
-//           [--storm-window-ms=A,B] [--storm-burst=0.9]
-//           [--no-ladder] [--no-hysteresis]
-//           [--stream-in=FILE] [--stream-out=FILE]
-//           [--exec=wcet|spiky]
-//           [--analysis-cache=off|<N>]
-//           [--checkpoint-dir=DIR] [--checkpoint-every=K] [--recover]
-//           [--fsync=off|every-epoch|every-n[:N]] [--crash-after=N]
-//           [--profile] [--profile-out=FILE.json] [--stats-out=FILE.json]
-//           [--heartbeat=K] [--verbose] [--trace-stream[=WINDOW]]
-//           [--trace-requests[=K]] [--reqtrace-out=FILE.json]
-//           [--flight-dump]
+// Modes:
+//   single run (default): generate a task set, partition it with --algo,
+//       simulate it for --sim-ms and report. --trace / --metrics and
+//       their -out files observe the simulation (DESIGN.md §10); the
+//       Perfetto and metrics documents are byte-identical for every
+//       --shards value, and --trace-stream writes the same document in
+//       bounded memory (DESIGN.md §15).
+//   --acceptance: the paper's acceptance-ratio sweep (exp/acceptance.*)
+//       over the default utilization grid on --jobs threads; results are
+//       bit-identical for every --jobs value. --acceptance-validate also
+//       simulates every accepted partition (under --exec, --arrivals)
+//       and reports the fraction that runs without a deadline miss.
+//   --online: a timestamped ADMIT/LEAVE request stream (generated from
+//       --seed, or --stream-in) replayed through the incremental
+//       admission controller (DESIGN.md §11), reporting per-epoch
+//       admits / rejects / churn and the final placement.
+//       --online-validate simulates the partition standing at every
+//       epoch boundary. Overload (DESIGN.md §13): soft tasks are the
+//       victims of the degrade/shed ladder; inside a spike or storm
+//       window epoch validation simulates the faulted models and the
+//       pass/fail line counts HARD-task misses only. Durability
+//       (DESIGN.md §14): --checkpoint-dir turns on the write-ahead
+//       journal and checkpoints; a --recover run's stdout is
+//       byte-identical to the uninterrupted run (with
+//       --analysis-cache=off the cache counters match too).
 //
-// Durable online service (DESIGN.md §14): --checkpoint-dir turns on the
-// write-ahead journal + every-K-epochs checkpoint for the --online
-// replay; --recover resumes a crashed run from DIR (newest valid
-// checkpoint + journal redo) instead of starting fresh — the recovered
-// run's stdout is byte-identical to the uninterrupted one (pass
-// --analysis-cache=off to also match the cache counters; recovery info
-// prints on stderr). --fsync picks the journal's disk-sync policy;
-// --crash-after=N SIGKILLs the process right after the N-th journal
-// append (the crash-injection hook the CI smoke test drives). Corrupt
-// or mismatched durability artifacts exit 2 with a typed error.
+// Channels (DESIGN.md §15, §16): --profile, the heartbeat, request
+// tracing and recovery narration write to stderr or their own files,
+// never to stdout, so stdout, --stats-out, --trace-out and checkpoints
+// stay byte-identical with them on. --trace-requests also arms the
+// crash-dump flight recorder (flight-<pid>.json in --checkpoint-dir, else
+// the cwd); inspect its files with tools/trace_summary.py.
 //
-// --analysis-cache controls the shared schedulability-verdict
-// transposition table (analysis/memo.hpp, DESIGN.md §12): "off"
-// disables memoization, a number N sizes the shared table at N slots
-// (rounded up to a power of two; default 32768). Decisions are
-// identical either way — the knob trades memory for analysis speed.
-// The --online and --acceptance modes report hit/miss/evict counters.
-//
-// --online switches to the ONLINE ADMISSION mode (DESIGN.md §11): a
-// timestamped ADMIT/LEAVE request stream (generated from --seed, or
-// loaded with --stream-in) is replayed through the incremental admission
-// controller on --cores cores, reporting per-epoch admits / rejects /
-// churn and the final placement. --online-validate simulates the
-// partition standing at every epoch boundary (horizon --sim-ms) and
-// reports its deadline misses. --stream-out saves the request trace for
-// replay elsewhere; with --trace-out the per-epoch churn / resident /
-// utilization / shed / degraded series are written as Perfetto counter
-// tracks.
-//
-// Overload axis (DESIGN.md §13): --online-soft generates that fraction
-// of admits as SOFT tasks (with value classes and degraded modes) —
-// the shed/degrade ladder's victims. --spike-window-ms injects an
-// exec-time spike window [A,B) (per-job overrun probability
-// --spike-prob, magnitude --spike-mag); --storm-window-ms injects a
-// burst-arrival storm (burst probability --storm-burst). Epoch
-// validation inside a window simulates the FAULTED models, and the
-// report separates misses attributed to HARD tasks. --no-ladder /
-// --no-hysteresis switch the degradation ladder / repartition
-// hysteresis off; --online-drain keeps closing empty epochs after the
-// last request so shed-re-admission retries can drain.
-//
-// --exec=spiky makes the --acceptance-validate simulations run the
-// kSpiky execution model (--spike-prob / --spike-mag), i.e. the
-// acceptance sweep's schedulable-but-overrunning robustness axis.
-//
-// --acceptance switches from the single-run mode to the paper's
-// acceptance-ratio sweep (exp/acceptance.*) over the default utilization
-// grid, parallelized over --jobs threads (0 = one per hardware thread;
-// results are bit-identical for every value). --acceptance-validate
-// additionally SIMULATES every accepted partition (horizon --sim-ms)
-// and reports the fraction that run without a deadline miss.
-//
-// --shards=N lets one simulation use at most N threads (this process
-// counts as one; 0 = one per hardware thread) in single-run mode and
-// the validation simulations: the partition's core groups — cores
-// joined by split tasks — run as independent lanes (DESIGN.md §9).
-// Results are bit-identical to --shards=1 — including traces and
-// metrics (DESIGN.md §10), so every observability flag composes with
-// --shards. A --trace-stream run always uses one lane.
-//
-// Observability (DESIGN.md §10):
-//   --trace             record the scheduler event stream, print Gantt
-//   --trace-out=F.json  write the trace as Perfetto-loadable JSON
-//                       (open at ui.perfetto.dev); implies recording
-//   --metrics           record streaming metrics, print the per-task /
-//                       per-core report tables
-//   --metrics-out=F.json  write the MetricsReport JSON; implies --metrics
-//
-// Service observability (DESIGN.md §15):
-//   --profile           wall-clock span profiler over the --online
-//                       pipeline stages (admission screen, memo probe,
-//                       analysis, placement, ladder steps, epoch
-//                       phases). Report (p50/p99/p999 per stage), the
-//                       per-epoch p99/memo-hit columns, and the
-//                       heartbeat all go to STDERR — never stdout, so
-//                       profiled stdout stays byte-identical.
-//   --profile-out=F     write the profiler report as JSON to F instead
-//                       of the stderr table; implies --profile
-//   --stats-out=F       write the unified stats registry snapshot
-//                       (deterministic counters only) as JSON; the CI
-//                       cmp's it across --profile on/off
-//   --heartbeat=K       heartbeat every K closed epochs (default 10,
-//                       0 = off; needs --profile)
-//   --trace-requests[=K] request-scoped span trees over the --online
-//                       replay (DESIGN.md §16): tail-based sampling
-//                       retains the K slowest admits/leaves (default 32)
-//                       plus up to K recent shed/degrade/fallback/
-//                       diverged requests, written as Perfetto async
-//                       slices + an "sps_reqtrace" sidecar to
-//                       --reqtrace-out (default reqtrace.json; inspect
-//                       with tools/trace_summary.py). Also arms the
-//                       crash-dump flight recorder: fatal signals,
-//                       journal divergence, and injected crashes dump
-//                       flight-<pid>.json (in --checkpoint-dir when
-//                       durable, else the cwd). Narration goes to
-//                       stderr; stdout / --stats-out / --trace-out /
-//                       checkpoints stay byte-identical with it on.
-//   --reqtrace-out=F    where --trace-requests writes the trace JSON
-//   --flight-dump       dump the flight ring at end of run ("on_demand")
-//                       even without a crash; implies the recorder
-//   --verbose           SPS_LOG_LEVEL=debug for this run
-//   --trace-stream[=W]  stream the single-run trace through the
-//                       bounded-memory window (W stamped records,
-//                       default 65536) into the SAME Perfetto document
-//                       --trace-out would write — byte-identical, any
-//                       --shards value
+// --analysis-cache sizes (rounded up to a power of two) or disables the
+// shared schedulability-verdict table (DESIGN.md §12); decisions are
+// identical either way. --shards=N lets one simulation run the
+// partition's core groups — cores joined by split tasks — as up to N
+// lanes (DESIGN.md §9); results are bit-identical to --shards=1.
 //
 // Examples:
-//   ./build/examples/sps_cli --algo=spa2 --util=0.95
-//   ./build/examples/sps_cli --algo=edf-wm --tasks=24 --sim-ms=5000
-//   ./build/examples/sps_cli --algo=ffd --overheads=zero --trace
-//   ./build/examples/sps_cli --ready-queue=rbtree --sleep-queue=binomial
-//   ./build/examples/sps_cli --arrivals=bursty --util=0.7
-//   ./build/examples/sps_cli --cores=16 --tasks=96 --shards=0
-//   ./build/examples/sps_cli --acceptance --jobs=0 --sets=100
-//   ./build/examples/sps_cli --acceptance --acceptance-validate \
-//       --sim-ms=200 --sets=20
-//   ./build/examples/sps_cli --cores=8 --tasks=48 --shards=0 \
-//       --trace-out=run.json --metrics-out=metrics.json
+//   ./build/examples/sps_cli --algo=edf-wm --tasks=24 --trace
+//   ./build/examples/sps_cli --acceptance-validate --sets=20 --jobs=0
+//   ./build/examples/sps_cli --online --spike-window-ms=2000,4000
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
-
-#include <memory>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "analysis/memo.hpp"
 #include "containers/queue_traits.hpp"
@@ -191,16 +94,26 @@ using namespace sps;
 
 namespace {
 
+enum class Algo { kSpa2, kSpa1, kFfd, kWfd, kBfd, kEdfFfd, kEdfWm };
+enum class Overheads { kPaper, kZero, kCalibrated };
+
+/// A half-open fault window [start, end); empty unless its flag is given.
+struct Window {
+  Time start = 0;
+  Time end = 0;
+  [[nodiscard]] bool any() const { return start < end; }
+};
+
 struct Options {
-  std::string algo = "spa2";
+  Algo algo = Algo::kSpa2;
   unsigned cores = 4;
   std::size_t tasks = 16;
   double util = 0.85;
   std::uint64_t seed = 1;
-  std::string overheads = "paper";
+  Overheads overheads = Overheads::kPaper;
   double scale = 1.0;
   Time sim_ms = Millis(2000);
-  std::string arrivals = "periodic";
+  sim::ArrivalModel::Kind arrivals = sim::ArrivalModel::Kind::kPeriodic;
   bool trace = false;
   bool metrics = false;
   std::string trace_out;
@@ -214,26 +127,22 @@ struct Options {
   std::size_t online_requests = 128;
   double online_leave = 0.5;
   Time online_epoch = Millis(1000);
-  std::string online_place = "ff";
-  std::string online_policy = "edf";
-  bool online_split = true;
-  bool online_fallback = true;
+  online::PlacePolicy online_place = online::PlacePolicy::kFirstFit;
+  partition::SchedPolicy online_policy = partition::SchedPolicy::kEdf;
+  bool online_no_split = false;
+  bool online_no_fallback = false;
   bool online_unsplit = false;
   bool online_validate = false;
   double online_soft = 0.0;
   std::uint32_t online_drain = 0;
-  bool overload_ladder = true;
-  bool overload_hysteresis = true;
-  bool have_spike = false;
-  Time spike_start = 0;
-  Time spike_end = 0;
+  bool no_ladder = false;
+  bool no_hysteresis = false;
+  Window spike;
   double spike_prob = 0.2;
   double spike_mag = 1.3;
-  bool have_storm = false;
-  Time storm_start = 0;
-  Time storm_end = 0;
+  Window storm;
   double storm_burst = 0.9;
-  std::string exec_model = "wcet";
+  sim::ExecModel::Kind exec_model = sim::ExecModel::Kind::kAlwaysWcet;
   std::string stream_in;
   std::string stream_out;
   online::DurabilityConfig durability;  // --checkpoint-dir etc.
@@ -254,360 +163,483 @@ struct Options {
   containers::QueueBackend sleep_queue = containers::QueueBackend::kRbTree;
 };
 
-/// Parse ALL of `text` as a T no smaller than `min`: empty text,
-/// trailing characters, values outside T's range (or below `min`) and
-/// non-finite floats are rejected with a message naming `flag`, so a
-/// typo can never silently become 0.
+// ---- the flag table ---------------------------------------------------------
+
+template <typename E>
+using Choice = std::pair<const char*, E>;
+
+constexpr Choice<Algo> kAlgos[] = {
+    {"spa2", Algo::kSpa2}, {"spa1", Algo::kSpa1},
+    {"ffd", Algo::kFfd},   {"wfd", Algo::kWfd},
+    {"bfd", Algo::kBfd},   {"edf-ffd", Algo::kEdfFfd},
+    {"edf-wm", Algo::kEdfWm}};
+constexpr Choice<Overheads> kOverheads[] = {
+    {"paper", Overheads::kPaper},
+    {"zero", Overheads::kZero},
+    {"calibrated", Overheads::kCalibrated}};
+constexpr Choice<sim::ArrivalModel::Kind> kArrivals[] = {
+    {"periodic", sim::ArrivalModel::Kind::kPeriodic},
+    {"sporadic", sim::ArrivalModel::Kind::kSporadicUniformDelay},
+    {"jittered", sim::ArrivalModel::Kind::kJittered},
+    {"bursty", sim::ArrivalModel::Kind::kBursty}};
+constexpr Choice<sim::ExecModel::Kind> kExecModels[] = {
+    {"wcet", sim::ExecModel::Kind::kAlwaysWcet},
+    {"spiky", sim::ExecModel::Kind::kSpiky}};
+constexpr Choice<containers::QueueBackend> kQueues[] = {
+    {"binomial", containers::QueueBackend::kBinomialHeap},
+    {"rbtree", containers::QueueBackend::kRbTree}};
+constexpr Choice<online::PlacePolicy> kPlaces[] = {
+    {"ff", online::PlacePolicy::kFirstFit},
+    {"wf", online::PlacePolicy::kWorstFit},
+    {"spa", online::PlacePolicy::kSpaOrder}};
+constexpr Choice<partition::SchedPolicy> kPolicies[] = {
+    {"edf", partition::SchedPolicy::kEdf},
+    {"fp", partition::SchedPolicy::kFixedPriority}};
+
+/// An enum field and the spellings of its values.
+template <typename E>
+struct Enum {
+  E* field;
+  std::span<const Choice<E>> choices;
+};
+template <typename E, std::size_t N>
+Enum<E> OneOf(E* field, const Choice<E> (&choices)[N]) {
+  return {field, choices};
+}
+
+template <typename E>
+const char* NameOf(std::span<const Choice<E>> choices, E value) {
+  for (const auto& [name, v] : choices) {
+    if (v == value) return name;
+  }
+  return "?";
+}
+
+/// The Options field a flag writes; its type is the flag's kind (see
+/// "flag kinds" below). std::size_t and std::uint64_t are each
+/// `unsigned long` or `unsigned long long`, depending on the ABI.
+using Field = std::variant<
+    bool*, int*, unsigned*, unsigned long*, unsigned long long*, double*,
+    Time*, std::string*, Window*, analysis::MemoConfig*,
+    online::DurabilityConfig*, Enum<Algo>, Enum<Overheads>,
+    Enum<sim::ArrivalModel::Kind>, Enum<sim::ExecModel::Kind>,
+    Enum<containers::QueueBackend>, Enum<online::PlacePolicy>,
+    Enum<partition::SchedPolicy>>;
+
+/// Inclusive numeric range; `open` makes the lower bound exclusive.
+struct Range {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool open = false;
+};
+constexpr Range kPositive{0.0, std::numeric_limits<double>::infinity(), true};
+constexpr Range kAtLeastOne{1.0};
+constexpr Range kProbability{0.0, 1.0};
+// Millisecond flags and time multipliers stay far inside Time's
+// nanosecond range: beyond these, overhead-inflated WCETs, spiked
+// execution times or horizons overflow it.
+constexpr double kMaxMs = 1e9;
+constexpr Range kPositiveMs{0.0, kMaxMs, true};
+constexpr Range kWindowMs{0.0, kMaxMs};
+constexpr Range kMultiplier{0.0, 1e6};
+
+enum class Mode { kAny, kOnline, kAcceptance };
+
+/// One row of the flag table: everything the CLI knows about a flag.
+struct Flag {
+  std::string_view name;
+  Field field;
+  const char* help;
+  Mode mode = Mode::kAny;  ///< the mode the flag switches on
+  Range range = {};        ///< for numbers, times and windows
+  /// A switch the flag also turns on. A number flag with one may be
+  /// given bare (`--trace-stream`): that sets only the switch.
+  bool* also = nullptr;
+
+  [[nodiscard]] bool is_switch() const {
+    return std::holds_alternative<bool*>(field);
+  }
+  [[nodiscard]] bool value_optional() const {
+    return also != nullptr && !std::holds_alternative<std::string*>(field);
+  }
+};
+
+/// Every flag, bound to the fields of `o`. The usage text lists them in
+/// this order.
+std::vector<Flag> FlagTable(Options& o) {
+  constexpr Mode kAny = Mode::kAny;
+  constexpr Mode kOnline = Mode::kOnline;
+  return {
+      {"--algo", OneOf(&o.algo, kAlgos), "partitioning algorithm"},
+      {"--cores", &o.cores, "number of cores m", kAny, kAtLeastOne},
+      {"--tasks", &o.tasks, "tasks per generated set", kAny, kAtLeastOne},
+      {"--util", &o.util, "normalized utilization U/m", kAny, kPositive},
+      {"--seed", &o.seed, "task set / request stream seed"},
+      {"--overheads", OneOf(&o.overheads, kOverheads), "overhead model"},
+      {"--scale", &o.scale, "overhead model scale", kAny, kMultiplier},
+      {"--sim-ms", &o.sim_ms, "simulation horizon", kAny, kPositiveMs},
+      {"--arrivals", OneOf(&o.arrivals, kArrivals), "job arrival model"},
+      {"--ready-queue", OneOf(&o.ready_queue, kQueues), "ready queue"},
+      {"--sleep-queue", OneOf(&o.sleep_queue, kQueues), "sleep queue"},
+      {"--shards", &o.shards, "lanes per simulation; 0 = one per thread"},
+      {"--trace", &o.trace, "record the event stream, print a Gantt chart"},
+      {"--trace-out", &o.trace_out, "write the trace as Perfetto JSON"},
+      {"--trace-stream", &o.trace_stream_window,
+       "stream --trace-out through a window of N records", kAny,
+       kAtLeastOne, &o.trace_stream},
+      {"--metrics", &o.metrics, "print the per-task / per-core metrics"},
+      {"--metrics-out", &o.metrics_out, "write the metrics report JSON", kAny,
+       {}, &o.metrics},
+      {"--acceptance", &o.acceptance, "acceptance-ratio sweep"},
+      {"--acceptance-validate", &o.acceptance_validate,
+       "simulate every accepted partition", Mode::kAcceptance},
+      {"--sets", &o.sets, "task sets per utilization point", kAny, kPositive},
+      {"--jobs", &o.jobs, "sweep threads; 0 = one per hardware thread"},
+      {"--exec", OneOf(&o.exec_model, kExecModels),
+       "execution times in validation simulations"},
+      {"--analysis-cache", &o.memo, "verdict table slots", kAny, kAtLeastOne},
+      {"--online", &o.online, "online admission replay"},
+      {"--online-requests", &o.online_requests, "admits in the stream",
+       kOnline},
+      {"--online-leave", &o.online_leave, "fraction of admits that leave",
+       kOnline, kProbability},
+      {"--online-epoch-ms", &o.online_epoch, "epoch length", kOnline,
+       kPositiveMs},
+      {"--online-place", OneOf(&o.online_place, kPlaces), "placement policy",
+       kOnline},
+      {"--online-policy", OneOf(&o.online_policy, kPolicies),
+       "per-core scheduling policy", kOnline},
+      {"--online-no-split", &o.online_no_split, "never split a task",
+       kOnline},
+      {"--online-no-fallback", &o.online_no_fallback,
+       "never fall back to a full repartition", kOnline},
+      {"--online-unsplit", &o.online_unsplit, "re-merge split tasks on leave",
+       kOnline},
+      {"--online-validate", &o.online_validate,
+       "simulate the partition at every epoch boundary", kOnline},
+      {"--online-soft", &o.online_soft, "fraction of admits that are soft",
+       kOnline, kProbability},
+      {"--online-drain", &o.online_drain,
+       "empty epochs closed after the last request", kOnline},
+      {"--spike-window-ms", &o.spike, "execution-time spike window", kOnline,
+       kWindowMs},
+      {"--spike-prob", &o.spike_prob, "per-job overrun probability in a spike",
+       kAny, kProbability},
+      {"--spike-mag", &o.spike_mag, "overrun execution-time multiplier", kAny,
+       kMultiplier},
+      {"--storm-window-ms", &o.storm, "burst-arrival storm window", kOnline,
+       kWindowMs},
+      {"--storm-burst", &o.storm_burst, "burst probability in a storm", kAny,
+       kProbability},
+      {"--no-ladder", &o.no_ladder, "switch the degrade/shed ladder off"},
+      {"--no-hysteresis", &o.no_hysteresis,
+       "switch the repartition hysteresis off"},
+      {"--stream-in", &o.stream_in, "replay a saved request stream", kOnline},
+      {"--stream-out", &o.stream_out, "save the request stream", kOnline},
+      {"--checkpoint-dir", &o.durability.dir,
+       "directory of the journal and checkpoints", kOnline},
+      {"--checkpoint-every", &o.durability.checkpoint_every,
+       "checkpoint every N epochs; 0 = never", kOnline},
+      {"--recover", &o.durability.recover,
+       "resume a crashed run from --checkpoint-dir", kOnline},
+      {"--fsync", &o.durability, "journal fsync policy", kOnline},
+      {"--crash-after", &o.durability.crash_after_appends,
+       "SIGKILL after the N-th journal append; 0 = off", kOnline},
+      {"--profile", &o.profile, "wall-clock span profile on stderr"},
+      {"--profile-out", &o.profile_out, "write the span profile JSON", kAny,
+       {}, &o.profile},
+      {"--stats-out", &o.stats_out, "write the stats registry JSON"},
+      {"--heartbeat", &o.heartbeat, "heartbeat every N epochs; 0 = off"},
+      {"--trace-requests", &o.trace_requests_k,
+       "keep the N slowest request traces", kOnline, kAtLeastOne,
+       &o.trace_requests},
+      {"--reqtrace-out", &o.reqtrace_out, "write the request traces JSON",
+       kOnline, {}, &o.trace_requests},
+      {"--flight-dump", &o.flight_dump, "dump the flight recorder at the end",
+       kOnline},
+      {"--verbose", &o.verbose, "debug logging"},
+  };
+}
+
+/// Parse ALL of `text` as a T within `range`: empty text, trailing
+/// characters, values outside T's range and non-finite floats are
+/// rejected, so a typo can never silently become 0.
 template <typename T>
-bool ParseNumber(const char* flag, std::string_view text, T& out,
-                 T min = std::numeric_limits<T>::lowest()) {
+bool ParseNumber(std::string_view text, T& out, const Range& range) {
   T x{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, x);
-  bool ok = ec == std::errc() && ptr == end && !text.empty() && x >= min;
+  const double d = static_cast<double>(x);
+  bool ok = ec == std::errc() && ptr == end && !text.empty() &&
+            (range.open ? d > range.lo : d >= range.lo) && d <= range.hi;
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(x);
-  if (!ok) {
-    std::fprintf(stderr, "invalid %s=%.*s (want a number", flag,
-                 static_cast<int>(text.size()), text.data());
-    if (min != std::numeric_limits<T>::lowest()) {
-      std::fprintf(stderr, " >= %g", static_cast<double>(min));
-    }
-    std::fprintf(stderr, ")\n");
-    return false;
-  }
-  out = x;
-  return true;
+  if (ok) out = x;
+  return ok;
 }
 
-/// ParseNumber for a millisecond flag stored as Time.
-bool ParseMillis(const char* flag, std::string_view text, Time& out) {
+/// The shortest text that reads back as `v`.
+std::string Num(double v) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof(buf), v).ptr};
+}
+
+// ---- flag kinds ------------------------------------------------------------
+// A flag's kind is the type of its field. Per kind, Parse stores a value
+// (false if it does not parse), Meta spells the value for the usage and
+// Show renders the field's current value ("" omits it).
+
+template <typename T>  // numbers
+bool Parse(T* p, std::string_view v, const Range& r) {
+  return ParseNumber(v, *p, r);
+}
+template <typename T>
+std::string Meta(T*) { return "=N"; }
+template <typename T>
+std::string Show(T* p) { return std::to_string(*p); }
+std::string Show(double* p) { return Num(*p); }
+
+bool Parse(bool*, std::string_view, const Range&) { return false; }
+std::string Meta(bool*) { return ""; }
+std::string Show(bool*) { return ""; }
+
+bool Parse(Time* p, std::string_view v, const Range& r) {
   double ms = 0.0;
-  if (!ParseNumber(flag, text, ms)) return false;
-  out = Millis(ms);
+  if (!ParseNumber(v, ms, r)) return false;
+  *p = Millis(ms);
   return true;
 }
+std::string Meta(Time*) { return "=MS"; }
+std::string Show(Time* p) { return Num(ToMillis(*p)); }
 
-bool ParseArg(const char* arg, Options& o) {
-  auto value = [&](const char* key) -> const char* {
-    const std::size_t n = std::strlen(key);
-    if (std::strncmp(arg, key, n) == 0 && arg[n] == '=') return arg + n + 1;
-    return nullptr;
-  };
-  if (const char* v = value("--algo")) { o.algo = v; return true; }
-  if (const char* v = value("--cores")) {
-    return ParseNumber("--cores", v, o.cores, 1u);
-  }
-  if (const char* v = value("--tasks")) {
-    return ParseNumber("--tasks", v, o.tasks, std::size_t{1});
-  }
-  if (const char* v = value("--util")) return ParseNumber("--util", v, o.util);
-  if (const char* v = value("--seed")) return ParseNumber("--seed", v, o.seed);
-  if (const char* v = value("--overheads")) { o.overheads = v; return true; }
-  if (const char* v = value("--scale")) {
-    return ParseNumber("--scale", v, o.scale);
-  }
-  if (const char* v = value("--sim-ms")) {
-    return ParseMillis("--sim-ms", v, o.sim_ms);
-  }
-  auto parse_backend = [](const char* v, containers::QueueBackend& out) {
-    if (containers::ParseQueueBackend(v, out)) return true;
-    std::fprintf(stderr, "invalid queue backend '%s'; one of:", v);
-    for (containers::QueueBackend b : containers::kAllQueueBackends) {
-      std::fprintf(stderr, " %s", std::string(containers::to_string(b)).c_str());
-    }
-    std::fprintf(stderr, "\n");
+bool Parse(Window* p, std::string_view v, const Range& r) {
+  const std::size_t comma = v.find(',');
+  double a = 0.0;
+  double b = 0.0;
+  if (comma == std::string_view::npos ||
+      !ParseNumber(v.substr(0, comma), a, r) ||
+      !ParseNumber(v.substr(comma + 1), b, r) || a >= b) {
     return false;
-  };
-  if (const char* v = value("--ready-queue")) {
-    return parse_backend(v, o.ready_queue);
   }
-  if (const char* v = value("--sleep-queue")) {
-    return parse_backend(v, o.sleep_queue);
-  }
-  if (const char* v = value("--arrivals")) { o.arrivals = v; return true; }
-  if (const char* v = value("--sets")) return ParseNumber("--sets", v, o.sets);
-  if (const char* v = value("--jobs")) return ParseNumber("--jobs", v, o.jobs);
-  if (const char* v = value("--shards")) {
-    return ParseNumber("--shards", v, o.shards);
-  }
-  if (std::strcmp(arg, "--sporadic") == 0) {
-    o.arrivals = "sporadic";
-    return true;
-  }
-  if (std::strcmp(arg, "--acceptance") == 0) {
-    o.acceptance = true;
-    return true;
-  }
-  if (std::strcmp(arg, "--acceptance-validate") == 0) {
-    o.acceptance = true;
-    o.acceptance_validate = true;
-    return true;
-  }
-  if (std::strcmp(arg, "--online") == 0) { o.online = true; return true; }
-  if (const char* v = value("--online-requests")) {
-    o.online = true;
-    return ParseNumber("--online-requests", v, o.online_requests);
-  }
-  if (const char* v = value("--online-leave")) {
-    o.online = true;
-    return ParseNumber("--online-leave", v, o.online_leave);
-  }
-  if (const char* v = value("--online-epoch-ms")) {
-    o.online = true;
-    return ParseMillis("--online-epoch-ms", v, o.online_epoch);
-  }
-  if (const char* v = value("--online-place")) {
-    o.online = true;
-    o.online_place = v;
-    return true;
-  }
-  if (const char* v = value("--online-policy")) {
-    o.online = true;
-    o.online_policy = v;
-    return true;
-  }
-  if (std::strcmp(arg, "--online-no-split") == 0) {
-    o.online = true;
-    o.online_split = false;
-    return true;
-  }
-  if (std::strcmp(arg, "--online-no-fallback") == 0) {
-    o.online = true;
-    o.online_fallback = false;
-    return true;
-  }
-  if (std::strcmp(arg, "--online-unsplit") == 0) {
-    o.online = true;
-    o.online_unsplit = true;
-    return true;
-  }
-  if (std::strcmp(arg, "--online-validate") == 0) {
-    o.online = true;
-    o.online_validate = true;
-    return true;
-  }
-  if (const char* v = value("--online-soft")) {
-    o.online = true;
-    return ParseNumber("--online-soft", v, o.online_soft);
-  }
-  if (const char* v = value("--online-drain")) {
-    o.online = true;
-    return ParseNumber("--online-drain", v, o.online_drain);
-  }
-  auto parse_window = [](const char* flag, std::string_view v, Time& start,
-                         Time& end) {
-    const std::size_t comma = v.find(',');
-    if (comma != std::string_view::npos &&
-        ParseMillis(flag, v.substr(0, comma), start) &&
-        ParseMillis(flag, v.substr(comma + 1), end) && start < end) {
+  *p = Window{Millis(a), Millis(b)};
+  return true;
+}
+std::string Meta(Window*) { return "=A,B"; }
+std::string Show(Window*) { return ""; }
+
+bool Parse(std::string* p, std::string_view v, const Range&) {
+  *p = v;
+  return true;
+}
+std::string Meta(std::string*) { return "=PATH"; }
+std::string Show(std::string* p) { return *p; }
+
+bool Parse(analysis::MemoConfig* p, std::string_view v, const Range& r) {
+  p->enabled = v != "off";
+  return !p->enabled || ParseNumber(v, p->entries, r);
+}
+std::string Meta(analysis::MemoConfig*) { return "=off|N"; }
+std::string Show(analysis::MemoConfig* p) {
+  return p->enabled ? std::to_string(p->entries) : "off";
+}
+
+bool Parse(online::DurabilityConfig* p, std::string_view v, const Range&) {
+  return online::ParseFsyncPolicy(std::string(v).c_str(), p->fsync,
+                                  p->fsync_every_n);
+}
+std::string Meta(online::DurabilityConfig*) {
+  return "=off|every-epoch|every-n[:N]";
+}
+std::string Show(online::DurabilityConfig* p) {
+  return online::ToString(p->fsync);
+}
+
+template <typename E>
+bool Parse(Enum<E> e, std::string_view v, const Range&) {
+  for (const auto& [name, value] : e.choices) {
+    if (v == name) {
+      *e.field = value;
       return true;
     }
-    std::fprintf(stderr, "invalid %s=%.*s (want A,B ms with A < B)\n", flag,
-                 static_cast<int>(v.size()), v.data());
-    return false;
-  };
-  if (const char* v = value("--spike-window-ms")) {
-    o.online = true;
-    o.have_spike = true;
-    return parse_window("--spike-window-ms", v, o.spike_start, o.spike_end);
-  }
-  if (const char* v = value("--spike-prob")) {
-    return ParseNumber("--spike-prob", v, o.spike_prob);
-  }
-  if (const char* v = value("--spike-mag")) {
-    return ParseNumber("--spike-mag", v, o.spike_mag);
-  }
-  if (const char* v = value("--storm-window-ms")) {
-    o.online = true;
-    o.have_storm = true;
-    return parse_window("--storm-window-ms", v, o.storm_start, o.storm_end);
-  }
-  if (const char* v = value("--storm-burst")) {
-    return ParseNumber("--storm-burst", v, o.storm_burst);
-  }
-  if (std::strcmp(arg, "--no-ladder") == 0) {
-    o.overload_ladder = false;
-    return true;
-  }
-  if (std::strcmp(arg, "--no-hysteresis") == 0) {
-    o.overload_hysteresis = false;
-    return true;
-  }
-  if (const char* v = value("--exec")) {
-    o.exec_model = v;
-    return true;
-  }
-  if (const char* v = value("--stream-in")) {
-    o.online = true;
-    o.stream_in = v;
-    return true;
-  }
-  if (const char* v = value("--stream-out")) {
-    o.online = true;
-    o.stream_out = v;
-    return true;
-  }
-  if (const char* v = value("--checkpoint-dir")) {
-    o.online = true;
-    o.durability.dir = v;
-    return true;
-  }
-  if (const char* v = value("--checkpoint-every")) {
-    o.online = true;
-    return ParseNumber("--checkpoint-every", v,
-                       o.durability.checkpoint_every);
-  }
-  if (std::strcmp(arg, "--recover") == 0) {
-    o.online = true;
-    o.durability.recover = true;
-    return true;
-  }
-  if (const char* v = value("--fsync")) {
-    o.online = true;
-    if (!online::ParseFsyncPolicy(v, o.durability.fsync,
-                                  o.durability.fsync_every_n)) {
-      std::fprintf(stderr, "invalid --fsync=%s (off|every-epoch|"
-                           "every-n[:N])\n",
-                   v);
-      return false;
-    }
-    return true;
-  }
-  if (const char* v = value("--crash-after")) {
-    o.online = true;
-    return ParseNumber("--crash-after", v, o.durability.crash_after_appends);
-  }
-  if (const char* v = value("--analysis-cache")) {
-    if (std::strcmp(v, "off") == 0) {
-      o.memo.enabled = false;
-      return true;
-    }
-    if (!ParseNumber("--analysis-cache", v, o.memo.entries, std::size_t{1})) {
-      return false;
-    }
-    analysis::ResizeSharedMemo(o.memo.entries);
-    return true;
-  }
-  if (std::strcmp(arg, "--profile") == 0) { o.profile = true; return true; }
-  if (const char* v = value("--profile-out")) {
-    o.profile = true;
-    o.profile_out = v;
-    return true;
-  }
-  if (const char* v = value("--stats-out")) {
-    o.stats_out = v;
-    return true;
-  }
-  if (const char* v = value("--heartbeat")) {
-    return ParseNumber("--heartbeat", v, o.heartbeat);
-  }
-  if (std::strcmp(arg, "--trace-requests") == 0) {
-    o.online = true;
-    o.trace_requests = true;
-    return true;
-  }
-  if (const char* v = value("--trace-requests")) {
-    o.online = true;
-    o.trace_requests = true;
-    return ParseNumber("--trace-requests", v, o.trace_requests_k,
-                       std::uint32_t{1});
-  }
-  if (const char* v = value("--reqtrace-out")) {
-    o.online = true;
-    o.trace_requests = true;
-    o.reqtrace_out = v;
-    return true;
-  }
-  if (std::strcmp(arg, "--flight-dump") == 0) {
-    o.online = true;
-    o.flight_dump = true;
-    return true;
-  }
-  if (std::strcmp(arg, "--verbose") == 0) { o.verbose = true; return true; }
-  if (std::strcmp(arg, "--trace-stream") == 0) {
-    o.trace_stream = true;
-    return true;
-  }
-  if (const char* v = value("--trace-stream")) {
-    o.trace_stream = true;
-    return ParseNumber("--trace-stream", v, o.trace_stream_window,
-                       std::size_t{1});
-  }
-  if (std::strcmp(arg, "--trace") == 0) { o.trace = true; return true; }
-  if (std::strcmp(arg, "--metrics") == 0) { o.metrics = true; return true; }
-  if (const char* v = value("--trace-out")) {
-    o.trace_out = v;
-    return true;
-  }
-  if (const char* v = value("--metrics-out")) {
-    o.metrics_out = v;
-    o.metrics = true;
-    return true;
   }
   return false;
 }
+template <typename E>
+std::string Meta(Enum<E> e) {
+  std::string s;
+  for (const auto& [name, value] : e.choices) {
+    s = s + (s.empty() ? "=" : "|") + name;
+  }
+  return s;
+}
+template <typename E>
+std::string Show(Enum<E> e) { return NameOf(e.choices, *e.field); }
 
-bool ParseArrivals(const std::string& name, sim::ArrivalModel& out) {
-  if (name == "periodic") {
-    out.kind = sim::ArrivalModel::Kind::kPeriodic;
-  } else if (name == "sporadic") {
-    out.kind = sim::ArrivalModel::Kind::kSporadicUniformDelay;
-  } else if (name == "jittered") {
-    out.kind = sim::ArrivalModel::Kind::kJittered;
-  } else if (name == "bursty") {
-    out.kind = sim::ArrivalModel::Kind::kBursty;
-  } else {
-    std::fprintf(stderr, "unknown --arrivals=%s (periodic|sporadic|"
-                         "jittered|bursty)\n",
-                 name.c_str());
+// ---- usage and parsing -----------------------------------------------------
+
+/// "--name=VALUE": how the flag is spelled.
+std::string Syntax(const Flag& f) {
+  const std::string meta = std::visit([](auto p) { return Meta(p); }, f.field);
+  return std::string(f.name) + (f.value_optional() ? "[" + meta + "]" : meta);
+}
+
+/// The flag's range, e.g. "> 0" or "in [0, 1]" ("" when unbounded).
+std::string Limits(const Flag& f) {
+  const Range& r = f.range;
+  std::string s;
+  if (std::isfinite(r.hi)) {
+    s = std::string("in ") + (r.open ? "(" : "[") + Num(r.lo) + ", " +
+        Num(r.hi) + "]";
+  } else if (std::isfinite(r.lo)) {
+    s = (r.open ? "> " : ">= ") + Num(r.lo);
+  }
+  if (std::holds_alternative<Window*>(f.field)) s = "A < B, each " + s;
+  return s;
+}
+
+/// The usage text, one line per table row, to stderr.
+void PrintUsage() {
+  Options defaults;
+  std::fprintf(stderr, "usage: sps_cli [FLAG]...  (modes: single run, "
+                       "--acceptance, --online)\n");
+  for (const Flag& f : FlagTable(defaults)) {
+    std::string notes;
+    const auto note = [&](const std::string& n) {
+      if (!n.empty()) notes += (notes.empty() ? " (" : "; ") + n;
+    };
+    note(Limits(f));
+    const std::string def =
+        std::visit([](auto p) { return Show(p); }, f.field);
+    if (!def.empty()) note("default " + def);
+    if (f.mode == Mode::kOnline) note("implies --online");
+    if (f.mode == Mode::kAcceptance) note("implies --acceptance");
+    std::fprintf(stderr, "  %-36s %s%s%s\n", Syntax(f).c_str(), f.help,
+                 notes.c_str(), notes.empty() ? "" : ")");
+  }
+}
+
+/// Parse argv into `o` through the flag table. An unknown or invalid
+/// argument is named on stderr, followed by the usage; parsing has no
+/// other effect.
+bool ParseArgs(int argc, char** argv, Options& o) {
+  const std::vector<Flag> flags = FlagTable(o);
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const auto f = std::find_if(flags.begin(), flags.end(), [&](auto& x) {
+      return x.name == arg.substr(0, eq);
+    });
+    if (f == flags.end()) {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      PrintUsage();
+      return false;
+    }
+    bool ok = f->is_switch() || f->value_optional();
+    if (eq != std::string_view::npos) {
+      const std::string_view value = arg.substr(eq + 1);
+      ok = std::visit([&](auto p) { return Parse(p, value, f->range); },
+                      f->field);
+    }
+    if (!ok) {
+      const std::string limits = Limits(*f);
+      std::fprintf(stderr, "invalid %s (want %s%s%s)\n", argv[i],
+                   Syntax(*f).c_str(), limits.empty() ? "" : ", ",
+                   limits.c_str());
+      PrintUsage();
+      return false;
+    }
+    if (f->is_switch()) *std::get<bool*>(f->field) = true;
+    if (f->also != nullptr) *f->also = true;
+    if (f->mode == Mode::kOnline) o.online = true;
+    if (f->mode == Mode::kAcceptance) o.acceptance = true;
+  }
+  return true;
+}
+
+/// Checks across flags, made on the parsed values before any work or file
+/// write.
+bool Validate(const Options& o) {
+  if (o.durability.recover && !o.durability.enabled()) {
+    std::fprintf(stderr, "--recover needs --checkpoint-dir=DIR\n");
     return false;
+  }
+  if (o.online) return true;
+  if (!o.acceptance && o.trace_stream && o.trace_out.empty()) {
+    std::fprintf(stderr, "--trace-stream needs --trace-out=FILE\n");
+    return false;
+  }
+  // The generator draws no task above max_task_utilization, so --tasks
+  // of them carry at most tasks * max (rt::UUniFastDiscard).
+  const double max_task = o.acceptance
+                              ? exp::AcceptanceConfig{}.max_task_utilization
+                              : rt::GeneratorConfig{}.max_task_utilization;
+  const std::vector<double> points =
+      o.acceptance ? exp::AcceptanceConfig::DefaultGrid()
+                   : std::vector<double>{o.util};
+  for (const double u : points) {
+    if (static_cast<double>(o.tasks) * max_task < u * o.cores) {
+      std::fprintf(stderr,
+                   "--tasks=%zu cannot carry utilization %g on --cores=%u "
+                   "(no task exceeds %g)\n",
+                   o.tasks, u * o.cores, o.cores, max_task);
+      return false;
+    }
   }
   return true;
 }
 
 partition::PartitionResult RunAlgo(const Options& o, const rt::TaskSet& ts,
                                    const overhead::OverheadModel& m) {
-  if (o.algo == "spa1" || o.algo == "spa2") {
+  if (o.algo == Algo::kSpa1 || o.algo == Algo::kSpa2) {
     partition::SpaConfig cfg;
     cfg.num_cores = o.cores;
     cfg.model = m;
-    cfg.preassign_heavy = (o.algo == "spa2");
+    cfg.preassign_heavy = (o.algo == Algo::kSpa2);
     return partition::SpaPartition(ts, cfg);
   }
-  if (o.algo == "ffd" || o.algo == "wfd" || o.algo == "bfd") {
-    partition::BinPackConfig cfg;
-    cfg.num_cores = o.cores;
-    cfg.admission = partition::AdmissionTest::kRta;
-    cfg.model = m;
-    cfg.memo = o.memo;
-    const auto policy = o.algo == "ffd" ? partition::FitPolicy::kFirstFit
-                        : o.algo == "wfd" ? partition::FitPolicy::kWorstFit
-                                          : partition::FitPolicy::kBestFit;
-    return partition::BinPackDecreasing(ts, policy, cfg);
-  }
-  if (o.algo == "edf-ffd" || o.algo == "edf-wm") {
+  if (o.algo == Algo::kEdfFfd || o.algo == Algo::kEdfWm) {
     partition::EdfPartitionConfig cfg;
     cfg.num_cores = o.cores;
     cfg.model = m;
     cfg.memo = o.memo;
-    return o.algo == "edf-wm"
+    return o.algo == Algo::kEdfWm
                ? partition::EdfWm(ts, cfg)
                : partition::EdfBinPack(ts, partition::FitPolicy::kFirstFit,
                                        cfg);
   }
-  partition::PartitionResult r;
-  r.failure_reason = "unknown --algo=" + o.algo;
-  return r;
+  partition::BinPackConfig cfg;
+  cfg.num_cores = o.cores;
+  cfg.admission = partition::AdmissionTest::kRta;
+  cfg.model = m;
+  cfg.memo = o.memo;
+  const auto policy = o.algo == Algo::kFfd   ? partition::FitPolicy::kFirstFit
+                      : o.algo == Algo::kWfd ? partition::FitPolicy::kWorstFit
+                                             : partition::FitPolicy::kBestFit;
+  return partition::BinPackDecreasing(ts, policy, cfg);
+}
+
+/// Report a failed write or load; exit code 2.
+int Fail(const std::string& err) {
+  std::fprintf(stderr, "%s\n", err.c_str());
+  return 2;
+}
+
+/// --exec as the execution model of the validation simulations: exact
+/// WCETs, or per-job overruns (DESIGN.md §13).
+sim::ExecModel ValidationExec(const Options& o) {
+  sim::ExecModel exec;
+  if (o.exec_model == sim::ExecModel::Kind::kSpiky) {
+    exec.kind = sim::ExecModel::Kind::kSpiky;
+    exec.spike_prob = o.spike_prob;
+    exec.spike_magnitude = o.spike_mag;
+  }
+  return exec;
 }
 
 int RunOnline(const Options& o, const overhead::OverheadModel& model) {
   std::string err;
   online::WorkloadStream stream;
   if (!o.stream_in.empty()) {
-    if (!online::LoadStream(o.stream_in, stream, &err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 2;
-    }
+    if (!online::LoadStream(o.stream_in, stream, &err)) return Fail(err);
     std::printf("loaded request trace %s: %zu requests (%zu admits)\n",
                 o.stream_in.c_str(), stream.size(), stream.num_admits());
   } else {
@@ -622,10 +654,7 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
                 static_cast<unsigned long long>(o.seed));
   }
   if (!o.stream_out.empty()) {
-    if (!online::SaveStream(stream, o.stream_out, &err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 2;
-    }
+    if (!online::SaveStream(stream, o.stream_out, &err)) return Fail(err);
     std::printf("wrote request trace to %s\n", o.stream_out.c_str());
   }
 
@@ -633,47 +662,25 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
   rcfg.controller.admission.num_cores = o.cores;
   rcfg.controller.admission.model = model;
   rcfg.controller.admission.memo = o.memo;
-  if (o.online_policy == "edf") {
-    rcfg.controller.admission.policy = partition::SchedPolicy::kEdf;
-  } else if (o.online_policy == "fp") {
-    rcfg.controller.admission.policy = partition::SchedPolicy::kFixedPriority;
-  } else {
-    std::fprintf(stderr, "unknown --online-policy=%s (edf|fp)\n",
-                 o.online_policy.c_str());
-    return 2;
-  }
-  if (o.online_place == "ff") {
-    rcfg.controller.place = online::PlacePolicy::kFirstFit;
-  } else if (o.online_place == "wf") {
-    rcfg.controller.place = online::PlacePolicy::kWorstFit;
-  } else if (o.online_place == "spa") {
-    rcfg.controller.place = online::PlacePolicy::kSpaOrder;
-  } else {
-    std::fprintf(stderr, "unknown --online-place=%s (ff|wf|spa)\n",
-                 o.online_place.c_str());
-    return 2;
-  }
-  rcfg.controller.allow_split = o.online_split;
-  rcfg.controller.repartition_fallback = o.online_fallback;
+  rcfg.controller.admission.policy = o.online_policy;
+  rcfg.controller.place = o.online_place;
+  rcfg.controller.allow_split = !o.online_no_split;
+  rcfg.controller.repartition_fallback = !o.online_no_fallback;
   rcfg.controller.unsplit_on_leave = o.online_unsplit;
-  rcfg.controller.overload.ladder = o.overload_ladder;
-  rcfg.controller.overload.hysteresis = o.overload_hysteresis;
+  rcfg.controller.overload.ladder = !o.no_ladder;
+  rcfg.controller.overload.hysteresis = !o.no_hysteresis;
   rcfg.epoch = o.online_epoch;
   rcfg.seed = o.seed;
   rcfg.drain_epochs = o.online_drain;
-  if (o.durability.recover && !o.durability.enabled()) {
-    std::fprintf(stderr, "--recover needs --checkpoint-dir=DIR\n");
-    return 2;
-  }
   rcfg.durability = o.durability;
-  if (o.have_spike) {
+  if (o.spike.any()) {
     rcfg.faults.spikes.push_back(online::SpikeEpoch{
-        o.spike_start, o.spike_end, o.spike_prob, o.spike_mag});
+        o.spike.start, o.spike.end, o.spike_prob, o.spike_mag});
     rcfg.controller.overload.spike_magnitude = o.spike_mag;
   }
-  if (o.have_storm) {
+  if (o.storm.any()) {
     rcfg.faults.storms.push_back(
-        online::BurstStorm{o.storm_start, o.storm_end, o.storm_burst});
+        online::BurstStorm{o.storm.start, o.storm.end, o.storm_burst});
   }
   if (o.online_validate) {
     rcfg.validate_by_simulation = true;
@@ -681,11 +688,7 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
     rcfg.validate_sim.ready_backend = o.ready_queue;
     rcfg.validate_sim.sleep_backend = o.sleep_queue;
     rcfg.validate_sim.shards = o.shards;
-    if (o.exec_model == "spiky") {
-      rcfg.validate_sim.exec.kind = sim::ExecModel::Kind::kSpiky;
-      rcfg.validate_sim.exec.spike_prob = o.spike_prob;
-      rcfg.validate_sim.exec.spike_magnitude = o.spike_mag;
-    }
+    rcfg.validate_sim.exec = ValidationExec(o);
   }
 
   // --profile (DESIGN.md §15): wall-clock span profiler, heartbeat, and
@@ -781,7 +784,8 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
   }
 
   std::printf("online replay: m=%u, policy=%s, place=%s%s%s%s%s%s%s\n\n",
-              o.cores, o.online_policy.c_str(),
+              o.cores, NameOf<partition::SchedPolicy>(kPolicies,
+                                                      o.online_policy),
               online::ToString(rcfg.controller.place),
               rcfg.controller.allow_split ? ", split" : "",
               rcfg.controller.repartition_fallback ? ", fallback" : "",
@@ -898,8 +902,7 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
     // goes to --profile-out, everything else to stderr.
     if (!o.profile_out.empty()) {
       if (!util::WriteTextFile(o.profile_out, profiler.ToJson(), &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
+        return Fail(err);
       }
       util::Log(util::LogLevel::kInfo, "wrote span profile to %s",
                 o.profile_out.c_str());
@@ -932,8 +935,7 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
       if (!util::WriteTextFile(o.reqtrace_out,
                                tracer->ToPerfettoJson({stolen, caller, peak}),
                                &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
+        return Fail(err);
       }
       const obs::RequestTracer::RetainStats rs = tracer->retain_stats();
       util::Log(util::LogLevel::kInfo,
@@ -949,8 +951,7 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
     if (o.flight_dump) {
       std::string flight_path;
       if (!tracer->DumpFlight("on_demand", &flight_path, &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
+        return Fail(err);
       }
       util::Log(util::LogLevel::kInfo,
                 "wrote flight-recorder dump to %s", flight_path.c_str());
@@ -960,8 +961,7 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
     obs::StatsRegistry reg;
     online::FillStatsRegistry(reg, res);
     if (!util::WriteTextFile(o.stats_out, reg.snapshot().ToJson(), &err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 2;
+      return Fail(err);
     }
     std::printf("wrote stats registry to %s\n", o.stats_out.c_str());
   }
@@ -989,10 +989,7 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
           e.end, static_cast<double>(e.degraded_resident));
     }
     popt.extra_counters = {churn, resident, util, shed, degraded};
-    if (!obs::WritePerfettoJson({}, o.trace_out, popt, &err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 2;
-    }
+    if (!obs::WritePerfettoJson({}, o.trace_out, popt, &err)) return Fail(err);
     std::printf("wrote epoch counter tracks to %s — open at "
                 "ui.perfetto.dev\n",
                 o.trace_out.c_str());
@@ -1020,30 +1017,23 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
 
 int main(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    if (!ParseArg(argv[i], o)) {
-      std::fprintf(stderr, "unknown argument: %s\n(see the usage comment "
-                           "at the top of examples/sps_cli.cpp)\n",
-                   argv[i]);
-      return 2;
-    }
+  if (!ParseArgs(argc, argv, o) || !Validate(o)) return 2;
+  if (o.verbose) util::SetGlobalLogLevel(util::LogLevel::kDebug);
+  if (o.memo.enabled &&
+      o.memo.entries != analysis::MemoConfig::kDefaultSharedEntries) {
+    analysis::ResizeSharedMemo(o.memo.entries);
   }
 
-  if (o.verbose) util::SetGlobalLogLevel(util::LogLevel::kDebug);
-
   overhead::OverheadModel model = overhead::OverheadModel::Zero();
-  if (o.overheads == "paper") {
+  if (o.overheads == Overheads::kPaper) {
     model = overhead::OverheadModel::PaperScaled(o.scale);
-  } else if (o.overheads == "calibrated") {
+  } else if (o.overheads == Overheads::kCalibrated) {
     std::printf("calibrating against this machine's queues...\n");
     overhead::CalibrationConfig ccfg;
     ccfg.ready_backend = o.ready_queue;
     ccfg.sleep_backend = o.sleep_queue;
     model = overhead::Calibrate(ccfg);
     model.scale = o.scale;
-  } else if (o.overheads != "zero") {
-    std::fprintf(stderr, "unknown --overheads=%s\n", o.overheads.c_str());
-    return 2;
   }
 
   if (o.online) return RunOnline(o, model);
@@ -1061,18 +1051,8 @@ int main(int argc, char** argv) {
     if (o.acceptance_validate) {
       acfg.validate_by_simulation = true;
       acfg.validate_sim.horizon = o.sim_ms;
-      if (!ParseArrivals(o.arrivals, acfg.validate_sim.arrivals)) return 2;
-      // Overload axis (DESIGN.md §13): validate accepted partitions
-      // under per-job execution spikes instead of exact WCET.
-      if (o.exec_model == "spiky") {
-        acfg.validate_sim.exec.kind = sim::ExecModel::Kind::kSpiky;
-        acfg.validate_sim.exec.spike_prob = o.spike_prob;
-        acfg.validate_sim.exec.spike_magnitude = o.spike_mag;
-      } else if (o.exec_model != "wcet") {
-        std::fprintf(stderr, "unknown --exec=%s (wcet|spiky)\n",
-                     o.exec_model.c_str());
-        return 2;
-      }
+      acfg.validate_sim.arrivals.kind = o.arrivals;
+      acfg.validate_sim.exec = ValidationExec(o);
       acfg.validate_sim.ready_backend = o.ready_queue;
       acfg.validate_sim.sleep_backend = o.sleep_queue;
       acfg.validate_sim.shards = o.shards;
@@ -1080,7 +1060,8 @@ int main(int argc, char** argv) {
     std::printf("acceptance sweep: m=%u, n=%zu, %d sets/point, jobs=%u%s%s\n\n",
                 o.cores, o.tasks, o.sets, o.jobs,
                 o.acceptance_validate ? ", validating by simulation" : "",
-                o.acceptance_validate && o.exec_model == "spiky"
+                o.acceptance_validate &&
+                        o.exec_model == sim::ExecModel::Kind::kSpiky
                     ? " (spiky exec)"
                     : "");
     // The sweep has no per-unit AdmitStats plumbing, so the cache
@@ -1132,7 +1113,7 @@ int main(int argc, char** argv) {
   sim::SimConfig cfg;
   cfg.horizon = o.sim_ms;
   cfg.overheads = model;
-  if (!ParseArrivals(o.arrivals, cfg.arrivals)) return 2;
+  cfg.arrivals.kind = o.arrivals;
   cfg.record_trace = o.trace || !o.trace_out.empty();
   cfg.record_metrics = o.metrics;
   cfg.ready_backend = o.ready_queue;
@@ -1143,10 +1124,6 @@ int main(int argc, char** argv) {
   // document, O(window) stamped-record memory.
   std::unique_ptr<obs::PerfettoStreamDrain> stream_drain;
   if (o.trace_stream) {
-    if (o.trace_out.empty()) {
-      std::fprintf(stderr, "--trace-stream needs --trace-out=FILE\n");
-      return 2;
-    }
     cfg.record_trace = true;
     obs::PerfettoOptions popt;
     popt.num_cores = o.cores;
@@ -1174,8 +1151,7 @@ int main(int argc, char** argv) {
     if (o.trace_stream) {
       if (!util::WriteTextFile(o.trace_out, stream_drain->document(),
                                &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
+        return Fail(err);
       }
       const obs::TraceStreamStats& ts = stream_drain->stats();
       std::printf("wrote Perfetto trace (%llu events streamed in %llu "
@@ -1187,8 +1163,7 @@ int main(int argc, char** argv) {
     } else {
       if (!obs::WritePerfettoJson(r.trace_events, o.trace_out,
                                   {.num_cores = o.cores}, &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
+        return Fail(err);
       }
       std::printf("wrote Perfetto trace (%zu events) to %s — open at "
                   "ui.perfetto.dev\n",
@@ -1203,8 +1178,7 @@ int main(int argc, char** argv) {
     if (!o.metrics_out.empty()) {
       std::string err;
       if (!util::WriteTextFile(o.metrics_out, rep.ToJson(), &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
+        return Fail(err);
       }
       std::printf("wrote metrics report to %s\n", o.metrics_out.c_str());
     }

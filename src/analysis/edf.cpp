@@ -14,6 +14,9 @@ Time Dbf(const EdfTask& task, Time t) {
   return (effective / task.period + 1) * task.wcet;
 }
 
+namespace {
+
+/// Total utilization of the core's tasks (inflated WCETs).
 double EdfUtilization(std::span<const EdfTask> tasks) {
   double u = 0.0;
   for (const EdfTask& t : tasks) {
@@ -21,8 +24,6 @@ double EdfUtilization(std::span<const EdfTask> tasks) {
   }
   return u;
 }
-
-namespace {
 
 /// Check bound for a set whose utilization is 1 up to rounding: H +
 /// max(D - J), where H is the hyperperiod. For U <= 1 the demand bound
@@ -114,20 +115,6 @@ EdfResult EdfDemandTest(std::span<const EdfTask> tasks, Time max_horizon) {
   }
   res.schedulable = true;
   return res;
-}
-
-bool EdfSchedulable(std::span<const rt::Task> tasks) {
-  std::vector<EdfTask> v;
-  v.reserve(tasks.size());
-  for (const rt::Task& t : tasks) {
-    v.push_back(EdfTask{.wcet = t.wcet,
-                        .period = t.period,
-                        .deadline = t.deadline,
-                        .jitter = 0,
-                        .check = true,
-                        .id = t.id});
-  }
-  return EdfDemandTest(v).schedulable;
 }
 
 std::vector<EdfTask> InflateEdfCore(std::span<const EdfCoreEntry> entries,

@@ -51,9 +51,6 @@ struct EdfTask {
 /// jobs (clamped at 0).
 Time Dbf(const EdfTask& task, Time t);
 
-/// Total utilization of the core's tasks (inflated WCETs).
-double EdfUtilization(std::span<const EdfTask> tasks);
-
 struct EdfResult {
   bool schedulable = false;
   /// First interval length where demand exceeded supply (diagnostics);
@@ -71,9 +68,6 @@ struct EdfResult {
 /// if the cap is hit before the bound, the test conservatively fails.
 EdfResult EdfDemandTest(std::span<const EdfTask> tasks,
                         Time max_horizon = kSecond);
-
-/// Convenience: plain task-set fragment, no jitter, no overheads.
-bool EdfSchedulable(std::span<const rt::Task> tasks);
 
 /// Overhead-aware inflation for an EDF core. Every job is charged its
 /// release path (timer variant: sleep-del + release() + ready-add, or the

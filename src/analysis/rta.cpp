@@ -111,20 +111,4 @@ RtaResult AnalyzeCore(std::span<const RtaTask> tasks) {
   return res;
 }
 
-bool RtaSchedulable(std::span<const rt::Task> tasks) {
-  std::vector<RtaTask> v;
-  v.reserve(tasks.size());
-  for (const rt::Task& t : tasks) {
-    v.push_back(RtaTask{.wcet = t.wcet,
-                        .period = t.period,
-                        .deadline = t.deadline,
-                        .jitter = 0,
-                        .priority = t.priority,
-                        .release_cost = 0,
-                        .check = true,
-                        .id = t.id});
-  }
-  return AnalyzeCore(v).schedulable;
-}
-
 }  // namespace sps::analysis

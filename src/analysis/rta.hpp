@@ -73,8 +73,4 @@ Time ResponseTimeArbitrary(std::span<const RtaTask> tasks,
 /// R_i + J_i <= D_i.
 RtaResult AnalyzeCore(std::span<const RtaTask> tasks);
 
-/// Convenience: exact RTA schedulability of a plain task set fragment
-/// (no jitter, no overheads); priorities must be assigned.
-bool RtaSchedulable(std::span<const rt::Task> tasks);
-
 }  // namespace sps::analysis

@@ -341,19 +341,6 @@ inline constexpr QueueBackend kAllQueueBackends[] = {
   return "?";
 }
 
-/// Parse a backend name as spelled by to_string(); returns false on an
-/// unknown name (out is untouched).
-[[nodiscard]] inline bool ParseQueueBackend(std::string_view name,
-                                            QueueBackend& out) {
-  for (QueueBackend b : kAllQueueBackends) {
-    if (name == to_string(b)) {
-      out = b;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Adapter type implementing backend B for (Key, Value).
 template <QueueBackend B, typename Key, typename Value,
           typename Less = std::less<Key>>

@@ -87,14 +87,6 @@ void AssignRateMonotonic(TaskSet& ts) {
   });
 }
 
-void AssignDeadlineMonotonic(TaskSet& ts) {
-  AssignByOrder(ts, [](const Task& a, const Task& b) {
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-    if (a.period != b.period) return a.period < b.period;
-    return a.id < b.id;
-  });
-}
-
 std::vector<std::size_t> OrderByDecreasingUtilization(const TaskSet& ts) {
   std::vector<std::size_t> idx(ts.size());
   std::iota(idx.begin(), idx.end(), 0);

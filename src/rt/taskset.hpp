@@ -60,10 +60,6 @@ class TaskSet {
 /// priority (lower number), ties broken by task id for determinism.
 void AssignRateMonotonic(TaskSet& ts);
 
-/// Assign unique Deadline-Monotonic priorities: shorter relative deadline =
-/// higher priority, ties by period then id.
-void AssignDeadlineMonotonic(TaskSet& ts);
-
 /// Indices of tasks sorted by decreasing utilization (the "decreasing
 /// size" order of FFD/WFD in the paper), ties by id.
 std::vector<std::size_t> OrderByDecreasingUtilization(const TaskSet& ts);

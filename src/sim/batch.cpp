@@ -36,21 +36,6 @@ std::vector<BatchVariant> OverheadScaleVariants(
   return v;
 }
 
-std::vector<BatchVariant> ExecFractionVariants(
-    const SimConfig& base, const std::vector<double>& fractions) {
-  std::vector<BatchVariant> v;
-  v.reserve(fractions.size());
-  for (const double f : fractions) {
-    BatchVariant bv;
-    bv.name = "exec=" + std::to_string(f);
-    bv.cfg = base;
-    bv.cfg.exec.kind = ExecModel::Kind::kFraction;
-    bv.cfg.exec.fraction = f;
-    v.push_back(std::move(bv));
-  }
-  return v;
-}
-
 const char* ToString(QueueRole role) {
   switch (role) {
     case QueueRole::kReady: return "ready";

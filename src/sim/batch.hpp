@@ -65,8 +65,6 @@ std::vector<BatchRun> RunConfigSweep(const partition::Partition& p,
 /// and varies one axis, naming the variant after the value.
 std::vector<BatchVariant> OverheadScaleVariants(
     const SimConfig& base, const std::vector<double>& scales);
-std::vector<BatchVariant> ExecFractionVariants(
-    const SimConfig& base, const std::vector<double>& fractions);
 
 /// Which per-core queue a backend sweep varies.
 enum class QueueRole { kReady, kSleep };

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "rt/task.hpp"
 #include "rt/time.hpp"
@@ -49,24 +48,6 @@ struct Event {
   rt::TaskId task = 0;
   std::uint64_t job = 0;   ///< per-task job sequence number
   Time duration = 0;       ///< for overhead / run segments where known
-};
-
-class Recorder {
- public:
-  /// A disabled recorder drops events (zero overhead in big sweeps).
-  explicit Recorder(bool enabled = true) : enabled_(enabled) {}
-
-  void record(const Event& e) {
-    if (enabled_) events_.push_back(e);
-  }
-
-  [[nodiscard]] bool enabled() const { return enabled_; }
-  [[nodiscard]] const std::vector<Event>& events() const { return events_; }
-  void clear() { events_.clear(); }
-
- private:
-  bool enabled_;
-  std::vector<Event> events_;
 };
 
 /// One line per event, e.g. "[  12.500ms] core1 MIGRATE_IN  tau3 job4".

@@ -155,20 +155,12 @@ TEST(EdfTest, ConstrainedButFeasible) {
   EXPECT_TRUE(EdfDemandTest(ts).schedulable);
 }
 
-TEST(EdfTest, RtTaskConvenienceWrapper) {
-  std::vector<rt::Task> ts = {MakeTask(0, Millis(2), Millis(4)),
-                              MakeTask(1, Millis(3), Millis(6))};
-  EXPECT_TRUE(analysis::EdfSchedulable(ts));
-  ts[0].wcet = Millis(3);
-  EXPECT_FALSE(analysis::EdfSchedulable(ts));
-}
-
 TEST(EdfTest, EdfBeatsRmOnTheClassicExample) {
   // C=(2,5), T=(5,10): RM unschedulable (R2 = 5+2+2... > 10? classic:
   // U = 0.9 > LL(2)), EDF fine.
-  std::vector<rt::Task> ts = {MakeTask(0, Millis(2), Millis(5)),
-                              MakeTask(1, Millis(5), Millis(10))};
-  EXPECT_TRUE(analysis::EdfSchedulable(ts));
+  std::vector<EdfTask> ts = {ET(Millis(2), Millis(5)),
+                             ET(Millis(5), Millis(10))};
+  EXPECT_TRUE(EdfDemandTest(ts).schedulable);
 }
 
 TEST(EdfTest, InflationMakesDemandStricter) {

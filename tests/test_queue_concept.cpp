@@ -189,21 +189,6 @@ TYPED_TEST(QueueConcept, RandomizedAgainstReferenceModel) {
   }
 }
 
-TEST(QueueBackendEnum, ParseRoundTrips) {
-  for (QueueBackend b : kAllQueueBackends) {
-    QueueBackend out;
-    EXPECT_TRUE(ParseQueueBackend(to_string(b), out));
-    EXPECT_EQ(out, b);
-  }
-  QueueBackend out = QueueBackend::kRbTree;
-  // Only the paper's two Table-1 structures are selectable; any other
-  // container name is rejected.
-  for (const char* name : {"std::map", "pairing", "calendar", "vector"}) {
-    EXPECT_FALSE(ParseQueueBackend(name, out)) << name;
-    EXPECT_EQ(out, QueueBackend::kRbTree);  // untouched on failure
-  }
-}
-
 }  // namespace
 }  // namespace sps::containers
 

@@ -99,18 +99,6 @@ TEST(Priorities, RateMonotonicTieBreaksById) {
   EXPECT_EQ(ts[0].priority, 1u);
 }
 
-TEST(Priorities, DeadlineMonotonic) {
-  TaskSet ts;
-  Task a = MakeTask(0, 1, Millis(100));
-  a.deadline = Millis(20);
-  Task b = MakeTask(1, 1, Millis(10));  // D = 10
-  ts.add(a);
-  ts.add(b);
-  AssignDeadlineMonotonic(ts);
-  EXPECT_EQ(ts[1].priority, 0u);
-  EXPECT_EQ(ts[0].priority, 1u);
-}
-
 TEST(Orderings, DecreasingUtilization) {
   TaskSet ts({MakeTask(0, Millis(1), Millis(10)),    // 0.1
               MakeTask(1, Millis(8), Millis(10)),    // 0.8

@@ -1,5 +1,5 @@
-// Tests for the trace module: recorder behaviour, event formatting, and
-// the Gantt renderer on hand-built event streams.
+// Tests for the trace module: event formatting and the Gantt renderer on
+// hand-built event streams.
 
 #include <gtest/gtest.h>
 
@@ -21,23 +21,6 @@ Event Ev(Time t, unsigned core, EventKind k, rt::TaskId task,
   e.overhead = ovh;
   e.duration = dur;
   return e;
-}
-
-TEST(Recorder, DisabledRecorderDropsEvents) {
-  Recorder r(false);
-  r.record(Ev(0, 0, EventKind::kStart, 1));
-  EXPECT_TRUE(r.events().empty());
-  EXPECT_FALSE(r.enabled());
-}
-
-TEST(Recorder, EnabledRecorderKeepsOrder) {
-  Recorder r;
-  r.record(Ev(10, 0, EventKind::kRelease, 1));
-  r.record(Ev(20, 0, EventKind::kStart, 1));
-  ASSERT_EQ(r.events().size(), 2u);
-  EXPECT_EQ(r.events()[0].kind, EventKind::kRelease);
-  r.clear();
-  EXPECT_TRUE(r.events().empty());
 }
 
 TEST(Format, EventStringsContainKeyFields) {
