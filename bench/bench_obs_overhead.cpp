@@ -11,12 +11,12 @@
 //                   diagnostic mode pays two clock reads per span, so a
 //                   low-double-digit ratio over plain is EXPECTED; the
 //                   in-bench gate only rejects a pathological blowup.
-//     - "reqtraced": profiler + RequestTracer (K=32, DESIGN.md §16) —
-//                   span trees, tail sampling, flight ring. Rides on
-//                   top of "profiled"; the in-bench gate holds it to
-//                   ≤1.10x of profiled (the tracer adds a tree append
-//                   and a ring push per span, no locks on the span
-//                   path).
+//     - "reqtraced": a profiler built with request tracing on (K=32,
+//                   DESIGN.md §16) — span trees, tail sampling, flight
+//                   ring. Rides on top of "profiled"; the in-bench gate
+//                   holds it to ≤1.10x of profiled (tracing adds a tree
+//                   append and a ring push per span, no locks on the
+//                   span path).
 //
 //   The <3% acceptance gate is on the PROFILING-OFF path, and it lives
 //   in CI: check_bench_regression.py --two-sided 'profiled'
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "obs/reqtrace.hpp"
 #include "obs/spans.hpp"
 #include "online/controller.hpp"
 #include "online/workload_stream.hpp"
@@ -128,9 +127,10 @@ int main() {
   // cache state perturb them alike; keep the best wall of each.
   double plain_wall = 1e100, profiled_wall = 1e100, reqtraced_wall = 1e100;
   online::ReplayResult plain_res, profiled_res, reqtraced_res;
-  obs::SpanProfiler profiler;  // accumulates across reps; fine — only
-                               // the replay walls are compared
-  obs::RequestTracer tracer(/*top_k=*/32);
+  // Both accumulate across reps; fine — only the replay walls are
+  // compared.
+  obs::SpanProfiler profiler;
+  obs::SpanProfiler traced(obs::SpanProfiler::TraceOptions{.top_k = 32});
   for (int rep = 0; rep < reps; ++rep) {
     double t0 = Now();
     plain_res = online::ReplayStream(stream, plain_cfg);
@@ -142,8 +142,8 @@ int main() {
     profiled_res = online::ReplayStream(stream, prof_cfg);
     profiled_wall = std::min(profiled_wall, Now() - t0);
 
-    online::ReplayConfig trace_cfg = prof_cfg;
-    trace_cfg.obs.tracer = &tracer;
+    online::ReplayConfig trace_cfg = plain_cfg;
+    trace_cfg.obs.profiler = &traced;
     t0 = Now();
     reqtraced_res = online::ReplayStream(stream, trace_cfg);
     reqtraced_wall = std::min(reqtraced_wall, Now() - t0);
@@ -193,8 +193,8 @@ int main() {
   ok = SameDecisions(plain_res, profiled_res, "profiled replay") && ok;
   ok = SameDecisions(plain_res, reqtraced_res, "reqtraced replay") && ok;
 
-  // Sanity: the tracer actually retained request trees.
-  const obs::RequestTracer::RetainStats rstats = tracer.retain_stats();
+  // Sanity: tracing actually retained request trees.
+  const obs::SpanProfiler::RetainStats rstats = traced.retain_stats();
   if (rstats.traces_seen == 0 || rstats.retained_slow == 0) {
     std::fprintf(stderr, "FAIL obs_overhead: tracer retained nothing\n");
     ok = false;

@@ -72,7 +72,6 @@
 #include "exp/acceptance.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
-#include "obs/reqtrace.hpp"
 #include "obs/spans.hpp"
 #include "util/thread_pool.hpp"
 #include "online/controller.hpp"
@@ -694,7 +693,14 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
   // --profile (DESIGN.md §15): wall-clock span profiler, heartbeat, and
   // the augmented per-epoch columns — all on the stderr / --profile-out
   // channel, so profiled stdout is byte-identical to an unprofiled run.
-  obs::SpanProfiler profiler;
+  // --trace-requests / --flight-dump (§16) build the same profiler with
+  // request tracing on: tail-sampled span trees and the flight recorder.
+  obs::SpanProfiler::TraceOptions topt;
+  topt.top_k = o.trace_requests_k;
+  if (o.durability.enabled()) topt.flight_dir = o.durability.dir;
+  obs::SpanProfiler profiler = o.trace_requests || o.flight_dump
+                                   ? obs::SpanProfiler(topt)
+                                   : obs::SpanProfiler();
   std::string prof_table;
   obs::LogHistogram admit_hist_prev;
   analysis::MemoStats memo_prev;
@@ -766,20 +772,12 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
     };
   }
 
-  // --trace-requests / --flight-dump (DESIGN.md §16): request-scoped
-  // tracing and the crash-dump flight recorder. The tracer borrows the
-  // profiler's clock, so the profiler is installed even without
-  // --profile — but its reports only print when --profile asked for
-  // them, and none of this touches stdout or a byte-compared artifact.
-  std::unique_ptr<obs::RequestTracer> tracer;
-  if (o.trace_requests || o.flight_dump) {
-    obs::RequestTracer::Options topt;
-    topt.top_k = o.trace_requests_k;
-    if (o.durability.enabled()) topt.flight_dir = o.durability.dir;
-    tracer = std::make_unique<obs::RequestTracer>(topt);
+  // Tracing installs the profiler even without --profile, but its
+  // reports only print when --profile asked for them, and none of this
+  // touches stdout or a byte-compared artifact.
+  if (profiler.tracing()) {
     rcfg.obs.profiler = &profiler;
-    rcfg.obs.tracer = tracer.get();
-    obs::SetCrashDumpTracer(tracer.get());
+    obs::SetCrashDumpProfiler(&profiler);
     obs::InstallCrashSignalHandlers();
   }
 
@@ -921,7 +919,7 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
                  pool_reg.snapshot().ToCsv().c_str());
   }
 
-  if (tracer != nullptr) {
+  if (profiler.tracing()) {
     if (o.trace_requests) {
       // Pool gauges ride along as Perfetto counter tracks (one sample,
       // stamped at the retained span horizon).
@@ -933,11 +931,11 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
       caller.points.emplace_back(0, static_cast<double>(ps.caller.indices));
       peak.points.emplace_back(0, static_cast<double>(ps.queue_peak));
       if (!util::WriteTextFile(o.reqtrace_out,
-                               tracer->ToPerfettoJson({stolen, caller, peak}),
+                               profiler.ToPerfettoJson({stolen, caller, peak}),
                                &err)) {
         return Fail(err);
       }
-      const obs::RequestTracer::RetainStats rs = tracer->retain_stats();
+      const obs::SpanProfiler::RetainStats rs = profiler.retain_stats();
       util::Log(util::LogLevel::kInfo,
                 "wrote request traces to %s (%llu requests seen, %llu "
                 "slow + %llu interesting retained, peak %llu spans held) "
@@ -950,7 +948,7 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
     }
     if (o.flight_dump) {
       std::string flight_path;
-      if (!tracer->DumpFlight("on_demand", &flight_path, &err)) {
+      if (!profiler.DumpFlight("on_demand", &flight_path, &err)) {
         return Fail(err);
       }
       util::Log(util::LogLevel::kInfo,
@@ -1015,7 +1013,7 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int Main(int argc, char** argv) {
   Options o;
   if (!ParseArgs(argc, argv, o) || !Validate(o)) return 2;
   if (o.verbose) util::SetGlobalLogLevel(util::LogLevel::kDebug);
@@ -1184,4 +1182,14 @@ int main(int argc, char** argv) {
     }
   }
   return r.total_misses == 0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return Main(argc, argv);
+  } catch (const rt::GeneratorGaveUp& e) {
+    // Validate() admits util·cores up to tasks·max_task_utilization; at
+    // and just under that boundary the generator's redraws can run out.
+    return Fail(e.what());
+  }
 }

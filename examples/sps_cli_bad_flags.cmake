@@ -1,6 +1,8 @@
-# Every malformed or out-of-range sps_cli argument must exit 2 at parse
-# time: no stdout and no file written, not an abort, a silent 0 or a
-# late exit 1. Run as
+# Every malformed or out-of-range sps_cli argument must exit 2 before
+# any work: no stdout and no file written, not an abort, a silent 0 or a
+# late exit 1. All but the last case fail at parse time; the last passes
+# the tasks·max ≥ util·cores precondition but the generator cannot draw
+# it. Run as
 #   cmake -DSPS_CLI=path/to/sps_cli -DWORK_DIR=scratch/dir -P this-file
 set(cases
   "--tasks=0"
@@ -23,7 +25,8 @@ set(cases
   "--ready-queue=pairing"
   "--sim-ms=1e13"
   "--scale=1e23"
-  "--sporadic")
+  "--sporadic"
+  "--util=1 --tasks=4 --cores=4")
 
 set(failures 0)
 foreach(case IN LISTS cases)

@@ -2,7 +2,7 @@
 
 #include <csignal>
 
-#include "obs/reqtrace.hpp"
+#include "obs/spans.hpp"
 
 namespace sps::obs {
 
@@ -67,27 +67,27 @@ std::vector<FlightRecord> FlightRing::Snapshot() const {
 
 namespace {
 
-std::atomic<RequestTracer*> g_crash_tracer{nullptr};
+std::atomic<SpanProfiler*> g_crash_profiler{nullptr};
 
 void CrashHandler(int sig) {
   // One shot: restore the default disposition first, so a second fault
   // inside the (deliberately non-async-signal-safe) dump path kills the
   // process instead of recursing.
   std::signal(sig, SIG_DFL);
-  if (RequestTracer* t = g_crash_tracer.load(std::memory_order_acquire)) {
-    (void)t->DumpFlight("signal_" + std::to_string(sig));
+  if (SpanProfiler* p = g_crash_profiler.load(std::memory_order_acquire)) {
+    (void)p->DumpFlight("signal_" + std::to_string(sig));
   }
   std::raise(sig);
 }
 
 }  // namespace
 
-void SetCrashDumpTracer(RequestTracer* t) {
-  g_crash_tracer.store(t, std::memory_order_release);
+void SetCrashDumpProfiler(SpanProfiler* p) {
+  g_crash_profiler.store(p, std::memory_order_release);
 }
 
-RequestTracer* CrashDumpTracer() {
-  return g_crash_tracer.load(std::memory_order_acquire);
+SpanProfiler* CrashDumpProfiler() {
+  return g_crash_profiler.load(std::memory_order_acquire);
 }
 
 void InstallCrashSignalHandlers() {

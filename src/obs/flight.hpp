@@ -8,7 +8,7 @@
 // demand (sps_cli --flight-dump).
 //
 // Memory model: every ring is written by exactly ONE thread (the thread
-// that owns the tracer context it belongs to) and read by whichever
+// that owns the profiler shard it belongs to) and read by whichever
 // thread dumps. Writers never block and never allocate: a slot is a
 // fixed array of relaxed atomics guarded by a per-slot version counter
 // (odd = write in progress). The dumper validates the version before and
@@ -32,7 +32,7 @@ struct FlightRecord {
   std::uint8_t stage = 0;      ///< SpanStage (kSpan only)
   std::uint64_t trace_id = 0;  ///< 0 = span outside any request trace
   std::uint64_t seq = 0;       ///< request seq (kSpan) / epoch index (kEpoch)
-  std::uint64_t t0 = 0;        ///< span start, tracer clock ns (kSpan)
+  std::uint64_t t0 = 0;        ///< span start, profiler clock ns (kSpan)
   std::uint64_t dur_ns = 0;    ///< span duration (kSpan) / admits (kEpoch)
   std::int64_t attr = -1;      ///< stage attribute (kSpan) / rejects (kEpoch)
   std::uint64_t aux0 = 0;      ///< unused (kSpan) / leaves (kEpoch)
@@ -70,17 +70,17 @@ class FlightRing {
   std::atomic<std::uint64_t> head_{0};
 };
 
-class RequestTracer;
+class SpanProfiler;
 
-/// Register `t` as the process-wide crash-dump tracer (nullptr clears;
-/// a destructing tracer deregisters itself). The crash signal handlers
+/// Register `p` as the process-wide crash-dump profiler (nullptr clears;
+/// a destructing profiler deregisters itself). The crash signal handlers
 /// dump ITS flight rings.
-void SetCrashDumpTracer(RequestTracer* t);
-[[nodiscard]] RequestTracer* CrashDumpTracer();
+void SetCrashDumpProfiler(SpanProfiler* p);
+[[nodiscard]] SpanProfiler* CrashDumpProfiler();
 
 /// Install best-effort handlers for fatal signals (SIGSEGV, SIGBUS,
 /// SIGILL, SIGFPE, SIGABRT) that dump the registered crash-dump
-/// tracer's flight rings to flight-<pid>.json, then re-raise with the
+/// profiler's flight rings to flight-<pid>.json, then re-raise with the
 /// default disposition (the process still dies with the original
 /// signal). Best-effort by design: the dump path allocates, which
 /// strict async-signal-safety forbids — acceptable for a diagnostic of

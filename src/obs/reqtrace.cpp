@@ -1,22 +1,21 @@
-#include "obs/reqtrace.hpp"
+// Request tracing half of SpanProfiler (DESIGN.md §16): the open
+// trace's span tree, the tail-sampling reservoirs, the flight-ring
+// epoch records, and the exports. The per-span record path lives in
+// spans.cpp; everything here is a no-op unless the profiler traces.
 
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <unordered_map>
 #include <utility>
 
+#include "obs/perfetto.hpp"
+#include "obs/spans.hpp"
 #include "util/file_io.hpp"
 #include "util/json_writer.hpp"
 
 namespace sps::obs {
 
 namespace {
-
-std::atomic<std::uint64_t> g_tracer_serial{1};
-
-thread_local RequestTracer* t_tracer = nullptr;
 
 /// Min-heap comparator over root duration: slow_.front() is the FASTEST
 /// retained trace — the one the next slower trace evicts. Ties break on
@@ -28,71 +27,10 @@ bool SlowerOnTop(const RequestTrace& a, const RequestTrace& b) {
 
 }  // namespace
 
-RequestTracer* InstalledTracer() { return t_tracer; }
-
-TracerInstallation::TracerInstallation(RequestTracer* t) : prev_(t_tracer) {
-  t_tracer = t;
-}
-
-TracerInstallation::~TracerInstallation() { t_tracer = prev_; }
-
-namespace internal {
-
-RequestTracer* ActiveTracer() { return t_tracer; }
-
-int TracerOpenSpan(RequestTracer* t, SpanStage stage) {
-  return t->OpenSpan(stage);
-}
-
-void TracerCloseSpan(RequestTracer* t, int slot, SpanStage stage,
-                     std::uint64_t t0, std::uint64_t dur_ns) {
-  t->CloseSpan(slot, stage, t0, dur_ns);
-}
-
-}  // namespace internal
-
-void TraceAttr(std::int64_t v) {
-  if (t_tracer != nullptr) t_tracer->AttrInnermost(v);
-}
-
-RequestTracer::RequestTracer(Options opt)
-    : opt_(std::move(opt)),
-      serial_(g_tracer_serial.fetch_add(1, std::memory_order_relaxed)) {}
-
-RequestTracer::~RequestTracer() {
-  // Deregister from the crash-signal path before the rings die.
-  if (CrashDumpTracer() == this) SetCrashDumpTracer(nullptr);
-}
-
-RequestTracer::ThreadCtx* RequestTracer::CtxForThisThread() {
-  // Same single-entry fast path as SpanProfiler::ShardForThisThread:
-  // keyed by (address, serial) so an address-reused tracer cannot alias
-  // a stale context.
-  struct Entry {
-    std::uint64_t serial = 0;
-    ThreadCtx* ctx = nullptr;
-  };
-  thread_local const RequestTracer* last_tracer = nullptr;
-  thread_local Entry last{};
-  if (last_tracer == this && last.serial == serial_) return last.ctx;
-  thread_local std::unordered_map<const RequestTracer*, Entry> cache;
-  Entry& e = cache[this];
-  if (e.serial != serial_ || e.ctx == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ctxs_.push_back(std::make_unique<ThreadCtx>());
-    if (opt_.flight_slots > 0) {
-      ctxs_.back()->ring = std::make_unique<FlightRing>(opt_.flight_slots);
-    }
-    e = Entry{serial_, ctxs_.back().get()};
-  }
-  last_tracer = this;
-  last = e;
-  return e.ctx;
-}
-
-void RequestTracer::BeginTrace(std::uint64_t trace_id, std::uint64_t seq,
-                               bool is_admit) {
-  ThreadCtx* c = CtxForThisThread();
+void SpanProfiler::BeginTrace(std::uint64_t trace_id, std::uint64_t seq,
+                              bool is_admit) {
+  if (!tracing_) return;
+  Shard* c = ShardForThisThread();
   c->active = true;
   c->trace_id = trace_id;
   c->seq = seq;
@@ -101,8 +39,8 @@ void RequestTracer::BeginTrace(std::uint64_t trace_id, std::uint64_t seq,
   c->stack.clear();
 }
 
-int RequestTracer::OpenSpan(SpanStage stage) {
-  ThreadCtx* c = CtxForThisThread();
+int SpanProfiler::OpenSpan(SpanStage stage) {
+  Shard* c = ShardForThisThread();
   if (!c->active) return -1;
   SpanRecord r;
   r.stage = stage;
@@ -113,42 +51,16 @@ int RequestTracer::OpenSpan(SpanStage stage) {
   return slot;
 }
 
-void RequestTracer::CloseSpan(int slot, SpanStage stage, std::uint64_t t0,
-                              std::uint64_t dur_ns) {
-  ThreadCtx* c = CtxForThisThread();
-  std::int64_t attr = -1;
-  if (slot >= 0 && static_cast<std::size_t>(slot) < c->spans.size()) {
-    SpanRecord& r = c->spans[static_cast<std::size_t>(slot)];
-    r.t0 = t0;
-    r.dur_ns = dur_ns;
-    attr = r.attr;
-    if (!c->stack.empty() && c->stack.back() == slot) c->stack.pop_back();
-  }
-  // Every span — inside a request trace or not (epoch apply, checkpoint
-  // write) — feeds the thread's flight ring: the black box records what
-  // the thread was DOING, not only what it was doing for a request.
-  if (c->ring != nullptr) {
-    FlightRecord f;
-    f.kind = FlightRecord::Kind::kSpan;
-    f.stage = static_cast<std::uint8_t>(stage);
-    f.trace_id = c->active ? c->trace_id : 0;
-    f.seq = c->active ? c->seq : 0;
-    f.t0 = t0;
-    f.dur_ns = dur_ns;
-    f.attr = attr;
-    c->ring->Push(f);
-  }
-}
-
-void RequestTracer::AttrInnermost(std::int64_t v) {
-  ThreadCtx* c = CtxForThisThread();
+void SpanProfiler::AttrInnermost(std::int64_t v) {
+  Shard* c = ShardForThisThread();
   if (c->stack.empty()) return;
   c->spans[static_cast<std::size_t>(c->stack.back())].attr = v;
 }
 
-void RequestTracer::EndTrace(bool via_ladder, bool via_fallback,
-                             bool diverged) {
-  ThreadCtx* c = CtxForThisThread();
+void SpanProfiler::EndTrace(bool via_ladder, bool via_fallback,
+                            bool diverged) {
+  if (!tracing_) return;
+  Shard* c = ShardForThisThread();
   if (!c->active) return;
   c->active = false;
   RequestTrace t;
@@ -158,13 +70,11 @@ void RequestTracer::EndTrace(bool via_ladder, bool via_fallback,
   t.via_ladder = via_ladder;
   t.via_fallback = via_fallback;
   t.diverged = diverged;
-  t.spans = std::move(c->spans);
-  c->spans.clear();
   c->stack.clear();
-  if (t.spans.empty()) return;  // no profiler installed: nothing recorded
-  t.root_dur_ns = t.spans.front().dur_ns;
+  if (c->spans.empty()) return;  // profiler not installed: nothing recorded
+  t.root_dur_ns = c->spans.front().dur_ns;
   const bool interesting = via_ladder || via_fallback || diverged;
-  const std::uint64_t incoming = t.spans.size();
+  const std::uint64_t incoming = c->spans.size();
 
   std::lock_guard<std::mutex> lock(mu_);
   ++traces_seen_;
@@ -172,19 +82,26 @@ void RequestTracer::EndTrace(bool via_ladder, bool via_fallback,
   // honest high-water mark includes it.
   peak_retained_spans_ =
       std::max(peak_retained_spans_, retained_spans_ + incoming);
-  if (opt_.top_k == 0) return;
+  const bool keep = trace_.top_k > 0 &&
+                    (interesting || slow_.size() < trace_.top_k ||
+                     t.root_dur_ns > slow_.front().root_dur_ns);
+  // Only a retained tree is copied out; a dropped one leaves its buffer
+  // (and its capacity) to the shard's next request.
+  if (keep) t.spans = c->spans;
+  c->spans.clear();
+  if (!keep) return;
   if (interesting) {
     retained_spans_ += incoming;
     interesting_.push_back(std::move(t));
-    if (interesting_.size() > opt_.top_k) {
+    if (interesting_.size() > trace_.top_k) {
       retained_spans_ -= interesting_.front().spans.size();
       interesting_.pop_front();
     }
-  } else if (slow_.size() < opt_.top_k) {
+  } else if (slow_.size() < trace_.top_k) {
     retained_spans_ += incoming;
     slow_.push_back(std::move(t));
     std::push_heap(slow_.begin(), slow_.end(), &SlowerOnTop);
-  } else if (t.root_dur_ns > slow_.front().root_dur_ns) {
+  } else {
     std::pop_heap(slow_.begin(), slow_.end(), &SlowerOnTop);
     retained_spans_ -= slow_.back().spans.size();
     retained_spans_ += incoming;
@@ -194,10 +111,11 @@ void RequestTracer::EndTrace(bool via_ladder, bool via_fallback,
   peak_retained_spans_ = std::max(peak_retained_spans_, retained_spans_);
 }
 
-void RequestTracer::NoteEpoch(std::uint64_t epoch_index, std::uint64_t admits,
-                              std::uint64_t rejects, std::uint64_t leaves,
-                              std::uint64_t resident) {
-  ThreadCtx* c = CtxForThisThread();
+void SpanProfiler::NoteEpoch(std::uint64_t epoch_index, std::uint64_t admits,
+                             std::uint64_t rejects, std::uint64_t leaves,
+                             std::uint64_t resident) {
+  if (!tracing_) return;
+  Shard* c = ShardForThisThread();
   if (c->ring == nullptr) return;
   FlightRecord f;
   f.kind = FlightRecord::Kind::kEpoch;
@@ -209,7 +127,7 @@ void RequestTracer::NoteEpoch(std::uint64_t epoch_index, std::uint64_t admits,
   c->ring->Push(f);
 }
 
-RequestTracer::RetainStats RequestTracer::retain_stats() const {
+SpanProfiler::RetainStats SpanProfiler::retain_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   RetainStats s;
   s.traces_seen = traces_seen_;
@@ -219,7 +137,7 @@ RequestTracer::RetainStats RequestTracer::retain_stats() const {
   return s;
 }
 
-std::vector<RequestTrace> RequestTracer::Retained() const {
+std::vector<RequestTrace> SpanProfiler::Retained() const {
   std::vector<RequestTrace> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -253,8 +171,9 @@ void WriteTraceFields(util::JsonWriter& j, const RequestTrace& t) {
 
 }  // namespace
 
-std::string RequestTracer::ToPerfettoJson(
+std::string SpanProfiler::ToPerfettoJson(
     const std::vector<CounterSeries>& extra_counters) const {
+  if (!tracing_) return {};
   const std::vector<RequestTrace> traces = Retained();
   const RetainStats stats = retain_stats();
 
@@ -319,7 +238,7 @@ std::string RequestTracer::ToPerfettoJson(
   // Structured sidecar (ignored by trace viewers, consumed by
   // tools/trace_summary.py and the tests).
   j.Key("sps_reqtrace").BeginObject();
-  j.Key("k").Value(opt_.top_k);
+  j.Key("k").Value(trace_.top_k);
   j.Key("traces_seen").Value(stats.traces_seen);
   j.Key("peak_retained_spans").Value(stats.peak_retained_spans);
   j.Key("traces").BeginArray();
@@ -346,19 +265,21 @@ std::string RequestTracer::ToPerfettoJson(
   return j.str();
 }
 
-bool RequestTracer::DumpFlight(const std::string& reason,
-                               std::string* path_out, std::string* error) {
+bool SpanProfiler::DumpFlight(const std::string& reason,
+                              std::string* path_out, std::string* error) {
+  if (!tracing_) {
+    if (error != nullptr) *error = "request tracing is off";
+    return false;
+  }
   util::JsonWriter j;
   j.BeginObject();
   j.Key("reason").Value(reason);
   j.Key("pid").Value(static_cast<std::int64_t>(::getpid()));
-  std::string dir;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    dir = opt_.flight_dir;
     j.Key("traces_seen").Value(traces_seen_);
     j.Key("threads").BeginArray();
-    for (const std::unique_ptr<ThreadCtx>& c : ctxs_) {
+    for (const std::unique_ptr<Shard>& c : shards_) {
       j.BeginObject();
       j.Key("pushed").Value(c->ring != nullptr ? c->ring->pushed() : 0);
       j.Key("records").BeginArray();
@@ -392,14 +313,9 @@ bool RequestTracer::DumpFlight(const std::string& reason,
   j.EndObject();
 
   const std::string path =
-      dir + "/flight-" + std::to_string(::getpid()) + ".json";
+      trace_.flight_dir + "/flight-" + std::to_string(::getpid()) + ".json";
   if (path_out != nullptr) *path_out = path;
   return util::WriteFileAtomic(path, j.str(), /*durable=*/false, error);
-}
-
-void RequestTracer::set_flight_dir(std::string dir) {
-  std::lock_guard<std::mutex> lock(mu_);
-  opt_.flight_dir = std::move(dir);
 }
 
 }  // namespace sps::obs

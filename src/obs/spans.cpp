@@ -1,18 +1,16 @@
 #include "obs/spans.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <unordered_map>
+#include <utility>
 
 #include "util/json_writer.hpp"
 
 namespace sps::obs {
 
 namespace {
-
-constexpr std::size_t kStages = static_cast<std::size_t>(SpanStage::kCount);
 
 std::uint64_t SteadyNowNs() {
   return static_cast<std::uint64_t>(
@@ -49,7 +47,19 @@ const char* ToString(SpanStage s) {
 
 SpanProfiler::SpanProfiler(ClockFn clock)
     : clock_(clock != nullptr ? clock : &SteadyNowNs),
+      tracing_(false),
       serial_(g_profiler_serial.fetch_add(1, std::memory_order_relaxed)) {}
+
+SpanProfiler::SpanProfiler(TraceOptions trace, ClockFn clock)
+    : clock_(clock != nullptr ? clock : &SteadyNowNs),
+      tracing_(true),
+      trace_(std::move(trace)),
+      serial_(g_profiler_serial.fetch_add(1, std::memory_order_relaxed)) {}
+
+SpanProfiler::~SpanProfiler() {
+  // Deregister from the crash-signal path before the rings die.
+  if (CrashDumpProfiler() == this) SetCrashDumpProfiler(nullptr);
+}
 
 SpanProfiler::Shard* SpanProfiler::ShardForThisThread() {
   // Single-entry fast path: the steady state (one profiler, millions of
@@ -69,6 +79,9 @@ SpanProfiler::Shard* SpanProfiler::ShardForThisThread() {
   if (e.serial != serial_ || e.shard == nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
     shards_.push_back(std::make_unique<Shard>());
+    if (tracing_ && trace_.flight_slots > 0) {
+      shards_.back()->ring = std::make_unique<FlightRing>(trace_.flight_slots);
+    }
     e = Entry{serial_, shards_.back().get()};
   }
   last_prof = this;
@@ -77,15 +90,33 @@ SpanProfiler::Shard* SpanProfiler::ShardForThisThread() {
 }
 
 void SpanProfiler::Record(SpanStage stage, std::uint64_t t0,
-                          std::uint64_t dur_ns) {
+                          std::uint64_t dur_ns, int slot) {
   Shard* s = ShardForThisThread();
   const std::size_t i = static_cast<std::size_t>(stage);
   s->hist[i].Add(static_cast<Time>(dur_ns));
   s->total_ns[i] += dur_ns;
-  if (collect_slices_) {
-    s->slice_t0.push_back(t0);
-    s->slice_dur.push_back(dur_ns);
-    s->slice_stage.push_back(stage);
+  if (!tracing_) return;
+  std::int64_t attr = -1;
+  if (slot >= 0 && static_cast<std::size_t>(slot) < s->spans.size()) {
+    SpanRecord& r = s->spans[static_cast<std::size_t>(slot)];
+    r.t0 = t0;
+    r.dur_ns = dur_ns;
+    attr = r.attr;
+    if (!s->stack.empty() && s->stack.back() == slot) s->stack.pop_back();
+  }
+  // Every span — inside a request trace or not (epoch apply, checkpoint
+  // write) — feeds the thread's flight ring: the black box records what
+  // the thread was DOING, not only what it was doing for a request.
+  if (s->ring != nullptr) {
+    FlightRecord f;
+    f.kind = FlightRecord::Kind::kSpan;
+    f.stage = static_cast<std::uint8_t>(stage);
+    f.trace_id = s->active ? s->trace_id : 0;
+    f.seq = s->active ? s->seq : 0;
+    f.t0 = t0;
+    f.dur_ns = dur_ns;
+    f.attr = attr;
+    s->ring->Push(f);
   }
 }
 
@@ -153,62 +184,13 @@ std::string SpanProfiler::ToJson() const {
   return j.str();
 }
 
-std::string SpanProfiler::SlicesToPerfettoJson() const {
-  struct Slice {
-    std::uint64_t t0, dur;
-    SpanStage stage;
-  };
-  std::vector<Slice> slices;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const std::unique_ptr<Shard>& s : shards_) {
-      for (std::size_t i = 0; i < s->slice_t0.size(); ++i) {
-        slices.push_back(
-            Slice{s->slice_t0[i], s->slice_dur[i], s->slice_stage[i]});
-      }
-    }
-  }
-  std::sort(slices.begin(), slices.end(), [](const Slice& a, const Slice& b) {
-    if (a.t0 != b.t0) return a.t0 < b.t0;
-    if (a.stage != b.stage) return a.stage < b.stage;
-    return a.dur < b.dur;
-  });
-
-  util::JsonWriter j;
-  j.BeginObject();
-  j.Key("displayTimeUnit").Value("ms");
-  j.Key("traceEvents").BeginArray();
-  j.BeginObject();
-  j.Key("name").Value("process_name");
-  j.Key("ph").Value("M");
-  j.Key("pid").Value(1);
-  j.Key("args").BeginObject().Key("name").Value("sps wall profiler")
-      .EndObject();
-  j.EndObject();
-  j.BeginObject();
-  j.Key("name").Value("thread_name");
-  j.Key("ph").Value("M");
-  j.Key("pid").Value(1);
-  j.Key("tid").Value(0);
-  j.Key("args").BeginObject().Key("name").Value("wall").EndObject();
-  j.EndObject();
-  for (const Slice& s : slices) {
-    j.BeginObject();
-    j.Key("name").Value(ToString(s.stage));
-    j.Key("cat").Value("wall");
-    j.Key("ph").Value("X");
-    j.Key("ts").Value(static_cast<double>(s.t0) / 1e3);
-    j.Key("dur").Value(static_cast<double>(s.dur) / 1e3);
-    j.Key("pid").Value(1);
-    j.Key("tid").Value(0);
-    j.EndObject();
-  }
-  j.EndArray();
-  j.EndObject();
-  return j.str();
-}
-
 SpanProfiler* InstalledProfiler() { return t_installed; }
+
+void TraceAttr(std::int64_t v) {
+  if (t_installed != nullptr && t_installed->tracing_) {
+    t_installed->AttrInnermost(v);
+  }
+}
 
 ProfilerInstallation::ProfilerInstallation(SpanProfiler* p)
     : prev_(t_installed) {

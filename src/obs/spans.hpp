@@ -1,31 +1,47 @@
 #pragma once
 // Wall-clock span profiler for the online service pipeline (DESIGN.md
-// §15). A span wraps one stage of real work — an admission screen, a
-// ladder step, an epoch phase — and records its WALL duration into a
-// per-thread log2 histogram per stage. The profiler answers "where does
-// a million-request replay spend its milliseconds" (p50/p99/p999 per
-// stage), which the deterministic sim-time metrics of §10 cannot see.
+// §15-§16). A span wraps one stage of real work — an admission screen,
+// a ladder step, an epoch phase — and its record feeds every consumer
+// from one per-thread shard:
+//
+//   * per-stage log2 histograms (always): "where does a million-request
+//     replay spend its milliseconds" (p50/p99/p999 per stage), which the
+//     deterministic sim-time metrics of §10 cannot see;
+//   * when the profiler is built with TraceOptions (request tracing,
+//     §16): the open request's parent-linked span tree, tail-sampled at
+//     EndTrace — a finished trace is retained only when it is among the
+//     K slowest by root duration (streaming bounded min-heap) or
+//     "interesting" (walked the overload ladder, fell back to a full
+//     repartition, or diverged from the journal; the K most recent) —
+//     and the thread's flight ring (obs/flight.hpp), the black box a
+//     crash dumps.
 //
 // The determinism firewall: wall-clock readings NEVER feed decision
 // logic and never reach stdout or any byte-compared artifact — reports
-// go to stderr / the --profile-out channel only. The instrumented code
-// paths read the profiler through a thread-local install slot
+// and trace exports go to stderr / their own files only. Trace ids
+// derive from the request seq (DeriveSeed(seed, seq, kTraceIdAxis)), but
+// retained membership depends on wall durations. The instrumented code
+// reads the profiler through one thread-local install slot
 // (InstalledProfiler()), so the analysis layer needs no config plumbing
-// and the hooks cost one thread-local load + branch when profiling is
-// off (gated <3% on the calm path by bench_obs_overhead).
+// and nothing observability-related enters a fingerprinted config; with
+// no profiler installed a span costs that load plus two branches (gated
+// by bench_obs_overhead).
 //
 // Threading: Record() is safe from any thread — each thread lazily
-// claims its own shard (histograms + optional slice vector) under a
-// mutex taken once per (thread, profiler) pair; the merged report is a
-// commutative sum over shards. The clock is injectable (ClockFn) so
+// claims its own shard under a mutex taken once per (thread, profiler)
+// pair; the merged report is a commutative sum over shards. The same
+// mutex guards the shared top-K / interesting reservoirs, touched once
+// per FINISHED trace, not per span. The clock is injectable (ClockFn) so
 // tests pin the output byte-for-byte under a fake clock.
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 
 namespace sps::obs {
@@ -51,22 +67,67 @@ enum class SpanStage : std::uint8_t {
 
 [[nodiscard]] const char* ToString(SpanStage s);
 
+/// Seed-derivation axis for trace ids: trace_id =
+/// util::DeriveSeed(replay seed, request seq, kTraceIdAxis).
+inline constexpr std::uint64_t kTraceIdAxis = 0x7ACEull;
+
+/// One node of a request's span tree. `parent` indexes the owning
+/// trace's span array (-1 = root); children always have larger indices
+/// (spans are appended in open order).
+struct SpanRecord {
+  std::uint64_t t0 = 0;
+  std::uint64_t dur_ns = 0;
+  std::int64_t attr = -1;  ///< stage-local attribute, -1 = none
+  std::int32_t parent = -1;
+  SpanStage stage = SpanStage::kCount;
+};
+
+/// One retained request trace (span tree + outcome).
+struct RequestTrace {
+  std::uint64_t trace_id = 0;
+  std::uint64_t seq = 0;
+  bool is_admit = true;
+  bool via_ladder = false;
+  bool via_fallback = false;
+  bool diverged = false;
+  bool slow = false;  ///< retained by the top-K rule (else: interesting)
+  std::uint64_t root_dur_ns = 0;  ///< admit_total / leave wall duration
+  std::vector<SpanRecord> spans;  ///< index 0 is the root
+};
+
+struct CounterSeries;  // obs/perfetto.hpp
+
 class SpanProfiler {
  public:
   /// Nanosecond wall clock; nullptr = std::chrono::steady_clock.
   using ClockFn = std::uint64_t (*)();
 
+  /// Request tracing, fixed at construction.
+  struct TraceOptions {
+    /// Tail-sampling K: slowest-K traces retained, and at most K most
+    /// recent "interesting" ones. 0 disables retention (spans still
+    /// feed the flight ring).
+    std::uint32_t top_k = 32;
+    /// Flight-ring slots per thread; 0 disables the flight recorder.
+    std::uint32_t flight_slots = 256;
+    /// Directory flight-<pid>.json dumps land in.
+    std::string flight_dir = ".";
+  };
+
+  /// Histograms only.
   explicit SpanProfiler(ClockFn clock = nullptr);
+  /// Histograms plus request trees and flight rings.
+  explicit SpanProfiler(TraceOptions trace, ClockFn clock = nullptr);
+  ~SpanProfiler();
 
   [[nodiscard]] std::uint64_t NowNs() const { return clock_(); }
+  [[nodiscard]] bool tracing() const { return tracing_; }
 
-  /// Record one completed span. `t0` is the span's start (only kept when
-  /// slice collection is on).
-  void Record(SpanStage stage, std::uint64_t t0, std::uint64_t dur_ns);
-
-  /// Keep (t0, dur) slices per record for the Perfetto wall track —
-  /// off by default (unbounded memory on long replays).
-  void set_collect_slices(bool on) { collect_slices_ = on; }
+  /// Record one completed span that started at `t0`. `slot` is the
+  /// span's tree slot from ScopedSpan (-1 = not in a tree); with tracing
+  /// on, every record also reaches this thread's flight ring.
+  void Record(SpanStage stage, std::uint64_t t0, std::uint64_t dur_ns,
+              int slot = -1);
 
   struct StageReport {
     SpanStage stage = SpanStage::kCount;
@@ -87,66 +148,103 @@ class SpanProfiler {
   [[nodiscard]] std::string ToText() const;
   [[nodiscard]] std::string ToJson() const;
 
-  /// Chrome trace-event document with one "wall" track of duration
-  /// slices (requires set_collect_slices(true)). Slices are ordered by
-  /// (t0, stage, dur): byte-deterministic under an injected fake clock
-  /// (golden-file tested); real-clock documents are for humans only.
-  [[nodiscard]] std::string SlicesToPerfettoJson() const;
+  // --- request tracing: no-ops / empty unless tracing() ---------------
+
+  /// Open a trace on this thread; every span closing on this thread
+  /// until EndTrace is recorded into its tree.
+  void BeginTrace(std::uint64_t trace_id, std::uint64_t seq, bool is_admit);
+
+  /// Close this thread's trace and run the tail-sampling decision.
+  void EndTrace(bool via_ladder, bool via_fallback, bool diverged);
+
+  /// Epoch-boundary registry delta for the flight ring (cumulative
+  /// admits/rejects/leaves + resident gauge).
+  void NoteEpoch(std::uint64_t epoch_index, std::uint64_t admits,
+                 std::uint64_t rejects, std::uint64_t leaves,
+                 std::uint64_t resident);
+
+  struct RetainStats {
+    std::uint64_t traces_seen = 0;
+    std::uint64_t retained_slow = 0;         ///< current top-K size
+    std::uint64_t retained_interesting = 0;  ///< current, ≤ K
+    /// High-water mark of span records held across both reservoirs —
+    /// the O(K·depth) bound the tail-sampling rule promises.
+    std::uint64_t peak_retained_spans = 0;
+  };
+  [[nodiscard]] RetainStats retain_stats() const;
+
+  /// All retained traces, sorted by (seq, trace_id) — deterministic
+  /// given deterministic durations (fake clock), export-stable always.
+  [[nodiscard]] std::vector<RequestTrace> Retained() const;
+
+  /// Chrome trace-event document: every retained span tree as async
+  /// ("b"/"e") slices on a per-request track keyed by trace id, plus
+  /// caller-supplied counter tracks (the CLI adds thread-pool gauges),
+  /// plus a structured "sps_reqtrace" top-level key that
+  /// tools/trace_summary.py consumes. Wall-clock data: never a
+  /// byte-compared artifact.
+  [[nodiscard]] std::string ToPerfettoJson(
+      const std::vector<CounterSeries>& extra_counters) const;
+
+  /// Dump every thread's flight ring to <flight_dir>/flight-<pid>.json
+  /// (atomic write). Safe concurrently with tracing threads. Writes
+  /// nothing and returns false when tracing is off.
+  bool DumpFlight(const std::string& reason, std::string* path_out = nullptr,
+                  std::string* error = nullptr);
 
  private:
+  friend class ScopedSpan;
+  friend void TraceAttr(std::int64_t v);
+
+  static constexpr std::size_t kStages =
+      static_cast<std::size_t>(SpanStage::kCount);
+
+  /// Everything one thread records into this profiler.
   struct Shard {
-    LogHistogram hist[static_cast<std::size_t>(SpanStage::kCount)];
-    std::uint64_t total_ns[static_cast<std::size_t>(SpanStage::kCount)] = {};
-    std::vector<std::uint64_t> slice_t0;
-    std::vector<std::uint64_t> slice_dur;
-    std::vector<SpanStage> slice_stage;
+    LogHistogram hist[kStages];
+    std::uint64_t total_ns[kStages] = {};
+    // The open request trace (tracing only).
+    bool active = false;
+    std::uint64_t trace_id = 0;
+    std::uint64_t seq = 0;
+    bool is_admit = true;
+    std::vector<SpanRecord> spans;
+    std::vector<std::int32_t> stack;  ///< open span slots, innermost last
+    std::unique_ptr<FlightRing> ring;  ///< tracing with flight_slots > 0
   };
 
   [[nodiscard]] Shard* ShardForThisThread();
+  /// The span's slot in this thread's open trace, or -1 when none.
+  [[nodiscard]] int OpenSpan(SpanStage stage);
+  /// Set the attribute of the innermost open span on this thread.
+  void AttrInnermost(std::int64_t v);
 
   ClockFn clock_;
-  bool collect_slices_ = false;
+  const bool tracing_;
+  const TraceOptions trace_;
   const std::uint64_t serial_;  ///< distinguishes address-reused profilers
-  mutable std::mutex mu_;       ///< guards shards_ growth
+  mutable std::mutex mu_;       ///< guards shards_ growth + reservoirs
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<RequestTrace> slow_;  ///< min-heap by root_dur_ns, ≤ top_k
+  std::deque<RequestTrace> interesting_;  ///< most recent ≤ top_k
+  std::uint64_t traces_seen_ = 0;
+  std::uint64_t retained_spans_ = 0;
+  std::uint64_t peak_retained_spans_ = 0;
 };
 
-class RequestTracer;
-
-namespace internal {
-// Out-of-line request-tracer hooks (defined in reqtrace.cpp) so this
-// header does not pull in the tracer. Only reached when a profiler is
-// installed — the profiling-off null path stays two branches.
-[[nodiscard]] RequestTracer* ActiveTracer();
-[[nodiscard]] int TracerOpenSpan(RequestTracer* t, SpanStage stage);
-void TracerCloseSpan(RequestTracer* t, int slot, SpanStage stage,
-                     std::uint64_t t0, std::uint64_t dur_ns);
-}  // namespace internal
-
 /// RAII span: reads the clock on entry and records on exit. A null
-/// profiler costs two branches — the profiling-off path. When a request
-/// tracer is ALSO installed on this thread (obs/reqtrace.hpp), the span
-/// additionally lands in the active request's span tree and the flight
-/// ring; the tracer reuses the profiler's clock readings, so tracing
-/// requires a profiler.
+/// profiler costs two branches — the profiling-off path. With tracing
+/// on, the span also opens a node in this thread's request tree.
 class ScopedSpan {
  public:
   ScopedSpan(SpanProfiler* p, SpanStage stage) : p_(p), stage_(stage) {
     if (p_ != nullptr) {
       t0_ = p_->NowNs();
-      if ((tr_ = internal::ActiveTracer()) != nullptr) {
-        slot_ = internal::TracerOpenSpan(tr_, stage_);
-      }
+      if (p_->tracing_) slot_ = p_->OpenSpan(stage_);
     }
   }
   ~ScopedSpan() {
-    if (p_ != nullptr) {
-      const std::uint64_t dur = p_->NowNs() - t0_;
-      p_->Record(stage_, t0_, dur);
-      if (tr_ != nullptr) {
-        internal::TracerCloseSpan(tr_, slot_, stage_, t0_, dur);
-      }
-    }
+    if (p_ != nullptr) p_->Record(stage_, t0_, p_->NowNs() - t0_, slot_);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -155,14 +253,13 @@ class ScopedSpan {
   SpanProfiler* p_;
   SpanStage stage_;
   std::uint64_t t0_ = 0;
-  RequestTracer* tr_ = nullptr;
   int slot_ = -1;
 };
 
 /// Stage-local attribute on the innermost OPEN traced span of this
 /// thread — memo hit/miss, cores probed, ladder rung reached. A cheap
-/// no-op (one thread-local load + branch) when no tracer is installed;
-/// attributes are trace-export data only and never feed decisions.
+/// no-op unless the installed profiler traces; attributes are trace
+/// export data only and never feed decisions.
 void TraceAttr(std::int64_t v);
 
 /// The thread-local install slot. ReplayStream installs its configured
@@ -181,23 +278,6 @@ class ProfilerInstallation {
 
  private:
   SpanProfiler* prev_;
-};
-
-/// Request-tracer analogue of InstalledProfiler()/ProfilerInstallation:
-/// the replay loop installs its configured tracer for the thread's
-/// replay duration; ScopedSpan picks it up via internal::ActiveTracer().
-/// Definitions live in reqtrace.cpp.
-[[nodiscard]] RequestTracer* InstalledTracer();
-
-class TracerInstallation {
- public:
-  explicit TracerInstallation(RequestTracer* t);
-  ~TracerInstallation();
-  TracerInstallation(const TracerInstallation&) = delete;
-  TracerInstallation& operator=(const TracerInstallation&) = delete;
-
- private:
-  RequestTracer* prev_;
 };
 
 }  // namespace sps::obs

@@ -37,7 +37,6 @@
 #include "sim/engine.hpp"
 
 namespace sps::obs {
-class RequestTracer;
 class SpanProfiler;
 class StatsRegistry;
 }  // namespace sps::obs
@@ -361,16 +360,15 @@ struct EpochStats;
 struct ReplayResult;
 
 /// Observability side-channel for a replay (DESIGN.md §15/§16): a
-/// wall-clock span profiler installed for the replay thread's duration,
-/// an optional request tracer (span trees + tail sampling + flight
-/// ring — requires `profiler`, which supplies the clock readings), and
-/// an optional per-epoch hook (the CLI's heartbeat / augmented table).
+/// wall-clock span profiler installed for the replay thread's duration
+/// (built with tracing on, it also keeps request span trees, tail
+/// sampling and flight rings), and an optional per-epoch hook (the
+/// CLI's heartbeat / augmented table).
 /// Deliberately OUTSIDE the durability fingerprint and never
 /// decision-relevant — wall-clock data must stay off stdout and out of
 /// every byte-compared artifact.
 struct ReplayObserver {
   obs::SpanProfiler* profiler = nullptr;
-  obs::RequestTracer* tracer = nullptr;
   /// Called after each epoch closes, with the epoch's index, its stats,
   /// and the accumulating result. Must not mutate anything the replay
   /// reads.

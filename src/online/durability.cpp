@@ -17,7 +17,6 @@
 #include <utility>
 
 #include "analysis/memo.hpp"
-#include "obs/reqtrace.hpp"
 #include "obs/spans.hpp"
 #include "online/controller.hpp"
 #include "sim/batch.hpp"
@@ -809,8 +808,8 @@ class DurabilityEngine {
       if (it->second == rec) return true;
       // Black-box dump BEFORE reporting: divergence is exactly the "what
       // was the service doing" moment the flight recorder exists for.
-      if (obs::RequestTracer* tr = obs::InstalledTracer()) {
-        (void)tr->DumpFlight("journal_divergence");
+      if (obs::SpanProfiler* p = obs::InstalledProfiler()) {
+        (void)p->DumpFlight("journal_divergence");
       }
       return Fail(DurabilityError::Kind::kJournalDivergence,
                   journal_path_, 0,
@@ -840,8 +839,8 @@ class DurabilityEngine {
       // so the flight recorder dumps HERE — the artifact a real crashed
       // deployment would have from its last periodic dump.
       FlushJournal(cfg_.fsync != FsyncPolicy::kOff);
-      if (obs::RequestTracer* tr = obs::InstalledTracer()) {
-        (void)tr->DumpFlight("crash_injection");
+      if (obs::SpanProfiler* p = obs::InstalledProfiler()) {
+        (void)p->DumpFlight("crash_injection");
       }
       std::raise(SIGKILL);
     }
@@ -1056,9 +1055,9 @@ void CloseEpoch(const Controller& ctrl, const ReplayConfig& cfg,
   if (cfg.obs.on_epoch) cfg.obs.on_epoch(epoch_index, out.epochs.back(), out);
   // Flight-ring registry delta (§16): the black box records the epoch's
   // cumulative counters so a post-crash dump shows progress context.
-  if (cfg.obs.tracer != nullptr) {
-    cfg.obs.tracer->NoteEpoch(epoch_index, out.admits, out.rejects,
-                              out.leaves, ctrl.resident());
+  if (cfg.obs.profiler != nullptr) {
+    cfg.obs.profiler->NoteEpoch(epoch_index, out.admits, out.rejects,
+                                out.leaves, ctrl.resident());
   }
   e = EpochStats{};
 }
@@ -1107,12 +1106,12 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
   // Install the replay's wall-clock profiler for this thread; every
   // layer below (controller, admission analysis, durability engine)
   // reads it via obs::InstalledProfiler(). Uninstalls on every return.
-  // The request tracer (§16) rides the same pattern — and needs the
-  // profiler's clock, so it only records when a profiler is installed.
+  // A profiler built with tracing on (§16) also keeps request trees.
   obs::ProfilerInstallation profiler_install(cfg.obs.profiler);
-  obs::RequestTracer* const tracer =
-      cfg.obs.profiler != nullptr ? cfg.obs.tracer : nullptr;
-  obs::TracerInstallation tracer_install(tracer);
+  obs::SpanProfiler* const tracer =
+      cfg.obs.profiler != nullptr && cfg.obs.profiler->tracing()
+          ? cfg.obs.profiler
+          : nullptr;
   ReplayResult out;
   Controller ctrl(cfg.controller);
   const Time epoch_len = cfg.epoch > 0 ? cfg.epoch : s.span() + 1;

@@ -197,11 +197,12 @@ const char* ToString(StreamError::Kind k) {
   return "?";
 }
 
-bool SaveStream(const WorkloadStream& s, const std::string& path,
-                std::string* error) {
-  // Render the whole trace, then go through the one shared text-file
-  // writer (util::WriteTextFile) for the open/write/close + errno
-  // reporting. Note the writer appends the trailing newline.
+namespace {
+
+/// The file SaveStream writes for `s`, without the final newline (the
+/// text-file writer appends it). LoadStream accepts exactly this text,
+/// or it without the footer line.
+std::string RenderStream(const WorkloadStream& s) {
   // Streams with overload attributes (soft tasks) need the v2 admit
   // shape; pure hard streams keep writing v1 byte-for-byte.
   bool v2 = false;
@@ -245,7 +246,16 @@ bool SaveStream(const WorkloadStream& s, const std::string& path,
   std::snprintf(line, sizeof(line), "\n# crc32 %08x",
                 util::Crc32Of(body + "\n"));
   body += line;
-  return util::WriteTextFile(path, body, error);
+  return body;
+}
+
+}  // namespace
+
+bool SaveStream(const WorkloadStream& s, const std::string& path,
+                std::string* error) {
+  // One shared text-file writer (util::WriteTextFile) for the
+  // open/write/close + errno reporting.
+  return util::WriteTextFile(path, RenderStream(s), error);
 }
 
 namespace {
@@ -290,9 +300,11 @@ bool LoadStream(const std::string& path, WorkloadStream& out,
   // '# crc32' footer (written by SaveStream) must match. Footer-less
   // files (pre-§14 captures) are loaded unchanged.
   util::Crc32 crc;
+  std::string text;  // every byte read, for the canonical-form check
   while (ok && std::fgets(line, sizeof(line), f) != nullptr) {
     ++lineno;
     const std::size_t len = std::strlen(line);
+    text.append(line, len);
     if (len + 1 == sizeof(line) && line[len - 1] != '\n') {
       // Buffer filled without a newline: either a line past the format's
       // length bound or a truncation mid-giant-line; peeking one char
@@ -306,11 +318,13 @@ bool LoadStream(const std::string& path, WorkloadStream& out,
       ok = false;
       break;
     }
-    if (len > 0 && line[len - 1] != '\n') {
+    if (len == 0 || line[len - 1] != '\n') {
       // EOF without a final newline: the writer always terminates the
-      // file, so this is a truncated capture.
+      // file, so this is a truncated capture. A NUL byte also ends the
+      // line early (fgets reads past it; strlen stops there).
       err = MakeError(StreamError::Kind::kTruncated, path, lineno,
-                      "file ends mid-line (truncated?)");
+                      "line ends without a newline (truncated, or a NUL "
+                      "byte?)");
       ok = false;
       break;
     }
@@ -339,7 +353,7 @@ bool LoadStream(const std::string& path, WorkloadStream& out,
       continue;
     }
     crc.Update(line, len);
-    if (line[0] == '\n' || line[0] == '\0') continue;
+    if (line[0] == '\n') continue;
     if (!saw_header) {
       err = MakeError(StreamError::Kind::kMissingHeader, path, lineno,
                       "missing '# sps-online-stream v1/v2' header");
@@ -428,11 +442,36 @@ bool LoadStream(const std::string& path, WorkloadStream& out,
     ok = false;
   }
   std::fclose(f);
+  WorkloadStream loaded(std::move(reqs));
+  if (ok && !saw_header) {
+    err = MakeError(StreamError::Kind::kMissingHeader, path, 1,
+                    "empty file (no '# sps-online-stream' header)");
+    ok = false;
+  }
+  if (ok) {
+    // The file must be exactly what SaveStream writes for the requests
+    // it holds (a footer-less capture may stop before the footer). So a
+    // damaged line that still scans — bytes after its last field, a
+    // swallowed newline, a leading zero, an unknown comment or header
+    // version — is an error, never a silently different stream.
+    const std::string canon = RenderStream(loaded) + "\n";
+    if (text != canon && text != canon.substr(0, canon.rfind("# crc32 "))) {
+      const std::size_t at = static_cast<std::size_t>(
+          std::mismatch(text.begin(), text.end(), canon.begin(), canon.end())
+              .first -
+          text.begin());
+      err = MakeError(StreamError::Kind::kParse, path,
+                      1 + static_cast<int>(std::count(
+                              text.begin(), text.begin() + at, '\n')),
+                      "not in the form SaveStream writes (damaged line?)");
+      ok = false;
+    }
+  }
   if (!ok) {
     if (error != nullptr) *error = err;
     return false;
   }
-  out = WorkloadStream(std::move(reqs));
+  out = std::move(loaded);
   return true;
 }
 

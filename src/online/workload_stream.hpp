@@ -22,9 +22,10 @@
 // (DESIGN.md §14); the loader verifies it when present and still loads
 // footer-less captures unchanged (old loaders skip it as a comment). The loader is a
 // fault-injection surface (DESIGN.md §13): truncated files, overlong
-// lines, duplicate admits, LEAVE-before-ADMIT and non-monotone
-// timestamps each yield a TYPED StreamError with the offending line
-// number — never UB, never a silent false.
+// lines, duplicate admits, LEAVE-before-ADMIT, non-monotone timestamps
+// and any text other than what SaveStream writes each yield a TYPED
+// StreamError with the offending line number — never UB, never a silent
+// false, never a stream that re-saves to different bytes.
 
 #include <cstdint>
 #include <string>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 namespace sps::rt {
@@ -35,9 +36,13 @@ std::vector<double> UUniFastDiscard(std::size_t n, double total_util,
     });
     if (ok) return u;
   }
-  throw std::runtime_error(
-      "UUniFastDiscard: gave up after too many redraws (parameters too "
-      "tight; increase n or max_task_util)");
+  char msg[256];
+  std::snprintf(msg, sizeof(msg),
+                "UUniFastDiscard: gave up after %d redraws of %zu "
+                "utilizations summing to %g, each at most %g (parameters "
+                "too tight; increase n or max_task_util)",
+                kMaxAttempts, n, total_util, max_task_util);
+  throw GeneratorGaveUp(msg);
 }
 
 Time DrawPeriod(const GeneratorConfig& cfg, Rng& rng) {

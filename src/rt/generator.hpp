@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "rt/task.hpp"
@@ -31,10 +32,18 @@ using Rng = std::mt19937_64;
 /// exceed 1 when total_util > 1; use UUniFastDiscard to forbid that.
 std::vector<double> UUniFast(std::size_t n, double total_util, Rng& rng);
 
+/// UUniFastDiscard's give-up: no draw within the redraw budget kept
+/// every u_i <= max_task_util. Happens when n * max_task_util is at or
+/// just above total_util, where almost every draw breaks the cap.
+class GeneratorGaveUp : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// UUniFast, redrawing the whole vector until every u_i <= max_task_util.
 /// Needed for multiprocessor experiments where total_util can exceed 1.
 /// Throws std::invalid_argument if n * max_task_util < total_util
-/// (impossible to satisfy).
+/// (impossible to satisfy), GeneratorGaveUp if the redraws run out.
 std::vector<double> UUniFastDiscard(std::size_t n, double total_util,
                                     double max_task_util, Rng& rng);
 

@@ -787,6 +787,64 @@ TEST(MutationFuzz, MutatedArtifactsRecoverOrFailTyped) {
   }
 }
 
+TEST(MutationFuzz, MutatedStreamsFailTypedOrRoundTrip) {
+  // Every mutant of a saved stream file either fails with a typed
+  // StreamError or loads and re-saves to the same bytes. Three of four
+  // mutants get a fresh '# crc32' footer over the mutated body, so they
+  // reach the line parser instead of stopping at the CRC check. A
+  // mutant without a footer (a cut at a line end) is a legacy capture:
+  // its re-save is the same bytes plus the footer.
+  constexpr int kMutantsPerStream = 400;
+  const std::string path = ::testing::TempDir() + "stream_fuzz.txt";
+  const std::string resaved = ::testing::TempDir() + "stream_fuzz_re.txt";
+  util::SplitMix64 rng(0x57E4);
+  int loaded_count = 0;
+  int failed = 0;
+  for (const double soft : {0.0, 0.5}) {  // a v1 and a v2 stream
+    std::string err;
+    ASSERT_TRUE(SaveStream(SmallStream(31, 16, soft), path, &err)) << err;
+    std::string bytes;
+    ASSERT_TRUE(util::ReadFileBytes(path, bytes, &err)) << err;
+    const std::size_t footer = bytes.rfind("# crc32 ");
+    ASSERT_NE(footer, std::string::npos);
+    for (int i = 0; i < kMutantsPerStream; ++i) {
+      std::string mutant;
+      if (i % 4 != 3) {
+        mutant = Mutate(bytes.substr(0, footer), rng);
+        char line[32];
+        std::snprintf(line, sizeof(line), "# crc32 %08x\n",
+                      util::Crc32Of(mutant));
+        mutant += line;
+      } else {
+        mutant = Mutate(bytes, rng);
+      }
+      ASSERT_TRUE(util::WriteFileAtomic(path, mutant, false, &err)) << err;
+      SCOPED_TRACE("mutant " + std::to_string(i) + ": " + mutant);
+      WorkloadStream s;
+      StreamError serr;
+      if (!LoadStream(path, s, &serr)) {
+        ++failed;
+        EXPECT_NE(serr.kind, StreamError::Kind::kNone);
+        EXPECT_FALSE(serr.message.empty());
+        continue;
+      }
+      ++loaded_count;
+      ASSERT_TRUE(SaveStream(s, resaved, &err)) << err;
+      std::string again;
+      ASSERT_TRUE(util::ReadFileBytes(resaved, again, &err)) << err;
+      if (mutant.find("# crc32 ") == std::string::npos) {
+        again.resize(again.rfind("# crc32 "));
+      }
+      EXPECT_EQ(again, mutant);
+    }
+  }
+  // Both outcomes occur.
+  EXPECT_GT(loaded_count, 0);
+  EXPECT_GT(failed, 0);
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
+}
+
 TEST(Durability, FsyncPolicyParsesAllSpellings) {
   FsyncPolicy p = FsyncPolicy::kOff;
   std::uint32_t n = 0;

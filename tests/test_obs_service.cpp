@@ -1,6 +1,6 @@
 // Tests for the service-level observability layer (DESIGN.md §15):
 // the wall-clock span profiler under an injected fake clock (report
-// semantics + golden Perfetto slice document), the unified stats
+// semantics), the unified stats
 // registry (delta / merge / export), the TraceBuffer streaming drain
 // (prefix pop, strict watermark, chunk recycling), streaming-window
 // trace export byte-identity against the full-buffer path across shard
@@ -99,25 +99,6 @@ TEST(SpanProfiler, InstallationIsScopedAndNests) {
     EXPECT_EQ(InstalledProfiler(), &outer);
   }
   EXPECT_EQ(InstalledProfiler(), nullptr);
-}
-
-TEST(SpanProfiler, GoldenPerfettoSliceDocumentUnderFakeClock) {
-  SpanProfiler prof(&FakeClock);
-  prof.set_collect_slices(true);
-  prof.Record(SpanStage::kAnalysis, 1000, 2000);
-  prof.Record(SpanStage::kUtilScreen, 500, 250);
-  const std::string expected =
-      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-      "\"args\":{\"name\":\"sps wall profiler\"}},"
-      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-      "\"args\":{\"name\":\"wall\"}},"
-      "{\"name\":\"util_screen\",\"cat\":\"wall\",\"ph\":\"X\","
-      "\"ts\":0.5,\"dur\":0.25,\"pid\":1,\"tid\":0},"
-      "{\"name\":\"analysis\",\"cat\":\"wall\",\"ph\":\"X\","
-      "\"ts\":1,\"dur\":2,\"pid\":1,\"tid\":0}"
-      "]}";
-  EXPECT_EQ(prof.SlicesToPerfettoJson(), expected);
 }
 
 // ---------------------------------------------------------------------------

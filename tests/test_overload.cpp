@@ -74,6 +74,14 @@ TEST(StreamLoaderFuzz, TruncatedFileIsTyped) {
                   StreamError::Kind::kTruncated, 2);
 }
 
+TEST(StreamLoaderFuzz, NulByteLineIsTyped) {
+  // A line that starts with a NUL reads as empty; it must not be
+  // skipped (this capture has no footer to catch it).
+  ExpectLoadError("fuzz_nul.txt",
+                  std::string(kHeader) + std::string("\0leave 5 9\n", 11),
+                  StreamError::Kind::kTruncated, 2);
+}
+
 TEST(StreamLoaderFuzz, OverlongLineIsTyped) {
   ExpectLoadError("fuzz_overlong.txt",
                   std::string(kHeader) + std::string(400, 'x') + "\n",

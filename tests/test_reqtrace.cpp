@@ -1,7 +1,7 @@
 // Tests for request-scoped tracing, tail-based sampling, and the
 // crash-dump flight recorder (DESIGN.md §16):
 //
-//  * tracer unit semantics under a fake clock — parent-linked span
+//  * request-tracing semantics under a fake clock — parent-linked span
 //    trees, stage attributes, deterministic trace ids;
 //  * the tail-sampling rule — slowest-K by root duration (heap
 //    eviction order), "interesting" retention for ladder / fallback /
@@ -22,14 +22,16 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <regex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "analysis/memo.hpp"
 #include "obs/flight.hpp"
+#include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
-#include "obs/reqtrace.hpp"
 #include "obs/spans.hpp"
 #include "online/controller.hpp"
 #include "online/workload_stream.hpp"
@@ -46,13 +48,11 @@ std::uint64_t FakeClock() { return g_fake_now; }
 // ---------------------------------------------------------------------------
 
 TEST(RequestTracer, RecordsParentLinkedTreeWithAttrs) {
-  SpanProfiler prof(&FakeClock);
-  RequestTracer tracer(/*top_k=*/4);
+  SpanProfiler prof({.top_k = 4}, &FakeClock);
   ProfilerInstallation pi(&prof);
-  TracerInstallation ti(&tracer);
 
   g_fake_now = 1000;
-  tracer.BeginTrace(/*trace_id=*/77, /*seq=*/5, /*is_admit=*/true);
+  prof.BeginTrace(/*trace_id=*/77, /*seq=*/5, /*is_admit=*/true);
   {
     ScopedSpan root(&prof, SpanStage::kAdmitTotal);
     {
@@ -71,9 +71,9 @@ TEST(RequestTracer, RecordsParentLinkedTreeWithAttrs) {
     }
     g_fake_now = 1500;
   }
-  tracer.EndTrace(false, false, false);
+  prof.EndTrace(false, false, false);
 
-  const std::vector<RequestTrace> traces = tracer.Retained();
+  const std::vector<RequestTrace> traces = prof.Retained();
   ASSERT_EQ(traces.size(), 1u);
   const RequestTrace& t = traces[0];
   EXPECT_EQ(t.trace_id, 77u);
@@ -99,24 +99,22 @@ TEST(RequestTracer, RecordsParentLinkedTreeWithAttrs) {
 }
 
 TEST(RequestTracer, SpansOutsideATraceAreDroppedFromTrees) {
-  SpanProfiler prof(&FakeClock);
-  RequestTracer tracer(4);
+  SpanProfiler prof({.top_k = 4}, &FakeClock);
   ProfilerInstallation pi(&prof);
-  TracerInstallation ti(&tracer);
   {
     ScopedSpan orphan(&prof, SpanStage::kEpochApply);  // no BeginTrace
     g_fake_now += 10;
   }
-  EXPECT_TRUE(tracer.Retained().empty());
-  EXPECT_EQ(tracer.retain_stats().traces_seen, 0u);
+  EXPECT_TRUE(prof.Retained().empty());
+  EXPECT_EQ(prof.retain_stats().traces_seen, 0u);
 }
 
-TEST(RequestTracer, NoTracerInstalledIsANoOpEvenWithProfiler) {
+TEST(RequestTracer, UntracedProfilerIsANoOpForTraceHooks) {
   SpanProfiler prof(&FakeClock);
   ProfilerInstallation pi(&prof);
-  ASSERT_EQ(InstalledTracer(), nullptr);
+  ASSERT_FALSE(prof.tracing());
   ScopedSpan span(&prof, SpanStage::kAnalysis);
-  TraceAttr(42);  // must not crash with no tracer installed
+  TraceAttr(42);  // must not crash with tracing off
 }
 
 TEST(RequestTracer, TraceIdsDeriveFromSeqDeterministically) {
@@ -133,12 +131,11 @@ TEST(RequestTracer, TraceIdsDeriveFromSeqDeterministically) {
 // Tail-based sampling
 // ---------------------------------------------------------------------------
 
-/// Drive one whole trace through the tracer: `spans` nested spans, the
+/// Drive one whole trace through the traced profiler: `spans` nested spans, the
 /// root lasting `root_ns`.
-void OneTrace(SpanProfiler& prof, RequestTracer& tracer, std::uint64_t seq,
-              std::uint64_t root_ns, bool interesting = false,
-              int depth = 2) {
-  tracer.BeginTrace(util::DeriveSeed(1, seq, kTraceIdAxis), seq, true);
+void OneTrace(SpanProfiler& prof, std::uint64_t seq, std::uint64_t root_ns,
+              bool interesting = false, int depth = 2) {
+  prof.BeginTrace(util::DeriveSeed(1, seq, kTraceIdAxis), seq, true);
   {
     ScopedSpan root(&prof, SpanStage::kAdmitTotal);
     for (int d = 1; d < depth; ++d) {
@@ -147,38 +144,34 @@ void OneTrace(SpanProfiler& prof, RequestTracer& tracer, std::uint64_t seq,
     }
     g_fake_now += root_ns - static_cast<std::uint64_t>(depth - 1);
   }
-  tracer.EndTrace(/*via_ladder=*/interesting, false, false);
+  prof.EndTrace(/*via_ladder=*/interesting, false, false);
 }
 
 TEST(RequestTracer, TopKKeepsTheSlowestAndEvictsTheFastest) {
-  SpanProfiler prof(&FakeClock);
-  RequestTracer tracer(/*top_k=*/3);
+  SpanProfiler prof({.top_k = 3}, &FakeClock);
   ProfilerInstallation pi(&prof);
-  TracerInstallation ti(&tracer);
   // Durations 10,20,...,80 — only {60,70,80} may survive with K=3.
-  for (std::uint64_t i = 1; i <= 8; ++i) OneTrace(prof, tracer, i, i * 10);
+  for (std::uint64_t i = 1; i <= 8; ++i) OneTrace(prof, i, i * 10);
 
-  const std::vector<RequestTrace> kept = tracer.Retained();
+  const std::vector<RequestTrace> kept = prof.Retained();
   ASSERT_EQ(kept.size(), 3u);
   EXPECT_EQ(kept[0].root_dur_ns, 60u);
   EXPECT_EQ(kept[1].root_dur_ns, 70u);
   EXPECT_EQ(kept[2].root_dur_ns, 80u);
-  const RequestTracer::RetainStats rs = tracer.retain_stats();
+  const SpanProfiler::RetainStats rs = prof.retain_stats();
   EXPECT_EQ(rs.traces_seen, 8u);
   EXPECT_EQ(rs.retained_slow, 3u);
   EXPECT_EQ(rs.retained_interesting, 0u);
 }
 
 TEST(RequestTracer, InterestingTracesSurviveEvenWhenFast) {
-  SpanProfiler prof(&FakeClock);
-  RequestTracer tracer(/*top_k=*/2);
+  SpanProfiler prof({.top_k = 2}, &FakeClock);
   ProfilerInstallation pi(&prof);
-  TracerInstallation ti(&tracer);
-  OneTrace(prof, tracer, 1, 1000);
-  OneTrace(prof, tracer, 2, 2000);
-  OneTrace(prof, tracer, 3, 5, /*interesting=*/true);  // fast but laddered
+  OneTrace(prof, 1, 1000);
+  OneTrace(prof, 2, 2000);
+  OneTrace(prof, 3, 5, /*interesting=*/true);  // fast but laddered
 
-  const std::vector<RequestTrace> kept = tracer.Retained();
+  const std::vector<RequestTrace> kept = prof.Retained();
   ASSERT_EQ(kept.size(), 3u);
   EXPECT_TRUE(kept[2].via_ladder);
   EXPECT_FALSE(kept[2].slow);
@@ -186,52 +179,46 @@ TEST(RequestTracer, InterestingTracesSurviveEvenWhenFast) {
 }
 
 TEST(RequestTracer, InterestingReservoirKeepsTheMostRecentK) {
-  SpanProfiler prof(&FakeClock);
-  RequestTracer tracer(/*top_k=*/2);
+  SpanProfiler prof({.top_k = 2}, &FakeClock);
   ProfilerInstallation pi(&prof);
-  TracerInstallation ti(&tracer);
   for (std::uint64_t i = 1; i <= 5; ++i) {
-    OneTrace(prof, tracer, i, 10, /*interesting=*/true);
+    OneTrace(prof, i, 10, /*interesting=*/true);
   }
-  const std::vector<RequestTrace> kept = tracer.Retained();
+  const std::vector<RequestTrace> kept = prof.Retained();
   // 5 interesting traces, reservoir of 2: seqs 4 and 5 survive (plus
   // nothing in the top-K heap — interesting traces never land there).
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[0].seq, 4u);
   EXPECT_EQ(kept[1].seq, 5u);
-  EXPECT_EQ(tracer.retain_stats().retained_slow, 0u);
+  EXPECT_EQ(prof.retain_stats().retained_slow, 0u);
 }
 
 TEST(RequestTracer, TopKZeroRetainsNothingButCounts) {
-  SpanProfiler prof(&FakeClock);
-  RequestTracer tracer(/*top_k=*/0);
+  SpanProfiler prof({.top_k = 0}, &FakeClock);
   ProfilerInstallation pi(&prof);
-  TracerInstallation ti(&tracer);
-  OneTrace(prof, tracer, 1, 100);
-  OneTrace(prof, tracer, 2, 100, /*interesting=*/true);
-  EXPECT_TRUE(tracer.Retained().empty());
-  EXPECT_EQ(tracer.retain_stats().traces_seen, 2u);
+  OneTrace(prof, 1, 100);
+  OneTrace(prof, 2, 100, /*interesting=*/true);
+  EXPECT_TRUE(prof.Retained().empty());
+  EXPECT_EQ(prof.retain_stats().traces_seen, 2u);
 }
 
 TEST(RequestTracer, RetainedMemoryStaysBoundedAt100kRequests) {
   // The tail-sampling promise, asserted at scale: 100'000 finished
-  // traces of depth `kDepth` through a K=16 tracer must never hold more
+  // traces of depth `kDepth` through a K=16 profiler must never hold more
   // than (2K+1)·depth span records — K slow trees + K interesting trees
   // + the one in-flight tree being decided. That is the O(K·depth)
   // bound; with everything retained it would be 100'000·depth.
   constexpr std::uint32_t kK = 16;
   constexpr int kDepth = 8;
   constexpr std::uint64_t kRequests = 100'000;
-  SpanProfiler prof(&FakeClock);
-  RequestTracer tracer(kK);
+  SpanProfiler prof({.top_k = kK}, &FakeClock);
   ProfilerInstallation pi(&prof);
-  TracerInstallation ti(&tracer);
   util::SplitMix64 rng(7);
   for (std::uint64_t i = 0; i < kRequests; ++i) {
     const std::uint64_t dur = 20 + rng() % 1000;
-    OneTrace(prof, tracer, i, dur, /*interesting=*/i % 97 == 0, kDepth);
+    OneTrace(prof, i, dur, /*interesting=*/i % 97 == 0, kDepth);
   }
-  const RequestTracer::RetainStats rs = tracer.retain_stats();
+  const SpanProfiler::RetainStats rs = prof.retain_stats();
   EXPECT_EQ(rs.traces_seen, kRequests);
   EXPECT_EQ(rs.retained_slow, kK);
   EXPECT_EQ(rs.retained_interesting, kK);
@@ -248,12 +235,10 @@ TEST(RequestTracer, RetainedMemoryStaysBoundedAt100kRequests) {
 // ---------------------------------------------------------------------------
 
 TEST(RequestTracer, GoldenPerfettoAsyncSliceDocument) {
-  SpanProfiler prof(&FakeClock);
-  RequestTracer tracer(2);
+  SpanProfiler prof({.top_k = 2}, &FakeClock);
   ProfilerInstallation pi(&prof);
-  TracerInstallation ti(&tracer);
   g_fake_now = 2000;
-  tracer.BeginTrace(9, 1, true);
+  prof.BeginTrace(9, 1, true);
   {
     ScopedSpan root(&prof, SpanStage::kAdmitTotal);
     {
@@ -263,7 +248,7 @@ TEST(RequestTracer, GoldenPerfettoAsyncSliceDocument) {
     }
     g_fake_now = 3000;
   }
-  tracer.EndTrace(false, false, false);
+  prof.EndTrace(false, false, false);
 
   const std::string expected =
       "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
@@ -292,7 +277,7 @@ TEST(RequestTracer, GoldenPerfettoAsyncSliceDocument) {
       "\"dur_ns\":500,\"attr\":2}"
       "]}]}}";
   CounterSeries pool{"pool stolen", {{0, 5.0}}};
-  EXPECT_EQ(tracer.ToPerfettoJson({pool}), expected);
+  EXPECT_EQ(prof.ToPerfettoJson({pool}), expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -347,20 +332,15 @@ TEST(FlightRing, RoundTripsEveryRecordField) {
 TEST(RequestTracer, DumpFlightWritesSpanAndEpochRecords) {
   const std::string dir = ::testing::TempDir() + "sps_flight_dump";
   std::filesystem::create_directories(dir);
-  SpanProfiler prof(&FakeClock);
-  RequestTracer::Options opt;
-  opt.top_k = 4;
-  opt.flight_slots = 64;
-  opt.flight_dir = dir;
-  RequestTracer tracer(opt);
+  SpanProfiler prof({.top_k = 4, .flight_slots = 64, .flight_dir = dir},
+                    &FakeClock);
   ProfilerInstallation pi(&prof);
-  TracerInstallation ti(&tracer);
-  OneTrace(prof, tracer, 12, 300);
-  tracer.NoteEpoch(/*epoch=*/2, /*admits=*/10, /*rejects=*/3, /*leaves=*/1,
+  OneTrace(prof, 12, 300);
+  prof.NoteEpoch(/*epoch=*/2, /*admits=*/10, /*rejects=*/3, /*leaves=*/1,
                    /*resident=*/7);
 
   std::string path, err;
-  ASSERT_TRUE(tracer.DumpFlight("unit_test", &path, &err)) << err;
+  ASSERT_TRUE(prof.DumpFlight("unit_test", &path, &err)) << err;
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   const std::string doc((std::istreambuf_iterator<char>(in)),
@@ -379,13 +359,13 @@ TEST(RequestTracer, DumpFlightWritesSpanAndEpochRecords) {
 }
 
 TEST(RequestTracer, CrashDumpRegistrationClearsOnDestruction) {
-  ASSERT_EQ(CrashDumpTracer(), nullptr);
+  ASSERT_EQ(CrashDumpProfiler(), nullptr);
   {
-    RequestTracer tracer(2);
-    SetCrashDumpTracer(&tracer);
-    EXPECT_EQ(CrashDumpTracer(), &tracer);
+    SpanProfiler prof({.top_k = 2});
+    SetCrashDumpProfiler(&prof);
+    EXPECT_EQ(CrashDumpProfiler(), &prof);
   }  // dtor must deregister — a dangling crash-dump pointer would be UB
-  EXPECT_EQ(CrashDumpTracer(), nullptr);
+  EXPECT_EQ(CrashDumpProfiler(), nullptr);
 }
 
 TEST(RequestTracer, DumpFlightRacesLiveTracingThreads) {
@@ -394,37 +374,155 @@ TEST(RequestTracer, DumpFlightRacesLiveTracingThreads) {
   // never tear or race them.
   const std::string dir = ::testing::TempDir() + "sps_flight_race";
   std::filesystem::create_directories(dir);
-  SpanProfiler prof;  // real clock: the race needs real interleaving
-  RequestTracer::Options opt;
-  opt.top_k = 8;
-  opt.flight_slots = 32;
-  opt.flight_dir = dir;
-  RequestTracer tracer(opt);
+  // Real clock: the race needs real interleaving.
+  SpanProfiler prof({.top_k = 8, .flight_slots = 32, .flight_dir = dir});
 
   std::vector<std::thread> workers;
   for (int w = 0; w < 3; ++w) {
     workers.emplace_back([&, w] {
       ProfilerInstallation pi(&prof);
-      TracerInstallation ti(&tracer);
       for (std::uint64_t i = 0; i < 500; ++i) {
-        tracer.BeginTrace(util::DeriveSeed(9, i, kTraceIdAxis),
+        prof.BeginTrace(util::DeriveSeed(9, i, kTraceIdAxis),
                           i * 4 + static_cast<std::uint64_t>(w), true);
         {
           ScopedSpan root(&prof, SpanStage::kAdmitTotal);
           ScopedSpan inner(&prof, SpanStage::kAnalysis);
           TraceAttr(static_cast<std::int64_t>(i));
         }
-        tracer.EndTrace(i % 7 == 0, false, false);
+        prof.EndTrace(i % 7 == 0, false, false);
       }
     });
   }
   std::string err;
   for (int d = 0; d < 10; ++d) {
-    ASSERT_TRUE(tracer.DumpFlight("race", nullptr, &err)) << err;
+    ASSERT_TRUE(prof.DumpFlight("race", nullptr, &err)) << err;
   }
   for (std::thread& t : workers) t.join();
-  ASSERT_TRUE(tracer.DumpFlight("race_final", nullptr, &err)) << err;
-  EXPECT_EQ(tracer.retain_stats().traces_seen, 1500u);
+  ASSERT_TRUE(prof.DumpFlight("race_final", nullptr, &err)) << err;
+  EXPECT_EQ(prof.retain_stats().traces_seen, 1500u);
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// One record, three consumers
+// ---------------------------------------------------------------------------
+
+/// Per-thread fake clock: every read advances this thread's time, so two
+/// threads stay deterministic without sharing a variable.
+thread_local std::uint64_t t_tick_now = 0;
+std::uint64_t TickClock() { return t_tick_now += 10; }
+
+/// One flight-dump span record, as (stage, trace_id, t0, dur_ns).
+struct FlightSpan {
+  std::string stage;
+  std::uint64_t trace_id = 0, t0 = 0, dur_ns = 0;
+};
+
+std::vector<FlightSpan> ParseFlightSpans(const std::string& doc) {
+  static const std::regex kSpan(
+      "\\{\"kind\":\"span\",\"stage\":\"(\\w+)\",\"trace_id\":(\\d+),"
+      "\"seq\":\\d+,\"t0\":(\\d+),\"dur_ns\":(\\d+),\"attr\":-?\\d+\\}");
+  std::vector<FlightSpan> out;
+  for (auto it = std::sregex_iterator(doc.begin(), doc.end(), kSpan);
+       it != std::sregex_iterator(); ++it) {
+    out.push_back({(*it)[1].str(), std::stoull((*it)[2].str()),
+                   std::stoull((*it)[3].str()), std::stoull((*it)[4].str())});
+  }
+  return out;
+}
+
+/// Two threads of nested traced requests plus spans outside any trace.
+void RunTwoTracingThreads(SpanProfiler& prof) {
+  std::vector<std::thread> workers;
+  for (std::uint64_t w = 0; w < 2; ++w) {
+    workers.emplace_back([&prof, w] {
+      ProfilerInstallation pi(&prof);
+      for (std::uint64_t i = 0; i < 40; ++i) {
+        const std::uint64_t seq = i * 2 + w;
+        const bool admit = i % 3 != 0;
+        prof.BeginTrace(util::DeriveSeed(3, seq, kTraceIdAxis), seq, admit);
+        {
+          ScopedSpan root(&prof,
+                          admit ? SpanStage::kAdmitTotal : SpanStage::kLeave);
+          for (std::uint64_t k = 0; k < i % 4; ++k) {
+            ScopedSpan place(&prof, SpanStage::kPlacement);
+            TraceAttr(static_cast<std::int64_t>(k));
+            ScopedSpan screen(&prof, SpanStage::kUtilScreen);
+            if (k % 2 == 1) {
+              ScopedSpan memo(&prof, SpanStage::kMemoProbe);
+            }
+          }
+        }
+        prof.EndTrace(/*via_ladder=*/i % 5 == 0, false, false);
+        if (i % 10 == 9) {
+          ScopedSpan epoch(&prof, SpanStage::kEpochApply);  // no trace open
+          prof.NoteEpoch(i / 10, i, 0, 0, i);
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+}
+
+TEST(RequestTracer, OneRecordFeedsHistogramsTreesAndFlightRing) {
+  const std::string dir = ::testing::TempDir() + "sps_one_record";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  // Rings larger than the span count: the dump holds every record.
+  SpanProfiler prof({.top_k = 4, .flight_slots = 1024, .flight_dir = dir},
+                    &TickClock);
+  RunTwoTracingThreads(prof);
+
+  std::string path, err;
+  ASSERT_TRUE(prof.DumpFlight("consumers", &path, &err)) << err;
+  std::ifstream in(path);
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const std::vector<FlightSpan> flight = ParseFlightSpans(doc);
+  ASSERT_FALSE(flight.empty());
+
+  // (1) Histograms and the ring saw the same records, stage by stage.
+  std::uint64_t hist_total = 0;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(SpanStage::kCount);
+       ++i) {
+    const SpanStage stage = static_cast<SpanStage>(i);
+    const auto in_ring = std::count_if(
+        flight.begin(), flight.end(),
+        [&](const FlightSpan& f) { return f.stage == ToString(stage); });
+    const std::uint64_t count = prof.StageHistogram(stage).count();
+    EXPECT_EQ(count, static_cast<std::uint64_t>(in_ring)) << ToString(stage);
+    hist_total += count;
+  }
+  EXPECT_EQ(hist_total, flight.size());
+
+  // (2) Every retained tree is exactly its trace id's ring records.
+  const std::vector<RequestTrace> kept = prof.Retained();
+  ASSERT_FALSE(kept.empty());
+  using Tuple = std::tuple<std::string, std::uint64_t, std::uint64_t>;
+  for (const RequestTrace& t : kept) {
+    std::vector<Tuple> tree, ring;
+    for (const SpanRecord& r : t.spans) {
+      tree.emplace_back(ToString(r.stage), r.t0, r.dur_ns);
+    }
+    for (const FlightSpan& f : flight) {
+      if (f.trace_id == t.trace_id) ring.emplace_back(f.stage, f.t0, f.dur_ns);
+    }
+    std::sort(tree.begin(), tree.end());
+    std::sort(ring.begin(), ring.end());
+    EXPECT_EQ(tree, ring) << "trace " << t.trace_id;
+  }
+
+  // (3) Without tracing the same run retains nothing and dumps no ring.
+  SpanProfiler untraced(&TickClock);
+  RunTwoTracingThreads(untraced);
+  EXPECT_EQ(untraced.StageHistogram(SpanStage::kAdmitTotal).count(),
+            prof.StageHistogram(SpanStage::kAdmitTotal).count());
+  EXPECT_TRUE(untraced.Retained().empty());
+  EXPECT_EQ(untraced.retain_stats().traces_seen, 0u);
+  EXPECT_TRUE(untraced.ToPerfettoJson({}).empty());
+  std::string off_path;
+  EXPECT_FALSE(untraced.DumpFlight("consumers", &off_path, &err));
+  EXPECT_TRUE(off_path.empty());
   std::filesystem::remove_all(dir);
 }
 
@@ -483,17 +581,15 @@ TEST(ReqtraceDifferential, TracingLeavesDecisionsByteIdenticalAcrossShards) {
     cfg.controller.admission.memo.table = &memo_plain;
     const ReplayResult plain = ReplayStream(stream, cfg);
 
-    obs::SpanProfiler prof;
-    obs::RequestTracer tracer(8);
+    obs::SpanProfiler prof({.top_k = 8});
     ReplayConfig traced_cfg = cfg;
     traced_cfg.controller.admission.memo.table = &memo_traced;
     traced_cfg.obs.profiler = &prof;
-    traced_cfg.obs.tracer = &tracer;
     const ReplayResult traced = ReplayStream(stream, traced_cfg);
 
     EXPECT_EQ(DecisionFingerprint(plain), DecisionFingerprint(traced))
         << "shards=" << shards;
-    EXPECT_GT(tracer.retain_stats().traces_seen, 0u);
+    EXPECT_GT(prof.retain_stats().traces_seen, 0u);
   }
 }
 
@@ -509,11 +605,9 @@ TEST(ReqtraceDifferential, TracedBatchBitIdenticalForAnyJobCount) {
 
   const std::vector<ReplayResult> serial = ReplayBatch(streams, cfg, 1);
 
-  obs::SpanProfiler prof;
-  obs::RequestTracer tracer(8);
+  obs::SpanProfiler prof({.top_k = 8});
   ReplayConfig traced_cfg = cfg;
   traced_cfg.obs.profiler = &prof;
-  traced_cfg.obs.tracer = &tracer;
   const std::vector<ReplayResult> traced8 = ReplayBatch(streams, traced_cfg, 8);
 
   ASSERT_EQ(serial.size(), traced8.size());
@@ -521,8 +615,8 @@ TEST(ReqtraceDifferential, TracedBatchBitIdenticalForAnyJobCount) {
     EXPECT_EQ(DecisionFingerprint(serial[i]), DecisionFingerprint(traced8[i]))
         << "stream " << i;
   }
-  // The parallel batch exercised per-thread tracer contexts.
-  EXPECT_GT(tracer.retain_stats().traces_seen, 0u);
+  // The parallel batch exercised per-thread profiler shards.
+  EXPECT_GT(prof.retain_stats().traces_seen, 0u);
 }
 
 TEST(ReqtraceDifferential, DurabilityArtifactsByteIdenticalWithTracingOn) {
@@ -545,16 +639,11 @@ TEST(ReqtraceDifferential, DurabilityArtifactsByteIdenticalWithTracingOn) {
   const ReplayResult plain = ReplayStream(stream, cfg);
   ASSERT_TRUE(plain.durability_error.ok());
 
-  obs::SpanProfiler prof;
-  obs::RequestTracer::Options topt;
-  topt.top_k = 8;
-  topt.flight_dir = dir_on;
-  obs::RequestTracer tracer(topt);
+  obs::SpanProfiler prof({.top_k = 8, .flight_dir = dir_on});
   ReplayConfig traced_cfg = cfg;
   traced_cfg.controller.admission.memo.table = &memo_traced;
   traced_cfg.durability.dir = dir_on;
   traced_cfg.obs.profiler = &prof;
-  traced_cfg.obs.tracer = &tracer;
   const ReplayResult traced = ReplayStream(stream, traced_cfg);
   ASSERT_TRUE(traced.durability_error.ok());
 

@@ -152,6 +152,13 @@ TEST(UUniFastDiscard, RejectsImpossible) {
   EXPECT_THROW(UUniFastDiscard(4, 3.0, 0.5, rng), std::invalid_argument);
 }
 
+TEST(UUniFastDiscard, GivesUpWithATypedErrorAtTheBoundary) {
+  // n * max == total is satisfiable (every u_i = 1) but UUniFast never
+  // draws it, so the redraw budget runs out.
+  Rng rng(3);
+  EXPECT_THROW(UUniFastDiscard(4, 4.0, 1.0, rng), GeneratorGaveUp);
+}
+
 TEST(Generator, ProducesValidPrioritizedSets) {
   GeneratorConfig cfg;
   cfg.num_tasks = 12;
