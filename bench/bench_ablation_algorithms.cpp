@@ -11,23 +11,19 @@
 // Environment knobs: SPS_SETS (default 25), SPS_TASKS (default 16).
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "overhead/model.hpp"
 #include "partition/binpack.hpp"
 #include "partition/spa.hpp"
 #include "rt/generator.hpp"
 
 using namespace sps;
+using sps::bench::EnvInt;
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
 
 using Runner = std::function<partition::PartitionResult(const rt::TaskSet&)>;
 

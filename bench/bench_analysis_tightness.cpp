@@ -16,9 +16,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "exp/acceptance.hpp"
 #include "overhead/model.hpp"
 #include "partition/verify.hpp"
@@ -26,13 +26,9 @@
 #include "sim/engine.hpp"
 
 using namespace sps;
+using sps::bench::EnvInt;
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
 
 struct Ratios {
   double max = 0.0;

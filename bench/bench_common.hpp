@@ -1,19 +1,33 @@
 #pragma once
-// Shared knob parsing for the standalone bench binaries: the SPS_* env
-// integers and the --jobs=N flag (one implementation so the benches
-// cannot drift on the jobs-resolution rules).
+// Shared knob parsing and JSON provenance for the standalone bench
+// binaries: the SPS_* env integers, the --jobs=N flag and the "machine"
+// block (one implementation so the benches cannot drift on them).
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
 
+#include "util/json_writer.hpp"
+
 namespace sps::bench {
 
+/// An SPS_* integer knob, `fallback` when unset. An empty, non-decimal or
+/// out-of-int value exits 2 before the bench does any work.
 inline int EnvInt(const char* name, int fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
+  if (v == nullptr) return fallback;
+  const char* end = v + std::strlen(v);
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, value);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "%s='%s': expected a decimal int\n", name, v);
+    std::exit(2);
+  }
+  return value;
 }
 
 /// Resolve the job count: SPS_JOBS env overridden by a --jobs=N flag,
@@ -33,6 +47,19 @@ inline bool ParseJobs(int argc, char** argv, unsigned& jobs) {
   }
   if (jobs == 0) jobs = hw;
   return true;
+}
+
+/// The "machine" block of a bench JSON: what a recorded wall ran on, so
+/// a committed baseline stays interpretable (the build defines come from
+/// bench/CMakeLists.txt).
+inline void WriteMachine(util::JsonWriter& json) {
+  json.Key("machine").BeginObject();
+  json.Key("hardware_threads")
+      .Value(static_cast<std::uint64_t>(
+          std::max(1u, std::thread::hardware_concurrency())));
+  json.Key("compiler").Value(SPS_BENCH_COMPILER);
+  json.Key("build_type").Value(SPS_BENCH_BUILD_TYPE);
+  json.EndObject();
 }
 
 }  // namespace sps::bench

@@ -15,8 +15,8 @@
 // Environment knobs: SPS_SETS (default 50), SPS_TASKS (default 16).
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_common.hpp"
 #include "overhead/model.hpp"
 #include "partition/binpack.hpp"
 #include "partition/edf_wm.hpp"
@@ -24,15 +24,7 @@
 #include "rt/generator.hpp"
 
 using namespace sps;
-
-namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
-
-}  // namespace
+using sps::bench::EnvInt;
 
 int main() {
   const int sets = EnvInt("SPS_SETS", 50);

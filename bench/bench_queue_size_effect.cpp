@@ -17,19 +17,15 @@
 // Environment knobs: SPS_SETS (default 50).
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_common.hpp"
 #include "exp/acceptance.hpp"
 #include "overhead/model.hpp"
 
 using namespace sps;
+using sps::bench::EnvInt;
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
 
 /// Freeze an OpCost at one anchor (flat in N).
 overhead::OpCost Flat(Time v) { return overhead::OpCost{v, v}; }

@@ -39,7 +39,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -220,13 +219,7 @@ int main() {
   util::JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("single_run");
-  json.Key("machine").BeginObject();
-  json.Key("hardware_threads")
-      .Value(static_cast<std::uint64_t>(
-          std::max(1u, std::thread::hardware_concurrency())));
-  json.Key("compiler").Value(SPS_BENCH_COMPILER);
-  json.Key("build_type").Value(SPS_BENCH_BUILD_TYPE);
-  json.EndObject();
+  bench::WriteMachine(json);
   json.Key("reps").Value(static_cast<std::uint64_t>(reps));
   json.Key("runs").BeginArray();
 

@@ -25,7 +25,7 @@
 // (InstalledProfiler()), so the analysis layer needs no config plumbing
 // and nothing observability-related enters a fingerprinted config; with
 // no profiler installed a span costs that load plus two branches (gated
-// by bench_obs_overhead).
+// by bench_online's calm-path section).
 //
 // Threading: Record() is safe from any thread — each thread lazily
 // claims its own shard under a mutex taken once per (thread, profiler)

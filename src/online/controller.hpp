@@ -26,6 +26,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -447,6 +448,17 @@ struct ReplayResult {
   /// Fixed-width per-epoch table for the CLI.
   [[nodiscard]] std::string Table() const;
 };
+
+/// Decision identity (DESIGN.md §12): the name of the first decision
+/// field in which `a` and `b` differ, or empty when the two replays
+/// decided the same. Compared: epochs, admits, rejects, leaves, churn,
+/// overload, shed_outstanding, the admission decision counters
+/// (util_rejects, density_accepts, full_tests) and the exact
+/// final_partition. Memo counters are cache state and recovery /
+/// durability_error describe the run, not its decisions; all are
+/// excluded. Defined in its own source file: only tests and benches
+/// call it, so no product binary links it.
+std::string_view DecisionDiff(const ReplayResult& a, const ReplayResult& b);
 
 /// Fold one stream through a fresh controller. Pure in (stream, cfg).
 ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg);

@@ -43,6 +43,9 @@ struct SubtaskPlacement {
   /// release (cumulative; the last part's value equals the task deadline).
   /// 0 means "the task's own deadline" (normal tasks, FP partitions).
   Time rel_deadline = 0;
+
+  friend bool operator==(const SubtaskPlacement&,
+                         const SubtaskPlacement&) = default;
 };
 
 /// A task together with its placement. parts.size() == 1 for normal
@@ -58,6 +61,8 @@ struct PlacedTask {
 
   /// Index of the part placed on `core`, or SIZE_MAX.
   [[nodiscard]] std::size_t part_on(CoreId core) const;
+
+  friend bool operator==(const PlacedTask&, const PlacedTask&) = default;
 };
 
 /// A complete mapping of a task set onto `num_cores` cores.
@@ -83,7 +88,11 @@ struct Partition {
   /// on pairwise distinct cores, per-core priorities unique.
   [[nodiscard]] bool valid() const;
 
+  /// For display: lossy (budgets rounded, priorities and deadlines
+  /// dropped), so exact equality is operator==.
   [[nodiscard]] std::string summary() const;
+
+  friend bool operator==(const Partition&, const Partition&) = default;
 };
 
 /// Outcome of a partitioning attempt.

@@ -222,44 +222,6 @@ TEST(ControllerSnapshot, ImportRejectsMismatchedCoreLayout) {
 // Crash / recover differential
 // ---------------------------------------------------------------------------
 
-void ExpectSamePartition(const partition::Partition& a,
-                         const partition::Partition& b) {
-  EXPECT_EQ(a.num_cores, b.num_cores);
-  EXPECT_EQ(a.policy, b.policy);
-  ASSERT_EQ(a.tasks.size(), b.tasks.size());
-  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-    EXPECT_EQ(a.tasks[i].task, b.tasks[i].task);
-    ASSERT_EQ(a.tasks[i].parts.size(), b.tasks[i].parts.size());
-    for (std::size_t k = 0; k < a.tasks[i].parts.size(); ++k) {
-      EXPECT_EQ(a.tasks[i].parts[k].core, b.tasks[i].parts[k].core);
-      EXPECT_EQ(a.tasks[i].parts[k].budget, b.tasks[i].parts[k].budget);
-      EXPECT_EQ(a.tasks[i].parts[k].local_priority,
-                b.tasks[i].parts[k].local_priority);
-      EXPECT_EQ(a.tasks[i].parts[k].rel_deadline,
-                b.tasks[i].parts[k].rel_deadline);
-    }
-  }
-}
-
-/// The recovered run must match the uninterrupted one in every logical
-/// field — per-epoch rows with their exact utilization bits, totals,
-/// churn/overload ledgers, decision counters (memo hit/miss counters are
-/// cache state, legitimately cold after recovery, and excluded by §12's
-/// cache-independence contract), and the final placement.
-void ExpectSameReplay(const ReplayResult& a, const ReplayResult& b) {
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.admits, b.admits);
-  EXPECT_EQ(a.rejects, b.rejects);
-  EXPECT_EQ(a.leaves, b.leaves);
-  EXPECT_EQ(a.churn, b.churn);
-  EXPECT_EQ(a.overload, b.overload);
-  EXPECT_EQ(a.shed_outstanding, b.shed_outstanding);
-  EXPECT_EQ(a.admission.util_rejects, b.admission.util_rejects);
-  EXPECT_EQ(a.admission.density_accepts, b.admission.density_accepts);
-  EXPECT_EQ(a.admission.full_tests, b.admission.full_tests);
-  ExpectSamePartition(a.final_partition, b.final_partition);
-}
-
 ReplayConfig MakeReplayConfig(PlacePolicy place,
                               partition::SchedPolicy policy, bool faults,
                               bool validate = false) {
@@ -311,7 +273,7 @@ void RunHaltRecoverDifferential(const ReplayConfig& base,
   ASSERT_TRUE(recovered.durability_error.ok())
       << recovered.durability_error.message;
   EXPECT_TRUE(recovered.recovery.attempted);
-  ExpectSameReplay(plain, recovered);
+  EXPECT_EQ(DecisionDiff(plain, recovered), "");
   fs::remove_all(durable.durability.dir);
 }
 
@@ -391,7 +353,7 @@ TEST(CrashRecovery, EmptyDirectoryRecoversFromScratch) {
   EXPECT_TRUE(r.recovery.attempted);
   EXPECT_FALSE(r.recovery.recovered);
   EXPECT_EQ(r.recovery.journal_records, 0u);
-  ExpectSameReplay(plain, r);
+  EXPECT_EQ(DecisionDiff(plain, r), "");
   fs::remove_all(rec.durability.dir);
 }
 
@@ -426,7 +388,7 @@ TEST(CrashRecovery, SigkillMidReplayThenRecover) {
       << recovered.durability_error.message;
   EXPECT_TRUE(recovered.recovery.recovered);
   EXPECT_GE(recovered.recovery.journal_records, 20u);
-  ExpectSameReplay(plain, recovered);
+  EXPECT_EQ(DecisionDiff(plain, recovered), "");
   fs::remove_all(crash.durability.dir);
 }
 
@@ -474,7 +436,7 @@ TEST(CorruptArtifacts, BitFlippedCheckpointFallsBackToOlderOne) {
   ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
   EXPECT_TRUE(r.recovery.recovered);
   EXPECT_GE(r.recovery.checkpoints_skipped, 1u);
-  ExpectSameReplay(plain, r);
+  EXPECT_EQ(DecisionDiff(plain, r), "");
   fs::remove_all(dir);
 }
 
@@ -495,7 +457,7 @@ TEST(CorruptArtifacts, AllCheckpointsCorruptRecoversFromJournalAlone) {
   ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
   EXPECT_FALSE(r.recovery.recovered);  // scratch redo
   EXPECT_GE(r.recovery.checkpoints_skipped, 1u);
-  ExpectSameReplay(plain, r);
+  EXPECT_EQ(DecisionDiff(plain, r), "");
   fs::remove_all(dir);
 }
 
@@ -527,7 +489,7 @@ TEST(CorruptArtifacts, TornJournalTailIsTruncatedAndRecovered) {
   const ReplayResult r = ReplayStream(s, rec);
   ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
   EXPECT_GT(r.recovery.journal_truncated_bytes, 0u);
-  ExpectSameReplay(plain, r);
+  EXPECT_EQ(DecisionDiff(plain, r), "");
   // The torn tail was physically truncated and the redo re-appended the
   // lost suffix: the journal now frame-validates end to end.
   JournalScan after;
@@ -671,7 +633,7 @@ TEST(CorruptArtifacts, GarbageFilesYieldTypedErrorsNeverUB) {
   ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
   EXPECT_FALSE(r.recovery.recovered);
   EXPECT_EQ(r.recovery.checkpoints_skipped, 1u);
-  ExpectSameReplay(plain, r);
+  EXPECT_EQ(DecisionDiff(plain, r), "");
   fs::remove_all(dir);
 }
 
@@ -776,7 +738,7 @@ TEST(MutationFuzz, MutatedArtifactsRecoverOrFailTyped) {
       EXPECT_TRUE(r.recovery.recovered);
       if (r.recovery.checkpoints_skipped > 0) ++skipped;
       if (!ckpt || r.recovery.checkpoints_skipped > 0) {
-        ExpectSameReplay(plain, r);
+        EXPECT_EQ(DecisionDiff(plain, r), "");
       }
     }
     // Both outcomes occur: mutants the readers reject and skip, and

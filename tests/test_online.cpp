@@ -351,16 +351,6 @@ TEST(OnlineReplay, AcceptedEpochsSimulateWithoutMisses) {
   EXPECT_EQ(churn.total(), res.churn.total());
 }
 
-bool SameReplay(const ReplayResult& a, const ReplayResult& b) {
-  return a.epochs == b.epochs && a.admits == b.admits &&
-         a.rejects == b.rejects && a.leaves == b.leaves &&
-         a.churn == b.churn &&
-         a.admission.util_rejects == b.admission.util_rejects &&
-         a.admission.density_accepts == b.admission.density_accepts &&
-         a.admission.full_tests == b.admission.full_tests &&
-         a.final_partition.summary() == b.final_partition.summary();
-}
-
 TEST(OnlineReplay, StreamBatchesAreBitIdenticalForAnyJobCount) {
   // The §8 determinism contract extended to the online layer: a batch of
   // independent streams produces identical results for jobs = 1 and a
@@ -385,7 +375,54 @@ TEST(OnlineReplay, StreamBatchesAreBitIdenticalForAnyJobCount) {
   const std::vector<ReplayResult> wide = ReplayBatch(streams, rcfg, 8);
   ASSERT_EQ(serial.size(), wide.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(SameReplay(serial[i], wide[i])) << "stream " << i;
+    EXPECT_EQ(DecisionDiff(serial[i], wide[i]), "") << "stream " << i;
+  }
+}
+
+TEST(DecisionDiff, NamesEachDecisionFieldAndIgnoresRunState) {
+  StreamConfig scfg;
+  scfg.num_admits = 24;
+  scfg.seed = 77;
+  ReplayConfig rcfg;
+  rcfg.controller.admission.num_cores = 4;
+  const ReplayResult base = ReplayStream(GenerateStream(scfg), rcfg);
+  ASSERT_FALSE(base.epochs.empty());
+  ASSERT_FALSE(base.final_partition.tasks.empty());
+  EXPECT_EQ(DecisionDiff(base, base), "");
+
+  struct Change {
+    const char* field;  ///< "" = not a decision field
+    void (*apply)(ReplayResult&);
+  };
+  const Change changes[] = {
+      {"epochs", [](ReplayResult& r) { ++r.epochs.back().rejects; }},
+      {"admits", [](ReplayResult& r) { ++r.admits; }},
+      {"rejects", [](ReplayResult& r) { ++r.rejects; }},
+      {"leaves", [](ReplayResult& r) { ++r.leaves; }},
+      {"churn", [](ReplayResult& r) { ++r.churn.moved; }},
+      {"overload", [](ReplayResult& r) { ++r.overload.retry_attempts; }},
+      {"shed_outstanding", [](ReplayResult& r) { ++r.shed_outstanding; }},
+      {"util_rejects", [](ReplayResult& r) { ++r.admission.util_rejects; }},
+      {"density_accepts",
+       [](ReplayResult& r) { ++r.admission.density_accepts; }},
+      {"full_tests", [](ReplayResult& r) { ++r.admission.full_tests; }},
+      // +1 ns: below the 0.1 us rounding of Partition::summary().
+      {"final_partition",
+       [](ReplayResult& r) { ++r.final_partition.tasks[0].parts[0].budget; }},
+      {"", [](ReplayResult& r) { ++r.admission.memo_hits; }},
+      {"", [](ReplayResult& r) { ++r.admission.memo_misses; }},
+      {"", [](ReplayResult& r) { ++r.admission.memo_evicts; }},
+      {"", [](ReplayResult& r) { r.recovery.resume_seq = 9; }},
+      {"",
+       [](ReplayResult& r) {
+         r.durability_error.kind = DurabilityError::Kind::kIo;
+       }},
+  };
+  for (const Change& c : changes) {
+    ReplayResult changed = base;
+    c.apply(changed);
+    EXPECT_EQ(DecisionDiff(base, changed), c.field);
+    EXPECT_EQ(DecisionDiff(changed, base), c.field);
   }
 }
 

@@ -606,16 +606,7 @@ TEST(OverloadReplay, FaultedBatchesAreBitIdenticalForAnyJobCount) {
   const std::vector<ReplayResult> pooled = ReplayBatch(streams, cfg, 8);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].epochs, pooled[i].epochs) << i;
-    EXPECT_EQ(serial[i].admits, pooled[i].admits) << i;
-    EXPECT_EQ(serial[i].rejects, pooled[i].rejects) << i;
-    EXPECT_EQ(serial[i].leaves, pooled[i].leaves) << i;
-    EXPECT_EQ(serial[i].churn, pooled[i].churn) << i;
-    EXPECT_EQ(serial[i].overload, pooled[i].overload) << i;
-    EXPECT_EQ(serial[i].shed_outstanding, pooled[i].shed_outstanding) << i;
-    EXPECT_EQ(serial[i].final_partition.summary(),
-              pooled[i].final_partition.summary())
-        << i;
+    EXPECT_EQ(DecisionDiff(serial[i], pooled[i]), "") << i;
   }
 }
 
