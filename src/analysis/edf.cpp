@@ -1,7 +1,6 @@
 #include "analysis/edf.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "analysis/overhead_aware.hpp"
@@ -52,9 +51,61 @@ Time HyperperiodBound(std::span<const EdfTask> tasks, Time cap) {
   return h + d_max;
 }
 
-}  // namespace
+/// Smallest positive point d_i + k T_i (d_i = D_i - J_i) at or before
+/// `horizon`; 0 when there is none.
+Time FirstPoint(std::span<const EdfTask> tasks, Time horizon) {
+  Time best = 0;
+  for (const EdfTask& t : tasks) {
+    Time p = t.deadline - t.jitter;
+    if (p <= 0) p += ((-p) / t.period + 1) * t.period;
+    if (p <= horizon && (best == 0 || p < best)) best = p;
+  }
+  return best;
+}
 
-EdfResult EdfDemandTest(std::span<const EdfTask> tasks, Time max_horizon) {
+/// Total demand h(t) = sum dbf_i(t); also stores in `*before` the
+/// largest positive point strictly before t (0 when there is none).
+Time DemandAndPointBefore(std::span<const EdfTask> tasks, Time t,
+                          Time* before) {
+  Time demand = 0;
+  Time prev = 0;
+  for (const EdfTask& task : tasks) {
+    const Time d = task.deadline - task.jitter;
+    if (d > t) continue;
+    const Time k = (t - d) / task.period;  // points d .. d + kT are <= t
+    demand += (k + 1) * task.wcet;
+    if (d + k * task.period < t) {
+      prev = std::max(prev, d + k * task.period);
+    } else if (k > 0) {
+      prev = std::max(prev, d + (k - 1) * task.period);
+    }
+  }
+  *before = prev;
+  return demand;
+}
+
+/// First point in [first, last] whose demand exceeds it; the caller
+/// knows one exists. Walks every point forward (reject path only).
+Time FirstViolation(std::span<const EdfTask> tasks, Time first, Time last) {
+  Time t = first;
+  while (true) {
+    Time demand = 0;
+    Time gap = 0;  // distance to the next point after t
+    for (const EdfTask& task : tasks) {
+      demand += Dbf(task, t);
+      const Time d = task.deadline - task.jitter;
+      const Time g = d > t ? d - t : task.period - (t - d) % task.period;
+      if (gap == 0 || g < gap) gap = g;
+    }
+    if (demand > t || gap > last - t) return t;
+    t += gap;
+  }
+}
+
+/// EdfDemandTest; a reject walks forward to the first violating point
+/// only when `first_violation` asks for it.
+EdfResult DemandTest(std::span<const EdfTask> tasks, Time max_horizon,
+                     bool first_violation) {
   EdfResult res;
   if (tasks.empty()) {
     res.schedulable = true;
@@ -89,23 +140,28 @@ EdfResult EdfDemandTest(std::span<const EdfTask> tasks, Time max_horizon) {
   horizon = std::min(horizon, max_horizon);
   res.horizon = horizon;
 
-  // Check every absolute-deadline point up to the horizon.
-  std::vector<Time> points;
-  for (const EdfTask& t : tasks) {
-    for (Time d = t.deadline - t.jitter; d <= horizon; d += t.period) {
-      if (d > 0) points.push_back(d);
-      if (d > horizon - t.period) break;  // avoid overflow on huge T
-    }
-  }
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-
-  for (const Time t : points) {
-    Time demand = 0;
-    for (const EdfTask& task : tasks) demand += Dbf(task, t);
-    if (demand > t) {
-      res.violation_at = t;
-      return res;
+  // The points checked are the positive absolute deadlines d_i + k T_i
+  // (d_i = D_i - J_i) up to the horizon; demand h is constant from one
+  // point to the next. QPA (Zhang & Burns, IEEE TC 2009) walks back from
+  // the horizon: h(t) <= t clears every point in [h(t), t] (h is
+  // monotone), so t jumps to h(t), or to the previous point when
+  // h(t) == t. Once h(t) <= the smallest point every point is clear.
+  const Time first = FirstPoint(tasks, horizon);
+  if (first != 0) {
+    Time t = horizon;
+    while (true) {
+      Time before = 0;
+      const Time demand = DemandAndPointBefore(tasks, t, &before);
+      if (demand > t) {
+        // The largest point <= t violates. Report the first violating
+        // point, as a forward walk of every point would.
+        if (first_violation) {
+          res.violation_at = FirstViolation(tasks, first, t);
+        }
+        return res;
+      }
+      if (demand <= first) break;
+      t = demand < t ? demand : before;
     }
   }
   if (capped) {
@@ -117,30 +173,32 @@ EdfResult EdfDemandTest(std::span<const EdfTask> tasks, Time max_horizon) {
   return res;
 }
 
+}  // namespace
+
+EdfResult EdfDemandTest(std::span<const EdfTask> tasks, Time max_horizon) {
+  return DemandTest(tasks, max_horizon, /*first_violation=*/true);
+}
+
+bool EdfSchedulable(std::span<const EdfTask> tasks, Time max_horizon) {
+  return DemandTest(tasks, max_horizon, /*first_violation=*/false)
+      .schedulable;
+}
+
 std::vector<EdfTask> InflateEdfCore(std::span<const EdfCoreEntry> entries,
                                     const overhead::OverheadModel& model,
                                     std::size_t n_local) {
   if (n_local == 0) n_local = entries.size();
+  const LocalCharges lc(model, n_local);
   std::vector<EdfTask> out;
   out.reserve(entries.size());
   for (const EdfCoreEntry& e : entries) {
-    // Reuse the fixed-priority inflation arithmetic via a CoreEntry
-    // facade; the per-job charges are policy-independent.
-    CoreEntry fp;
-    fp.exec = e.exec;
-    fp.period = e.period;
-    fp.deadline = e.deadline;
-    fp.kind = static_cast<EntryKind>(e.kind);
-    fp.dest_queue_size = e.dest_queue_size;
-    fp.first_core_queue_size = e.first_core_queue_size;
-    fp.id = e.id;
-    Time c = InflatedExec(fp, model, n_local);
-    // Demand analysis has no separate per-arrival interference term, so
-    // the release-path cost is folded straight into the job's demand.
-    const bool migrated = fp.kind == EntryKind::kBodyMiddle ||
-                          fp.kind == EntryKind::kTail;
-    c += migrated ? model.sched_overhead(n_local, true)
-                  : model.release_overhead(n_local);
+    // The per-job charges are policy-independent. Demand analysis has no
+    // separate per-arrival interference term, so the release-path cost
+    // is folded straight into the job's demand.
+    const auto kind = static_cast<EntryKind>(e.kind);
+    const Time c = ChargedExec(e.exec, kind, e.dest_queue_size,
+                               e.first_core_queue_size, lc, model) +
+                   ReleaseCharge(kind, lc);
     out.push_back(EdfTask{.wcet = c,
                           .period = e.period,
                           .deadline = e.deadline,

@@ -12,8 +12,8 @@
 //     an interval of length t (Baruah/Mok/Rosier);
 //   * the processor-demand criterion: a constrained-deadline task set is
 //     EDF-schedulable on one core iff sum dbf_i(t) <= t for all t up to a
-//     bounded horizon (we use the busy-period / utilization-slack bound,
-//     checking only deadline points — the QPA-style exact test);
+//     bounded horizon (the utilization-slack bound, or the hyperperiod
+//     at U == 1), walked over deadline points by QPA;
 //   * split-task windows are modeled per EDF-WM's ORIGINAL per-window
 //     analysis: window j is a plain sporadic (B_j, T, window length) task
 //     with zero jitter (partition/edf_wm.hpp documents the
@@ -60,14 +60,24 @@ struct EdfResult {
   Time horizon = 0;
 };
 
-/// Exact processor-demand test for constrained-deadline sporadic tasks on
-/// one EDF core. Returns unschedulable immediately if utilization > 1.
-/// `max_horizon` caps the analysis effort (defaults to 1s); demand points
-/// beyond the theoretical bound min(busy-period, slack bound) are never
-/// tested, so the cap only matters for pathological parameter choices —
-/// if the cap is hit before the bound, the test conservatively fails.
+/// Processor-demand test for constrained-deadline sporadic tasks on one
+/// EDF core. Returns unschedulable immediately if utilization > 1.
+/// Demand is checked at the deadline points up to the horizon
+/// min(L, max_horizon), where L is the utilization-slack bound L_a (or,
+/// at U == 1, the hyperperiod bound when it fits) and at least the
+/// largest D - J. QPA (Zhang & Burns, IEEE TC 2009) visits few of
+/// those points; `violation_at` is still the FIRST violating one.
+/// When L exceeds `max_horizon` (default 1s) the test rejects
+/// conservatively only at U >= 1 - 1e-9; below that it checks [0,
+/// max_horizon] and accepts if demand fits there, which is unsound for
+/// sets whose first violation lies past the cap (ROADMAP direction 1).
 EdfResult EdfDemandTest(std::span<const EdfTask> tasks,
                         Time max_horizon = kSecond);
+
+/// EdfDemandTest's verdict alone: a reject skips the forward walk to the
+/// first violating point. The admission path's test.
+bool EdfSchedulable(std::span<const EdfTask> tasks,
+                    Time max_horizon = kSecond);
 
 /// Overhead-aware inflation for an EDF core. Every job is charged its
 /// release path (timer variant: sleep-del + release() + ready-add, or the

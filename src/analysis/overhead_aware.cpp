@@ -4,67 +4,82 @@ namespace sps::analysis {
 
 namespace {
 
-Time FinishCost(const CoreEntry& e, const overhead::OverheadModel& m,
-                std::size_t n_local) {
-  switch (e.kind) {
-    case EntryKind::kNormal:
-      return m.finish_overhead_normal(n_local);
-    case EntryKind::kBodyFirst:
-    case EntryKind::kBodyMiddle:
-      return m.migrate_overhead(e.dest_queue_size);
-    case EntryKind::kTail:
-      return m.finish_overhead_tail(e.first_core_queue_size);
-  }
-  return 0;
-}
-
 bool ArrivesByMigration(EntryKind k) {
   return k == EntryKind::kBodyMiddle || k == EntryKind::kTail;
 }
 
 }  // namespace
 
+LocalCharges::LocalCharges(const overhead::OverheadModel& m,
+                           std::size_t n_local)
+    // Start-path scheduling (with possible preemption handling) + switch
+    // in, and finish-path scheduling. This entry's arrival can preempt a
+    // lower-priority task, which then pays a local CPMD on resume and is
+    // re-dispatched later (one extra scheduler pass + switch-in); charge
+    // both to the preemptor (conservative, charged per arrival via the
+    // RTA interference sum).
+    : per_job(m.sched_overhead(n_local, /*preemption=*/true) +
+              m.ctxsw_in_overhead() +
+              m.sched_overhead(n_local, /*preemption=*/false) +
+              m.cpmd(/*migration=*/false) +
+              m.sched_overhead(n_local, /*preemption=*/false) +
+              m.ctxsw_in_overhead()),
+      finish_normal(m.finish_overhead_normal(n_local)),
+      migration_cpmd(m.cpmd(/*migration=*/true)),
+      timer_release(m.release_overhead(n_local)),
+      migration_release(m.sched_overhead(n_local, /*preemption=*/true)) {}
+
+Time ChargedExec(Time exec, EntryKind kind, std::size_t dest_queue_size,
+                 std::size_t first_core_queue_size, const LocalCharges& lc,
+                 const overhead::OverheadModel& m) {
+  Time c = exec + lc.per_job;
+  // The finish path's cnt2 case.
+  switch (kind) {
+    case EntryKind::kNormal:
+      c += lc.finish_normal;
+      break;
+    case EntryKind::kBodyFirst:
+    case EntryKind::kBodyMiddle:
+      c += m.migrate_overhead(dest_queue_size);
+      break;
+    case EntryKind::kTail:
+      c += m.finish_overhead_tail(first_core_queue_size);
+      break;
+  }
+  // A migrated-in subtask resumes with a cold private cache.
+  if (ArrivesByMigration(kind)) c += lc.migration_cpmd;
+  return c;
+}
+
+Time ReleaseCharge(EntryKind kind, const LocalCharges& lc) {
+  // Timer releases run release() + a local ready-queue insert here;
+  // migration arrivals were inserted by the source core but still
+  // trigger this core's scheduler.
+  return ArrivesByMigration(kind) ? lc.migration_release : lc.timer_release;
+}
+
 Time InflatedExec(const CoreEntry& e, const overhead::OverheadModel& m,
                   std::size_t n_local) {
-  Time c = e.exec;
-  // Start-path scheduling (with possible preemption handling) + switch in.
-  c += m.sched_overhead(n_local, /*preemption=*/true);
-  c += m.ctxsw_in_overhead();
-  // Finish-path scheduling + the appropriate cnt2 case.
-  c += m.sched_overhead(n_local, /*preemption=*/false);
-  c += FinishCost(e, m, n_local);
-  // This entry's arrival can preempt a lower-priority task, which then
-  // pays a local CPMD on resume; charge it to the preemptor (conservative,
-  // charged per arrival via the RTA interference sum).
-  c += m.cpmd(/*migration=*/false);
-  // The preempted victim is also re-dispatched later: one extra scheduler
-  // pass + switch-in per preemption, likewise charged to the preemptor.
-  c += m.sched_overhead(n_local, /*preemption=*/false);
-  c += m.ctxsw_in_overhead();
-  // A migrated-in subtask resumes with a cold private cache.
-  if (ArrivesByMigration(e.kind)) c += m.cpmd(/*migration=*/true);
-  return c;
+  return ChargedExec(e.exec, e.kind, e.dest_queue_size,
+                     e.first_core_queue_size, LocalCharges(m, n_local), m);
 }
 
 std::vector<RtaTask> InflateCore(std::span<const CoreEntry> entries,
                                  const overhead::OverheadModel& model,
                                  std::size_t n_local) {
   if (n_local == 0) n_local = entries.size();
+  const LocalCharges lc(model, n_local);
   std::vector<RtaTask> out;
   out.reserve(entries.size());
   for (const CoreEntry& e : entries) {
     RtaTask t;
-    t.wcet = InflatedExec(e, model, n_local);
+    t.wcet = ChargedExec(e.exec, e.kind, e.dest_queue_size,
+                         e.first_core_queue_size, lc, model);
     t.period = e.period;
     t.deadline = e.deadline;
     t.jitter = e.jitter;
     t.priority = e.priority;
-    // Timer releases run release() + a local ready-queue insert here;
-    // migration arrivals were inserted by the source core but still
-    // trigger this core's scheduler.
-    t.release_cost = ArrivesByMigration(e.kind)
-                         ? model.sched_overhead(n_local, true)
-                         : model.release_overhead(n_local);
+    t.release_cost = ReleaseCharge(e.kind, lc);
     t.check = e.check;
     t.id = e.id;
     out.push_back(t);

@@ -78,6 +78,29 @@ struct CoreEntry {
   rt::TaskId id = 0;
 };
 
+/// The charges of the accounting above that depend only on the core's
+/// own queue size N: computed once per core and shared by its entries,
+/// so only the remote finish terms are per entry.
+struct LocalCharges {
+  LocalCharges(const overhead::OverheadModel& m, std::size_t n_local);
+
+  /// Every job: start and finish sch(), switch-in, and the preempted
+  /// victim's local CPMD, extra sch() and switch-in.
+  Time per_job = 0;
+  Time finish_normal = 0;     ///< cnt2 of a kNormal entry
+  Time migration_cpmd = 0;    ///< cold-cache resume of a migrated-in subtask
+  Time timer_release = 0;     ///< rls of a timer-released entry
+  Time migration_release = 0; ///< sch() run by a migration arrival
+};
+
+/// Inflated cost of one entry on a core with local charges `lc`.
+Time ChargedExec(Time exec, EntryKind kind, std::size_t dest_queue_size,
+                 std::size_t first_core_queue_size, const LocalCharges& lc,
+                 const overhead::OverheadModel& model);
+
+/// Release-path cost of one arrival of an entry of `kind`.
+Time ReleaseCharge(EntryKind kind, const LocalCharges& lc);
+
 /// Inflate a core's entries per the accounting above. `n_local` is the
 /// core's own queue-size parameter N (defaults to the number of entries).
 std::vector<RtaTask> InflateCore(std::span<const CoreEntry> entries,
@@ -89,7 +112,8 @@ RtaResult AnalyzeCoreWithOverheads(std::span<const CoreEntry> entries,
                                    const overhead::OverheadModel& model,
                                    std::size_t n_local = 0);
 
-/// Inflated cost of one entry (exposed for the Figure-1 bench and tests).
+/// Inflated cost of one entry (exposed for the Figure-1 bench and tests);
+/// computes the core's local charges for this one entry.
 Time InflatedExec(const CoreEntry& e, const overhead::OverheadModel& model,
                   std::size_t n_local);
 

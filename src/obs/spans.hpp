@@ -1,8 +1,9 @@
 #pragma once
 // Wall-clock span profiler for the online service pipeline (DESIGN.md
-// §15-§16). A span wraps one stage of real work — an admission screen,
-// a ladder step, an epoch phase — and its record feeds every consumer
-// from one per-thread shard:
+// §15-§16). A span wraps one stage of real work — a demand test, a
+// ladder step, an epoch phase — and its record feeds every consumer
+// from one per-thread shard (stages too cheap to time on every call are
+// sampled, see SampledSpan):
 //
 //   * per-stage log2 histograms (always): "where does a million-request
 //     replay spend its milliseconds" (p50/p99/p999 per stage), which the
@@ -49,8 +50,8 @@ namespace sps::obs {
 /// The instrumented stages of the online pipeline. Histogram storage is
 /// indexed by this enum; keep kCount last.
 enum class SpanStage : std::uint8_t {
-  kUtilScreen = 0,   ///< O(1) per-core utilization screen
-  kMemoProbe,        ///< analysis-memo key combine + table lookup
+  kUtilScreen = 0,   ///< O(1) per-core utilization screen (sampled)
+  kMemoProbe,        ///< analysis-memo key combine + lookup (sampled)
   kAnalysis,         ///< density screen + demand test (EDF) / LL/HYP/RTA (FP)
   kPlacement,        ///< controller placement walk for one admit
   kAdmitTotal,       ///< one ADMIT request end to end
@@ -194,6 +195,7 @@ class SpanProfiler {
 
  private:
   friend class ScopedSpan;
+  friend class SampledSpan;
   friend void TraceAttr(std::int64_t v);
 
   static constexpr std::size_t kStages =
@@ -203,6 +205,9 @@ class SpanProfiler {
   struct Shard {
     LogHistogram hist[kStages];
     std::uint64_t total_ns[kStages] = {};
+    // SampledSpan state: occurrences so far and the last timed duration.
+    std::uint64_t sample_tick[kStages] = {};
+    std::uint64_t held_ns[kStages] = {};
     // The open request trace (tracing only).
     bool active = false;
     std::uint64_t trace_id = 0;
@@ -256,10 +261,45 @@ class ScopedSpan {
   int slot_ = -1;
 };
 
+/// RAII span for O(1) stages (the utilization screen, the memo probe)
+/// whose two clock reads would cost more than the work they wrap. Every
+/// occurrence is counted; one in kSampleEvery per thread and stage reads
+/// the clock, and each occurrence is charged the latest timed duration
+/// (sample and hold). The stage's count is exact, its total and
+/// quantiles are estimates. Writes no tree node or flight-ring record.
+/// A null profiler costs two branches.
+class SampledSpan {
+ public:
+  static constexpr std::uint64_t kSampleEvery = 64;
+
+  SampledSpan(SpanProfiler* p, SpanStage stage)
+      : p_(p), i_(static_cast<std::size_t>(stage)) {
+    if (p_ == nullptr) return;
+    shard_ = p_->ShardForThisThread();
+    timed_ = shard_->sample_tick[i_]++ % kSampleEvery == 0;
+    if (timed_) t0_ = p_->NowNs();
+  }
+  ~SampledSpan() {
+    if (p_ == nullptr) return;
+    if (timed_) shard_->held_ns[i_] = p_->NowNs() - t0_;
+    shard_->hist[i_].Add(static_cast<Time>(shard_->held_ns[i_]));
+    shard_->total_ns[i_] += shard_->held_ns[i_];
+  }
+  SampledSpan(const SampledSpan&) = delete;
+  SampledSpan& operator=(const SampledSpan&) = delete;
+
+ private:
+  SpanProfiler* p_;
+  std::size_t i_;
+  SpanProfiler::Shard* shard_ = nullptr;
+  bool timed_ = false;
+  std::uint64_t t0_ = 0;
+};
+
 /// Stage-local attribute on the innermost OPEN traced span of this
-/// thread — memo hit/miss, cores probed, ladder rung reached. A cheap
-/// no-op unless the installed profiler traces; attributes are trace
-/// export data only and never feed decisions.
+/// thread — cores probed, ladder rung reached. A cheap no-op unless the
+/// installed profiler traces; attributes are trace export data only and
+/// never feed decisions.
 void TraceAttr(std::int64_t v);
 
 /// The thread-local install slot. ReplayStream installs its configured

@@ -68,9 +68,10 @@ bool FpCoreAdmits(const FpCoreState& bin, const rt::Task& cand,
   obs::SpanProfiler* const prof = obs::InstalledProfiler();
   // O(1) reject: no FP admission test passes a core over utilization 1
   // (LL and hyperbolic bounds are below it; RTA diverges past it for
-  // constrained deadlines).
+  // constrained deadlines). This screen and the memo probe are too cheap
+  // to time on every call (obs::SampledSpan).
   {
-    obs::ScopedSpan span(prof, obs::SpanStage::kUtilScreen);
+    obs::SampledSpan span(prof, obs::SpanStage::kUtilScreen);
     if (bin.utilization + cand.utilization() > 1.0 + 1e-12) {
       ++s.util_rejects;
       return false;
@@ -82,17 +83,15 @@ bool FpCoreAdmits(const FpCoreState& bin, const rt::Task& cand,
   const bool use_memo = memo != nullptr && memo->active();
   analysis::MemoKey qk;
   if (use_memo) {
-    obs::ScopedSpan span(prof, obs::SpanStage::kMemoProbe);
+    obs::SampledSpan span(prof, obs::SpanStage::kMemoProbe);
     qk = analysis::CombineQuery(bin.zobrist, analysis::FpTaskCode(cand),
                                 *memo);
     if (const auto hit = memo->table->Lookup(qk.lo, qk)) {
       ++s.memo_hits;
-      obs::TraceAttr(1);  // span attribute: memo hit
       ++s.full_tests;  // the stage the cached verdict came from
       return hit->admitted;
     }
     ++s.memo_misses;
-    obs::TraceAttr(0);  // span attribute: memo miss
   }
   obs::ScopedSpan analysis_span(prof, obs::SpanStage::kAnalysis);
   ++s.full_tests;

@@ -108,9 +108,11 @@ bool EdfCoreAdmits(const EdfCoreState& core,
   obs::SpanProfiler* const prof = obs::InstalledProfiler();
 
   // O(1) reject: raw utilization already over 1 — inflation only adds,
-  // and the demand test opens by rejecting U > 1 (same epsilon).
+  // and the demand test opens by rejecting U > 1 (same epsilon). This
+  // screen and the memo probe are too cheap to time on every call
+  // (obs::SampledSpan).
   {
-    obs::ScopedSpan span(prof, obs::SpanStage::kUtilScreen);
+    obs::SampledSpan span(prof, obs::SpanStage::kUtilScreen);
     const double cand_util =
         static_cast<double>(cand.exec) / static_cast<double>(cand.period);
     if (core.utilization + cand_util > 1.0 + 1e-12) {
@@ -127,12 +129,11 @@ bool EdfCoreAdmits(const EdfCoreState& core,
   const bool use_memo = memo != nullptr && memo->active();
   analysis::MemoKey qk;
   if (use_memo) {
-    obs::ScopedSpan span(prof, obs::SpanStage::kMemoProbe);
+    obs::SampledSpan span(prof, obs::SpanStage::kMemoProbe);
     qk = analysis::CombineQuery(core.zobrist, analysis::EdfEntryCode(cand),
                                 *memo);
     if (const auto hit = memo->table->Lookup(qk.lo, qk)) {
       ++s.memo_hits;
-      obs::TraceAttr(1);  // span attribute: memo hit
       if (hit->via_density) {
         ++s.density_accepts;
       } else {
@@ -141,7 +142,6 @@ bool EdfCoreAdmits(const EdfCoreState& core,
       return hit->admitted;
     }
     ++s.memo_misses;
-    obs::TraceAttr(0);  // span attribute: memo miss
   }
 
   obs::ScopedSpan analysis_span(prof, obs::SpanStage::kAnalysis);
@@ -174,7 +174,7 @@ bool EdfCoreAdmits(const EdfCoreState& core,
   }
 
   ++s.full_tests;
-  const bool ok = analysis::EdfDemandTest(inflated).schedulable;
+  const bool ok = analysis::EdfSchedulable(inflated);
   if (use_memo &&
       memo->table->Store(qk.lo, qk,
                          {.admitted = ok, .via_density = false})) {

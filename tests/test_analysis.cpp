@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/bounds.hpp"
+#include "analysis/edf.hpp"
 #include "analysis/overhead_aware.hpp"
 #include "analysis/rta.hpp"
 #include "overhead/model.hpp"
@@ -260,6 +261,79 @@ TEST(OverheadAware, ScaledModelScalesMonotonically) {
     ASSERT_TRUE(r.schedulable) << "scale " << scale;
     EXPECT_GE(r.response[2], last_response);
     last_response = r.response[2];
+  }
+}
+
+// The per-entry sum InflatedExec computed before the local charges were
+// shared per core, written out term by term from the model.
+Time PerEntrySum(const CoreEntry& e, const OverheadModel& m,
+                 std::size_t n) {
+  Time c = e.exec;
+  c += m.sched_overhead(n, true);
+  c += m.ctxsw_in_overhead();
+  c += m.sched_overhead(n, false);
+  switch (e.kind) {
+    case EntryKind::kNormal:
+      c += m.finish_overhead_normal(n);
+      break;
+    case EntryKind::kBodyFirst:
+    case EntryKind::kBodyMiddle:
+      c += m.migrate_overhead(e.dest_queue_size);
+      break;
+    case EntryKind::kTail:
+      c += m.finish_overhead_tail(e.first_core_queue_size);
+      break;
+  }
+  c += m.cpmd(false);
+  c += m.sched_overhead(n, false);
+  c += m.ctxsw_in_overhead();
+  const bool migrated =
+      e.kind == EntryKind::kBodyMiddle || e.kind == EntryKind::kTail;
+  if (migrated) c += m.cpmd(true);
+  return c;
+}
+
+TEST(OverheadAware, PerCoreChargesEqualPerEntrySums) {
+  const EntryKind kinds[] = {EntryKind::kNormal, EntryKind::kBodyFirst,
+                             EntryKind::kBodyMiddle, EntryKind::kTail};
+  const OverheadModel models[] = {OverheadModel::Zero(),
+                                  OverheadModel::PaperCoreI7(),
+                                  OverheadModel::PaperScaled(2.5)};
+  for (const OverheadModel& m : models) {
+    for (std::size_t n = 1; n <= 70; ++n) {
+      std::vector<CoreEntry> entries;
+      std::vector<EdfCoreEntry> edf_entries;
+      for (std::size_t i = 0; i < 12; ++i) {
+        CoreEntry e = E(Micros(100 + 37 * static_cast<Time>(i)), Millis(10),
+                        static_cast<rt::Priority>(i), kinds[i % 4]);
+        e.dest_queue_size = 1 + (n * 7 + i * 13) % 90;
+        e.first_core_queue_size = 1 + (n * 11 + i * 5) % 90;
+        entries.push_back(e);
+        EdfCoreEntry x;
+        x.exec = e.exec;
+        x.period = e.period;
+        x.deadline = e.deadline;
+        x.kind = static_cast<int>(e.kind);
+        x.dest_queue_size = e.dest_queue_size;
+        x.first_core_queue_size = e.first_core_queue_size;
+        x.id = e.id;
+        edf_entries.push_back(x);
+      }
+      const auto fp = InflateCore(entries, m, n);
+      const auto edf = InflateEdfCore(edf_entries, m, n);
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        const CoreEntry& e = entries[i];
+        const bool migrated =
+            e.kind == EntryKind::kBodyMiddle || e.kind == EntryKind::kTail;
+        const Time release =
+            migrated ? m.sched_overhead(n, true) : m.release_overhead(n);
+        const Time want = PerEntrySum(e, m, n);
+        EXPECT_EQ(InflatedExec(e, m, n), want) << n << " " << i;
+        EXPECT_EQ(fp[i].wcet, want) << n << " " << i;
+        EXPECT_EQ(fp[i].release_cost, release) << n << " " << i;
+        EXPECT_EQ(edf[i].wcet, want + release) << n << " " << i;
+      }
+    }
   }
 }
 

@@ -137,6 +137,179 @@ TEST(EdfTest, FullUtilizationMatchesExhaustiveDemandCheck) {
   EXPECT_LT(unschedulable, 180);
 }
 
+// The oracle for EdfDemandTest's QPA walk: the same horizon, then
+// demand at EVERY deadline point up to it, in increasing order.
+analysis::EdfResult DenseDemandTest(const std::vector<EdfTask>& tasks,
+                                    Time max_horizon) {
+  analysis::EdfResult res;
+  if (tasks.empty()) {
+    res.schedulable = true;
+    return res;
+  }
+  double u = 0.0;
+  for (const EdfTask& t : tasks) {
+    u += static_cast<double>(t.wcet) / static_cast<double>(t.period);
+  }
+  if (u > 1.0 + 1e-12) return res;
+  Time horizon = 0;
+  if (u < 1.0 - 1e-9) {
+    double la = 0.0;
+    for (const EdfTask& t : tasks) {
+      la += static_cast<double>(t.wcet) / static_cast<double>(t.period) *
+            static_cast<double>(t.period - t.deadline + t.jitter);
+    }
+    horizon = static_cast<Time>(la / (1.0 - u)) + 1;
+  } else {
+    // H + max(D - J) when it fits the cap and U <= 1 holds in integers.
+    Time h = 1;
+    Time d_max = 0;
+    bool fits = true;
+    for (const EdfTask& t : tasks) {
+      const Time d = t.deadline - t.jitter;
+      if (d <= 0) fits = false;
+      d_max = std::max(d_max, d);
+      if (fits && h / std::gcd(h, t.period) > max_horizon / t.period) {
+        fits = false;
+      }
+      if (fits) h = std::lcm(h, t.period);
+    }
+    fits = fits && h <= max_horizon - d_max;
+    Time demand = 0;
+    for (const EdfTask& t : tasks) {
+      if (fits) demand += t.wcet * (h / t.period);
+    }
+    horizon = fits && demand <= h ? h + d_max : max_horizon;
+  }
+  for (const EdfTask& t : tasks) {
+    horizon = std::max(horizon, t.deadline - t.jitter);
+  }
+  const bool capped = horizon > max_horizon && u >= 1.0 - 1e-9;
+  horizon = std::min(horizon, max_horizon);
+  res.horizon = horizon;
+  std::vector<Time> points;
+  for (const EdfTask& t : tasks) {
+    for (Time d = t.deadline - t.jitter; d <= horizon; d += t.period) {
+      if (d > 0) points.push_back(d);
+    }
+  }
+  std::sort(points.begin(), points.end());
+  points.erase(std::unique(points.begin(), points.end()), points.end());
+  for (const Time t : points) {
+    Time demand = 0;
+    for (const EdfTask& task : tasks) demand += Dbf(task, t);
+    if (demand > t) {
+      res.violation_at = t;
+      return res;
+    }
+  }
+  res.schedulable = !capped;
+  return res;
+}
+
+TEST(EdfTest, QpaMatchesTheDensePointWalk) {
+  // Seeded random sets: D < T, jitter up to and past D, U < 1 and
+  // U == 1, caps from 50 to 5000 so the cap often binds. Verdict, first
+  // violation and horizon must all equal the dense walk's, and
+  // EdfSchedulable must give the same verdict.
+  std::mt19937_64 rng(19);
+  const std::vector<Time> periods = {2, 3, 4, 5, 6, 8, 10, 12, 15, 20};
+  int accepted = 0, violated = 0, capped = 0, late_violation = 0;
+  int full_util = 0, big_jitter = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const Time cap = 50 + static_cast<Time>(rng() % 4951);
+    const std::size_t n = 1 + rng() % 6;
+    std::vector<EdfTask> ts;
+    const bool exact_full = iter % 4 == 0;
+    // Scaled-up U == 1 sets put deadlines past the cap: the capped reject.
+    const Time scale = iter % 8 == 0 ? 1 : 400;
+    Time h = 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Time t = exact_full ? scale * periods[rng() % periods.size()]
+                                : 2 + static_cast<Time>(rng() % 400);
+      h = std::lcm(h, t);
+      ts.push_back(ET(1, t));
+    }
+    if (exact_full) {
+      // Spread H units of work over the hyperperiod: U == 1 exactly.
+      Time left = h;
+      for (std::size_t i = 0; i + 1 < n && left > 0; ++i) {
+        const Time jobs = h / ts[i].period;
+        const auto room =
+            static_cast<std::uint64_t>(std::max<Time>(1, left / jobs));
+        ts[i].wcet = 1 + static_cast<Time>(rng() % room);
+        left -= ts[i].wcet * jobs;
+      }
+      const Time last_jobs = h / ts.back().period;
+      if (left <= 0 || left % last_jobs != 0) continue;
+      ts.back().wcet = left / last_jobs;
+    } else {
+      const std::uint64_t share = 1 + rng() % 3;  // U ~ 1/share
+      for (EdfTask& t : ts) {
+        const auto room = static_cast<std::uint64_t>(
+            std::max<Time>(1, 2 * t.period / static_cast<Time>(n * share)));
+        t.wcet = 1 + static_cast<Time>(rng() % room);
+      }
+    }
+    bool valid = true;
+    for (EdfTask& t : ts) {
+      if (t.wcet > t.period) valid = false;
+      if (!valid) break;
+      const auto slack = static_cast<std::uint64_t>(t.period - t.wcet + 1);
+      t.deadline = t.wcet + static_cast<Time>(rng() % slack);
+      if (rng() % 3 == 0) {
+        t.jitter = static_cast<Time>(rng() % static_cast<std::uint64_t>(
+                                              t.deadline + t.period));
+        big_jitter += t.jitter >= t.deadline;
+      }
+    }
+    if (!valid) continue;
+    const auto want = DenseDemandTest(ts, cap);
+    const auto got = EdfDemandTest(ts, cap);
+    ASSERT_EQ(got.schedulable, want.schedulable) << "set " << iter;
+    ASSERT_EQ(got.violation_at, want.violation_at) << "set " << iter;
+    ASSERT_EQ(got.horizon, want.horizon) << "set " << iter;
+    ASSERT_EQ(EdfSchedulable(ts, cap), want.schedulable) << "set " << iter;
+    if (want.violation_at != 0) {
+      // A cap at the first violation puts it exactly on the horizon.
+      const auto at = EdfDemandTest(ts, want.violation_at);
+      ASSERT_EQ(at.violation_at, want.violation_at) << "set " << iter;
+      ASSERT_EQ(at.horizon, want.violation_at) << "set " << iter;
+    }
+    accepted += want.schedulable;
+    violated += want.violation_at != 0;
+    capped += !want.schedulable && want.violation_at == 0 &&
+              want.horizon == cap;
+    full_util += exact_full;
+    Time first = 0;
+    for (const EdfTask& t : ts) {
+      const Time d = t.deadline - t.jitter;
+      if (d > 0 && (first == 0 || d < first)) first = d;
+    }
+    late_violation += want.violation_at > first && first > 0;
+  }
+  // The sample covers every branch.
+  EXPECT_GT(accepted, 3000);
+  EXPECT_GT(violated, 3000);
+  EXPECT_GT(capped, 150);
+  EXPECT_GT(late_violation, 500);
+  EXPECT_GT(full_util, 1000);
+  EXPECT_GT(big_jitter, 5000);
+}
+
+TEST(EdfTest, LateViolationFoundPastTheDefaultCap) {
+  // (C, D, T) = (500 ms, 1.2 s, 10 s) and (800 ms, 1.2 s, 10 s): 1.3 s of
+  // demand is due by 1.2 s. U = 0.13 and L_a ~ 1.31 s. The default 1 s
+  // cap holds no deadline point, so the default call accepts (ROADMAP
+  // direction 1); with a 100 s cap the first point is checked and
+  // violates.
+  const std::vector<EdfTask> ts = {
+      ET(Millis(500), Millis(10000), Millis(1200)),
+      ET(Millis(800), Millis(10000), Millis(1200))};
+  const auto res = EdfDemandTest(ts, Millis(100000));
+  EXPECT_FALSE(res.schedulable);
+  EXPECT_EQ(res.violation_at, Millis(1200));
+}
+
 TEST(EdfTest, OverUtilizationFails) {
   std::vector<EdfTask> ts = {ET(3, 4), ET(3, 6)};  // U = 1.25
   EXPECT_FALSE(EdfDemandTest(ts).schedulable);

@@ -98,6 +98,63 @@ TEST(RequestTracer, RecordsParentLinkedTreeWithAttrs) {
   EXPECT_EQ(t.spans[3].dur_ns, 150u);
 }
 
+TEST(RequestTracer, SampledStagesCountEveryCallAndTimeOneInN) {
+  // SampledSpan counts every occurrence, reads the clock on one in
+  // kSampleEvery (per thread and stage) and charges each occurrence the
+  // latest timed duration; it writes no tree node and no flight record.
+  const std::string dir = ::testing::TempDir() + "sps_sampled";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SpanProfiler prof({.top_k = 4, .flight_slots = 16, .flight_dir = dir},
+                    &FakeClock);
+  ProfilerInstallation pi(&prof);
+  constexpr std::uint64_t kN = SampledSpan::kSampleEvery;
+  g_fake_now = 1000;
+  prof.BeginTrace(/*trace_id=*/9, /*seq=*/1, /*is_admit=*/true);
+  {
+    ScopedSpan root(&prof, SpanStage::kAdmitTotal);
+    for (std::uint64_t i = 0; i < 2 * kN + 2; ++i) {
+      SampledSpan screen(&prof, SpanStage::kUtilScreen);
+      // Timed occurrences (i = 0, kN, 2kN) take 10, 20, 30 ns; the
+      // untimed ones take 1 ns, which the profiler never sees.
+      g_fake_now += i % kN == 0 ? 10 * (i / kN + 1) : 1;
+    }
+    {
+      SampledSpan memo(&prof, SpanStage::kMemoProbe);
+      g_fake_now += 7;
+    }
+  }
+  prof.EndTrace(false, false, false);
+  { SampledSpan off(nullptr, SpanStage::kUtilScreen); }  // a no-op
+
+  std::uint64_t screen_count = 0, screen_ns = 0, memo_count = 0,
+                memo_ns = 0;
+  for (const SpanProfiler::StageReport& r : prof.Report()) {
+    if (r.stage == SpanStage::kUtilScreen) {
+      screen_count = r.count;
+      screen_ns = r.total_ns;
+    } else if (r.stage == SpanStage::kMemoProbe) {
+      memo_count = r.count;
+      memo_ns = r.total_ns;
+    }
+  }
+  EXPECT_EQ(screen_count, 2 * kN + 2);
+  EXPECT_EQ(screen_ns, kN * 10 + kN * 20 + 2 * 30);
+  EXPECT_EQ(memo_count, 1u);
+  EXPECT_EQ(memo_ns, 7u);
+  const std::vector<RequestTrace> traces = prof.Retained();
+  ASSERT_EQ(traces.size(), 1u);
+  ASSERT_EQ(traces[0].spans.size(), 1u);  // the root only
+  std::string path, err;
+  ASSERT_TRUE(prof.DumpFlight("sampled", &path, &err)) << err;
+  std::ifstream in(path);
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_EQ(doc.find("util_screen"), std::string::npos);
+  EXPECT_EQ(doc.find("memo_probe"), std::string::npos);
+  EXPECT_NE(doc.find("admit_total"), std::string::npos);
+}
+
 TEST(RequestTracer, SpansOutsideATraceAreDroppedFromTrees) {
   SpanProfiler prof({.top_k = 4}, &FakeClock);
   ProfilerInstallation pi(&prof);

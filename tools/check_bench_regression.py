@@ -35,6 +35,11 @@ profiling-off hook cost), pass --require PATTERN: a matching variant
 missing from either file then fails with a pointer at the stale file,
 instead of the gate silently evaporating.
 
+The ratios still carry the machine: a ratio of a one-thread runner's
+walls need not match a four-core runner's. When the two files'
+"machine" blocks differ, or the baseline has none, both blocks are
+printed with a warning line; that is a warning, never a failure.
+
 Usage:
   check_bench_regression.py CURRENT.json BASELINE.json [--tolerance 0.25]
                             [--two-sided [PATTERN]] [--require PATTERN]
@@ -58,15 +63,18 @@ def fail(msg):
     sys.exit(2)
 
 
-def load_runs(path):
+def load_doc(path):
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except FileNotFoundError:
         fail(f"{path}: no such file — was the bench run / the baseline "
              f"committed?")
     except json.JSONDecodeError as e:
         fail(f"{path}: not valid JSON ({e}) — truncated bench run?")
+
+
+def load_runs(path, doc):
     runs = doc.get("runs")
     if not isinstance(runs, list) or not runs:
         fail(f"{path}: no \"runs\" array — not a BENCH_*.json document?")
@@ -103,6 +111,16 @@ def ratios(by_workload):
     return out
 
 
+def warn_machine(current, baseline):
+    if baseline is not None and current == baseline:
+        return
+    why = ("the baseline has no machine block" if baseline is None
+           else "the machine blocks differ")
+    print(f"warning: {why}; the ratios may not compare")
+    print(f"  baseline machine: {json.dumps(baseline, sort_keys=True)}")
+    print(f"  current  machine: {json.dumps(current, sort_keys=True)}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("current")
@@ -121,8 +139,11 @@ def main():
                          "silently disappear)")
     args = ap.parse_args()
 
-    current = ratios(load_runs(args.current))
-    baseline = ratios(load_runs(args.baseline))
+    current_doc = load_doc(args.current)
+    baseline_doc = load_doc(args.baseline)
+    warn_machine(current_doc.get("machine"), baseline_doc.get("machine"))
+    current = ratios(load_runs(args.current, current_doc))
+    baseline = ratios(load_runs(args.baseline, baseline_doc))
 
     if args.require is not None:
         for name, keys in (("current", current), ("baseline", baseline)):
