@@ -12,8 +12,7 @@
 //       simulate it for --sim-ms and report. --trace / --metrics and
 //       their -out files observe the simulation (DESIGN.md §10); the
 //       Perfetto and metrics documents are byte-identical for every
-//       --shards value, and --trace-stream writes the same document in
-//       bounded memory (DESIGN.md §15).
+//       --shards value.
 //   --acceptance: the paper's acceptance-ratio sweep (exp/acceptance.*)
 //       over the default utilization grid on --jobs threads; results are
 //       bit-identical for every --jobs value. --acceptance-validate also
@@ -57,7 +56,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -155,8 +153,6 @@ struct Options {
   bool flight_dump = false;
   std::uint32_t heartbeat = 10;
   bool verbose = false;
-  bool trace_stream = false;
-  std::size_t trace_stream_window = 1u << 16;
   containers::QueueBackend ready_queue =
       containers::QueueBackend::kBinomialHeap;
   containers::QueueBackend sleep_queue = containers::QueueBackend::kRbTree;
@@ -252,7 +248,7 @@ struct Flag {
   Mode mode = Mode::kAny;  ///< the mode the flag switches on
   Range range = {};        ///< for numbers, times and windows
   /// A switch the flag also turns on. A number flag with one may be
-  /// given bare (`--trace-stream`): that sets only the switch.
+  /// given bare (`--trace-requests`): that sets only the switch.
   bool* also = nullptr;
 
   [[nodiscard]] bool is_switch() const {
@@ -283,9 +279,6 @@ std::vector<Flag> FlagTable(Options& o) {
       {"--shards", &o.shards, "lanes per simulation; 0 = one per thread"},
       {"--trace", &o.trace, "record the event stream, print a Gantt chart"},
       {"--trace-out", &o.trace_out, "write the trace as Perfetto JSON"},
-      {"--trace-stream", &o.trace_stream_window,
-       "stream --trace-out through a window of N records", kAny,
-       kAtLeastOne, &o.trace_stream},
       {"--metrics", &o.metrics, "print the per-task / per-core metrics"},
       {"--metrics-out", &o.metrics_out, "write the metrics report JSON", kAny,
        {}, &o.metrics},
@@ -562,10 +555,6 @@ bool Validate(const Options& o) {
     return false;
   }
   if (o.online) return true;
-  if (!o.acceptance && o.trace_stream && o.trace_out.empty()) {
-    std::fprintf(stderr, "--trace-stream needs --trace-out=FILE\n");
-    return false;
-  }
   // The generator draws no task above max_task_utilization, so --tasks
   // of them carry at most tasks * max (rt::UUniFastDiscard).
   const double max_task = o.acceptance
@@ -1117,18 +1106,6 @@ int Main(int argc, char** argv) {
   cfg.ready_backend = o.ready_queue;
   cfg.sleep_backend = o.sleep_queue;
   cfg.shards = o.shards;
-  // Streaming trace window (DESIGN.md §15): drain the trace into the
-  // incremental Perfetto serializer DURING the run — byte-identical
-  // document, O(window) stamped-record memory.
-  std::unique_ptr<obs::PerfettoStreamDrain> stream_drain;
-  if (o.trace_stream) {
-    cfg.record_trace = true;
-    obs::PerfettoOptions popt;
-    popt.num_cores = o.cores;
-    stream_drain = std::make_unique<obs::PerfettoStreamDrain>(popt);
-    cfg.trace_drain = stream_drain.get();
-    cfg.trace_window = o.trace_stream_window;
-  }
   const sim::SimResult r = Simulate(pr.partition, cfg);
   std::printf("queues: ready=%s (%llu ops) sleep=%s (%llu ops) "
               "event=vector (%llu ops)\n",
@@ -1146,27 +1123,13 @@ int Main(int argc, char** argv) {
   }
   if (!o.trace_out.empty()) {
     std::string err;
-    if (o.trace_stream) {
-      if (!util::WriteTextFile(o.trace_out, stream_drain->document(),
-                               &err)) {
-        return Fail(err);
-      }
-      const obs::TraceStreamStats& ts = stream_drain->stats();
-      std::printf("wrote Perfetto trace (%llu events streamed in %llu "
-                  "batches, peak %zu resident) to %s — open at "
-                  "ui.perfetto.dev\n",
-                  static_cast<unsigned long long>(ts.events),
-                  static_cast<unsigned long long>(ts.batches),
-                  ts.peak_resident, o.trace_out.c_str());
-    } else {
-      if (!obs::WritePerfettoJson(r.trace_events, o.trace_out,
-                                  {.num_cores = o.cores}, &err)) {
-        return Fail(err);
-      }
-      std::printf("wrote Perfetto trace (%zu events) to %s — open at "
-                  "ui.perfetto.dev\n",
-                  r.trace_events.size(), o.trace_out.c_str());
+    if (!obs::WritePerfettoJson(r.trace_events, o.trace_out,
+                                {.num_cores = o.cores}, &err)) {
+      return Fail(err);
     }
+    std::printf("wrote Perfetto trace (%zu events) to %s — open at "
+                "ui.perfetto.dev\n",
+                r.trace_events.size(), o.trace_out.c_str());
   }
   if (o.metrics) {
     const obs::MetricsReport rep = obs::BuildMetricsReport(r);

@@ -26,6 +26,8 @@ set(cases
   "--sim-ms=1e13"
   "--scale=1e23"
   "--sporadic"
+  "--trace-stream"
+  "--trace-stream=512 --trace-out=t.json"
   "--util=1 --tasks=4 --cores=4")
 
 set(failures 0)

@@ -1,8 +1,11 @@
 #include "obs/perfetto.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/json_writer.hpp"
@@ -84,15 +87,12 @@ void EmitSlice(util::JsonWriter& j, const char* name, const char* cat,
   j.EndObject();
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// PerfettoStreamWriter — the one serializer behind both export paths.
-// ---------------------------------------------------------------------------
-
-struct PerfettoStreamWriter::Impl {
-  PerfettoOptions opt;
-  unsigned cores = 1;
+/// The serializer: a prelude naming the tracks, then one pass over the
+/// events. Derived counter events go to a side writer and are spliced
+/// after the slices at Finish(), so the document keeps Perfetto's
+/// slices-then-counters layout without a second pass.
+struct PerfettoWriter {
+  const PerfettoOptions& opt;
   Time last_time = 0;
 
   util::JsonWriter j;   ///< the document: prelude + slices/instants
@@ -117,12 +117,9 @@ struct PerfettoStreamWriter::Impl {
   };
   std::unordered_map<rt::TaskId, Booked> booked;
 
-  explicit Impl(const PerfettoOptions& o) : opt(o) {
-    cores = std::max(1u, opt.num_cores);
-    open.resize(cores);
-    ready.assign(cores, 0);
-    jobs.assign(cores, 0);
-
+  /// `cores` must exceed every event's core.
+  PerfettoWriter(const PerfettoOptions& o, unsigned cores)
+      : opt(o), open(cores), ready(cores, 0), jobs(cores, 0) {
     j.BeginObject();
     j.Key("displayTimeUnit").Value("ms");
     j.Key("traceEvents").BeginArray();
@@ -168,7 +165,6 @@ struct PerfettoStreamWriter::Impl {
   }
 
   void CountEvent(const Event& e) {
-    if (e.core >= cores) return;
     Booked& b = booked[e.task];
     switch (e.kind) {
       case EventKind::kRelease:
@@ -204,29 +200,23 @@ struct PerfettoStreamWriter::Impl {
     }
   }
 
-  void AppendOne(const Event& e) {
+  void Append(const Event& e) {
     last_time = std::max(last_time, e.time + e.duration);
 
     // Execution slices are reconstructed per core: a kStart opens one;
     // the next closing kind on that core ends it. Overhead slices carry
     // their duration directly. Everything else becomes an instant.
-    if (e.core < open.size()) {
-      OpenSlice& slice = open[e.core];
-      if (slice.open && ClosesExecSlice(e.kind) && e.time >= slice.start) {
-        if (e.time > slice.start) {
-          EmitSlice(j, TaskLabel(slice.ev).c_str(), "exec", e.core,
-                    slice.start, e.time);
-        }
-        slice.open = false;
+    OpenSlice& slice = open[e.core];
+    if (slice.open && ClosesExecSlice(e.kind) && e.time >= slice.start) {
+      if (e.time > slice.start) {
+        EmitSlice(j, TaskLabel(slice.ev).c_str(), "exec", e.core,
+                  slice.start, e.time);
       }
+      slice.open = false;
     }
     switch (e.kind) {
       case EventKind::kStart:
-        if (e.core < open.size()) {
-          open[e.core].open = true;
-          open[e.core].start = e.time;
-          open[e.core].ev = e;
-        }
+        slice = OpenSlice{true, e.time, e};
         break;
       case EventKind::kOverheadBegin:
         if (e.duration > 0) {
@@ -253,7 +243,7 @@ struct PerfettoStreamWriter::Impl {
     if (opt.counter_tracks) CountEvent(e);
   }
 
-  std::string Finish() {
+  std::string Finish() && {
     // Close slices still running when the trace ends.
     for (unsigned c = 0; c < open.size(); ++c) {
       if (open[c].open && last_time > open[c].start) {
@@ -272,40 +262,19 @@ struct PerfettoStreamWriter::Impl {
     }
     j.EndArray();
     j.EndObject();
-    return j.str();
+    return std::move(j).Take();
   }
 };
 
-PerfettoStreamWriter::PerfettoStreamWriter(const PerfettoOptions& opt)
-    : impl_(std::make_unique<Impl>(opt)) {}
-PerfettoStreamWriter::~PerfettoStreamWriter() = default;
-PerfettoStreamWriter::PerfettoStreamWriter(PerfettoStreamWriter&&) noexcept =
-    default;
-PerfettoStreamWriter& PerfettoStreamWriter::operator=(
-    PerfettoStreamWriter&&) noexcept = default;
-
-void PerfettoStreamWriter::Append(const std::vector<Event>& batch) {
-  for (const Event& e : batch) impl_->AppendOne(e);
-}
-
-std::string PerfettoStreamWriter::Finish() { return impl_->Finish(); }
-
-// ---------------------------------------------------------------------------
-// One-shot export: a pre-pass resolves the track count (streaming cannot
-// infer it), then the same writer serializes — byte-identical paths.
-// ---------------------------------------------------------------------------
+}  // namespace
 
 std::string ToPerfettoJson(const std::vector<Event>& events,
                            const PerfettoOptions& opt) {
-  unsigned cores = opt.num_cores;
+  unsigned cores = std::max(1u, opt.num_cores);
   for (const Event& e : events) cores = std::max(cores, e.core + 1);
-  if (cores == 0) cores = 1;
-
-  PerfettoOptions resolved = opt;
-  resolved.num_cores = cores;
-  PerfettoStreamWriter w(resolved);
-  w.Append(events);
-  return w.Finish();
+  PerfettoWriter w(opt, cores);
+  for (const Event& e : events) w.Append(e);
+  return std::move(w).Finish();
 }
 
 bool WritePerfettoJson(const std::vector<Event>& events,

@@ -12,12 +12,10 @@
 // CSV dump (trace/gantt.hpp), and the one that survives zooming into a
 // million-event trace.
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/trace_buffer.hpp"
 #include "rt/time.hpp"
 #include "trace/trace.hpp"
 
@@ -52,65 +50,13 @@ struct PerfettoOptions {
 
 /// Serialize the (dispatch-ordered) event stream to Chrome trace-event
 /// JSON. Deterministic: a byte-identical event stream yields a
-/// byte-identical document (golden-file tested). Implemented on top of
-/// PerfettoStreamWriter — the one-shot and streaming paths share one
-/// serializer, so their documents are byte-identical by construction.
+/// byte-identical document (golden-file tested). The track count is
+/// max(opt.num_cores, highest event core + 1, 1). Derived counter events
+/// are buffered beside the slices and spliced after them, then the
+/// extra series follow.
 [[nodiscard]] std::string ToPerfettoJson(
     const std::vector<trace::Event>& events,
     const PerfettoOptions& opt = {});
-
-/// Incremental Perfetto serializer (DESIGN.md §15): feed stamp-ordered
-/// event batches as they drain from the streaming trace window, get the
-/// complete document at Finish(). Holds O(output-bytes) of JSON text but
-/// only O(1) of EVENT state (per-core open slices + per-task counter
-/// booking) — the bounded-memory claim of the streaming window is about
-/// the stamped-event storage, which this writer lets the kernel recycle
-/// mid-run. The derived counter events are buffered in a side JsonWriter
-/// and spliced after the slices at Finish(), reproducing the one-shot
-/// document's layout exactly.
-///
-/// opt.num_cores must cover every event core (streaming cannot wait to
-/// infer the track count); 0 is treated as 1.
-class PerfettoStreamWriter {
- public:
-  explicit PerfettoStreamWriter(const PerfettoOptions& opt);
-  ~PerfettoStreamWriter();
-  PerfettoStreamWriter(PerfettoStreamWriter&&) noexcept;
-  PerfettoStreamWriter& operator=(PerfettoStreamWriter&&) noexcept;
-
-  void Append(const std::vector<trace::Event>& batch);
-  /// Close trailing slices, splice the counter tracks, and return the
-  /// finished document. Call exactly once.
-  [[nodiscard]] std::string Finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// TraceDrain adapter: plugs the streaming window straight into the
-/// Perfetto serializer (sim::SimConfig::trace_drain). After the run,
-/// document() is byte-identical to ToPerfettoJson over the full-buffer
-/// trace, and stats() carries the streaming bounds for assertions.
-class PerfettoStreamDrain final : public TraceDrain {
- public:
-  explicit PerfettoStreamDrain(const PerfettoOptions& opt)
-      : writer_(opt) {}
-  void OnEvents(const std::vector<trace::Event>& batch) override {
-    writer_.Append(batch);
-  }
-  void OnFinish(const TraceStreamStats& stats) override {
-    stats_ = stats;
-    doc_ = writer_.Finish();
-  }
-  [[nodiscard]] const std::string& document() const { return doc_; }
-  [[nodiscard]] const TraceStreamStats& stats() const { return stats_; }
-
- private:
-  PerfettoStreamWriter writer_;
-  TraceStreamStats stats_;
-  std::string doc_;
-};
 
 /// Convenience: serialize and write to `path`. Returns success; on
 /// failure a non-null `error` receives the failing path and errno.

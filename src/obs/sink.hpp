@@ -96,8 +96,6 @@ class RecordSink {
   }
 
   [[nodiscard]] const TraceBuffer& buffer() const { return buffer_; }
-  /// Mutable access for the streaming-window drain (DESIGN.md §15).
-  [[nodiscard]] TraceBuffer& buffer_mut() { return buffer_; }
 
   // ---- metrics pillar ----------------------------------------------------
 

@@ -66,13 +66,6 @@ struct StampedEvent {
 /// the same O(log n)-real-allocations story as every other hot-path
 /// container here (util/arena.hpp). A lane appends millions of records
 /// without ever touching the global allocator in steady state.
-///
-/// Streaming-window mode (DESIGN.md §15) additionally POPS from the
-/// front: DrainBelow() removes the finalized prefix (records whose key
-/// is below the event queue's minimum, which no future dispatch can
-/// undercut), recycling fully-consumed chunks back into the arena — so
-/// a horizon-scale traced run holds O(window) records instead of
-/// O(events).
 class TraceBuffer {
   static constexpr std::size_t kChunkEvents = 512;
   struct Chunk {
@@ -86,57 +79,22 @@ class TraceBuffer {
       used_ = 0;
     }
     chunks_.back()->ev[used_++] = StampedEvent{s, e};
-    ++size_;
   }
 
-  /// Live (appended minus drained) record count.
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  /// Pop the finalized prefix: every record whose stamp key is strictly
-  /// below `key_limit`, appended (stamp-sorted) to `out`. Valid because
-  /// the append order is key-monotone — DES dispatch time never
-  /// decreases — so the below-limit records form exactly the front of
-  /// the buffer; the sort only settles same-key ties (chain/ordinal).
-  /// Fully-consumed chunks are recycled into the arena.
-  void DrainBelow(std::uint64_t key_limit, std::vector<StampedEvent>& out) {
-    const std::size_t start = out.size();
-    while (size_ > 0) {
-      Chunk* front = chunks_.front();
-      const StampedEvent& e = front->ev[head_];
-      if (e.stamp.key >= key_limit) break;
-      out.push_back(e);
-      ++head_;
-      --size_;
-      if (head_ == kChunkEvents) {
-        arena_.destroy(front);
-        chunks_.erase(chunks_.begin());
-        head_ = 0;
-      } else if (size_ == 0 && chunks_.size() == 1 && head_ == used_) {
-        // The partially-filled tail chunk is fully consumed: reset so
-        // the next Append starts a fresh chunk at offset 0.
-        arena_.destroy(front);
-        chunks_.clear();
-        head_ = 0;
-        used_ = 0;
-      }
-    }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end(),
-              [](const StampedEvent& a, const StampedEvent& b) {
-                return a.stamp < b.stamp;
-              });
+  [[nodiscard]] std::size_t size() const {
+    return chunks_.empty() ? 0 : (chunks_.size() - 1) * kChunkEvents + used_;
   }
 
-  /// Copy out every live record, sorted by stamp. The append order is
+  /// Copy out every record, sorted by stamp. The append order is
   /// already key-sorted (DES time never goes backwards), so this sort
   /// only reorders same-key ties — near-linear in practice.
   [[nodiscard]] std::vector<StampedEvent> Sorted() const {
     std::vector<StampedEvent> out;
     out.reserve(size());
     for (std::size_t c = 0; c < chunks_.size(); ++c) {
-      const std::size_t b = c == 0 ? head_ : 0;
       const std::size_t n =
           c + 1 == chunks_.size() ? used_ : kChunkEvents;
-      out.insert(out.end(), chunks_[c]->ev + b, chunks_[c]->ev + n);
+      out.insert(out.end(), chunks_[c]->ev, chunks_[c]->ev + n);
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const StampedEvent& a, const StampedEvent& b) {
@@ -149,29 +107,6 @@ class TraceBuffer {
   util::SlabArena<Chunk> arena_;  // chunks are trivially destructible
   std::vector<Chunk*> chunks_;
   std::size_t used_ = 0;  ///< fill of the back chunk
-  std::size_t head_ = 0;  ///< drained offset into the front chunk
-  std::size_t size_ = 0;  ///< live records
-};
-
-/// Statistics of one streamed run, handed to TraceDrain::OnFinish.
-/// peak_resident is the maximum LIVE stamped-record count observed at
-/// the drain points — the bounded-memory claim the streaming-window
-/// tests assert against the configured window.
-struct TraceStreamStats {
-  std::size_t events = 0;
-  std::size_t batches = 0;
-  std::size_t peak_resident = 0;
-};
-
-/// Consumer of a streaming-window traced run. The driver calls OnEvents
-/// with stamp-ordered batches — concatenated, they are byte-for-byte the
-/// canonical full-buffer trace (the §10 merge order) — then OnFinish
-/// exactly once with the run's streaming stats.
-class TraceDrain {
- public:
-  virtual ~TraceDrain() = default;
-  virtual void OnEvents(const std::vector<trace::Event>& batch) = 0;
-  virtual void OnFinish(const TraceStreamStats& stats) = 0;
 };
 
 /// Deterministic k-way merge of per-lane buffers into the canonical

@@ -93,9 +93,7 @@ class Engine final
         .stop_on_first_miss = cfg.stop_on_first_miss,
         .record_trace = cfg.record_trace,
         .record_metrics = cfg.record_metrics,
-        .exec_generations = cfg.exec_generations,
-        .trace_drain = cfg.trace_drain,
-        .trace_window = cfg.trace_window};
+        .exec_generations = cfg.exec_generations};
   }
 
   Engine(const partition::Partition& p, const SimConfig& cfg,
@@ -499,7 +497,7 @@ SimResult RunLanes(const partition::Partition& p, const SimConfig& cfg,
     }
   }
   if constexpr (Sink::kActive) {
-    if (cfg.record_trace && cfg.trace_drain == nullptr) {
+    if (cfg.record_trace) {
       std::vector<const obs::TraceBuffer*> bufs;
       for (const auto& e : engines) bufs.push_back(&e->sink().buffer());
       out.trace_events = obs::MergeTraceBuffers(bufs);
@@ -595,12 +593,10 @@ std::vector<std::uint32_t> CoreGroupLanes(const partition::Partition& p,
 }
 
 SimResult Simulate(const partition::Partition& p, const SimConfig& cfg) {
-  // At most one lane per thread. A streaming-trace run keeps one lane:
-  // its O(window) bound is one kernel's drain.
+  // At most one lane per thread.
   const unsigned max_lanes =
-      cfg.trace_drain != nullptr ? 1
-      : cfg.shards == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                        : cfg.shards;
+      cfg.shards == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                      : cfg.shards;
   // One instantiation per ready x sleep backend pair and sink (2 x 2 x 2
   // = 8). The sink doubles that only at compile time: at run time a
   // simulation is either all-NullSink (every hook compiled away — the

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "containers/queue_traits.hpp"
-#include "obs/trace_buffer.hpp"
 #include "overhead/model.hpp"
 #include "partition/placement.hpp"
 #include "rt/time.hpp"
@@ -92,15 +91,6 @@ struct SimConfig {
   /// resumes its old incarnation's draw position; generation 0 is
   /// bit-identical to leaving the field empty (DESIGN.md §13).
   std::vector<std::uint32_t> exec_generations;
-  /// Streaming trace window (DESIGN.md §15): with record_trace on and a
-  /// non-null drain, the canonical trace is delivered to the drain in
-  /// stamp-ordered batches DURING the run — byte-identical,
-  /// concatenated, to SimResult::trace_events of the full-buffer path
-  /// (which stays empty here) — while resident stamped records are
-  /// bounded by ~trace_window (asserted via TraceStreamStats). A
-  /// streaming run always runs on one lane, whatever `shards` says.
-  obs::TraceDrain* trace_drain = nullptr;
-  std::size_t trace_window = 1u << 16;
 };
 
 /// Run the partition under the config. The canonical trace / metrics

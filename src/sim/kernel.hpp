@@ -327,15 +327,6 @@ struct KernelConfig {
   /// incarnation's RNG position (DESIGN.md §13). Generation 0 is
   /// bit-identical to configs that never set this field.
   std::vector<std::uint32_t> exec_generations = {};
-  /// Streaming trace window (DESIGN.md §15): when non-null (and
-  /// record_trace is on), finalized stamped records are drained to this
-  /// consumer mid-run — in canonical merge order, byte-identical to the
-  /// post-run full-buffer merge — whenever the buffer holds at least
-  /// trace_window records, and SimResult::trace_events stays empty. The
-  /// loop drains below its event queue's minimum key after each
-  /// dispatch.
-  obs::TraceDrain* trace_drain = nullptr;
-  std::size_t trace_window = 1u << 16;
 };
 
 template <typename Policy, typename JobT, typename TaskRtT, typename PerCoreT,
@@ -353,16 +344,6 @@ class KernelBase {
       now_ = ev.t;
       BeginDispatch(ev);
       policy().Dispatch(ev);
-      if constexpr (SinkT::kActive) {
-        // Streaming window: records below the queue's minimum key are
-        // final (future dispatches never carry a smaller key; a SAME-key
-        // dispatch may still tie-break earlier, so the bound is strict).
-        if (kcfg_.trace_drain != nullptr && sink_.tracing() &&
-            sink_.buffer().size() >= kcfg_.trace_window) {
-          StreamDrainBelow(events_.empty() ? kNoEventKey
-                                           : events_.min_key());
-        }
-      }
     }
     return Finalize();
   }
@@ -375,9 +356,6 @@ class KernelBase {
   [[nodiscard]] const SinkT& sink() const { return sink_; }
 
  protected:
-  /// Sentinel "no pending event" key for the streaming drain.
-  static constexpr std::uint64_t kNoEventKey = ~0ull;
-
   /// Per-core run state; PerCoreT adds the policy's per-core queues
   /// (partitioned: ready + sleep; global: none — queues are shared).
   struct Core : PerCoreT {
@@ -645,9 +623,9 @@ class KernelBase {
     }
   }
 
-  /// Close the run. The canonical trace is NOT built here: a
-  /// full-buffer run leaves it in the sink's stamped buffer for the
-  /// caller's merge (the caller may own several kernels).
+  /// Close the run. The canonical trace is NOT built here: it stays in
+  /// the sink's stamped buffer for the caller's merge (the caller may
+  /// own several kernels).
   SimResult Finalize() {
     result_.simulated = std::min(now_, kcfg_.horizon);
     // Unfinished jobs whose deadline already passed are misses too. The
@@ -671,38 +649,9 @@ class KernelBase {
     policy().CollectQueueStats(result_);
     FinalizeObservability();
     if constexpr (SinkT::kActive) {
-      if (sink_.tracing() && kcfg_.trace_drain != nullptr) {
-        // Streaming mode: flush the remainder and report the stream's
-        // bounds; the canonical trace went through the drain, so
-        // SimResult::trace_events stays empty (bounded memory is the
-        // point).
-        StreamDrainBelow(kNoEventKey);
-        kcfg_.trace_drain->OnFinish(drain_stats_);
-      }
       if (sink_.metrics()) result_.metrics = sink_.TakeMetrics();
     }
     return std::move(result_);
-  }
-
-  /// Streaming drain: pop the finalized prefix (stamp key
-  /// strictly below `limit`), already stamp-sorted by DrainBelow, and
-  /// hand it to the configured TraceDrain.
-  void StreamDrainBelow(std::uint64_t limit) {
-    if constexpr (SinkT::kActive) {
-      drain_stats_.peak_resident =
-          std::max(drain_stats_.peak_resident, sink_.buffer().size());
-      drain_run_.clear();
-      sink_.buffer_mut().DrainBelow(limit, drain_run_);
-      if (drain_run_.empty()) return;
-      drain_batch_.clear();
-      drain_batch_.reserve(drain_run_.size());
-      for (const obs::StampedEvent& e : drain_run_) {
-        drain_batch_.push_back(e.event);
-      }
-      kcfg_.trace_drain->OnEvents(drain_batch_);
-      ++drain_stats_.batches;
-      drain_stats_.events += drain_batch_.size();
-    }
   }
 
   KernelConfig kcfg_;
@@ -712,11 +661,6 @@ class KernelBase {
   SinkT sink_;
   Time now_ = 0;
   bool halted_ = false;
-  /// Streaming-window scratch (reused across drains so the steady state
-  /// allocates nothing).
-  std::vector<obs::StampedEvent> drain_run_;
-  std::vector<trace::Event> drain_batch_;
-  obs::TraceStreamStats drain_stats_;
   SimResult result_;
 };
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 // The one write-and-verify implementation behind every text artifact the
@@ -89,9 +90,9 @@ class JsonWriter {
 
   /// Splice pre-serialized JSON as the next element of the enclosing
   /// container (comma placement handled like any Value). `raw` must be a
-  /// non-empty, comma-separated run of valid JSON values — the streaming
-  /// Perfetto writer uses this to graft its separately-buffered counter
-  /// events into the main event array.
+  /// non-empty, comma-separated run of valid JSON values — the Perfetto
+  /// exporter uses this to graft its separately-buffered counter events
+  /// into the main event array.
   JsonWriter& Raw(std::string_view raw) {
     Separator();
     out_ += raw;
@@ -99,6 +100,9 @@ class JsonWriter {
   }
 
   [[nodiscard]] const std::string& str() const { return out_; }
+  /// Move the finished text out (no copy of a large document); the
+  /// writer is spent afterwards.
+  [[nodiscard]] std::string Take() && { return std::move(out_); }
 
   /// Write to `path` (with a trailing newline); returns success.
   [[nodiscard]] bool WriteFile(const std::string& path) const {

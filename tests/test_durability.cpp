@@ -3,8 +3,9 @@
 // crash/recover differential (halt-injection matrix across placement
 // policies, scheduling policies and fault windows, every crash point of
 // a short stream, plus a real fork+SIGKILL), the corrupted-artifact
-// ladder — bit-flipped checkpoints, torn journal tails,
-// stale-checkpoint-long-tail, wrong-stream or wrong-model fingerprints —
+// ladder — bit-flipped checkpoints, torn journal tails, leftover
+// checkpoint temp files, stale-checkpoint-long-tail, wrong-stream or
+// wrong-model fingerprints —
 // and a seeded mutation driver over real checkpoints and journals.
 // Recovery must be decision- and byte-identical to the never-crashed
 // run; corruption must map to typed errors, never UB.
@@ -497,6 +498,58 @@ TEST(CorruptArtifacts, TornJournalTailIsTruncatedAndRecovered) {
   EXPECT_EQ(after.valid_bytes, after.total_bytes);
   EXPECT_GT(after.records, scan.records);
   fs::remove_all(dir);
+}
+
+TEST(CorruptArtifacts, StaleCheckpointTempFileIsIgnored) {
+  // A crash after a checkpoint's temp write and before its rename leaves
+  // ckpt-<E>.sps.tmp, E newer than every real checkpoint. Recovery must
+  // load the newest real checkpoint, and a fresh run must not trip on
+  // the leftover, whether the temp holds a torn prefix of the newest
+  // checkpoint or a full copy of the oldest (so that reading it would
+  // show in checkpoint_epoch).
+  const WorkloadStream s = SmallStream(79, 32);
+  const ReplayConfig base = MakeReplayConfig(
+      PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
+  const ReplayResult plain = ReplayStream(s, base);
+  for (const bool full_copy : {false, true}) {
+    SCOPED_TRACE(full_copy ? "full copy" : "torn prefix");
+    const std::string dir = MakeCrashArtifacts(
+        s, base, 25, 2, full_copy ? "tmpfull" : "tmptorn");
+    const std::vector<std::string> ckpts = ListCheckpoints(dir);
+    ASSERT_GE(ckpts.size(), 2u);
+    unsigned long long newest = 0;
+    ASSERT_EQ(std::sscanf(fs::path(ckpts.front()).filename().c_str(),
+                          "ckpt-%10llu.sps", &newest),
+              1);
+    std::string bytes;
+    std::string err;
+    ASSERT_TRUE(util::ReadFileBytes(
+        full_copy ? ckpts.back() : ckpts.front(), bytes, &err))
+        << err;
+    if (!full_copy) bytes.resize(bytes.size() / 2);
+    char name[40];
+    std::snprintf(name, sizeof(name), "/ckpt-%010llu.sps.tmp", newest + 1);
+    ASSERT_TRUE(util::WriteFileAtomic(dir + name, bytes, false, &err))
+        << err;
+
+    ReplayConfig rec = base;
+    rec.durability.dir = dir;
+    rec.durability.checkpoint_every = 2;
+    rec.durability.recover = true;
+    const ReplayResult r = ReplayStream(s, rec);
+    ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
+    EXPECT_TRUE(r.recovery.recovered);
+    EXPECT_EQ(r.recovery.checkpoint_epoch, newest);
+    EXPECT_EQ(r.recovery.checkpoints_skipped, 0u);
+    EXPECT_EQ(DecisionDiff(plain, r), "");
+
+    ReplayConfig fresh = rec;
+    fresh.durability.recover = false;
+    const ReplayResult f = ReplayStream(s, fresh);
+    ASSERT_TRUE(f.durability_error.ok()) << f.durability_error.message;
+    EXPECT_EQ(DecisionDiff(plain, f), "");
+    fs::remove_all(dir);
+  }
 }
 
 TEST(CorruptArtifacts, JournalRecordDivergenceIsATypedError) {

@@ -1,15 +1,13 @@
 // Tests for the service-level observability layer (DESIGN.md §15):
 // the wall-clock span profiler under an injected fake clock (report
-// semantics), the unified stats
-// registry (delta / merge / export), the TraceBuffer streaming drain
-// (prefix pop, strict watermark, chunk recycling), streaming-window
-// trace export byte-identity against the full-buffer path across shard
-// counts with the bounded-memory claim asserted, and differential
-// profile-on/off replay identity (wall-clock must never leak into
-// decisions or byte-compared artifacts).
+// semantics), the unified stats registry (delta / merge / export),
+// differential profile-on/off replay identity (wall-clock must never
+// leak into decisions or byte-compared artifacts), and Perfetto export
+// edge cases (counter splice, empty trace).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,14 +16,9 @@
 #include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
 #include "obs/spans.hpp"
-#include "obs/trace_buffer.hpp"
 #include "online/controller.hpp"
 #include "online/workload_stream.hpp"
 #include "overhead/model.hpp"
-#include "partition/placement.hpp"
-#include "partition/spa.hpp"
-#include "rt/generator.hpp"
-#include "sim/engine.hpp"
 
 namespace sps::obs {
 namespace {
@@ -186,146 +179,6 @@ TEST(StatsRegistry, ExportsAreDeterministicAndNameSorted) {
 }
 
 // ---------------------------------------------------------------------------
-// TraceBuffer streaming drain
-// ---------------------------------------------------------------------------
-
-trace::Event Ev(Time t, unsigned core, trace::EventKind k) {
-  trace::Event e;
-  e.time = t;
-  e.core = core;
-  e.kind = k;
-  return e;
-}
-
-TEST(TraceBufferDrain, DrainBelowPopsStrictPrefixOnly) {
-  TraceBuffer b;
-  for (std::uint64_t k = 0; k < 10; ++k) {
-    b.Append(Stamp{k, 0, 0, 0}, Ev(static_cast<Time>(k), 0,
-                                   trace::EventKind::kRelease));
-  }
-  std::vector<StampedEvent> out;
-  b.DrainBelow(5, out);  // strictly below: key 5 must stay buffered
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(b.size(), 5u);
-  for (std::uint64_t k = 0; k < 5; ++k) EXPECT_EQ(out[k].stamp.key, k);
-
-  // Drains append to `out` and keep going from where they stopped.
-  b.DrainBelow(kTimeNever, out);
-  ASSERT_EQ(out.size(), 10u);
-  EXPECT_EQ(b.size(), 0u);
-  EXPECT_EQ(out[5].stamp.key, 5u);
-  EXPECT_EQ(out[9].stamp.key, 9u);
-}
-
-TEST(TraceBufferDrain, SettlesSameKeyTiesByStamp) {
-  TraceBuffer b;
-  // Lane-local append order is key-monotone but may emit same-key
-  // records out of (chain, ordinal) order; the drain sorts them.
-  b.Append(Stamp{4, 2, 1, 0}, Ev(4, 2, trace::EventKind::kStart));
-  b.Append(Stamp{4, 2, 0, 1}, Ev(4, 2, trace::EventKind::kPreempt));
-  b.Append(Stamp{4, 2, 0, 0}, Ev(4, 2, trace::EventKind::kRelease));
-  std::vector<StampedEvent> out;
-  b.DrainBelow(5, out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].event.kind, trace::EventKind::kRelease);
-  EXPECT_EQ(out[1].event.kind, trace::EventKind::kPreempt);
-  EXPECT_EQ(out[2].event.kind, trace::EventKind::kStart);
-}
-
-TEST(TraceBufferDrain, InterleavedAppendDrainRecyclesChunks) {
-  // Push far past one 512-event chunk while draining behind a moving
-  // watermark: the buffer must stay small and lose nothing.
-  TraceBuffer b;
-  std::vector<StampedEvent> all;
-  std::uint64_t next = 0;
-  for (int round = 0; round < 40; ++round) {
-    for (int i = 0; i < 100; ++i, ++next) {
-      b.Append(Stamp{next, 0, 0, 0},
-               Ev(static_cast<Time>(next), 0, trace::EventKind::kRelease));
-    }
-    b.DrainBelow(next >= 150 ? next - 150 : 0, all);
-    EXPECT_LE(b.size(), 250u);
-  }
-  b.DrainBelow(kTimeNever, all);
-  EXPECT_EQ(b.size(), 0u);
-  ASSERT_EQ(all.size(), 4000u);
-  for (std::uint64_t k = 0; k < all.size(); ++k) {
-    EXPECT_EQ(all[k].stamp.key, k);
-  }
-  // A fully-drained buffer accepts fresh appends (tail-chunk reset).
-  b.Append(Stamp{9999, 0, 0, 0}, Ev(9999, 0, trace::EventKind::kStart));
-  EXPECT_EQ(b.size(), 1u);
-  EXPECT_EQ(b.Sorted()[0].stamp.key, 9999u);
-}
-
-// ---------------------------------------------------------------------------
-// Streaming-window trace export: byte identity + bounded memory
-// ---------------------------------------------------------------------------
-
-partition::Partition GeneratedSpa2Partition(unsigned cores,
-                                            std::size_t tasks, double util,
-                                            std::uint64_t seed) {
-  rt::GeneratorConfig gen;
-  gen.num_tasks = tasks;
-  gen.total_utilization = util;
-  rt::Rng rng(seed);
-  const rt::TaskSet ts = rt::GenerateTaskSet(gen, rng);
-  partition::SpaConfig scfg;
-  scfg.num_cores = cores;
-  scfg.preassign_heavy = true;
-  const auto pr = partition::SpaPartition(ts, scfg);
-  EXPECT_TRUE(pr.success);
-  return pr.partition;
-}
-
-TEST(StreamingTrace, ByteIdenticalToFullBufferAcrossShardCounts) {
-  const unsigned kCores = 4;
-  const std::size_t kWindow = 512;
-  const partition::Partition p = GeneratedSpa2Partition(kCores, 24, 3.4, 99);
-
-  sim::SimConfig cfg;
-  cfg.horizon = Millis(300);
-  cfg.overheads = overhead::OverheadModel::PaperCoreI7();
-  cfg.exec.kind = sim::ExecModel::Kind::kUniform;
-  cfg.record_trace = true;
-
-  PerfettoOptions opt;
-  opt.num_cores = kCores;  // streaming cannot infer the track count
-
-  // Reference: the canonical full-buffer trace (serial path).
-  cfg.shards = 1;
-  const sim::SimResult full = Simulate(p, cfg);
-  ASSERT_GT(full.trace_events.size(), 2 * kWindow)
-      << "workload too small to exercise streaming";
-  const std::string full_doc = ToPerfettoJson(full.trace_events, opt);
-
-  for (const unsigned shards : {1u, 2u, 0u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    PerfettoStreamDrain drain(opt);
-    sim::SimConfig scfg = cfg;
-    scfg.shards = shards;
-    scfg.trace_drain = &drain;
-    scfg.trace_window = kWindow;
-    const sim::SimResult r = Simulate(p, scfg);
-
-    // Streaming mode hands every event to the drain instead.
-    EXPECT_TRUE(r.trace_events.empty());
-    EXPECT_EQ(drain.stats().events, full.trace_events.size());
-    // The run actually streamed — multiple windows, not one final dump.
-    EXPECT_GE(drain.stats().batches, 2u);
-    // Bounded memory: peak live stamped records stay near the window
-    // (the slack covers one dispatch's same-key emission burst per lane).
-    EXPECT_LE(drain.stats().peak_resident, kWindow + 256);
-    // And the document is byte-for-byte the full-buffer export.
-    EXPECT_EQ(drain.document(), full_doc);
-
-    // Decisions are untouched by streaming.
-    EXPECT_EQ(r.total_misses, full.total_misses);
-    EXPECT_EQ(r.summary(), full.summary());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Differential: profiling on/off replay identity
 // ---------------------------------------------------------------------------
 
@@ -399,12 +252,12 @@ TEST(ProfiledReplay, FillStatsRegistryMirrorsReplayResult) {
 }
 
 // ---------------------------------------------------------------------------
-// Counter-track splice edge cases (streaming writer vs one-shot)
+// Perfetto export edge cases
 // ---------------------------------------------------------------------------
 
 TEST(Perfetto, CounterSpliceManySeriesOfUnequalLengths) {
-  // The streaming writer buffers counter events separately and splices
-  // them into the main array at Finish via JsonWriter::Raw — comma
+  // The exporter buffers counter events separately and splices them
+  // into the main array at the end via JsonWriter::Raw — comma
   // placement has to survive any mix of series lengths, including an
   // EMPTY series sandwiched between non-empty ones.
   PerfettoOptions opt;
@@ -432,14 +285,6 @@ TEST(Perfetto, CounterSpliceManySeriesOfUnequalLengths) {
 
   const std::string oneshot = ToPerfettoJson(events, opt);
 
-  // Stream the same events in uneven batches; the document must come
-  // out byte-identical (the two paths share one serializer).
-  PerfettoStreamWriter w(opt);
-  w.Append({events[0]});
-  w.Append({});  // an empty batch must be harmless
-  w.Append({events[1], events[2]});
-  EXPECT_EQ(w.Finish(), oneshot);
-
   // All six points landed, as counter ("ph":"C") events.
   std::size_t counters = 0;
   const std::string needle = "\"ph\":\"C\"";
@@ -458,21 +303,18 @@ TEST(Perfetto, CounterSpliceManySeriesOfUnequalLengths) {
 }
 
 TEST(Perfetto, ZeroEventStreamWriterEmitsValidDocument) {
-  // A run that never produced a single event must still Finish into a
+  // A run that never produced a single event must still export a
   // well-formed document: metadata only, no dangling comma from the
   // never-used event array.
   PerfettoOptions opt;
   opt.num_cores = 1;
-  PerfettoStreamWriter w(opt);
-  const std::string doc = w.Finish();
+  const std::string doc = ToPerfettoJson({}, opt);
   EXPECT_EQ(doc,
             "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
             "\"args\":{\"name\":\"sps simulation\"}},"
             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
             "\"args\":{\"name\":\"core 0\"}}]}");
-  // And it is exactly what the one-shot path says about no events.
-  EXPECT_EQ(doc, ToPerfettoJson({}, opt));
 }
 
 }  // namespace
