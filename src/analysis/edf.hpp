@@ -70,7 +70,7 @@ struct EdfResult {
 /// When L exceeds `max_horizon` (default 1s) the test rejects
 /// conservatively only at U >= 1 - 1e-9; below that it checks [0,
 /// max_horizon] and accepts if demand fits there, which is unsound for
-/// sets whose first violation lies past the cap (ROADMAP direction 1).
+/// sets whose first violation lies past the cap (ROADMAP direction 2).
 EdfResult EdfDemandTest(std::span<const EdfTask> tasks,
                         Time max_horizon = kSecond);
 

@@ -64,6 +64,25 @@ Time InflatedExec(const CoreEntry& e, const overhead::OverheadModel& m,
                      e.first_core_queue_size, LocalCharges(m, n_local), m);
 }
 
+namespace {
+
+RtaTask Inflate(const CoreEntry& e, const LocalCharges& lc,
+                const overhead::OverheadModel& model) {
+  RtaTask t;
+  t.wcet = ChargedExec(e.exec, e.kind, e.dest_queue_size,
+                       e.first_core_queue_size, lc, model);
+  t.period = e.period;
+  t.deadline = e.deadline;
+  t.jitter = e.jitter;
+  t.priority = e.priority;
+  t.release_cost = ReleaseCharge(e.kind, lc);
+  t.check = e.check;
+  t.id = e.id;
+  return t;
+}
+
+}  // namespace
+
 std::vector<RtaTask> InflateCore(std::span<const CoreEntry> entries,
                                  const overhead::OverheadModel& model,
                                  std::size_t n_local) {
@@ -71,27 +90,28 @@ std::vector<RtaTask> InflateCore(std::span<const CoreEntry> entries,
   const LocalCharges lc(model, n_local);
   std::vector<RtaTask> out;
   out.reserve(entries.size());
-  for (const CoreEntry& e : entries) {
-    RtaTask t;
-    t.wcet = ChargedExec(e.exec, e.kind, e.dest_queue_size,
-                         e.first_core_queue_size, lc, model);
-    t.period = e.period;
-    t.deadline = e.deadline;
-    t.jitter = e.jitter;
-    t.priority = e.priority;
-    t.release_cost = ReleaseCharge(e.kind, lc);
-    t.check = e.check;
-    t.id = e.id;
-    out.push_back(t);
-  }
+  for (const CoreEntry& e : entries) out.push_back(Inflate(e, lc, model));
   return out;
 }
 
-RtaResult AnalyzeCoreWithOverheads(std::span<const CoreEntry> entries,
-                                   const overhead::OverheadModel& model,
-                                   std::size_t n_local) {
-  const std::vector<RtaTask> inflated = InflateCore(entries, model, n_local);
-  return AnalyzeCore(inflated);
+Time CandidateResponse(std::span<const CoreEntry> residents,
+                       const CoreEntry& cand,
+                       const overhead::OverheadModel& model) {
+  const std::size_t last = residents.size();
+  const LocalCharges lc(model, last + 1);
+  std::vector<RtaTask> core;
+  core.reserve(last + 1);
+  for (const CoreEntry& e : residents) core.push_back(Inflate(e, lc, model));
+  core.push_back(Inflate(cand, lc, model));
+  // The verdict is the AND of independent per-task checks, so the order
+  // cannot change it: the candidate goes first, as it is the likeliest
+  // to miss, and the first miss ends the probe.
+  const Time r = CheckedResponse(core, last);
+  if (r == kTimeNever) return kTimeNever;
+  for (std::size_t i = 0; i < last; ++i) {
+    if (CheckedResponse(core, i) == kTimeNever) return kTimeNever;
+  }
+  return r;
 }
 
 }  // namespace sps::analysis

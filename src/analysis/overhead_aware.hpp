@@ -107,10 +107,16 @@ std::vector<RtaTask> InflateCore(std::span<const CoreEntry> entries,
                                  const overhead::OverheadModel& model,
                                  std::size_t n_local = 0);
 
-/// Inflate + exact RTA in one call.
-RtaResult AnalyzeCoreWithOverheads(std::span<const CoreEntry> entries,
-                                   const overhead::OverheadModel& model,
-                                   std::size_t n_local = 0);
+/// Verdict-only admission probe: inflates `residents` plus `cand` as
+/// one core of residents.size() + 1 entries, `cand` last, and runs exact
+/// RTA, stopping at the first miss. Returns the candidate's response
+/// time, or kTimeNever if any checked entry misses. Same verdict as
+/// AnalyzeCore(InflateCore(residents + cand)), and on an accept the
+/// same value as its response.back(); the residents' responses are
+/// never kept.
+Time CandidateResponse(std::span<const CoreEntry> residents,
+                       const CoreEntry& cand,
+                       const overhead::OverheadModel& model);
 
 /// Inflated cost of one entry (exposed for the Figure-1 bench and tests);
 /// computes the core's local charges for this one entry.

@@ -76,34 +76,45 @@ Time ResponseTimeArbitrary(std::span<const RtaTask> tasks,
   return worst;
 }
 
+namespace {
+
+/// R_i as AnalyzeCore reports it: kTimeNever when the budget D_i - J_i
+/// cannot hold the WCET or the fixpoint overruns its limit.
+Time CoreResponse(std::span<const RtaTask> tasks, std::size_t i) {
+  const RtaTask& t = tasks[i];
+  const Time budget = t.deadline - t.jitter;
+  if (budget < t.wcet) return kTimeNever;
+  // Arbitrary deadlines (D > T) need the busy-window analysis: the
+  // window legitimately spans several jobs, so its fixpoint limit must
+  // be far beyond one deadline.
+  if (t.deadline > t.period) {
+    return ResponseTimeArbitrary(tasks, i,
+                                 std::max<Time>(budget, 64 * t.period));
+  }
+  return ResponseTime(tasks, i, budget);
+}
+
+bool MeetsDeadline(const RtaTask& t, Time r) {
+  return r != kTimeNever && r + t.jitter <= t.deadline;
+}
+
+}  // namespace
+
+Time CheckedResponse(std::span<const RtaTask> tasks, std::size_t i) {
+  if (!tasks[i].check) return 0;
+  const Time r = CoreResponse(tasks, i);
+  return MeetsDeadline(tasks[i], r) ? r : kTimeNever;
+}
+
 RtaResult AnalyzeCore(std::span<const RtaTask> tasks) {
   RtaResult res;
   res.schedulable = true;
   res.response.assign(tasks.size(), 0);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!tasks[i].check) {
-      res.response[i] = 0;
-      continue;
-    }
-    const Time budget = tasks[i].deadline - tasks[i].jitter;
-    if (budget < tasks[i].wcet) {
-      res.response[i] = kTimeNever;
-      res.schedulable = false;
-      if (res.first_failure == SIZE_MAX) res.first_failure = i;
-      continue;
-    }
-    // Arbitrary deadlines (D > T) need the busy-window analysis: the
-    // window legitimately spans several jobs, so its fixpoint limit must
-    // be far beyond one deadline.
-    const bool arbitrary = tasks[i].deadline > tasks[i].period;
-    const Time r =
-        arbitrary
-            ? ResponseTimeArbitrary(tasks, i,
-                                    std::max<Time>(budget,
-                                                   64 * tasks[i].period))
-            : ResponseTime(tasks, i, budget);
+    if (!tasks[i].check) continue;
+    const Time r = CoreResponse(tasks, i);
     res.response[i] = r;
-    if (r == kTimeNever || r + tasks[i].jitter > tasks[i].deadline) {
+    if (!MeetsDeadline(tasks[i], r)) {
       res.schedulable = false;
       if (res.first_failure == SIZE_MAX) res.first_failure = i;
     }

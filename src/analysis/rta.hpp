@@ -73,4 +73,8 @@ Time ResponseTimeArbitrary(std::span<const RtaTask> tasks,
 /// R_i + J_i <= D_i.
 RtaResult AnalyzeCore(std::span<const RtaTask> tasks);
 
+/// AnalyzeCore's check of tasks[i] alone: its response time if it meets
+/// R_i + J_i <= D_i, else kTimeNever; 0 for a check=false entry.
+Time CheckedResponse(std::span<const RtaTask> tasks, std::size_t i);
+
 }  // namespace sps::analysis

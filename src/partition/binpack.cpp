@@ -106,9 +106,7 @@ bool FpCoreAdmits(const FpCoreState& bin, const rt::Task& cand,
                  : analysis::HyperbolicTest(utils);
     }
     // Overhead-aware exact RTA on this core with the candidate added.
-    std::vector<analysis::CoreEntry> entries;
-    entries.reserve(bin.tasks.size() + 1);
-    auto push = [&entries](const rt::Task& t) {
+    auto entry = [](const rt::Task& t) {
       analysis::CoreEntry e;
       e.exec = t.wcet;
       e.period = t.period;
@@ -116,12 +114,13 @@ bool FpCoreAdmits(const FpCoreState& bin, const rt::Task& cand,
       e.priority = t.priority + kNormalPriorityBase;
       e.kind = analysis::EntryKind::kNormal;
       e.id = t.id;
-      entries.push_back(e);
+      return e;
     };
-    for (const rt::Task& t : bin.tasks) push(t);
-    push(cand);
-    return analysis::AnalyzeCoreWithOverheads(entries, cfg.model)
-        .schedulable;
+    std::vector<analysis::CoreEntry> residents;
+    residents.reserve(bin.tasks.size());
+    for (const rt::Task& t : bin.tasks) residents.push_back(entry(t));
+    return analysis::CandidateResponse(residents, entry(cand), cfg.model) !=
+           kTimeNever;
   }();
   if (use_memo &&
       memo->table->Store(qk.lo, qk,

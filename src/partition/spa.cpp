@@ -99,22 +99,26 @@ class SpaRunner {
   /// returns the candidate's response time via `resp_out`.
   bool Admits(unsigned c, const analysis::CoreEntry& cand,
               Time* resp_out) const {
+    const double u = cores_[c].utilization +
+                     static_cast<double>(cand.exec) /
+                         static_cast<double>(cand.period);
     if (cfg_.fill == FillMode::kLiuLaylandFill) {
-      const double u = cores_[c].utilization +
-                       static_cast<double>(cand.exec) /
-                           static_cast<double>(cand.period);
       const std::size_t n = cores_[c].entries.size() + 1;
       if (u > analysis::LiuLaylandBound(n) + 1e-12) return false;
       if (resp_out != nullptr) *resp_out = cand.exec;  // optimistic; the
       // final verifier recomputes real responses.
       return true;
     }
-    std::vector<analysis::CoreEntry> probe = cores_[c].entries;
-    probe.push_back(cand);
-    const analysis::RtaResult res =
-        analysis::AnalyzeCoreWithOverheads(probe, cfg_.model);
-    if (!res.schedulable) return false;
-    if (resp_out != nullptr) *resp_out = res.response.back();
+    // The bin packers' O(1) screen, exact for RTA: at raw U > 1 the
+    // lowest-priority entry has no response fixpoint within its period
+    // (or busy window), and inflation and jitter only add to that.
+    // Unspanned, like the probe below: the kUtilScreen and kAnalysis
+    // span counts stay FFD/WFD's.
+    if (u > 1.0 + 1e-12) return false;
+    const Time r =
+        analysis::CandidateResponse(cores_[c].entries, cand, cfg_.model);
+    if (r == kTimeNever) return false;
+    if (resp_out != nullptr) *resp_out = r;
     return true;
   }
 

@@ -4,6 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "analysis/overhead_aware.hpp"
+#include "analysis/rta.hpp"
 #include "overhead/model.hpp"
 #include "partition/binpack.hpp"
 #include "partition/spa.hpp"
@@ -248,6 +256,220 @@ TEST_P(SpaUtilizationSweep, AcceptedPartitionsAlwaysVerify) {
 
 INSTANTIATE_TEST_SUITE_P(Utils, SpaUtilizationSweep,
                          ::testing::Values(0.4, 0.6, 0.7, 0.8, 0.9));
+
+// ---- admission screen and verdict-only probe -------------------------------
+
+TaskSet HarmonicFullCore(Time extra_ns) {
+  // C = (1, 1, 2) ms, T = (2, 4, 8) ms: raw U == 1, schedulable by RTA
+  // (Rta.ExactlyFullUtilizationHarmonicIsSchedulable).
+  TaskSet ts;
+  ts.add(MakeTask(0, Millis(1), Millis(2)));
+  ts.add(MakeTask(1, Millis(1), Millis(4)));
+  ts.add(MakeTask(2, Millis(2) + extra_ns, Millis(8)));
+  rt::AssignRateMonotonic(ts);
+  return ts;
+}
+
+TEST(Spa, ExactModeAcceptsAFullHarmonicCore) {
+  const TaskSet ts = HarmonicFullCore(0);
+  for (const bool heavy : {false, true}) {
+    for (const SplitPriorityMode mode :
+         {SplitPriorityMode::kElevated, SplitPriorityMode::kNative}) {
+      SpaConfig cfg = Cfg(1);
+      cfg.preassign_heavy = heavy;
+      cfg.split_mode = mode;
+      const PartitionResult r = SpaPartition(ts, cfg);
+      ASSERT_TRUE(r.success) << r.algorithm << ": " << r.failure_reason;
+      EXPECT_EQ(r.partition.num_split_tasks(), 0u);
+    }
+  }
+}
+
+TEST(Spa, ExactModeRejectsRawUtilizationJustAboveOne) {
+  // One more ns lifts raw U to 1 + 1.25e-7: the O(1) screen rejects
+  // the core before any RTA, for SPA and the bin packers alike.
+  const TaskSet ts = HarmonicFullCore(1);
+  for (const bool heavy : {false, true}) {
+    SpaConfig cfg = Cfg(1);
+    cfg.preassign_heavy = heavy;
+    EXPECT_FALSE(SpaPartition(ts, cfg).success);
+  }
+  FpCoreState core;
+  core.Commit(ts[0]);
+  core.Commit(ts[1]);
+  BinPackConfig bp;
+  AdmitStats stats;
+  EXPECT_FALSE(FpCoreAdmits(core, ts[2], bp, &stats, nullptr));
+  EXPECT_EQ(stats.util_rejects, 1u);
+  EXPECT_EQ(stats.full_tests, 0u);
+  // At raw U == 1 the same core goes to RTA and fits.
+  EXPECT_TRUE(FpCoreAdmits(core, HarmonicFullCore(0)[2], bp, &stats,
+                           nullptr));
+  EXPECT_EQ(stats.full_tests, 1u);
+}
+
+// Seeded sets around the acceptance knee: 2 and 4 cores, 1.25 to 3
+// tasks per core, implicit and constrained deadlines.
+struct ProbeSet {
+  unsigned cores;
+  TaskSet ts;
+};
+
+std::vector<ProbeSet> ProbeSets() {
+  std::vector<ProbeSet> sets;
+  rt::Rng rng(20110318);
+  for (const unsigned m : {2u, 4u}) {
+    for (const std::size_t n : {m + 1, 2 * m, 3 * m}) {
+      for (const double u : {0.75, 0.85, 0.92, 0.97}) {
+        for (const bool implicit : {true, false}) {
+          rt::GeneratorConfig gen;
+          gen.num_tasks = n;
+          gen.total_utilization = u * m;
+          gen.period_min = Millis(10);
+          gen.period_max = Millis(200);
+          gen.implicit_deadlines = implicit;
+          for (int k = 0; k < 3; ++k) {
+            sets.push_back({m, rt::GenerateTaskSet(gen, rng)});
+          }
+        }
+      }
+    }
+  }
+  return sets;
+}
+
+void Fold(std::uint64_t& h, const std::string& s) {
+  for (const char ch : s + ";") {
+    h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+  }
+}
+
+// Everything a partitioner decides: verdict, name, reason and every
+// subtask's core, budget and priority.
+void Fold(std::uint64_t& h, const PartitionResult& r) {
+  Fold(h, r.algorithm + "|" + r.failure_reason + "|" +
+              std::to_string(r.success));
+  for (const PlacedTask& pt : r.partition.tasks) {
+    for (const SubtaskPlacement& p : pt.parts) {
+      Fold(h, std::to_string(pt.task.id) + ":" + std::to_string(p.core) +
+                  ":" + std::to_string(p.budget) + ":" +
+                  std::to_string(p.local_priority));
+    }
+  }
+}
+
+TEST(AdmissionProbe, SpaReproducesTheFullCoreAnalysisDecisions) {
+  // The fingerprint was taken with every exact-mode SPA probe running
+  // InflateCore + AnalyzeCore over a copy of the core with the
+  // candidate appended, with no utilization screen. The screened,
+  // verdict-only probe must reproduce every decision bit for bit.
+  const std::vector<ProbeSet> sets = ProbeSets();
+  std::uint64_t h = 14695981039346656037ull;
+  int accepted = 0;
+  for (const OverheadModel& m :
+       {OverheadModel::Zero(), OverheadModel::PaperCoreI7()}) {
+    for (const bool heavy : {false, true}) {
+      for (const SplitPriorityMode mode :
+           {SplitPriorityMode::kElevated, SplitPriorityMode::kNative}) {
+        for (const auto& [cores, ts] : sets) {
+          SpaConfig cfg = Cfg(cores, m);
+          cfg.preassign_heavy = heavy;
+          cfg.split_mode = mode;
+          const PartitionResult r = SpaPartition(ts, cfg);
+          accepted += r.success ? 1 : 0;
+          Fold(h, r);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(accepted, 734);
+  EXPECT_EQ(h, 13698025758033858574ull);
+}
+
+// The bin packers' path before the verdict-only probe: the same O(1)
+// screen, then the full-core analysis of residents plus candidate.
+bool OracleAdmits(const FpCoreState& core, const rt::Task& cand,
+                  const OverheadModel& m, AdmitStats& s) {
+  if (core.utilization + cand.utilization() > 1.0 + 1e-12) {
+    ++s.util_rejects;
+    return false;
+  }
+  ++s.full_tests;
+  std::vector<analysis::CoreEntry> entries;
+  auto push = [&entries](const rt::Task& t) {
+    analysis::CoreEntry e;
+    e.exec = t.wcet;
+    e.period = t.period;
+    e.deadline = t.deadline;
+    e.priority = t.priority + kNormalPriorityBase;
+    e.id = t.id;
+    entries.push_back(e);
+  };
+  for (const rt::Task& t : core.tasks) push(t);
+  push(cand);
+  return analysis::AnalyzeCore(analysis::InflateCore(entries, m))
+      .schedulable;
+}
+
+TEST(AdmissionProbe, BinPackingMatchesTheFullCoreOracle) {
+  // Replays FFD and WFD probe by probe with FpCoreAdmits and the oracle
+  // side by side: every verdict, the admission counters and the final
+  // placement must agree, and BinPackDecreasing must place the same.
+  const std::vector<ProbeSet> sets = ProbeSets();
+  for (const OverheadModel& m :
+       {OverheadModel::Zero(), OverheadModel::PaperCoreI7()}) {
+    for (const FitPolicy policy :
+         {FitPolicy::kFirstFit, FitPolicy::kWorstFit}) {
+      for (std::size_t si = 0; si < sets.size(); ++si) {
+        const TaskSet& ts = sets[si].ts;
+        BinPackConfig cfg;
+        cfg.num_cores = sets[si].cores;
+        cfg.model = m;
+        std::vector<FpCoreState> cores(cfg.num_cores);
+        std::vector<int> core_of(ts.size(), -1);
+        AdmitStats got;
+        AdmitStats want;
+        bool placed_all = true;
+        for (const std::size_t ti : rt::OrderByDecreasingUtilization(ts)) {
+          std::vector<unsigned> order(cfg.num_cores);
+          std::iota(order.begin(), order.end(), 0u);
+          if (policy == FitPolicy::kWorstFit) {
+            std::stable_sort(order.begin(), order.end(),
+                             [&](unsigned a, unsigned b) {
+                               return cores[a].utilization <
+                                      cores[b].utilization;
+                             });
+          }
+          for (const unsigned c : order) {
+            const bool admits =
+                FpCoreAdmits(cores[c], ts[ti], cfg, &got, nullptr);
+            ASSERT_EQ(admits, OracleAdmits(cores[c], ts[ti], m, want))
+                << "set " << si << " task " << ti << " core " << c;
+            if (admits) {
+              core_of[ti] = static_cast<int>(c);
+              break;
+            }
+          }
+          if (core_of[ti] < 0) {
+            placed_all = false;
+            break;
+          }
+          cores[static_cast<unsigned>(core_of[ti])].Commit(ts[ti]);
+        }
+        EXPECT_EQ(got.util_rejects, want.util_rejects) << "set " << si;
+        EXPECT_EQ(got.full_tests, want.full_tests) << "set " << si;
+        const PartitionResult r = BinPackDecreasing(ts, policy, cfg);
+        ASSERT_EQ(r.success, placed_all) << "set " << si;
+        if (!r.success) continue;
+        for (std::size_t i = 0; i < ts.size(); ++i) {
+          EXPECT_EQ(static_cast<int>(r.partition.tasks[i].parts[0].core),
+                    core_of[i])
+              << "set " << si << " task " << i;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sps::partition
