@@ -8,9 +8,8 @@
 namespace sps::analysis {
 
 Time Dbf(const EdfTask& task, Time t) {
-  const Time effective = t + task.jitter - task.deadline;
-  if (effective < 0) return 0;
-  return (effective / task.period + 1) * task.wcet;
+  if (t < task.deadline) return 0;
+  return ((t - task.deadline) / task.period + 1) * task.wcet;
 }
 
 namespace {
@@ -25,18 +24,17 @@ double EdfUtilization(std::span<const EdfTask> tasks) {
 }
 
 /// Check bound for a set whose utilization is 1 up to rounding: H +
-/// max(D - J), where H is the hyperperiod. For U <= 1 the demand bound
+/// max D, where H is the hyperperiod. For U <= 1 the demand bound
 /// function satisfies dbf(t + H) <= dbf(t) + U*H <= dbf(t) + H, so the
 /// first violation, if any, lies at or before H. Returns 0 (no bound)
-/// unless every D - J is positive, U <= 1 holds EXACTLY (in integers),
+/// unless every D and T is positive, U <= 1 holds EXACTLY (in integers),
 /// and the bound fits in `cap`.
 Time HyperperiodBound(std::span<const EdfTask> tasks, Time cap) {
   Time h = 1;
   Time d_max = 0;
   for (const EdfTask& t : tasks) {
-    const Time d = t.deadline - t.jitter;
-    if (d <= 0 || t.period <= 0) return 0;
-    d_max = std::max(d_max, d);
+    if (t.deadline <= 0 || t.period <= 0) return 0;
+    d_max = std::max(d_max, t.deadline);
     const Time g = std::gcd(h, t.period);
     if (h / g > cap / t.period) return 0;  // the hyperperiod exceeds cap
     h = h / g * t.period;
@@ -51,14 +49,13 @@ Time HyperperiodBound(std::span<const EdfTask> tasks, Time cap) {
   return h + d_max;
 }
 
-/// Smallest positive point d_i + k T_i (d_i = D_i - J_i) at or before
-/// `horizon`; 0 when there is none.
+/// Smallest deadline D_i at or before `horizon`; 0 when there is none.
 Time FirstPoint(std::span<const EdfTask> tasks, Time horizon) {
   Time best = 0;
   for (const EdfTask& t : tasks) {
-    Time p = t.deadline - t.jitter;
-    if (p <= 0) p += ((-p) / t.period + 1) * t.period;
-    if (p <= horizon && (best == 0 || p < best)) best = p;
+    if (t.deadline <= horizon && (best == 0 || t.deadline < best)) {
+      best = t.deadline;
+    }
   }
   return best;
 }
@@ -70,7 +67,7 @@ Time DemandAndPointBefore(std::span<const EdfTask> tasks, Time t,
   Time demand = 0;
   Time prev = 0;
   for (const EdfTask& task : tasks) {
-    const Time d = task.deadline - task.jitter;
+    const Time d = task.deadline;
     if (d > t) continue;
     const Time k = (t - d) / task.period;  // points d .. d + kT are <= t
     demand += (k + 1) * task.wcet;
@@ -93,7 +90,7 @@ Time FirstViolation(std::span<const EdfTask> tasks, Time first, Time last) {
     Time gap = 0;  // distance to the next point after t
     for (const EdfTask& task : tasks) {
       demand += Dbf(task, t);
-      const Time d = task.deadline - task.jitter;
+      const Time d = task.deadline;
       const Time g = d > t ? d - t : task.period - (t - d) % task.period;
       if (gap == 0 || g < gap) gap = g;
     }
@@ -115,15 +112,15 @@ EdfResult DemandTest(std::span<const EdfTask> tasks, Time max_horizon,
   if (u > 1.0 + 1e-12) return res;
 
   // Demand needs checking only up to the utilization-slack bound
-  // L_a = sum u_i (T_i - D_i + J_i) / (1 - U), and no earlier than the
-  // first absolute deadline.
+  // L_a = sum u_i (T_i - D_i) / (1 - U), and no earlier than the
+  // largest relative deadline.
   Time horizon = 0;
   if (u < 1.0 - 1e-9) {
     double la = 0.0;
     for (const EdfTask& t : tasks) {
       const double ui =
           static_cast<double>(t.wcet) / static_cast<double>(t.period);
-      la += ui * static_cast<double>(t.period - t.deadline + t.jitter);
+      la += ui * static_cast<double>(t.period - t.deadline);
     }
     la /= (1.0 - u);
     horizon = static_cast<Time>(la) + 1;
@@ -134,18 +131,18 @@ EdfResult DemandTest(std::span<const EdfTask> tasks, Time max_horizon,
     if (horizon == 0) horizon = max_horizon;
   }
   for (const EdfTask& t : tasks) {
-    horizon = std::max(horizon, t.deadline - t.jitter);
+    horizon = std::max(horizon, t.deadline);
   }
   const bool capped = horizon > max_horizon && u >= 1.0 - 1e-9;
   horizon = std::min(horizon, max_horizon);
   res.horizon = horizon;
 
-  // The points checked are the positive absolute deadlines d_i + k T_i
-  // (d_i = D_i - J_i) up to the horizon; demand h is constant from one
-  // point to the next. QPA (Zhang & Burns, IEEE TC 2009) walks back from
-  // the horizon: h(t) <= t clears every point in [h(t), t] (h is
-  // monotone), so t jumps to h(t), or to the previous point when
-  // h(t) == t. Once h(t) <= the smallest point every point is clear.
+  // The points checked are the absolute deadlines D_i + k T_i up to the
+  // horizon; demand h is constant from one point to the next. QPA (Zhang
+  // & Burns, IEEE TC 2009) walks back from the horizon: h(t) <= t clears
+  // every point in [h(t), t] (h is monotone), so t jumps to h(t), or to
+  // the previous point when h(t) == t. Once h(t) <= the smallest point
+  // every point is clear.
   const Time first = FirstPoint(tasks, horizon);
   if (first != 0) {
     Time t = horizon;
@@ -199,12 +196,8 @@ std::vector<EdfTask> InflateEdfCore(std::span<const EdfCoreEntry> entries,
     const Time c = ChargedExec(e.exec, kind, e.dest_queue_size,
                                e.first_core_queue_size, lc, model) +
                    ReleaseCharge(kind, lc);
-    out.push_back(EdfTask{.wcet = c,
-                          .period = e.period,
-                          .deadline = e.deadline,
-                          .jitter = e.jitter,
-                          .check = true,
-                          .id = e.id});
+    out.push_back(EdfTask{
+        .wcet = c, .period = e.period, .deadline = e.deadline, .id = e.id});
   }
   return out;
 }

@@ -7,19 +7,18 @@
 // partitioning side is partition/edf_wm.hpp).
 //
 // Tooling:
-//   * demand bound function dbf(tau, t), with optional release jitter —
-//     the standard sporadic-task demand of jobs released AND due within
-//     an interval of length t (Baruah/Mok/Rosier);
+//   * demand bound function dbf(tau, t) — the standard sporadic-task
+//     demand of jobs released AND due within an interval of length t
+//     (Baruah/Mok/Rosier);
 //   * the processor-demand criterion: a constrained-deadline task set is
 //     EDF-schedulable on one core iff sum dbf_i(t) <= t for all t up to a
 //     bounded horizon (the utilization-slack bound, or the hyperperiod
 //     at U == 1), walked over deadline points by QPA;
 //   * split-task windows are modeled per EDF-WM's ORIGINAL per-window
 //     analysis: window j is a plain sporadic (B_j, T, window length) task
-//     with zero jitter (partition/edf_wm.hpp documents the
-//     assume-guarantee induction that makes this sound). The jitter field
-//     remains for genuinely jittered workloads — it is no longer used to
-//     (doubly, conservatively) widen split-window demand;
+//     with no release jitter (partition/edf_wm.hpp documents the
+//     assume-guarantee induction that makes this sound). Nothing on an
+//     EDF core is jittered, so the tasks and entries carry no jitter;
 //   * overhead-aware inflation mirroring overhead_aware.hpp: per-job
 //     release, scheduling, context-switch, finish and CPMD charges are
 //     folded into the demand.
@@ -39,16 +38,12 @@ struct EdfTask {
   Time wcet = 0;      ///< possibly inflated C'
   Time period = 0;    ///< minimum inter-arrival
   Time deadline = 0;  ///< relative deadline (constrained: D <= T)
-  Time jitter = 0;    ///< release jitter (subtask chains)
-  bool check = true;  ///< participate in the demand (always true for EDF;
-                      ///< kept for symmetry with RtaTask)
   rt::TaskId id = 0;
 };
 
 /// Demand of one task in any interval of length t: jobs that are both
-/// released and due inside the interval, worst case over alignments.
-/// With jitter J the window effectively widens: floor((t + J - D)/T) + 1
-/// jobs (clamped at 0).
+/// released and due inside the interval, worst case over alignments:
+/// floor((t - D)/T) + 1 jobs (clamped at 0).
 Time Dbf(const EdfTask& task, Time t);
 
 struct EdfResult {
@@ -65,7 +60,7 @@ struct EdfResult {
 /// Demand is checked at the deadline points up to the horizon
 /// min(L, max_horizon), where L is the utilization-slack bound L_a (or,
 /// at U == 1, the hyperperiod bound when it fits) and at least the
-/// largest D - J. QPA (Zhang & Burns, IEEE TC 2009) visits few of
+/// largest D. QPA (Zhang & Burns, IEEE TC 2009) visits few of
 /// those points; `violation_at` is still the FIRST violating one.
 /// When L exceeds `max_horizon` (default 1s) the test rejects
 /// conservatively only at U >= 1 - 1e-9; below that it checks [0,
@@ -91,7 +86,6 @@ struct EdfCoreEntry {
   Time exec = 0;
   Time period = 0;
   Time deadline = 0;  ///< window deadline for split parts, else task D
-  Time jitter = 0;
   /// Reuses the fixed-priority entry kinds (normal/body/tail semantics
   /// are policy-independent).
   int kind = 0;  ///< static_cast<int>(EntryKind)

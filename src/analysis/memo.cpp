@@ -57,7 +57,6 @@ MemoKey EdfEntryCode(const EdfCoreEntry& e) {
                                   U(e.exec),
                                   U(e.period),
                                   U(e.deadline),
-                                  U(e.jitter),
                                   e.dest_queue_size,
                                   e.first_core_queue_size};
   return MemoKey{Chain(kEdfLo, fields), Chain(kEdfHi, fields)};

@@ -74,7 +74,7 @@ struct MemoKey {
 
 /// Zobrist code of one EDF analysis entry (hashes every field the
 /// inflation + demand test read: id, kind, exec, period, window
-/// deadline, jitter, queue sizes).
+/// deadline, queue sizes).
 [[nodiscard]] MemoKey EdfEntryCode(const EdfCoreEntry& e);
 
 /// Zobrist code of one fixed-priority resident task (id, C, T, D,

@@ -9,8 +9,6 @@ partition::EdfPartitionConfig DeriveEdfPartitionConfig(
   partition::EdfPartitionConfig out;
   out.num_cores = cfg.num_cores;
   out.model = cfg.model;
-  out.budget_granularity = cfg.budget_granularity;
-  out.min_budget = cfg.min_budget;
   out.memo = cfg.memo;
   return out;
 }
@@ -18,7 +16,6 @@ partition::EdfPartitionConfig DeriveEdfPartitionConfig(
 partition::BinPackConfig DeriveBinPackConfig(const AdmissionConfig& cfg) {
   partition::BinPackConfig out;
   out.num_cores = cfg.num_cores;
-  out.admission = cfg.fp_admission;
   out.model = cfg.model;
   out.memo = cfg.memo;
   return out;
@@ -33,7 +30,7 @@ AdmissionState::AdmissionState(const AdmissionConfig& cfg)
     edf_cores_.resize(cfg.num_cores);
   } else {
     memo_ = analysis::MakeFpMemoContext(
-        cfg.memo, cfg.model, static_cast<int>(cfg.fp_admission));
+        cfg.memo, cfg.model, static_cast<int>(fp_cfg_.admission));
     fp_cores_.resize(cfg.num_cores);
   }
 }

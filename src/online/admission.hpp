@@ -32,11 +32,6 @@ struct AdmissionConfig {
   unsigned num_cores = 4;
   partition::SchedPolicy policy = partition::SchedPolicy::kEdf;
   overhead::OverheadModel model = overhead::OverheadModel::Zero();
-  /// EDF split search knobs (partition::EdfPartitionConfig).
-  Time budget_granularity = Micros(10);
-  Time min_budget = Micros(100);
-  /// Fixed-priority per-core admission test (partition::BinPackConfig).
-  partition::AdmissionTest fp_admission = partition::AdmissionTest::kRta;
   /// Admission-verdict transposition table (analysis/memo.hpp), shared
   /// with the offline configs the builders below derive.
   analysis::MemoConfig memo;
@@ -44,8 +39,9 @@ struct AdmissionConfig {
 
 /// The offline partitioner configs an AdmissionConfig implies — ONE
 /// builder pair shared by AdmissionState (incremental steps) and the
-/// controller's repartition fallback, so no knob (granularity, model,
-/// memo, ...) can drift between the online and offline paths.
+/// controller's repartition fallback, so no knob (model, memo, ...) can
+/// drift between the online and offline paths. The fixed-priority
+/// admission test is BinPackConfig's default, exact RTA.
 [[nodiscard]] partition::EdfPartitionConfig DeriveEdfPartitionConfig(
     const AdmissionConfig& cfg);
 [[nodiscard]] partition::BinPackConfig DeriveBinPackConfig(

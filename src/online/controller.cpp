@@ -38,6 +38,12 @@ partition::FitPolicy ToFitPolicy(PlacePolicy p) {
 /// "Nobody eligible" sentinel for PickVictim (no stream id reaches it).
 constexpr rt::TaskId kNoVictim = std::numeric_limits<rt::TaskId>::max();
 
+/// Shed re-admission retry backoff, in epochs: the first retry comes
+/// after kRetryBackoffMin, the wait doubles per failed retry, capped at
+/// kRetryBackoffMax.
+constexpr std::uint32_t kRetryBackoffMin = 1;
+constexpr std::uint32_t kRetryBackoffMax = 16;
+
 /// Importance guard of the admission-path ladder: a candidate may only
 /// displace residents strictly less important than itself — a hard
 /// candidate outranks every soft resident; a soft candidate outranks
@@ -373,8 +379,8 @@ void Controller::CommitLadder(std::vector<LadderAction>& log) {
       continue;
     }
     ++overload_.sheds;
-    const std::uint32_t b = std::max(1u, cfg_.overload.retry_backoff_min);
-    shed_.push_back(ShedRecord{std::move(a.full_task), a.admit_seq, b, b});
+    shed_.push_back(ShedRecord{std::move(a.full_task), a.admit_seq,
+                               kRetryBackoffMin, kRetryBackoffMin});
   }
   log.clear();
 }
@@ -458,8 +464,7 @@ void Controller::AdvanceEpoch(bool overloaded) {
       continue;
     }
     ++overload_.retry_attempts;
-    r.backoff = std::min(std::max(1u, r.backoff) * 2,
-                         std::max(1u, cfg_.overload.retry_backoff_max));
+    r.backoff = std::min(std::max(1u, r.backoff) * 2, kRetryBackoffMax);
     r.retry_in = r.backoff;
     still.push_back(std::move(r));
   }

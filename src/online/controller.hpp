@@ -70,11 +70,6 @@ struct OverloadConfig {
   bool hysteresis = true;
   std::uint32_t cooldown_epochs = 4;
   double util_band = 0.10;
-  /// Shed re-admission retry backoff, in epochs: first retry after
-  /// `retry_backoff_min`, doubling per failed retry, capped at
-  /// `retry_backoff_max`.
-  std::uint32_t retry_backoff_min = 1;
-  std::uint32_t retry_backoff_max = 16;
   /// Exec-spike multiplier the overload reaction plans for: the epoch
   /// reaction sheds/degrades until the partition with every WCET
   /// inflated by this factor re-analyzes schedulable.

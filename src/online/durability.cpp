@@ -92,10 +92,13 @@ namespace fs = std::filesystem;
 // but never read out of bounds.
 
 constexpr char kCheckpointMagic[8] = {'S', 'P', 'S', 'C', 'K', 'P',
-                                      'T', '\x01'};
+                                      'T', '\x02'};
 constexpr char kJournalMagic[8] = {'S', 'P', 'S', 'J', 'R', 'N',
                                    'L', '\x01'};
 constexpr std::size_t kJournalHeaderSize = 8 + 8 + 4;
+/// Checkpoint files kept on disk (older ones are pruned): more than one
+/// keeps a fallback for a corrupt newest checkpoint.
+constexpr std::size_t kKeepCheckpoints = 4;
 constexpr std::uint32_t kMaxRecordLen = 1024;
 
 // ---- the codec -------------------------------------------------------------
@@ -324,7 +327,6 @@ void Visit(Ar& ar, analysis::EdfCoreEntry& e) {
   ar.I64(e.exec);
   ar.I64(e.period);
   ar.I64(e.deadline);
-  ar.I64(e.jitter);
   ar.I64(e.kind);
   ar.U64(e.dest_queue_size);
   ar.U64(e.first_core_queue_size);
@@ -420,13 +422,10 @@ std::uint64_t MixF(std::uint64_t h, double v) {
 }
 
 std::uint64_t Fingerprint(const WorkloadStream& s, const ReplayConfig& cfg) {
-  std::uint64_t h = 0x5350531Eull;  // "SPS" + format nonce
+  std::uint64_t h = 0x5350531Full;  // "SPS" + format nonce
   const ControllerConfig& cc = cfg.controller;
   h = Mix(h, cc.admission.num_cores);
   h = Mix(h, static_cast<std::uint64_t>(cc.admission.policy));
-  h = Mix(h, static_cast<std::uint64_t>(cc.admission.budget_granularity));
-  h = Mix(h, static_cast<std::uint64_t>(cc.admission.min_budget));
-  h = Mix(h, static_cast<std::uint64_t>(cc.admission.fp_admission));
   h = Mix(h, static_cast<std::uint64_t>(cc.place));
   h = Mix(h, (cc.allow_split ? 1u : 0u) | (cc.repartition_fallback ? 2u : 0u) |
                  (cc.unsplit_on_leave ? 4u : 0u) |
@@ -435,8 +434,6 @@ std::uint64_t Fingerprint(const WorkloadStream& s, const ReplayConfig& cfg) {
                  (cfg.validate_by_simulation ? 32u : 0u));
   h = Mix(h, cc.overload.cooldown_epochs);
   h = MixF(h, cc.overload.util_band);
-  h = Mix(h, cc.overload.retry_backoff_min);
-  h = Mix(h, cc.overload.retry_backoff_max);
   h = MixF(h, cc.overload.spike_magnitude);
   h = Mix(h, static_cast<std::uint64_t>(cfg.epoch));
   h = Mix(h, cfg.seed);
@@ -825,7 +822,6 @@ class DurabilityEngine {
                   journal_path_ + ": journal append failed: " +
                       std::strerror(errno));
     }
-    seen_.emplace(rec.seq, rec);
     ++appends_;
     if (cfg_.fsync == FsyncPolicy::kEveryN &&
         appends_ % std::max(1u, cfg_.fsync_every_n) == 0) {
@@ -870,6 +866,10 @@ class DurabilityEngine {
     }
     const std::string path = CheckpointPath(cfg_.dir, epoch_index);
     if (fs::exists(path)) return true;  // redo re-entered a covered epoch
+    // The checkpoint covers every request applied so far, so their
+    // records must be in the file before it is: a crash between the two
+    // writes must not leave a checkpoint ahead of the journal.
+    FlushJournal(/*sync=*/false);
     CheckpointState st;
     st.next_request = next_request;
     st.epoch_start = epoch_start;
@@ -909,9 +909,10 @@ class DurabilityEngine {
 
   void PruneCheckpoints() {
     const std::vector<std::string> all = ListCheckpoints(cfg_.dir);
-    const std::uint32_t keep = std::max(1u, cfg_.keep_checkpoints);
     std::error_code ec;
-    for (std::size_t i = keep; i < all.size(); ++i) fs::remove(all[i], ec);
+    for (std::size_t i = kKeepCheckpoints; i < all.size(); ++i) {
+      fs::remove(all[i], ec);
+    }
   }
 
   /// Load the newest valid checkpoint (skipping corrupt ones), scan the
@@ -987,6 +988,8 @@ class DurabilityEngine {
   std::string journal_path_;
   std::FILE* journal_ = nullptr;
   std::uint64_t fingerprint_ = 0;
+  /// The journal's records as recovery read them: the redo pass
+  /// cross-checks these seqs; every later seq is new and appended.
   std::unordered_map<std::uint64_t, JournalRecord> seen_;
   std::uint64_t appends_ = 0;
   bool halted_ = false;

@@ -31,9 +31,12 @@
 
 namespace sps::online {
 
-/// When journal appends reach the disk (the knob is about POWER-loss
-/// durability; process crashes never lose an appended record — the page
-/// cache survives the process).
+/// When journal appends reach the disk. Appends are buffered in stdio
+/// and flushed to the page cache (which survives a process crash) at
+/// every checkpoint write, at the end of the replay and per the policy
+/// below, so a kill -9 can lose the unflushed tail of the journal but
+/// never a record a checkpoint covers. The fsync the policy adds is
+/// about POWER-loss durability.
 enum class FsyncPolicy : std::uint8_t {
   kOff,         ///< no fsync (still crash-consistent, not power-durable)
   kEveryN,      ///< fsync after every `fsync_every_n` journal records
@@ -53,9 +56,6 @@ struct DurabilityConfig {
   /// Write a checkpoint every K-th epoch ENTRY (0 = never; the journal
   /// alone still recovers — redo just starts from scratch).
   std::uint32_t checkpoint_every = 4;
-  /// Checkpoint files kept on disk (older ones are pruned). >= 2 keeps a
-  /// fallback for a corrupt newest checkpoint.
-  std::uint32_t keep_checkpoints = 4;
   FsyncPolicy fsync = FsyncPolicy::kEveryEpoch;
   std::uint32_t fsync_every_n = 64;
   /// Recover from `dir` before replaying: load the newest valid

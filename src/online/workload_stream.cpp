@@ -87,10 +87,7 @@ Time WorkloadStream::span() const {
 }
 
 WorkloadStream GenerateStream(const StreamConfig& cfg) {
-  rt::GeneratorConfig gen;
-  gen.period_min = cfg.period_min;
-  gen.period_max = cfg.period_max;
-  gen.period_granularity = cfg.period_granularity;
+  const rt::GeneratorConfig gen;
 
   std::vector<Request> reqs;
   reqs.reserve(cfg.num_admits * 2);
@@ -119,18 +116,15 @@ WorkloadStream GenerateStream(const StreamConfig& cfg) {
     if (cfg.soft_fraction > 0.0 &&
         UniformDouble(util::DeriveSeed(cfg.seed, i, kAxisSoft), 0.0, 1.0) <
             cfg.soft_fraction) {
+      constexpr double kValueClasses = 4.0;
+      constexpr double kDegradedFraction = 0.6;
       admit.task.crit = rt::Criticality::kSoft;
       admit.task.value = static_cast<std::uint32_t>(UniformDouble(
-          util::DeriveSeed(cfg.seed, i, kAxisValue), 0.0,
-          static_cast<double>(std::max<std::uint32_t>(1,
-                                                      cfg.value_classes))));
-      admit.task.tardiness_bound = static_cast<Time>(
-          cfg.tardiness_factor * static_cast<double>(period));
-      if (cfg.degraded_fraction > 0.0) {
-        const Time dw = static_cast<Time>(
-            cfg.degraded_fraction * static_cast<double>(wcet));
-        if (dw > 0 && dw < wcet) admit.task.degraded_wcet = dw;
-      }
+          util::DeriveSeed(cfg.seed, i, kAxisValue), 0.0, kValueClasses));
+      admit.task.tardiness_bound = period;
+      const Time dw =
+          static_cast<Time>(kDegradedFraction * static_cast<double>(wcet));
+      if (dw > 0 && dw < wcet) admit.task.degraded_wcet = dw;
     }
     dm_order.emplace_back(admit.task.deadline, admit.id);
     reqs.push_back(admit);

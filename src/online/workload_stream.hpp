@@ -78,8 +78,8 @@ class WorkloadStream {
 };
 
 /// Synthetic stream generator — the online counterpart of
-/// rt::GeneratorConfig, reusing its period recipe (log-uniform decade
-/// range, granularity rounding) per request.
+/// rt::GeneratorConfig, reusing its default period recipe (log-uniform
+/// over 10-1000 ms, whole milliseconds) per request.
 struct StreamConfig {
   std::size_t num_admits = 128;
   /// Fraction of admits that later LEAVE (drawn per request).
@@ -92,21 +92,12 @@ struct StreamConfig {
   /// Per-task utilization, uniform in [util_min, util_max].
   double util_min = 0.05;
   double util_max = 0.40;
-  /// Period recipe (rt::DrawPeriod).
-  Time period_min = Millis(10);
-  Time period_max = Millis(1000);
-  Time period_granularity = Millis(1);
   /// Overload axis (DESIGN.md §13): fraction of admits generated SOFT
   /// (criticality kSoft), drawn per request from its own seed axis so
   /// soft_fraction = 0 regenerates historical streams bit-identically.
+  /// Soft tasks draw value uniformly in [0, 4), tolerate tardiness up
+  /// to one period, and degrade to 60% of their WCET.
   double soft_fraction = 0.0;
-  /// Soft tasks draw value uniformly in [0, value_classes).
-  std::uint32_t value_classes = 4;
-  /// Soft tasks tolerate tardiness up to this fraction of their period.
-  double tardiness_factor = 1.0;
-  /// Soft tasks' degraded-mode WCET as a fraction of the full WCET
-  /// (0 disables the degraded mode).
-  double degraded_fraction = 0.6;
   /// Deadline-monotonic priorities pre-assigned over the whole stream
   /// (unique; needed by fixed-priority controllers). Always done.
   std::uint64_t seed = 20110318;

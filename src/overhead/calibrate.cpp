@@ -28,12 +28,18 @@ struct FakeJob {
   std::uint64_t payload[6];
 };
 
+/// Top fraction of samples ignored as timer outliers (interrupts etc.).
+constexpr double kOutlierTrim = 0.01;
+
+/// Bytes swept to evict queue nodes for "remote" emulation.
+constexpr std::size_t kEvictionBufferBytes = 8u << 20;
+
 /// Max-after-trim over collected samples (the paper's "maximal measured
-/// duration", with an optional guard against timer-interrupt outliers).
-Time TrimmedMax(std::vector<Time>& samples, double trim) {
+/// duration", guarded against timer-interrupt outliers).
+Time TrimmedMax(std::vector<Time>& samples) {
   std::sort(samples.begin(), samples.end());
   const auto keep = static_cast<std::size_t>(
-      static_cast<double>(samples.size()) * (1.0 - trim));
+      static_cast<double>(samples.size()) * (1.0 - kOutlierTrim));
   const std::size_t idx = keep == 0 ? 0 : keep - 1;
   return samples[std::min(idx, samples.size() - 1)];
 }
@@ -66,9 +72,8 @@ std::uint64_t SplitMix(std::uint64_t& s) {
 }
 
 template <typename MakeQueue, typename TimedOp, typename Restore>
-Time MeasureOp(int samples, double trim, bool remote,
-               CacheEvictor& evictor, MakeQueue make, TimedOp op,
-               Restore restore) {
+Time MeasureOp(int samples, bool remote, CacheEvictor& evictor,
+               MakeQueue make, TimedOp op, Restore restore) {
   auto queue = make();
   std::vector<Time> durations;
   durations.reserve(static_cast<std::size_t>(samples));
@@ -80,7 +85,7 @@ Time MeasureOp(int samples, double trim, bool remote,
     restore(queue, i);
     durations.push_back(t1 - t0);
   }
-  return TrimmedMax(durations, trim);
+  return TrimmedMax(durations);
 }
 
 // Any queue backend is measured through the SAME concept interface the
@@ -110,12 +115,10 @@ Table1::Row MeasureAdd(const CalibrationConfig& cfg, CacheEvictor& evictor,
   auto restore = [&](std::unique_ptr<Q>& q, int) { q->erase(last); };
 
   const Time local =
-      MeasureOp(cfg.samples, cfg.outlier_trim, false, evictor, make, op,
-                restore);
+      MeasureOp(cfg.samples, false, evictor, make, op, restore);
   Time remote = 0;
   if (both_localities) {
-    remote = MeasureOp(cfg.samples, cfg.outlier_trim, true, evictor, make,
-                       op, restore);
+    remote = MeasureOp(cfg.samples, true, evictor, make, op, restore);
     remote = std::max(remote, local);  // coherence can only add cost
   }
   if (n == 4) {
@@ -147,8 +150,8 @@ Table1::Row MeasureDel(const CalibrationConfig& cfg, CacheEvictor& evictor,
     q->push(popped.first, popped.second);
   };
 
-  const Time local = MeasureOp(cfg.samples, cfg.outlier_trim, false, evictor,
-                               make, op, restore);
+  const Time local =
+      MeasureOp(cfg.samples, false, evictor, make, op, restore);
   if (n == 4) {
     base.local_n4 = local;
   } else {
@@ -218,7 +221,7 @@ void CtxSwitchBody(CpuContext& from, CpuContext& to, CpuContext& cpu) {
 }  // namespace
 
 Table1 MeasureTable1(const CalibrationConfig& cfg) {
-  CacheEvictor evictor(cfg.eviction_buffer_bytes);
+  CacheEvictor evictor(kEvictionBufferBytes);
   Table1 t;
   containers::WithQueueBackend(cfg.ready_backend, [&](auto rb) {
     using ReadyQ =
@@ -244,7 +247,7 @@ HandlerCosts MeasureHandlerCosts(const CalibrationConfig& cfg) {
     ReleaseBody(tcb);
     samples.push_back(Now() - t0);
   }
-  h.release_exec = TrimmedMax(samples, cfg.outlier_trim);
+  h.release_exec = TrimmedMax(samples);
 
   samples.clear();
   std::vector<TaskControlBlock> tcbs(8, tcb);
@@ -259,7 +262,7 @@ HandlerCosts MeasureHandlerCosts(const CalibrationConfig& cfg) {
     samples.push_back(Now() - t0);
   }
   (void)sink;
-  h.sched_exec = TrimmedMax(samples, cfg.outlier_trim);
+  h.sched_exec = TrimmedMax(samples);
 
   samples.clear();
   CpuContext a{}, b{}, cpu{};
@@ -268,7 +271,7 @@ HandlerCosts MeasureHandlerCosts(const CalibrationConfig& cfg) {
     CtxSwitchBody(a, b, cpu);
     samples.push_back(Now() - t0);
   }
-  h.ctxsw_exec = TrimmedMax(samples, cfg.outlier_trim);
+  h.ctxsw_exec = TrimmedMax(samples);
   return h;
 }
 

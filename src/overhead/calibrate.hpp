@@ -37,13 +37,9 @@
 namespace sps::overhead {
 
 struct CalibrationConfig {
-  /// Repetitions per (operation, size, locality) cell; the max is kept.
+  /// Repetitions per (operation, size, locality) cell; the max is kept
+  /// after the top 1% are dropped as timer outliers (interrupts etc.).
   int samples = 2000;
-  /// Trimming: ignore this top fraction of samples as timer outliers
-  /// (interrupts etc.); 0 reproduces the paper's strict max.
-  double outlier_trim = 0.01;
-  /// Bytes swept to evict queue nodes for "remote" emulation.
-  std::size_t eviction_buffer_bytes = 8u << 20;
   /// Which containers to measure. Defaults are the paper's choices; the
   /// ablation sweeps these. Measurement goes through the same queue
   /// concept (containers/queue_traits.hpp) the simulator schedules with.

@@ -14,8 +14,6 @@ namespace sps::partition {
 
 namespace {
 
-constexpr std::size_t kConservativeQueueSize = 64;
-
 PartitionResult Finish(std::vector<std::vector<SubtaskPlacement>> parts,
                        const rt::TaskSet& ts, unsigned num_cores,
                        const overhead::OverheadModel& model,
@@ -84,10 +82,6 @@ analysis::EdfCoreEntry MakeEdfWindowEntry(const rt::Task& t, Time budget,
   e.exec = budget;
   e.period = t.period;
   e.deadline = window_len;
-  // Tightened per-window analysis (header comment): the window reservation
-  // bounds the wandering, so the subtask is a plain sporadic (B, T, D_j)
-  // task — no jitter widening of the dbf.
-  e.jitter = 0;
   e.kind = static_cast<int>(
       last ? analysis::EntryKind::kTail
            : (first ? analysis::EntryKind::kBodyFirst
@@ -149,21 +143,19 @@ bool EdfCoreAdmits(const EdfCoreState& core,
   probe.push_back(cand);
   const auto inflated = analysis::InflateEdfCore(probe, model);
 
-  // O(n) accept: for constrained-deadline jitter-free entries, inflated
-  // density sum C'/min(D,T) <= 1 implies dbf(t) <= t everywhere, and an
-  // inflated utilization strictly below 1 keeps the test off its U==1
-  // conservative-cap branch — so the full test would accept.
-  bool jitter_free = true;
+  // O(n) accept: inflated density sum C'/min(D,T) <= 1 implies
+  // dbf(t) <= t everywhere, and an inflated utilization strictly below 1
+  // keeps the test off its U==1 conservative-cap branch — so the full
+  // test would accept.
   double density = 0.0;
   double inflated_util = 0.0;
   for (const analysis::EdfTask& t : inflated) {
-    jitter_free = jitter_free && t.jitter == 0;
     const Time d = t.deadline < t.period ? t.deadline : t.period;
     density += static_cast<double>(t.wcet) / static_cast<double>(d);
     inflated_util +=
         static_cast<double>(t.wcet) / static_cast<double>(t.period);
   }
-  if (jitter_free && density <= 1.0 && inflated_util < 1.0 - 1e-9) {
+  if (density <= 1.0 && inflated_util < 1.0 - 1e-9) {
     ++s.density_accepts;
     if (use_memo &&
         memo->table->Store(qk.lo, qk,
@@ -210,7 +202,7 @@ EdfPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores, const rt::Task& t,
   const unsigned num_cores = static_cast<unsigned>(cores.size());
   for (unsigned k = 2; k <= num_cores; ++k) {
     const Time window = t.deadline / k;
-    if (window <= cfg.min_budget) break;
+    if (window <= kMinBudget) break;
     std::vector<SubtaskPlacement> trial;
     std::vector<analysis::EdfCoreEntry> trial_entries;
     std::vector<unsigned> used;
@@ -230,21 +222,20 @@ EdfPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores, const rt::Task& t,
         }
         ++out.probes;
         // Largest admissible budget on this core for this window.
-        Time lo = cfg.min_budget;
+        Time lo = kMinBudget;
         Time hi = want;
         Time got = 0;
         while (lo <= hi) {
           const Time mid_raw = lo + (hi - lo) / 2;
           const Time mid =
-              std::max(cfg.min_budget,
-                       mid_raw - mid_raw % cfg.budget_granularity);
+              std::max(kMinBudget, mid_raw - mid_raw % kBudgetGranularity);
           const analysis::EdfCoreEntry e = MakeEdfWindowEntry(
               t, mid, wlen, j == 0, last_window || mid == remaining);
           if (EdfCoreAdmits(cores[c], e, cfg.model, stats, memo)) {
             got = mid;
-            lo = mid + cfg.budget_granularity;
+            lo = mid + kBudgetGranularity;
           } else {
-            hi = mid - cfg.budget_granularity;
+            hi = mid - kBudgetGranularity;
           }
         }
         if (got > best) {
@@ -253,7 +244,7 @@ EdfPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores, const rt::Task& t,
           if (best == want) break;  // cannot do better
         }
       }
-      if (best < cfg.min_budget) continue;  // this window contributes 0
+      if (best < kMinBudget) continue;  // this window contributes 0
       const analysis::EdfCoreEntry e = MakeEdfWindowEntry(
           t, best, wlen, j == 0, last_window || best == remaining);
       trial_entries.push_back(e);

@@ -13,13 +13,14 @@
 //     its deadline divided into K equal windows; window j becomes a
 //     sporadic (B_j, T, D/K) "subtask" on its own core, released when the
 //     previous window's budget is exhausted and due at its window end.
-//     Budgets are sized per core by binary search under the demand test;
-//     K is grown from 2 to num_cores until the budgets cover C. The
-//     runtime semantics are exactly the paper's (body budgets, migration
-//     to the next core's ready queue, tail returning to the first core's
-//     sleep queue) — only the queue ordering key changes to absolute
-//     window deadlines, which the simulator implements as
-//     SchedPolicy::kEdf.
+//     Budgets are sized per core by binary search under the demand test,
+//     at the fixed kBudgetGranularity resolution and never below
+//     kMinBudget (placement.hpp, shared with SPA); K is grown from 2 to
+//     num_cores until the budgets cover C. The runtime semantics are
+//     exactly the paper's (body budgets, migration to the next core's
+//     ready queue, tail returning to the first core's sleep queue) —
+//     only the queue ordering key changes to absolute window deadlines,
+//     which the simulator implements as SchedPolicy::kEdf.
 //
 // Both partitioners gate their result through the EDF partition verifier
 // (verify.hpp / AnalyzePartition dispatches on Partition::policy).
@@ -35,7 +36,8 @@
 // interval than the modeled release at the window start. The previous
 // treatment (jitter = cumulative earlier windows, widening the dbf) was
 // strictly conservative — it double-counted the wandering the window
-// reservation already bounds.
+// reservation already bounds. With it gone no EDF entry is jittered, so
+// analysis::EdfCoreEntry has no jitter field at all.
 //
 // The per-task placement step (whole-task fit, then K-window split search)
 // is exposed as PlaceEdfTask over EdfCoreState so the ONLINE admission
@@ -58,9 +60,6 @@ namespace sps::partition {
 struct EdfPartitionConfig {
   unsigned num_cores = 4;
   overhead::OverheadModel model = overhead::OverheadModel::Zero();
-  /// Budget search resolution / smallest useful sliver (as in SpaConfig).
-  Time budget_granularity = Micros(10);
-  Time min_budget = Micros(100);
   /// Admission-verdict transposition table (analysis/memo.hpp).
   analysis::MemoConfig memo;
 };
@@ -115,8 +114,8 @@ bool EdfCoreAdmits(const EdfCoreState& core,
 analysis::EdfCoreEntry MakeEdfEntry(const rt::Task& t);
 
 /// Analysis entry for window j of a split task per the tightened
-/// per-window analysis (header comment): sporadic (budget, T, window_len),
-/// zero jitter. Exposed for the verifier and tests.
+/// per-window analysis (header comment): sporadic (budget, T, window_len).
+/// Exposed for the verifier and tests.
 analysis::EdfCoreEntry MakeEdfWindowEntry(const rt::Task& t, Time budget,
                                           Time window_len, bool first,
                                           bool last);
@@ -137,7 +136,8 @@ struct EdfPlacement {
 /// One EDF-WM placement step: try the task whole on the cores in
 /// `whole_core_order` (first admitting core wins), then — if allowed — the
 /// K-equal-window split search of EdfWm (K = 2..num cores, largest
-/// admissible budget per window, binary-searched per core). Commits into
+/// admissible budget per window, binary-searched per core at
+/// kBudgetGranularity, no window below kMinBudget). Commits into
 /// `cores` on success. This IS the loop body of EdfWm()/EdfBinPack(); the
 /// online controller calls it per ADMIT.
 EdfPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores, const rt::Task& t,

@@ -33,6 +33,17 @@ enum class SchedPolicy {
 /// priority, which is always below this base.
 inline constexpr rt::Priority kNormalPriorityBase = 1u << 20;
 
+/// Split-budget search of SPA and EDF-WM: budgets are binary-searched at
+/// this resolution, and no subtask gets less than kMinBudget (a smaller
+/// sliver costs more overhead than the work it carries).
+inline constexpr Time kBudgetGranularity = Micros(10);
+inline constexpr Time kMinBudget = Micros(100);
+
+/// Queue-size assumption for remote costs while the final layout is still
+/// unknown; the paper's own N=64 anchor. Conservative: the verifier later
+/// uses the (smaller or equal) actual sizes.
+inline constexpr std::size_t kConservativeQueueSize = 64;
+
 /// One subtask of a (possibly split) task.
 struct SubtaskPlacement {
   CoreId core = 0;

@@ -21,11 +21,6 @@ double HeavyThreshold(std::size_t n) {
 
 namespace {
 
-/// Queue-size assumption for remote costs while the final layout is still
-/// unknown; the paper's own N=64 anchor. Conservative: the verifier later
-/// uses the (smaller or equal) actual sizes.
-constexpr std::size_t kConservativeQueueSize = 64;
-
 struct CoreState {
   std::vector<analysis::CoreEntry> entries;
   double utilization = 0.0;
@@ -148,9 +143,7 @@ class SpaRunner {
 
   bool PreassignHeavy(std::vector<std::size_t>& order,
                       PartitionResult& result) {
-    const double threshold = cfg_.heavy_threshold > 0.0
-                                 ? cfg_.heavy_threshold
-                                 : HeavyThreshold(0);
+    const double threshold = HeavyThreshold(0);
     std::vector<std::size_t> heavy;
     for (const std::size_t ti : order) {
       if (ts_[ti].utilization() > threshold) heavy.push_back(ti);
@@ -208,18 +201,18 @@ class SpaRunner {
   Time MaxBodyBudget(std::size_t ti, unsigned c, Time remaining,
                      Time consumed_resp, Time* resp_out) {
     const rt::Task& t = ts_[ti];
-    const Time max_b = remaining - cfg_.min_budget;
-    if (max_b < cfg_.min_budget) return 0;
+    const Time max_b = remaining - kMinBudget;
+    if (max_b < kMinBudget) return 0;
     const analysis::EntryKind kind = parts_[ti].empty()
                                          ? analysis::EntryKind::kBodyFirst
                                          : analysis::EntryKind::kBodyMiddle;
     Time best = 0;
-    Time lo = cfg_.min_budget;
+    Time lo = kMinBudget;
     Time hi = max_b;
     while (lo <= hi) {
       const Time mid_raw = lo + (hi - lo) / 2;
-      const Time mid = std::max(
-          cfg_.min_budget, mid_raw - mid_raw % cfg_.budget_granularity);
+      const Time mid =
+          std::max(kMinBudget, mid_raw - mid_raw % kBudgetGranularity);
       // Chain reserve: the remainder needs at least (remaining - B) time
       // after this subtask's completion.
       const Time chain_deadline = t.deadline - (remaining - mid);
@@ -231,9 +224,9 @@ class SpaRunner {
       if (ok) {
         best = mid;
         if (resp_out != nullptr) *resp_out = resp;
-        lo = mid + cfg_.budget_granularity;
+        lo = mid + kBudgetGranularity;
       } else {
-        hi = mid - cfg_.budget_granularity;
+        hi = mid - kBudgetGranularity;
       }
     }
     return best;
@@ -269,7 +262,7 @@ class SpaRunner {
       Time resp = 0;
       const Time b =
           MaxBodyBudget(ti, c, remaining, consumed_resp, &resp);
-      if (b >= cfg_.min_budget) {
+      if (b >= kMinBudget) {
         CommitBody(ti, c, b, remaining, consumed_resp);
         remaining -= b;
         consumed_resp += resp;
@@ -299,7 +292,7 @@ class SpaRunner {
       Time resp = 0;
       const Time b =
           MaxBodyBudget(ti, cursor, remaining, consumed_resp, &resp);
-      if (b >= cfg_.min_budget) {
+      if (b >= kMinBudget) {
         CommitBody(ti, cursor, b, remaining, consumed_resp);
         remaining -= b;
         consumed_resp += resp;

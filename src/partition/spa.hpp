@@ -79,14 +79,9 @@ struct SpaConfig {
   SplitPriorityMode split_mode = SplitPriorityMode::kElevated;
   FillMode fill = FillMode::kExactRta;
   /// SPA2: pre-assign heavy tasks to dedicated cores. Off = SPA1.
+  /// A task is heavy above HeavyThreshold(0) = Theta(inf)/(1+Theta(inf))
+  /// ~= 0.4093, the asymptotic SPA2 threshold.
   bool preassign_heavy = false;
-  /// Heavy threshold; <= 0 selects Theta(inf)/(1+Theta(inf)) ~= 0.4093,
-  /// the asymptotic SPA2 threshold.
-  double heavy_threshold = 0.0;
-  /// Budget binary-search resolution and the minimum sliver worth
-  /// creating (avoids micro-subtasks whose overhead exceeds their work).
-  Time budget_granularity = Micros(10);
-  Time min_budget = Micros(100);
 };
 
 /// Run FP-TS (SPA1 when !cfg.preassign_heavy, SPA2 otherwise). On success

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "analysis/edf.hpp"
+#include "analysis/overhead_aware.hpp"
 #include "analysis/rta.hpp"
 
 namespace sps::partition {
@@ -44,7 +45,6 @@ PartitionAnalysis AnalyzeEdf(const Partition& p,
       e.exec = sp.budget;
       e.period = pt.task.period;
       e.deadline = window_end - window_start;
-      e.jitter = 0;  // per-window analysis: the reservation bounds wandering
       e.kind = static_cast<int>(KindOf(pt, k));
       if (k + 1 < pt.parts.size()) {
         e.dest_queue_size =
@@ -88,8 +88,9 @@ PartitionAnalysis AnalyzeEdf(const Partition& p,
   return out;
 }
 
-}  // namespace
-
+/// The per-core analysis entries of a fixed-priority partition, with the
+/// given per-(task, part) jitters (outer index = task position in
+/// p.tasks).
 std::vector<std::vector<analysis::CoreEntry>> BuildCoreEntries(
     const Partition& p, const std::vector<std::vector<Time>>& jitters) {
   std::vector<std::size_t> core_n(p.num_cores);
@@ -122,6 +123,8 @@ std::vector<std::vector<analysis::CoreEntry>> BuildCoreEntries(
   }
   return cores;
 }
+
+}  // namespace
 
 PartitionAnalysis AnalyzePartition(const Partition& p,
                                    const overhead::OverheadModel& model) {

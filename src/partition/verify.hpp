@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/overhead_aware.hpp"
 #include "overhead/model.hpp"
 #include "partition/placement.hpp"
 #include "rt/time.hpp"
@@ -45,11 +44,5 @@ struct PartitionAnalysis {
 
 PartitionAnalysis AnalyzePartition(const Partition& p,
                                    const overhead::OverheadModel& model);
-
-/// Build the per-core analysis entries for a partition, with the given
-/// per-(task,part) jitters (outer index = task position in p.tasks).
-/// Exposed for the partitioners and tests.
-std::vector<std::vector<analysis::CoreEntry>> BuildCoreEntries(
-    const Partition& p, const std::vector<std::vector<Time>>& jitters);
 
 }  // namespace sps::partition

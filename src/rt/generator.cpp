@@ -55,11 +55,10 @@ Time DrawPeriod(const GeneratorConfig& cfg, Rng& rng) {
   const double lo = std::log(static_cast<double>(cfg.period_min));
   const double hi = std::log(static_cast<double>(cfg.period_max));
   const double raw = std::exp(lo + (hi - lo) * unit(rng));
+  constexpr Time kPeriodGranularity = Millis(1);
   Time period = static_cast<Time>(raw);
-  if (cfg.period_granularity > 1) {
-    period -= period % cfg.period_granularity;
-    period = std::max(period, cfg.period_min);
-  }
+  period -= period % kPeriodGranularity;
+  period = std::max(period, cfg.period_min);
   return std::min(period, cfg.period_max);
 }
 
@@ -77,8 +76,9 @@ TaskSet GenerateTaskSet(const GeneratorConfig& cfg, Rng& rng) {
 
     Time deadline = period;
     if (!cfg.implicit_deadlines) {
+      constexpr double kMinDeadlineFactor = 0.5;
       const double span = static_cast<double>(period - wcet);
-      const double lo = cfg.constrained_deadline_min_factor * span;
+      const double lo = kMinDeadlineFactor * span;
       deadline = wcet + static_cast<Time>(lo + (span - lo) * unit(rng));
       deadline = std::clamp(deadline, wcet, period);
     }

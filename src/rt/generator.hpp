@@ -53,7 +53,9 @@ struct GeneratorConfig {
   /// Upper bound on any single task's utilization. FP-TS distinguishes
   /// light/heavy tasks; experiments sweep this too.
   double max_task_utilization = 1.0;
-  /// Periods drawn log-uniformly from [period_min, period_max] ...
+  /// Periods drawn log-uniformly from [period_min, period_max], then
+  /// rounded down to a whole millisecond but not below period_min (keeps
+  /// hyperperiods sane for the simulator) ...
   Time period_min = Millis(10);
   Time period_max = Millis(1000);
   /// ... unless this is non-empty: then periods are drawn uniformly from
@@ -62,13 +64,9 @@ struct GeneratorConfig {
   /// the classic benchmark distribution — which also keeps hyperperiods
   /// tiny for the simulator.
   std::vector<Time> period_choices;
-  /// ... then rounded down to a multiple of this (keeps hyperperiods sane
-  /// for the simulator). Must divide period_min.
-  Time period_granularity = Millis(1);
   /// If true (default) deadlines are implicit (D = T); otherwise drawn
-  /// uniformly from [C + deadline_factor_min*(T-C), T].
+  /// uniformly from [C + 0.5*(T-C), T].
   bool implicit_deadlines = true;
-  double constrained_deadline_min_factor = 0.5;
 };
 
 /// Generate one task set per the config, with RM priorities assigned.

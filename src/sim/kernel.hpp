@@ -95,13 +95,11 @@ struct ExecModel {
   enum class Kind {
     kAlwaysWcet,  ///< every job runs exactly C (worst case; default)
     kFraction,    ///< every job runs fraction * C
-    kUniform,     ///< uniform in [lo_fraction, hi_fraction] * C, seeded
+    kUniform,     ///< uniform in [0.5, 1] * C, seeded
     kSpiky,       ///< C, but spike_prob of the jobs run spike_magnitude*C
   };
   Kind kind = Kind::kAlwaysWcet;
   double fraction = 1.0;
-  double lo_fraction = 0.5;
-  double hi_fraction = 1.0;
   /// kSpiky: per-job overrun probability / execution-time multiplier.
   double spike_prob = 0.1;
   double spike_magnitude = 1.3;
@@ -116,13 +114,13 @@ struct ExecModel {
 ///
 /// Scenario-diversity kinds (ROADMAP):
 ///   kJittered — releases stay on the nominal k*T grid but each is
-///   displaced by an independent uniform jitter in [0, jitter_fraction*T]
+///   displaced by an independent uniform jitter in [0, 0.1*T]
 ///   (release_k = k*T + j_k). No long-term drift; consecutive releases
 ///   may be closer than T (interrupt-latency-style jitter), which the
 ///   engines absorb through their overrun/shed paths.
 ///   kBursty — runs of releases at the MINIMUM inter-arrival T (a burst)
 ///   separated by idle gaps: each inter-arrival is T with probability
-///   burst_prob, else T * (1 + uniform(0, burst_gap_fraction)).
+///   burst_prob, else T * (1 + uniform(0, 1)): idle gaps up to T.
 struct ArrivalModel {
   enum class Kind {
     kPeriodic,
@@ -132,12 +130,8 @@ struct ArrivalModel {
   };
   Kind kind = Kind::kPeriodic;
   double max_delay_fraction = 0.2;
-  /// kJittered: jitter bound as a fraction of the period.
-  double jitter_fraction = 0.1;
   /// kBursty: probability the next inter-arrival continues a burst.
   double burst_prob = 0.5;
-  /// kBursty: max idle gap between bursts, as a fraction of the period.
-  double burst_gap_fraction = 1.0;
   std::uint64_t seed = 2;
 };
 
@@ -454,8 +448,9 @@ class KernelBase {
             1, static_cast<Time>(kcfg_.exec.fraction *
                                  static_cast<double>(c)));
       case ExecModel::Kind::kUniform: {
-        std::uniform_real_distribution<double> d(kcfg_.exec.lo_fraction,
-                                                 kcfg_.exec.hi_fraction);
+        constexpr double kLoFraction = 0.5;
+        constexpr double kHiFraction = 1.0;
+        std::uniform_real_distribution<double> d(kLoFraction, kHiFraction);
         return std::max<Time>(
             1, static_cast<Time>(d(tasks_[ti].exec_rng) *
                                  static_cast<double>(c)));
@@ -490,8 +485,8 @@ class KernelBase {
       case ArrivalModel::Kind::kJittered: {
         // release_k = k*T + j_k: the gap is T + j_k - j_{k-1}, so jitter
         // is bounded around the nominal grid and never accumulates.
-        std::uniform_real_distribution<double> d(
-            0.0, kcfg_.arrivals.jitter_fraction);
+        constexpr double kJitterFraction = 0.1;
+        std::uniform_real_distribution<double> d(0.0, kJitterFraction);
         const Time j = static_cast<Time>(d(rng) * static_cast<double>(t));
         TaskRtT& tr = tasks_[ti];
         const Time gap = t + j - tr.last_jitter;
@@ -501,8 +496,8 @@ class KernelBase {
       case ArrivalModel::Kind::kBursty: {
         std::uniform_real_distribution<double> d(0.0, 1.0);
         if (d(rng) < kcfg_.arrivals.burst_prob) return t;
-        std::uniform_real_distribution<double> g(
-            0.0, kcfg_.arrivals.burst_gap_fraction);
+        constexpr double kBurstGapFraction = 1.0;
+        std::uniform_real_distribution<double> g(0.0, kBurstGapFraction);
         return t + static_cast<Time>(g(rng) * static_cast<double>(t));
       }
     }

@@ -2,10 +2,12 @@
 // writes, the stream CRC footer, controller snapshot round-trips, the
 // crash/recover differential (halt-injection matrix across placement
 // policies, scheduling policies and fault windows, every crash point of
-// a short stream, plus a real fork+SIGKILL), the corrupted-artifact
-// ladder — bit-flipped checkpoints, torn journal tails, leftover
-// checkpoint temp files, stale-checkpoint-long-tail, wrong-stream or
-// wrong-model fingerprints —
+// a short stream, a real fork+SIGKILL, and a crash that skips the stdio
+// flush, against which no checkpoint may outrun the journal), the
+// corrupted-artifact ladder — bit-flipped checkpoints, torn journal
+// tails, leftover checkpoint temp files, stale-checkpoint-long-tail,
+// wrong-stream or wrong-model fingerprints, format versions that are
+// not current —
 // and a seeded mutation driver over real checkpoints and journals.
 // Recovery must be decision- and byte-identical to the never-crashed
 // run; corruption must map to typed errors, never UB.
@@ -393,6 +395,50 @@ TEST(CrashRecovery, SigkillMidReplayThenRecover) {
   fs::remove_all(crash.durability.dir);
 }
 
+TEST(CrashRecovery, CheckpointNeverOutrunsTheJournal) {
+  // A real crash loses whatever sits in the journal's stdio buffer. A
+  // forked child replays with fsync off and a checkpoint at every epoch
+  // entry, and dies by _exit (which skips the stdio flush) once epoch 2
+  // closes, after two checkpoints were written. Every request the
+  // loaded checkpoint covers must have its record in the journal.
+  const WorkloadStream s = SmallStream(53, 36);
+  const ReplayConfig base = MakeReplayConfig(
+      PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
+  const ReplayResult plain = ReplayStream(s, base);
+
+  ReplayConfig crash = base;
+  crash.durability.dir = FreshDir("outrun");
+  crash.durability.checkpoint_every = 1;
+  crash.durability.fsync = FsyncPolicy::kOff;
+  crash.obs.on_epoch = [](std::size_t epoch, const EpochStats&,
+                          const ReplayResult&) {
+    if (epoch >= 2) _exit(0);
+  };
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    (void)ReplayStream(s, crash);  // exits at epoch 2
+    _exit(3);                      // only reached if the hook never ran
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  ReplayConfig rec = base;
+  rec.durability.dir = crash.durability.dir;
+  rec.durability.recover = true;
+  const ReplayResult recovered = ReplayStream(s, rec);
+  ASSERT_TRUE(recovered.durability_error.ok())
+      << recovered.durability_error.message;
+  ASSERT_TRUE(recovered.recovery.recovered);
+  EXPECT_GT(recovered.recovery.resume_seq, 0u);
+  EXPECT_GE(recovered.recovery.journal_records,
+            recovered.recovery.resume_seq);
+  EXPECT_EQ(DecisionDiff(plain, recovered), "");
+  fs::remove_all(crash.durability.dir);
+}
+
 // ---------------------------------------------------------------------------
 // Corrupted artifacts: typed errors or correct recovery, never UB
 // ---------------------------------------------------------------------------
@@ -417,6 +463,61 @@ void FlipByteAt(const std::string& path, std::size_t offset) {
   ASSERT_LT(offset, bytes.size());
   bytes[offset] = static_cast<char>(bytes[offset] ^ 0x40);
   ASSERT_TRUE(util::WriteFileAtomic(path, bytes, false, &err)) << err;
+}
+
+void SetByteAt(const std::string& path, std::size_t offset, char value) {
+  std::string bytes;
+  std::string err;
+  ASSERT_TRUE(util::ReadFileBytes(path, bytes, &err)) << err;
+  ASSERT_LT(offset, bytes.size());
+  bytes[offset] = value;
+  ASSERT_TRUE(util::WriteFileAtomic(path, bytes, false, &err)) << err;
+}
+
+TEST(CorruptArtifacts, JournalOfAnotherFormatVersionIsATypedError) {
+  // Byte 7 of the journal is its format version (1). Any other version
+  // fails recovery there, before the header CRC is read.
+  const WorkloadStream s = SmallStream(83, 24);
+  const ReplayConfig base = MakeReplayConfig(
+      PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
+  for (const char version : {'\x00', '\x02'}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    const std::string dir = MakeCrashArtifacts(s, base, 15, 2, "jrnlver");
+    SetByteAt(dir + "/journal.wal", 7, version);
+    ReplayConfig rec = base;
+    rec.durability.dir = dir;
+    rec.durability.recover = true;
+    const ReplayResult r = ReplayStream(s, rec);
+    EXPECT_EQ(r.durability_error.kind, DurabilityError::Kind::kBadVersion);
+    EXPECT_EQ(r.durability_error.offset, 7u);
+    EXPECT_EQ(r.durability_error.path, dir + "/journal.wal");
+    fs::remove_all(dir);
+  }
+}
+
+TEST(CorruptArtifacts, CheckpointOfTheOldFormatVersionIsSkipped) {
+  // Version 1 checkpoints carried an EDF jitter word that version 2
+  // dropped. A version-1 newest checkpoint is skipped like a corrupt
+  // one: recovery loads the older checkpoint and redoes the rest.
+  const WorkloadStream s = SmallStream(61, 40);
+  const ReplayConfig base = MakeReplayConfig(
+      PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
+  const ReplayResult plain = ReplayStream(s, base);
+  const std::string dir = MakeCrashArtifacts(s, base, 35, 2, "ckptver");
+
+  const std::vector<std::string> ckpts = ListCheckpoints(dir);
+  ASSERT_GE(ckpts.size(), 2u);
+  SetByteAt(ckpts.front(), 7, '\x01');
+
+  ReplayConfig rec = base;
+  rec.durability.dir = dir;
+  rec.durability.recover = true;
+  const ReplayResult r = ReplayStream(s, rec);
+  ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
+  EXPECT_TRUE(r.recovery.recovered);
+  EXPECT_EQ(r.recovery.checkpoints_skipped, 1u);
+  EXPECT_EQ(DecisionDiff(plain, r), "");
+  fs::remove_all(dir);
 }
 
 TEST(CorruptArtifacts, BitFlippedCheckpointFallsBackToOlderOne) {

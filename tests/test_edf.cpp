@@ -25,12 +25,11 @@ using analysis::EdfTask;
 using overhead::OverheadModel;
 using rt::MakeTask;
 
-EdfTask ET(Time c, Time t, Time d = 0, Time j = 0) {
+EdfTask ET(Time c, Time t, Time d = 0) {
   EdfTask e;
   e.wcet = c;
   e.period = t;
   e.deadline = d == 0 ? t : d;
-  e.jitter = j;
   return e;
 }
 
@@ -53,18 +52,8 @@ TEST(EdfDbf, ConstrainedDeadlineShiftsSteps) {
   EXPECT_EQ(Dbf(t, 16), 4);
 }
 
-TEST(EdfDbf, JitterWidensTheWindow) {
-  const EdfTask no_j = ET(2, 10, 10, 0);
-  const EdfTask with_j = ET(2, 10, 10, 4);
-  EXPECT_EQ(Dbf(no_j, 6), 0);
-  EXPECT_EQ(Dbf(with_j, 6), 2);  // 6 + 4 - 10 = 0 -> one job
-  for (Time t = 1; t < 100; ++t) {
-    EXPECT_GE(Dbf(with_j, t), Dbf(no_j, t));
-  }
-}
-
 TEST(EdfDbf, MonotoneInT) {
-  const EdfTask t = ET(3, 7, 5, 2);
+  const EdfTask t = ET(3, 7, 5);
   Time last = 0;
   for (Time x = 0; x < 200; ++x) {
     const Time d = Dbf(t, x);
@@ -156,16 +145,16 @@ analysis::EdfResult DenseDemandTest(const std::vector<EdfTask>& tasks,
     double la = 0.0;
     for (const EdfTask& t : tasks) {
       la += static_cast<double>(t.wcet) / static_cast<double>(t.period) *
-            static_cast<double>(t.period - t.deadline + t.jitter);
+            static_cast<double>(t.period - t.deadline);
     }
     horizon = static_cast<Time>(la / (1.0 - u)) + 1;
   } else {
-    // H + max(D - J) when it fits the cap and U <= 1 holds in integers.
+    // H + max D when it fits the cap and U <= 1 holds in integers.
     Time h = 1;
     Time d_max = 0;
     bool fits = true;
     for (const EdfTask& t : tasks) {
-      const Time d = t.deadline - t.jitter;
+      const Time d = t.deadline;
       if (d <= 0) fits = false;
       d_max = std::max(d_max, d);
       if (fits && h / std::gcd(h, t.period) > max_horizon / t.period) {
@@ -181,15 +170,15 @@ analysis::EdfResult DenseDemandTest(const std::vector<EdfTask>& tasks,
     horizon = fits && demand <= h ? h + d_max : max_horizon;
   }
   for (const EdfTask& t : tasks) {
-    horizon = std::max(horizon, t.deadline - t.jitter);
+    horizon = std::max(horizon, t.deadline);
   }
   const bool capped = horizon > max_horizon && u >= 1.0 - 1e-9;
   horizon = std::min(horizon, max_horizon);
   res.horizon = horizon;
   std::vector<Time> points;
   for (const EdfTask& t : tasks) {
-    for (Time d = t.deadline - t.jitter; d <= horizon; d += t.period) {
-      if (d > 0) points.push_back(d);
+    for (Time d = t.deadline; d <= horizon; d += t.period) {
+      points.push_back(d);
     }
   }
   std::sort(points.begin(), points.end());
@@ -207,14 +196,14 @@ analysis::EdfResult DenseDemandTest(const std::vector<EdfTask>& tasks,
 }
 
 TEST(EdfTest, QpaMatchesTheDensePointWalk) {
-  // Seeded random sets: D < T, jitter up to and past D, U < 1 and
+  // Seeded random sets: D <= T (a third of them below C), U < 1 and
   // U == 1, caps from 50 to 5000 so the cap often binds. Verdict, first
   // violation and horizon must all equal the dense walk's, and
   // EdfSchedulable must give the same verdict.
   std::mt19937_64 rng(19);
   const std::vector<Time> periods = {2, 3, 4, 5, 6, 8, 10, 12, 15, 20};
   int accepted = 0, violated = 0, capped = 0, late_violation = 0;
-  int full_util = 0, big_jitter = 0;
+  int full_util = 0;
   for (int iter = 0; iter < 20000; ++iter) {
     const Time cap = 50 + static_cast<Time>(rng() % 4951);
     const std::size_t n = 1 + rng() % 6;
@@ -256,10 +245,11 @@ TEST(EdfTest, QpaMatchesTheDensePointWalk) {
       if (!valid) break;
       const auto slack = static_cast<std::uint64_t>(t.period - t.wcet + 1);
       t.deadline = t.wcet + static_cast<Time>(rng() % slack);
+      // A third of the deadlines are redrawn in [1, D], below C too:
+      // early points that violate.
       if (rng() % 3 == 0) {
-        t.jitter = static_cast<Time>(rng() % static_cast<std::uint64_t>(
-                                              t.deadline + t.period));
-        big_jitter += t.jitter >= t.deadline;
+        t.deadline = 1 + static_cast<Time>(
+                             rng() % static_cast<std::uint64_t>(t.deadline));
       }
     }
     if (!valid) continue;
@@ -282,10 +272,9 @@ TEST(EdfTest, QpaMatchesTheDensePointWalk) {
     full_util += exact_full;
     Time first = 0;
     for (const EdfTask& t : ts) {
-      const Time d = t.deadline - t.jitter;
-      if (d > 0 && (first == 0 || d < first)) first = d;
+      if (first == 0 || t.deadline < first) first = t.deadline;
     }
-    late_violation += want.violation_at > first && first > 0;
+    late_violation += want.violation_at > first;
   }
   // The sample covers every branch.
   EXPECT_GT(accepted, 3000);
@@ -293,7 +282,6 @@ TEST(EdfTest, QpaMatchesTheDensePointWalk) {
   EXPECT_GT(capped, 150);
   EXPECT_GT(late_violation, 500);
   EXPECT_GT(full_util, 1000);
-  EXPECT_GT(big_jitter, 5000);
 }
 
 TEST(EdfTest, LateViolationFoundPastTheDefaultCap) {
@@ -425,14 +413,14 @@ TEST(EdfWm, OverheadAwareVariantStillWorks) {
           .schedulable);
 }
 
-TEST(EdfWm, PerWindowAnalysisIsTighterThanJitterizedBound) {
+TEST(EdfWm, PerWindowAnalysisAcceptsTheExactlyFullCore) {
   // A late window of a split task next to a heavy normal task. Under the
-  // tightened per-window analysis (window = sporadic (B, T, D_w), zero
-  // jitter) the core is schedulable: demand at t=10 is 8 + 2 = 10. The
-  // old conservative treatment (jitter = window start = 5) counted TWO
-  // window jobs at t=10 (dbf = (10 + 5 - 5)/10 + 1 = 2), demand 12 > 10,
-  // and rejected. The simulator agrees with the tight verdict
-  // (EdfSoundness below covers the randomized version).
+  // per-window analysis (window = sporadic (B, T, D_w), no release
+  // jitter) the core is schedulable: demand at t=10 is 8 + 2 = 10. A
+  // jitter-widened window (jitter = window start = 5) would count TWO
+  // window jobs at t=10, demand 12 > 10, and reject. The simulator
+  // agrees with the per-window verdict (EdfSoundness below covers the
+  // randomized version).
   const rt::Task split = MakeTask(0, Millis(4), Millis(10));
   partition::Partition p;
   p.num_cores = 2;
@@ -448,15 +436,8 @@ TEST(EdfWm, PerWindowAnalysisIsTighterThanJitterizedBound) {
   p.tasks.push_back(heavy);
   ASSERT_TRUE(p.valid());
 
-  // Tight verdict: schedulable (core 1 demand exactly meets supply).
+  // Schedulable: core 1's demand exactly meets supply.
   EXPECT_TRUE(AnalyzePartition(p, OverheadModel::Zero()).schedulable);
-
-  // The legacy jitterized model of the same core rejects it — pinning
-  // that the tightening actually changed the bound.
-  std::vector<EdfTask> legacy = {
-      ET(Millis(2), Millis(10), Millis(5), Millis(5)),  // jitter = wstart
-      ET(Millis(8), Millis(10))};
-  EXPECT_FALSE(EdfDemandTest(legacy).schedulable);
 
   // And the execution backs the tight analysis: no misses.
   sim::SimConfig cfg;
