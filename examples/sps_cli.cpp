@@ -901,11 +901,9 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
     // Pool observability (DESIGN.md §16): how the sharded-validation /
     // batch work actually spread over the shared pool's workers.
     // Scheduling-dependent, hence wall-channel: stderr only, in its own
-    // registry, never the byte-compared --stats-out one.
-    obs::StatsRegistry pool_reg;
-    obs::FillPoolStatsRegistry(pool_reg, util::SharedPool());
+    // snapshot, never the byte-compared --stats-out one.
     std::fprintf(stderr, "\n--- thread-pool stats ---\n%s",
-                 pool_reg.snapshot().ToCsv().c_str());
+                 obs::PoolStatsSnapshot(util::SharedPool()).ToCsv().c_str());
   }
 
   if (profiler.tracing()) {
@@ -915,12 +913,10 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
       const util::ThreadPool::PoolStats ps = util::SharedPool().Stats();
       obs::CounterSeries stolen{"pool stolen indices", {}};
       obs::CounterSeries caller{"pool caller indices", {}};
-      obs::CounterSeries peak{"pool one-off queue peak", {}};
       stolen.points.emplace_back(0, static_cast<double>(ps.stolen_indices()));
       caller.points.emplace_back(0, static_cast<double>(ps.caller.indices));
-      peak.points.emplace_back(0, static_cast<double>(ps.queue_peak));
       if (!util::WriteTextFile(o.reqtrace_out,
-                               profiler.ToPerfettoJson({stolen, caller, peak}),
+                               profiler.ToPerfettoJson({stolen, caller}),
                                &err)) {
         return Fail(err);
       }
@@ -945,9 +941,8 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
     }
   }
   if (!o.stats_out.empty()) {
-    obs::StatsRegistry reg;
-    online::FillStatsRegistry(reg, res);
-    if (!util::WriteTextFile(o.stats_out, reg.snapshot().ToJson(), &err)) {
+    if (!util::WriteTextFile(o.stats_out,
+                             online::ReplayStatsSnapshot(res).ToJson(), &err)) {
       return Fail(err);
     }
     std::printf("wrote stats registry to %s\n", o.stats_out.c_str());

@@ -87,11 +87,8 @@ struct TaskMetrics {
   bool operator==(const TaskMetrics&) const = default;
 };
 
-/// Per-core wall-occupancy over the observed span (the horizon, or —
-/// for a halted stop-on-first-miss run — the end of the last booked
-/// activity, which the halting dispatch may push slightly past the
-/// halt instant): every nanosecond of the
-/// span is exactly one of busy (task code incl. CPMD — including the
+/// Per-core wall-occupancy over the observed span (the horizon): every
+/// nanosecond of the span is exactly one of busy (task code incl. CPMD — including the
 /// truncated in-flight segment at the span end, which SimResult's
 /// booked-progress busy_exec excludes), overhead (rls/sch/cnt1/cnt2
 /// windows, clamped to the span), or idle (gap-accumulated between
@@ -110,9 +107,7 @@ struct CoreMetrics {
 struct RunMetrics {
   std::vector<TaskMetrics> tasks;
   std::vector<CoreMetrics> cores;
-  /// The observed span the per-core accounting covers: the horizon for
-  /// completed runs; for halted ones the end of the last booked
-  /// activity (>= the halt instant, <= the horizon).
+  /// The observed span the per-core accounting covers: the horizon.
   Time span = 0;
 
   [[nodiscard]] bool enabled() const { return !tasks.empty(); }

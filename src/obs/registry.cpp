@@ -7,25 +7,6 @@
 
 namespace sps::obs {
 
-StatsSnapshot StatsSnapshot::Delta(const StatsSnapshot& earlier) const {
-  StatsSnapshot out = *this;
-  for (auto& [name, v] : out.counters) {
-    const auto it = earlier.counters.find(name);
-    if (it != earlier.counters.end()) v -= std::min(v, it->second);
-  }
-  for (auto& [name, h] : out.hists) {
-    const auto it = earlier.hists.find(name);
-    if (it != earlier.hists.end()) h -= it->second;
-  }
-  return out;
-}
-
-void StatsSnapshot::Merge(const StatsSnapshot& other) {
-  for (const auto& [name, v] : other.counters) counters[name] += v;
-  for (const auto& [name, v] : other.gauges) gauges[name] += v;
-  for (const auto& [name, h] : other.hists) hists[name] += h;
-}
-
 std::string StatsSnapshot::ToJson() const {
   util::JsonWriter j;
   j.BeginObject();
@@ -34,24 +15,6 @@ std::string StatsSnapshot::ToJson() const {
   j.EndObject();
   j.Key("gauges").BeginObject();
   for (const auto& [name, v] : gauges) j.Key(name).Value(v);
-  j.EndObject();
-  j.Key("hists").BeginObject();
-  for (const auto& [name, h] : hists) {
-    j.Key(name).BeginObject();
-    j.Key("count").Value(h.count());
-    j.Key("p50_ns").Value(static_cast<std::uint64_t>(h.Quantile(0.5)));
-    j.Key("p99_ns").Value(static_cast<std::uint64_t>(h.Quantile(0.99)));
-    j.Key("buckets").BeginArray();
-    // Trailing zero buckets trimmed: the dump stays readable and the
-    // full histogram still reconstructs exactly.
-    std::size_t last = 0;
-    for (std::size_t i = 0; i < kHistBuckets; ++i) {
-      if (h.buckets[i] != 0) last = i + 1;
-    }
-    for (std::size_t i = 0; i < last; ++i) j.Value(h.buckets[i]);
-    j.EndArray();
-    j.EndObject();
-  }
   j.EndObject();
   j.EndObject();
   return j.str();
@@ -69,35 +32,23 @@ std::string StatsSnapshot::ToCsv() const {
     std::snprintf(buf, sizeof(buf), "%s,gauge,%.9g\n", name.c_str(), v);
     out += buf;
   }
-  for (const auto& [name, h] : hists) {
-    std::snprintf(buf, sizeof(buf), "%s.count,hist,%llu\n", name.c_str(),
-                  static_cast<unsigned long long>(h.count()));
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "%s.p50_ns,hist,%llu\n", name.c_str(),
-                  static_cast<unsigned long long>(h.Quantile(0.5)));
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "%s.p99_ns,hist,%llu\n", name.c_str(),
-                  static_cast<unsigned long long>(h.Quantile(0.99)));
-    out += buf;
-  }
   return out;
 }
 
-void FillPoolStatsRegistry(StatsRegistry& reg, const util::ThreadPool& pool) {
+StatsSnapshot PoolStatsSnapshot(const util::ThreadPool& pool) {
   const util::ThreadPool::PoolStats s = pool.Stats();
-  reg.SetCounter("pool.batches", s.batches);
-  reg.SetCounter("pool.oneoffs", s.oneoffs);
-  reg.SetCounter("pool.queue_peak", s.queue_peak);
-  reg.SetCounter("pool.caller.indices", s.caller.indices);
-  reg.SetCounter("pool.stolen_indices", s.stolen_indices());
+  StatsSnapshot out;
+  out.counters["pool.batches"] = s.batches;
+  out.counters["pool.caller.indices"] = s.caller.indices;
+  out.counters["pool.stolen_indices"] = s.stolen_indices();
   for (std::size_t i = 0; i < s.workers.size(); ++i) {
     const std::string base = "pool.worker." + std::to_string(i);
-    reg.SetCounter(base + ".indices", s.workers[i].indices);
-    reg.SetCounter(base + ".batches", s.workers[i].batches);
-    reg.SetCounter(base + ".oneoffs", s.workers[i].oneoffs);
+    out.counters[base + ".indices"] = s.workers[i].indices;
+    out.counters[base + ".batches"] = s.workers[i].batches;
   }
-  reg.SetGauge("pool.steal_ratio", s.steal_ratio());
-  reg.SetGauge("pool.workers", static_cast<double>(s.workers.size()));
+  out.gauges["pool.steal_ratio"] = s.steal_ratio();
+  out.gauges["pool.workers"] = static_cast<double>(s.workers.size());
+  return out;
 }
 
 }  // namespace sps::obs

@@ -1,24 +1,18 @@
 #pragma once
-// Unified stats registry (DESIGN.md §15): one named home for the
-// counters, gauges, and histograms the subsystems used to keep in
-// scattered ad-hoc structs (AdmitStats, OverloadStats, churn counters,
-// MemoStats, recovery counters). A StatsSnapshot is a value: snapshot it
-// mid-run for a heartbeat, subtract an earlier snapshot for per-epoch
-// deltas, merge across workers, and export as JSON or CSV (map-backed,
-// so export order is deterministic — the --stats-out dump is
-// byte-comparable between runs with identical decisions).
+// Unified stats snapshot (DESIGN.md §15): one named home for the
+// counters and gauges the subsystems keep in scattered structs
+// (AdmitStats, OverloadStats, churn counters, MemoStats, recovery
+// counters). A StatsSnapshot is a value that exports as JSON or CSV
+// (map-backed, so export order is deterministic — the --stats-out dump
+// is byte-comparable between runs with identical decisions).
 //
 // Everything in here is DETERMINISTIC data (decision counters, resident
-// counts, sim-time histograms). Wall-clock profiling lives in
-// obs/spans.hpp and stays on its own channel; do not register wall
-// readings here (the §15 firewall).
+// counts). Wall-clock profiling lives in obs/spans.hpp and stays on its
+// own channel; do not put wall readings here (the §15 firewall).
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
-
-#include "obs/metrics.hpp"
 
 namespace sps::util {
 class ThreadPool;
@@ -29,60 +23,20 @@ namespace sps::obs {
 struct StatsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, LogHistogram> hists;
-
-  /// Counters and histograms subtract (saturating at zero — they are
-  /// monotone within a run); gauges keep THIS snapshot's value (a gauge
-  /// is a level, not a rate).
-  [[nodiscard]] StatsSnapshot Delta(const StatsSnapshot& earlier) const;
-
-  /// Counters and histograms add; gauges sum (callers merging shards
-  /// register per-shard gauges under distinct names when a sum is not
-  /// the right aggregate).
-  void Merge(const StatsSnapshot& other);
 
   [[nodiscard]] std::string ToJson() const;
-  /// Flat "name,kind,value" rows; histograms export count and the log2
-  /// p50/p99 upper bounds.
+  /// Flat "name,kind,value" rows.
   [[nodiscard]] std::string ToCsv() const;
 
   bool operator==(const StatsSnapshot&) const = default;
 };
 
-/// The mutable registry: subsystems (or the adapter functions that read
-/// their existing stats structs) set named values; consumers snapshot.
-/// Single-writer by design — the online replay loop owns one registry
-/// and updates it between epochs.
-class StatsRegistry {
- public:
-  void SetCounter(std::string_view name, std::uint64_t v) {
-    snap_.counters[std::string(name)] = v;
-  }
-  void AddCounter(std::string_view name, std::uint64_t v) {
-    snap_.counters[std::string(name)] += v;
-  }
-  void SetGauge(std::string_view name, double v) {
-    snap_.gauges[std::string(name)] = v;
-  }
-  void SetHistogram(std::string_view name, const LogHistogram& h) {
-    snap_.hists[std::string(name)] = h;
-  }
-
-  [[nodiscard]] const StatsSnapshot& snapshot() const { return snap_; }
-  [[nodiscard]] StatsSnapshot TakeSnapshot() const { return snap_; }
-
- private:
-  StatsSnapshot snap_;
-};
-
-/// Register the thread pool's per-worker busy/steal counters and
-/// queue-depth gauges ("pool.worker.<i>.indices", "pool.batches",
-/// "pool.queue_peak", "pool.steal_ratio", ...). EXCEPTION to the
-/// header's determinism note, on purpose: which worker claimed which
-/// index is scheduling-dependent, so a registry holding pool stats is
+/// The thread pool's per-worker busy/steal counters and gauges
+/// ("pool.worker.<i>.indices", "pool.batches", "pool.steal_ratio", ...).
+/// EXCEPTION to the header's determinism note, on purpose: which worker
+/// claimed which index is scheduling-dependent, so this snapshot is
 /// wall-channel data (stderr / --profile-out) and must never feed the
-/// byte-compared --stats-out registry. Keep them in separate
-/// StatsRegistry instances.
-void FillPoolStatsRegistry(StatsRegistry& reg, const util::ThreadPool& pool);
+/// byte-compared --stats-out snapshot. Keep them apart.
+StatsSnapshot PoolStatsSnapshot(const util::ThreadPool& pool);
 
 }  // namespace sps::obs

@@ -49,9 +49,8 @@ struct MetricsReport {
     bool operator==(const CoreRow&) const = default;
   };
 
-  /// The span the per-core rows cover: the horizon, or — for a halted
-  /// stop-on-first-miss run — the end of the last booked activity
-  /// (>= the halt instant; see obs::RunMetrics::span).
+  /// The span the per-core rows cover: the horizon (see
+  /// obs::RunMetrics::span).
   Time span = 0;
   std::uint64_t total_misses = 0;
   std::vector<TaskRow> tasks;

@@ -51,7 +51,7 @@ class NullSink {
   void OnExec(std::uint32_t, Time, Time) {}
   void OnOverhead(std::uint32_t, Time, Time) {}
   void OnCompletion(std::size_t, Time, Time) {}
-  void CloseSpan(bool) {}
+  void CloseSpan() {}
 };
 
 class RecordSink {
@@ -119,19 +119,11 @@ class RecordSink {
     }
   }
 
-  /// Close the per-core accounting: fill trailing idle up to the span.
-  /// The span is the horizon, or — for a halted (stop-on-first-miss)
-  /// serial run — the end of the last booked activity (>= the halt
-  /// instant: the halting dispatch may book an overhead window past
-  /// it), so that busy + overhead + idle == span holds in both cases.
-  void CloseSpan(bool halted) {
+  /// Close the per-core accounting: fill trailing idle up to the
+  /// horizon, so that busy + overhead + idle == span holds.
+  void CloseSpan() {
     if (!cfg_.metrics) return;
-    Time span = cfg_.horizon;
-    if (halted) {
-      span = 0;
-      for (const Time c : core_clock_) span = std::max(span, c);
-      span = std::min(span, cfg_.horizon);
-    }
+    const Time span = cfg_.horizon;
     for (std::size_t i = 0; i < core_clock_.size(); ++i) {
       if (span > core_clock_[i]) {
         met_.cores[i].idle += span - core_clock_[i];

@@ -6,25 +6,11 @@
 #include <limits>
 #include <numeric>
 
-#include "obs/registry.hpp"
 #include "obs/spans.hpp"
 
 namespace sps::online {
 
 namespace {
-
-bool SameParts(const std::vector<partition::SubtaskPlacement>& a,
-               const std::vector<partition::SubtaskPlacement>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].core != b[i].core || a[i].budget != b[i].budget ||
-        a[i].local_priority != b[i].local_priority ||
-        a[i].rel_deadline != b[i].rel_deadline) {
-      return false;
-    }
-  }
-  return true;
-}
 
 partition::FitPolicy ToFitPolicy(PlacePolicy p) {
   switch (p) {
@@ -43,6 +29,13 @@ constexpr rt::TaskId kNoVictim = std::numeric_limits<rt::TaskId>::max();
 /// kRetryBackoffMax.
 constexpr std::uint32_t kRetryBackoffMin = 1;
 constexpr std::uint32_t kRetryBackoffMax = 16;
+
+/// Repartition-fallback hysteresis: after an adopted repartition,
+/// further adoptions are suppressed until kFallbackCooldownEpochs
+/// epochs pass OR total utilization moves by more than
+/// kFallbackUtilBand.
+constexpr std::uint64_t kFallbackCooldownEpochs = 4;
+constexpr double kFallbackUtilBand = 0.10;
 
 /// Importance guard of the admission-path ladder: a candidate may only
 /// displace residents strictly less important than itself — a hard
@@ -182,11 +175,9 @@ AdmitOutcome Controller::Admit(const rt::Task& t) {
 
 bool Controller::FallbackAllowed() {
   if (!cfg_.overload.hysteresis || !any_fallback_) return true;
-  if (epoch_ - last_fallback_epoch_ >= cfg_.overload.cooldown_epochs) {
-    return true;
-  }
+  if (epoch_ - last_fallback_epoch_ >= kFallbackCooldownEpochs) return true;
   if (std::abs(state_.total_utilization() - last_fallback_util_) >
-      cfg_.overload.util_band) {
+      kFallbackUtilBand) {
     return true;
   }
   ++overload_.hysteresis_blocks;
@@ -240,7 +231,7 @@ AdmitOutcome Controller::FallbackRepartition(const rt::Task& t) {
   }
   for (const auto& [id, old_pt] : placements_) {
     const partition::PlacedTask& new_pt = next.at(id);
-    if (!SameParts(old_pt.parts, new_pt.parts)) {
+    if (old_pt.parts != new_pt.parts) {
       ++churn_.moved;
       if (!old_pt.split() && new_pt.split()) ++churn_.split;
       if (old_pt.split() && !new_pt.split()) ++churn_.unsplit;
@@ -694,44 +685,45 @@ std::string ReplayResult::Table() const {
   return out;
 }
 
-void FillStatsRegistry(obs::StatsRegistry& reg, const ReplayResult& r) {
-  reg.SetCounter("admit.accepted", r.admits);
-  reg.SetCounter("admit.rejected", r.rejects);
-  reg.SetCounter("admit.leaves", r.leaves);
-  reg.SetCounter("admit.util_rejects", r.admission.util_rejects);
-  reg.SetCounter("admit.density_accepts", r.admission.density_accepts);
-  reg.SetCounter("admit.full_tests", r.admission.full_tests);
-  reg.SetCounter("memo.hits", r.admission.memo_hits);
-  reg.SetCounter("memo.misses", r.admission.memo_misses);
-  reg.SetCounter("memo.evicts", r.admission.memo_evicts);
-  reg.SetCounter("churn.moved", r.churn.moved);
-  reg.SetCounter("churn.split", r.churn.split);
-  reg.SetCounter("churn.unsplit", r.churn.unsplit);
-  reg.SetCounter("churn.repartitions", r.churn.repartitions);
-  reg.SetCounter("overload.degrades", r.overload.degrades);
-  reg.SetCounter("overload.degrade_restores", r.overload.degrade_restores);
-  reg.SetCounter("overload.sheds", r.overload.sheds);
-  reg.SetCounter("overload.shed_restores", r.overload.shed_restores);
-  reg.SetCounter("overload.retry_attempts", r.overload.retry_attempts);
-  reg.SetCounter("overload.hysteresis_blocks", r.overload.hysteresis_blocks);
-  reg.SetCounter("epochs.closed", r.epochs.size());
-  reg.SetGauge("overload.shed_outstanding",
-               static_cast<double>(r.shed_outstanding));
+obs::StatsSnapshot ReplayStatsSnapshot(const ReplayResult& r) {
+  obs::StatsSnapshot s;
+  auto& c = s.counters;
+  c["admit.accepted"] = r.admits;
+  c["admit.rejected"] = r.rejects;
+  c["admit.leaves"] = r.leaves;
+  c["admit.util_rejects"] = r.admission.util_rejects;
+  c["admit.density_accepts"] = r.admission.density_accepts;
+  c["admit.full_tests"] = r.admission.full_tests;
+  c["memo.hits"] = r.admission.memo_hits;
+  c["memo.misses"] = r.admission.memo_misses;
+  c["memo.evicts"] = r.admission.memo_evicts;
+  c["churn.moved"] = r.churn.moved;
+  c["churn.split"] = r.churn.split;
+  c["churn.unsplit"] = r.churn.unsplit;
+  c["churn.repartitions"] = r.churn.repartitions;
+  c["overload.degrades"] = r.overload.degrades;
+  c["overload.degrade_restores"] = r.overload.degrade_restores;
+  c["overload.sheds"] = r.overload.sheds;
+  c["overload.shed_restores"] = r.overload.shed_restores;
+  c["overload.retry_attempts"] = r.overload.retry_attempts;
+  c["overload.hysteresis_blocks"] = r.overload.hysteresis_blocks;
+  c["epochs.closed"] = r.epochs.size();
+  s.gauges["overload.shed_outstanding"] =
+      static_cast<double>(r.shed_outstanding);
   if (!r.epochs.empty()) {
     const EpochStats& last = r.epochs.back();
-    reg.SetGauge("resident.count", static_cast<double>(last.resident));
-    reg.SetGauge("resident.utilization", last.utilization);
-    reg.SetGauge("resident.degraded",
-                 static_cast<double>(last.degraded_resident));
+    s.gauges["resident.count"] = static_cast<double>(last.resident);
+    s.gauges["resident.utilization"] = last.utilization;
+    s.gauges["resident.degraded"] =
+        static_cast<double>(last.degraded_resident);
   }
-  reg.SetCounter("recovery.attempted", r.recovery.attempted ? 1 : 0);
-  reg.SetCounter("recovery.recovered", r.recovery.recovered ? 1 : 0);
-  reg.SetCounter("recovery.journal_records", r.recovery.journal_records);
-  reg.SetCounter("recovery.journal_truncated_bytes",
-                 r.recovery.journal_truncated_bytes);
-  reg.SetCounter("recovery.checkpoints_skipped",
-                 r.recovery.checkpoints_skipped);
-  reg.SetCounter("recovery.resume_seq", r.recovery.resume_seq);
+  c["recovery.attempted"] = r.recovery.attempted ? 1 : 0;
+  c["recovery.recovered"] = r.recovery.recovered ? 1 : 0;
+  c["recovery.journal_records"] = r.recovery.journal_records;
+  c["recovery.journal_truncated_bytes"] = r.recovery.journal_truncated_bytes;
+  c["recovery.checkpoints_skipped"] = r.recovery.checkpoints_skipped;
+  c["recovery.resume_seq"] = r.recovery.resume_seq;
+  return s;
 }
 
 }  // namespace sps::online

@@ -21,6 +21,11 @@
 //     (the PR-3 validate_by_simulation machinery). Batches of independent
 //     streams fan out over util/thread_pool bit-identically for any job
 //     count.
+//   * Fallback hysteresis: after an adopted repartition the next one
+//     waits a fixed cooldown or a fixed utilization swing (constants in
+//     controller.cpp; only the on/off switch is configurable).
+//   * Stats: ReplayStatsSnapshot folds a replay's scattered counters into
+//     one obs::StatsSnapshot (the --stats-out dump).
 
 #include <cstdint>
 #include <functional>
@@ -30,6 +35,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "online/admission.hpp"
 #include "online/durability.hpp"
 #include "online/workload_stream.hpp"
@@ -39,7 +45,6 @@
 
 namespace sps::obs {
 class SpanProfiler;
-class StatsRegistry;
 }  // namespace sps::obs
 
 namespace sps::online {
@@ -63,13 +68,12 @@ struct OverloadConfig {
   /// signals overload. Off = PR 6 behavior (reject / fallback only).
   bool ladder = true;
   /// Repartition-fallback hysteresis: after an adopted repartition,
-  /// further adoptions are suppressed until `cooldown_epochs` epochs
-  /// pass OR total utilization moves by more than `util_band` — the
-  /// near-saturation adopt-thrash damper. Default-on (the CLI escape is
+  /// further adoptions are suppressed until 4 epochs pass OR total
+  /// utilization moves by more than 0.10 (kFallbackCooldownEpochs,
+  /// kFallbackUtilBand in controller.cpp) — the near-saturation
+  /// adopt-thrash damper. Default-on (the CLI escape is
   /// --no-hysteresis).
   bool hysteresis = true;
-  std::uint32_t cooldown_epochs = 4;
-  double util_band = 0.10;
   /// Exec-spike multiplier the overload reaction plans for: the epoch
   /// reaction sheds/degrades until the partition with every WCET
   /// inflated by this factor re-analyzes schedulable.
@@ -458,12 +462,12 @@ std::string_view DecisionDiff(const ReplayResult& a, const ReplayResult& b);
 /// Fold one stream through a fresh controller. Pure in (stream, cfg).
 ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg);
 
-/// Register the replay's scattered counters (admission, overload ladder,
-/// churn, durability recovery) into the unified stats registry
-/// (obs/registry.hpp) under stable names. Deterministic: identical
-/// results produce identical snapshots — `--stats-out` is byte-compared
-/// across profile on/off in CI.
-void FillStatsRegistry(obs::StatsRegistry& reg, const ReplayResult& r);
+/// The replay's scattered counters (admission, overload ladder, churn,
+/// durability recovery) as one stats snapshot (obs/registry.hpp) under
+/// stable names. Deterministic: identical results produce identical
+/// snapshots — `--stats-out` is byte-compared across profile on/off in
+/// CI.
+obs::StatsSnapshot ReplayStatsSnapshot(const ReplayResult& r);
 
 /// Replay independent streams over the worker pool (jobs as in
 /// util::ParallelFor: 1 = serial, 0 = hardware). Stream i's result is

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -422,7 +423,7 @@ std::uint64_t MixF(std::uint64_t h, double v) {
 }
 
 std::uint64_t Fingerprint(const WorkloadStream& s, const ReplayConfig& cfg) {
-  std::uint64_t h = 0x5350531Full;  // "SPS" + format nonce
+  std::uint64_t h = 0x53505320ull;  // "SPS" + format nonce
   const ControllerConfig& cc = cfg.controller;
   h = Mix(h, cc.admission.num_cores);
   h = Mix(h, static_cast<std::uint64_t>(cc.admission.policy));
@@ -432,9 +433,22 @@ std::uint64_t Fingerprint(const WorkloadStream& s, const ReplayConfig& cfg) {
                  (cc.overload.ladder ? 8u : 0u) |
                  (cc.overload.hysteresis ? 16u : 0u) |
                  (cfg.validate_by_simulation ? 32u : 0u));
-  h = Mix(h, cc.overload.cooldown_epochs);
-  h = MixF(h, cc.overload.util_band);
   h = MixF(h, cc.overload.spike_magnitude);
+  if (cfg.validate_by_simulation) {
+    // The validation model decides each epoch's recorded misses. Not
+    // mixed: what the replay overwrites per epoch (seeds, overheads,
+    // exec generations) and what results are bit-identical across
+    // (shards, queue backends, record flags).
+    const sim::SimConfig& v = cfg.validate_sim;
+    h = Mix(h, static_cast<std::uint64_t>(v.horizon));
+    h = Mix(h, static_cast<std::uint64_t>(v.exec.kind));
+    h = MixF(h, v.exec.fraction);
+    h = MixF(h, v.exec.spike_prob);
+    h = MixF(h, v.exec.spike_magnitude);
+    h = Mix(h, static_cast<std::uint64_t>(v.arrivals.kind));
+    h = MixF(h, v.arrivals.max_delay_fraction);
+    h = MixF(h, v.arrivals.burst_prob);
+  }
   h = Mix(h, static_cast<std::uint64_t>(cfg.epoch));
   h = Mix(h, cfg.seed);
   h = Mix(h, cfg.drain_epochs);
@@ -1087,11 +1101,15 @@ std::vector<std::string> ListCheckpoints(const std::string& dir) {
   std::error_code ec;
   for (const fs::directory_entry& e : fs::directory_iterator(dir, ec)) {
     const std::string name = e.path().filename().string();
-    unsigned long long epoch = 0;
-    int consumed = 0;
-    if (std::sscanf(name.c_str(), "ckpt-%10llu.sps%n", &epoch,
-                    &consumed) == 1 &&
-        consumed == static_cast<int>(name.size())) {
+    // The whole digit run between the prefix and the suffix: the
+    // writer zero-pads to 10 digits but an epoch index may need more.
+    constexpr std::string_view kPrefix = "ckpt-", kSuffix = ".sps";
+    if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) continue;
+    const char* first = name.data() + kPrefix.size();
+    const char* last = name.data() + name.size() - kSuffix.size();
+    std::uint64_t epoch = 0;
+    const auto [ptr, err] = std::from_chars(first, last, epoch);
+    if (err == std::errc() && ptr == last) {
       found.emplace_back(epoch, e.path().string());
     }
   }

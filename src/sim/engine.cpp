@@ -90,7 +90,6 @@ class Engine final
         .overheads = cfg.overheads,
         .exec = cfg.exec,
         .arrivals = cfg.arrivals,
-        .stop_on_first_miss = cfg.stop_on_first_miss,
         .record_trace = cfg.record_trace,
         .record_metrics = cfg.record_metrics,
         .exec_generations = cfg.exec_generations};
@@ -113,7 +112,6 @@ class Engine final
     }
   }
 
-  using Base::halted;
   using Base::Run;
   using Base::sink;
 
@@ -444,10 +442,6 @@ class Engine final
 /// counters summed, the clock a max, and the stamped trace buffers
 /// k-way merged into the canonical trace (DESIGN.md §10). One lane IS
 /// the serial run.
-///
-/// Under stop_on_first_miss a lane halts at its own first miss while
-/// the others run on, which the serial halt point cannot reproduce: if
-/// any lane halted, the run is repeated on one lane.
 template <typename ReadyQ, typename SleepQ, typename Sink>
 SimResult RunLanes(const partition::Partition& p, const SimConfig& cfg,
                    unsigned max_lanes) {
@@ -468,11 +462,6 @@ SimResult RunLanes(const partition::Partition& p, const SimConfig& cfg,
     run_lane(0);
   } else {
     util::SharedPool().ParallelFor(lanes, run_lane);
-    if (cfg.stop_on_first_miss &&
-        std::any_of(engines.begin(), engines.end(),
-                    [](const auto& e) { return e->halted(); })) {
-      return RunLanes<ReadyQ, SleepQ, Sink>(p, cfg, 1);
-    }
   }
 
   SimResult out = std::move(results[0]);

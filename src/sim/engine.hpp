@@ -21,6 +21,9 @@
 //     charged as extra execution when a preempted/migrated job resumes
 //     (Figure 1's "cache" segment).
 //
+// Every run proceeds to its horizon: a deadline miss is counted, never
+// a reason to stop, so all shard counts share one code path.
+//
 // The engine is fully deterministic: integer nanosecond time, seeded
 // execution-time model, stable event ordering — and, because every queue
 // backend implements the same FIFO-among-ties total order, the results
@@ -64,13 +67,6 @@ struct SimConfig {
   /// trace. obs::BuildMetricsReport turns the result into an exportable
   /// JSON/CSV report.
   bool record_metrics = false;
-  /// Stop the run at the first deadline miss (the validation experiments
-  /// assert none happen; leaving it false measures all misses). Sharded
-  /// runs proceed optimistically and, if any lane halted on a miss,
-  /// rerun on one lane for the exact serial halt point — identical
-  /// results either way, and the expensive path only triggers when the
-  /// validated property FAILED.
-  bool stop_on_first_miss = false;
   /// Queue backends (DESIGN.md §6 ablation): which container implements
   /// each per-core queue. Defaults are the paper's choices.
   containers::QueueBackend ready_backend =

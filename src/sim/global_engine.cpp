@@ -52,8 +52,6 @@ class GlobalEngine final
                                   .overheads = cfg.overheads,
                                   .exec = cfg.exec,
                                   .arrivals = cfg.arrivals,
-                                  .stop_on_first_miss =
-                                      cfg.stop_on_first_miss,
                                   .record_trace = cfg.record_trace,
                                   .record_metrics = cfg.record_metrics},
              ts.size()),

@@ -50,7 +50,6 @@ struct GlobalSimConfig {
   /// response/tardiness histograms + per-core busy/overhead/idle rows in
   /// SimResult::metrics.
   bool record_metrics = false;
-  bool stop_on_first_miss = false;
   /// Queue backends (DESIGN.md §6 ablation), as in SimConfig.
   containers::QueueBackend ready_backend =
       containers::QueueBackend::kBinomialHeap;

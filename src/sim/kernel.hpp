@@ -19,6 +19,8 @@
 // and a Job type derived from JobBase with a charge(progress) method
 // (how execution progress is booked — the partitioned engine also burns
 // the split-subtask budget, the global engine only the remaining WCET).
+// Run() drains the event queue up to the horizon; nothing stops a run
+// early (a deadline miss is only counted).
 //
 // Ready/sleep queue backends are template parameters OF THE ENGINES,
 // not of the kernel: the kernel never touches a ready/sleep queue
@@ -308,7 +310,6 @@ struct KernelConfig {
   overhead::OverheadModel overheads;
   ExecModel exec;
   ArrivalModel arrivals;
-  bool stop_on_first_miss = false;
   /// Observability switches (DESIGN.md §10). Only honored when the
   /// engine is instantiated with a recording sink; the NullSink
   /// instantiation ignores them by construction.
@@ -332,7 +333,7 @@ class KernelBase {
   /// run calls it once per lane (sim/engine.cpp).
   SimResult Run() {
     policy().Boot();
-    while (!events_.empty() && !halted_) {
+    while (!events_.empty()) {
       if (EventKeyTime(events_.min_key()) > kcfg_.horizon) break;
       const Event<JobT> ev = events_.pop_min();
       now_ = ev.t;
@@ -341,9 +342,6 @@ class KernelBase {
     }
     return Finalize();
   }
-
-  /// Whether the run halted on a deadline miss (stop_on_first_miss).
-  [[nodiscard]] bool halted() const { return halted_; }
 
   /// The run's sink. After Run(), its stamped trace buffer is what the
   /// caller merges into SimResult::trace_events (obs::MergeTraceBuffers).
@@ -581,8 +579,8 @@ class KernelBase {
     core.state = CoreState::kOvh;
   }
 
-  /// Completion bookkeeping shared by both engines: response-time stats,
-  /// deadline check, optional halt-on-first-miss.
+  /// Completion bookkeeping shared by both engines: response-time stats
+  /// and the deadline check.
   void RecordCompletion(std::uint32_t c, JobT* j) {
     TaskRtT& tr = tasks_[j->task_idx];
     Trace(trace::EventKind::kFinish, c, j);
@@ -595,7 +593,6 @@ class KernelBase {
       ++tr.stats.deadline_misses;
       ++result_.total_misses;
       Trace(trace::EventKind::kDeadlineMiss, c, j);
-      if (kcfg_.stop_on_first_miss) halted_ = true;
     }
   }
 
@@ -608,13 +605,12 @@ class KernelBase {
       if (!sink_.metrics()) return;
       for (std::uint32_t c = 0; c < kcfg_.num_cores; ++c) {
         const Core& core = cores_[c];
-        if (core.state == CoreState::kExec && core.running != nullptr) {
-          const Time end =
-              std::min(halted_ ? now_ : kcfg_.horizon, kcfg_.horizon);
-          if (end > core.seg_start) sink_.OnExec(c, core.seg_start, end);
+        if (core.state == CoreState::kExec && core.running != nullptr &&
+            kcfg_.horizon > core.seg_start) {
+          sink_.OnExec(c, core.seg_start, kcfg_.horizon);
         }
       }
-      sink_.CloseSpan(halted_);
+      sink_.CloseSpan();
     }
   }
 
@@ -655,7 +651,6 @@ class KernelBase {
   EventQueue<JobT> events_;
   SinkT sink_;
   Time now_ = 0;
-  bool halted_ = false;
   SimResult result_;
 };
 

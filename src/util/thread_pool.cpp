@@ -31,31 +31,19 @@ void ThreadPool::WorkerLoop(std::size_t worker) {
   WorkerCounters& mine = counters_[worker];
   std::uint64_t seen_gen = 0;
   for (;;) {
-    std::function<void()> oneoff;
     Batch* batch = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
-        return stop_ || !oneoffs_.empty() ||
-               (current_ != nullptr && batch_gen_ != seen_gen);
+        return stop_ || (current_ != nullptr && batch_gen_ != seen_gen);
       });
       if (stop_) return;
-      if (!oneoffs_.empty()) {
-        oneoff = std::move(oneoffs_.back());
-        oneoffs_.pop_back();
-      } else {
-        // Join the in-flight batch exactly once per generation. The
-        // batch's attach count keeps its caller from destroying it
-        // while this worker still holds the pointer.
-        seen_gen = batch_gen_;
-        batch = current_;
-        ++batch->attached;
-      }
-    }
-    if (oneoff) {
-      oneoff();  // packaged_task: exceptions land in the future
-      mine.oneoffs.fetch_add(1, std::memory_order_relaxed);
-      continue;
+      // Join the in-flight batch exactly once per generation. The
+      // batch's attach count keeps its caller from destroying it while
+      // this worker still holds the pointer.
+      seen_gen = batch_gen_;
+      batch = current_;
+      ++batch->attached;
     }
     mine.batches.fetch_add(1, std::memory_order_relaxed);
     RunIndices(*batch, mine);
@@ -159,17 +147,13 @@ ThreadPool::PoolStats ThreadPool::Stats() const {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     s.workers[i].indices = counters_[i].indices.load(std::memory_order_relaxed);
     s.workers[i].batches = counters_[i].batches.load(std::memory_order_relaxed);
-    s.workers[i].oneoffs = counters_[i].oneoffs.load(std::memory_order_relaxed);
   }
   const WorkerCounters& c = counters_[workers_.size()];
   s.caller.indices = c.indices.load(std::memory_order_relaxed);
   s.caller.batches = c.batches.load(std::memory_order_relaxed);
-  s.caller.oneoffs = c.oneoffs.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     s.batches = batches_submitted_;
-    s.oneoffs = oneoffs_submitted_;
-    s.queue_peak = queue_peak_;
   }
   return s;
 }

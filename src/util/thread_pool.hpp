@@ -1,16 +1,11 @@
 #pragma once
 // Fixed worker thread pool for the batch-experiment harness (DESIGN.md
-// §8). Two entry points:
-//
-//   * ParallelFor(n, body) — the steady-state path the experiment
-//     drivers use. ONE shared batch descriptor lives on the caller's
-//     stack; workers (and the calling thread, which participates) claim
-//     indices with an atomic fetch-add. No queue nodes, no closures, no
-//     futures — zero per-index allocation, so a sweep of thousands of
-//     task-set simulations schedules work at the cost of one atomic op
-//     each.
-//   * Submit(f) — convenience futures for one-off tasks (allocates a
-//     shared task state; not the hot path).
+// §8). One entry point, ParallelFor(n, body): ONE shared batch
+// descriptor lives on the caller's stack; workers (and the calling
+// thread, which participates) claim indices with an atomic fetch-add.
+// No queue nodes, no closures, no futures — zero per-index allocation,
+// so a sweep of thousands of task-set simulations schedules work at the
+// cost of one atomic op each.
 //
 // Exception semantics: a throwing ParallelFor body never abandons the
 // batch — every remaining index still runs (the pool DRAINS), then the
@@ -29,12 +24,9 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace sps::util {
@@ -60,23 +52,6 @@ class ThreadPool {
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t)>& body);
 
-  /// One-off task with a future (allocates; not the steady-state path).
-  template <typename F>
-  auto Submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      oneoffs_.push_back([task] { (*task)(); });
-      ++oneoffs_submitted_;
-      if (oneoffs_.size() > queue_peak_) queue_peak_ = oneoffs_.size();
-    }
-    work_cv_.notify_one();
-    return fut;
-  }
-
   /// Pool observability counters (DESIGN.md §16): how the work actually
   /// spread across workers. Scheduling-dependent, hence NOT
   /// deterministic — wall-channel data only (stderr, --profile-out,
@@ -85,13 +60,10 @@ class ThreadPool {
     struct Worker {
       std::uint64_t indices = 0;  ///< ParallelFor indices executed
       std::uint64_t batches = 0;  ///< batches this worker joined
-      std::uint64_t oneoffs = 0;  ///< Submit() tasks executed
     };
     std::vector<Worker> workers;  ///< one row per pool worker
     Worker caller;  ///< aggregate over submitting callers' participation
-    std::uint64_t batches = 0;     ///< ParallelFor batches published
-    std::uint64_t oneoffs = 0;     ///< Submit() tasks enqueued
-    std::uint64_t queue_peak = 0;  ///< deepest one-off backlog observed
+    std::uint64_t batches = 0;  ///< ParallelFor batches published
 
     /// Indices executed by pool workers — "stolen" from the caller, who
     /// would have run them all inline in a poolless world.
@@ -126,7 +98,6 @@ class ThreadPool {
   struct alignas(64) WorkerCounters {
     std::atomic<std::uint64_t> indices{0};
     std::atomic<std::uint64_t> batches{0};
-    std::atomic<std::uint64_t> oneoffs{0};
   };
 
   void WorkerLoop(std::size_t worker);
@@ -135,14 +106,11 @@ class ThreadPool {
   void RunIndices(Batch& b, WorkerCounters& counters);
 
   mutable std::mutex mu_;  ///< mutable: Stats() is logically const
-  std::condition_variable work_cv_;  ///< workers: new batch / one-off / stop
+  std::condition_variable work_cv_;  ///< workers: new batch / stop
   std::condition_variable done_cv_;  ///< caller: batch fully finished
-  std::vector<std::function<void()>> oneoffs_;
   Batch* current_ = nullptr;
   std::uint64_t batch_gen_ = 0;  ///< bumped per batch so workers join once
   std::uint64_t batches_submitted_ = 0;  ///< guarded by mu_
-  std::uint64_t oneoffs_submitted_ = 0;  ///< guarded by mu_
-  std::uint64_t queue_peak_ = 0;         ///< guarded by mu_
   bool stop_ = false;
   std::unique_ptr<WorkerCounters[]> counters_;  ///< workers + caller slot
   std::vector<std::thread> workers_;

@@ -69,16 +69,6 @@ TEST(ThreadPool, DrainsUnderExceptions) {
   EXPECT_EQ(again.load(), 64u);
 }
 
-TEST(ThreadPool, SubmitReturnsFutures) {
-  util::ThreadPool pool(2);
-  auto a = pool.Submit([] { return 21 * 2; });
-  auto b = pool.Submit([] { return std::string("ok"); });
-  EXPECT_EQ(a.get(), 42);
-  EXPECT_EQ(b.get(), "ok");
-  auto boom = pool.Submit([]() -> int { throw std::logic_error("x"); });
-  EXPECT_THROW(boom.get(), std::logic_error);
-}
-
 TEST(ThreadPool, FreeFunctionSerialAndZeroJobs) {
   // jobs=1 must run inline; jobs=0 sizes from the hardware.
   std::vector<int> order;

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "online/controller.hpp"
 #include "online/durability.hpp"
@@ -750,6 +751,95 @@ TEST(CorruptArtifacts, DifferentOverheadModelIsAFingerprintMismatch) {
     EXPECT_EQ(r.durability_error.kind,
               DurabilityError::Kind::kFingerprintMismatch);
   }
+  fs::remove_all(dir);
+}
+
+TEST(CorruptArtifacts, DifferentValidationModelIsAFingerprintMismatch) {
+  // With validation on, the simulation model decides each epoch's
+  // recorded misses, so artifacts written under one horizon or exec
+  // model must not resume under another. The lane count is not part of
+  // the model: results are bit-identical for every shard count.
+  const WorkloadStream s = SmallStream(79, 24);
+  ReplayConfig base =
+      MakeReplayConfig(PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf,
+                       /*faults=*/false, /*validate=*/true);
+  base.controller.admission.num_cores = 4;
+  const ReplayResult plain = ReplayStream(s, base);
+  const std::string dir = MakeCrashArtifacts(s, base, 30, 2, "wrongsim");
+
+  ReplayConfig rec = base;
+  rec.durability.dir = dir;
+  rec.durability.recover = true;
+  {
+    ReplayConfig other = rec;
+    other.validate_sim.horizon = Millis(80);
+    EXPECT_EQ(ReplayStream(s, other).durability_error.kind,
+              DurabilityError::Kind::kFingerprintMismatch);
+  }
+  {
+    ReplayConfig other = rec;
+    other.validate_sim.exec.kind = sim::ExecModel::Kind::kSpiky;
+    EXPECT_EQ(ReplayStream(s, other).durability_error.kind,
+              DurabilityError::Kind::kFingerprintMismatch);
+  }
+  rec.validate_sim.shards = 2;
+  const ReplayResult r = ReplayStream(s, rec);
+  ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
+  EXPECT_TRUE(r.recovery.recovered);
+  EXPECT_EQ(DecisionDiff(plain, r), "");
+  fs::remove_all(dir);
+}
+
+TEST(CrashRecovery, ElevenDigitEpochCheckpointsAreListedPrunedAndWiped) {
+  // 1 ns epochs put requests at t ~ 20 s in epochs ~2e10: checkpoint
+  // names past the writer's 10-digit zero padding. Idle-epoch
+  // compression jumps the gap, so the run stays cheap.
+  std::vector<Request> reqs;
+  for (rt::TaskId id = 0; id < 12; ++id) {
+    Request r;
+    r.kind = RequestKind::kAdmit;
+    r.at = id < 4 ? static_cast<Time>(id) : Millis(20000) + id;
+    r.id = id;
+    r.task = rt::MakeTask(id, Millis(1), Millis(10 + id));
+    reqs.push_back(r);
+  }
+  const WorkloadStream s{std::move(reqs)};
+  ReplayConfig base = MakeReplayConfig(
+      PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
+  base.epoch = 1;
+  const ReplayResult plain = ReplayStream(s, base);
+
+  base.durability.checkpoint_every = 1;
+  const std::string dir = MakeCrashArtifacts(s, base, 10, 1, "ckpt11");
+  const auto on_disk = [&dir] {
+    std::size_t n = 0;
+    for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+      n += e.path().filename().string().starts_with("ckpt-") ? 1 : 0;
+    }
+    return n;
+  };
+  const std::vector<std::string> listed = ListCheckpoints(dir);
+  ASSERT_FALSE(listed.empty());
+  EXPECT_EQ(listed.size(), on_disk());
+  EXPECT_LE(listed.size(), 4u);  // pruned to kKeepCheckpoints
+  EXPECT_EQ(fs::path(listed.front()).filename().string().size(),
+            std::string("ckpt-20000000005.sps").size());
+
+  ReplayConfig rec = base;
+  rec.durability.dir = dir;
+  rec.durability.recover = true;
+  const ReplayResult r = ReplayStream(s, rec);
+  ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
+  EXPECT_TRUE(r.recovery.recovered);
+  EXPECT_GE(r.recovery.checkpoint_epoch, 10'000'000'000ull);
+  EXPECT_EQ(DecisionDiff(plain, r), "");
+
+  // A fresh run wipes every checkpoint (and, writing none, leaves none).
+  ReplayConfig fresh = base;
+  fresh.durability.dir = dir;
+  fresh.durability.checkpoint_every = 0;
+  ASSERT_TRUE(ReplayStream(s, fresh).durability_error.ok());
+  EXPECT_EQ(on_disk(), 0u);
   fs::remove_all(dir);
 }
 

@@ -236,29 +236,6 @@ TEST(MetricsInvariants, TardinessRecordedOnOverload) {
   EXPECT_GT(lp.max_tardiness, 0);
 }
 
-TEST(MetricsInvariants, HaltedRunSpanEndsAtHalt) {
-  partition::Partition p;
-  p.num_cores = 1;
-  for (int i = 0; i < 2; ++i) {
-    partition::PlacedTask pt;
-    pt.task = MakeTask(static_cast<rt::TaskId>(i), Millis(6), Millis(10));
-    pt.parts = {{0, Millis(6),
-                 static_cast<rt::Priority>(i) + kNormalPriorityBase}};
-    p.tasks.push_back(pt);
-  }
-  sim::SimConfig cfg;
-  cfg.horizon = Millis(1000);
-  cfg.stop_on_first_miss = true;
-  cfg.record_metrics = true;
-  const sim::SimResult r = Simulate(p, cfg);
-  EXPECT_EQ(r.total_misses, 1u);
-  ASSERT_TRUE(r.metrics.enabled());
-  EXPECT_LT(r.metrics.span, Millis(1000));
-  for (const CoreMetrics& m : r.metrics.cores) {
-    EXPECT_EQ(m.busy + m.overhead + m.idle, r.metrics.span);
-  }
-}
-
 TEST(MetricsInvariants, GlobalEngineRecordsMetricsToo) {
   rt::TaskSet ts;
   ts.add(MakeTask(0, Millis(1), Millis(10)));

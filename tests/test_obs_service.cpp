@@ -95,87 +95,32 @@ TEST(SpanProfiler, InstallationIsScopedAndNests) {
 }
 
 // ---------------------------------------------------------------------------
-// StatsRegistry / StatsSnapshot
+// StatsSnapshot
 // ---------------------------------------------------------------------------
 
-TEST(StatsRegistry, DeltaSubtractsCountersKeepsGauges) {
-  StatsRegistry reg;
-  reg.SetCounter("admit.accepted", 10);
-  reg.SetGauge("resident.count", 4.0);
-  LogHistogram h1;
-  h1.Add(3);
-  reg.SetHistogram("admit.latency", h1);
-  const StatsSnapshot earlier = reg.TakeSnapshot();
+TEST(StatsSnapshot, ExportsAreDeterministicAndNameSorted) {
+  StatsSnapshot snap;
+  snap.counters["zeta"] = 1;
+  snap.counters["alpha"] = 2;
+  snap.gauges["mid"] = 0.25;
 
-  reg.SetCounter("admit.accepted", 17);
-  reg.AddCounter("admit.rejected", 2);
-  reg.SetGauge("resident.count", 9.0);
-  LogHistogram h2 = h1;
-  h2.Add(3);
-  h2.Add(100);
-  reg.SetHistogram("admit.latency", h2);
-
-  const StatsSnapshot d = reg.snapshot().Delta(earlier);
-  EXPECT_EQ(d.counters.at("admit.accepted"), 7u);
-  EXPECT_EQ(d.counters.at("admit.rejected"), 2u);  // absent earlier
-  EXPECT_EQ(d.gauges.at("resident.count"), 9.0);   // level, not rate
-  EXPECT_EQ(d.hists.at("admit.latency").count(), 2u);
-
-  // A counter that went backwards (restart) saturates at zero.
-  StatsSnapshot later = reg.TakeSnapshot();
-  later.counters["admit.accepted"] = 3;
-  EXPECT_EQ(later.Delta(earlier).counters.at("admit.accepted"), 0u);
-}
-
-TEST(StatsRegistry, MergeSumsEverything) {
-  StatsRegistry a, b;
-  a.SetCounter("memo.hits", 5);
-  a.SetGauge("resident.utilization", 1.5);
-  b.SetCounter("memo.hits", 7);
-  b.SetCounter("memo.misses", 1);
-  b.SetGauge("resident.utilization", 0.5);
-  LogHistogram h;
-  h.Add(9);
-  b.SetHistogram("admit.latency", h);
-
-  StatsSnapshot merged = a.TakeSnapshot();
-  merged.Merge(b.snapshot());
-  EXPECT_EQ(merged.counters.at("memo.hits"), 12u);
-  EXPECT_EQ(merged.counters.at("memo.misses"), 1u);
-  EXPECT_EQ(merged.gauges.at("resident.utilization"), 2.0);
-  EXPECT_EQ(merged.hists.at("admit.latency").count(), 1u);
-}
-
-TEST(StatsRegistry, ExportsAreDeterministicAndNameSorted) {
-  StatsRegistry reg;
-  reg.SetCounter("zeta", 1);
-  reg.SetCounter("alpha", 2);
-  reg.SetGauge("mid", 0.25);
-  LogHistogram h;
-  h.Add(3);
-  reg.SetHistogram("lat", h);
-
-  const std::string json = reg.snapshot().ToJson();
+  const std::string json = snap.ToJson();
   const std::string expected_json =
       "{\"counters\":{\"alpha\":2,\"zeta\":1},"
-      "\"gauges\":{\"mid\":0.25},"
-      "\"hists\":{\"lat\":{\"count\":1,\"p50_ns\":4,\"p99_ns\":4,"
-      "\"buckets\":[0,0,1]}}}";
+      "\"gauges\":{\"mid\":0.25}}";
   EXPECT_EQ(json, expected_json);
 
-  const std::string csv = reg.snapshot().ToCsv();
+  const std::string csv = snap.ToCsv();
   const std::string expected_csv =
       "name,kind,value\n"
       "alpha,counter,2\n"
       "zeta,counter,1\n"
-      "mid,gauge,0.25\n"
-      "lat.count,hist,1\n"
-      "lat.p50_ns,hist,4\n"
-      "lat.p99_ns,hist,4\n";
+      "mid,gauge,0.25\n";
   EXPECT_EQ(csv, expected_csv);
 
   // Snapshots are values: equal content compares equal.
-  EXPECT_TRUE(reg.TakeSnapshot() == reg.snapshot());
+  const StatsSnapshot copy = snap;
+  EXPECT_TRUE(copy == snap);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +167,7 @@ TEST(ProfiledReplay, DecisionsAndArtifactsIdenticalWithProfilerOn) {
   EXPECT_EQ(InstalledProfiler(), nullptr);
 }
 
-TEST(ProfiledReplay, FillStatsRegistryMirrorsReplayResult) {
+TEST(ProfiledReplay, ReplayStatsSnapshotMirrorsReplayResult) {
   online::StreamConfig scfg;
   scfg.num_admits = 40;
   scfg.span = Millis(4000);
@@ -235,9 +180,7 @@ TEST(ProfiledReplay, FillStatsRegistryMirrorsReplayResult) {
   const online::ReplayResult res = online::ReplayStream(stream, rcfg);
   ASSERT_FALSE(res.epochs.empty());
 
-  StatsRegistry reg;
-  online::FillStatsRegistry(reg, res);
-  const StatsSnapshot& s = reg.snapshot();
+  const StatsSnapshot s = online::ReplayStatsSnapshot(res);
   EXPECT_EQ(s.counters.at("admit.accepted"), res.admits);
   EXPECT_EQ(s.counters.at("admit.rejected"), res.rejects);
   EXPECT_EQ(s.counters.at("admit.leaves"), res.leaves);
@@ -248,7 +191,7 @@ TEST(ProfiledReplay, FillStatsRegistryMirrorsReplayResult) {
   EXPECT_EQ(s.gauges.at("resident.count"),
             static_cast<double>(res.epochs.back().resident));
   // The dump round-trips deterministically.
-  EXPECT_EQ(s.ToJson(), reg.TakeSnapshot().ToJson());
+  EXPECT_EQ(s.ToJson(), online::ReplayStatsSnapshot(res).ToJson());
 }
 
 // ---------------------------------------------------------------------------

@@ -436,9 +436,9 @@ TEST(ShardedSim, IdenticalToSerialOnGeneratedSpa2Workload) {
 }
 
 TEST(ShardedSim, IdenticalToSerialUnderEdfWmWindows) {
-  // EDF-WM split windows are THE cross-core coupling the window-barrier
-  // protocol exists for; jittered arrivals stress the shed/overrun
-  // paths on top.
+  // EDF-WM split windows are the cross-core coupling that joins cores
+  // into one lane; jittered arrivals stress the shed/overrun paths on
+  // top.
   rt::GeneratorConfig gen;
   gen.num_tasks = 16;
   gen.total_utilization = 3.2;
@@ -478,38 +478,81 @@ partition::PlacedTask NormalOn(rt::TaskId id, Time c, Time t,
   return pt;
 }
 
+/// An overloaded 3-core partition in two core groups: core 0 alone
+/// (two 60% tasks), and cores 1 and 2 joined by a split task, core 2
+/// at 123%. Both groups miss deadlines and shed releases, so sharded
+/// runs merge the miss and shed paths of several lanes.
+partition::Partition OverloadedCoreGroupsPartition() {
+  partition::Partition p;
+  p.num_cores = 3;
+  p.tasks.push_back(NormalOn(0, Millis(6), Millis(10), 0, 1));
+  p.tasks.push_back(NormalOn(1, Millis(6), Millis(10), 0, 2));
+  {
+    partition::PlacedTask split;
+    split.task = MakeTask(2, Millis(8), Millis(12));
+    split.parts = {{1, Millis(4), 0}, {2, Millis(4), 0}};
+    p.tasks.push_back(split);
+  }
+  p.tasks.push_back(NormalOn(3, Millis(5), Millis(10), 1, 1));
+  p.tasks.push_back(NormalOn(4, Millis(9), Millis(10), 2, 1));
+  return p;
+}
+
 TEST(ShardedSim, TracedByteIdenticalAcrossShardCountsBackendsAndArrivals) {
-  const partition::Partition p = DifferentialPartition();
-  for (const ArrivalModel::Kind kind :
-       {ArrivalModel::Kind::kPeriodic,
-        ArrivalModel::Kind::kSporadicUniformDelay,
-        ArrivalModel::Kind::kJittered, ArrivalModel::Kind::kBursty}) {
-    for (QueueBackend b : kAllQueueBackends) {
-      SimConfig cfg;
-      cfg.horizon = Millis(250);
-      cfg.overheads = overhead::OverheadModel::PaperCoreI7();
-      cfg.exec.kind = ExecModel::Kind::kUniform;
-      cfg.arrivals.kind = kind;
-      cfg.ready_backend = b;
-      cfg.sleep_backend = b;
-      cfg.record_trace = true;
-      cfg.record_metrics = true;
-      cfg.shards = 1;
-      const SimResult serial = Simulate(p, cfg);
-      ASSERT_FALSE(serial.trace_events.empty());
-      const std::string serial_bytes = trace::ToCsv(serial.trace_events);
-      for (const unsigned shards : {2u, 3u, 0u}) {
-        cfg.shards = shards;
-        const SimResult sharded = Simulate(p, cfg);
-        const std::string what =
-            std::string("traced backend=") +
-            std::string(containers::to_string(b)) + " arrivals=" +
-            std::to_string(static_cast<int>(kind)) + " shards=" +
-            std::to_string(shards);
-        ExpectSameResult(serial, sharded, what);
-        // The acceptance criterion, literally: byte-identical traces.
-        EXPECT_EQ(serial_bytes, trace::ToCsv(sharded.trace_events)) << what;
-        EXPECT_TRUE(serial.metrics == sharded.metrics) << what;
+  const partition::Partition overloaded = OverloadedCoreGroupsPartition();
+  // Two lanes at --shards=2: core 0 in one, cores 1-2 in the other.
+  const std::vector<std::uint32_t> lanes = CoreGroupLanes(overloaded, 2);
+  ASSERT_NE(lanes[0], lanes[1]);
+  ASSERT_EQ(lanes[1], lanes[2]);
+  for (const partition::Partition& p :
+       {DifferentialPartition(), overloaded}) {
+    const bool overload = p.num_cores == overloaded.num_cores;
+    for (const ArrivalModel::Kind kind :
+         {ArrivalModel::Kind::kPeriodic,
+          ArrivalModel::Kind::kSporadicUniformDelay,
+          ArrivalModel::Kind::kJittered, ArrivalModel::Kind::kBursty}) {
+      for (QueueBackend b : kAllQueueBackends) {
+        SimConfig cfg;
+        cfg.horizon = Millis(250);
+        cfg.overheads = overhead::OverheadModel::PaperCoreI7();
+        cfg.exec.kind = ExecModel::Kind::kUniform;
+        cfg.arrivals.kind = kind;
+        cfg.ready_backend = b;
+        cfg.sleep_backend = b;
+        cfg.record_trace = true;
+        cfg.record_metrics = true;
+        cfg.shards = 1;
+        const SimResult serial = Simulate(p, cfg);
+        ASSERT_FALSE(serial.trace_events.empty());
+        if (overload) {
+          // Misses in both core groups (task 0-1 on core 0, tasks 2-4
+          // on cores 1-2), and shed releases.
+          std::uint64_t shed = 0;
+          std::uint64_t misses[2] = {0, 0};
+          for (std::size_t i = 0; i < serial.tasks.size(); ++i) {
+            shed += serial.tasks[i].shed;
+            misses[i < 2 ? 0 : 1] += serial.tasks[i].deadline_misses;
+          }
+          EXPECT_GT(misses[0], 0u);
+          EXPECT_GT(misses[1], 0u);
+          EXPECT_GT(shed, 0u);
+        }
+        const std::string serial_bytes = trace::ToCsv(serial.trace_events);
+        for (const unsigned shards : {2u, 3u, 0u}) {
+          cfg.shards = shards;
+          const SimResult sharded = Simulate(p, cfg);
+          const std::string what =
+              std::string("traced backend=") +
+              std::string(containers::to_string(b)) + " arrivals=" +
+              std::to_string(static_cast<int>(kind)) + " shards=" +
+              std::to_string(shards) + " overloaded=" +
+              std::to_string(overload);
+          ExpectSameResult(serial, sharded, what);
+          // The acceptance criterion, literally: byte-identical traces.
+          EXPECT_EQ(serial_bytes, trace::ToCsv(sharded.trace_events))
+              << what;
+          EXPECT_TRUE(serial.metrics == sharded.metrics) << what;
+        }
       }
     }
   }
@@ -557,53 +600,6 @@ TEST(ShardedSim, RecordTraceUnderShardingLeavesResultUnchanged) {
   const SimResult traced = Simulate(p, cfg);
   ExpectSameResult(plain, traced, "record_trace");
   EXPECT_FALSE(traced.trace_events.empty());
-}
-
-TEST(ShardedSim, StopOnFirstMissMatchesSerialHaltExactly) {
-  // An overloaded 2-core partition: core 0 misses. The sharded run
-  // detects the miss at a drain barrier, abandons the attempt, and
-  // reruns serially — so the result (including the halt instant and
-  // the recorded trace) is the serial one, bit for bit.
-  partition::Partition p;
-  p.num_cores = 2;
-  p.tasks.push_back(NormalOn(0, Millis(6), Millis(10), 0, 1));
-  p.tasks.push_back(NormalOn(1, Millis(6), Millis(10), 0, 2));
-  p.tasks.push_back(NormalOn(2, Millis(2), Millis(10), 1, 1));
-  {
-    partition::PlacedTask split;  // cross-core coupling for good measure
-    split.task = MakeTask(3, Millis(4), Millis(12));
-    split.parts = {{1, Millis(2), 0}, {0, Millis(2), 0}};
-    p.tasks.push_back(split);
-  }
-  SimConfig cfg;
-  cfg.horizon = Millis(1000);
-  cfg.overheads = overhead::OverheadModel::PaperCoreI7();
-  cfg.stop_on_first_miss = true;
-  cfg.record_trace = true;
-  const SimResult serial = Simulate(p, cfg);
-  EXPECT_GT(serial.total_misses, 0u);
-  EXPECT_LT(serial.simulated, Millis(1000));  // halted early
-  for (const unsigned shards : {2u, 0u}) {
-    cfg.shards = shards;
-    const SimResult sharded = Simulate(p, cfg);
-    ExpectSameResult(serial, sharded,
-                     "stop-on-first-miss shards=" + std::to_string(shards));
-    EXPECT_EQ(trace::ToCsv(serial.trace_events),
-              trace::ToCsv(sharded.trace_events));
-  }
-}
-
-TEST(ShardedSim, StopOnFirstMissWithoutMissStaysSharded) {
-  // A feasible set under stop_on_first_miss must still return the
-  // shard-identical result (the optimistic path never falls back).
-  const partition::Partition p = DifferentialPartition();
-  SimConfig cfg;
-  cfg.horizon = Millis(300);
-  const SimResult serial = Simulate(p, cfg);
-  EXPECT_EQ(serial.total_misses, 0u);
-  cfg.stop_on_first_miss = true;
-  cfg.shards = 0;
-  ExpectSameResult(serial, Simulate(p, cfg), "no-miss stop flag");
 }
 
 TEST(ShardedSim, WideEdfTieBreakShardsBeyond1024Tasks) {

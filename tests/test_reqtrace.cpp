@@ -616,11 +616,9 @@ ReplayConfig DiffConfig(unsigned shards) {
 }
 
 /// Everything a replay DECIDES, as comparable text: the per-epoch table
-/// plus the unified stats registry dump (what --stats-out writes).
+/// plus the unified stats snapshot dump (what --stats-out writes).
 std::string DecisionFingerprint(const ReplayResult& r) {
-  obs::StatsRegistry reg;
-  FillStatsRegistry(reg, r);
-  return r.Table() + "\n" + reg.snapshot().ToJson() + "\n" +
+  return r.Table() + "\n" + ReplayStatsSnapshot(r).ToJson() + "\n" +
          r.final_partition.summary();
 }
 

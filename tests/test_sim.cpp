@@ -192,19 +192,6 @@ TEST(Sim, DeadlineMissDetectedOnOverload) {
   EXPECT_GT(r.tasks[1].deadline_misses + r.tasks[1].shed, 0u);
 }
 
-TEST(Sim, StopOnFirstMissHaltsEarly) {
-  Partition p;
-  p.num_cores = 1;
-  p.tasks.push_back(Normal(0, Millis(6), Millis(10), 0, 0));
-  p.tasks.push_back(Normal(1, Millis(6), Millis(10), 0, 1));
-  SimConfig cfg;
-  cfg.horizon = Millis(1000);
-  cfg.stop_on_first_miss = true;
-  const SimResult r = Simulate(p, cfg);
-  EXPECT_EQ(r.total_misses, 1u);
-  EXPECT_LT(r.simulated, Millis(1000));
-}
-
 TEST(Sim, ExecModelFractionShortensResponses) {
   Partition p;
   p.num_cores = 1;
