@@ -131,13 +131,16 @@ AdmitOutcome Controller::TryPlace(const rt::Task& t) {
   pt.parts = std::move(placed.parts);
   placements_.emplace(t.id, std::move(pt));
   admit_seq_of_[t.id] = admit_seq_++;
+  NoteAdmission(t.id);
+  return out;
+}
+
+void Controller::NoteAdmission(rt::TaskId id) {
   // Admission generation: 0 on the first admission of this id (so pure
   // admit streams match the legacy RNG derivation bit-for-bit), bumped
   // on every re-admission so a returning id never resumes its previous
   // incarnation's exec/arrival RNG position.
-  const auto [it, inserted] = generation_of_.try_emplace(t.id, 0u);
-  if (!inserted) ++it->second;
-  return out;
+  if (!admitted_.insert(id).second) ++generation_of_[id];
 }
 
 AdmitOutcome Controller::Admit(const rt::Task& t) {
@@ -243,8 +246,7 @@ AdmitOutcome Controller::FallbackRepartition(const rt::Task& t) {
   state_.Adopt(pr.partition);
   placements_ = std::move(next);
   admit_seq_of_[t.id] = admit_seq_++;
-  const auto [git, inserted] = generation_of_.try_emplace(t.id, 0u);
-  if (!inserted) ++git->second;
+  NoteAdmission(t.id);
   any_fallback_ = true;
   last_fallback_epoch_ = epoch_;
   last_fallback_util_ = state_.total_utilization();
@@ -591,7 +593,6 @@ ControllerSnapshot Controller::ExportState() const {
   };
   std::sort(s.degraded_full.begin(), s.degraded_full.end(), by_id);
   std::sort(s.admit_seq_of.begin(), s.admit_seq_of.end(), by_id);
-  std::sort(s.generation_of.begin(), s.generation_of.end(), by_id);
   s.shed.reserve(shed_.size());
   for (const ShedRecord& r : shed_) {
     s.shed.push_back(ControllerSnapshot::ShedEntry{r.task, r.admit_seq,
@@ -608,7 +609,22 @@ ControllerSnapshot Controller::ExportState() const {
   return s;
 }
 
-bool Controller::ImportState(ControllerSnapshot snap) {
+bool Controller::ImportState(ControllerSnapshot snap,
+                             std::span<const rt::TaskId> admitted) {
+  admitted_.clear();
+  admitted_.insert(admitted.begin(), admitted.end());
+  const auto was_admitted = [&](rt::TaskId id) {
+    return admitted_.count(id) != 0;
+  };
+  for (const auto& [id, gen] : snap.generation_of) {
+    if (gen == 0 || !was_admitted(id)) return false;
+  }
+  for (const partition::PlacedTask& pt : snap.placements) {
+    if (!was_admitted(pt.task.id)) return false;
+  }
+  for (const ControllerSnapshot::ShedEntry& e : snap.shed) {
+    if (!was_admitted(e.task.id)) return false;
+  }
   if (!state_.ImportState(std::move(snap.admission))) return false;
   placements_.clear();
   for (partition::PlacedTask& pt : snap.placements) {

@@ -29,10 +29,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -136,11 +138,14 @@ struct AdmitOutcome {
   unsigned parts = 0;         ///< subtask count of the accepted placement
 };
 
-/// The complete logical state of a Controller, as plain sorted data —
-/// what the durability checkpoint serializes (DESIGN.md §14) and what
-/// ImportState restores bit-identically. Map contents are flattened in
-/// ascending id order (so equal states serialize equally); the shed
-/// ledger keeps its SHED ORDER (AdvanceEpoch drains it in that order).
+/// The live logical state of a Controller, as plain sorted data — what
+/// the durability checkpoint serializes (DESIGN.md §14) and what
+/// ImportState restores bit-identically, given the ids admitted before
+/// the snapshot. Map contents are flattened in ascending id order (so
+/// equal states serialize equally); the shed ledger keeps its SHED ORDER
+/// (AdvanceEpoch drains it in that order). Nothing here grows with the
+/// history: departed ids appear only if they were admitted more than
+/// once.
 struct ControllerSnapshot {
   struct ShedEntry {
     rt::Task task;
@@ -151,6 +156,8 @@ struct ControllerSnapshot {
   std::vector<partition::PlacedTask> placements;  ///< ascending id
   std::vector<std::pair<rt::TaskId, rt::Task>> degraded_full;
   std::vector<std::pair<rt::TaskId, std::uint64_t>> admit_seq_of;
+  /// Admission generations >= 1 only (ids admitted more than once);
+  /// every other admitted id is at generation 0.
   std::vector<std::pair<rt::TaskId, std::uint32_t>> generation_of;
   std::vector<ShedEntry> shed;
   ChurnStats churn;
@@ -226,15 +233,21 @@ class Controller {
   }
   [[nodiscard]] const ControllerConfig& config() const { return cfg_; }
 
-  /// Snapshot / restore the complete logical state (durability
-  /// checkpoints, DESIGN.md §14). ImportState replaces everything —
-  /// including the admission state's per-core entry vectors and
-  /// utilization caches VERBATIM, so a restored controller's subsequent
-  /// decisions are bit-identical to the original's. Returns false (state
-  /// unspecified) if the snapshot's core layout does not match this
-  /// controller's config.
+  /// Snapshot / restore the logical state (durability checkpoints,
+  /// DESIGN.md §14). ExportState costs O(live state): the generation-0
+  /// ids stay out of it. ImportState replaces everything — including the
+  /// admission state's per-core entry vectors and utilization caches
+  /// VERBATIM, so a restored controller's subsequent decisions (and
+  /// ExecGenerations) are bit-identical to the original's — taking the
+  /// ids admitted before the snapshot from `admitted` (the durable
+  /// replay reads them off the journal's accepted ADMIT records).
+  /// Returns false (state unspecified) if the snapshot's core layout
+  /// does not match this controller's config, or if a resident, shed or
+  /// generation entry names an id outside `admitted`: every one of them
+  /// was created by an accepted admission.
   [[nodiscard]] ControllerSnapshot ExportState() const;
-  [[nodiscard]] bool ImportState(ControllerSnapshot snap);
+  [[nodiscard]] bool ImportState(ControllerSnapshot snap,
+                                 std::span<const rt::TaskId> admitted);
 
  private:
   /// A shed task awaiting re-admission (the record keeps the FULL task;
@@ -265,6 +278,9 @@ class Controller {
   /// Plain incremental placement of `t`; on success registers the
   /// placement and bumps the id's admission generation.
   AdmitOutcome TryPlace(const rt::Task& t);
+  /// Record one admission of `id`: generation 0 the first time, one
+  /// more on every re-admission.
+  void NoteAdmission(rt::TaskId id);
 
   /// One reversible ladder step, logged so a rejected candidate's
   /// actions can be undone EXACTLY (reverse order), or committed (stats
@@ -309,9 +325,12 @@ class Controller {
   /// id -> admission sequence number (LIFO tie-break within a value
   /// class; assigned per successful admission).
   std::unordered_map<rt::TaskId, std::uint64_t> admit_seq_of_;
-  /// id -> how many times the id has been admitted (the RNG-generation
-  /// counter; first admission = generation 0).
-  std::unordered_map<rt::TaskId, std::uint32_t> generation_of_;
+  /// Every id ever admitted (the RNG-generation counter's domain; first
+  /// admission = generation 0).
+  std::unordered_set<rt::TaskId> admitted_;
+  /// id -> admission generation, for the ids admitted more than once
+  /// (generation >= 1). Ordered, so a checkpoint exports it as is.
+  std::map<rt::TaskId, std::uint32_t> generation_of_;
   /// Shed set in shed order (drained by AdvanceEpoch retries).
   std::vector<ShedRecord> shed_;
   ChurnStats churn_;

@@ -14,7 +14,6 @@
 #include <functional>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/memo.hpp"
@@ -93,9 +92,9 @@ namespace fs = std::filesystem;
 // but never read out of bounds.
 
 constexpr char kCheckpointMagic[8] = {'S', 'P', 'S', 'C', 'K', 'P',
-                                      'T', '\x02'};
+                                      'T', '\x03'};
 constexpr char kJournalMagic[8] = {'S', 'P', 'S', 'J', 'R', 'N',
-                                   'L', '\x01'};
+                                   'L', '\x02'};
 constexpr std::size_t kJournalHeaderSize = 8 + 8 + 4;
 /// Checkpoint files kept on disk (older ones are pruned): more than one
 /// keeps a fallback for a corrupt newest checkpoint.
@@ -480,8 +479,12 @@ std::uint64_t Fingerprint(const WorkloadStream& s, const ReplayConfig& cfg) {
 
 // ---- checkpoint ------------------------------------------------------------
 
-/// Everything a checkpoint restores: the replay cursor, the accumulated
-/// result prefix, and the controller snapshot.
+/// Everything a checkpoint restores: the replay cursor, the result
+/// totals, the controller's live state, and the journal prefix it
+/// extends. The history stays in the journal: the prefix holds the
+/// epoch rows closed before the cut and the accepted ADMIT records
+/// that give every generation-0 id, and the two digests pin that
+/// prefix.
 struct CheckpointState {
   std::uint64_t next_request = 0;
   Time epoch_start = 0;
@@ -491,8 +494,13 @@ struct CheckpointState {
   std::uint64_t admits = 0;
   std::uint64_t rejects = 0;
   std::uint64_t leaves = 0;
-  std::vector<EpochStats> epochs;
+  std::uint64_t epoch_rows = 0;   ///< rows closed before the cut
+  std::uint32_t records_crc = 0;  ///< digest of the cut's request records
+  std::uint32_t rows_crc = 0;     ///< digest of the cut's epoch rows
   ControllerSnapshot ctrl;
+  // Not on the wire: recovery fills these from the journal prefix.
+  std::vector<EpochStats> epochs;
+  std::vector<rt::TaskId> admitted;
 };
 
 template <class Ar>
@@ -505,7 +513,9 @@ void Visit(Ar& ar, CheckpointState& st) {
   ar.U64(st.admits);
   ar.U64(st.rejects);
   ar.U64(st.leaves);
-  Seq(ar, st.epochs);
+  ar.U64(st.epoch_rows);
+  ar.U32(st.records_crc);
+  ar.U32(st.rows_crc);
   Visit(ar, st.ctrl);
 }
 
@@ -669,15 +679,47 @@ void Visit(Ar& ar, JournalRecord& rec) {
   Visit(ar, rec.overload_delta);
 }
 
-std::string EncodeRecord(const JournalRecord& rec) {
-  ByteWriter p;
-  Write(p, rec);
-  ByteWriter f;
-  f.U32(static_cast<std::uint32_t>(p.buf.size()));
-  f.buf += p.buf;
-  f.U32(util::Crc32Of(p.buf));
-  return f.buf;
+/// One closed epoch's row, journaled once when the epoch closes.
+struct EpochRecord {
+  std::uint64_t row = 0;  ///< index in ReplayResult::epochs
+  EpochStats stats;
+};
+
+template <class Ar>
+void Visit(Ar& ar, EpochRecord& rec) {
+  ar.U64(rec.row);
+  Visit(ar, rec.stats);
 }
+
+/// A record payload's first byte names its kind.
+constexpr std::uint8_t kRequestRecord = 0;
+constexpr std::uint8_t kEpochRecord = 1;
+
+template <class T>
+std::string RecordPayload(std::uint8_t tag, const T& rec) {
+  ByteWriter p;
+  p.U8(tag);
+  Write(p, rec);
+  return std::move(p.buf);
+}
+
+/// A journal-prefix digest: the CRC32 of its records' frame CRCs (each
+/// little-endian), in journal order. One digest per record kind.
+void ChainRecord(util::Crc32& digest, std::uint32_t record_crc) {
+  ByteWriter le;
+  le.U32(record_crc);
+  digest.Update(le.buf);
+}
+
+/// A journal's records as recovery keeps them: requests by seq, epoch
+/// rows by row index, and each kind's digest after every prefix
+/// (`records_crc[k]` covers requests 0..k-1).
+struct JournalContents {
+  std::vector<JournalRecord> records;
+  std::vector<EpochStats> rows;
+  std::vector<util::Crc32> records_crc{util::Crc32{}};
+  std::vector<util::Crc32> rows_crc{util::Crc32{}};
+};
 
 std::string JournalHeader(std::uint64_t fingerprint) {
   ByteWriter out{std::string(kJournalMagic, sizeof(kJournalMagic))};
@@ -687,10 +729,11 @@ std::string JournalHeader(std::uint64_t fingerprint) {
 }
 
 /// Scan `bytes`: header check, then records until the first invalid
-/// frame. Reports records + valid prefix; fills `records` when non-null.
+/// frame — a torn, corrupt or undecodable one, or one out of sequence
+/// (each kind numbers its records 0, 1, 2, ... in file order). Reports
+/// counts + valid prefix; fills `contents` when non-null.
 bool ScanJournalBytes(std::string_view bytes, const std::string& path,
-                      JournalScan& out,
-                      std::vector<JournalRecord>* records,
+                      JournalScan& out, JournalContents* contents,
                       std::uint64_t* fingerprint, DurabilityError* error) {
   const auto fail = [&](DurabilityError::Kind kind, std::uint64_t offset,
                         const std::string& detail) {
@@ -730,13 +773,35 @@ bool ScanJournalBytes(std::string_view bytes, const std::string& path,
     if (pos + 4 + len + 4 > bytes.size()) break;         // torn tail
     const std::string_view payload = bytes.substr(pos + 4, len);
     ByteReader crcr(bytes.substr(pos + 4 + len, 4));
-    if (crcr.U32() != util::Crc32Of(payload)) break;     // torn/corrupt
+    const std::uint32_t crc = crcr.U32();
+    if (crc != util::Crc32Of(payload)) break;            // torn/corrupt
     ByteReader r(payload);
-    JournalRecord rec;
-    if (!ReadExactly(r, rec)) break;
-    if (records != nullptr) records->push_back(rec);
+    const std::uint8_t tag = r.U8();
+    const auto extend = [crc](std::vector<util::Crc32>& digests) {
+      util::Crc32 d = digests.back();
+      ChainRecord(d, crc);
+      digests.push_back(d);
+    };
+    if (tag == kRequestRecord) {
+      JournalRecord rec;
+      if (!ReadExactly(r, rec) || rec.seq != out.records) break;
+      if (contents != nullptr) {
+        contents->records.push_back(rec);
+        extend(contents->records_crc);
+      }
+      ++out.records;
+    } else if (tag == kEpochRecord) {
+      EpochRecord rec;
+      if (!ReadExactly(r, rec) || rec.row != out.epoch_rows) break;
+      if (contents != nullptr) {
+        contents->rows.push_back(rec.stats);
+        extend(contents->rows_crc);
+      }
+      ++out.epoch_rows;
+    } else {
+      break;
+    }
     pos += 4 + len + 4;
-    ++out.records;
   }
   out.valid_bytes = pos;
   return true;
@@ -814,28 +879,14 @@ class DurabilityEngine {
   /// journaled seq cross-checks; new seqs append (+ crash/halt
   /// injection). Returns false on divergence (error() set).
   bool OnApplied(const JournalRecord& rec) {
-    const auto it = seen_.find(rec.seq);
-    if (it != seen_.end()) {
-      if (it->second == rec) return true;
-      // Black-box dump BEFORE reporting: divergence is exactly the "what
-      // was the service doing" moment the flight recorder exists for.
-      if (obs::SpanProfiler* p = obs::InstalledProfiler()) {
-        (void)p->DumpFlight("journal_divergence");
-      }
-      return Fail(DurabilityError::Kind::kJournalDivergence,
-                  journal_path_, 0,
-                  journal_path_ + ": redo decision for request " +
-                      std::to_string(rec.seq) +
-                      " diverges from the journaled one (corrupt journal "
-                      "or mismatched stream)");
+    const std::string payload = RecordPayload(kRequestRecord, rec);
+    const std::uint32_t crc = util::Crc32Of(payload);
+    ChainRecord(records_crc_, crc);
+    if (rec.seq < journaled_.records.size()) {
+      if (journaled_.records[rec.seq] == rec) return true;
+      return Diverged("decision for request " + std::to_string(rec.seq));
     }
-    const std::string frame = EncodeRecord(rec);
-    if (std::fwrite(frame.data(), 1, frame.size(), journal_) !=
-        frame.size()) {
-      return Fail(DurabilityError::Kind::kIo, journal_path_, 0,
-                  journal_path_ + ": journal append failed: " +
-                      std::strerror(errno));
-    }
+    if (!Append(payload, crc)) return false;
     ++appends_;
     if (cfg_.fsync == FsyncPolicy::kEveryN &&
         appends_ % std::max(1u, cfg_.fsync_every_n) == 0) {
@@ -861,6 +912,20 @@ class DurabilityEngine {
       recovery_.halted_by_injection = true;
     }
     return true;
+  }
+
+  /// Epoch-close hook: the row is journaled once; redo of an already
+  /// journaled row cross-checks it. Returns false on divergence.
+  bool OnEpochClosed(std::uint64_t row, const EpochStats& e) {
+    const std::string payload =
+        RecordPayload(kEpochRecord, EpochRecord{row, e});
+    const std::uint32_t crc = util::Crc32Of(payload);
+    ChainRecord(rows_crc_, crc);
+    if (row < journaled_.rows.size()) {
+      if (journaled_.rows[row] == e) return true;
+      return Diverged("epoch row " + std::to_string(row));
+    }
+    return Append(payload, crc);
   }
 
   /// Epoch-boundary hook: per-epoch fsync and the every-K checkpoint.
@@ -893,7 +958,9 @@ class DurabilityEngine {
     st.admits = out.admits;
     st.rejects = out.rejects;
     st.leaves = out.leaves;
-    st.epochs = out.epochs;
+    st.epoch_rows = out.epochs.size();
+    st.records_crc = records_crc_.value();
+    st.rows_crc = rows_crc_.value();
     st.ctrl = ctrl.ExportState();
     std::string err;
     if (!util::WriteFileAtomic(path, EncodeCheckpoint(st, fingerprint_),
@@ -915,6 +982,33 @@ class DurabilityEngine {
     return false;
   }
 
+  /// Append one record frame: length, payload, the payload's CRC32.
+  bool Append(std::string_view payload, std::uint32_t crc) {
+    ByteWriter frame;
+    frame.U32(payload.size());
+    frame.buf += payload;
+    frame.U32(crc);
+    if (std::fwrite(frame.buf.data(), 1, frame.buf.size(), journal_) !=
+        frame.buf.size()) {
+      return Fail(DurabilityError::Kind::kIo, journal_path_, 0,
+                  journal_path_ + ": journal append failed: " +
+                      std::strerror(errno));
+    }
+    return true;
+  }
+
+  bool Diverged(const std::string& what) {
+    // Black-box dump BEFORE reporting: divergence is exactly the "what
+    // was the service doing" moment the flight recorder exists for.
+    if (obs::SpanProfiler* p = obs::InstalledProfiler()) {
+      (void)p->DumpFlight("journal_divergence");
+    }
+    return Fail(DurabilityError::Kind::kJournalDivergence, journal_path_, 0,
+                journal_path_ + ": redo " + what +
+                    " diverges from the journaled one (corrupt journal or "
+                    "mismatched stream)");
+  }
+
   void FlushJournal(bool sync) {
     if (journal_ == nullptr) return;
     std::fflush(journal_);
@@ -929,37 +1023,11 @@ class DurabilityEngine {
     }
   }
 
-  /// Load the newest valid checkpoint (skipping corrupt ones), scan the
-  /// journal, truncate its torn tail, keep the valid records for the
-  /// redo cross-check.
+  /// Scan the journal, truncate its torn tail and keep its records for
+  /// the redo cross-check; then load the newest valid checkpoint whose
+  /// journal prefix is present (skipping corrupt or uncovered ones) and
+  /// fill its history from that prefix.
   bool Recover(CheckpointState& st) {
-    for (const std::string& path : ListCheckpoints(cfg_.dir)) {
-      std::string bytes;
-      std::string io_err;
-      if (!util::ReadFileBytes(path, bytes, &io_err)) {
-        ++recovery_.checkpoints_skipped;
-        continue;
-      }
-      CheckpointState cand;
-      DurabilityError derr;
-      if (!DecodeCheckpoint(bytes, path, fingerprint_, cand, derr)) {
-        // A checkpoint for a DIFFERENT stream/config is not corruption —
-        // the caller pointed recovery at the wrong directory; surface it
-        // instead of silently replaying from scratch.
-        if (derr.kind == DurabilityError::Kind::kFingerprintMismatch) {
-          error_ = derr;
-          return false;
-        }
-        ++recovery_.checkpoints_skipped;
-        continue;
-      }
-      st = std::move(cand);
-      recovery_.recovered = true;
-      recovery_.checkpoint_epoch = st.epoch_index;
-      recovery_.resume_seq = st.next_request;
-      break;
-    }
-
     if (fs::exists(journal_path_)) {
       std::string bytes;
       std::string io_err;
@@ -967,10 +1035,9 @@ class DurabilityEngine {
         return Fail(DurabilityError::Kind::kIo, journal_path_, 0, io_err);
       }
       JournalScan scan;
-      std::vector<JournalRecord> records;
       std::uint64_t fp = 0;
       DurabilityError derr;
-      if (!ScanJournalBytes(bytes, journal_path_, scan, &records, &fp,
+      if (!ScanJournalBytes(bytes, journal_path_, scan, &journaled_, &fp,
                             &derr)) {
         error_ = derr;
         return false;
@@ -992,8 +1059,60 @@ class DurabilityEngine {
                     journal_path_ + ": cannot truncate torn tail: " +
                         std::strerror(errno));
       }
-      seen_.reserve(records.size());
-      for (const JournalRecord& rec : records) seen_.emplace(rec.seq, rec);
+    }
+
+    // A checkpoint extends a journal prefix: every request and epoch row
+    // before its cut, with the digests it names.
+    const auto covered = [this](const CheckpointState& c) {
+      return c.next_request < journaled_.records_crc.size() &&
+             c.epoch_rows < journaled_.rows_crc.size() &&
+             journaled_.records_crc[c.next_request].value() ==
+                 c.records_crc &&
+             journaled_.rows_crc[c.epoch_rows].value() == c.rows_crc;
+    };
+    for (const std::string& path : ListCheckpoints(cfg_.dir)) {
+      std::string bytes;
+      std::string io_err;
+      if (!util::ReadFileBytes(path, bytes, &io_err)) {
+        ++recovery_.checkpoints_skipped;
+        continue;
+      }
+      CheckpointState cand;
+      DurabilityError derr;
+      if (!DecodeCheckpoint(bytes, path, fingerprint_, cand, derr)) {
+        // A checkpoint for a DIFFERENT stream/config is not corruption —
+        // the caller pointed recovery at the wrong directory; surface it
+        // instead of silently replaying from scratch.
+        if (derr.kind == DurabilityError::Kind::kFingerprintMismatch) {
+          error_ = derr;
+          return false;
+        }
+        ++recovery_.checkpoints_skipped;
+        continue;
+      }
+      if (!covered(cand)) {
+        ++recovery_.checkpoints_skipped;
+        continue;
+      }
+      st = std::move(cand);
+      recovery_.recovered = true;
+      recovery_.checkpoint_epoch = st.epoch_index;
+      recovery_.resume_seq = st.next_request;
+      break;
+    }
+    if (recovery_.recovered) {
+      records_crc_ = journaled_.records_crc[st.next_request];
+      rows_crc_ = journaled_.rows_crc[st.epoch_rows];
+      st.epochs.assign(journaled_.rows.begin(),
+                       journaled_.rows.begin() +
+                           static_cast<std::ptrdiff_t>(st.epoch_rows));
+      for (std::uint64_t seq = 0; seq < st.next_request; ++seq) {
+        const JournalRecord& rec = journaled_.records[seq];
+        if (rec.kind == static_cast<std::uint8_t>(RequestKind::kAdmit) &&
+            (rec.flags & 1u) != 0) {
+          st.admitted.push_back(rec.id);
+        }
+      }
     }
     return true;
   }
@@ -1003,8 +1122,13 @@ class DurabilityEngine {
   std::FILE* journal_ = nullptr;
   std::uint64_t fingerprint_ = 0;
   /// The journal's records as recovery read them: the redo pass
-  /// cross-checks these seqs; every later seq is new and appended.
-  std::unordered_map<std::uint64_t, JournalRecord> seen_;
+  /// cross-checks these seqs and rows; every later one is new and
+  /// appended.
+  JournalContents journaled_;
+  /// The digests of every request / epoch-row record so far (a new
+  /// checkpoint names its prefix by them).
+  util::Crc32 records_crc_;
+  util::Crc32 rows_crc_;
   std::uint64_t appends_ = 0;
   bool halted_ = false;
   DurabilityError error_;
@@ -1161,11 +1285,12 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
     }
     out.recovery = dur.recovery();
     if (out.recovery.recovered) {
-      if (!ctrl.ImportState(std::move(st.ctrl))) {
+      if (!ctrl.ImportState(std::move(st.ctrl), st.admitted)) {
         out.durability_error = DurabilityError{
             DurabilityError::Kind::kStateMismatch, cfg.durability.dir, 0,
             cfg.durability.dir +
-                ": checkpoint does not fit this controller config"};
+                ": checkpoint does not fit this controller config or "
+                "the journal's admissions"};
         return out;
       }
       next_request = static_cast<std::size_t>(st.next_request);
@@ -1201,6 +1326,14 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
     }
   };
 
+  // Closes the epoch [epoch_start, end) and journals its row.
+  const auto close_epoch = [&](Time end) {
+    CloseEpoch(ctrl, cfg, epoch_index, epoch_start, end, churn_before,
+               overload_before, cur, out);
+    return !durable ||
+           dur.OnEpochClosed(out.epochs.size() - 1, out.epochs.back());
+  };
+
   // Every return past this point reports the totals reached so far.
   const auto finish = [&] {
     out.churn = ctrl.churn();
@@ -1222,9 +1355,7 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
     // epoch_start never passes a request — so the subtraction form is
     // overflow-safe where `epoch_start + epoch_len` is not.)
     while (r.at - epoch_start >= epoch_len) {
-      CloseEpoch(ctrl, cfg, epoch_index, epoch_start,
-                 epoch_start + epoch_len, churn_before, overload_before,
-                 cur, out);
+      if (!close_epoch(epoch_start + epoch_len)) return fail_durability();
       churn_before = ctrl.churn();
       overload_before = ctrl.overload_stats();
       epoch_start += epoch_len;
@@ -1317,8 +1448,7 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
   const Time final_end = epoch_start > kTimeNever - epoch_len
                              ? kTimeNever
                              : epoch_start + epoch_len;
-  CloseEpoch(ctrl, cfg, epoch_index, epoch_start, final_end, churn_before,
-             overload_before, cur, out);
+  if (!close_epoch(final_end)) return fail_durability();
 
   // Drain epochs: keep ticking past the last request so shed-re-admission
   // retries (whose backoff is measured in epochs) get room to run when
@@ -1333,8 +1463,7 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
     const Time drain_end = epoch_start > kTimeNever - epoch_len
                                ? kTimeNever
                                : epoch_start + epoch_len;
-    CloseEpoch(ctrl, cfg, epoch_index, epoch_start, drain_end,
-               churn_before, overload_before, cur, out);
+    if (!close_epoch(drain_end)) return fail_durability();
   }
   if (durable) dur.Finish();
   return finish();

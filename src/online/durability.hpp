@@ -3,22 +3,30 @@
 // the epoch replay, ARIES-style redo specialized to a DETERMINISTIC
 // state machine. The stream file is already a replayable request log, so
 // the write-ahead journal does not need to carry state — it records each
-// applied request's (seq, decision, churn/overload delta) under a
-// per-record CRC, serving two jobs: (1) it marks exactly how far the
-// crashed run got, and (2) during recovery the redo pass re-executes the
-// stream from the newest valid checkpoint and CROSS-CHECKS every
-// re-derived decision against the journaled one — a divergence is
-// corruption (or a different stream/config), surfaced as a typed error,
-// never silently absorbed.
+// applied request's (seq, decision, churn/overload delta) and each
+// closed epoch's stats row under a per-record CRC, serving three jobs:
+// (1) it marks exactly how far the crashed run got, (2) it holds the
+// history a checkpoint leaves out, and (3) during recovery the redo
+// pass re-executes the stream from the newest valid checkpoint and
+// CROSS-CHECKS every re-derived decision and row against the journaled
+// one — a divergence is corruption (or a different stream/config),
+// surfaced as a typed error, never silently absorbed.
 //
 // Artifacts, all CRC32-framed (util/crc32.hpp):
-//   <dir>/ckpt-<epoch>.sps  versioned full-state checkpoint, written via
-//                           atomic temp-file + rename (util/file_io.hpp)
-//                           every K epoch entries; the newest VALID one
-//                           wins at recovery, corrupt ones are skipped.
-//   <dir>/journal.wal       append-only request journal; a torn tail
-//                           (crash mid-append) is truncated at the last
-//                           valid record instead of failing.
+//   <dir>/ckpt-<epoch>.sps  versioned checkpoint of the LIVE state (its
+//                           size does not grow with the history), written
+//                           via atomic temp-file + rename
+//                           (util/file_io.hpp) every K epoch entries. It
+//                           names the journal prefix it extends (record
+//                           and row counts, two digests); the newest valid
+//                           one whose prefix the journal holds wins at
+//                           recovery, the others are skipped.
+//   <dir>/journal.wal       append-only journal of request records and
+//                           epoch rows: the history (the epoch rows, and
+//                           the accepted ADMITs that give every
+//                           generation-0 id). A torn tail (crash
+//                           mid-append) is truncated at the last valid
+//                           record instead of failing.
 //
 // This header is self-contained (config/error/info types plus the
 // journal/checkpoint file helpers the tests poke); the recovery engine
@@ -115,11 +123,12 @@ struct RecoveryInfo {
   bool halted_by_injection = false;  ///< halt_after_appends fired
 };
 
-/// Journal scan summary (exposed for tests/tools): how many records
-/// frame-validate and where the valid prefix ends.
+/// Journal scan summary (exposed for tests/tools): how many records of
+/// each kind frame-validate in sequence and where the valid prefix ends.
 struct JournalScan {
-  std::uint64_t records = 0;
-  std::uint64_t valid_bytes = 0;  ///< header + every CRC-valid record
+  std::uint64_t records = 0;      ///< request records
+  std::uint64_t epoch_rows = 0;   ///< epoch-row records
+  std::uint64_t valid_bytes = 0;  ///< header + every valid record
   std::uint64_t total_bytes = 0;
 };
 

@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -177,9 +178,10 @@ TEST(ControllerSnapshot, RoundTripPreservesEveryFutureDecision) {
   Controller a(cfg);
   const auto& reqs = s.requests();
   const std::size_t half = reqs.size() / 2;
+  std::vector<rt::TaskId> admitted;  // what the journal's ADMITs give
   for (std::size_t i = 0; i < half; ++i) {
     if (reqs[i].kind == RequestKind::kAdmit) {
-      (void)a.Admit(reqs[i].task);
+      if (a.Admit(reqs[i].task).accepted) admitted.push_back(reqs[i].id);
     } else {
       (void)a.Leave(reqs[i].id);
     }
@@ -187,9 +189,10 @@ TEST(ControllerSnapshot, RoundTripPreservesEveryFutureDecision) {
   a.AdvanceEpoch(false);
 
   Controller b(cfg);
-  ASSERT_TRUE(b.ImportState(a.ExportState()));
+  ASSERT_TRUE(b.ImportState(a.ExportState(), admitted));
   EXPECT_EQ(b.resident(), a.resident());
   EXPECT_EQ(b.total_utilization(), a.total_utilization());  // exact bits
+  EXPECT_EQ(b.ExecGenerations(), a.ExecGenerations());
 
   // Both controllers must now make IDENTICAL decisions on the tail.
   for (std::size_t i = half; i < reqs.size(); ++i) {
@@ -205,6 +208,7 @@ TEST(ControllerSnapshot, RoundTripPreservesEveryFutureDecision) {
   a.AdvanceEpoch(false);
   b.AdvanceEpoch(false);
   EXPECT_EQ(a.CurrentPartition().summary(), b.CurrentPartition().summary());
+  EXPECT_EQ(a.ExecGenerations(), b.ExecGenerations());
   EXPECT_EQ(a.churn(), b.churn());
   EXPECT_EQ(a.overload_stats(), b.overload_stats());
 }
@@ -215,11 +219,39 @@ TEST(ControllerSnapshot, ImportRejectsMismatchedCoreLayout) {
   ControllerConfig other = MakeControllerConfig();
   other.admission.num_cores = 5;
   Controller b(other);
-  EXPECT_FALSE(b.ImportState(snap));
+  EXPECT_FALSE(b.ImportState(snap, {}));
   ControllerConfig fp = MakeControllerConfig(
       PlacePolicy::kFirstFit, partition::SchedPolicy::kFixedPriority);
   Controller c(fp);
-  EXPECT_FALSE(c.ImportState(snap));
+  EXPECT_FALSE(c.ImportState(snap, {}));
+}
+
+TEST(ControllerSnapshot, ImportRejectsIdsNoAdmissionCreated) {
+  // Residents, shed tasks and generation entries all come from accepted
+  // admissions, so a snapshot naming an id outside `admitted` is
+  // refused (the durable replay reports kStateMismatch).
+  Controller a(MakeControllerConfig());
+  ASSERT_TRUE(a.Admit(rt::MakeTask(7, Millis(1), Millis(10))).accepted);
+  ASSERT_TRUE(a.Leave(7));
+  ASSERT_TRUE(a.Admit(rt::MakeTask(7, Millis(1), Millis(10))).accepted);
+  ASSERT_TRUE(a.Admit(rt::MakeTask(9, Millis(1), Millis(10))).accepted);
+  const ControllerSnapshot snap = a.ExportState();
+  ASSERT_EQ(snap.generation_of.size(), 1u);  // only the re-admitted id
+  EXPECT_EQ(snap.generation_of.front(), (std::pair<rt::TaskId,
+                                                   std::uint32_t>{7, 1}));
+  const std::vector<rt::TaskId> both = {7, 9};
+  Controller b(MakeControllerConfig());
+  ASSERT_TRUE(b.ImportState(snap, both));
+  EXPECT_EQ(b.ExecGenerations(), a.ExecGenerations());
+  for (const std::vector<rt::TaskId>& partial :
+       {std::vector<rt::TaskId>{7}, std::vector<rt::TaskId>{9}}) {
+    Controller c(MakeControllerConfig());
+    EXPECT_FALSE(c.ImportState(snap, partial));
+  }
+  ControllerSnapshot gen0 = snap;
+  gen0.generation_of.front().second = 0;  // not a sparse entry
+  Controller d(MakeControllerConfig());
+  EXPECT_FALSE(d.ImportState(gen0, both));
 }
 
 // ---------------------------------------------------------------------------
@@ -341,6 +373,79 @@ TEST(CrashRecovery, EveryCrashPointOfAShortStream) {
     for (std::uint32_t halt = 1; halt <= s.size(); ++halt) {
       RunHaltRecoverDifferential(cfg, s, halt, 2, tag);
     }
+  }
+}
+
+Request AdmitAt(Time at, const rt::Task& t) {
+  Request r;
+  r.kind = RequestKind::kAdmit;
+  r.at = at;
+  r.id = t.id;
+  r.task = t;
+  return r;
+}
+
+Request LeaveAt(Time at, rt::TaskId id) {
+  Request r;
+  r.kind = RequestKind::kLeave;
+  r.at = at;
+  r.id = id;
+  return r;
+}
+
+/// Six soft tasks fill three cores; each hard arrival sheds the newest
+/// soft one, which comes back once the hard task leaves; and ids 1 and
+/// 2 leave and return. Admission generations reach 1 and 2.
+WorkloadStream ReadmissionStream() {
+  const auto soft = [](rt::TaskId id) {
+    return rt::MakeSoftTask(id, Millis(45), Millis(100), 1, Millis(100));
+  };
+  std::vector<Request> reqs;
+  for (rt::TaskId id = 1; id <= 6; ++id) {
+    reqs.push_back(AdmitAt(Millis(10 * id), soft(id)));
+  }
+  for (const Time at : {Millis(1100), Millis(5100)}) {
+    const rt::TaskId hard = static_cast<rt::TaskId>(10 + at / Millis(1000));
+    reqs.push_back(AdmitAt(at, rt::MakeTask(hard, Millis(50), Millis(100))));
+    reqs.push_back(LeaveAt(at + Millis(1000), hard));
+  }
+  for (const auto& [at, id] : {std::pair{Millis(2200), 1u},
+                               std::pair{Millis(3200), 2u},
+                               std::pair{Millis(4200), 1u},
+                               std::pair{Millis(8200), 2u}}) {
+    reqs.push_back(LeaveAt(at, id));
+    reqs.push_back(AdmitAt(at + Millis(100), soft(id)));
+  }
+  std::stable_sort(reqs.begin(), reqs.end(),
+                   [](const Request& a, const Request& b) {
+                     return a.at < b.at;
+                   });
+  return WorkloadStream{std::move(reqs)};
+}
+
+TEST(CrashRecovery, EveryCrashPointWithReadmissionsAndShedRestores) {
+  // Generations >= 1 are the only ones a checkpoint stores; the rest
+  // come back from the journal's accepted ADMITs. Validation draws
+  // spiky execution times from RNG streams that each generation
+  // re-derives, so a wrong generation after recovery moves the epochs'
+  // miss counts.
+  const WorkloadStream s = ReadmissionStream();
+  ReplayConfig cfg =
+      MakeReplayConfig(PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf,
+                       /*faults=*/false, /*validate=*/true);
+  cfg.validate_sim.horizon = Millis(400);
+  cfg.validate_sim.exec.kind = sim::ExecModel::Kind::kSpiky;
+  cfg.validate_sim.exec.spike_prob = 0.5;
+  cfg.validate_sim.exec.spike_magnitude = 2.0;
+  const ReplayResult plain = ReplayStream(s, cfg);
+  ASSERT_GE(plain.overload.sheds, 2u);
+  ASSERT_GE(plain.overload.shed_restores, 2u);
+  ASSERT_EQ(plain.rejects, 0u);
+  std::uint64_t misses = 0;
+  for (const EpochStats& e : plain.epochs) misses += e.sim_misses;
+  ASSERT_GT(misses, 0u);
+  for (std::uint32_t halt = 1; halt <= s.size(); ++halt) {
+    RunHaltRecoverDifferential(cfg, s, halt, 1, "readmit");
   }
 }
 
@@ -475,13 +580,65 @@ void SetByteAt(const std::string& path, std::size_t offset, char value) {
   ASSERT_TRUE(util::WriteFileAtomic(path, bytes, false, &err)) << err;
 }
 
+/// One journal record frame: [len u32][payload][crc u32] after the
+/// 20-byte header; the payload's first byte is the record kind (0 a
+/// request, 1 an epoch row).
+struct JournalFrame {
+  std::size_t payload = 0;  ///< offset of the payload
+  std::uint32_t len = 0;
+  char kind = 0;
+};
+
+std::uint32_t U32At(const std::string& bytes, std::size_t off) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[off + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+std::string U32Bytes(std::uint32_t v) {
+  std::string out(4, '\0');
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  }
+  return out;
+}
+
+/// The frames of an intact journal, in file order.
+std::vector<JournalFrame> JournalFrames(const std::string& bytes) {
+  std::vector<JournalFrame> frames;
+  for (std::size_t pos = 20; pos + 4 <= bytes.size();) {
+    const std::uint32_t len = U32At(bytes, pos);
+    frames.push_back(JournalFrame{pos + 4, len, bytes[pos + 4]});
+    pos += 4 + len + 4;
+  }
+  return frames;
+}
+
+/// Recompute one frame's CRC, so a mutation of its payload reaches the
+/// record decoder instead of stopping at the frame check.
+void ResealFrame(std::string& bytes, const JournalFrame& f) {
+  bytes.replace(f.payload + f.len, 4,
+                U32Bytes(util::Crc32Of(
+                    std::string_view(bytes).substr(f.payload, f.len))));
+}
+
+/// A record frame around `payload`, its CRC valid.
+std::string FrameBytes(const std::string& payload) {
+  return U32Bytes(static_cast<std::uint32_t>(payload.size())) + payload +
+         U32Bytes(util::Crc32Of(payload));
+}
+
 TEST(CorruptArtifacts, JournalOfAnotherFormatVersionIsATypedError) {
-  // Byte 7 of the journal is its format version (1). Any other version
-  // fails recovery there, before the header CRC is read.
+  // Byte 7 of the journal is its format version (2). Any other version,
+  // the previous one (1, without epoch-row records) included, fails
+  // recovery there, before the header CRC is read.
   const WorkloadStream s = SmallStream(83, 24);
   const ReplayConfig base = MakeReplayConfig(
       PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
-  for (const char version : {'\x00', '\x02'}) {
+  for (const char version : {'\x01', '\x03'}) {
     SCOPED_TRACE(static_cast<int>(version));
     const std::string dir = MakeCrashArtifacts(s, base, 15, 2, "jrnlver");
     SetByteAt(dir + "/journal.wal", 7, version);
@@ -497,9 +654,10 @@ TEST(CorruptArtifacts, JournalOfAnotherFormatVersionIsATypedError) {
 }
 
 TEST(CorruptArtifacts, CheckpointOfTheOldFormatVersionIsSkipped) {
-  // Version 1 checkpoints carried an EDF jitter word that version 2
-  // dropped. A version-1 newest checkpoint is skipped like a corrupt
-  // one: recovery loads the older checkpoint and redoes the rest.
+  // Version 2 checkpoints carried the whole epoch history and every
+  // admitted id; version 3 leaves both to the journal. A version-2
+  // newest checkpoint is skipped like a corrupt one: recovery loads the
+  // older checkpoint and redoes the rest.
   const WorkloadStream s = SmallStream(61, 40);
   const ReplayConfig base = MakeReplayConfig(
       PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
@@ -508,7 +666,7 @@ TEST(CorruptArtifacts, CheckpointOfTheOldFormatVersionIsSkipped) {
 
   const std::vector<std::string> ckpts = ListCheckpoints(dir);
   ASSERT_GE(ckpts.size(), 2u);
-  SetByteAt(ckpts.front(), 7, '\x01');
+  SetByteAt(ckpts.front(), 7, '\x02');
 
   ReplayConfig rec = base;
   rec.durability.dir = dir;
@@ -666,31 +824,15 @@ TEST(CorruptArtifacts, JournalRecordDivergenceIsATypedError) {
   std::string bytes;
   std::string err;
   ASSERT_TRUE(util::ReadFileBytes(journal, bytes, &err));
-  // Frame: 20-byte header, then [len u32][payload][crc u32]. Flip the
-  // first record's flags byte (payload offset 9) and re-seal its CRC so
-  // the framing stays valid.
-  ASSERT_GT(bytes.size(), 24u);
-  const auto u32_at = [&](std::size_t off) {
-    return static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes[off])) |
-           (static_cast<std::uint32_t>(
-                static_cast<unsigned char>(bytes[off + 1]))
-            << 8) |
-           (static_cast<std::uint32_t>(
-                static_cast<unsigned char>(bytes[off + 2]))
-            << 16) |
-           (static_cast<std::uint32_t>(
-                static_cast<unsigned char>(bytes[off + 3]))
-            << 24);
-  };
-  const std::uint32_t len = u32_at(20);
-  ASSERT_GT(bytes.size(), 24u + len + 4u);
-  bytes[24 + 9] = static_cast<char>(bytes[24 + 9] ^ 0x01);  // flags
-  const std::uint32_t crc =
-      util::Crc32Of(std::string_view(bytes).substr(24, len));
-  for (int i = 0; i < 4; ++i) {
-    bytes[24 + len + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
-  }
+  // Flip the first record's flags byte (payload offset 10, after the
+  // kind byte and the seq) and re-seal its CRC so the framing stays
+  // valid.
+  const std::vector<JournalFrame> frames = JournalFrames(bytes);
+  ASSERT_FALSE(frames.empty());
+  const JournalFrame& f = frames.front();
+  ASSERT_EQ(f.kind, '\x00');  // a request record
+  bytes[f.payload + 10] = static_cast<char>(bytes[f.payload + 10] ^ 0x01);
+  ResealFrame(bytes, f);
   ASSERT_TRUE(util::WriteFileAtomic(journal, bytes, false, &err));
 
   ReplayConfig rec = base;
@@ -879,6 +1021,53 @@ TEST(CorruptArtifacts, GarbageFilesYieldTypedErrorsNeverUB) {
   EXPECT_EQ(r.recovery.checkpoints_skipped, 1u);
   EXPECT_EQ(DecisionDiff(plain, r), "");
   fs::remove_all(dir);
+
+  // Epoch-row records that frame under a valid CRC but do not decode in
+  // sequence: an unknown record kind, a row cut short, a row numbered
+  // out of order. Each ends the valid prefix where it starts, and the
+  // redo re-derives and re-appends everything after it.
+  ReplayConfig real = base;
+  real.durability.dir = FreshDir("garbage_rows");
+  real.durability.checkpoint_every = 0;
+  ASSERT_TRUE(ReplayStream(s, real).durability_error.ok());
+  const std::string rows_journal = real.durability.dir + "/journal.wal";
+  std::string bytes;
+  ASSERT_TRUE(util::ReadFileBytes(rows_journal, bytes, &err)) << err;
+  const std::vector<JournalFrame> frames = JournalFrames(bytes);
+  const auto first_row =
+      std::find_if(frames.begin(), frames.end(),
+                   [](const JournalFrame& f) { return f.kind == '\x01'; });
+  ASSERT_NE(first_row, frames.end());
+  const std::size_t cut = first_row->payload - 4;
+  const std::string row = bytes.substr(first_row->payload, first_row->len);
+  const std::string after =
+      bytes.substr(first_row->payload + first_row->len + 4);
+  std::string unknown_kind = row;
+  unknown_kind[0] = '\x07';
+  std::string out_of_order = row;
+  out_of_order[1] = static_cast<char>(out_of_order[1] + 5);  // row index
+  for (const std::string& garbage :
+       {unknown_kind, row.substr(0, row.size() - 3), out_of_order}) {
+    ASSERT_TRUE(util::WriteFileAtomic(
+        rows_journal, bytes.substr(0, cut) + FrameBytes(garbage) + after,
+        false, &err))
+        << err;
+    ASSERT_TRUE(ScanJournal(rows_journal, scan, &derr)) << derr.message;
+    EXPECT_EQ(scan.valid_bytes, cut);
+    EXPECT_EQ(scan.epoch_rows, 0u);
+    EXPECT_EQ(scan.records,
+              static_cast<std::uint64_t>(first_row - frames.begin()));
+    ReplayConfig again = real;
+    again.durability.recover = true;
+    const ReplayResult rr = ReplayStream(s, again);
+    ASSERT_TRUE(rr.durability_error.ok()) << rr.durability_error.message;
+    EXPECT_GT(rr.recovery.journal_truncated_bytes, 0u);
+    EXPECT_EQ(DecisionDiff(plain, rr), "");
+    std::string healed;
+    ASSERT_TRUE(util::ReadFileBytes(rows_journal, healed, &err)) << err;
+    EXPECT_EQ(healed, bytes);
+  }
+  fs::remove_all(real.durability.dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -922,7 +1111,10 @@ void ResealCheckpoint(std::string& bytes) {
 TEST(MutationFuzz, MutatedArtifactsRecoverOrFailTyped) {
   // Every mutant of a real checkpoint or journal either recovers or
   // fails with a typed error. A skipped checkpoint or a torn journal
-  // must still reproduce the uninterrupted run.
+  // must still reproduce the uninterrupted run. Half of the journal
+  // mutants land inside an epoch-row record, and half of those get
+  // their frame CRC resealed so they reach the record decoder, the
+  // checkpoints' journal-prefix digests and the redo's row cross-check.
   constexpr int kMutantsPerPolicy = 400;
   const WorkloadStream s = SmallStream(29, 24);
   for (const partition::SchedPolicy policy :
@@ -952,9 +1144,14 @@ TEST(MutationFuzz, MutatedArtifactsRecoverOrFailTyped) {
     rec.durability.dir = dir;
     rec.durability.checkpoint_every = 2;
     rec.durability.recover = true;
+    std::vector<JournalFrame> rows = JournalFrames(originals[0].second);
+    std::erase_if(rows, [](const JournalFrame& f) { return f.kind != 1; });
+    ASSERT_GE(rows.size(), 4u);
     util::SplitMix64 rng(edf ? 0xF022 : 0xF023);
     int skipped = 0;
     int failed = 0;
+    int row_recovered = 0;
+    int row_failed = 0;
     for (int i = 0; i < kMutantsPerPolicy; ++i) {
       // Three checkpoint mutants for every journal mutant. Recovery
       // rewrites the journal and adds and prunes checkpoints, so every
@@ -967,28 +1164,52 @@ TEST(MutationFuzz, MutatedArtifactsRecoverOrFailTyped) {
         ASSERT_TRUE(util::WriteFileAtomic(path, bytes, false, &err)) << err;
       }
       const auto& [path, bytes] = originals[ckpt ? 1 : 0];
-      std::string mutant = Mutate(bytes, rng);
-      if (ckpt) ResealCheckpoint(mutant);
+      const bool in_row = !ckpt && (i / 4) % 2 == 1;
+      std::string mutant;
+      if (in_row) {
+        // A bit flip or an 8-byte run of 0xFF inside one row's payload.
+        mutant = bytes;
+        const JournalFrame& f = rows[rng() % rows.size()];
+        const std::size_t at = f.payload + rng() % f.len;
+        if ((rng() & 1) != 0) {
+          mutant[at] = static_cast<char>(mutant[at] ^ (1u << (rng() % 8)));
+        } else {
+          for (std::size_t k = at; k < f.payload + f.len && k < at + 8; ++k) {
+            mutant[k] = '\xFF';
+          }
+        }
+        if ((i / 8) % 2 == 1) ResealFrame(mutant, f);
+      } else {
+        mutant = Mutate(bytes, rng);
+        if (ckpt) ResealCheckpoint(mutant);
+      }
       ASSERT_TRUE(util::WriteFileAtomic(path, mutant, false, &err)) << err;
 
       const ReplayResult r = ReplayStream(s, rec);
       SCOPED_TRACE("mutant " + std::to_string(i));
       if (!r.durability_error.ok()) {
         ++failed;
+        row_failed += in_row ? 1 : 0;
         EXPECT_FALSE(r.durability_error.path.empty());
         EXPECT_FALSE(r.durability_error.message.empty());
         continue;
       }
-      EXPECT_TRUE(r.recovery.recovered);
+      row_recovered += in_row ? 1 : 0;
+      // A checkpoint whose journal prefix the mutant cut or changed is
+      // skipped for an older one, or for a redo from scratch.
+      EXPECT_TRUE(r.recovery.recovered ||
+                  (!ckpt && r.recovery.checkpoints_skipped > 0));
       if (r.recovery.checkpoints_skipped > 0) ++skipped;
       if (!ckpt || r.recovery.checkpoints_skipped > 0) {
         EXPECT_EQ(DecisionDiff(plain, r), "");
       }
     }
     // Both outcomes occur: mutants the readers reject and skip, and
-    // mutants that end in a typed error.
+    // mutants that end in a typed error; epoch-row mutants included.
     EXPECT_GT(skipped, 0);
     EXPECT_GT(failed, 0);
+    EXPECT_GT(row_recovered, 0);
+    EXPECT_GT(row_failed, 0);
     fs::remove_all(dir);
   }
 }
@@ -1049,6 +1270,50 @@ TEST(MutationFuzz, MutatedStreamsFailTypedOrRoundTrip) {
   EXPECT_GT(failed, 0);
   std::remove(path.c_str());
   std::remove(resaved.c_str());
+}
+
+TEST(Durability, CheckpointSizeDoesNotGrowWithHistory) {
+  // Steady load: every epoch one task leaves and a new id arrives, so
+  // eight tasks stay resident while the history grows. The journal
+  // carries the history (every request and epoch row); the newest
+  // checkpoint after 4N epochs is within a few bytes of the one after N.
+  const auto newest_checkpoint_bytes = [](std::size_t epochs) {
+    constexpr rt::TaskId kResident = 8;
+    std::vector<Request> reqs;
+    for (rt::TaskId id = 0; id < kResident; ++id) {
+      reqs.push_back(AdmitAt(Millis(id), rt::MakeTask(id, Millis(5),
+                                                      Millis(50))));
+    }
+    for (std::size_t e = 1; e < epochs; ++e) {
+      const Time at = Millis(1000) * static_cast<Time>(e);
+      const auto id = static_cast<rt::TaskId>(e);
+      reqs.push_back(LeaveAt(at, id - 1));
+      reqs.push_back(AdmitAt(
+          at + 1, rt::MakeTask(kResident + id - 1, Millis(5), Millis(50))));
+    }
+    const WorkloadStream s{std::move(reqs)};
+    ReplayConfig cfg = MakeReplayConfig(
+        PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
+    cfg.durability.dir = FreshDir("ckptsize" + std::to_string(epochs));
+    cfg.durability.checkpoint_every = 1;
+    const ReplayResult r = ReplayStream(s, cfg);
+    EXPECT_TRUE(r.durability_error.ok()) << r.durability_error.message;
+    EXPECT_EQ(r.rejects, 0u);
+    JournalScan scan;
+    EXPECT_TRUE(ScanJournal(cfg.durability.dir + "/journal.wal", scan));
+    EXPECT_EQ(scan.records, s.size());
+    EXPECT_EQ(scan.epoch_rows, r.epochs.size());
+    const std::vector<std::string> ckpts = ListCheckpoints(cfg.durability.dir);
+    EXPECT_FALSE(ckpts.empty());
+    const std::uintmax_t bytes = ckpts.empty() ? 0 : fs::file_size(ckpts[0]);
+    fs::remove_all(cfg.durability.dir);
+    return bytes;
+  };
+  const std::uintmax_t n = newest_checkpoint_bytes(8);
+  const std::uintmax_t n4 = newest_checkpoint_bytes(32);
+  EXPECT_GT(n, 0u);
+  EXPECT_LE(n4, n + 64);
+  EXPECT_LE(n, n4 + 64);
 }
 
 TEST(Durability, FsyncPolicyParsesAllSpellings) {

@@ -5,7 +5,9 @@ Runs the tool over hand-written malformed documents (each must exit 2)
 and over seeded mutants of one valid --reqtrace-out document and one
 valid flight dump: a dropped key, a value of another type, or the bytes
 cut short. Every run must exit 0 or 2 and never print a Python
-traceback. The fixed cases run the tool as a process; the mutants call
+traceback. A valid document, long or short, printed to a pipe whose
+reader is already gone (as in `| head`) must exit 0 and print nothing
+on stderr. The fixed cases run the tool as a process; the mutants call
 its main() in this process (an exception escaping main() is the
 traceback), which keeps the run to about a second.
 
@@ -138,6 +140,20 @@ def run(tool, data, tmp):
     return p.returncode, p.stderr
 
 
+def run_closed_stdout(tool, data, tmp):
+    """Exit code and stderr of the tool as a process whose stdout is a
+    pipe with no reader left."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        p = subprocess.run([sys.executable, tool, write(data, tmp),
+                            "--stages", "-n", "100000"],
+                           stdout=w, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(w)
+    return p.returncode, p.stderr
+
+
 def run_in_process(module, data, tmp):
     """Exit code of module.main(); an escaping exception is reported as
     exit code None with its repr."""
@@ -162,6 +178,14 @@ def main():
             rc, err = run(tool, json.dumps(doc).encode(), tmp)
             if rc != 0:
                 failures.append(f"valid document exited {rc}: {err}")
+        # Long enough that the first write of the buffered stdout comes
+        # mid-run, not at exit.
+        long_doc = copy.deepcopy(REQTRACE)
+        long_doc["sps_reqtrace"]["traces"] *= 500
+        for doc in (REQTRACE, long_doc, FLIGHT):
+            rc, err = run_closed_stdout(tool, json.dumps(doc).encode(), tmp)
+            if rc != 0 or err:
+                failures.append(f"closed stdout exited {rc}: {err}")
         for i, doc in enumerate(MALFORMED):
             rc, err = run(tool, json.dumps(doc).encode(), tmp)
             if rc != 2 or "Traceback" in err or not err.startswith("error:"):

@@ -18,13 +18,15 @@ Usage:
 
 Exit codes: 0 on success, 2 on an unreadable or malformed artifact
 (one "error:" line on stderr; the shape and types are checked once at
-load). Wall-clock data: for humans debugging a slow or crashed replay,
-never for byte-compares.
+load). A reader that closes stdout early (`... | head -5`) ends the
+run quietly with exit code 0. Wall-clock data: for humans debugging a
+slow or crashed replay, never for byte-compares.
 """
 
 import argparse
 import collections
 import json
+import os
 import sys
 
 
@@ -226,4 +228,12 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        rc = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send the rest of the buffered output to /dev/null so the flush
+        # at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        rc = 0
+    sys.exit(rc)
