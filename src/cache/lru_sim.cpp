@@ -90,11 +90,6 @@ Time TwoLevelCacheSim::touch_range(unsigned core, std::uint64_t base,
   return total;
 }
 
-void TwoLevelCacheSim::flush_all() {
-  for (LruCache& p : private_) p.flush();
-  shared_.flush();
-}
-
 CpmdProbeResult ProbeCpmd(const CacheConfig& cfg, std::size_t wss_bytes,
                           std::size_t preemptor_bytes) {
   // Disjoint address ranges for the task and the preemptor.

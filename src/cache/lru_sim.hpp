@@ -28,9 +28,6 @@ class LruCache {
 
   void flush();
 
-  [[nodiscard]] std::size_t num_sets() const { return sets_; }
-  [[nodiscard]] std::size_t associativity() const { return assoc_; }
-
  private:
   struct Way {
     std::uint64_t tag = 0;
@@ -59,8 +56,6 @@ class TwoLevelCacheSim {
   /// Sequentially touch a working set of `bytes` starting at `base`.
   /// Returns total cost.
   Time touch_range(unsigned core, std::uint64_t base, std::size_t bytes);
-
-  void flush_all();
 
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
 

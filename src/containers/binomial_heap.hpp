@@ -100,11 +100,6 @@ class BinomialHeap {
     return find_min()->value;
   }
 
-  [[nodiscard]] handle top_handle() const {
-    assert(!empty());
-    return find_min();
-  }
-
   /// Remove and return the highest-priority element. Precondition: !empty().
   T pop() {
     assert(!empty());

@@ -61,8 +61,8 @@ struct LogHistogram {
     return *this;
   }
   /// Delta against an earlier snapshot of the SAME monotone histogram
-  /// (per-epoch columns in the stats registry); saturates at zero so a
-  /// mismatched pair cannot underflow.
+  /// (sps_cli's per-epoch and heartbeat --profile columns); saturates
+  /// at zero so a mismatched pair cannot underflow.
   LogHistogram& operator-=(const LogHistogram& o) {
     for (std::size_t i = 0; i < kHistBuckets; ++i) {
       buckets[i] -= std::min(buckets[i], o.buckets[i]);

@@ -35,7 +35,7 @@ AdmissionState::AdmissionState(const AdmissionConfig& cfg)
   }
 }
 
-partition::EdfPlacement AdmissionState::Place(
+partition::TaskPlacement AdmissionState::Place(
     const rt::Task& t, std::span<const unsigned> core_order,
     bool allow_split) {
   if (cfg_.policy == partition::SchedPolicy::kEdf) {
@@ -45,19 +45,8 @@ partition::EdfPlacement AdmissionState::Place(
   // Fixed priority: whole-task placement only (splitting in this repo is
   // the EDF-WM window mechanism; FP splitting is the offline SPA
   // preassignment, which is not an incremental step).
-  partition::EdfPlacement out;
-  for (const unsigned c : core_order) {
-    ++out.probes;
-    if (partition::FpCoreAdmits(fp_cores_[c], t, fp_cfg_, &stats_,
-                                &memo_)) {
-      fp_cores_[c].Commit(t);
-      out.placed = true;
-      out.parts.push_back(partition::SubtaskPlacement{
-          c, t.wcet, t.priority + partition::kNormalPriorityBase, 0});
-      return out;
-    }
-  }
-  return out;
+  return partition::PlaceFpTask(fp_cores_, t, core_order, fp_cfg_, &stats_,
+                                &memo_);
 }
 
 void AdmissionState::Remove(
@@ -74,20 +63,13 @@ void AdmissionState::Remove(
 std::vector<AdmissionState::TakenEntry> AdmissionState::TakeEdf(
     rt::TaskId id, std::span<const partition::SubtaskPlacement> parts) {
   std::vector<TakenEntry> taken;
+  std::vector<analysis::EdfCoreEntry> lifted;
   for (const partition::SubtaskPlacement& p : parts) {
-    partition::EdfCoreState& core = edf_cores_[p.core];
-    for (auto it = core.entries.begin(); it != core.entries.end();) {
-      if (it->id == id) {
-        taken.push_back(TakenEntry{p.core, *it});
-        core.utilization -= static_cast<double>(it->exec) /
-                            static_cast<double>(it->period);
-        core.zobrist ^= analysis::EdfEntryCode(*it);
-        it = core.entries.erase(it);
-      } else {
-        ++it;
-      }
+    lifted.clear();
+    edf_cores_[p.core].RemoveTask(id, &lifted);
+    for (const analysis::EdfCoreEntry& e : lifted) {
+      taken.push_back(TakenEntry{p.core, e});
     }
-    if (core.entries.empty()) core.utilization = 0.0;
   }
   return taken;
 }

@@ -11,9 +11,10 @@
 // filter), and — through partition::EdfCoreAdmits — the density screen
 // that settles most EDF admissions in O(resident-on-core) without the
 // full demand test. The placement step itself IS the offline one
-// (partition::PlaceEdfTask / partition::FpCoreAdmits), so an ADMIT-only
-// replay reproduces the offline partition bit-for-bit
-// (tests/test_online.cpp differentials).
+// (partition::PlaceEdfTask / partition::PlaceFpTask), probed in the
+// offline packers' order (partition::ProbeOrder, via the controller), so
+// an ADMIT-only replay reproduces the offline partition bit-for-bit
+// under every placement policy (tests/test_online.cpp differentials).
 
 #include <cstdint>
 #include <span>
@@ -72,7 +73,7 @@ class AdmissionState {
   /// `core_order` and then (EDF with allow_split) the window-split
   /// search. Commits the winning entries. Only probed cores are ever
   /// analyzed.
-  [[nodiscard]] partition::EdfPlacement Place(
+  [[nodiscard]] partition::TaskPlacement Place(
       const rt::Task& t, std::span<const unsigned> core_order,
       bool allow_split);
 

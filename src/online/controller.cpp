@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <numeric>
 
 #include "obs/spans.hpp"
 
@@ -101,14 +100,10 @@ Controller::Controller(const ControllerConfig& cfg)
 
 std::vector<unsigned> Controller::CoreOrder(
     const AdmissionState& state) const {
-  std::vector<unsigned> order(state.num_cores());
-  std::iota(order.begin(), order.end(), 0u);
-  if (cfg_.place == PlacePolicy::kFirstFit) return order;
-  std::stable_sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
-    return cfg_.place == PlacePolicy::kWorstFit
-               ? state.core_utilization(a) < state.core_utilization(b)
-               : state.core_utilization(a) > state.core_utilization(b);
-  });
+  std::vector<unsigned> order;
+  partition::ProbeOrder(
+      ToFitPolicy(cfg_.place), state.num_cores(), 0,
+      [&state](unsigned c) { return state.core_utilization(c); }, order);
   return order;
 }
 
@@ -119,7 +114,7 @@ AdmitOutcome Controller::TryPlace(const rt::Task& t) {
   const bool allow_split =
       cfg_.allow_split &&
       cfg_.admission.policy == partition::SchedPolicy::kEdf;
-  partition::EdfPlacement placed = state_.Place(t, order, allow_split);
+  partition::TaskPlacement placed = state_.Place(t, order, allow_split);
   // kPlacement span attribute: cores probed during the walk.
   obs::TraceAttr(static_cast<std::int64_t>(placed.probes));
   if (!placed.placed) return out;
@@ -478,7 +473,7 @@ void Controller::AdvanceEpoch(bool overloaded) {
     const rt::Task full = degraded_full_.at(id);
     const unsigned core[] = {pt.parts[0].core};
     state_.Remove(id, pt.parts);
-    partition::EdfPlacement placed =
+    partition::TaskPlacement placed =
         state_.Place(full, core, /*allow_split=*/false);
     if (placed.placed) {
       pt.task = full;
@@ -558,7 +553,7 @@ unsigned Controller::ConsolidateSplits() {
       const std::vector<AdmissionState::TakenEntry> taken =
           state_.TakeEdf(id, pt.parts);
       const std::vector<unsigned> order = CoreOrder(state_);
-      partition::EdfPlacement whole =
+      partition::TaskPlacement whole =
           state_.Place(pt.task, order, /*allow_split=*/false);
       if (!whole.placed) {
         state_.RestoreEdf(taken);

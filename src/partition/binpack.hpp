@@ -8,9 +8,17 @@
 // means the chosen admission test accepts the core's tasks plus the
 // candidate. No task is ever split — that is exactly what semi-partitioned
 // scheduling relaxes.
+//
+// The probe order of a fit policy (ProbeOrder) and the FP whole-task step
+// (PlaceFpTask) are the ones every partitioned placement uses, offline
+// and online; partition/packing.hpp holds the rest of the shared path.
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "analysis/memo.hpp"
 #include "overhead/model.hpp"
@@ -56,6 +64,33 @@ inline PartitionResult Ffd(const rt::TaskSet& ts, const BinPackConfig& cfg) {
 }
 inline PartitionResult Wfd(const rt::TaskSet& ts, const BinPackConfig& cfg) {
   return BinPackDecreasing(ts, FitPolicy::kWorstFit, cfg);
+}
+
+/// The order in which a placement step probes `num_cores` cores under
+/// `policy`, written into `order` (one buffer per run, so no probe
+/// allocates): first fit 0..m-1; next fit `cursor`..m-1, where the
+/// cursor is the core of the previous placement; best fit fullest
+/// first and worst fit emptiest first by `utilization(c)`, ties by
+/// ascending core id. The one probe order of the FP and EDF packers and
+/// the online controller.
+template <class Utilization>
+std::span<const unsigned> ProbeOrder(FitPolicy policy, unsigned num_cores,
+                                     unsigned cursor,
+                                     Utilization utilization,
+                                     std::vector<unsigned>& order) {
+  const unsigned first = policy == FitPolicy::kNextFit ? cursor : 0;
+  order.resize(num_cores - first);
+  std::iota(order.begin(), order.end(), first);
+  if (policy == FitPolicy::kBestFit || policy == FitPolicy::kWorstFit) {
+    const bool fullest_first = policy == FitPolicy::kBestFit;
+    std::sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
+      const double ua = utilization(a);
+      const double ub = utilization(b);
+      if (ua != ub) return fullest_first ? ua > ub : ua < ub;
+      return a < b;
+    });
+  }
+  return order;
 }
 
 // ---- incremental placement machinery ---------------------------------------
@@ -109,5 +144,29 @@ struct AdmitStats {
 bool FpCoreAdmits(const FpCoreState& core, const rt::Task& cand,
                   const BinPackConfig& cfg, AdmitStats* stats = nullptr,
                   const analysis::MemoContext* memo = nullptr);
+
+/// Outcome of placing one task: its subtask placements (entries already
+/// committed into the core states) or placed == false with states
+/// untouched.
+struct TaskPlacement {
+  bool placed = false;
+  std::vector<SubtaskPlacement> parts;
+  /// Cores probed during the placement walk: whole-task admission tests
+  /// plus split-search per-core budget searches. Deterministic (pure
+  /// function of the placement inputs); surfaced as the kPlacement span
+  /// attribute by the online controller (DESIGN.md §16).
+  unsigned probes = 0;
+};
+
+/// One fixed-priority placement step, the FP twin of PlaceEdfTask's
+/// whole-task step: the task goes whole onto the first core of
+/// `core_order` that admits it (FpCoreAdmits) and is committed there.
+/// This IS the loop body of BinPackDecreasing; the online controller
+/// calls it per ADMIT.
+TaskPlacement PlaceFpTask(std::vector<FpCoreState>& cores, const rt::Task& t,
+                          std::span<const unsigned> core_order,
+                          const BinPackConfig& cfg,
+                          AdmitStats* stats = nullptr,
+                          const analysis::MemoContext* memo = nullptr);
 
 }  // namespace sps::partition

@@ -1,45 +1,13 @@
 #include "partition/edf_wm.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <numeric>
 #include <vector>
 
 #include "analysis/edf.hpp"
 #include "analysis/overhead_aware.hpp"
-#include "obs/spans.hpp"
-#include "partition/verify.hpp"
+#include "partition/packing.hpp"
 
 namespace sps::partition {
-
-namespace {
-
-PartitionResult Finish(std::vector<std::vector<SubtaskPlacement>> parts,
-                       const rt::TaskSet& ts, unsigned num_cores,
-                       const overhead::OverheadModel& model,
-                       std::string algorithm) {
-  PartitionResult result;
-  result.algorithm = std::move(algorithm);
-  Partition p;
-  p.num_cores = num_cores;
-  p.policy = SchedPolicy::kEdf;
-  for (std::size_t ti = 0; ti < ts.size(); ++ti) {
-    PlacedTask pt;
-    pt.task = ts[ti];
-    pt.parts = std::move(parts[ti]);
-    p.tasks.push_back(std::move(pt));
-  }
-  const PartitionAnalysis verdict = AnalyzePartition(p, model);
-  if (!verdict.schedulable) {
-    result.failure_reason = "verifier rejected: " + verdict.failure_reason;
-    return result;
-  }
-  result.success = true;
-  result.partition = std::move(p);
-  return result;
-}
-
-}  // namespace
 
 void EdfCoreState::Commit(const analysis::EdfCoreEntry& e) {
   entries.push_back(e);
@@ -48,13 +16,15 @@ void EdfCoreState::Commit(const analysis::EdfCoreEntry& e) {
   zobrist ^= analysis::EdfEntryCode(e);
 }
 
-std::size_t EdfCoreState::RemoveTask(rt::TaskId id) {
+std::size_t EdfCoreState::RemoveTask(
+    rt::TaskId id, std::vector<analysis::EdfCoreEntry>* removed_entries) {
   std::size_t removed = 0;
   for (auto it = entries.begin(); it != entries.end();) {
     if (it->id == id) {
       utilization -=
           static_cast<double>(it->exec) / static_cast<double>(it->period);
       zobrist ^= analysis::EdfEntryCode(*it);
+      if (removed_entries != nullptr) removed_entries->push_back(*it);
       it = entries.erase(it);
       ++removed;
     } else {
@@ -97,90 +67,43 @@ bool EdfCoreAdmits(const EdfCoreState& core,
                    const overhead::OverheadModel& model,
                    AdmitStats* stats,
                    const analysis::MemoContext* memo) {
-  AdmitStats local;
-  AdmitStats& s = stats != nullptr ? *stats : local;
-  obs::SpanProfiler* const prof = obs::InstalledProfiler();
-
-  // O(1) reject: raw utilization already over 1 — inflation only adds,
-  // and the demand test opens by rejecting U > 1 (same epsilon). This
-  // screen and the memo probe are too cheap to time on every call
-  // (obs::SampledSpan).
-  {
-    obs::SampledSpan span(prof, obs::SpanStage::kUtilScreen);
-    const double cand_util =
-        static_cast<double>(cand.exec) / static_cast<double>(cand.period);
-    if (core.utilization + cand_util > 1.0 + 1e-12) {
-      ++s.util_rejects;
-      return false;
-    }
-  }
-
-  // Transposition table: everything past the (never-cached, O(1))
-  // utilization screen is a pure function of (resident multiset,
-  // candidate, model) — the query key. The cached verdict carries its
-  // deciding stage so the density/full counters below stay
-  // bit-identical to an uncached run.
-  const bool use_memo = memo != nullptr && memo->active();
-  analysis::MemoKey qk;
-  if (use_memo) {
-    obs::SampledSpan span(prof, obs::SpanStage::kMemoProbe);
-    qk = analysis::CombineQuery(core.zobrist, analysis::EdfEntryCode(cand),
-                                *memo);
-    if (const auto hit = memo->table->Lookup(qk.lo, qk)) {
-      ++s.memo_hits;
-      if (hit->via_density) {
-        ++s.density_accepts;
-      } else {
-        ++s.full_tests;
-      }
-      return hit->admitted;
-    }
-    ++s.memo_misses;
-  }
-
-  obs::ScopedSpan analysis_span(prof, obs::SpanStage::kAnalysis);
-  std::vector<analysis::EdfCoreEntry> probe = core.entries;
-  probe.push_back(cand);
-  const auto inflated = analysis::InflateEdfCore(probe, model);
-
-  // O(n) accept: inflated density sum C'/min(D,T) <= 1 implies
-  // dbf(t) <= t everywhere, and an inflated utilization strictly below 1
-  // keeps the test off its U==1 conservative-cap branch — so the full
-  // test would accept.
-  double density = 0.0;
-  double inflated_util = 0.0;
-  for (const analysis::EdfTask& t : inflated) {
-    const Time d = t.deadline < t.period ? t.deadline : t.period;
-    density += static_cast<double>(t.wcet) / static_cast<double>(d);
-    inflated_util +=
-        static_cast<double>(t.wcet) / static_cast<double>(t.period);
-  }
-  if (density <= 1.0 && inflated_util < 1.0 - 1e-9) {
-    ++s.density_accepts;
-    if (use_memo &&
-        memo->table->Store(qk.lo, qk,
-                           {.admitted = true, .via_density = true})) {
-      ++s.memo_evicts;
-    }
-    return true;
-  }
-
-  ++s.full_tests;
-  const bool ok = analysis::EdfSchedulable(inflated);
-  if (use_memo &&
-      memo->table->Store(qk.lo, qk,
-                         {.admitted = ok, .via_density = false})) {
-    ++s.memo_evicts;
-  }
-  return ok;
+  // The screen: inflation only adds demand, and the demand test opens by
+  // rejecting U > 1 (same epsilon).
+  return MemoizedAdmits(
+      core.utilization +
+          static_cast<double>(cand.exec) / static_cast<double>(cand.period),
+      core.zobrist, [&] { return analysis::EdfEntryCode(cand); },
+      [&]() -> analysis::AnalysisMemo::Verdict {
+        std::vector<analysis::EdfCoreEntry> probe = core.entries;
+        probe.push_back(cand);
+        const auto inflated = analysis::InflateEdfCore(probe, model);
+        // O(n) accept: inflated density sum C'/min(D,T) <= 1 implies
+        // dbf(t) <= t everywhere, and an inflated utilization strictly
+        // below 1 keeps the test off its U==1 conservative-cap branch —
+        // so the full test would accept.
+        double density = 0.0;
+        double inflated_util = 0.0;
+        for (const analysis::EdfTask& t : inflated) {
+          const Time d = t.deadline < t.period ? t.deadline : t.period;
+          density += static_cast<double>(t.wcet) / static_cast<double>(d);
+          inflated_util +=
+              static_cast<double>(t.wcet) / static_cast<double>(t.period);
+        }
+        if (density <= 1.0 && inflated_util < 1.0 - 1e-9) {
+          return {.admitted = true, .via_density = true};
+        }
+        return {.admitted = analysis::EdfSchedulable(inflated)};
+      },
+      stats, memo);
 }
 
-EdfPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores, const rt::Task& t,
-                          std::span<const unsigned> whole_core_order,
-                          bool allow_split, const EdfPartitionConfig& cfg,
-                          AdmitStats* stats,
-                          const analysis::MemoContext* memo) {
-  EdfPlacement out;
+TaskPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores,
+                           const rt::Task& t,
+                           std::span<const unsigned> whole_core_order,
+                           bool allow_split, const EdfPartitionConfig& cfg,
+                           AdmitStats* stats,
+                           const analysis::MemoContext* memo) {
+  TaskPlacement out;
 
   // 1) Whole task on the first admitting core of the given order.
   const analysis::EdfCoreEntry whole = MakeEdfEntry(t);
@@ -269,80 +192,29 @@ EdfPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores, const rt::Task& t,
 
 PartitionResult EdfBinPack(const rt::TaskSet& ts, FitPolicy policy,
                            const EdfPartitionConfig& cfg) {
-  PartitionResult fail;
-  fail.algorithm = std::string("EDF-") + ToString(policy);
-
-  std::vector<EdfCoreState> cores(cfg.num_cores);
-  std::vector<std::vector<SubtaskPlacement>> parts(ts.size());
-  const auto order = rt::OrderByDecreasingUtilization(ts);
   const analysis::MemoContext memo =
       analysis::MakeEdfMemoContext(cfg.memo, cfg.model);
-  unsigned next_fit_cursor = 0;
-
-  for (const std::size_t ti : order) {
-    const rt::Task& t = ts[ti];
-    std::vector<unsigned> core_order(cfg.num_cores);
-    std::iota(core_order.begin(), core_order.end(), 0u);
-    if (policy == FitPolicy::kBestFit || policy == FitPolicy::kWorstFit) {
-      std::stable_sort(core_order.begin(), core_order.end(),
-                       [&](unsigned a, unsigned b) {
-                         return policy == FitPolicy::kBestFit
-                                    ? cores[a].utilization >
-                                          cores[b].utilization
-                                    : cores[a].utilization <
-                                          cores[b].utilization;
-                       });
-    } else if (policy == FitPolicy::kNextFit) {
-      core_order.erase(core_order.begin(),
-                       core_order.begin() + next_fit_cursor);
-    }
-    const EdfPlacement placed = PlaceEdfTask(
-        cores, t, core_order, /*allow_split=*/false, cfg, nullptr, &memo);
-    if (!placed.placed) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "tau%u (u=%.3f) fits no core", t.id,
-                    t.utilization());
-      fail.failure_reason = buf;
-      return fail;
-    }
-    if (policy == FitPolicy::kNextFit) {
-      // Never revisit cores before the one that admitted.
-      next_fit_cursor =
-          std::max(next_fit_cursor, placed.parts.front().core);
-    }
-    parts[ti] = placed.parts;
-  }
-  return Finish(std::move(parts), ts, cfg.num_cores, cfg.model,
-                fail.algorithm);
+  return PackDecreasing<EdfCoreState>(
+      ts, policy, cfg.num_cores, SchedPolicy::kEdf, cfg.model,
+      std::string("EDF-") + ToString(policy), " fits no core",
+      [&](std::vector<EdfCoreState>& cores, const rt::Task& t,
+          std::span<const unsigned> order) {
+        return PlaceEdfTask(cores, t, order, /*allow_split=*/false, cfg,
+                            nullptr, &memo);
+      });
 }
 
 PartitionResult EdfWm(const rt::TaskSet& ts, const EdfPartitionConfig& cfg) {
-  PartitionResult fail;
-  fail.algorithm = "EDF-WM";
-
-  std::vector<EdfCoreState> cores(cfg.num_cores);
-  std::vector<std::vector<SubtaskPlacement>> parts(ts.size());
-  const auto order = rt::OrderByDecreasingUtilization(ts);
   const analysis::MemoContext memo =
       analysis::MakeEdfMemoContext(cfg.memo, cfg.model);
-  std::vector<unsigned> first_fit(cfg.num_cores);
-  std::iota(first_fit.begin(), first_fit.end(), 0u);
-
-  for (const std::size_t ti : order) {
-    const rt::Task& t = ts[ti];
-    const EdfPlacement placed = PlaceEdfTask(
-        cores, t, first_fit, /*allow_split=*/true, cfg, nullptr, &memo);
-    if (!placed.placed) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    "tau%u (u=%.3f): no window split fits", t.id,
-                    t.utilization());
-      fail.failure_reason = buf;
-      return fail;
-    }
-    parts[ti] = placed.parts;
-  }
-  return Finish(std::move(parts), ts, cfg.num_cores, cfg.model, "EDF-WM");
+  return PackDecreasing<EdfCoreState>(
+      ts, FitPolicy::kFirstFit, cfg.num_cores, SchedPolicy::kEdf, cfg.model,
+      "EDF-WM", ": no window split fits",
+      [&](std::vector<EdfCoreState>& cores, const rt::Task& t,
+          std::span<const unsigned> order) {
+        return PlaceEdfTask(cores, t, order, /*allow_split=*/true, cfg,
+                            nullptr, &memo);
+      });
 }
 
 }  // namespace sps::partition

@@ -43,7 +43,11 @@
 // is exposed as PlaceEdfTask over EdfCoreState so the ONLINE admission
 // controller (online/admission.*) runs the exact same step incrementally —
 // the differential guarantee "ADMIT-only replay == offline partition"
-// (tests/test_online.cpp) holds by construction.
+// (tests/test_online.cpp) holds by construction. Both partitioners run
+// the one decreasing-utilization loop (PackDecreasing, packing.hpp)
+// with the shared probe order (ProbeOrder, binpack.hpp); EdfCoreAdmits
+// runs the shared memo protocol (MemoizedAdmits, packing.hpp). The
+// fixed-priority twin of the step is PlaceFpTask (binpack.hpp).
 
 #include <span>
 #include <vector>
@@ -80,17 +84,20 @@ PartitionResult EdfWm(const rt::TaskSet& ts, const EdfPartitionConfig& cfg);
 /// their cached raw utilization, and the incrementally maintained
 /// Zobrist hash of the resident set. The utilization cache makes the
 /// O(1) reject filter free; the hash is the memo-key half that
-/// Commit/RemoveTask (and AdmissionState::TakeEdf) keep current in O(1)
-/// per entry; the entries are the input of the full demand test.
+/// Commit/RemoveTask keep current in O(1) per entry; the entries are the
+/// input of the full demand test.
 struct EdfCoreState {
   std::vector<analysis::EdfCoreEntry> entries;
   double utilization = 0.0;
   analysis::MemoKey zobrist;
 
   void Commit(const analysis::EdfCoreEntry& e);
-  /// Remove every entry of task `id`; returns how many were removed and
-  /// restores the utilization cache.
-  std::size_t RemoveTask(rt::TaskId id);
+  /// Remove every entry of task `id`, appending them (in core order) to
+  /// `removed` when given; returns how many were removed and restores
+  /// the utilization cache.
+  std::size_t RemoveTask(rt::TaskId id,
+                         std::vector<analysis::EdfCoreEntry>* removed =
+                             nullptr);
 };
 
 /// Would `cand` be schedulable on `core` under `model`? Decision-identical
@@ -120,19 +127,6 @@ analysis::EdfCoreEntry MakeEdfWindowEntry(const rt::Task& t, Time budget,
                                           Time window_len, bool first,
                                           bool last);
 
-/// Outcome of placing one task: its subtask placements (entries already
-/// committed into the core states) or placed == false with states
-/// untouched.
-struct EdfPlacement {
-  bool placed = false;
-  std::vector<SubtaskPlacement> parts;
-  /// Cores probed during the placement walk: whole-task admission tests
-  /// plus split-search per-core budget searches. Deterministic (pure
-  /// function of the placement inputs); surfaced as the kPlacement span
-  /// attribute by the online controller (DESIGN.md §16).
-  unsigned probes = 0;
-};
-
 /// One EDF-WM placement step: try the task whole on the cores in
 /// `whole_core_order` (first admitting core wins), then — if allowed — the
 /// K-equal-window split search of EdfWm (K = 2..num cores, largest
@@ -140,10 +134,11 @@ struct EdfPlacement {
 /// kBudgetGranularity, no window below kMinBudget). Commits into
 /// `cores` on success. This IS the loop body of EdfWm()/EdfBinPack(); the
 /// online controller calls it per ADMIT.
-EdfPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores, const rt::Task& t,
-                          std::span<const unsigned> whole_core_order,
-                          bool allow_split, const EdfPartitionConfig& cfg,
-                          AdmitStats* stats = nullptr,
-                          const analysis::MemoContext* memo = nullptr);
+TaskPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores,
+                           const rt::Task& t,
+                           std::span<const unsigned> whole_core_order,
+                           bool allow_split, const EdfPartitionConfig& cfg,
+                           AdmitStats* stats = nullptr,
+                           const analysis::MemoContext* memo = nullptr);
 
 }  // namespace sps::partition

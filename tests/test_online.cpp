@@ -146,37 +146,74 @@ TEST(OnlineDifferential, AdmitOnlyReplayEqualsOfflineEdfWm) {
   EXPECT_GE(compared, 3);
 }
 
-TEST(OnlineDifferential, AdmitOnlyReplayEqualsOfflineFfdUnderFp) {
-  rt::GeneratorConfig gen;
-  gen.num_tasks = 12;
-  gen.total_utilization = 2.6;
-  rt::Rng rng(777);
-  int compared = 0;
-  for (int i = 0; i < 8; ++i) {
-    const rt::TaskSet ts = rt::GenerateTaskSet(gen, rng);
-    partition::BinPackConfig bcfg;
-    bcfg.num_cores = 4;
-    bcfg.model = OverheadModel::Zero();
-    const partition::PartitionResult pr =
-        partition::BinPackDecreasing(ts, partition::FitPolicy::kFirstFit,
-                                     bcfg);
-    if (!pr.success) continue;
-    ++compared;
+TEST(OnlineDifferential, AdmitOnlyReplayEqualsOfflineBinPacking) {
+  // Every PlacePolicy under both schedulers and both overhead models:
+  // an unsplit ADMIT-only replay must reproduce the offline decreasing
+  // bin packing of the matching fit policy (FP: BinPackDecreasing; EDF:
+  // EdfBinPack), placement for placement.
+  struct Case {
+    partition::SchedPolicy sched;
+    PlacePolicy place;
+    partition::FitPolicy fit;
+  };
+  const Case cases[] = {
+      {partition::SchedPolicy::kFixedPriority, PlacePolicy::kFirstFit,
+       partition::FitPolicy::kFirstFit},
+      {partition::SchedPolicy::kFixedPriority, PlacePolicy::kWorstFit,
+       partition::FitPolicy::kWorstFit},
+      {partition::SchedPolicy::kFixedPriority, PlacePolicy::kSpaOrder,
+       partition::FitPolicy::kBestFit},
+      {partition::SchedPolicy::kEdf, PlacePolicy::kFirstFit,
+       partition::FitPolicy::kFirstFit},
+      {partition::SchedPolicy::kEdf, PlacePolicy::kWorstFit,
+       partition::FitPolicy::kWorstFit},
+      {partition::SchedPolicy::kEdf, PlacePolicy::kSpaOrder,
+       partition::FitPolicy::kBestFit},
+  };
+  for (const Case& c : cases) {
+    for (const OverheadModel& model :
+         {OverheadModel::Zero(), OverheadModel::PaperCoreI7()}) {
+      rt::GeneratorConfig gen;
+      gen.num_tasks = 12;
+      gen.total_utilization = 2.6;
+      rt::Rng rng(777);
+      int compared = 0;
+      for (int i = 0; i < 8; ++i) {
+        const rt::TaskSet ts = rt::GenerateTaskSet(gen, rng);
+        partition::PartitionResult pr;
+        if (c.sched == partition::SchedPolicy::kEdf) {
+          partition::EdfPartitionConfig ecfg;
+          ecfg.num_cores = 4;
+          ecfg.model = model;
+          pr = partition::EdfBinPack(ts, c.fit, ecfg);
+        } else {
+          partition::BinPackConfig bcfg;
+          bcfg.num_cores = 4;
+          bcfg.model = model;
+          pr = partition::BinPackDecreasing(ts, c.fit, bcfg);
+        }
+        if (!pr.success) continue;
+        ++compared;
 
-    ReplayConfig rcfg;
-    rcfg.controller.admission.num_cores = 4;
-    rcfg.controller.admission.policy =
-        partition::SchedPolicy::kFixedPriority;
-    rcfg.controller.repartition_fallback = false;
-    const WorkloadStream stream =
-        MakeAdmitOnlyStream(ts, rt::OrderByDecreasingUtilization(ts));
-    const ReplayResult res = ReplayStream(stream, rcfg);
-    EXPECT_EQ(res.rejects, 0u) << "set " << i;
-    EXPECT_TRUE(SamePartition(res.final_partition, pr.partition))
-        << "set " << i << "\noffline:\n" << pr.partition.summary()
-        << "online:\n" << res.final_partition.summary();
+        ReplayConfig rcfg;
+        rcfg.controller.admission.num_cores = 4;
+        rcfg.controller.admission.policy = c.sched;
+        rcfg.controller.admission.model = model;
+        rcfg.controller.place = c.place;
+        rcfg.controller.allow_split = false;
+        rcfg.controller.repartition_fallback = false;
+        const WorkloadStream stream =
+            MakeAdmitOnlyStream(ts, rt::OrderByDecreasingUtilization(ts));
+        const ReplayResult res = ReplayStream(stream, rcfg);
+        EXPECT_EQ(res.rejects, 0u) << pr.algorithm << " set " << i;
+        EXPECT_TRUE(SamePartition(res.final_partition, pr.partition))
+            << pr.algorithm << " set " << i << "\noffline:\n"
+            << pr.partition.summary() << "online:\n"
+            << res.final_partition.summary();
+      }
+      EXPECT_GE(compared, 3) << ToString(c.place);
+    }
   }
-  EXPECT_GE(compared, 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "overhead/model.hpp"
 #include "partition/binpack.hpp"
+#include "partition/edf_wm.hpp"
 #include "partition/placement.hpp"
 #include "partition/verify.hpp"
+#include "rt/generator.hpp"
 #include "rt/taskset.hpp"
 
 namespace sps::partition {
@@ -203,6 +209,103 @@ TEST(BinPack, AdmissionTestsOrderedByPermissiveness) {
     EXPECT_LE(ll, hyp) << u;
     EXPECT_LE(hyp, rta) << u;
   }
+}
+
+// Seeded sets on 2, 4 and 8 cores from below the bin-packing knee to
+// past it, implicit and constrained deadlines: accepted and rejected
+// sets for every partitioner below.
+std::vector<std::pair<unsigned, TaskSet>> PinSets() {
+  std::vector<std::pair<unsigned, TaskSet>> sets;
+  rt::Rng rng(20251018);
+  for (const unsigned m : {2u, 4u, 8u}) {
+    for (const std::size_t n : {m + m / 2, 2 * m, 3 * m}) {
+      for (const double u : {0.6, 0.8, 0.9, 0.97}) {
+        for (const bool implicit : {true, false}) {
+          rt::GeneratorConfig gen;
+          gen.num_tasks = n;
+          gen.total_utilization = u * m;
+          gen.period_min = Millis(10);
+          gen.period_max = Millis(200);
+          gen.implicit_deadlines = implicit;
+          for (int k = 0; k < 2; ++k) {
+            sets.emplace_back(m, rt::GenerateTaskSet(gen, rng));
+          }
+        }
+      }
+    }
+  }
+  return sets;
+}
+
+void Fold(std::uint64_t& h, const std::string& s) {
+  for (const char ch : s + ";") {
+    h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+  }
+}
+
+// FNV-1a over everything a partitioner decides: verdict, name, reason,
+// the partition's policy and every subtask's core, budget, priority and
+// window deadline.
+void Fold(std::uint64_t& h, const PartitionResult& r) {
+  Fold(h, r.algorithm + "|" + r.failure_reason + "|" +
+              std::to_string(r.success) + "|" +
+              std::to_string(r.partition.num_cores) + "|" +
+              std::to_string(static_cast<int>(r.partition.policy)));
+  for (const PlacedTask& pt : r.partition.tasks) {
+    for (const SubtaskPlacement& p : pt.parts) {
+      Fold(h, std::to_string(pt.task.id) + ":" + std::to_string(p.core) +
+                  ":" + std::to_string(p.budget) + ":" +
+                  std::to_string(p.local_priority) + ":" +
+                  std::to_string(p.rel_deadline));
+    }
+  }
+}
+
+TEST(PlacementPin, BinPackersReproduceTheirPinnedPartitions) {
+  // Pins every bin packer's exact output (every fit policy, admission
+  // test and overhead model) so a change to the shared probe order or
+  // placement step cannot move a placement on both sides of a
+  // differential unnoticed.
+  const auto sets = PinSets();
+  const FitPolicy policies[] = {FitPolicy::kFirstFit, FitPolicy::kBestFit,
+                                FitPolicy::kWorstFit, FitPolicy::kNextFit};
+  std::uint64_t fp_hash = 14695981039346656037ull;
+  std::uint64_t edf_hash = 14695981039346656037ull;
+  int fp_accepted = 0;
+  int edf_accepted = 0;
+  for (const OverheadModel& m :
+       {OverheadModel::Zero(), OverheadModel::PaperCoreI7()}) {
+    for (const auto& [cores, ts] : sets) {
+      BinPackConfig bcfg;
+      bcfg.num_cores = cores;
+      bcfg.model = m;
+      for (const AdmissionTest test :
+           {AdmissionTest::kLiuLayland, AdmissionTest::kHyperbolic,
+            AdmissionTest::kRta}) {
+        bcfg.admission = test;
+        for (const FitPolicy policy : policies) {
+          const PartitionResult r = BinPackDecreasing(ts, policy, bcfg);
+          fp_accepted += r.success ? 1 : 0;
+          Fold(fp_hash, r);
+        }
+      }
+      EdfPartitionConfig ecfg;
+      ecfg.num_cores = cores;
+      ecfg.model = m;
+      for (const FitPolicy policy : policies) {
+        const PartitionResult r = EdfBinPack(ts, policy, ecfg);
+        edf_accepted += r.success ? 1 : 0;
+        Fold(edf_hash, r);
+      }
+      const PartitionResult wm = EdfWm(ts, ecfg);
+      edf_accepted += wm.success ? 1 : 0;
+      Fold(edf_hash, wm);
+    }
+  }
+  EXPECT_EQ(fp_accepted, 1331);
+  EXPECT_EQ(fp_hash, 6153168383166561092ull);
+  EXPECT_EQ(edf_accepted, 986);
+  EXPECT_EQ(edf_hash, 11181642098421259989ull);
 }
 
 // ---- verifier ---------------------------------------------------------------
