@@ -1058,17 +1058,21 @@ int Main(int argc, char** argv) {
       std::printf("weighted %-12s %.3f\n",
                   exp::ToString(acfg.algorithms[ai]), w[ai]);
     }
+    // The shared table's hit and eviction counts depend on how the
+    // pool's threads interleave at --jobs > 1: wall-channel data (§15),
+    // so stderr, keeping stdout byte-identical for every --jobs.
     if (o.memo.enabled) {
       analysis::MemoStats d = analysis::SharedMemo(o.memo.entries).stats();
       d -= before;
-      std::printf("analysis cache: %llu hits / %llu lookups (%.1f%%), "
-                  "%llu evictions\n",
-                  static_cast<unsigned long long>(d.hits),
-                  static_cast<unsigned long long>(d.hits + d.misses),
-                  100.0 * d.hit_rate(),
-                  static_cast<unsigned long long>(d.evicts));
+      std::fprintf(stderr,
+                   "analysis cache: %llu hits / %llu lookups (%.1f%%), "
+                   "%llu evictions\n",
+                   static_cast<unsigned long long>(d.hits),
+                   static_cast<unsigned long long>(d.hits + d.misses),
+                   100.0 * d.hit_rate(),
+                   static_cast<unsigned long long>(d.evicts));
     } else {
-      std::printf("analysis cache: off\n");
+      std::fprintf(stderr, "analysis cache: off\n");
     }
     return 0;
   }

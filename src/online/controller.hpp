@@ -17,10 +17,11 @@
 //     untouched.
 //   * Epoch replay: requests are folded in timestamp order; at each epoch
 //     boundary the controller snapshots per-epoch stats and can validate
-//     the current partition by actually simulating it through sim/batch
-//     (the PR-3 validate_by_simulation machinery). Batches of independent
-//     streams fan out over util/thread_pool bit-identically for any job
-//     count.
+//     the current partition by simulating it (validate_by_simulation).
+//     The replay queues each epoch's simulation and runs them in batches
+//     of a fixed width on the shared pool (DESIGN.md §14), so rows are
+//     the same for any core count. Batches of independent streams fan
+//     out over util/thread_pool bit-identically for any job count.
 //   * Fallback hysteresis: after an adopted repartition the next one
 //     waits a fixed cooldown or a fixed utilization swing (constants in
 //     controller.cpp; only the on/off switch is configurable).
@@ -388,9 +389,12 @@ struct ReplayResult;
 /// every byte-compared artifact.
 struct ReplayObserver {
   obs::SpanProfiler* profiler = nullptr;
-  /// Called after each epoch closes, with the epoch's index, its stats,
-  /// and the accumulating result. Must not mutate anything the replay
-  /// reads.
+  /// Called once per row, in epoch order, as each epoch closes, with the
+  /// epoch's index, its stats, and the accumulating result. With
+  /// validation on, `validated`, `sim_misses` and `hard_misses` are
+  /// filled only when the epoch's batch flushes, after this call; read
+  /// them from the returned ReplayResult. Must not mutate anything the
+  /// replay reads.
   std::function<void(std::size_t, const EpochStats&, const ReplayResult&)>
       on_epoch;
 };
@@ -400,9 +404,9 @@ struct ReplayConfig {
   /// Epoch length; stats snapshot per epoch. 0 = one epoch spanning the
   /// whole stream.
   Time epoch = Millis(1000);
-  /// Simulate the partition standing at each epoch boundary through
-  /// sim/batch and record its deadline misses (0 expected — the
-  /// admission analysis is sound).
+  /// Simulate the partition standing at each epoch boundary and record
+  /// its deadline misses (0 expected — the admission analysis is
+  /// sound). The simulations run in batches on the shared pool.
   bool validate_by_simulation = false;
   sim::SimConfig validate_sim;
   /// Seed for the validation simulations' derived RNG streams.
@@ -454,7 +458,8 @@ struct ReplayResult {
   partition::Partition final_partition;
   /// Durability outcome (only meaningful when cfg.durability.enabled()).
   /// A non-ok error means the replay ABORTED — the stats above cover
-  /// only what ran before the failure.
+  /// only what ran before the failure, and the rows of the batch that
+  /// had not flushed yet are left unvalidated (as after a halt).
   RecoveryInfo recovery;
   DurabilityError durability_error;
 

@@ -19,7 +19,7 @@
 #include "analysis/memo.hpp"
 #include "obs/spans.hpp"
 #include "online/controller.hpp"
-#include "sim/batch.hpp"
+#include "sim/engine.hpp"
 #include "util/crc32.hpp"
 #include "util/file_io.hpp"
 #include "util/rng.hpp"
@@ -914,7 +914,8 @@ class DurabilityEngine {
     return true;
   }
 
-  /// Epoch-close hook: the row is journaled once; redo of an already
+  /// Epoch-row hook, called in row order when the replay flushes its
+  /// closed rows: the row is journaled once; redo of an already
   /// journaled row cross-checks it. Returns false on divergence.
   bool OnEpochClosed(std::uint64_t row, const EpochStats& e) {
     const std::string payload =
@@ -928,6 +929,12 @@ class DurabilityEngine {
     return Append(payload, crc);
   }
 
+  /// Whether entering `epoch_index` writes the every-K checkpoint.
+  [[nodiscard]] bool CheckpointDue(std::uint64_t epoch_index) const {
+    return cfg_.checkpoint_every != 0 &&
+           epoch_index % cfg_.checkpoint_every == 0;
+  }
+
   /// Epoch-boundary hook: per-epoch fsync and the every-K checkpoint.
   bool OnEpochEntered(const Controller& ctrl, const ReplayResult& out,
                       std::uint64_t next_request, Time epoch_start,
@@ -939,10 +946,7 @@ class DurabilityEngine {
     if (cfg_.fsync == FsyncPolicy::kEveryEpoch) {
       FlushJournal(/*sync=*/true);
     }
-    if (cfg_.checkpoint_every == 0 ||
-        epoch_index % cfg_.checkpoint_every != 0) {
-      return true;
-    }
+    if (!CheckpointDue(epoch_index)) return true;
     const std::string path = CheckpointPath(cfg_.dir, epoch_index);
     if (fs::exists(path)) return true;  // redo re-entered a covered epoch
     // The checkpoint covers every request applied so far, so their
@@ -1135,13 +1139,26 @@ class DurabilityEngine {
   RecoveryInfo recovery_;
 };
 
-// ---- epoch close (moved with the replay loop from controller.cpp) ----------
+// ---- epoch close and deferred validation -----------------------------------
+
+/// Epoch rows the replay holds back for their validation simulations
+/// before it runs them as one batch (DESIGN.md §14). A constant, not the
+/// pool's width: flush points, and so the journal's bytes, depend only
+/// on the stream and the config, never on the machine.
+constexpr std::size_t kValidationBatch = 8;
+
+/// One closed epoch's validation, queued until its batch flushes.
+struct PendingValidation {
+  std::size_t row = 0;  ///< index into ReplayResult::epochs
+  partition::Partition partition;
+  sim::SimConfig sim;  ///< seeds, fault models and exec generations
+};
 
 void CloseEpoch(const Controller& ctrl, const ReplayConfig& cfg,
                 std::size_t epoch_index, Time start, Time end,
                 const ChurnStats& churn_before,
                 const OverloadStats& overload_before, EpochStats& e,
-                ReplayResult& out) {
+                ReplayResult& out, std::vector<PendingValidation>& pending) {
   e.start = start;
   e.end = end;
   e.resident = ctrl.resident();
@@ -1160,39 +1177,30 @@ void CloseEpoch(const Controller& ctrl, const ReplayConfig& cfg,
   if (cfg.validate_by_simulation && ctrl.resident() > 0) {
     obs::ScopedSpan span(obs::InstalledProfiler(),
                          obs::SpanStage::kEpochValidate);
-    sim::SimConfig scfg = cfg.validate_sim;
-    scfg.overheads = cfg.controller.admission.model;
-    scfg.exec.seed = util::DeriveSeed(cfg.seed, epoch_index, 0);
-    scfg.arrivals.seed = util::DeriveSeed(cfg.seed, epoch_index, 1);
+    PendingValidation& v = pending.emplace_back();
+    v.row = out.epochs.size();
+    v.partition = ctrl.CurrentPartition();
+    v.sim = cfg.validate_sim;
+    v.sim.overheads = cfg.controller.admission.model;
+    v.sim.exec.seed = util::DeriveSeed(cfg.seed, epoch_index, 0);
+    v.sim.arrivals.seed = util::DeriveSeed(cfg.seed, epoch_index, 1);
     // Fault windows validate against the FAULTED models — "zero hard
     // misses" is proven under the spike/storm, not the nominal load.
     if (spike != nullptr) {
-      scfg.exec.kind = sim::ExecModel::Kind::kSpiky;
-      scfg.exec.spike_prob = spike->prob;
-      scfg.exec.spike_magnitude = spike->magnitude;
+      v.sim.exec.kind = sim::ExecModel::Kind::kSpiky;
+      v.sim.exec.spike_prob = spike->prob;
+      v.sim.exec.spike_magnitude = spike->magnitude;
     }
     if (storm != nullptr) {
-      scfg.arrivals.kind = sim::ArrivalModel::Kind::kBursty;
-      scfg.arrivals.burst_prob = storm->burst_prob;
+      v.sim.arrivals.kind = sim::ArrivalModel::Kind::kBursty;
+      v.sim.arrivals.burst_prob = storm->burst_prob;
     }
-    const partition::Partition p = ctrl.CurrentPartition();
-    scfg.exec_generations = ctrl.ExecGenerations();
-    const std::vector<sim::BatchRun> runs =
-        sim::RunConfigSweep(p, {{"epoch", scfg}}, {.jobs = 1});
-    e.validated = true;
-    e.sim_misses = runs.front().result.total_misses;
-    // Hard-miss attribution: SimResult.tasks is index-aligned with
-    // p.tasks (the engine copies ids positionally).
-    const auto& tstats = runs.front().result.tasks;
-    for (std::size_t i = 0; i < tstats.size() && i < p.tasks.size(); ++i) {
-      if (p.tasks[i].task.crit == rt::Criticality::kHard) {
-        e.hard_misses += tstats[i].deadline_misses;
-      }
-    }
+    v.sim.exec_generations = ctrl.ExecGenerations();
   }
   out.epochs.push_back(e);
   // Observability hook (DESIGN.md §15): heartbeats / augmented tables.
-  // Runs after the epoch is final; must not influence the replay.
+  // Runs at close, before the row's validation fields are filled; must
+  // not influence the replay.
   if (cfg.obs.on_epoch) cfg.obs.on_epoch(epoch_index, out.epochs.back(), out);
   // Flight-ring registry delta (§16): the black box records the epoch's
   // cumulative counters so a post-crash dump shows progress context.
@@ -1201,6 +1209,27 @@ void CloseEpoch(const Controller& ctrl, const ReplayConfig& cfg,
                                 out.leaves, ctrl.resident());
   }
   e = EpochStats{};
+}
+
+/// Simulate the queued validations on the shared pool, each filling
+/// only its own row.
+void RunValidations(const std::vector<PendingValidation>& pending,
+                    std::vector<EpochStats>& rows) {
+  util::SharedPool().ParallelFor(pending.size(), [&](std::size_t i) {
+    const PendingValidation& v = pending[i];
+    const sim::SimResult r = sim::Simulate(v.partition, v.sim);
+    EpochStats& e = rows[v.row];
+    e.validated = true;
+    e.sim_misses = r.total_misses;
+    // Hard-miss attribution: SimResult.tasks is index-aligned with the
+    // partition's tasks (the engine copies ids positionally).
+    const std::vector<partition::PlacedTask>& tasks = v.partition.tasks;
+    for (std::size_t t = 0; t < r.tasks.size() && t < tasks.size(); ++t) {
+      if (tasks[t].task.crit == rt::Criticality::kHard) {
+        e.hard_misses += r.tasks[t].deadline_misses;
+      }
+    }
+  });
 }
 
 }  // namespace
@@ -1326,12 +1355,33 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
     }
   };
 
-  // Closes the epoch [epoch_start, end) and journals its row.
+  // Rows from journaled_rows on are closed but not yet journaled; the
+  // queue holds their validation simulations. A flush runs the batch,
+  // then journals those rows in row order. A return on a durability
+  // error or a halt drops them unjournaled, as a crash would.
+  std::vector<PendingValidation> pending;
+  std::size_t journaled_rows = out.epochs.size();
+  const std::size_t batch_rows =
+      cfg.validate_by_simulation ? kValidationBatch : 1;
+  const auto flush_rows = [&] {
+    obs::ScopedSpan span(pending.empty() ? nullptr : obs::InstalledProfiler(),
+                         obs::SpanStage::kEpochValidate);
+    RunValidations(pending, out.epochs);
+    pending.clear();
+    for (; journaled_rows < out.epochs.size(); ++journaled_rows) {
+      if (durable &&
+          !dur.OnEpochClosed(journaled_rows, out.epochs[journaled_rows])) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // Closes the epoch [epoch_start, end); a full batch flushes.
   const auto close_epoch = [&](Time end) {
     CloseEpoch(ctrl, cfg, epoch_index, epoch_start, end, churn_before,
-               overload_before, cur, out);
-    return !durable ||
-           dur.OnEpochClosed(out.epochs.size() - 1, out.epochs.back());
+               overload_before, cur, out, pending);
+    return out.epochs.size() - journaled_rows < batch_rows || flush_rows();
   };
 
   // Every return past this point reports the totals reached so far.
@@ -1366,10 +1416,16 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
         epoch_index += static_cast<std::size_t>(idle_epochs);
       }
       enter_epoch(epoch_start);
-      if (durable &&
-          !dur.OnEpochEntered(ctrl, out, seq, epoch_start, epoch_index,
-                              churn_before, overload_before)) {
-        return fail_durability();
+      if (durable) {
+        // A checkpoint names a prefix of the epoch rows: journal them
+        // first.
+        if (dur.CheckpointDue(epoch_index) && !flush_rows()) {
+          return fail_durability();
+        }
+        if (!dur.OnEpochEntered(ctrl, out, seq, epoch_start, epoch_index,
+                                churn_before, overload_before)) {
+          return fail_durability();
+        }
       }
     }
     ChurnStats churn_pre;
@@ -1465,6 +1521,7 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
                                : epoch_start + epoch_len;
     if (!close_epoch(drain_end)) return fail_durability();
   }
+  if (!flush_rows()) return fail_durability();
   if (durable) dur.Finish();
   return finish();
 }

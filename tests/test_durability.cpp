@@ -449,6 +449,65 @@ TEST(CrashRecovery, EveryCrashPointWithReadmissionsAndShedRestores) {
   }
 }
 
+TEST(CrashRecovery, EveryCrashPointWithDeferredEpochRows) {
+  // With validation on, a closed epoch's row waits for its batch of
+  // validation simulations, so it lands in the journal after later
+  // request records. A checkpoint every 12 epochs lets a batch fill
+  // (8 rows) between checkpoints: crash points fall inside a batch, at
+  // a flush and at a checkpoint. A clean halt leaves a whole journal,
+  // so recovery truncates nothing, skips no checkpoint, resumes from
+  // the newest one, and reproduces every row.
+  StreamConfig sc;
+  sc.num_admits = 30;
+  sc.span = Millis(9000);
+  sc.soft_fraction = 0.4;
+  sc.seed = 71;
+  const WorkloadStream s = GenerateStream(sc);
+  ReplayConfig cfg =
+      MakeReplayConfig(PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf,
+                       /*faults=*/true, /*validate=*/true);
+  cfg.epoch = Millis(200);
+  cfg.validate_sim.horizon = Millis(30);
+  const ReplayResult plain = ReplayStream(s, cfg);
+  ASSERT_GT(plain.epochs.size(), 36u);
+  constexpr std::uint32_t kEvery = 12;
+  std::size_t deferred = 0;
+  std::size_t resumed = 0;
+  for (std::uint32_t halt = 1; halt <= s.size(); ++halt) {
+    SCOPED_TRACE("halt=" + std::to_string(halt));
+    ReplayConfig durable = cfg;
+    durable.durability.dir = FreshDir("deferred");
+    durable.durability.checkpoint_every = kEvery;
+    durable.durability.halt_after_appends = halt;
+    const ReplayResult crashed = ReplayStream(s, durable);
+    ASSERT_TRUE(crashed.durability_error.ok())
+        << crashed.durability_error.message;
+    ASSERT_TRUE(crashed.recovery.halted_by_injection);
+    JournalScan scan;
+    ASSERT_TRUE(ScanJournal(durable.durability.dir + "/journal.wal", scan));
+    if (scan.epoch_rows < crashed.epochs.size()) ++deferred;
+    const bool checkpointed = !ListCheckpoints(durable.durability.dir).empty();
+
+    ReplayConfig rec = cfg;
+    rec.durability.dir = durable.durability.dir;
+    rec.durability.checkpoint_every = kEvery;
+    rec.durability.recover = true;
+    const ReplayResult recovered = ReplayStream(s, rec);
+    ASSERT_TRUE(recovered.durability_error.ok())
+        << recovered.durability_error.message;
+    EXPECT_EQ(recovered.recovery.journal_truncated_bytes, 0u);
+    EXPECT_EQ(recovered.recovery.checkpoints_skipped, 0u);
+    EXPECT_EQ(recovered.recovery.recovered, checkpointed);
+    EXPECT_EQ(DecisionDiff(plain, recovered), "");
+    if (recovered.recovery.recovered) ++resumed;
+    fs::remove_all(durable.durability.dir);
+  }
+  // Most crash points leave closed rows that were never journaled, and
+  // the later ones resume from a checkpoint.
+  EXPECT_GT(deferred, s.size() / 2);
+  EXPECT_GT(resumed, 0u);
+}
+
 TEST(CrashRecovery, EmptyDirectoryRecoversFromScratch) {
   const WorkloadStream s = SmallStream(5, 16);
   const ReplayConfig base = MakeReplayConfig(

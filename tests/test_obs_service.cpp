@@ -165,6 +165,29 @@ TEST(ProfiledReplay, DecisionsAndArtifactsIdenticalWithProfilerOn) {
             profiled.admits + profiled.rejects);
   EXPECT_GT(prof.StageHistogram(SpanStage::kUtilScreen).count(), 0u);
   EXPECT_EQ(InstalledProfiler(), nullptr);
+
+  // Validated: the hook still fires at close, once per row in order.
+  // The validation fields are filled when the row's batch flushes, so
+  // they are read from the returned result, where every row with
+  // residents is validated.
+  online::ReplayConfig vcfg = rcfg;
+  vcfg.epoch = Millis(250);
+  vcfg.validate_by_simulation = true;
+  vcfg.validate_sim.horizon = Millis(100);
+  const online::ReplayResult vplain = online::ReplayStream(stream, vcfg);
+  vcfg.obs = pcfg.obs;
+  epoch_hooks = 0;
+  const online::ReplayResult validated = online::ReplayStream(stream, vcfg);
+  EXPECT_EQ(online::DecisionDiff(vplain, validated), "");
+  EXPECT_EQ(epoch_hooks, validated.epochs.size());
+  std::size_t resident_rows = 0;
+  for (const online::EpochStats& e : validated.epochs) {
+    if (e.resident == 0) continue;
+    ++resident_rows;
+    EXPECT_TRUE(e.validated);
+  }
+  EXPECT_GT(resident_rows, 8u);  // more than one batch
+  EXPECT_GT(prof.StageHistogram(SpanStage::kEpochValidate).count(), 0u);
 }
 
 TEST(ProfiledReplay, ReplayStatsSnapshotMirrorsReplayResult) {

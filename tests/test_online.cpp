@@ -1,12 +1,15 @@
 // Online admission subsystem (DESIGN.md §11): stream generation and
 // round-trip, the offline/online placement differentials, capacity
 // reclaim, fallback churn accounting, unsplit consolidation, epoch
-// replay soundness, and the jobs-invariance of stream batches.
+// replay soundness, the jobs-invariance of stream batches, and a pin of
+// the validated replay's per-epoch table.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <string_view>
 
 #include "online/controller.hpp"
 #include "online/workload_stream.hpp"
@@ -461,6 +464,100 @@ TEST(DecisionDiff, NamesEachDecisionFieldAndIgnoresRunState) {
     EXPECT_EQ(DecisionDiff(base, changed), c.field);
     EXPECT_EQ(DecisionDiff(changed, base), c.field);
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Validated replay pin
+// ---------------------------------------------------------------------------
+
+void Fold(std::uint64_t& h, std::string_view s) {
+  for (const char ch : s) {
+    h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+  }
+  h = (h ^ ';') * 1099511628211ull;
+}
+
+/// A generated stream with soft tasks, then one task admitted and
+/// retired after an idle gap longer than the replay's compression bound
+/// (1024 empty epochs of 200 ms).
+WorkloadStream PinStream(std::uint64_t seed) {
+  StreamConfig scfg;
+  scfg.num_admits = 40;
+  scfg.span = Millis(5000);
+  scfg.soft_fraction = 0.4;
+  scfg.seed = seed;
+  std::vector<Request> reqs = GenerateStream(scfg).requests();
+  const Time late = reqs.back().at + Millis(200) * 1100;
+  Request admit;
+  admit.at = late;
+  admit.id = 9000;
+  admit.task = MakeTask(9000, Millis(4), Millis(40));
+  admit.task.priority = 9000;
+  Request leave;
+  leave.kind = RequestKind::kLeave;
+  leave.at = late + Millis(500);
+  leave.id = 9000;
+  reqs.push_back(admit);
+  reqs.push_back(leave);
+  return WorkloadStream(std::move(reqs));
+}
+
+TEST(ValidatedReplayPin, PlainAndDurableTablesAndMissCountsArePinned) {
+  // Pins the validated replay's rows: every epoch's table line and its
+  // miss counts, plain and durable, under EDF and FP, with a spike
+  // window and spiky validation so misses occur.
+  const WorkloadStream s = PinStream(61);
+  ASSERT_TRUE(s.valid());
+  std::uint64_t hash = 14695981039346656037ull;
+  std::size_t rows = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t hard = 0;
+  for (const partition::SchedPolicy policy :
+       {partition::SchedPolicy::kEdf,
+        partition::SchedPolicy::kFixedPriority}) {
+    ReplayConfig cfg;
+    cfg.controller.admission.num_cores = 3;
+    cfg.controller.admission.policy = policy;
+    cfg.controller.admission.model = OverheadModel::PaperCoreI7();
+    cfg.epoch = Millis(200);
+    cfg.seed = 5;
+    cfg.drain_epochs = 3;
+    cfg.faults.spikes.push_back(
+        SpikeEpoch{Millis(1000), Millis(2000), 0.5, 1.6});
+    cfg.validate_by_simulation = true;
+    cfg.validate_sim.horizon = Millis(120);
+    cfg.validate_sim.exec.kind = sim::ExecModel::Kind::kSpiky;
+    cfg.validate_sim.exec.spike_prob = 0.3;
+    cfg.validate_sim.exec.spike_magnitude = 1.8;
+    const ReplayResult plain = ReplayStream(s, cfg);
+
+    ReplayConfig dcfg = cfg;
+    dcfg.durability.dir = ::testing::TempDir() + "sps_validated_pin";
+    dcfg.durability.checkpoint_every = 5;
+    dcfg.durability.fsync = FsyncPolicy::kOff;
+    std::filesystem::remove_all(dcfg.durability.dir);
+    const ReplayResult durable = ReplayStream(s, dcfg);
+    std::filesystem::remove_all(dcfg.durability.dir);
+    ASSERT_TRUE(durable.durability_error.ok())
+        << durable.durability_error.message;
+    EXPECT_EQ(DecisionDiff(plain, durable), "");
+
+    for (const ReplayResult* r : {&plain, &durable}) {
+      Fold(hash, r->Table());
+      for (const EpochStats& e : r->epochs) {
+        Fold(hash, std::to_string(e.sim_misses) + "/" +
+                       std::to_string(e.hard_misses));
+        misses += e.sim_misses;
+        hard += e.hard_misses;
+      }
+      rows += r->epochs.size();
+    }
+  }
+  EXPECT_EQ(rows, 204u);
+  EXPECT_EQ(misses, 42u);
+  EXPECT_EQ(hard, 40u);
+  EXPECT_EQ(hash, 10426604513092686727ull);
 }
 
 }  // namespace
