@@ -392,7 +392,7 @@ struct ReplayObserver {
   /// Called once per row, in epoch order, as each epoch closes, with the
   /// epoch's index, its stats, and the accumulating result. With
   /// validation on, `validated`, `sim_misses` and `hard_misses` are
-  /// filled only when the epoch's batch flushes, after this call; read
+  /// filled only when the epoch's batch has run, after this call; read
   /// them from the returned ReplayResult. Must not mutate anything the
   /// replay reads.
   std::function<void(std::size_t, const EpochStats&, const ReplayResult&)>

@@ -10,6 +10,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <functional>
 #include <string_view>
@@ -914,14 +915,19 @@ class DurabilityEngine {
     return true;
   }
 
-  /// Epoch-row hook, called in row order when the replay flushes its
-  /// closed rows: the row is journaled once; redo of an already
+  /// Epoch-row hook, called in row order as the replay's validation
+  /// batches finish: the row is journaled once; redo of an already
   /// journaled row cross-checks it. Returns false on divergence.
   bool OnEpochClosed(std::uint64_t row, const EpochStats& e) {
     const std::string payload =
         RecordPayload(kEpochRecord, EpochRecord{row, e});
     const std::uint32_t crc = util::Crc32Of(payload);
     ChainRecord(rows_crc_, crc);
+    rows_ = row + 1;
+    // A taken checkpoint names the rows digest at exactly its cut.
+    for (CheckpointState& st : taken_) {
+      if (st.epoch_rows == rows_) st.rows_crc = rows_crc_.value();
+    }
     if (row < journaled_.rows.size()) {
       if (journaled_.rows[row] == e) return true;
       return Diverged("epoch row " + std::to_string(row));
@@ -929,13 +935,10 @@ class DurabilityEngine {
     return Append(payload, crc);
   }
 
-  /// Whether entering `epoch_index` writes the every-K checkpoint.
-  [[nodiscard]] bool CheckpointDue(std::uint64_t epoch_index) const {
-    return cfg_.checkpoint_every != 0 &&
-           epoch_index % cfg_.checkpoint_every == 0;
-  }
-
-  /// Epoch-boundary hook: per-epoch fsync and the every-K checkpoint.
+  /// Epoch-boundary hook: per-epoch fsync, then the every-K checkpoint.
+  /// Its state is taken here, at entry, but the file is written only
+  /// once every row before the cut is journaled (the validation batches
+  /// journal rows late), here or at a later entry.
   bool OnEpochEntered(const Controller& ctrl, const ReplayResult& out,
                       std::uint64_t next_request, Time epoch_start,
                       std::uint64_t epoch_index,
@@ -946,40 +949,58 @@ class DurabilityEngine {
     if (cfg_.fsync == FsyncPolicy::kEveryEpoch) {
       FlushJournal(/*sync=*/true);
     }
-    if (!CheckpointDue(epoch_index)) return true;
-    const std::string path = CheckpointPath(cfg_.dir, epoch_index);
-    if (fs::exists(path)) return true;  // redo re-entered a covered epoch
-    // The checkpoint covers every request applied so far, so their
-    // records must be in the file before it is: a crash between the two
-    // writes must not leave a checkpoint ahead of the journal.
+    // A redo re-entering an epoch whose checkpoint is on disk keeps it.
+    if (cfg_.checkpoint_every != 0 &&
+        epoch_index % cfg_.checkpoint_every == 0 &&
+        !fs::exists(CheckpointPath(cfg_.dir, epoch_index))) {
+      CheckpointState& st = taken_.emplace_back();
+      st.next_request = next_request;
+      st.epoch_start = epoch_start;
+      st.epoch_index = epoch_index;
+      st.churn_before = churn_before;
+      st.overload_before = overload_before;
+      st.admits = out.admits;
+      st.rejects = out.rejects;
+      st.leaves = out.leaves;
+      st.epoch_rows = out.epochs.size();
+      st.records_crc = records_crc_.value();
+      if (rows_ == st.epoch_rows) st.rows_crc = rows_crc_.value();
+      st.ctrl = ctrl.ExportState();
+    }
+    return WriteReadyCheckpoints();
+  }
+
+  /// End of the replay: every row is journaled, so every taken
+  /// checkpoint is written.
+  bool Finish() {
+    if (!WriteReadyCheckpoints()) return false;
+    FlushJournal(cfg_.fsync != FsyncPolicy::kOff);
+    return true;
+  }
+
+ private:
+  /// Write, oldest first, each taken checkpoint whose rows are all
+  /// journaled.
+  bool WriteReadyCheckpoints() {
+    if (taken_.empty() || taken_.front().epoch_rows > rows_) return true;
+    // A checkpoint covers every record before its cut, so those records
+    // must be in the file before it is: a crash between the two writes
+    // must not leave a checkpoint ahead of the journal.
     FlushJournal(/*sync=*/false);
-    CheckpointState st;
-    st.next_request = next_request;
-    st.epoch_start = epoch_start;
-    st.epoch_index = epoch_index;
-    st.churn_before = churn_before;
-    st.overload_before = overload_before;
-    st.admits = out.admits;
-    st.rejects = out.rejects;
-    st.leaves = out.leaves;
-    st.epoch_rows = out.epochs.size();
-    st.records_crc = records_crc_.value();
-    st.rows_crc = rows_crc_.value();
-    st.ctrl = ctrl.ExportState();
-    std::string err;
-    if (!util::WriteFileAtomic(path, EncodeCheckpoint(st, fingerprint_),
-                               cfg_.fsync != FsyncPolicy::kOff, &err)) {
-      return Fail(DurabilityError::Kind::kIo, path, 0, err);
+    for (; !taken_.empty() && taken_.front().epoch_rows <= rows_;
+         taken_.pop_front()) {
+      const CheckpointState& st = taken_.front();
+      const std::string path = CheckpointPath(cfg_.dir, st.epoch_index);
+      std::string err;
+      if (!util::WriteFileAtomic(path, EncodeCheckpoint(st, fingerprint_),
+                                 cfg_.fsync != FsyncPolicy::kOff, &err)) {
+        return Fail(DurabilityError::Kind::kIo, path, 0, err);
+      }
     }
     PruneCheckpoints();
     return true;
   }
 
-  void Finish() {
-    FlushJournal(cfg_.fsync != FsyncPolicy::kOff);
-  }
-
- private:
   bool Fail(DurabilityError::Kind kind, const std::string& path,
             std::uint64_t offset, const std::string& message) {
     error_ = DurabilityError{kind, path, offset, message};
@@ -1107,6 +1128,7 @@ class DurabilityEngine {
     if (recovery_.recovered) {
       records_crc_ = journaled_.records_crc[st.next_request];
       rows_crc_ = journaled_.rows_crc[st.epoch_rows];
+      rows_ = st.epoch_rows;
       st.epochs.assign(journaled_.rows.begin(),
                        journaled_.rows.begin() +
                            static_cast<std::ptrdiff_t>(st.epoch_rows));
@@ -1133,6 +1155,9 @@ class DurabilityEngine {
   /// checkpoint names its prefix by them).
   util::Crc32 records_crc_;
   util::Crc32 rows_crc_;
+  std::uint64_t rows_ = 0;  ///< epoch rows the chain above covers
+  /// Checkpoints taken at entry and not yet written, oldest first.
+  std::deque<CheckpointState> taken_;
   std::uint64_t appends_ = 0;
   bool halted_ = false;
   DurabilityError error_;
@@ -1141,17 +1166,21 @@ class DurabilityEngine {
 
 // ---- epoch close and deferred validation -----------------------------------
 
-/// Epoch rows the replay holds back for their validation simulations
-/// before it runs them as one batch (DESIGN.md §14). A constant, not the
-/// pool's width: flush points, and so the journal's bytes, depend only
+/// Epoch rows per validation batch (DESIGN.md §14): each full batch
+/// starts on the pool while the replay goes on. A constant, not the
+/// pool's width: launch points, and so the journal's bytes, depend only
 /// on the stream and the config, never on the machine.
-constexpr std::size_t kValidationBatch = 8;
+constexpr std::size_t kValidationBatch = 16;
 
-/// One closed epoch's validation, queued until its batch flushes.
+/// One closed epoch's validation, queued until its batch starts. The
+/// simulation writes its results here, never into the epoch table,
+/// which the replay keeps growing while the batch runs.
 struct PendingValidation {
   std::size_t row = 0;  ///< index into ReplayResult::epochs
   partition::Partition partition;
   sim::SimConfig sim;  ///< seeds, fault models and exec generations
+  std::uint64_t sim_misses = 0;
+  std::uint64_t hard_misses = 0;
 };
 
 void CloseEpoch(const Controller& ctrl, const ReplayConfig& cfg,
@@ -1211,26 +1240,41 @@ void CloseEpoch(const Controller& ctrl, const ReplayConfig& cfg,
   e = EpochStats{};
 }
 
-/// Simulate the queued validations on the shared pool, each filling
-/// only its own row.
-void RunValidations(const std::vector<PendingValidation>& pending,
-                    std::vector<EpochStats>& rows) {
-  util::SharedPool().ParallelFor(pending.size(), [&](std::size_t i) {
-    const PendingValidation& v = pending[i];
-    const sim::SimResult r = sim::Simulate(v.partition, v.sim);
-    EpochStats& e = rows[v.row];
-    e.validated = true;
-    e.sim_misses = r.total_misses;
-    // Hard-miss attribution: SimResult.tasks is index-aligned with the
-    // partition's tasks (the engine copies ids positionally).
-    const std::vector<partition::PlacedTask>& tasks = v.partition.tasks;
-    for (std::size_t t = 0; t < r.tasks.size() && t < tasks.size(); ++t) {
-      if (tasks[t].task.crit == rt::Criticality::kHard) {
-        e.hard_misses += r.tasks[t].deadline_misses;
-      }
+/// Simulate one queued validation into its own slot.
+void Validate(PendingValidation& v) {
+  const sim::SimResult r = sim::Simulate(v.partition, v.sim);
+  v.sim_misses = r.total_misses;
+  // Hard-miss attribution: SimResult.tasks is index-aligned with the
+  // partition's tasks (the engine copies ids positionally).
+  const std::vector<partition::PlacedTask>& tasks = v.partition.tasks;
+  for (std::size_t t = 0; t < r.tasks.size() && t < tasks.size(); ++t) {
+    if (tasks[t].task.crit == rt::Criticality::kHard) {
+      v.hard_misses += r.tasks[t].deadline_misses;
     }
-  });
+  }
 }
+
+/// Joins a pool job when its owner's scope unwinds, so no worker
+/// outlives the data the job reads. Every return joins the job itself;
+/// this only runs with the job live while another exception is leaving
+/// the scope, and that one wins over any the job raised.
+class JobJoin {
+ public:
+  JobJoin(util::ThreadPool& pool, util::ThreadPool::Job& job)
+      : pool_(pool), job_(job) {}
+  ~JobJoin() {
+    try {
+      pool_.Wait(job_);
+    } catch (...) {
+    }
+  }
+  JobJoin(const JobJoin&) = delete;
+  JobJoin& operator=(const JobJoin&) = delete;
+
+ private:
+  util::ThreadPool& pool_;
+  util::ThreadPool::Job& job_;
+};
 
 }  // namespace
 
@@ -1355,37 +1399,64 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
     }
   };
 
-  // Rows from journaled_rows on are closed but not yet journaled; the
-  // queue holds their validation simulations. A flush runs the batch,
-  // then journals those rows in row order. A return on a durability
-  // error or a halt drops them unjournaled, as a crash would.
-  std::vector<PendingValidation> pending;
+  // Validation overlaps the replay (DESIGN.md §14). Rows from
+  // journaled_rows on are closed but not yet journaled. `in_flight` is
+  // the batch running on the pool as `job`; `queued` collects the next
+  // one. A launch waits for the batch in flight, fills its rows,
+  // journals every row before the first queued validation, then starts
+  // the queued batch and returns to the replay. A return on a
+  // durability error or a halt drops the unjournaled rows, as a crash
+  // would.
+  util::ThreadPool& pool = util::SharedPool();
+  std::vector<PendingValidation> in_flight;
+  std::vector<PendingValidation> queued;
+  const std::function<void(std::size_t)> validate =
+      [&in_flight](std::size_t i) { Validate(in_flight[i]); };
+  util::ThreadPool::Job job;
+  const JobJoin join(pool, job);
   std::size_t journaled_rows = out.epochs.size();
+  std::size_t launched_rows = out.epochs.size();
   const std::size_t batch_rows =
       cfg.validate_by_simulation ? kValidationBatch : 1;
-  const auto flush_rows = [&] {
-    obs::ScopedSpan span(pending.empty() ? nullptr : obs::InstalledProfiler(),
+  const auto launch = [&] {
+    obs::ScopedSpan span(in_flight.empty() && queued.empty()
+                             ? nullptr
+                             : obs::InstalledProfiler(),
                          obs::SpanStage::kEpochValidate);
-    RunValidations(pending, out.epochs);
-    pending.clear();
-    for (; journaled_rows < out.epochs.size(); ++journaled_rows) {
+    pool.Wait(job);
+    for (const PendingValidation& v : in_flight) {
+      EpochStats& e = out.epochs[v.row];
+      e.validated = true;
+      e.sim_misses = v.sim_misses;
+      e.hard_misses = v.hard_misses;
+    }
+    in_flight.clear();
+    const std::size_t ready =
+        queued.empty() ? out.epochs.size() : queued.front().row;
+    for (; journaled_rows < ready; ++journaled_rows) {
       if (durable &&
           !dur.OnEpochClosed(journaled_rows, out.epochs[journaled_rows])) {
         return false;
       }
     }
+    in_flight.swap(queued);
+    pool.Start(job, in_flight.size(), validate);
+    launched_rows = out.epochs.size();
     return true;
   };
 
-  // Closes the epoch [epoch_start, end); a full batch flushes.
+  // Closes the epoch [epoch_start, end); a full batch launches.
   const auto close_epoch = [&](Time end) {
     CloseEpoch(ctrl, cfg, epoch_index, epoch_start, end, churn_before,
-               overload_before, cur, out, pending);
-    return out.epochs.size() - journaled_rows < batch_rows || flush_rows();
+               overload_before, cur, out, queued);
+    return out.epochs.size() - launched_rows < batch_rows || launch();
   };
 
-  // Every return past this point reports the totals reached so far.
+  // Every return past this point reports the totals reached so far. A
+  // return before the stream's end still waits for the batch in flight,
+  // so its errors surface here; its rows stay unfilled.
   const auto finish = [&] {
+    pool.Wait(job);
     out.churn = ctrl.churn();
     out.overload = ctrl.overload_stats();
     out.shed_outstanding = ctrl.shed_resident();
@@ -1416,16 +1487,10 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
         epoch_index += static_cast<std::size_t>(idle_epochs);
       }
       enter_epoch(epoch_start);
-      if (durable) {
-        // A checkpoint names a prefix of the epoch rows: journal them
-        // first.
-        if (dur.CheckpointDue(epoch_index) && !flush_rows()) {
-          return fail_durability();
-        }
-        if (!dur.OnEpochEntered(ctrl, out, seq, epoch_start, epoch_index,
-                                churn_before, overload_before)) {
-          return fail_durability();
-        }
+      if (durable &&
+          !dur.OnEpochEntered(ctrl, out, seq, epoch_start, epoch_index,
+                              churn_before, overload_before)) {
+        return fail_durability();
       }
     }
     ChurnStats churn_pre;
@@ -1521,8 +1586,10 @@ ReplayResult ReplayStream(const WorkloadStream& s, const ReplayConfig& cfg) {
                                : epoch_start + epoch_len;
     if (!close_epoch(drain_end)) return fail_durability();
   }
-  if (!flush_rows()) return fail_durability();
-  if (durable) dur.Finish();
+  // Wait for the batch in flight and start the last one, then wait for
+  // that: every row is filled and journaled.
+  if (!launch() || !launch()) return fail_durability();
+  if (durable && !dur.Finish()) return fail_durability();
   return finish();
 }
 

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <utility>
 
 namespace sps::util {
 
@@ -31,82 +33,108 @@ void ThreadPool::WorkerLoop(std::size_t worker) {
   WorkerCounters& mine = counters_[worker];
   std::uint64_t seen_gen = 0;
   for (;;) {
-    Batch* batch = nullptr;
+    Job* job = nullptr;
+    std::size_t first = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return stop_ || (current_ != nullptr && batch_gen_ != seen_gen);
-      });
-      if (stop_) return;
-      // Join the in-flight batch exactly once per generation. The
-      // batch's attach count keeps its caller from destroying it while
-      // this worker still holds the pointer.
-      seen_gen = batch_gen_;
-      batch = current_;
-      ++batch->attached;
+      // Look at each published job once per generation, and attach only
+      // with an index in hand: a worker that wakes after the caller has
+      // claimed every index must not make the caller wait for it.
+      while (job == nullptr) {
+        work_cv_.wait(lock, [&] {
+          return stop_ || (current_ != nullptr && batch_gen_ != seen_gen);
+        });
+        if (stop_) return;
+        seen_gen = batch_gen_;
+        first = current_->next.fetch_add(1, std::memory_order_relaxed);
+        if (first < current_->end) {
+          // The attach count keeps the owner's Wait from returning (and
+          // the job from dying) while this worker still holds it.
+          job = current_;
+          ++job->attached;
+        }
+      }
     }
     mine.batches.fetch_add(1, std::memory_order_relaxed);
-    RunIndices(*batch, mine);
+    RunIndices(*job, first, mine);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      --batch->attached;
+      --job->attached;
     }
     done_cv_.notify_all();
   }
 }
 
-void ThreadPool::RunIndices(Batch& b, WorkerCounters& counters) {
+void ThreadPool::RunIndices(Job& job, std::size_t i,
+                            WorkerCounters& counters) {
   std::uint64_t ran = 0;
-  for (;;) {
-    const std::size_t i = b.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= b.end) break;
+  for (; i < job.end; i = job.next.fetch_add(1, std::memory_order_relaxed)) {
     ++ran;
     try {
-      (*b.body)(i);
+      (*job.body)(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!b.first_error) b.first_error = std::current_exception();
+      if (!job.first_error) job.first_error = std::current_exception();
     }
-    // Count attempts (success or not): the batch is done when every
-    // index has RUN, which is what the drain guarantee means.
-    b.completed.fetch_add(1, std::memory_order_release);
+    // Count attempts (success or not): the job is done when every index
+    // has RUN, which is what the drain guarantee means.
+    job.completed.fetch_add(1, std::memory_order_release);
   }
-  // One relaxed add per BATCH, not per index — the gauges must not tax
+  // One relaxed add per job, not per index — the gauges must not tax
   // the fetch-add claim loop they observe.
   if (ran > 0) counters.indices.fetch_add(ran, std::memory_order_relaxed);
 }
 
-void ThreadPool::ParallelFor(
-    std::size_t n, const std::function<void(std::size_t)>& body) {
+void ThreadPool::Start(Job& job, std::size_t n,
+                       const std::function<void(std::size_t)>& body) {
+  assert(job.end == 0 && "Start on a job that is still live");
   if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  Batch b;
-  b.body = &body;
-  b.end = n;
+  job.body = &body;
+  job.end = n;
+  job.next.store(0, std::memory_order_relaxed);
+  job.completed.store(0, std::memory_order_relaxed);
+  // Without workers there is nobody to publish to: Wait runs it all.
+  if (workers_.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    current_ = &b;
+    current_ = &job;
     ++batch_gen_;
     ++batches_submitted_;
   }
   work_cv_.notify_all();
+}
+
+void ThreadPool::Wait(Job& job) {
+  if (job.end == 0) return;
   // The caller is a worker too; its indices land in the shared caller
   // slot (workers_.size()).
-  RunIndices(b, counters_[workers_.size()]);
+  RunIndices(job, job.next.fetch_add(1, std::memory_order_relaxed),
+             counters_[workers_.size()]);
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] {
-      return b.attached == 0 &&
-             b.completed.load(std::memory_order_acquire) == n;
+      return job.attached == 0 &&
+             job.completed.load(std::memory_order_acquire) == job.end;
     });
-    // Retire the batch, but only if a concurrent caller has not already
-    // published its own — their batch must stay joinable.
-    if (current_ == &b) current_ = nullptr;
+    // Retire the job, but only if a later Start has not already
+    // published another one — that one must stay joinable.
+    if (current_ == &job) current_ = nullptr;
+    error = std::exchange(job.first_error, nullptr);
   }
-  if (b.first_error) std::rethrow_exception(b.first_error);
+  job.end = 0;
+  if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::ParallelFor(
+    std::size_t n, const std::function<void(std::size_t)>& body) {
+  if (n == 1) {
+    body(0);
+    return;
+  }
+  Job job;
+  Start(job, n, body);
+  Wait(job);
 }
 
 void ParallelFor(unsigned jobs, std::size_t n,

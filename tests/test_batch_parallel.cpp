@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exp/acceptance.hpp"
@@ -79,6 +82,114 @@ TEST(ThreadPool, FreeFunctionSerialAndZeroJobs) {
   std::atomic<int> n{0};
   util::ParallelFor(0, 100, [&](std::size_t) { ++n; });
   EXPECT_EQ(n.load(), 100);
+}
+
+TEST(ThreadPool, CallerWorksBetweenStartAndWait) {
+  // Start returns at once and the workers run the job meanwhile; Wait
+  // finishes it. Every index runs exactly once.
+  util::ThreadPool pool(3);
+  constexpr std::size_t kN = 64;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<std::size_t> ran{0};
+  const std::function<void(std::size_t)> body = [&](std::size_t i) {
+    ++hits[i];
+    ++ran;
+  };
+  util::ThreadPool::Job job;
+  pool.Start(job, kN, body);
+  // The caller's own work: wait (boundedly) for a worker to make
+  // progress without the caller's help.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ran.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  EXPECT_GT(ran.load(), 0u);
+  pool.Wait(job);
+  EXPECT_EQ(ran.load(), kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, WaitDrainsThenRethrowsTheFirstException) {
+  util::ThreadPool pool(3);
+  constexpr std::size_t kN = 500;
+  std::atomic<std::size_t> ran{0};
+  const std::function<void(std::size_t)> body = [&](std::size_t i) {
+    ++ran;
+    if (i % 50 == 3) throw std::runtime_error("boom");
+  };
+  util::ThreadPool::Job job;
+  pool.Start(job, kN, body);
+  EXPECT_THROW(pool.Wait(job), std::runtime_error);
+  EXPECT_EQ(ran.load(), kN);  // drained before the rethrow
+  // The error is reported once; the job is idle and can start again.
+  EXPECT_NO_THROW(pool.Wait(job));
+  std::atomic<std::size_t> again{0};
+  const std::function<void(std::size_t)> count = [&](std::size_t) {
+    ++again;
+  };
+  pool.Start(job, 32, count);
+  pool.Wait(job);
+  EXPECT_EQ(again.load(), 32u);
+}
+
+TEST(ThreadPool, ParallelForFromAnotherThreadCompletesWhileAJobIsLive) {
+  // The workers that joined the live job are held inside it; a batch
+  // another thread runs meanwhile must not depend on them (a validation
+  // simulation with lanes does this on the shared pool).
+  util::ThreadPool pool(3);
+  std::atomic<bool> release{false};
+  std::atomic<std::size_t> held{0};
+  const std::function<void(std::size_t)> hold = [&](std::size_t) {
+    ++held;
+    while (!release.load()) std::this_thread::yield();
+  };
+  util::ThreadPool::Job job;
+  pool.Start(job, 4, hold);
+  std::atomic<std::size_t> other{0};
+  std::thread t([&] {
+    pool.ParallelFor(100, [&](std::size_t) { ++other; });
+  });
+  t.join();
+  EXPECT_EQ(other.load(), 100u);
+  release = true;
+  pool.Wait(job);
+  EXPECT_EQ(held.load(), 4u);
+}
+
+TEST(ThreadPool, WaitOnAJobNeverStartedReturnsAtOnce) {
+  util::ThreadPool pool(2);
+  util::ThreadPool::Job job;
+  pool.Wait(job);
+  const std::function<void(std::size_t)> never = [](std::size_t) {
+    FAIL() << "an empty job ran an index";
+  };
+  pool.Start(job, 0, never);
+  pool.Wait(job);
+  EXPECT_EQ(pool.Stats().batches, 0u);
+}
+
+TEST(ThreadPool, ManyTwoIndexJobsRunEveryIndexOnce) {
+  // Tiny jobs are where a worker most often wakes to find every index
+  // claimed: it must neither run an index twice nor hold up the caller.
+  util::ThreadPool pool(3);
+  constexpr std::size_t kJobs = 10'000;
+  std::vector<std::atomic<std::uint8_t>> hits(2 * kJobs);
+  std::size_t base = 0;
+  const std::function<void(std::size_t)> body = [&](std::size_t i) {
+    ++hits[base + i];
+  };
+  util::ThreadPool::Job job;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    base = 2 * j;
+    pool.Start(job, 2, body);
+    pool.Wait(job);
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

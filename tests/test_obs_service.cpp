@@ -167,7 +167,7 @@ TEST(ProfiledReplay, DecisionsAndArtifactsIdenticalWithProfilerOn) {
   EXPECT_EQ(InstalledProfiler(), nullptr);
 
   // Validated: the hook still fires at close, once per row in order.
-  // The validation fields are filled when the row's batch flushes, so
+  // The validation fields are filled once the row's batch has run, so
   // they are read from the returned result, where every row with
   // residents is validated.
   online::ReplayConfig vcfg = rcfg;
