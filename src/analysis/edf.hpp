@@ -92,6 +92,8 @@ struct EdfCoreEntry {
   std::size_t dest_queue_size = 4;
   std::size_t first_core_queue_size = 4;
   rt::TaskId id = 0;
+
+  friend bool operator==(const EdfCoreEntry&, const EdfCoreEntry&) = default;
 };
 
 std::vector<EdfTask> InflateEdfCore(std::span<const EdfCoreEntry> entries,

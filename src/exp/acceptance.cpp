@@ -113,13 +113,13 @@ AcceptanceResult RunAcceptance(const AcceptanceConfig& cfg) {
               pr.partition.num_split_tasks());
         }
         if (cfg.validate_by_simulation) {
-          // Execute the accepted placement through the batch layer. The
-          // unit already runs on a pool worker, so the inner sweep stays
-          // serial; simulation seeds derive from unit coordinates in a
-          // range DISJOINT from the generator streams (whose first
-          // coordinate is a point index < npoints <= npoints*nsets), so
-          // validation is deterministic, jobs-invariant, and never
-          // correlated with any cell's task-set generation.
+          // Simulate the accepted placement. The unit already runs on a
+          // pool worker, so it simulates in place; seeds derive from unit
+          // coordinates in a range DISJOINT from the generator streams
+          // (whose first coordinate is a point index < npoints <=
+          // npoints*nsets), so validation is deterministic,
+          // jobs-invariant, and never correlated with any cell's task-set
+          // generation.
           sim::SimConfig scfg = cfg.validate_sim;
           scfg.overheads = cfg.model;
           scfg.record_metrics = true;  // per-point aggregation below
@@ -127,11 +127,7 @@ AcceptanceResult RunAcceptance(const AcceptanceConfig& cfg) {
           scfg.exec.seed = sim::DeriveSeed(cfg.seed, vcoord, ai);
           scfg.arrivals.seed =
               sim::DeriveSeed(cfg.seed, vcoord, nalgo + ai);
-          const std::vector<sim::BatchRun> runs = sim::RunConfigSweep(
-              pr.partition,
-              {{std::string(ToString(cfg.algorithms[ai])), scfg}},
-              {.jobs = 1});
-          const sim::SimResult& vr = runs.front().result;
+          const sim::SimResult vr = sim::Simulate(pr.partition, scfg);
           sim_ok[u * nalgo + ai] = vr.total_misses == 0 ? 1 : 0;
           obs::LogHistogram& h = resp_hist[u * nalgo + ai];
           Time& tard = max_tard[u * nalgo + ai];

@@ -60,6 +60,9 @@ struct AdmissionSnapshot {
   std::vector<partition::EdfCoreState> edf_cores;
   std::vector<partition::FpCoreState> fp_cores;
   partition::AdmitStats stats;
+
+  friend bool operator==(const AdmissionSnapshot&,
+                         const AdmissionSnapshot&) = default;
 };
 
 /// The mutable analysis state of all cores plus the admission primitives.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 
 #include "obs/spans.hpp"
 
@@ -19,9 +18,6 @@ partition::FitPolicy ToFitPolicy(PlacePolicy p) {
   }
   return partition::FitPolicy::kFirstFit;
 }
-
-/// "Nobody eligible" sentinel for PickVictim (no stream id reaches it).
-constexpr rt::TaskId kNoVictim = std::numeric_limits<rt::TaskId>::max();
 
 /// Shed re-admission retry backoff, in epochs: the first retry comes
 /// after kRetryBackoffMin, the wait doubles per failed retry, capped at
@@ -121,11 +117,8 @@ AdmitOutcome Controller::TryPlace(const rt::Task& t) {
   out.accepted = true;
   out.parts = static_cast<unsigned>(placed.parts.size());
   if (out.parts > 1) ++churn_.split;
-  partition::PlacedTask pt;
-  pt.task = t;
-  pt.parts = std::move(placed.parts);
-  placements_.emplace(t.id, std::move(pt));
-  admit_seq_of_[t.id] = admit_seq_++;
+  residents_.emplace(
+      t.id, Resident{{t, std::move(placed.parts)}, admit_seq_++, {}});
   NoteAdmission(t.id);
   return out;
 }
@@ -141,7 +134,7 @@ void Controller::NoteAdmission(rt::TaskId id) {
 AdmitOutcome Controller::Admit(const rt::Task& t) {
   obs::ScopedSpan span(obs::InstalledProfiler(), obs::SpanStage::kAdmitTotal);
   AdmitOutcome out;
-  if (!t.valid() || placements_.count(t.id) != 0) return out;
+  if (!t.valid() || residents_.contains(t.id)) return out;
   for (const ShedRecord& r : shed_) {
     if (r.task.id == t.id) return out;  // id still logically in-system
   }
@@ -197,11 +190,9 @@ AdmitOutcome Controller::FallbackRepartition(const rt::Task& t) {
   // Resident set + candidate, in ascending id order (the offline
   // partitioners impose their own heuristic order internally).
   std::vector<rt::Task> tasks;
-  tasks.reserve(placements_.size() + 1);
-  for (const auto& [id, pt] : placements_) tasks.push_back(pt.task);
-  tasks.push_back(t);
-  std::sort(tasks.begin(), tasks.end(),
-            [](const rt::Task& a, const rt::Task& b) { return a.id < b.id; });
+  tasks.reserve(residents_.size() + 1);
+  for (const auto& [id, r] : residents_) tasks.push_back(r.placed.task);
+  tasks.insert(std::ranges::upper_bound(tasks, t.id, {}, &rt::Task::id), t);
   const rt::TaskSet ts(std::move(tasks));
 
   // Shared derived-config builders (admission.hpp): the fallback runs
@@ -223,31 +214,29 @@ AdmitOutcome Controller::FallbackRepartition(const rt::Task& t) {
   // Adopted: charge the churn — every RESIDENT task whose placement
   // changed moved; residents newly split (and the candidate if split)
   // count as splits.
-  std::unordered_map<rt::TaskId, partition::PlacedTask> next;
-  for (const partition::PlacedTask& pt : pr.partition.tasks) {
-    next.emplace(pt.task.id, pt);
-  }
-  for (const auto& [id, old_pt] : placements_) {
-    const partition::PlacedTask& new_pt = next.at(id);
-    if (old_pt.parts != new_pt.parts) {
-      ++churn_.moved;
-      if (!old_pt.split() && new_pt.split()) ++churn_.split;
-      if (old_pt.split() && !new_pt.split()) ++churn_.unsplit;
-    }
-  }
-  if (next.at(t.id).split()) ++churn_.split;
-  ++churn_.repartitions;
-
   state_.Adopt(pr.partition);
-  placements_ = std::move(next);
-  admit_seq_of_[t.id] = admit_seq_++;
+  for (partition::PlacedTask& pt : pr.partition.tasks) {
+    const auto [it, candidate] = residents_.try_emplace(pt.task.id);
+    const partition::PlacedTask& old_pt = it->second.placed;
+    if (candidate) {
+      if (pt.split()) ++churn_.split;
+    } else if (old_pt.parts != pt.parts) {
+      ++churn_.moved;
+      if (!old_pt.split() && pt.split()) ++churn_.split;
+      if (old_pt.split() && !pt.split()) ++churn_.unsplit;
+    }
+    it->second.placed = std::move(pt);
+  }
+  ++churn_.repartitions;
+  Resident& admitted = residents_.at(t.id);
+  admitted.admit_seq = admit_seq_++;
   NoteAdmission(t.id);
   any_fallback_ = true;
   last_fallback_epoch_ = epoch_;
   last_fallback_util_ = state_.total_utilization();
   out.accepted = true;
   out.via_fallback = true;
-  out.parts = static_cast<unsigned>(placements_.at(t.id).parts.size());
+  out.parts = static_cast<unsigned>(admitted.placed.parts.size());
   // kFallback span attribute: size of the repartitioned set.
   obs::TraceAttr(static_cast<std::int64_t>(ts.size()));
   return out;
@@ -255,22 +244,16 @@ AdmitOutcome Controller::FallbackRepartition(const rt::Task& t) {
 
 bool Controller::Leave(rt::TaskId id) {
   obs::ScopedSpan span(obs::InstalledProfiler(), obs::SpanStage::kLeave);
-  const auto it = placements_.find(id);
-  if (it == placements_.end()) {
+  const auto it = residents_.find(id);
+  if (it == residents_.end()) {
     // A currently-shed task leaving for good: drop its retry record (no
     // capacity to reclaim — it holds none).
-    for (auto s = shed_.begin(); s != shed_.end(); ++s) {
-      if (s->task.id == id) {
-        shed_.erase(s);
-        return true;
-      }
-    }
-    return false;
+    return std::erase_if(shed_, [id](const ShedRecord& r) {
+             return r.task.id == id;
+           }) != 0;
   }
-  state_.Remove(id, it->second.parts);
-  placements_.erase(it);
-  degraded_full_.erase(id);
-  admit_seq_of_.erase(id);
+  state_.Remove(id, it->second.placed.parts);
+  residents_.erase(it);
   if (cfg_.unsplit_on_leave &&
       cfg_.admission.policy == partition::SchedPolicy::kEdf) {
     ConsolidateSplits();
@@ -279,22 +262,22 @@ bool Controller::Leave(rt::TaskId id) {
 }
 
 template <typename Pred>
-rt::TaskId Controller::PickVictim(Pred&& pred) const {
+std::map<rt::TaskId, Resident>::iterator Controller::PickVictim(Pred&& pred) {
   // Minimum (value, then NEWEST admission): a total order over residents
-  // (admission sequences are unique), so the pick is independent of the
-  // unordered_map iteration order.
-  rt::TaskId best = kNoVictim;
-  std::uint32_t best_value = 0;
-  std::uint64_t best_seq = 0;
-  for (const auto& [id, pt] : placements_) {
-    if (!pt.task.soft() || !pred(pt)) continue;
-    const std::uint32_t v = pt.task.value;
-    const std::uint64_t seq = admit_seq_of_.at(id);
-    if (best == kNoVictim || v < best_value ||
-        (v == best_value && seq > best_seq)) {
-      best = id;
-      best_value = v;
-      best_seq = seq;
+  // (admission sequences are unique).
+  auto best = residents_.end();
+  for (auto it = residents_.begin(); it != residents_.end(); ++it) {
+    const Resident& r = it->second;
+    if (!r.placed.task.soft() || !pred(r)) continue;
+    if (best == residents_.end()) {
+      best = it;
+      continue;
+    }
+    const std::uint32_t v = r.placed.task.value;
+    const std::uint32_t best_value = best->second.placed.task.value;
+    if (v < best_value ||
+        (v == best_value && r.admit_seq > best->second.admit_seq)) {
+      best = it;
     }
   }
   return best;
@@ -304,59 +287,36 @@ bool Controller::DegradeOne(const rt::Task* for_admit,
                             std::vector<LadderAction>& log) {
   obs::ScopedSpan span(obs::InstalledProfiler(),
                        obs::SpanStage::kLadderDegrade);
-  const rt::TaskId id = PickVictim([&](const partition::PlacedTask& pt) {
-    return pt.task.can_degrade() && !pt.split() &&
-           degraded_full_.count(pt.task.id) == 0 &&
-           VictimEligible(pt.task, for_admit);
+  const auto it = PickVictim([&](const Resident& r) {
+    return r.placed.task.can_degrade() && !r.placed.split() && !r.full &&
+           VictimEligible(r.placed.task, for_admit);
   });
-  if (id == kNoVictim) return false;
+  if (it == residents_.end()) return false;
 
-  partition::PlacedTask& pt = placements_.at(id);
-  LadderAction a;
-  a.kind = LadderAction::Kind::kDegrade;
-  a.placed = pt;
-  a.full_task = pt.task;
-  a.admit_seq = admit_seq_of_.at(id);
-
-  state_.Remove(id, pt.parts);
-  rt::Task degraded = pt.task;
-  degraded.wcet = pt.task.degraded_wcet;
-  partition::PlacedTask dp;
-  dp.task = degraded;
-  dp.parts = pt.parts;
-  dp.parts[0].budget = degraded.wcet;
+  Resident& r = it->second;
+  log.push_back(LadderAction{LadderAction::Kind::kDegrade, r});
+  state_.Remove(it->first, r.placed.parts);
+  r.full = r.placed.task;
+  r.placed.task.wcet = r.placed.task.degraded_wcet;
+  r.placed.parts[0].budget = r.placed.task.wcet;
   // Commit without an admission test: a smaller C on the very core that
   // admitted the larger C is monotonically safe.
-  state_.CommitPlaced(dp);
-  pt = std::move(dp);
-  degraded_full_.emplace(id, a.full_task);
-  log.push_back(std::move(a));
+  state_.CommitPlaced(r.placed);
   return true;
 }
 
 bool Controller::ShedOne(const rt::Task* for_admit,
                          std::vector<LadderAction>& log) {
   obs::ScopedSpan span(obs::InstalledProfiler(), obs::SpanStage::kLadderShed);
-  const rt::TaskId id = PickVictim([&](const partition::PlacedTask& pt) {
-    return VictimEligible(pt.task, for_admit);
+  const auto it = PickVictim([&](const Resident& r) {
+    return VictimEligible(r.placed.task, for_admit);
   });
-  if (id == kNoVictim) return false;
+  if (it == residents_.end()) return false;
 
-  LadderAction a;
-  a.kind = LadderAction::Kind::kShed;
-  a.placed = placements_.at(id);
-  a.admit_seq = admit_seq_of_.at(id);
-  const auto df = degraded_full_.find(id);
-  a.was_degraded = df != degraded_full_.end();
-  // The shed record keeps the FULL task: a degraded victim is shed as a
-  // whole and retried for re-admission at full service.
-  a.full_task = a.was_degraded ? df->second : a.placed.task;
-
-  state_.Remove(id, a.placed.parts);
-  placements_.erase(id);
-  degraded_full_.erase(id);
-  admit_seq_of_.erase(id);
-  log.push_back(std::move(a));
+  state_.Remove(it->first, it->second.placed.parts);
+  log.push_back(
+      LadderAction{LadderAction::Kind::kShed, std::move(it->second)});
+  residents_.erase(it);
   return true;
 }
 
@@ -367,7 +327,10 @@ void Controller::CommitLadder(std::vector<LadderAction>& log) {
       continue;
     }
     ++overload_.sheds;
-    shed_.push_back(ShedRecord{std::move(a.full_task), a.admit_seq,
+    // The shed record keeps the FULL task: a degraded victim is shed as
+    // a whole and retried for re-admission at full service.
+    const Resident& r = a.before;
+    shed_.push_back(ShedRecord{r.full.value_or(r.placed.task), r.admit_seq,
                                kRetryBackoffMin, kRetryBackoffMin});
   }
   log.clear();
@@ -376,21 +339,14 @@ void Controller::CommitLadder(std::vector<LadderAction>& log) {
 void Controller::UndoLadder(std::vector<LadderAction>& log) {
   // Reverse order: each undo returns the state to one that existed (and
   // had passed admission) just before the action, so CommitPlaced needs
-  // no re-test.
+  // no re-test. A degraded victim is still resident; a shed one is not.
   for (auto it = log.rbegin(); it != log.rend(); ++it) {
-    LadderAction& a = *it;
-    const rt::TaskId id = a.placed.task.id;
-    if (a.kind == LadderAction::Kind::kDegrade) {
-      state_.Remove(id, placements_.at(id).parts);
-      state_.CommitPlaced(a.placed);
-      placements_[id] = std::move(a.placed);
-      degraded_full_.erase(id);
-    } else {
-      state_.CommitPlaced(a.placed);
-      if (a.was_degraded) degraded_full_.emplace(id, a.full_task);
-      admit_seq_of_[id] = a.admit_seq;
-      placements_.emplace(id, std::move(a.placed));
-    }
+    Resident& before = it->before;
+    const rt::TaskId id = before.placed.task.id;
+    const auto [entry, shed] = residents_.try_emplace(id);
+    if (!shed) state_.Remove(id, entry->second.placed.parts);
+    state_.CommitPlaced(before.placed);
+    entry->second = std::move(before);
   }
   log.clear();
 }
@@ -419,7 +375,7 @@ bool Controller::InflatedSchedulable(double magnitude) const {
 }
 
 unsigned Controller::ReactToOverload(double spike_magnitude) {
-  if (!cfg_.overload.ladder || placements_.empty()) return 0;
+  if (!cfg_.overload.ladder || residents_.empty()) return 0;
   unsigned actions = 0;
   while (!InflatedSchedulable(spike_magnitude)) {
     std::vector<LadderAction> log;
@@ -461,28 +417,20 @@ void Controller::AdvanceEpoch(bool overloaded) {
   // Degraded-service restores: in place (same core — no migration
   // churn), ascending id order, each guarded by a real admission probe
   // with the degraded entry lifted.
-  std::vector<rt::TaskId> ids;
-  ids.reserve(degraded_full_.size());
-  for (const auto& [id, full] : degraded_full_) {
-    (void)full;
-    if (placements_.count(id) != 0) ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const rt::TaskId id : ids) {
-    partition::PlacedTask& pt = placements_.at(id);
-    const rt::Task full = degraded_full_.at(id);
-    const unsigned core[] = {pt.parts[0].core};
-    state_.Remove(id, pt.parts);
+  for (auto& [id, r] : residents_) {
+    if (!r.full) continue;
+    const unsigned core[] = {r.placed.parts[0].core};
+    state_.Remove(id, r.placed.parts);
     partition::TaskPlacement placed =
-        state_.Place(full, core, /*allow_split=*/false);
+        state_.Place(*r.full, core, /*allow_split=*/false);
     if (placed.placed) {
-      pt.task = full;
-      pt.parts = std::move(placed.parts);
-      degraded_full_.erase(id);
+      r.placed.task = *r.full;
+      r.placed.parts = std::move(placed.parts);
+      r.full.reset();
       ++overload_.degrade_restores;
       restored_any = true;
     } else {
-      state_.CommitPlaced(pt);  // keep degraded: exact re-commit
+      state_.CommitPlaced(r.placed);  // keep degraded: exact re-commit
     }
   }
 
@@ -500,27 +448,15 @@ partition::Partition Controller::CurrentPartition() const {
   partition::Partition p;
   p.num_cores = cfg_.admission.num_cores;
   p.policy = cfg_.admission.policy;
-  p.tasks.reserve(placements_.size());
-  for (const auto& [id, pt] : placements_) p.tasks.push_back(pt);
-  std::sort(p.tasks.begin(), p.tasks.end(),
-            [](const partition::PlacedTask& a,
-               const partition::PlacedTask& b) {
-              return a.task.id < b.task.id;
-            });
+  p.tasks.reserve(residents_.size());
+  for (const auto& [id, r] : residents_) p.tasks.push_back(r.placed);
   return p;
 }
 
 std::vector<std::uint32_t> Controller::ExecGenerations() const {
-  std::vector<rt::TaskId> ids;
-  ids.reserve(placements_.size());
-  for (const auto& [id, pt] : placements_) {
-    (void)pt;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
   std::vector<std::uint32_t> gens;
-  gens.reserve(ids.size());
-  for (const rt::TaskId id : ids) {
+  gens.reserve(residents_.size());
+  for (const auto& [id, r] : residents_) {
     const auto it = generation_of_.find(id);
     gens.push_back(it == generation_of_.end() ? 0u : it->second);
   }
@@ -537,14 +473,9 @@ unsigned Controller::ConsolidateSplits() {
   bool progress = true;
   while (progress) {
     progress = false;
-    std::vector<rt::TaskId> split_ids;
-    for (const auto& [id, pt] : placements_) {
-      if (pt.split()) split_ids.push_back(id);
-    }
-    std::sort(split_ids.begin(), split_ids.end());
-
-    for (const rt::TaskId id : split_ids) {
-      partition::PlacedTask& pt = placements_.at(id);
+    for (auto& [id, r] : residents_) {
+      partition::PlacedTask& pt = r.placed;
+      if (!pt.split()) continue;
       // Probe: would the whole task fit on some core once its own window
       // reservations are lifted? Lift exactly the task's entries (and
       // the core order is ranked with them lifted — what the policy
@@ -568,40 +499,23 @@ unsigned Controller::ConsolidateSplits() {
   return total;
 }
 
+std::size_t Controller::degraded_resident() const {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      residents_, [](const auto& e) { return e.second.full.has_value(); }));
+}
+
 ControllerSnapshot Controller::ExportState() const {
-  ControllerSnapshot s;
-  s.placements.reserve(placements_.size());
-  for (const auto& [id, pt] : placements_) {
-    (void)id;
-    s.placements.push_back(pt);
-  }
-  std::sort(s.placements.begin(), s.placements.end(),
-            [](const partition::PlacedTask& a,
-               const partition::PlacedTask& b) {
-              return a.task.id < b.task.id;
-            });
-  s.degraded_full.assign(degraded_full_.begin(), degraded_full_.end());
-  s.admit_seq_of.assign(admit_seq_of_.begin(), admit_seq_of_.end());
-  s.generation_of.assign(generation_of_.begin(), generation_of_.end());
-  const auto by_id = [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  };
-  std::sort(s.degraded_full.begin(), s.degraded_full.end(), by_id);
-  std::sort(s.admit_seq_of.begin(), s.admit_seq_of.end(), by_id);
-  s.shed.reserve(shed_.size());
-  for (const ShedRecord& r : shed_) {
-    s.shed.push_back(ControllerSnapshot::ShedEntry{r.task, r.admit_seq,
-                                                   r.retry_in, r.backoff});
-  }
-  s.churn = churn_;
-  s.overload = overload_;
-  s.admit_seq = admit_seq_;
-  s.epoch = epoch_;
-  s.last_fallback_epoch = last_fallback_epoch_;
-  s.last_fallback_util = last_fallback_util_;
-  s.any_fallback = any_fallback_;
-  s.admission = state_.ExportState();
-  return s;
+  return ControllerSnapshot{.residents = residents_,
+                            .generation_of = generation_of_,
+                            .shed = shed_,
+                            .churn = churn_,
+                            .overload = overload_,
+                            .admit_seq = admit_seq_,
+                            .epoch = epoch_,
+                            .last_fallback_epoch = last_fallback_epoch_,
+                            .last_fallback_util = last_fallback_util_,
+                            .any_fallback = any_fallback_,
+                            .admission = state_.ExportState()};
 }
 
 bool Controller::ImportState(ControllerSnapshot snap,
@@ -614,32 +528,16 @@ bool Controller::ImportState(ControllerSnapshot snap,
   for (const auto& [id, gen] : snap.generation_of) {
     if (gen == 0 || !was_admitted(id)) return false;
   }
-  for (const partition::PlacedTask& pt : snap.placements) {
-    if (!was_admitted(pt.task.id)) return false;
+  for (const auto& [id, r] : snap.residents) {
+    if (!was_admitted(id)) return false;
   }
-  for (const ControllerSnapshot::ShedEntry& e : snap.shed) {
-    if (!was_admitted(e.task.id)) return false;
+  for (const ShedRecord& r : snap.shed) {
+    if (!was_admitted(r.task.id)) return false;
   }
   if (!state_.ImportState(std::move(snap.admission))) return false;
-  placements_.clear();
-  for (partition::PlacedTask& pt : snap.placements) {
-    const rt::TaskId id = pt.task.id;
-    placements_.emplace(id, std::move(pt));
-  }
-  degraded_full_.clear();
-  degraded_full_.insert(snap.degraded_full.begin(),
-                        snap.degraded_full.end());
-  admit_seq_of_.clear();
-  admit_seq_of_.insert(snap.admit_seq_of.begin(), snap.admit_seq_of.end());
-  generation_of_.clear();
-  generation_of_.insert(snap.generation_of.begin(),
-                        snap.generation_of.end());
-  shed_.clear();
-  shed_.reserve(snap.shed.size());
-  for (ControllerSnapshot::ShedEntry& e : snap.shed) {
-    shed_.push_back(ShedRecord{std::move(e.task), e.admit_seq, e.retry_in,
-                               e.backoff});
-  }
+  residents_ = std::move(snap.residents);
+  generation_of_ = std::move(snap.generation_of);
+  shed_ = std::move(snap.shed);
   churn_ = snap.churn;
   overload_ = snap.overload;
   admit_seq_ = snap.admit_seq;

@@ -31,10 +31,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -139,28 +139,45 @@ struct AdmitOutcome {
   unsigned parts = 0;         ///< subtask count of the accepted placement
 };
 
-/// The live logical state of a Controller, as plain sorted data — what
-/// the durability checkpoint serializes (DESIGN.md §14) and what
+/// One resident task's entry in the controller's ledger.
+struct Resident {
+  /// Current placement (parts) + the task itself: a degraded resident
+  /// carries its degraded WCET here, so CurrentPartition and the
+  /// analyses see the service actually provided.
+  partition::PlacedTask placed;
+  /// Admission sequence number (LIFO tie-break within a value class;
+  /// assigned per successful admission).
+  std::uint64_t admit_seq = 0;
+  /// The ORIGINAL full-service task while the resident is degraded.
+  std::optional<rt::Task> full;
+
+  friend bool operator==(const Resident&, const Resident&) = default;
+};
+
+/// A shed task awaiting re-admission (the record keeps the FULL task; a
+/// degraded victim is shed at full service and retried as such).
+struct ShedRecord {
+  rt::Task task;
+  std::uint64_t admit_seq = 0;  ///< LIFO order within a value class
+  std::uint32_t retry_in = 0;   ///< epochs until the next retry
+  std::uint32_t backoff = 0;    ///< current backoff width (epochs)
+
+  friend bool operator==(const ShedRecord&, const ShedRecord&) = default;
+};
+
+/// The live logical state of a Controller, in the controller's own types
+/// — what the durability checkpoint serializes (DESIGN.md §14) and what
 /// ImportState restores bit-identically, given the ids admitted before
-/// the snapshot. Map contents are flattened in ascending id order (so
-/// equal states serialize equally); the shed ledger keeps its SHED ORDER
-/// (AdvanceEpoch drains it in that order). Nothing here grows with the
-/// history: departed ids appear only if they were admitted more than
-/// once.
+/// the snapshot. The maps are id-ordered (so equal states serialize
+/// equally); the shed ledger keeps its SHED ORDER (AdvanceEpoch drains
+/// it in that order). Nothing here grows with the history: departed ids
+/// appear only if they were admitted more than once.
 struct ControllerSnapshot {
-  struct ShedEntry {
-    rt::Task task;
-    std::uint64_t admit_seq = 0;
-    std::uint32_t retry_in = 0;
-    std::uint32_t backoff = 0;
-  };
-  std::vector<partition::PlacedTask> placements;  ///< ascending id
-  std::vector<std::pair<rt::TaskId, rt::Task>> degraded_full;
-  std::vector<std::pair<rt::TaskId, std::uint64_t>> admit_seq_of;
+  std::map<rt::TaskId, Resident> residents;
   /// Admission generations >= 1 only (ids admitted more than once);
   /// every other admitted id is at generation 0.
-  std::vector<std::pair<rt::TaskId, std::uint32_t>> generation_of;
-  std::vector<ShedEntry> shed;
+  std::map<rt::TaskId, std::uint32_t> generation_of;
+  std::vector<ShedRecord> shed;
   ChurnStats churn;
   OverloadStats overload;
   std::uint64_t admit_seq = 0;
@@ -169,6 +186,9 @@ struct ControllerSnapshot {
   double last_fallback_util = 0.0;
   bool any_fallback = false;
   AdmissionSnapshot admission;
+
+  friend bool operator==(const ControllerSnapshot&,
+                         const ControllerSnapshot&) = default;
 };
 
 class Controller {
@@ -210,7 +230,7 @@ class Controller {
   /// re-admitted id never resumes its old incarnation's RNG streams.
   [[nodiscard]] std::vector<std::uint32_t> ExecGenerations() const;
 
-  [[nodiscard]] std::size_t resident() const { return placements_.size(); }
+  [[nodiscard]] std::size_t resident() const { return residents_.size(); }
   [[nodiscard]] double total_utilization() const {
     return state_.total_utilization();
   }
@@ -221,21 +241,14 @@ class Controller {
   /// Tasks currently shed (evicted, awaiting re-admission retries).
   [[nodiscard]] std::size_t shed_resident() const { return shed_.size(); }
   /// Residents currently running in degraded mode.
-  [[nodiscard]] std::size_t degraded_resident() const {
-    std::size_t n = 0;
-    for (const auto& [id, full] : degraded_full_) {
-      (void)full;
-      n += placements_.count(id);
-    }
-    return n;
-  }
+  [[nodiscard]] std::size_t degraded_resident() const;
   [[nodiscard]] const partition::AdmitStats& admission_stats() const {
     return state_.stats();
   }
   [[nodiscard]] const ControllerConfig& config() const { return cfg_; }
 
   /// Snapshot / restore the logical state (durability checkpoints,
-  /// DESIGN.md §14). ExportState costs O(live state): the generation-0
+  /// DESIGN.md §14). ExportState copies the live state: the generation-0
   /// ids stay out of it. ImportState replaces everything — including the
   /// admission state's per-core entry vectors and utilization caches
   /// VERBATIM, so a restored controller's subsequent decisions (and
@@ -251,15 +264,6 @@ class Controller {
                                  std::span<const rt::TaskId> admitted);
 
  private:
-  /// A shed task awaiting re-admission (the record keeps the FULL task;
-  /// a degraded victim is shed at full service and retried as such).
-  struct ShedRecord {
-    rt::Task task;
-    std::uint64_t admit_seq = 0;  ///< LIFO order within a value class
-    std::uint32_t retry_in = 0;   ///< epochs until the next retry
-    std::uint32_t backoff = 0;    ///< current backoff width (epochs)
-  };
-
   /// Placement probe order per the configured policy, ranked by the
   /// utilizations of `state` (pass the probe copy when testing
   /// hypothetical states, e.g. TryUnsplit's entries-removed view).
@@ -289,10 +293,7 @@ class Controller {
   struct LadderAction {
     enum class Kind : std::uint8_t { kDegrade, kShed };
     Kind kind = Kind::kDegrade;
-    partition::PlacedTask placed;  ///< exact pre-action placement
-    rt::Task full_task;            ///< original full-service task
-    bool was_degraded = false;     ///< kShed: victim was in degraded mode
-    std::uint64_t admit_seq = 0;   ///< pre-action admission sequence
+    Resident before;  ///< the victim's exact pre-action ledger entry
   };
   /// Ladder rung 1: switch one eligible resident (soft, whole-placed,
   /// has a degraded mode, not yet degraded) to degraded service.
@@ -307,9 +308,10 @@ class Controller {
   void UndoLadder(std::vector<LadderAction>& log);
   /// Victim choice shared by both rungs: minimum (value, then NEWEST
   /// admission) over eligible soft residents — a total order, so the
-  /// decision is deterministic and independent of hash iteration.
+  /// decision is deterministic. residents_.end() when none is eligible.
   template <typename Pred>
-  [[nodiscard]] rt::TaskId PickVictim(Pred&& pred) const;
+  [[nodiscard]] std::map<rt::TaskId, Resident>::iterator PickVictim(
+      Pred&& pred);
   /// Would the resident partition survive every WCET inflating by
   /// `magnitude`? O(1)-screened (per-core inflated utilization > 1 can
   /// never pass) before the full analysis.
@@ -317,15 +319,10 @@ class Controller {
 
   ControllerConfig cfg_;
   AdmissionState state_;
-  /// id -> current placement (parts) + the task itself (degraded
-  /// residents carry their degraded WCET here — CurrentPartition and
-  /// the analyses see the service actually provided).
-  std::unordered_map<rt::TaskId, partition::PlacedTask> placements_;
-  /// id -> ORIGINAL task of residents currently in degraded mode.
-  std::unordered_map<rt::TaskId, rt::Task> degraded_full_;
-  /// id -> admission sequence number (LIFO tie-break within a value
-  /// class; assigned per successful admission).
-  std::unordered_map<rt::TaskId, std::uint64_t> admit_seq_of_;
+  /// The resident ledger, in ascending id order: every pass over the
+  /// residents (partition export, restores, consolidation) walks it in
+  /// that order, so equal resident sets behave equally.
+  std::map<rt::TaskId, Resident> residents_;
   /// Every id ever admitted (the RNG-generation counter's domain; first
   /// admission = generation 0).
   std::unordered_set<rt::TaskId> admitted_;

@@ -13,6 +13,8 @@
 #include <deque>
 #include <filesystem>
 #include <functional>
+#include <map>
+#include <optional>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -93,7 +95,7 @@ namespace fs = std::filesystem;
 // but never read out of bounds.
 
 constexpr char kCheckpointMagic[8] = {'S', 'P', 'S', 'C', 'K', 'P',
-                                      'T', '\x03'};
+                                      'T', '\x04'};
 constexpr char kJournalMagic[8] = {'S', 'P', 'S', 'J', 'R', 'N',
                                    'L', '\x02'};
 constexpr std::size_t kJournalHeaderSize = 8 + 8 + 4;
@@ -247,6 +249,42 @@ void Visit(Ar& ar, std::pair<A, B>& p) {
   Visit(ar, p.second);
 }
 
+/// An ordered map on the wire: its count, then each (key, value) in
+/// ascending key order. The reader refuses a key that does not strictly
+/// ascend, so a decoded map holds exactly the entries on the wire.
+template <class Ar, class K, class V>
+void Visit(Ar& ar, std::map<K, V>& m) {
+  std::uint64_t count = m.size();
+  ar.U64(count);
+  if constexpr (std::is_same_v<Ar, ByteReader>) {
+    if (!ar.PlausibleCount(count, MinWireSize<std::pair<K, V>>())) return;
+    for (std::uint64_t i = 0; i < count && ar.ok; ++i) {
+      std::pair<K, V> e;
+      Visit(ar, e);
+      if (!m.empty() && !(m.rbegin()->first < e.first)) {
+        ar.ok = false;
+        return;
+      }
+      m.insert(m.end(), std::move(e));
+    }
+  } else {
+    for (auto& [key, value] : m) {
+      K k = key;
+      Visit(ar, k);
+      Visit(ar, value);
+    }
+  }
+}
+
+/// An optional on the wire: a presence byte, then the value if present.
+template <class Ar, class T>
+void Visit(Ar& ar, std::optional<T>& o) {
+  bool present = o.has_value();
+  ar.U8(present);
+  if (present && !o) o.emplace();  // the reader
+  if (present) Visit(ar, *o);
+}
+
 template <class Ar>
 void Visit(Ar& ar, rt::Task& t) {
   ar.U32(t.id);
@@ -369,19 +407,24 @@ void Visit(Ar& ar, AdmissionSnapshot& a) {
 }
 
 template <class Ar>
-void Visit(Ar& ar, ControllerSnapshot::ShedEntry& e) {
-  Visit(ar, e.task);
-  ar.U64(e.admit_seq);
-  ar.U32(e.retry_in);
-  ar.U32(e.backoff);
+void Visit(Ar& ar, Resident& r) {
+  Visit(ar, r.placed);
+  ar.U64(r.admit_seq);
+  Visit(ar, r.full);
+}
+
+template <class Ar>
+void Visit(Ar& ar, ShedRecord& r) {
+  Visit(ar, r.task);
+  ar.U64(r.admit_seq);
+  ar.U32(r.retry_in);
+  ar.U32(r.backoff);
 }
 
 template <class Ar>
 void Visit(Ar& ar, ControllerSnapshot& c) {
-  Seq(ar, c.placements);
-  Seq(ar, c.degraded_full);
-  Seq(ar, c.admit_seq_of);
-  Seq(ar, c.generation_of);
+  Visit(ar, c.residents);
+  Visit(ar, c.generation_of);
   Seq(ar, c.shed);
   Visit(ar, c.churn);
   Visit(ar, c.overload);
@@ -589,8 +632,8 @@ bool DecodeCheckpoint(std::string_view bytes, const std::string& path,
   const bool edf = a.fp_cores.empty();
   const std::size_t n_cores = edf ? a.edf_cores.size() : a.fp_cores.size();
   std::vector<std::size_t> parts_on(n_cores, 0);
-  for (const partition::PlacedTask& pt : c.placements) {
-    for (const partition::SubtaskPlacement& sp : pt.parts) {
+  for (const auto& [id, r] : c.residents) {
+    for (const partition::SubtaskPlacement& sp : r.placed.parts) {
       if (sp.core >= n_cores) {
         return fail(DurabilityError::Kind::kStateMismatch, 0,
                     "placement names a core outside the configuration");
@@ -621,32 +664,19 @@ bool DecodeCheckpoint(std::string_view bytes, const std::string& path,
       }
     }
   }
-  // The controller looks its id-keyed ledgers up unchecked, and analysis
-  // of an ill-formed task need not terminate: placement ids ascend, each
-  // resident has exactly one admission sequence (both lists are exported
-  // in id order), each degraded original is resident, and every task is
-  // well-formed.
-  const auto id_of = [](const partition::PlacedTask& pt) {
-    return pt.task.id;
+  // The controller takes a resident's id from its ledger key and a
+  // degraded resident's core from its first part, and analysis of an
+  // ill-formed task need not terminate: every resident is placed under
+  // its own id (a degraded original too) and every task is well-formed.
+  const auto resident_ok = [](const auto& entry) {
+    const auto& [id, r] = entry;
+    return r.placed.task.id == id && r.placed.task.valid() &&
+           !r.placed.parts.empty() &&
+           (!r.full || (r.full->id == id && r.full->valid()));
   };
-  const auto valid = [](const auto& x) { return x.task.valid(); };
-  if (std::ranges::adjacent_find(c.placements, std::greater_equal{},
-                                 id_of) != c.placements.end() ||
-      !std::ranges::equal(c.admit_seq_of, c.placements, {},
-                          &std::pair<rt::TaskId, std::uint64_t>::first,
-                          id_of)) {
-    return fail(DurabilityError::Kind::kStateMismatch, 0,
-                "placement ids disagree with the admission ledger");
-  }
-  for (const auto& [id, full] : c.degraded_full) {
-    if (!std::ranges::binary_search(c.placements, id, {}, id_of) ||
-        !full.valid()) {
-      return fail(DurabilityError::Kind::kStateMismatch, 0,
-                  "a degraded original is not a well-formed resident");
-    }
-  }
-  if (!std::ranges::all_of(c.placements, valid) ||
-      !std::ranges::all_of(c.shed, valid)) {
+  if (!std::ranges::all_of(c.residents, resident_ok) ||
+      !std::ranges::all_of(c.shed,
+                           [](const ShedRecord& r) { return r.task.valid(); })) {
     return fail(DurabilityError::Kind::kStateMismatch, 0,
                 "a resident or shed task is not well-formed");
   }
@@ -817,8 +847,9 @@ std::string CheckpointPath(const std::string& dir, std::uint64_t epoch) {
   return dir + "/" + name;
 }
 
-/// The checkpoint/journal sink the replay loop drives. Inactive (all
-/// no-ops) when the config has no directory.
+/// The checkpoint/journal sink the replay loop drives. The replay calls
+/// it only when the config names a directory: every call is guarded by
+/// `durable`.
 class DurabilityEngine {
  public:
   ~DurabilityEngine() {

@@ -109,6 +109,8 @@ struct FpCoreState {
   void Commit(const rt::Task& t);
   /// Remove the task with this id (if resident); returns true if removed.
   bool RemoveTask(rt::TaskId id);
+
+  friend bool operator==(const FpCoreState&, const FpCoreState&) = default;
 };
 
 /// Counters of how admission decisions were reached, shared by the EDF
@@ -132,6 +134,7 @@ struct AdmitStats {
   [[nodiscard]] std::uint64_t decisions() const {
     return util_rejects + density_accepts + full_tests;
   }
+  friend bool operator==(const AdmitStats&, const AdmitStats&) = default;
 };
 
 /// Would `cand` be schedulable on this core under cfg.admission — exactly

@@ -98,6 +98,8 @@ struct EdfCoreState {
   std::size_t RemoveTask(rt::TaskId id,
                          std::vector<analysis::EdfCoreEntry>* removed =
                              nullptr);
+
+  friend bool operator==(const EdfCoreState&, const EdfCoreState&) = default;
 };
 
 /// Would `cand` be schedulable on `core` under `model`? Decision-identical

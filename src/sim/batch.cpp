@@ -22,20 +22,6 @@ std::vector<BatchRun> RunConfigSweep(const partition::Partition& p,
   return out;
 }
 
-std::vector<BatchVariant> OverheadScaleVariants(
-    const SimConfig& base, const std::vector<double>& scales) {
-  std::vector<BatchVariant> v;
-  v.reserve(scales.size());
-  for (const double s : scales) {
-    BatchVariant bv;
-    bv.name = "scale=" + std::to_string(s);
-    bv.cfg = base;
-    bv.cfg.overheads.scale = s;
-    v.push_back(std::move(bv));
-  }
-  return v;
-}
-
 const char* ToString(QueueRole role) {
   switch (role) {
     case QueueRole::kReady: return "ready";

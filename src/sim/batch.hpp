@@ -61,12 +61,8 @@ std::vector<BatchRun> RunConfigSweep(const partition::Partition& p,
                                      const std::vector<BatchVariant>& variants,
                                      const BatchOptions& opt = {});
 
-/// Variant grids the experiment drivers sweep. Each helper copies `base`
-/// and varies one axis, naming the variant after the value.
-std::vector<BatchVariant> OverheadScaleVariants(
-    const SimConfig& base, const std::vector<double>& scales);
-
-/// Which per-core queue a backend sweep varies.
+/// Which per-core queue a backend sweep varies: the variant grid copies
+/// `base` once per queue backend, naming each variant after it.
 enum class QueueRole { kReady, kSleep };
 std::vector<BatchVariant> BackendVariants(const SimConfig& base,
                                           QueueRole role);

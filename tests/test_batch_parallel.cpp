@@ -286,8 +286,11 @@ TEST(BatchParallel, ConfigSweepMatchesDirectSimulation) {
   base.overheads = overhead::OverheadModel::PaperCoreI7();
 
   auto variants = sim::BackendVariants(base, sim::QueueRole::kReady);
-  const auto extra = sim::OverheadScaleVariants(base, {0.0, 2.0});
-  variants.insert(variants.end(), extra.begin(), extra.end());
+  for (const double scale : {0.0, 2.0}) {
+    sim::BatchVariant& v = variants.emplace_back(
+        sim::BatchVariant{"scale=" + std::to_string(scale), base});
+    v.cfg.overheads.scale = scale;
+  }
 
   const auto serial = sim::RunConfigSweep(p, variants, {.jobs = 1});
   const auto parallel = sim::RunConfigSweep(p, variants, {.jobs = 6});

@@ -214,6 +214,57 @@ TEST(ControllerSnapshot, RoundTripPreservesEveryFutureDecision) {
   EXPECT_EQ(a.overload_stats(), b.overload_stats());
 }
 
+TEST(ControllerSnapshot, RoundTripKeepsDegradedAndBackedOffShedState) {
+  // One core: the ladder degrades task 1 and sheds task 2 to admit task
+  // 3, and an epoch later task 2's re-admission probe fails, so the
+  // snapshot holds a degraded resident and a shed task mid-backoff.
+  ControllerConfig cfg;
+  cfg.admission.num_cores = 1;
+  cfg.admission.memo.enabled = false;  // memo counters are cache state
+  cfg.allow_split = false;
+  cfg.repartition_fallback = false;
+  const Time T = Millis(100);
+  Controller a(cfg);
+  ASSERT_TRUE(a.Admit(rt::MakeTask(0, Millis(50), T)).accepted);
+  ASSERT_TRUE(
+      a.Admit(rt::MakeSoftTask(1, Millis(30), T, 1, T, Millis(15))).accepted);
+  ASSERT_TRUE(a.Admit(rt::MakeSoftTask(2, Millis(20), T, 0, T)).accepted);
+  ASSERT_TRUE(a.Admit(rt::MakeTask(3, Millis(25), T)).via_ladder);
+  a.AdvanceEpoch(false);
+  ASSERT_EQ(a.degraded_resident(), 1u);
+  ASSERT_EQ(a.shed_resident(), 1u);
+  ASSERT_EQ(a.overload_stats().retry_attempts, 1u);
+
+  const ControllerSnapshot snap = a.ExportState();
+  Controller b(cfg);
+  ASSERT_TRUE(b.ImportState(snap, std::vector<rt::TaskId>{0, 1, 2, 3}));
+  EXPECT_EQ(b.ExportState(), snap);
+  EXPECT_EQ(b.degraded_resident(), 1u);
+  EXPECT_EQ(b.shed_resident(), 1u);
+
+  // The backoff, the shed retry and the degraded restore it frees, and
+  // the admits after them decide identically.
+  for (Controller* c : {&a, &b}) {
+    c->AdvanceEpoch(false);  // backoff: no retry yet
+    EXPECT_EQ(c->shed_resident(), 1u);
+    EXPECT_TRUE(c->Leave(3));
+    c->AdvanceEpoch(false);  // retry re-admits 2, then 1 is restored
+    EXPECT_EQ(c->shed_resident(), 0u);
+    EXPECT_EQ(c->degraded_resident(), 0u);
+  }
+  EXPECT_EQ(b.ExportState(), a.ExportState());
+  for (rt::TaskId id = 4; id < 8; ++id) {
+    const rt::Task t = rt::MakeSoftTask(id, Millis(10), T, id, T, Millis(5));
+    const AdmitOutcome oa = a.Admit(t);
+    const AdmitOutcome ob = b.Admit(t);
+    EXPECT_EQ(oa.accepted, ob.accepted) << id;
+    EXPECT_EQ(oa.via_ladder, ob.via_ladder) << id;
+    EXPECT_EQ(oa.parts, ob.parts) << id;
+  }
+  EXPECT_EQ(b.ExportState(), a.ExportState());
+  EXPECT_EQ(b.ExecGenerations(), a.ExecGenerations());
+}
+
 TEST(ControllerSnapshot, ImportRejectsMismatchedCoreLayout) {
   Controller a(MakeControllerConfig());
   const ControllerSnapshot snap = a.ExportState();
@@ -238,8 +289,8 @@ TEST(ControllerSnapshot, ImportRejectsIdsNoAdmissionCreated) {
   ASSERT_TRUE(a.Admit(rt::MakeTask(9, Millis(1), Millis(10))).accepted);
   const ControllerSnapshot snap = a.ExportState();
   ASSERT_EQ(snap.generation_of.size(), 1u);  // only the re-admitted id
-  EXPECT_EQ(snap.generation_of.front(), (std::pair<rt::TaskId,
-                                                   std::uint32_t>{7, 1}));
+  EXPECT_EQ(*snap.generation_of.begin(), (std::pair<const rt::TaskId,
+                                                    std::uint32_t>{7, 1}));
   const std::vector<rt::TaskId> both = {7, 9};
   Controller b(MakeControllerConfig());
   ASSERT_TRUE(b.ImportState(snap, both));
@@ -250,7 +301,7 @@ TEST(ControllerSnapshot, ImportRejectsIdsNoAdmissionCreated) {
     EXPECT_FALSE(c.ImportState(snap, partial));
   }
   ControllerSnapshot gen0 = snap;
-  gen0.generation_of.front().second = 0;  // not a sparse entry
+  gen0.generation_of.begin()->second = 0;  // not a sparse entry
   Controller d(MakeControllerConfig());
   EXPECT_FALSE(d.ImportState(gen0, both));
 }
@@ -755,10 +806,10 @@ TEST(CorruptArtifacts, JournalOfAnotherFormatVersionIsATypedError) {
 }
 
 TEST(CorruptArtifacts, CheckpointOfTheOldFormatVersionIsSkipped) {
-  // Version 2 checkpoints carried the whole epoch history and every
-  // admitted id; version 3 leaves both to the journal. A version-2
-  // newest checkpoint is skipped like a corrupt one: recovery loads the
-  // older checkpoint and redoes the rest.
+  // Version 3 checkpoints flattened the controller's ledgers into
+  // id-sorted lists; version 4 stores its one id-ordered resident map.
+  // A version-3 newest checkpoint is skipped like a corrupt one:
+  // recovery loads the older checkpoint and redoes the rest.
   const WorkloadStream s = SmallStream(61, 40);
   const ReplayConfig base = MakeReplayConfig(
       PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
@@ -767,7 +818,7 @@ TEST(CorruptArtifacts, CheckpointOfTheOldFormatVersionIsSkipped) {
 
   const std::vector<std::string> ckpts = ListCheckpoints(dir);
   ASSERT_GE(ckpts.size(), 2u);
-  SetByteAt(ckpts.front(), 7, '\x02');
+  SetByteAt(ckpts.front(), 7, '\x03');
 
   ReplayConfig rec = base;
   rec.durability.dir = dir;
@@ -1209,6 +1260,70 @@ void ResealCheckpoint(std::string& bytes) {
       util::Crc32Of(std::string_view(bytes).substr(0, body));
   for (std::size_t i = 0; i < 4; ++i) {
     bytes[body + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
+  }
+}
+
+TEST(CorruptArtifacts, CheckpointWithMisorderedOrMisfiledResidentsIsSkipped) {
+  // The resident map is on the wire in ascending id order, each entry
+  // keyed by its task's id. The newest checkpoint with its first two
+  // resident entries swapped (each intact), or with its first resident's
+  // task id changed, is skipped for the older one.
+  const WorkloadStream s = SmallStream(61, 40);
+  const ReplayConfig base = MakeReplayConfig(
+      PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
+  const ReplayResult plain = ReplayStream(s, base);
+  for (const bool swap : {true, false}) {
+    SCOPED_TRACE(swap ? "swapped" : "misfiled");
+    const std::string dir = MakeCrashArtifacts(s, base, 35, 2, "ckptkeys");
+    const std::vector<std::string> ckpts = ListCheckpoints(dir);
+    ASSERT_GE(ckpts.size(), 2u);
+    std::string bytes;
+    std::string err;
+    ASSERT_TRUE(util::ReadFileBytes(ckpts.front(), bytes, &err)) << err;
+
+    // After the 24-byte frame header and the 144 bytes of replay cursor
+    // and totals: the resident count, then each entry as its key, its
+    // task (id first, 53 bytes), part count and 24-byte parts, admission
+    // sequence, and degraded flag (then the 53-byte original if set).
+    const auto u32_at = [&](std::size_t at) {
+      std::uint32_t v = 0;
+      for (std::size_t i = 0; i < 4; ++i) {
+        v |= static_cast<std::uint32_t>(
+                 static_cast<unsigned char>(bytes[at + i])) << (8 * i);
+      }
+      return v;
+    };
+    const auto entry_end = [&](std::size_t at) {
+      const std::size_t flag = at + 4 + 53 + 4 + 24 * u32_at(at + 57) + 8;
+      return flag + 1 + (bytes[flag] != 0 ? 53 : 0);
+    };
+    constexpr std::size_t kCount = 24 + 144;
+    ASSERT_GE(u32_at(kCount), 2u);
+    const std::size_t first = kCount + 8;
+    const std::size_t second = entry_end(first);
+    const std::size_t third = entry_end(second);
+    ASSERT_EQ(u32_at(first), u32_at(first + 4));
+    ASSERT_LT(u32_at(first), u32_at(second));
+    if (swap) {
+      bytes.replace(first, third - first,
+                    bytes.substr(second, third - second) +
+                        bytes.substr(first, second - first));
+    } else {
+      bytes[first + 7] = static_cast<char>(bytes[first + 7] ^ 0x40);
+    }
+    ResealCheckpoint(bytes);
+    ASSERT_TRUE(util::WriteFileAtomic(ckpts.front(), bytes, false, &err))
+        << err;
+
+    ReplayConfig rec = base;
+    rec.durability.dir = dir;
+    rec.durability.recover = true;
+    const ReplayResult r = ReplayStream(s, rec);
+    ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
+    EXPECT_TRUE(r.recovery.recovered);
+    EXPECT_EQ(r.recovery.checkpoints_skipped, 1u);
+    EXPECT_EQ(DecisionDiff(plain, r), "");
+    fs::remove_all(dir);
   }
 }
 
