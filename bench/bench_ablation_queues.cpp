@@ -23,17 +23,20 @@
 // The kernel's own event queue is not swept: it is one fixed sorted
 // vector (sim/kernel.hpp EventQueue; DESIGN.md §6 A1b and §9 give the
 // measurements behind that). After the google-benchmark pass, a
-// batch sweep (sim/batch.hpp, SPS_JOBS workers) re-runs every
-// ready/sleep x backend combination at m=4, 16 and 64 and writes
-// BENCH_queues.json — wall-clock, dispatched events/sec, and per-backend
-// op counts — so the perf trajectory is tracked across PRs.
+// sweep re-runs every ready/sleep x backend combination at m=4, 16 and
+// 64 (sim::Simulate per variant on SPS_JOBS pool threads, each call
+// timed) and writes BENCH_queues.json — wall-clock, dispatched
+// events/sec, and per-backend op counts — so the perf trajectory is
+// tracked across PRs.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,9 +45,9 @@
 #include "overhead/model.hpp"
 #include "partition/spa.hpp"
 #include "rt/generator.hpp"
-#include "sim/batch.hpp"
 #include "sim/engine.hpp"
 #include "util/json_writer.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -216,38 +219,73 @@ BENCHMARK(BM_Sim_Ready_Binomial);
 BENCHMARK(BM_Sim_Ready_RbTree);
 BENCHMARK(BM_Sim_Sleep_Binomial);
 
-// ---- BENCH_queues.json: one batch sweep over every role x backend ---------
+// ---- BENCH_queues.json: one sweep over every role x backend --------------
 
 using sps::bench::EnvInt;
 
+/// One row of the sweep: the partition simulated under `cfg`.
+struct Variant {
+  std::string name;
+  sim::SimConfig cfg;
+  sim::SimResult result;
+  double wall_s = 0.0;
+};
+
+/// `base` once per backend in the ready role (sleep left at the paper's
+/// RB tree), then once per backend in the sleep role (ready left at the
+/// paper's binomial heap), each named after the queue it varies.
+std::vector<Variant> BackendVariants(const sim::SimConfig& base) {
+  std::vector<Variant> v;
+  for (const bool ready : {true, false}) {
+    for (const QueueBackend b : kAllQueueBackends) {
+      Variant& var = v.emplace_back();
+      var.name = (ready ? "ready=" : "sleep=") + std::string(to_string(b));
+      var.cfg = base;
+      if (ready) {
+        var.cfg.ready_backend = b;
+      } else {
+        var.cfg.sleep_backend = b;
+      }
+    }
+  }
+  return v;
+}
+
 void AppendSweep(util::JsonWriter& json, const char* workload,
-                 const partition::Partition& p,
-                 const std::vector<sim::BatchVariant>& variants,
+                 const partition::Partition& p, const sim::SimConfig& base,
                  unsigned jobs) {
   // Best-of-reps wall time per variant: one-shot runs are too noisy to
   // track a perf trajectory across PRs.
   const int reps = std::max(1, EnvInt("SPS_REPS", 5));
-  auto runs = sim::RunConfigSweep(p, variants, {.jobs = jobs});
-  for (int rep = 1; rep < reps; ++rep) {
-    const auto again = sim::RunConfigSweep(p, variants, {.jobs = jobs});
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      runs[i].wall_seconds =
-          std::min(runs[i].wall_seconds, again[i].wall_seconds);
-    }
+  std::vector<Variant> variants = BackendVariants(base);
+  for (int rep = 0; rep < reps; ++rep) {
+    util::ParallelFor(jobs, variants.size(), [&](std::size_t i) {
+      Variant& v = variants[i];
+      const auto t0 = std::chrono::steady_clock::now();
+      sim::SimResult r = sim::Simulate(p, v.cfg);
+      const double wall = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+      if (rep == 0) {
+        v.result = std::move(r);
+        v.wall_s = wall;
+      } else {
+        v.wall_s = std::min(v.wall_s, wall);
+      }
+    });
   }
-  for (const sim::BatchRun& run : runs) {
+  for (const Variant& v : variants) {
     json.BeginObject();
     json.Key("workload").Value(workload);
-    json.Key("variant").Value(run.name);
-    json.Key("wall_s").Value(run.wall_seconds);
+    json.Key("variant").Value(v.name);
+    json.Key("wall_s").Value(v.wall_s);
     // Dispatched events per wall second — the DES throughput number.
     json.Key("events_per_sec")
-        .Value(static_cast<double>(run.result.event_ops.pops) /
-               run.wall_seconds);
-    json.Key("ready_ops").Value(run.result.ready_ops.total());
-    json.Key("sleep_ops").Value(run.result.sleep_ops.total());
-    json.Key("event_ops").Value(run.result.event_ops.total());
-    json.Key("misses").Value(run.result.total_misses);
+        .Value(static_cast<double>(v.result.event_ops.pops) / v.wall_s);
+    json.Key("ready_ops").Value(v.result.ready_ops.total());
+    json.Key("sleep_ops").Value(v.result.sleep_ops.total());
+    json.Key("event_ops").Value(v.result.event_ops.total());
+    json.Key("misses").Value(v.result.total_misses);
     json.EndObject();
   }
 }
@@ -270,10 +308,7 @@ void WriteQueuesJson() {
       {"m16", &LargeAblationPartition()},
       {"m64", &HugeAblationPartition()}};
   for (const auto& [name, p] : workloads) {
-    for (const sim::QueueRole role :
-         {sim::QueueRole::kReady, sim::QueueRole::kSleep}) {
-      AppendSweep(json, name, *p, sim::BackendVariants(base, role), jobs);
-    }
+    AppendSweep(json, name, *p, base, jobs);
   }
   json.EndArray();
   json.EndObject();

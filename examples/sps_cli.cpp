@@ -56,6 +56,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -78,10 +79,7 @@
 #include "util/log.hpp"
 #include "overhead/calibrate.hpp"
 #include "overhead/model.hpp"
-#include "partition/binpack.hpp"
-#include "partition/edf_wm.hpp"
-#include "partition/spa.hpp"
-#include "partition/verify.hpp"
+#include "partition/placement.hpp"
 #include "rt/generator.hpp"
 #include "sim/engine.hpp"
 #include "trace/gantt.hpp"
@@ -91,7 +89,6 @@ using namespace sps;
 
 namespace {
 
-enum class Algo { kSpa2, kSpa1, kFfd, kWfd, kBfd, kEdfFfd, kEdfWm };
 enum class Overheads { kPaper, kZero, kCalibrated };
 
 /// A half-open fault window [start, end); empty unless its flag is given.
@@ -102,7 +99,7 @@ struct Window {
 };
 
 struct Options {
-  Algo algo = Algo::kSpa2;
+  exp::Algo algo = exp::Algo::kSpa2;
   unsigned cores = 4;
   std::size_t tasks = 16;
   double util = 0.85;
@@ -163,11 +160,11 @@ struct Options {
 template <typename E>
 using Choice = std::pair<const char*, E>;
 
-constexpr Choice<Algo> kAlgos[] = {
-    {"spa2", Algo::kSpa2}, {"spa1", Algo::kSpa1},
-    {"ffd", Algo::kFfd},   {"wfd", Algo::kWfd},
-    {"bfd", Algo::kBfd},   {"edf-ffd", Algo::kEdfFfd},
-    {"edf-wm", Algo::kEdfWm}};
+constexpr Choice<exp::Algo> kAlgos[] = {
+    {"spa2", exp::Algo::kSpa2}, {"spa1", exp::Algo::kSpa1},
+    {"ffd", exp::Algo::kFfd},   {"wfd", exp::Algo::kWfd},
+    {"bfd", exp::Algo::kBfd},   {"edf-ffd", exp::Algo::kEdfFfd},
+    {"edf-wm", exp::Algo::kEdfWm}};
 constexpr Choice<Overheads> kOverheads[] = {
     {"paper", Overheads::kPaper},
     {"zero", Overheads::kZero},
@@ -216,7 +213,7 @@ const char* NameOf(std::span<const Choice<E>> choices, E value) {
 using Field = std::variant<
     bool*, int*, unsigned*, unsigned long*, unsigned long long*, double*,
     Time*, std::string*, Window*, analysis::MemoConfig*,
-    online::DurabilityConfig*, Enum<Algo>, Enum<Overheads>,
+    online::DurabilityConfig*, Enum<exp::Algo>, Enum<Overheads>,
     Enum<sim::ArrivalModel::Kind>, Enum<sim::ExecModel::Kind>,
     Enum<containers::QueueBackend>, Enum<online::PlacePolicy>,
     Enum<partition::SchedPolicy>>;
@@ -575,34 +572,19 @@ bool Validate(const Options& o) {
   return true;
 }
 
-partition::PartitionResult RunAlgo(const Options& o, const rt::TaskSet& ts,
-                                   const overhead::OverheadModel& m) {
-  if (o.algo == Algo::kSpa1 || o.algo == Algo::kSpa2) {
-    partition::SpaConfig cfg;
-    cfg.num_cores = o.cores;
-    cfg.model = m;
-    cfg.preassign_heavy = (o.algo == Algo::kSpa2);
-    return partition::SpaPartition(ts, cfg);
+/// "no checkpoint skipped", or the skips counted by reason, e.g.
+/// "checkpoints skipped: 1 journal prefix missing, 3 bad-version".
+std::string SkippedCheckpoints(const online::RecoveryInfo& r) {
+  if (r.skipped.empty()) return "no checkpoint skipped";
+  std::map<online::DurabilityError::Kind, int> counts;
+  for (const online::DurabilityError::Kind k : r.skipped) ++counts[k];
+  std::string out = "checkpoints skipped:";
+  const char* sep = " ";
+  for (const auto& [kind, n] : counts) {
+    out += sep + std::to_string(n) + " " + online::SkipReason(kind);
+    sep = ", ";
   }
-  if (o.algo == Algo::kEdfFfd || o.algo == Algo::kEdfWm) {
-    partition::EdfPartitionConfig cfg;
-    cfg.num_cores = o.cores;
-    cfg.model = m;
-    cfg.memo = o.memo;
-    return o.algo == Algo::kEdfWm
-               ? partition::EdfWm(ts, cfg)
-               : partition::EdfBinPack(ts, partition::FitPolicy::kFirstFit,
-                                       cfg);
-  }
-  partition::BinPackConfig cfg;
-  cfg.num_cores = o.cores;
-  cfg.admission = partition::AdmissionTest::kRta;
-  cfg.model = m;
-  cfg.memo = o.memo;
-  const auto policy = o.algo == Algo::kFfd   ? partition::FitPolicy::kFirstFit
-                      : o.algo == Algo::kWfd ? partition::FitPolicy::kWorstFit
-                                             : partition::FitPolicy::kBestFit;
-  return partition::BinPackDecreasing(ts, policy, cfg);
+  return out;
 }
 
 /// Report a failed write or load; exit code 2.
@@ -792,11 +774,12 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
     // (util/log.hpp) so a recovered run's stdout is byte-comparable
     // against the uninterrupted run's (the CI smoke test cmp's them)
     // and SPS_LOG_LEVEL=error silences it entirely.
+    const std::string skipped = SkippedCheckpoints(res.recovery);
     if (res.recovery.recovered) {
       util::Log(util::LogLevel::kInfo,
                 "recovered from checkpoint epoch %llu (resume at "
                 "request %llu, %llu journal records, %llu torn bytes "
-                "truncated, %u corrupt checkpoints skipped)",
+                "truncated, %s)",
                 static_cast<unsigned long long>(
                     res.recovery.checkpoint_epoch),
                 static_cast<unsigned long long>(res.recovery.resume_seq),
@@ -804,14 +787,14 @@ int RunOnline(const Options& o, const overhead::OverheadModel& model) {
                     res.recovery.journal_records),
                 static_cast<unsigned long long>(
                     res.recovery.journal_truncated_bytes),
-                res.recovery.checkpoints_skipped);
+                skipped.c_str());
     } else {
       util::Log(util::LogLevel::kInfo,
                 "no usable checkpoint; replayed from scratch "
-                "(%llu journal records, %u corrupt checkpoints skipped)",
+                "(%llu journal records, %s)",
                 static_cast<unsigned long long>(
                     res.recovery.journal_records),
-                res.recovery.checkpoints_skipped);
+                skipped.c_str());
     }
     // Flight-recorder narration (DESIGN.md §16): if the crashed process
     // left a flight dump next to the durability artifacts, point the
@@ -1087,7 +1070,8 @@ int Main(int argc, char** argv) {
               ts.size(), ts.total_utilization(), o.cores, o.util,
               static_cast<unsigned long long>(o.seed));
 
-  const partition::PartitionResult pr = RunAlgo(o, ts, model);
+  const partition::PartitionResult pr =
+      exp::RunAlgorithm(o.algo, ts, o.cores, model, o.memo);
   if (!pr.success) {
     std::printf("%s REJECTED the set: %s\n", pr.algorithm.c_str(),
                 pr.failure_reason.c_str());

@@ -5,8 +5,9 @@
 
 #include "obs/metrics.hpp"
 #include "partition/binpack.hpp"
+#include "partition/edf_wm.hpp"
 #include "partition/spa.hpp"
-#include "sim/batch.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sps::exp {
@@ -18,6 +19,8 @@ const char* ToString(Algo a) {
     case Algo::kBfd: return "BFD";
     case Algo::kSpa1: return "FP-TS(SPA1)";
     case Algo::kSpa2: return "FP-TS(SPA2)";
+    case Algo::kEdfFfd: return "EDF-FFD";
+    case Algo::kEdfWm: return "EDF-WM";
   }
   return "?";
 }
@@ -47,6 +50,17 @@ partition::PartitionResult RunAlgorithm(Algo a, const rt::TaskSet& ts,
       cfg.model = model;
       cfg.preassign_heavy = (a == Algo::kSpa2);
       return partition::SpaPartition(ts, cfg);
+    }
+    case Algo::kEdfFfd:
+    case Algo::kEdfWm: {
+      partition::EdfPartitionConfig cfg;
+      cfg.num_cores = num_cores;
+      cfg.model = model;
+      cfg.memo = memo;
+      return a == Algo::kEdfWm
+                 ? partition::EdfWm(ts, cfg)
+                 : partition::EdfBinPack(ts, partition::FitPolicy::kFirstFit,
+                                         cfg);
     }
   }
   return {};
@@ -98,7 +112,7 @@ AcceptanceResult RunAcceptance(const AcceptanceConfig& cfg) {
     gen.period_max = cfg.period_max;
     gen.total_utilization = cfg.norm_util_points[pi] * cfg.num_cores;
 
-    rt::Rng rng(sim::DeriveSeed(cfg.seed, pi, si));
+    rt::Rng rng(util::DeriveSeed(cfg.seed, pi, si));
     const rt::TaskSet ts = rt::GenerateTaskSet(gen, rng);
     for (std::size_t ai = 0; ai < nalgo; ++ai) {
       const partition::PartitionResult pr =
@@ -124,9 +138,9 @@ AcceptanceResult RunAcceptance(const AcceptanceConfig& cfg) {
           scfg.overheads = cfg.model;
           scfg.record_metrics = true;  // per-point aggregation below
           const std::uint64_t vcoord = npoints * nsets + u;
-          scfg.exec.seed = sim::DeriveSeed(cfg.seed, vcoord, ai);
+          scfg.exec.seed = util::DeriveSeed(cfg.seed, vcoord, ai);
           scfg.arrivals.seed =
-              sim::DeriveSeed(cfg.seed, vcoord, nalgo + ai);
+              util::DeriveSeed(cfg.seed, vcoord, nalgo + ai);
           const sim::SimResult vr = sim::Simulate(pr.partition, scfg);
           sim_ok[u * nalgo + ai] = vr.total_misses == 0 ? 1 : 0;
           obs::LogHistogram& h = resp_hist[u * nalgo + ai];

@@ -79,8 +79,8 @@ SpanProfiler::Shard* SpanProfiler::ShardForThisThread() {
   if (e.serial != serial_ || e.shard == nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
     shards_.push_back(std::make_unique<Shard>());
-    if (tracing_ && trace_.flight_slots > 0) {
-      shards_.back()->ring = std::make_unique<FlightRing>(trace_.flight_slots);
+    if (tracing_) {
+      shards_.back()->ring = std::make_unique<FlightRing>(kFlightSlots);
     }
     e = Entry{serial_, shards_.back().get()};
   }

@@ -103,14 +103,15 @@ class SpanProfiler {
   /// Nanosecond wall clock; nullptr = std::chrono::steady_clock.
   using ClockFn = std::uint64_t (*)();
 
+  /// Flight-ring slots per tracing thread.
+  static constexpr std::uint32_t kFlightSlots = 256;
+
   /// Request tracing, fixed at construction.
   struct TraceOptions {
     /// Tail-sampling K: slowest-K traces retained, and at most K most
     /// recent "interesting" ones. 0 disables retention (spans still
     /// feed the flight ring).
     std::uint32_t top_k = 32;
-    /// Flight-ring slots per thread; 0 disables the flight recorder.
-    std::uint32_t flight_slots = 256;
     /// Directory flight-<pid>.json dumps land in.
     std::string flight_dir = ".";
   };
@@ -215,7 +216,7 @@ class SpanProfiler {
     bool is_admit = true;
     std::vector<SpanRecord> spans;
     std::vector<std::int32_t> stack;  ///< open span slots, innermost last
-    std::unique_ptr<FlightRing> ring;  ///< tracing with flight_slots > 0
+    std::unique_ptr<FlightRing> ring;  ///< tracing only
   };
 
   [[nodiscard]] Shard* ShardForThisThread();

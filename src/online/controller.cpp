@@ -630,7 +630,7 @@ obs::StatsSnapshot ReplayStatsSnapshot(const ReplayResult& r) {
   c["recovery.recovered"] = r.recovery.recovered ? 1 : 0;
   c["recovery.journal_records"] = r.recovery.journal_records;
   c["recovery.journal_truncated_bytes"] = r.recovery.journal_truncated_bytes;
-  c["recovery.checkpoints_skipped"] = r.recovery.checkpoints_skipped;
+  c["recovery.checkpoints_skipped"] = r.recovery.checkpoints_skipped();
   c["recovery.resume_seq"] = r.recovery.resume_seq;
   return s;
 }

@@ -84,6 +84,11 @@ const char* ToString(DurabilityError::Kind k) {
   return "?";
 }
 
+const char* SkipReason(DurabilityError::Kind k) {
+  return k == DurabilityError::Kind::kNone ? "journal prefix missing"
+                                           : ToString(k);
+}
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -1130,7 +1135,7 @@ class DurabilityEngine {
       std::string bytes;
       std::string io_err;
       if (!util::ReadFileBytes(path, bytes, &io_err)) {
-        ++recovery_.checkpoints_skipped;
+        recovery_.skipped.push_back(DurabilityError::Kind::kIo);
         continue;
       }
       CheckpointState cand;
@@ -1143,11 +1148,11 @@ class DurabilityEngine {
           error_ = derr;
           return false;
         }
-        ++recovery_.checkpoints_skipped;
+        recovery_.skipped.push_back(derr.kind);
         continue;
       }
       if (!covered(cand)) {
-        ++recovery_.checkpoints_skipped;
+        recovery_.skipped.push_back(DurabilityError::Kind::kNone);
         continue;
       }
       st = std::move(cand);

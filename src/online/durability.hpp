@@ -119,9 +119,20 @@ struct RecoveryInfo {
   std::uint64_t resume_seq = 0;     ///< first request index re-applied
   std::uint64_t journal_records = 0;   ///< valid records at recovery
   std::uint64_t journal_truncated_bytes = 0;  ///< torn tail dropped
-  std::uint32_t checkpoints_skipped = 0;  ///< corrupt newer ckpts skipped
+  /// Why each newer checkpoint was passed over, newest first: the kind
+  /// its read or decode failed with, or kNone when it decoded but the
+  /// journal lacks the prefix it extends (see SkipReason).
+  std::vector<DurabilityError::Kind> skipped;
   bool halted_by_injection = false;  ///< halt_after_appends fired
+
+  [[nodiscard]] std::uint32_t checkpoints_skipped() const {
+    return static_cast<std::uint32_t>(skipped.size());
+  }
 };
+
+/// A skipped checkpoint's reason as narrated: ToString(k), or "journal
+/// prefix missing" for kNone.
+const char* SkipReason(DurabilityError::Kind k);
 
 /// Journal scan summary (exposed for tests/tools): how many records of
 /// each kind frame-validate in sequence and where the valid prefix ends.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "containers/queue_traits.hpp"
 #include "sim/kernel.hpp"
 
 namespace sps::sim {
@@ -286,25 +287,20 @@ class GlobalEngine final
 }  // namespace
 
 SimResult SimulateGlobal(const rt::TaskSet& ts, const GlobalSimConfig& cfg) {
-  const bool recording = cfg.record_trace || cfg.record_metrics;
-  return containers::WithQueueBackend(cfg.ready_backend, [&](auto rb) {
-    return containers::WithQueueBackend(cfg.sleep_backend, [&](auto sb) {
-      using ReadyQ =
-          containers::QueueOf<decltype(rb)::value, std::uint64_t, GJob*>;
-      using SleepQ =
-          containers::QueueOf<decltype(sb)::value, Time, std::size_t>;
-      if (recording) {
-        GlobalEngine<ReadyQ, SleepQ, obs::RecordSink> engine(ts, cfg);
-        SimResult r = engine.Run();
-        if (cfg.record_trace) {
-          r.trace_events = obs::MergeTraceBuffers({&engine.sink().buffer()});
-        }
-        return r;
-      }
-      GlobalEngine<ReadyQ, SleepQ, obs::NullSink> engine(ts, cfg);
-      return engine.Run();
-    });
-  });
+  // The paper's queue pair (binomial-heap ready queue, RB-tree sleep
+  // queue); one instantiation per sink.
+  using ReadyQ = containers::BinomialHeapQueue<std::uint64_t, GJob*>;
+  using SleepQ = containers::RbTreeQueue<Time, std::size_t>;
+  if (cfg.record_trace || cfg.record_metrics) {
+    GlobalEngine<ReadyQ, SleepQ, obs::RecordSink> engine(ts, cfg);
+    SimResult r = engine.Run();
+    if (cfg.record_trace) {
+      r.trace_events = obs::MergeTraceBuffers({&engine.sink().buffer()});
+    }
+    return r;
+  }
+  GlobalEngine<ReadyQ, SleepQ, obs::NullSink> engine(ts, cfg);
+  return engine.Run();
 }
 
 }  // namespace sps::sim

@@ -17,15 +17,16 @@
 // usual staggered-timer-affinity arrangement.
 //
 // Like the partitioned engine, this one is a thin POLICY on the shared
-// kernel (sim/kernel.hpp), and both its queues are runtime-selectable
-// (GlobalSimConfig::ready_backend / sleep_backend).
+// kernel (sim/kernel.hpp). Its queues are the paper's fixed pair
+// (binomial-heap ready queue, RB-tree sleep queue): the DESIGN.md §6 queue
+// ablation concerns the partitioned engine's per-core queues, and this
+// engine exists only for the contrast with global scheduling.
 //
 // The Dhall effect (tests/test_global.cpp, bench_global_vs_partitioned)
 // falls straight out of this engine: m tiny tasks + one heavy task miss
 // deadlines under global RM on every m, while any partitioned placement
 // is trivially schedulable — the paper's opening argument.
 
-#include "containers/queue_traits.hpp"
 #include "overhead/model.hpp"
 #include "rt/taskset.hpp"
 #include "sim/engine.hpp"
@@ -50,10 +51,6 @@ struct GlobalSimConfig {
   /// response/tardiness histograms + per-core busy/overhead/idle rows in
   /// SimResult::metrics.
   bool record_metrics = false;
-  /// Queue backends (DESIGN.md §6 ablation), as in SimConfig.
-  containers::QueueBackend ready_backend =
-      containers::QueueBackend::kBinomialHeap;
-  containers::QueueBackend sleep_backend = containers::QueueBackend::kRbTree;
 };
 
 /// Run the task set under global scheduling. Requires assigned priorities

@@ -19,8 +19,9 @@
 //
 // Determinism contract: a batch promises nothing about index order —
 // callers must write results only into per-index slots. Every harness
-// built on top (sim/batch.*, exp/acceptance.*) derives per-unit RNG
-// seeds so outputs are bit-identical for ANY thread count, including 0.
+// built on top (exp/acceptance.*, the benches' sweeps) derives per-unit
+// RNG seeds so outputs are bit-identical for ANY thread count,
+// including 0.
 
 #include <atomic>
 #include <condition_variable>

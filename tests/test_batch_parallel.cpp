@@ -18,9 +18,7 @@
 
 #include "exp/acceptance.hpp"
 #include "overhead/model.hpp"
-#include "partition/spa.hpp"
-#include "rt/generator.hpp"
-#include "sim/batch.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sps {
@@ -200,14 +198,14 @@ TEST(DeriveSeed, CoordinatesDecorrelate) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t p = 0; p < 20; ++p) {
     for (std::uint64_t s = 0; s < 50; ++s) {
-      seen.insert(sim::DeriveSeed(123, p, s));
+      seen.insert(util::DeriveSeed(123, p, s));
     }
   }
   EXPECT_EQ(seen.size(), 1000u);  // no collisions on a realistic grid
   // Pure function of its inputs, sensitive to each.
-  EXPECT_EQ(sim::DeriveSeed(1, 2, 3), sim::DeriveSeed(1, 2, 3));
-  EXPECT_NE(sim::DeriveSeed(1, 2, 3), sim::DeriveSeed(2, 2, 3));
-  EXPECT_NE(sim::DeriveSeed(1, 2, 3), sim::DeriveSeed(1, 3, 2));
+  EXPECT_EQ(util::DeriveSeed(1, 2, 3), util::DeriveSeed(1, 2, 3));
+  EXPECT_NE(util::DeriveSeed(1, 2, 3), util::DeriveSeed(2, 2, 3));
+  EXPECT_NE(util::DeriveSeed(1, 2, 3), util::DeriveSeed(1, 3, 2));
 }
 
 // ---------------------------------------------------------------------------
@@ -259,57 +257,6 @@ TEST(BatchParallel, AcceptanceProducesNontrivialResults) {
   const double total = std::accumulate(res.points[0].acceptance.begin(),
                                        res.points[0].acceptance.end(), 0.0);
   EXPECT_GT(total, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// RunConfigSweep: the batch driver equals direct Simulate calls
-// ---------------------------------------------------------------------------
-
-partition::Partition SweepPartition() {
-  rt::GeneratorConfig gen;
-  gen.num_tasks = 12;
-  gen.total_utilization = 1.4;
-  rt::Rng rng(7);
-  const rt::TaskSet ts = rt::GenerateTaskSet(gen, rng);
-  partition::SpaConfig cfg;
-  cfg.num_cores = 2;
-  cfg.preassign_heavy = true;
-  const auto pr = partition::SpaPartition(ts, cfg);
-  EXPECT_TRUE(pr.success);
-  return pr.partition;
-}
-
-TEST(BatchParallel, ConfigSweepMatchesDirectSimulation) {
-  const partition::Partition p = SweepPartition();
-  sim::SimConfig base;
-  base.horizon = Millis(250);
-  base.overheads = overhead::OverheadModel::PaperCoreI7();
-
-  auto variants = sim::BackendVariants(base, sim::QueueRole::kReady);
-  for (const double scale : {0.0, 2.0}) {
-    sim::BatchVariant& v = variants.emplace_back(
-        sim::BatchVariant{"scale=" + std::to_string(scale), base});
-    v.cfg.overheads.scale = scale;
-  }
-
-  const auto serial = sim::RunConfigSweep(p, variants, {.jobs = 1});
-  const auto parallel = sim::RunConfigSweep(p, variants, {.jobs = 6});
-  ASSERT_EQ(serial.size(), variants.size());
-  ASSERT_EQ(parallel.size(), variants.size());
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    SCOPED_TRACE(variants[i].name);
-    const sim::SimResult direct = Simulate(p, variants[i].cfg);
-    for (const auto* run : {&serial[i], &parallel[i]}) {
-      EXPECT_EQ(run->name, variants[i].name);
-      EXPECT_EQ(run->result.total_misses, direct.total_misses);
-      EXPECT_EQ(run->result.total_preemptions, direct.total_preemptions);
-      EXPECT_EQ(run->result.total_migrations, direct.total_migrations);
-      EXPECT_EQ(run->result.ready_ops, direct.ready_ops);
-      EXPECT_EQ(run->result.sleep_ops, direct.sleep_ops);
-      EXPECT_EQ(run->result.event_ops, direct.event_ops);
-      EXPECT_GE(run->wall_seconds, 0.0);
-    }
-  }
 }
 
 }  // namespace

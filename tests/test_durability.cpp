@@ -587,7 +587,7 @@ TEST(CrashRecovery, EveryCrashPointWithDeferredEpochRows) {
     ASSERT_TRUE(recovered.durability_error.ok())
         << recovered.durability_error.message;
     EXPECT_EQ(recovered.recovery.journal_truncated_bytes, 0u);
-    EXPECT_EQ(recovered.recovery.checkpoints_skipped, 0u);
+    EXPECT_EQ(recovered.recovery.checkpoints_skipped(), 0u);
     EXPECT_EQ(recovered.recovery.recovered, !on_disk.empty());
     EXPECT_EQ(DecisionDiff(plain, recovered), "");
     if (recovered.recovery.recovered) ++resumed;
@@ -826,7 +826,8 @@ TEST(CorruptArtifacts, CheckpointOfTheOldFormatVersionIsSkipped) {
   const ReplayResult r = ReplayStream(s, rec);
   ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
   EXPECT_TRUE(r.recovery.recovered);
-  EXPECT_EQ(r.recovery.checkpoints_skipped, 1u);
+  EXPECT_EQ(r.recovery.skipped, std::vector<DurabilityError::Kind>{
+                                    DurabilityError::Kind::kBadVersion});
   EXPECT_EQ(DecisionDiff(plain, r), "");
   fs::remove_all(dir);
 }
@@ -848,7 +849,8 @@ TEST(CorruptArtifacts, BitFlippedCheckpointFallsBackToOlderOne) {
   const ReplayResult r = ReplayStream(s, rec);
   ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
   EXPECT_TRUE(r.recovery.recovered);
-  EXPECT_GE(r.recovery.checkpoints_skipped, 1u);
+  EXPECT_EQ(r.recovery.skipped, std::vector<DurabilityError::Kind>{
+                                    DurabilityError::Kind::kCrcMismatch});
   EXPECT_EQ(DecisionDiff(plain, r), "");
   fs::remove_all(dir);
 }
@@ -869,7 +871,7 @@ TEST(CorruptArtifacts, AllCheckpointsCorruptRecoversFromJournalAlone) {
   const ReplayResult r = ReplayStream(s, rec);
   ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
   EXPECT_FALSE(r.recovery.recovered);  // scratch redo
-  EXPECT_GE(r.recovery.checkpoints_skipped, 1u);
+  EXPECT_GE(r.recovery.checkpoints_skipped(), 1u);
   EXPECT_EQ(DecisionDiff(plain, r), "");
   fs::remove_all(dir);
 }
@@ -952,7 +954,7 @@ TEST(CorruptArtifacts, StaleCheckpointTempFileIsIgnored) {
     ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
     EXPECT_TRUE(r.recovery.recovered);
     EXPECT_EQ(r.recovery.checkpoint_epoch, newest);
-    EXPECT_EQ(r.recovery.checkpoints_skipped, 0u);
+    EXPECT_EQ(r.recovery.checkpoints_skipped(), 0u);
     EXPECT_EQ(DecisionDiff(plain, r), "");
 
     ReplayConfig fresh = rec;
@@ -1173,7 +1175,7 @@ TEST(CorruptArtifacts, GarbageFilesYieldTypedErrorsNeverUB) {
   const ReplayResult r = ReplayStream(s, rec);
   ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
   EXPECT_FALSE(r.recovery.recovered);
-  EXPECT_EQ(r.recovery.checkpoints_skipped, 1u);
+  EXPECT_EQ(r.recovery.checkpoints_skipped(), 1u);
   EXPECT_EQ(DecisionDiff(plain, r), "");
   fs::remove_all(dir);
 
@@ -1321,7 +1323,7 @@ TEST(CorruptArtifacts, CheckpointWithMisorderedOrMisfiledResidentsIsSkipped) {
     const ReplayResult r = ReplayStream(s, rec);
     ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
     EXPECT_TRUE(r.recovery.recovered);
-    EXPECT_EQ(r.recovery.checkpoints_skipped, 1u);
+    EXPECT_EQ(r.recovery.checkpoints_skipped(), 1u);
     EXPECT_EQ(DecisionDiff(plain, r), "");
     fs::remove_all(dir);
   }
@@ -1417,9 +1419,16 @@ TEST(MutationFuzz, MutatedArtifactsRecoverOrFailTyped) {
       // A checkpoint whose journal prefix the mutant cut or changed is
       // skipped for an older one, or for a redo from scratch.
       EXPECT_TRUE(r.recovery.recovered ||
-                  (!ckpt && r.recovery.checkpoints_skipped > 0));
-      if (r.recovery.checkpoints_skipped > 0) ++skipped;
-      if (!ckpt || r.recovery.checkpoints_skipped > 0) {
+                  (!ckpt && r.recovery.checkpoints_skipped() > 0));
+      if (r.recovery.checkpoints_skipped() > 0) ++skipped;
+      // The checkpoints of a journal mutant are intact: each one it
+      // skips lost the journal prefix it extends.
+      if (!ckpt) {
+        for (const DurabilityError::Kind k : r.recovery.skipped) {
+          EXPECT_STREQ(SkipReason(k), "journal prefix missing");
+        }
+      }
+      if (!ckpt || r.recovery.checkpoints_skipped() > 0) {
         EXPECT_EQ(DecisionDiff(plain, r), "");
       }
     }

@@ -28,6 +28,8 @@ TEST(Acceptance, AlgorithmNames) {
   EXPECT_STREQ(ToString(Algo::kBfd), "BFD");
   EXPECT_STREQ(ToString(Algo::kSpa1), "FP-TS(SPA1)");
   EXPECT_STREQ(ToString(Algo::kSpa2), "FP-TS(SPA2)");
+  EXPECT_STREQ(ToString(Algo::kEdfFfd), "EDF-FFD");
+  EXPECT_STREQ(ToString(Algo::kEdfWm), "EDF-WM");
 }
 
 TEST(Acceptance, RunAlgorithmDispatchesEveryAlgo) {
@@ -35,11 +37,13 @@ TEST(Acceptance, RunAlgorithmDispatchesEveryAlgo) {
   ts.add(rt::MakeTask(0, Millis(1), Millis(10)));
   rt::AssignRateMonotonic(ts);
   for (const Algo a : {Algo::kFfd, Algo::kWfd, Algo::kBfd, Algo::kSpa1,
-                       Algo::kSpa2}) {
+                       Algo::kSpa2, Algo::kEdfFfd, Algo::kEdfWm}) {
     const auto r =
         RunAlgorithm(a, ts, 2, overhead::OverheadModel::Zero());
     EXPECT_TRUE(r.success) << ToString(a);
-    EXPECT_FALSE(r.algorithm.empty());
+    // The result names the algorithm that ran (bin packing appends its
+    // admission test, e.g. "FFD/RTA").
+    EXPECT_EQ(r.algorithm.rfind(ToString(a), 0), 0u) << r.algorithm;
   }
 }
 

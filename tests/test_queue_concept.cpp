@@ -20,7 +20,6 @@
 #include "rt/generator.hpp"
 #include "rt/task.hpp"
 #include "sim/engine.hpp"
-#include "sim/global_engine.hpp"
 #include "trace/gantt.hpp"
 
 namespace sps::containers {
@@ -719,31 +718,6 @@ TEST(ShardedSim, MoreCoreGroupsThanLanesMatchSerial) {
     ExpectSameResult(serial, sharded, what);
     EXPECT_EQ(serial_bytes, trace::ToCsv(sharded.trace_events)) << what;
     EXPECT_TRUE(serial.metrics == sharded.metrics) << what;
-  }
-}
-
-TEST(DifferentialSim, GlobalIdenticalAcrossBackends) {
-  rt::TaskSet ts;
-  // Dhall-style contention: m tiny tasks + one heavy task on m cores.
-  ts.add(MakeTask(0, Millis(1), Millis(10)));
-  ts.add(MakeTask(1, Millis(1), Millis(10)));
-  ts.add(MakeTask(2, Millis(1), Millis(10)));
-  ts.add(MakeTask(3, Millis(8), Millis(11)));
-  rt::AssignRateMonotonic(ts);
-  for (GlobalPolicy pol : {GlobalPolicy::kGlobalRm, GlobalPolicy::kGlobalEdf}) {
-    GlobalSimConfig cfg;
-    cfg.num_cores = 3;
-    cfg.horizon = Millis(300);
-    cfg.policy = pol;
-    cfg.overheads = overhead::OverheadModel::Zero();
-    const SimResult baseline = SimulateGlobal(ts, cfg);
-    for (QueueBackend b : kAllQueueBackends) {
-      cfg.ready_backend = b;
-      cfg.sleep_backend = b;
-      ExpectSameResult(baseline, SimulateGlobal(ts, cfg),
-                       std::string("global both=") +
-                           std::string(containers::to_string(b)));
-    }
   }
 }
 

@@ -105,7 +105,7 @@ TEST(RequestTracer, SampledStagesCountEveryCallAndTimeOneInN) {
   const std::string dir = ::testing::TempDir() + "sps_sampled";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  SpanProfiler prof({.top_k = 4, .flight_slots = 16, .flight_dir = dir},
+  SpanProfiler prof({.top_k = 4, .flight_dir = dir},
                     &FakeClock);
   ProfilerInstallation pi(&prof);
   constexpr std::uint64_t kN = SampledSpan::kSampleEvery;
@@ -389,7 +389,7 @@ TEST(FlightRing, RoundTripsEveryRecordField) {
 TEST(RequestTracer, DumpFlightWritesSpanAndEpochRecords) {
   const std::string dir = ::testing::TempDir() + "sps_flight_dump";
   std::filesystem::create_directories(dir);
-  SpanProfiler prof({.top_k = 4, .flight_slots = 64, .flight_dir = dir},
+  SpanProfiler prof({.top_k = 4, .flight_dir = dir},
                     &FakeClock);
   ProfilerInstallation pi(&prof);
   OneTrace(prof, 12, 300);
@@ -428,11 +428,12 @@ TEST(RequestTracer, CrashDumpRegistrationClearsOnDestruction) {
 TEST(RequestTracer, DumpFlightRacesLiveTracingThreads) {
   // TSan target: concurrent per-thread tracing while another thread
   // snapshots and dumps the rings. Seqlock torn reads may DROP records,
-  // never tear or race them.
+  // never tear or race them. Each thread pushes 1000 records, so every
+  // ring wraps several times past SpanProfiler::kFlightSlots.
   const std::string dir = ::testing::TempDir() + "sps_flight_race";
   std::filesystem::create_directories(dir);
   // Real clock: the race needs real interleaving.
-  SpanProfiler prof({.top_k = 8, .flight_slots = 32, .flight_dir = dir});
+  SpanProfiler prof({.top_k = 8, .flight_dir = dir});
 
   std::vector<std::thread> workers;
   for (int w = 0; w < 3; ++w) {
@@ -525,8 +526,9 @@ TEST(RequestTracer, OneRecordFeedsHistogramsTreesAndFlightRing) {
   const std::string dir = ::testing::TempDir() + "sps_one_record";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  // Rings larger than the span count: the dump holds every record.
-  SpanProfiler prof({.top_k = 4, .flight_slots = 1024, .flight_dir = dir},
+  // Each thread records fewer spans than SpanProfiler::kFlightSlots, so
+  // no ring wraps and the dump holds every record.
+  SpanProfiler prof({.top_k = 4, .flight_dir = dir},
                     &TickClock);
   RunTwoTracingThreads(prof);
 
