@@ -2,15 +2,17 @@
 // end-to-end? Four configurations of the SAME workload, bit-identity
 // enforced between them:
 //
-//   serial              the default path (sorted-vector event queue + job
-//                       arena + NullSink) — what every default-config
-//                       simulation runs on;
-//   sharded             the core groups packed onto one lane per
+//   serial              the default path: one kernel per core group
+//                       (sorted-vector event queue + job arena +
+//                       NullSink), the groups one after another on the
+//                       caller — what every default-config simulation
+//                       runs on;
+//   sharded             the same kernels claimed by one thread per
 //                       hardware thread (shards=0, DESIGN.md §9);
 //   serial_traced       serial with the RecordSink (trace + metrics
 //                       recording, DESIGN.md §10) — the
 //                       NullSink-vs-recording A/B;
-//   sharded_traced      the lanes with per-lane RecordSinks and the
+//   sharded_traced      the threads with per-kernel RecordSinks and the
 //                       post-run canonical merge.
 //
 // On top of the SimResult bit-identity check, the two traced variants'
@@ -27,12 +29,15 @@
 // deviates from the serial default's — the determinism contract is
 // checked on every perf run, not only in ctest.
 //
-// NOTE on expectations: the lanes only pay off when the machine has
+// NOTE on expectations: the threads only pay off when the machine has
 // cores to spare AND the partition has several core groups (cores
 // joined by split tasks, DESIGN.md §9). On a single-hardware-thread
-// host shards=0 is one lane, i.e. the serial run — the JSON's machine
+// host shards=0 is one thread, i.e. the serial run — the JSON's machine
 // block records hardware_threads, compiler and build type so the
-// trajectory is interpretable.
+// trajectory is interpretable. Both m16 and m64 partitions have no
+// split task (16 and 64 single-core groups), so the serial run is
+// already a sequence of uniprocessor kernels; the traced ratios carry
+// the buffer merge over that many buffers.
 
 #include <algorithm>
 #include <chrono>

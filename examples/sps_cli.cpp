@@ -14,10 +14,11 @@
 //       Perfetto and metrics documents are byte-identical for every
 //       --shards value.
 //   --acceptance: the paper's acceptance-ratio sweep (exp/acceptance.*)
-//       over the default utilization grid on --jobs threads; results are
-//       bit-identical for every --jobs value. --acceptance-validate also
-//       simulates every accepted partition (under --exec, --arrivals)
-//       and reports the fraction that runs without a deadline miss.
+//       of FFD, WFD and --algo over the default utilization grid on
+//       --jobs threads; results are bit-identical for every --jobs
+//       value. --acceptance-validate also simulates every accepted
+//       partition (under --exec, --arrivals) and reports the fraction
+//       that runs without a deadline miss.
 //   --online: a timestamped ADMIT/LEAVE request stream (generated from
 //       --seed, or --stream-in) replayed through the incremental
 //       admission controller (DESIGN.md §11), reporting per-epoch
@@ -42,8 +43,8 @@
 // --analysis-cache sizes (rounded up to a power of two) or disables the
 // shared schedulability-verdict table (DESIGN.md §12); decisions are
 // identical either way. --shards=N lets one simulation run the
-// partition's core groups — cores joined by split tasks — as up to N
-// lanes (DESIGN.md §9); results are bit-identical to --shards=1.
+// partition's core groups — cores joined by split tasks — on up to N
+// threads (DESIGN.md §9); results are bit-identical to --shards=1.
 //
 // Examples:
 //   ./build/examples/sps_cli --algo=edf-wm --tasks=24 --trace
@@ -262,7 +263,8 @@ std::vector<Flag> FlagTable(Options& o) {
   constexpr Mode kAny = Mode::kAny;
   constexpr Mode kOnline = Mode::kOnline;
   return {
-      {"--algo", OneOf(&o.algo, kAlgos), "partitioning algorithm"},
+      {"--algo", OneOf(&o.algo, kAlgos),
+       "partitioning algorithm (--acceptance: compared with FFD, WFD)"},
       {"--cores", &o.cores, "number of cores m", kAny, kAtLeastOne},
       {"--tasks", &o.tasks, "tasks per generated set", kAny, kAtLeastOne},
       {"--util", &o.util, "normalized utilization U/m", kAny, kPositive},
@@ -273,7 +275,8 @@ std::vector<Flag> FlagTable(Options& o) {
       {"--arrivals", OneOf(&o.arrivals, kArrivals), "job arrival model"},
       {"--ready-queue", OneOf(&o.ready_queue, kQueues), "ready queue"},
       {"--sleep-queue", OneOf(&o.sleep_queue, kQueues), "sleep queue"},
-      {"--shards", &o.shards, "lanes per simulation; 0 = one per thread"},
+      {"--shards", &o.shards,
+       "threads per simulation; 0 = one per hardware thread"},
       {"--trace", &o.trace, "record the event stream, print a Gantt chart"},
       {"--trace-out", &o.trace_out, "write the trace as Perfetto JSON"},
       {"--metrics", &o.metrics, "print the per-task / per-core metrics"},
@@ -1008,6 +1011,10 @@ int Main(int argc, char** argv) {
     acfg.num_cores = o.cores;
     acfg.num_tasks = o.tasks;
     acfg.norm_util_points = exp::AcceptanceConfig::DefaultGrid();
+    acfg.algorithms = {exp::Algo::kFfd, exp::Algo::kWfd};
+    if (o.algo != exp::Algo::kFfd && o.algo != exp::Algo::kWfd) {
+      acfg.algorithms.push_back(o.algo);
+    }
     acfg.sets_per_point = o.sets;
     acfg.seed = o.seed;
     acfg.model = model;

@@ -1,7 +1,7 @@
 # sps_cli's results must not depend on the flags that only choose HOW it
 # computes them: --jobs (the acceptance sweep's pool width),
 # --ready-queue / --sleep-queue (the per-core queue structures) and
-# --shards (the core-group lanes of one simulation). Each row of the
+# --shards (the threads that run one simulation's core groups). Each row of the
 # table below runs one base command under each of its variants and
 # requires exit code 0, the same stdout apart from the one line that
 # echoes the varied flag, and byte-identical output files. Run as
@@ -81,6 +81,19 @@ identity_row(queues
 identity_row(shards
   ARGS --cores=8 --tasks=40 --util=0.7 --sim-ms=200
        --trace-out=trace.json --metrics-out=metrics.json
+  VARIANTS --shards=1 --shards=2 --shards=0
+  FILES trace.json metrics.json)
+
+# Split-heavy SPA2: 35 core groups, the largest over 30 cores.
+identity_row(shards_spa2_split
+  ARGS --algo=spa2 --cores=64 --tasks=256 --util=0.97 --overheads=paper
+       --seed=4 --sim-ms=500 --trace-out=trace.json --metrics-out=metrics.json
+  VARIANTS --shards=1 --shards=2 --shards=0
+  FILES trace.json metrics.json)
+
+identity_row(shards_edf_wm
+  ARGS --algo=edf-wm --cores=8 --tasks=40 --util=0.9 --arrivals=jittered
+       --sim-ms=500 --trace-out=trace.json --metrics-out=metrics.json
   VARIANTS --shards=1 --shards=2 --shards=0
   FILES trace.json metrics.json)
 

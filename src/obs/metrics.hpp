@@ -4,8 +4,8 @@
 // (busy / overhead / idle) per core. Everything here is accumulated
 // ONLINE by the recording sink (obs/sink.hpp) — plain integer adds into
 // fixed-size storage, no allocation on the simulation hot path. A
-// sharded run takes every core's and task's rows from the lane that
-// simulated them, so it reports exactly the metrics of the serial run
+// partitioned run takes every core's and task's rows from the kernel of
+// its core group, so it reports the same metrics for every shard count
 // (the same determinism contract as SimResult itself).
 //
 // This header is layering-bottom: it depends only on rt/time.hpp so the

@@ -11,8 +11,8 @@
 //     metrics. Appends stamped events to a TraceBuffer
 //     (obs/trace_buffer.hpp) and accumulates streaming metrics
 //     (obs/metrics.hpp) into fixed preallocated storage. One sink per
-//     kernel: a sharded run gives each lane its own and merges
-//     afterwards, so recording needs no locks.
+//     kernel: a partitioned run gives each core group's kernel its own
+//     and merges afterwards, so recording needs no locks.
 //
 // Trace and metrics recording are independent runtime switches WITHIN
 // RecordSink (one extra branch per hook on the already-recording path);
@@ -21,6 +21,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -46,7 +47,7 @@ class NullSink {
   explicit NullSink(const SinkConfig&) {}
   [[nodiscard]] static constexpr bool tracing() { return false; }
   [[nodiscard]] static constexpr bool metrics() { return false; }
-  void BeginDispatch(std::uint64_t, bool, std::uint64_t) {}
+  void BeginDispatch(std::uint64_t, bool, std::size_t, std::uint64_t) {}
   void Record(const trace::Event&) {}
   void OnExec(std::uint32_t, Time, Time) {}
   void OnOverhead(std::uint32_t, Time, Time) {}
@@ -75,19 +76,21 @@ class RecordSink {
 
   // ---- trace pillar ------------------------------------------------------
 
-  /// Called by the kernel before every Dispatch. `core_keyed` selects the
-  /// tiebreak space (see obs/trace_buffer.hpp for why the stamp is a
-  /// shard-invariant total order).
-  void BeginDispatch(std::uint64_t key, bool core_keyed, std::uint64_t idx) {
-    if (!cfg_.trace) return;
-    Chain& c = core_keyed ? core_chain_[idx] : task_chain_[idx];
+  /// Called by the kernel before every traced Dispatch. `core_keyed`
+  /// selects the tiebreak space, `local` the kernel's own index of the
+  /// subject (its chain counter) and `global` the subject's index in the
+  /// whole run (the stamp's tiebreak; see obs/trace_buffer.hpp for why
+  /// the stamp is a shard-invariant total order).
+  void BeginDispatch(std::uint64_t key, bool core_keyed, std::size_t local,
+                     std::uint64_t global) {
+    Chain& c = core_keyed ? core_chain_[local] : task_chain_[local];
     if (c.last_key == key) {
       ++c.chain;
     } else {
       c.last_key = key;
       c.chain = 0;
     }
-    cur_ = Stamp{key, idx, c.chain, 0};
+    cur_ = Stamp{key, global, c.chain, 0};
   }
 
   void Record(const trace::Event& e) {
@@ -95,7 +98,7 @@ class RecordSink {
     ++cur_.ordinal;
   }
 
-  [[nodiscard]] const TraceBuffer& buffer() const { return buffer_; }
+  [[nodiscard]] TraceBuffer&& TakeBuffer() { return std::move(buffer_); }
 
   // ---- metrics pillar ----------------------------------------------------
 

@@ -1,8 +1,9 @@
 #pragma once
 // Trace recording (DESIGN.md §10). Each kernel appends STAMPED events to
-// its own arena-backed TraceBuffer, and the canonical trace of a run —
-// one lane or several, byte-identical either way — is produced
-// afterwards by a deterministic k-way merge over the lane buffers.
+// its own chunked TraceBuffer, and the canonical trace of a run — one
+// kernel per core group, run on any number of threads, byte-identical
+// either way — is produced afterwards by a deterministic k-way merge
+// over the kernels' buffers.
 //
 // The stamp is what makes the merge exact. Every record carries the
 // identity of the DISPATCH that emitted it:
@@ -11,16 +12,17 @@
 //            total order the event queue pops in;
 //   tiebreak the dispatch's subject among equal keys: the core for
 //            core-owned kinds (segment end, overhead end), the task
-//            index for task-owned kinds (timer, migration arrival).
-//            Kinds never collide across the two spaces because the kind
-//            sits in the key's low bits;
+//            index for task-owned kinds (timer, migration arrival), each
+//            its index in the whole partition. Kinds never collide
+//            across the two spaces because the kind sits in the key's
+//            low bits;
 //   chain    which same-(key, tiebreak) dispatch this is. Zero-cost
 //            overhead windows make back-to-back overhead-end dispatches
 //            for one core at one instant the NORM, so a per-subject
-//            counter disambiguates them. The chain index is lane-local
-//            state, and it is shard-invariant because a subject's events
-//            all dispatch on the lane that owns its core group, in the
-//            serial run's order;
+//            counter disambiguates them. The chain index is
+//            kernel-local state, and it is shard-invariant because a
+//            subject's events all dispatch in the kernel of its core
+//            group, in the serial run's order;
 //   ordinal  position within the dispatch (a handler emits several
 //            events: release + overhead begin, ...).
 //
@@ -36,10 +38,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <span>
 #include <vector>
 
 #include "trace/trace.hpp"
-#include "util/arena.hpp"
 
 namespace sps::obs {
 
@@ -62,91 +66,155 @@ struct StampedEvent {
   trace::Event event;
 };
 
-/// Append-only event storage with stable chunks carved from a SlabArena —
-/// the same O(log n)-real-allocations story as every other hot-path
-/// container here (util/arena.hpp). A lane appends millions of records
-/// without ever touching the global allocator in steady state.
+inline constexpr std::size_t kTraceChunkEvents = 512;
+
+/// Chunk storage for TraceBuffer (obs/trace_buffer.cpp): raw room for
+/// kTraceChunkEvents records. Released chunks are kept for reuse, up to
+/// 8 MiB, so a process that records run after run writes to pages it has
+/// already touched instead of faulting fresh zeroed ones in.
+[[nodiscard]] StampedEvent* AcquireTraceChunk();
+void ReleaseTraceChunk(StampedEvent* chunk);
+
+/// Append-only event storage in fixed 32 KiB chunks (512 records of 64
+/// bytes), taken one at a time and never zero-filled: a kernel that
+/// records a few hundred events costs one chunk, and a long run adds a
+/// chunk per 512 records without copying the ones it holds. The buffer
+/// stays in stamp order: a record that sorts before its predecessor is
+/// moved back to its place. A kernel's records arrive in key order (DES
+/// time never goes backwards), so only same-key ties across different
+/// subjects move, by a few places.
 class TraceBuffer {
-  static constexpr std::size_t kChunkEvents = 512;
-  struct Chunk {
-    StampedEvent ev[kChunkEvents];
+  static constexpr std::size_t kChunkEvents = kTraceChunkEvents;
+  /// Returns a chunk to the cache; the records need no destructor.
+  struct FreeChunk {
+    void operator()(StampedEvent* p) const { ReleaseTraceChunk(p); }
   };
 
  public:
   void Append(const Stamp& s, const trace::Event& e) {
     if (used_ == kChunkEvents || chunks_.empty()) {
-      chunks_.push_back(arena_.create());
+      chunks_.emplace_back(AcquireTraceChunk());
       used_ = 0;
     }
-    chunks_.back()->ev[used_++] = StampedEvent{s, e};
+    ::new (static_cast<void*>(chunks_.back().get() + used_++))
+        StampedEvent{s, e};
+    if (s < last_) {
+      MoveBackLast();
+    } else {
+      last_ = s;
+    }
   }
 
   [[nodiscard]] std::size_t size() const {
     return chunks_.empty() ? 0 : (chunks_.size() - 1) * kChunkEvents + used_;
   }
 
-  /// Copy out every record, sorted by stamp. The append order is
-  /// already key-sorted (DES time never goes backwards), so this sort
-  /// only reorders same-key ties — near-linear in practice.
-  [[nodiscard]] std::vector<StampedEvent> Sorted() const {
-    std::vector<StampedEvent> out;
-    out.reserve(size());
-    for (std::size_t c = 0; c < chunks_.size(); ++c) {
-      const std::size_t n =
-          c + 1 == chunks_.size() ? used_ : kChunkEvents;
-      out.insert(out.end(), chunks_[c]->ev, chunks_[c]->ev + n);
-    }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const StampedEvent& a, const StampedEvent& b) {
-                       return a.stamp < b.stamp;
-                     });
-    return out;
+  /// The records in stamp order, chunk by chunk.
+  [[nodiscard]] std::size_t num_chunks() const { return chunks_.size(); }
+  [[nodiscard]] std::span<const StampedEvent> chunk(std::size_t c) const {
+    return {chunks_[c].get(), c + 1 == chunks_.size() ? used_ : kChunkEvents};
   }
 
  private:
-  util::SlabArena<Chunk> arena_;  // chunks are trivially destructible
-  std::vector<Chunk*> chunks_;
+  StampedEvent& at(std::size_t i) {
+    return chunks_[i / kChunkEvents][i % kChunkEvents];
+  }
+
+  /// Insertion step: move the last record back past every record whose
+  /// stamp is greater.
+  [[gnu::noinline]] void MoveBackLast() {
+    std::size_t i = size() - 1;
+    const StampedEvent rec = at(i);
+    for (; i > 0 && rec.stamp < at(i - 1).stamp; --i) at(i) = at(i - 1);
+    at(i) = rec;
+  }
+
+  // StampedEvent is trivially copyable and destructible: chunks hold raw
+  // storage, and Append constructs each record in place.
+  std::vector<std::unique_ptr<StampedEvent[], FreeChunk>> chunks_;
   std::size_t used_ = 0;  ///< fill of the back chunk
+  Stamp last_;  ///< the greatest stamp appended so far
 };
 
-/// Deterministic k-way merge of per-lane buffers into the canonical
-/// event sequence. The heap repeatedly takes the lane whose head stamp
-/// is smallest (ties impossible: a stamp identifies one dispatch of one
-/// subject, and a subject's dispatches all happen on one lane).
+/// Deterministic k-way merge of per-kernel buffers into the canonical
+/// event sequence (stamp order), reading each buffer in place. A stamp
+/// identifies one dispatch of one subject, and a subject's dispatches all
+/// happen in one kernel, so two buffers never share a (key, tiebreak)
+/// pair: the merge orders buffers by that pair alone, and emits every
+/// record of the winner's (key, tiebreak) in one step, since no other
+/// buffer holds a stamp between them. The buffers play a loser tree:
+/// each step replays one match per level, without a branch on its
+/// outcome (the outcomes are data, and mispredicted branches were most
+/// of the merge's cost).
 [[nodiscard]] inline std::vector<trace::Event> MergeTraceBuffers(
-    const std::vector<const TraceBuffer*>& lanes) {
-  std::vector<std::vector<StampedEvent>> sorted;
-  sorted.reserve(lanes.size());
+    const std::vector<const TraceBuffer*>& buffers) {
+  // (key, tiebreak) as one integer; an exhausted buffer holds kDone,
+  // which no stamp reaches (EventKey < 2^63).
+  using Order = unsigned __int128;
+  constexpr Order kDone = ~Order{0};
+  const auto order_of = [](const StampedEvent* e) {
+    return (Order{e->stamp.key} << 64) | e->stamp.tiebreak;
+  };
+  struct Cursor {
+    const TraceBuffer* buffer;
+    std::size_t chunk;
+    const StampedEvent* at;
+    const StampedEvent* end;
+  };
+  std::vector<Cursor> cursors;
   std::size_t total = 0;
-  for (const TraceBuffer* b : lanes) {
-    sorted.push_back(b->Sorted());
-    total += sorted.back().size();
+  for (const TraceBuffer* b : buffers) {
+    total += b->size();
+    if (b->size() == 0) continue;
+    const std::span<const StampedEvent> c = b->chunk(0);
+    cursors.push_back(Cursor{b, 0, c.data(), c.data() + c.size()});
   }
   std::vector<trace::Event> out;
   out.reserve(total);
+  const std::size_t k = cursors.size();
+  if (k == 0) return out;
 
-  // Binary min-heap of lane heads, keyed by stamp.
-  std::vector<std::size_t> head(sorted.size(), 0);
-  std::vector<std::size_t> heap;
-  heap.reserve(sorted.size());
-  auto stamp_of = [&](std::size_t lane) -> const Stamp& {
-    return sorted[lane][head[lane]].stamp;
-  };
-  auto heap_less = [&](std::size_t a, std::size_t b) {
-    return stamp_of(b) < stamp_of(a);  // min-heap via greater-than
-  };
-  for (std::size_t l = 0; l < sorted.size(); ++l) {
-    if (!sorted[l].empty()) heap.push_back(l);
+  // Buffer i is leaf k + i; node n (1 <= n < k) plays its children 2n
+  // and 2n + 1 and keeps the loser's order and index. The winner is
+  // carried in (wo, w).
+  std::vector<Order> order(k);
+  std::vector<std::size_t> loser(k);
+  std::size_t w = 0;
+  Order wo = 0;
+  {
+    std::vector<std::size_t> winner(2 * k);
+    for (std::size_t i = 0; i < k; ++i) winner[k + i] = i;
+    for (std::size_t n = k - 1; n >= 1; --n) {
+      const std::size_t a = winner[2 * n];
+      const std::size_t b = winner[2 * n + 1];
+      const bool a_wins = order_of(cursors[a].at) < order_of(cursors[b].at);
+      winner[n] = a_wins ? a : b;
+      loser[n] = a_wins ? b : a;
+      order[n] = order_of(cursors[loser[n]].at);
+    }
+    w = winner[1];
+    wo = order_of(cursors[w].at);
   }
-  std::make_heap(heap.begin(), heap.end(), heap_less);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), heap_less);
-    const std::size_t lane = heap.back();
-    heap.pop_back();
-    out.push_back(sorted[lane][head[lane]].event);
-    if (++head[lane] < sorted[lane].size()) {
-      heap.push_back(lane);
-      std::push_heap(heap.begin(), heap.end(), heap_less);
+  while (wo != kDone) {
+    Cursor& c = cursors[w];
+    do {
+      out.push_back(c.at->event);
+      if (++c.at == c.end && ++c.chunk < c.buffer->num_chunks()) {
+        const std::span<const StampedEvent> next = c.buffer->chunk(c.chunk);
+        c.at = next.data();
+        c.end = next.data() + next.size();
+      }
+    } while (c.at != c.end && order_of(c.at) == wo);
+    wo = c.at != c.end ? order_of(c.at) : kDone;
+    // Replay the winner's path to the root, swapping by masks.
+    for (std::size_t n = (k + w) / 2; n >= 1; n /= 2) {
+      const bool flip = order[n] < wo;
+      const Order od = (order[n] ^ wo) & (Order{0} - Order{flip});
+      const std::size_t ld = (loser[n] ^ w) & (std::size_t{0} - flip);
+      order[n] ^= od;
+      wo ^= od;
+      loser[n] ^= ld;
+      w ^= ld;
     }
   }
   return out;

@@ -1,9 +1,9 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdio>
-#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -19,12 +19,12 @@ namespace {
 
 using partition::PlacedTask;
 
-/// Width of the EDF ready-key task-index tie-break (CurKey): task
+/// Width of the EDF ready-key task-index tie-break (CurKey): global task
 /// indices are packed into 16 bits below the absolute deadline. EDF
 /// partitions with more tasks alias indices, and equal-deadline order
-/// falls back to insertion FIFO — still deterministic, and the same on
-/// every lane count, because a lane replays its groups' serial event
-/// order exactly.
+/// falls back to insertion FIFO — still deterministic, and the same for
+/// every shard count, because a group's kernel replays the group's
+/// serial event order exactly.
 inline constexpr std::size_t kEdfTieBreakTasks = 1u << 16;
 
 struct Job : kernel::JobBase {
@@ -60,10 +60,9 @@ struct PerCoreQueues {
 /// inactive tasks by wake-up time. The kernel's event queue is fixed
 /// (kernel::EventQueue, DESIGN.md §9). Sink is the observability policy
 /// (DESIGN.md §10): obs::NullSink unless the run records a trace or
-/// metrics. One instance simulates the core groups of one lane
-/// (DESIGN.md §9): it boots only the tasks whose first core belongs to
-/// its lane, and no event of those tasks ever reaches another lane's
-/// cores.
+/// metrics. One instance simulates one core group (DESIGN.md §9) over
+/// local core and task indices; the partition's parts name global cores,
+/// which `local_core` maps to the group's own.
 template <typename ReadyQ, typename SleepQ, typename Sink>
 class Engine final
     : public kernel::KernelBase<Engine<ReadyQ, SleepQ, Sink>, Job,
@@ -82,10 +81,8 @@ class Engine final
   using CoreState = kernel::CoreState;
   using Core = typename Base::Core;
 
-  static kernel::KernelConfig MakeKernelConfig(const partition::Partition& p,
-                                               const SimConfig& cfg) {
+  static kernel::KernelConfig MakeKernelConfig(const SimConfig& cfg) {
     return kernel::KernelConfig{
-        .num_cores = p.num_cores,
         .horizon = cfg.horizon,
         .overheads = cfg.overheads,
         .exec = cfg.exec,
@@ -96,20 +93,26 @@ class Engine final
   }
 
   Engine(const partition::Partition& p, const SimConfig& cfg,
-         const std::vector<std::uint32_t>& lane_of_core, std::uint32_t lane)
-      : Base(MakeKernelConfig(p, cfg), p.tasks.size()),
+         const CoreGroup& group,
+         const std::vector<std::uint32_t>& local_core)
+      : Base(MakeKernelConfig(cfg), group.cores, group.tasks),
         p_(p),
-        lane_of_core_(lane_of_core),
-        lane_(lane) {
-    for (std::size_t i = 0; i < p.tasks.size(); ++i) {
-      tasks_[i].pt = &p.tasks[i];
-      tasks_[i].stats.id = p.tasks[i].task.id;
+        local_core_(local_core),
+        n_of_core_(group.cores.size(), 0) {
+    for (std::size_t i = 0; i < group.tasks.size(); ++i) {
+      const PlacedTask& pt = p.tasks[group.tasks[i]];
+      tasks_[i].pt = &pt;
+      tasks_[i].stats.id = pt.task.id;
+      // Static queue-size parameter N per core, as in the analysis: the
+      // tasks with a part on the core (Partition::entries_on). Every
+      // such task is in the core's group.
+      for (std::size_t k = 0; k < pt.parts.size(); ++k) {
+        if (pt.part_on(pt.parts[k].core) == k) {
+          ++n_of_core_[local_core[pt.parts[k].core]];
+        }
+      }
     }
-    // Static queue-size parameter N per core, as in the analysis.
-    n_of_core_.resize(p.num_cores);
-    for (partition::CoreId c = 0; c < p.num_cores; ++c) {
-      n_of_core_[c] = std::max<std::size_t>(1, p.entries_on(c));
-    }
+    for (std::size_t& n : n_of_core_) n = std::max<std::size_t>(1, n);
   }
 
   using Base::Run;
@@ -126,11 +129,9 @@ class Engine final
 
   void Boot() {
     // All tasks start in their first core's sleep queue, waking at t=0
-    // (synchronous release — the critical instant). A lane boots only
-    // the tasks whose first core is one of its own.
-    for (std::size_t i = 0; i < p_.tasks.size(); ++i) {
-      const partition::CoreId c = FirstCore(i);
-      if (lane_of_core_[c] != lane_) continue;
+    // (synchronous release — the critical instant).
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      const std::uint32_t c = FirstCore(i);
       tasks_[i].sleep_handle = cores_[c].sleep.push(0, i);
       tasks_[i].next_release = 0;
       this->Push(Ev{.t = 0, .kind = EvKind::kTimer, .core = c,
@@ -161,15 +162,17 @@ class Engine final
 
   // ---- helpers ----------------------------------------------------------
 
-  partition::CoreId FirstCore(std::size_t ti) const {
-    return tasks_[ti].pt->parts[0].core;
+  /// The group-local core hosting task ti's first subtask.
+  std::uint32_t FirstCore(std::size_t ti) const {
+    return local_core_[tasks_[ti].pt->parts[0].core];
   }
 
   const rt::Task& TaskOf(std::size_t ti) const { return tasks_[ti].pt->task; }
 
   /// Ready-queue ordering key of the job's CURRENT subtask: fixed
   /// priority under FP (unique per core — Partition::valid enforces it);
-  /// under EDF the absolute window deadline, tie-broken by task index.
+  /// under EDF the absolute window deadline, tie-broken by global task
+  /// index.
   /// The deterministic EDF tie-break (vs. PR-2's arrival-order FIFO)
   /// makes the ready order a pure function of job state, independent of
   /// the event interleaving — a common choice in real EDF schedulers.
@@ -188,8 +191,9 @@ class Engine final
     const std::uint64_t capped = std::min<std::uint64_t>(
         static_cast<std::uint64_t>(d), (1ull << 48) - 1);
     // Aliased indices (> kEdfTieBreakTasks tasks) tie FIFO.
-    return (capped << 16) | (static_cast<std::uint64_t>(j->task_idx) &
-                             (kEdfTieBreakTasks - 1));
+    return (capped << 16) |
+           (static_cast<std::uint64_t>(tasks_[j->task_idx].index) &
+            (kEdfTieBreakTasks - 1));
   }
 
   /// Suspend execution (if any), account progress, queue a scheduling
@@ -363,7 +367,7 @@ class Engine final
 
     // Back to the sleep queue of the core hosting the FIRST subtask
     // (paper §2: tail subtasks return there; normal tasks sleep locally).
-    const partition::CoreId first = FirstCore(j->task_idx);
+    const std::uint32_t first = FirstCore(j->task_idx);
     // Finishing exactly at the next release boundary is fine: the timer
     // fires at the same instant, after this finish (event order), and
     // finds the task asleep. Only strictly-passed releases are overruns.
@@ -395,7 +399,7 @@ class Engine final
     const PlacedTask& pt = *tasks_[j->task_idx].pt;
     assert(j->part + 1 < pt.parts.size());
 
-    const partition::CoreId dest = pt.parts[j->part + 1].core;
+    const std::uint32_t dest = local_core_[pt.parts[j->part + 1].core];
     this->Trace(trace::EventKind::kMigrateOut, c, j);
     ++tasks_[j->task_idx].stats.migrations;
     ++result_.total_migrations;
@@ -429,44 +433,61 @@ class Engine final
   }
 
   const partition::Partition& p_;
-  const std::vector<std::uint32_t>& lane_of_core_;
-  const std::uint32_t lane_;
-  std::vector<std::size_t> n_of_core_;
+  const std::vector<std::uint32_t>& local_core_;
+  std::vector<std::size_t> n_of_core_;  ///< by local core
 };
 
-/// One simulation over the core-group lanes of CoreGroupLanes
-/// (DESIGN.md §9). Every lane is an ordinary kernel that runs its own
-/// groups to the horizon on the shared pool; the lanes never exchange an
-/// event, and each replays exactly the serial event order of its groups.
-/// So the merge is bookkeeping: core and task rows from the owning lane,
-/// counters summed, the clock a max, and the stamped trace buffers
-/// k-way merged into the canonical trace (DESIGN.md §10). One lane IS
-/// the serial run.
+/// One simulation as one kernel per core group (DESIGN.md §9). Every
+/// group runs to the horizon on its own; the groups never exchange an
+/// event, and each replays exactly the serial event order of its cores.
+/// At most `threads` threads claim groups (1: one after another on the
+/// caller). So the merge is bookkeeping: core and task rows mapped back
+/// to their global indices, counters summed, the clock a max, and the
+/// stamped trace buffers k-way merged into the canonical trace
+/// (DESIGN.md §10).
 template <typename ReadyQ, typename SleepQ, typename Sink>
-SimResult RunLanes(const partition::Partition& p, const SimConfig& cfg,
-                   unsigned max_lanes) {
+SimResult RunGroups(const partition::Partition& p, const SimConfig& cfg,
+                    unsigned threads) {
   using Eng = Engine<ReadyQ, SleepQ, Sink>;
-  const std::vector<std::uint32_t> lane_of_core = CoreGroupLanes(p, max_lanes);
-  std::size_t lanes = 1;
-  for (const std::uint32_t l : lane_of_core) {
-    lanes = std::max<std::size_t>(lanes, l + 1);
+  const std::vector<CoreGroup> groups = CoreGroups(p);
+  std::vector<std::uint32_t> local_core(p.num_cores);
+  for (const CoreGroup& g : groups) {
+    for (std::uint32_t k = 0; k < g.cores.size(); ++k) {
+      local_core[g.cores[k]] = k;
+    }
   }
-  std::vector<std::unique_ptr<Eng>> engines(lanes);
-  std::vector<SimResult> results(lanes);
-  auto run_lane = [&](std::size_t l) {
-    engines[l] = std::make_unique<Eng>(p, cfg, lane_of_core,
-                                       static_cast<std::uint32_t>(l));
-    results[l] = engines[l]->Run();
+  std::vector<SimResult> results(groups.size());
+  std::vector<obs::TraceBuffer> buffers(cfg.record_trace ? groups.size() : 0);
+  auto run_group = [&](std::size_t g) {
+    Eng engine(p, cfg, groups[g], local_core);
+    results[g] = engine.Run();
+    if constexpr (Sink::kActive) {
+      if (cfg.record_trace) buffers[g] = engine.sink().TakeBuffer();
+    }
   };
-  if (lanes == 1) {
-    run_lane(0);
+  threads = static_cast<unsigned>(
+      std::min<std::size_t>(std::max(1u, threads), groups.size()));
+  if (threads <= 1) {
+    for (std::size_t g = 0; g < groups.size(); ++g) run_group(g);
   } else {
-    util::SharedPool().ParallelFor(lanes, run_lane);
+    std::atomic<std::size_t> next{0};
+    util::SharedPool().ParallelFor(threads, [&](std::size_t) {
+      for (std::size_t g; (g = next.fetch_add(1)) < groups.size();) {
+        run_group(g);
+      }
+    });
   }
 
-  SimResult out = std::move(results[0]);
-  for (std::size_t l = 1; l < lanes; ++l) {
-    SimResult& r = results[l];
+  SimResult out;
+  out.tasks.resize(p.tasks.size());
+  out.cores.resize(p.num_cores);
+  if (cfg.record_metrics) {
+    out.metrics.tasks.resize(p.tasks.size());
+    out.metrics.cores.resize(p.num_cores);
+    out.metrics.span = cfg.horizon;
+  }
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    SimResult& r = results[g];
     out.total_misses += r.total_misses;
     out.total_migrations += r.total_migrations;
     out.total_preemptions += r.total_preemptions;
@@ -474,23 +495,23 @@ SimResult RunLanes(const partition::Partition& p, const SimConfig& cfg,
     out.ready_ops += r.ready_ops;
     out.sleep_ops += r.sleep_ops;
     out.event_ops += r.event_ops;
-    for (std::size_t c = 0; c < p.num_cores; ++c) {
-      if (lane_of_core[c] != l) continue;
-      out.cores[c] = r.cores[c];
-      if (cfg.record_metrics) out.metrics.cores[c] = r.metrics.cores[c];
+    for (std::size_t c = 0; c < groups[g].cores.size(); ++c) {
+      out.cores[groups[g].cores[c]] = r.cores[c];
+      if (cfg.record_metrics) {
+        out.metrics.cores[groups[g].cores[c]] = r.metrics.cores[c];
+      }
     }
-    for (std::size_t i = 0; i < p.tasks.size(); ++i) {
-      if (lane_of_core[p.tasks[i].parts[0].core] != l) continue;
-      out.tasks[i] = r.tasks[i];
-      if (cfg.record_metrics) out.metrics.tasks[i] = r.metrics.tasks[i];
+    for (std::size_t i = 0; i < groups[g].tasks.size(); ++i) {
+      out.tasks[groups[g].tasks[i]] = r.tasks[i];
+      if (cfg.record_metrics) {
+        out.metrics.tasks[groups[g].tasks[i]] = r.metrics.tasks[i];
+      }
     }
   }
-  if constexpr (Sink::kActive) {
-    if (cfg.record_trace) {
-      std::vector<const obs::TraceBuffer*> bufs;
-      for (const auto& e : engines) bufs.push_back(&e->sink().buffer());
-      out.trace_events = obs::MergeTraceBuffers(bufs);
-    }
+  if (cfg.record_trace) {
+    std::vector<const obs::TraceBuffer*> bufs;
+    for (const obs::TraceBuffer& b : buffers) bufs.push_back(&b);
+    out.trace_events = obs::MergeTraceBuffers(bufs);
   }
   return out;
 }
@@ -532,8 +553,7 @@ std::string SimResult::summary() const {
   return out;
 }
 
-std::vector<std::uint32_t> CoreGroupLanes(const partition::Partition& p,
-                                          unsigned max_lanes) {
+std::vector<CoreGroup> CoreGroups(const partition::Partition& p) {
   const std::size_t m = p.num_cores;
   // Union-find over the cores, joined along every split task's parts.
   // Uniting roots under the smaller index keeps each group's root its
@@ -551,39 +571,23 @@ std::vector<std::uint32_t> CoreGroupLanes(const partition::Partition& p,
       root[std::max(a, b)] = std::min(a, b);
     }
   }
-  // Job rate of each group (jobs per ns over its tasks): the lane load.
-  std::vector<double> rate(m, 0.0);
-  for (const PlacedTask& pt : p.tasks) {
-    rate[find(pt.parts[0].core)] +=
-        1.0 / static_cast<double>(pt.task.period);
-  }
-  std::vector<std::uint32_t> groups;
+  std::vector<CoreGroup> groups;
+  std::vector<std::uint32_t> group_of_root(m);
   for (std::uint32_t c = 0; c < m; ++c) {
-    if (find(c) == c) groups.push_back(c);
+    if (find(c) == c) {
+      group_of_root[c] = static_cast<std::uint32_t>(groups.size());
+      groups.emplace_back();
+    }
+    groups[group_of_root[find(c)]].cores.push_back(c);
   }
-  std::stable_sort(groups.begin(), groups.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return rate[a] > rate[b];
-                   });
-  // Largest first onto the least-loaded lane (lowest index on ties).
-  const std::size_t lanes = std::min<std::size_t>(
-      std::max(1u, max_lanes), std::max<std::size_t>(1, groups.size()));
-  std::vector<double> load(lanes, 0.0);
-  std::vector<std::uint32_t> lane_of_root(m, 0);
-  for (const std::uint32_t g : groups) {
-    const auto l = static_cast<std::uint32_t>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    lane_of_root[g] = l;
-    load[l] += rate[g];
+  for (std::size_t i = 0; i < p.tasks.size(); ++i) {
+    groups[group_of_root[find(p.tasks[i].parts[0].core)]].tasks.push_back(i);
   }
-  std::vector<std::uint32_t> lane_of_core(m);
-  for (std::uint32_t c = 0; c < m; ++c) lane_of_core[c] = lane_of_root[find(c)];
-  return lane_of_core;
+  return groups;
 }
 
 SimResult Simulate(const partition::Partition& p, const SimConfig& cfg) {
-  // At most one lane per thread.
-  const unsigned max_lanes =
+  const unsigned threads =
       cfg.shards == 0 ? std::max(1u, std::thread::hardware_concurrency())
                       : cfg.shards;
   // One instantiation per ready x sleep backend pair and sink (2 x 2 x 2
@@ -598,8 +602,8 @@ SimResult Simulate(const partition::Partition& p, const SimConfig& cfg) {
       using SleepQ =
           containers::QueueOf<decltype(sb)::value, Time, std::size_t>;
       return recording
-                 ? RunLanes<ReadyQ, SleepQ, obs::RecordSink>(p, cfg, max_lanes)
-                 : RunLanes<ReadyQ, SleepQ, obs::NullSink>(p, cfg, max_lanes);
+                 ? RunGroups<ReadyQ, SleepQ, obs::RecordSink>(p, cfg, threads)
+                 : RunGroups<ReadyQ, SleepQ, obs::NullSink>(p, cfg, threads);
     });
   });
 }

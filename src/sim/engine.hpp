@@ -58,8 +58,8 @@ struct SimConfig {
   ArrivalModel arrivals = {};
   /// Record the scheduler event stream (DESIGN.md §10). The canonical
   /// trace lands in SimResult::trace_events — byte-identical for every
-  /// shard count (lanes record into their own buffers, merged by the
-  /// deterministic stamped k-way merge).
+  /// shard count (each core group records into its own buffer, merged by
+  /// the deterministic stamped k-way merge).
   bool record_trace = false;
   /// Record streaming metrics (SimResult::metrics): per-task log2
   /// response/tardiness histograms, per-core busy/overhead/idle wall
@@ -72,11 +72,12 @@ struct SimConfig {
   containers::QueueBackend ready_backend =
       containers::QueueBackend::kBinomialHeap;
   containers::QueueBackend sleep_backend = containers::QueueBackend::kRbTree;
-  /// Maximum threads for ONE simulation (DESIGN.md §9): the partition's
-  /// core groups — cores joined by split tasks — are packed onto at most
-  /// this many independent lanes. 1 = one lane (the serial run), 0 = one
-  /// per hardware thread, N = at most N threads (the caller counts as
-  /// one). Results are BIT-IDENTICAL for every value
+  /// Maximum threads for ONE simulation (DESIGN.md §9): each of the
+  /// partition's core groups — cores joined by split tasks — runs as its
+  /// own kernel, and at most this many threads claim groups. 1 = the
+  /// groups one after another on the caller, 0 = one thread per
+  /// hardware thread, N = at most N threads (the caller counts as one).
+  /// Results are BIT-IDENTICAL for every value
   /// (tests/test_queue_concept.cpp) — including recorded traces and
   /// metrics (DESIGN.md §10).
   unsigned shards = 1;
@@ -93,14 +94,19 @@ struct SimConfig {
 /// land in SimResult (record_trace / record_metrics).
 SimResult Simulate(const partition::Partition& p, const SimConfig& cfg);
 
-/// The lane of every core in a run with at most `max_lanes` lanes
-/// (DESIGN.md §9). Cores joined by split tasks (a connected component
-/// over PlacedTask::parts) form a core group, and no event ever crosses
-/// between groups. The groups are packed onto min(max_lanes, #groups)
-/// lanes, largest job rate first, each onto the least-loaded lane. The
-/// result is a pure function of the partition and `max_lanes`; the used
-/// lanes are 0..k-1.
-std::vector<std::uint32_t> CoreGroupLanes(const partition::Partition& p,
-                                          unsigned max_lanes);
+/// One core group (DESIGN.md §9): cores joined by split tasks (a
+/// connected component over PlacedTask::parts) and the tasks placed on
+/// them. No event ever crosses between groups, so Simulate runs each as
+/// its own kernel.
+struct CoreGroup {
+  std::vector<partition::CoreId> cores;  ///< ascending
+  /// Indices into Partition::tasks, ascending.
+  std::vector<std::size_t> tasks;
+};
+
+/// The partition's core groups, ordered by lowest core. Every core is in
+/// exactly one group (a core without tasks is a group of its own); the
+/// result is a pure function of the partition.
+std::vector<CoreGroup> CoreGroups(const partition::Partition& p);
 
 }  // namespace sps::sim

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <vector>
 
 #include "containers/queue_traits.hpp"
 #include "sim/kernel.hpp"
@@ -9,6 +11,15 @@
 namespace sps::sim {
 
 namespace {
+
+/// 0, 1, ..., n-1: the global engine is one kernel over every core and
+/// task, so its local indices are the global ones.
+template <typename T>
+std::vector<T> Iota(std::size_t n) {
+  std::vector<T> v(n);
+  std::iota(v.begin(), v.end(), T{0});
+  return v;
+}
 
 struct GJob : kernel::JobBase {
   int last_core = -1;           ///< core of the last execution segment
@@ -48,14 +59,14 @@ class GlobalEngine final
   using Core = typename Base::Core;
 
   GlobalEngine(const rt::TaskSet& ts, const GlobalSimConfig& cfg)
-      : Base(kernel::KernelConfig{.num_cores = cfg.num_cores,
-                                  .horizon = cfg.horizon,
+      : Base(kernel::KernelConfig{.horizon = cfg.horizon,
                                   .overheads = cfg.overheads,
                                   .exec = cfg.exec,
                                   .arrivals = cfg.arrivals,
                                   .record_trace = cfg.record_trace,
                                   .record_metrics = cfg.record_metrics},
-             ts.size()),
+             Iota<std::uint32_t>(cfg.num_cores),
+             Iota<std::size_t>(ts.size())),
         ts_(ts), gpolicy_(cfg.policy) {
     for (std::size_t i = 0; i < ts.size(); ++i) {
       tasks_[i].stats.id = ts[i].id;
@@ -115,7 +126,7 @@ class GlobalEngine final
   /// then preempt the worst-running core if the best ready job beats it.
   void Reschedule() {
     // Fill idle cores.
-    for (std::uint32_t c = 0; c < kcfg_.num_cores && !ready_.empty(); ++c) {
+    for (std::uint32_t c = 0; c < cores_.size() && !ready_.empty(); ++c) {
       Core& core = cores_[c];
       if (core.state == CoreState::kIdle && core.pending_start == nullptr) {
         core.pending_start = ready_.pop_min().second;
@@ -132,7 +143,7 @@ class GlobalEngine final
     while (!ready_.empty()) {
       int worst = -1;
       std::uint64_t worst_key = 0;
-      for (std::uint32_t c = 0; c < kcfg_.num_cores; ++c) {
+      for (std::uint32_t c = 0; c < cores_.size(); ++c) {
         const Core& core = cores_[c];
         const GJob* occupant = core.running != nullptr ? core.running
                                                        : core.pending_start;
@@ -195,7 +206,7 @@ class GlobalEngine final
     // Release interrupt runs on a fixed per-task core (which also hosts
     // the task's recycled job slot).
     const auto irq_core =
-        static_cast<std::uint32_t>(ts_[ti].id % kcfg_.num_cores);
+        static_cast<std::uint32_t>(ts_[ti].id % cores_.size());
     GJob* j = this->NewJob(ti, irq_core);
     tr.next_release = now_ + this->SampleInterArrival(ti);
     this->Push(Ev{.t = tr.next_release, .kind = EvKind::kTimer,
@@ -295,7 +306,8 @@ SimResult SimulateGlobal(const rt::TaskSet& ts, const GlobalSimConfig& cfg) {
     GlobalEngine<ReadyQ, SleepQ, obs::RecordSink> engine(ts, cfg);
     SimResult r = engine.Run();
     if (cfg.record_trace) {
-      r.trace_events = obs::MergeTraceBuffers({&engine.sink().buffer()});
+      const obs::TraceBuffer buffer = engine.sink().TakeBuffer();
+      r.trace_events = obs::MergeTraceBuffers({&buffer});
     }
     return r;
   }

@@ -42,12 +42,18 @@
 // Determinism: all random sampling draws from PER-TASK SplitMix64
 // streams seeded by (config seed, task index) — never from a shared
 // generator whose draw order would depend on the global event
-// interleaving. So a kernel whose Boot() releases only SOME tasks — a
-// set closed under sharing a core — replays exactly the events those
-// tasks have in the full run. That is what lets the partitioned engine
-// run independent core groups as separate kernels on separate threads
-// and still produce bit-identical SimResults (sim/engine.cpp,
-// SimConfig::shards, DESIGN.md §9).
+// interleaving. So a kernel over only SOME cores and tasks — a set
+// closed under sharing a core — replays exactly the events those tasks
+// have in the full run. That is what lets the partitioned engine run
+// each independent core group as its own kernel, one after another or
+// on separate threads, and still produce bit-identical SimResults
+// (sim/engine.cpp, SimConfig::shards, DESIGN.md §9).
+//
+// Such a kernel indexes its cores and tasks locally, 0..k-1, and keeps
+// the global index of each (Core::id, TaskRunBase::index). The global
+// index is what seeds the RNG streams, selects the exec generation and
+// labels trace records and their stamps; the caller maps the local
+// result rows back (sim/engine.cpp).
 //
 // Observability (DESIGN.md §10): the kernel's third policy slot is the
 // SINK (obs/sink.hpp) — obs::NullSink compiles every trace/metrics hook
@@ -65,6 +71,7 @@
 #include <cassert>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -292,6 +299,7 @@ struct JobBase {
 /// over a subset of the core groups exact (DESIGN.md §9).
 template <typename JobT>
 struct TaskRunBase {
+  std::size_t index = 0;  ///< the task's index in the whole partition
   bool active = false;
   Time next_release = 0;  ///< nominal release of the NEXT job
   Time last_release = 0;  ///< actual release of the in-flight job
@@ -305,7 +313,6 @@ struct TaskRunBase {
 
 /// The engine-independent slice of a simulation config.
 struct KernelConfig {
-  unsigned num_cores = 1;
   Time horizon = 0;
   overhead::OverheadModel overheads;
   ExecModel exec;
@@ -315,13 +322,14 @@ struct KernelConfig {
   /// instantiation ignores them by construction.
   bool record_trace = false;
   bool record_metrics = false;
-  /// Per-task ADMISSION GENERATION (task index order; missing entries =
-  /// 0). Generation g != 0 re-derives that task's exec/arrival RNG
-  /// streams with an extra DeriveSeed step, so an online LEAVE +
+  /// Per-task ADMISSION GENERATION (global task index order; missing
+  /// entries = 0). Generation g != 0 re-derives that task's exec/arrival
+  /// RNG streams with an extra DeriveSeed step, so an online LEAVE +
   /// re-ADMIT of the same task id does not resume the departed
   /// incarnation's RNG position (DESIGN.md §13). Generation 0 is
-  /// bit-identical to configs that never set this field.
-  std::vector<std::uint32_t> exec_generations = {};
+  /// bit-identical to configs that never set this field. A view: the
+  /// caller's config owns the storage for the kernel's lifetime.
+  std::span<const std::uint32_t> exec_generations = {};
 };
 
 template <typename Policy, typename JobT, typename TaskRtT, typename PerCoreT,
@@ -329,8 +337,8 @@ template <typename Policy, typename JobT, typename TaskRtT, typename PerCoreT,
 class KernelBase {
  public:
   /// Boot the policy, drain the event queue up to the horizon, finalize.
-  /// The one event-dispatch loop of the simulator: a sharded partitioned
-  /// run calls it once per lane (sim/engine.cpp).
+  /// The one event-dispatch loop of the simulator: a partitioned run
+  /// calls it once per core group (sim/engine.cpp).
   SimResult Run() {
     policy().Boot();
     while (!events_.empty()) {
@@ -345,12 +353,13 @@ class KernelBase {
 
   /// The run's sink. After Run(), its stamped trace buffer is what the
   /// caller merges into SimResult::trace_events (obs::MergeTraceBuffers).
-  [[nodiscard]] const SinkT& sink() const { return sink_; }
+  [[nodiscard]] SinkT& sink() { return sink_; }
 
  protected:
   /// Per-core run state; PerCoreT adds the policy's per-core queues
   /// (partitioned: ready + sleep; global: none — queues are shared).
   struct Core : PerCoreT {
+    std::uint32_t id = 0;  ///< the core's index in the whole partition
     CoreState state = CoreState::kIdle;
     JobT* running = nullptr;        ///< executing, or suspended mid-overhead
     JobT* pending_start = nullptr;  ///< picked by sch(), awaiting overhead
@@ -363,27 +372,37 @@ class KernelBase {
     util::SlabArena<JobT> job_arena;
   };
 
-  KernelBase(const KernelConfig& kcfg, std::size_t num_tasks)
+  /// A kernel over the cores `core_ids` and tasks `task_ids` (global
+  /// indices, one per local index).
+  KernelBase(const KernelConfig& kcfg, std::span<const std::uint32_t> core_ids,
+             std::span<const std::size_t> task_ids)
       : kcfg_(kcfg),
-        cores_(kcfg.num_cores),
-        tasks_(num_tasks),
+        cores_(core_ids.size()),
+        tasks_(task_ids.size()),
         sink_(obs::SinkConfig{kcfg.record_trace, kcfg.record_metrics,
-                              num_tasks, kcfg.num_cores, kcfg.horizon}) {
-    result_.cores.resize(kcfg.num_cores);
-    // Per-task RNG streams (see TaskRunBase). A non-zero admission
-    // generation re-derives both streams (the LEAVE/re-ADMIT fix,
-    // KernelConfig::exec_generations); generation 0 keeps the historical
-    // seeds bit-for-bit.
-    for (std::size_t i = 0; i < num_tasks; ++i) {
-      std::uint64_t eseed = util::DeriveSeed(kcfg.exec.seed, i, 0);
-      std::uint64_t aseed = util::DeriveSeed(kcfg.arrivals.seed, i, 1);
-      const std::uint32_t gen = i < kcfg.exec_generations.size()
-                                    ? kcfg.exec_generations[i]
+                              task_ids.size(),
+                              static_cast<std::uint32_t>(core_ids.size()),
+                              kcfg.horizon}) {
+    result_.cores.resize(core_ids.size());
+    for (std::size_t c = 0; c < core_ids.size(); ++c) {
+      cores_[c].id = core_ids[c];
+    }
+    // Per-task RNG streams (see TaskRunBase), seeded by the GLOBAL task
+    // index. A non-zero admission generation re-derives both streams
+    // (the LEAVE/re-ADMIT fix, KernelConfig::exec_generations);
+    // generation 0 keeps the historical seeds bit-for-bit.
+    for (std::size_t i = 0; i < task_ids.size(); ++i) {
+      const std::size_t g = task_ids[i];
+      std::uint64_t eseed = util::DeriveSeed(kcfg.exec.seed, g, 0);
+      std::uint64_t aseed = util::DeriveSeed(kcfg.arrivals.seed, g, 1);
+      const std::uint32_t gen = g < kcfg.exec_generations.size()
+                                    ? kcfg.exec_generations[g]
                                     : 0;
       if (gen != 0) {
         eseed = util::DeriveSeed(eseed, gen, 2);
         aseed = util::DeriveSeed(aseed, gen, 3);
       }
+      tasks_[i].index = g;
       tasks_[i].exec_rng = util::SplitMix64(eseed);
       tasks_[i].arrival_rng = util::SplitMix64(aseed);
     }
@@ -395,21 +414,25 @@ class KernelBase {
   /// Stamp the upcoming dispatch for the recording sink (trace merge
   /// determinism, obs/trace_buffer.hpp). Compiled away under NullSink.
   /// The stamp's subject is the core for core-owned kinds and the task
-  /// for task-owned ones (a migration arrival carries its job).
+  /// for task-owned ones (a migration arrival carries its job), named by
+  /// its global index.
   void BeginDispatch(const Event<JobT>& e) {
     if constexpr (SinkT::kActive) {
+      if (!sink_.tracing()) return;
       const bool core_keyed = e.kind == EvKind::kSegmentEnd ||
                               e.kind == EvKind::kOverheadEnd;
       const std::size_t task = e.kind == EvKind::kMigrationArrival
                                    ? e.job->task_idx
                                    : e.task_idx;
-      sink_.BeginDispatch(EventKey(e), core_keyed,
-                          core_keyed ? e.core : task);
+      if (core_keyed) {
+        sink_.BeginDispatch(EventKey(e), true, e.core, cores_[e.core].id);
+      } else {
+        sink_.BeginDispatch(EventKey(e), false, task, tasks_[task].index);
+      }
     } else {
       (void)e;
     }
   }
-
 
   /// Schedule an event. Deliberately out of line: with the sorted-vector
   /// insert inlined at every push site the dispatch loop grows, and
@@ -511,7 +534,7 @@ class KernelBase {
       if (!sink_.tracing()) return;
       trace::Event e;
       e.time = at < 0 ? now_ : at;
-      e.core = core;
+      e.core = cores_[core].id;
       e.kind = k;
       e.overhead = ovh;
       if (j != nullptr) {
@@ -603,7 +626,7 @@ class KernelBase {
   void FinalizeObservability() {
     if constexpr (SinkT::kActive) {
       if (!sink_.metrics()) return;
-      for (std::uint32_t c = 0; c < kcfg_.num_cores; ++c) {
+      for (std::uint32_t c = 0; c < cores_.size(); ++c) {
         const Core& core = cores_[c];
         if (core.state == CoreState::kExec && core.running != nullptr &&
             kcfg_.horizon > core.seg_start) {

@@ -152,8 +152,8 @@ void ParallelFor(unsigned jobs, std::size_t n,
 /// Process-wide lazily-created pool with one worker per hardware thread
 /// minus one (the caller of ParallelFor participates, so total
 /// concurrency is the hardware). The sharded simulator runs its
-/// core-group lanes here (DESIGN.md §9) — spawning a transient pool per
-/// simulation would put thread creation on the measured path.
+/// core-group kernels here (DESIGN.md §9) — spawning a transient pool
+/// per simulation would put thread creation on the measured path.
 /// Concurrent batches on this pool are safe (each owner drains its own
 /// job at Wait) but serialize worker help; callers needing guaranteed
 /// width should own a ThreadPool.

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -499,10 +500,11 @@ partition::Partition OverloadedCoreGroupsPartition() {
 
 TEST(ShardedSim, TracedByteIdenticalAcrossShardCountsBackendsAndArrivals) {
   const partition::Partition overloaded = OverloadedCoreGroupsPartition();
-  // Two lanes at --shards=2: core 0 in one, cores 1-2 in the other.
-  const std::vector<std::uint32_t> lanes = CoreGroupLanes(overloaded, 2);
-  ASSERT_NE(lanes[0], lanes[1]);
-  ASSERT_EQ(lanes[1], lanes[2]);
+  // Two core groups: core 0 alone, cores 1-2 joined by the split task.
+  const std::vector<CoreGroup> groups = CoreGroups(overloaded);
+  ASSERT_EQ(groups.size(), 2u);
+  ASSERT_EQ(groups[0].cores, std::vector<partition::CoreId>{0});
+  ASSERT_EQ(groups[1].cores, (std::vector<partition::CoreId>{1, 2}));
   for (const partition::Partition& p :
        {DifferentialPartition(), overloaded}) {
     const bool overload = p.num_cores == overloaded.num_cores;
@@ -671,31 +673,44 @@ partition::Partition CoreGroupPartition() {
   return p;
 }
 
-TEST(ShardedSim, CoreGroupLanesKeepSplitTasksTogether) {
+TEST(ShardedSim, CoreGroupsKeepSplitTasksTogether) {
   const partition::Partition p = CoreGroupPartition();
-  for (const unsigned max_lanes : {1u, 2u, 3u, 4u, 7u, 16u}) {
-    SCOPED_TRACE("max_lanes=" + std::to_string(max_lanes));
-    const std::vector<std::uint32_t> lanes = CoreGroupLanes(p, max_lanes);
-    // Every core sits in exactly one lane, and the lanes used are
-    // exactly 0..min(max_lanes, 7 groups)-1.
-    ASSERT_EQ(lanes.size(), p.num_cores);
-    const std::size_t expect = std::min<std::size_t>(max_lanes, 7);
-    std::vector<std::size_t> cores_in(expect, 0);
-    for (const std::uint32_t l : lanes) {
-      ASSERT_LT(l, expect);
-      ++cores_in[l];
+  const std::vector<CoreGroup> groups = CoreGroups(p);
+  ASSERT_EQ(groups.size(), 7u);
+  // Every core sits in exactly one group, every task in the group of its
+  // first core, and groups are ordered by their lowest core.
+  std::vector<std::size_t> group_of(p.num_cores, groups.size());
+  std::size_t tasks = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    ASSERT_FALSE(groups[g].cores.empty());
+    EXPECT_TRUE(std::is_sorted(groups[g].cores.begin(), groups[g].cores.end()));
+    if (g > 0) EXPECT_LT(groups[g - 1].cores[0], groups[g].cores[0]);
+    for (const partition::CoreId c : groups[g].cores) {
+      ASSERT_EQ(group_of[c], groups.size()) << "core " << c << " twice";
+      group_of[c] = g;
     }
-    for (std::size_t l = 0; l < expect; ++l) EXPECT_GT(cores_in[l], 0u);
-    // All cores of a split task share a lane.
-    for (const partition::PlacedTask& pt : p.tasks) {
-      for (const partition::SubtaskPlacement& part : pt.parts) {
-        EXPECT_EQ(lanes[part.core], lanes[pt.parts[0].core])
-            << "task " << pt.task.id;
+    tasks += groups[g].tasks.size();
+  }
+  EXPECT_EQ(tasks, p.tasks.size());
+  EXPECT_EQ(groups[1].cores,
+            (std::vector<partition::CoreId>{1, 3, 4, 6, 9, 11}));
+  EXPECT_EQ(groups.back().cores, std::vector<partition::CoreId>{12});
+  EXPECT_TRUE(groups.back().tasks.empty());
+  // All cores of a split task share a group, which holds the task.
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (const std::size_t i : groups[g].tasks) {
+      for (const partition::SubtaskPlacement& part : p.tasks[i].parts) {
+        EXPECT_EQ(group_of[part.core], g) << "task " << p.tasks[i].task.id;
       }
     }
-    EXPECT_EQ(lanes, CoreGroupLanes(p, max_lanes));  // deterministic
   }
-  EXPECT_EQ(CoreGroupLanes(p, 1), std::vector<std::uint32_t>(13, 0));
+  // Deterministic.
+  const std::vector<CoreGroup> again = CoreGroups(p);
+  ASSERT_EQ(again.size(), groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    EXPECT_EQ(again[g].cores, groups[g].cores);
+    EXPECT_EQ(again[g].tasks, groups[g].tasks);
+  }
 }
 
 TEST(ShardedSim, MoreCoreGroupsThanLanesMatchSerial) {
