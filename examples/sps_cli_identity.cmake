@@ -1,7 +1,8 @@
 # sps_cli's results must not depend on the flags that only choose HOW it
 # computes them: --jobs (the acceptance sweep's pool width),
-# --ready-queue / --sleep-queue (the per-core queue structures) and
-# --shards (the threads that run one simulation's core groups). Each row of the
+# --ready-queue / --sleep-queue (the per-core queue structures), --shards
+# (the threads that run one simulation's core groups), and the wall-clock
+# observers --profile and --trace-requests. Each row of the
 # table below runs one base command under each of its variants and
 # requires exit code 0, the same stdout apart from the one line that
 # echoes the varied flag, and byte-identical output files. Run as
@@ -96,6 +97,18 @@ identity_row(shards_edf_wm
        --sim-ms=500 --trace-out=trace.json --metrics-out=metrics.json
   VARIANTS --shards=1 --shards=2 --shards=0
   FILES trace.json metrics.json)
+
+# The online service's wall-clock observers (DESIGN.md §15, §16): with
+# the span profiler on, and with request tracing on, stdout and the stats
+# dump match the plain run. Their own artifacts (profile.json,
+# reqtrace.json) hold wall-clock data and are not compared.
+identity_row(observers
+  ARGS --online --online-requests=60 --online-soft=0.3 --cores=4
+       --analysis-cache=off --stats-out=stats.json
+  VARIANTS ""
+           "--profile --profile-out=profile.json --heartbeat=2"
+           "--trace-requests=8 --reqtrace-out=reqtrace.json"
+  FILES stats.json)
 
 if(failures EQUAL 0)
   file(REMOVE_RECURSE "${WORK_DIR}")

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "partition/verify.hpp"
+
 namespace sps::online {
 
 partition::EdfPartitionConfig DeriveEdfPartitionConfig(
@@ -94,15 +96,10 @@ void AdmissionState::CommitPlaced(const partition::PlacedTask& pt) {
     edf_cores_[pt.parts[0].core].Commit(partition::MakeEdfEntry(pt.task));
     return;
   }
-  Time window_start = 0;
   for (std::size_t k = 0; k < pt.parts.size(); ++k) {
-    const partition::SubtaskPlacement& sp = pt.parts[k];
-    const Time window_end =
-        sp.rel_deadline > 0 ? sp.rel_deadline : pt.task.deadline;
-    edf_cores_[sp.core].Commit(partition::MakeEdfWindowEntry(
-        pt.task, sp.budget, window_end - window_start, k == 0,
-        k + 1 == pt.parts.size()));
-    window_start = window_end;
+    const partition::PartWindow w = partition::WindowOfPart(pt, k);
+    edf_cores_[pt.parts[k].core].Commit(partition::MakeEdfWindowEntry(
+        pt.task, pt.parts[k].budget, w.length, w.kind));
   }
 }
 

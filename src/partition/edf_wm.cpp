@@ -46,16 +46,13 @@ analysis::EdfCoreEntry MakeEdfEntry(const rt::Task& t) {
 }
 
 analysis::EdfCoreEntry MakeEdfWindowEntry(const rt::Task& t, Time budget,
-                                          Time window_len, bool first,
-                                          bool last) {
+                                          Time window_len,
+                                          analysis::EntryKind kind) {
   analysis::EdfCoreEntry e;
   e.exec = budget;
   e.period = t.period;
   e.deadline = window_len;
-  e.kind = static_cast<int>(
-      last ? analysis::EntryKind::kTail
-           : (first ? analysis::EntryKind::kBodyFirst
-                    : analysis::EntryKind::kBodyMiddle));
+  e.kind = static_cast<int>(kind);
   e.dest_queue_size = kConservativeQueueSize;
   e.first_core_queue_size = kConservativeQueueSize;
   e.id = t.id;
@@ -137,6 +134,15 @@ TaskPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores,
                             : window;
       const bool last_window = (j + 1 == k);
       const Time want = std::min(remaining, wlen);
+      // The nominal window's entry: a budget that leaves nothing for
+      // later windows makes it the tail.
+      const auto window_entry = [&](Time budget) {
+        const bool tail = last_window || budget == remaining;
+        return MakeEdfWindowEntry(t, budget, wlen,
+                                  tail     ? analysis::EntryKind::kTail
+                                  : j == 0 ? analysis::EntryKind::kBodyFirst
+                                           : analysis::EntryKind::kBodyMiddle);
+      };
       Time best = 0;
       unsigned best_core = 0;
       for (unsigned c = 0; c < num_cores; ++c) {
@@ -145,22 +151,10 @@ TaskPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores,
         }
         ++out.probes;
         // Largest admissible budget on this core for this window.
-        Time lo = kMinBudget;
-        Time hi = want;
-        Time got = 0;
-        while (lo <= hi) {
-          const Time mid_raw = lo + (hi - lo) / 2;
-          const Time mid =
-              std::max(kMinBudget, mid_raw - mid_raw % kBudgetGranularity);
-          const analysis::EdfCoreEntry e = MakeEdfWindowEntry(
-              t, mid, wlen, j == 0, last_window || mid == remaining);
-          if (EdfCoreAdmits(cores[c], e, cfg.model, stats, memo)) {
-            got = mid;
-            lo = mid + kBudgetGranularity;
-          } else {
-            hi = mid - kBudgetGranularity;
-          }
-        }
+        const Time got = LargestAdmitted(kMinBudget, want, [&](Time budget) {
+          return EdfCoreAdmits(cores[c], window_entry(budget), cfg.model,
+                               stats, memo);
+        });
         if (got > best) {
           best = got;
           best_core = c;
@@ -168,9 +162,7 @@ TaskPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores,
         }
       }
       if (best < kMinBudget) continue;  // this window contributes 0
-      const analysis::EdfCoreEntry e = MakeEdfWindowEntry(
-          t, best, wlen, j == 0, last_window || best == remaining);
-      trial_entries.push_back(e);
+      trial_entries.push_back(window_entry(best));
       trial.push_back(SubtaskPlacement{best_core, best, 0, wstart + wlen});
       used.push_back(best_core);
       remaining -= best;

@@ -1,11 +1,14 @@
 #pragma once
-// Internal to partition/: the placement path that the partitioned
-// packers (binpack.cpp, edf_wm.cpp) share, coded once — the verdict-memo
-// protocol of a per-core admission test (MemoizedAdmits) and the
-// decreasing-utilization loop (PackDecreasing) that BinPackDecreasing,
-// EdfBinPack and EdfWm all run. The public pieces (ProbeOrder, AdmitStats,
-// TaskPlacement, PlaceFpTask) are in binpack.hpp.
+// Internal to partition/: the placement path that the partitioners
+// (binpack.cpp, edf_wm.cpp, spa.cpp) share, coded once — the verdict-memo
+// protocol of a per-core admission test (MemoizedAdmits), the split-budget
+// search of SPA and EDF-WM (LargestAdmitted), the decreasing-utilization
+// loop (PackDecreasing) that BinPackDecreasing, EdfBinPack and EdfWm all
+// run, and the verifier gate every partitioner ends in (FinishPartition).
+// The public pieces (ProbeOrder, AdmitStats, TaskPlacement, PlaceFpTask)
+// are in binpack.hpp.
 
+#include <algorithm>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -64,6 +67,32 @@ template <class CandCode, class Test>
   ++(v.via_density ? s.density_accepts : s.full_tests);
   if (use_memo && memo->table->Store(qk.lo, qk, v)) ++s.memo_evicts;
   return v.admitted;
+}
+
+/// The split-budget search of SPA's body subtasks and EDF-WM's windows:
+/// the largest budget in [lo, hi] that `admits(budget)` accepts, or 0 if
+/// it accepts none. Admission must be monotone in the budget. A binary
+/// search: each probe is the midpoint rounded down to kBudgetGranularity
+/// (never below kMinBudget), and an admit moves lo one granularity step
+/// above it, a reject moves hi one step below it. Always inlined, as
+/// MemoizedAdmits is: EDF-WM's search makes most of the online
+/// service's placement probes.
+template <class Admits>
+[[gnu::always_inline]] inline Time LargestAdmitted(Time lo, Time hi,
+                                                   Admits admits) {
+  Time best = 0;
+  while (lo <= hi) {
+    const Time mid_raw = lo + (hi - lo) / 2;
+    const Time mid =
+        std::max(kMinBudget, mid_raw - mid_raw % kBudgetGranularity);
+    if (admits(mid)) {
+      best = mid;
+      lo = mid + kBudgetGranularity;
+    } else {
+      hi = mid - kBudgetGranularity;
+    }
+  }
+  return best;
 }
 
 /// Assemble the partition from each task's parts (indexed like `ts`) and

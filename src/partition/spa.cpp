@@ -1,15 +1,12 @@
 #include "partition/spa.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <numeric>
 #include <vector>
 
 #include "analysis/bounds.hpp"
 #include "analysis/overhead_aware.hpp"
-#include "analysis/rta.hpp"
-#include "partition/verify.hpp"
+#include "partition/packing.hpp"
 
 namespace sps::partition {
 
@@ -53,42 +50,32 @@ class SpaRunner {
       return result;
     }
 
-    if (cfg_.fill == FillMode::kLiuLaylandFill) {
-      // Literal SPA fill: one core at a time up to the Liu & Layland
-      // threshold, splitting the overflow, never revisiting a core.
-      unsigned cursor = 0;
-      for (const std::size_t ti : order) {
-        if (!PlaceTaskSequential(ti, cursor, result)) return result;
-      }
-    } else {
-      // Exact-RTA mode: whole tasks first-fit over all cores (a strict
-      // superset of FFD's options), splitting only genuine overflow.
-      for (const std::size_t ti : order) {
-        if (!PlaceTaskFirstFit(ti, result)) return result;
+    unsigned cursor = 0;  // the literal fill's open core
+    for (const std::size_t ti : order) {
+      const bool placed = cfg_.fill == FillMode::kLiuLaylandFill
+                              ? PlaceTaskSequential(ti, cursor)
+                              : PlaceTaskFirstFit(ti);
+      if (!placed) {
+        char buf[96];
+        std::snprintf(buf, sizeof(buf), "tau%u: ran out of cores",
+                      ts_[ti].id);
+        result.failure_reason = buf;
+        return result;
       }
     }
-
-    Partition p = Assemble();
-    const PartitionAnalysis verdict = AnalyzePartition(p, cfg_.model);
-    if (!verdict.schedulable) {
-      result.failure_reason = "verifier rejected: " + verdict.failure_reason;
-      return result;
-    }
-    result.success = true;
-    result.partition = std::move(p);
-    return result;
+    return FinishPartition(std::move(parts_), ts_, cfg_.num_cores,
+                           SchedPolicy::kFixedPriority, cfg_.model,
+                           std::move(result.algorithm));
   }
 
  private:
-  rt::Priority PartPriority(const rt::Task& t) const {
-    return cfg_.split_mode == SplitPriorityMode::kElevated
-               ? t.priority
-               : t.priority + kNormalPriorityBase;
-  }
-
-  static rt::Priority NormalPriority(const rt::Task& t) {
-    return t.priority + kNormalPriorityBase;
-  }
+  /// What is left of a task's split chain: the WCET not yet placed, and
+  /// the summed responses of its placed subtasks (the release jitter of
+  /// the next one).
+  struct Chain {
+    Time remaining = 0;
+    Time consumed_resp = 0;
+  };
 
   /// Admission: is core `c` schedulable with `cand` appended? On success
   /// returns the candidate's response time via `resp_out`.
@@ -129,8 +116,11 @@ class SpaRunner {
     e.id = t.id;
     e.dest_queue_size = kConservativeQueueSize;
     e.first_core_queue_size = kConservativeQueueSize;
-    const bool is_subtask = kind != analysis::EntryKind::kNormal;
-    e.priority = is_subtask ? PartPriority(t) : NormalPriority(t);
+    // Elevated subtasks keep the raw RM priority, below
+    // kNormalPriorityBase, so they outrank every normal task on the core.
+    const bool elevated = kind != analysis::EntryKind::kNormal &&
+                          cfg_.split_mode == SplitPriorityMode::kElevated;
+    e.priority = elevated ? t.priority : t.priority + kNormalPriorityBase;
     return e;
   }
 
@@ -183,134 +173,77 @@ class SpaRunner {
 
   /// Try the whole remainder of task ti on core c (normal task if nothing
   /// was placed yet, tail subtask otherwise).
-  bool TryWhole(std::size_t ti, unsigned c, Time remaining,
-                Time consumed_resp) {
+  bool TryWhole(std::size_t ti, unsigned c, const Chain& chain) {
     const rt::Task& t = ts_[ti];
     const analysis::EntryKind kind = parts_[ti].empty()
                                          ? analysis::EntryKind::kNormal
                                          : analysis::EntryKind::kTail;
-    const analysis::CoreEntry e =
-        MakeEntry(t, remaining, t.deadline, consumed_resp, kind);
+    const analysis::CoreEntry e = MakeEntry(t, chain.remaining, t.deadline,
+                                            chain.consumed_resp, kind);
     if (!Admits(c, e, nullptr)) return false;
     Commit(c, ti, e);
     return true;
   }
 
-  /// Largest body budget for task ti that core c admits while leaving the
-  /// remainder a fighting chance downstream. Returns 0 if none.
-  Time MaxBodyBudget(std::size_t ti, unsigned c, Time remaining,
-                     Time consumed_resp, Time* resp_out) {
+  /// The chain step of both fill modes on core c: the remainder of task
+  /// ti whole (TryWhole; skipped when `try_whole` is off), or else the
+  /// largest body budget that c admits while leaving the remainder a
+  /// fighting chance downstream, committed with the chain advanced past
+  /// it. A core that admits no budget of at least kMinBudget gets
+  /// nothing. Returns true once the task is placed in full.
+  bool ChainStep(std::size_t ti, unsigned c, bool try_whole, Chain& chain) {
+    if (try_whole && TryWhole(ti, c, chain)) return true;
     const rt::Task& t = ts_[ti];
-    const Time max_b = remaining - kMinBudget;
-    if (max_b < kMinBudget) return 0;
     const analysis::EntryKind kind = parts_[ti].empty()
                                          ? analysis::EntryKind::kBodyFirst
                                          : analysis::EntryKind::kBodyMiddle;
-    Time best = 0;
-    Time lo = kMinBudget;
-    Time hi = max_b;
-    while (lo <= hi) {
-      const Time mid_raw = lo + (hi - lo) / 2;
-      const Time mid =
-          std::max(kMinBudget, mid_raw - mid_raw % kBudgetGranularity);
-      // Chain reserve: the remainder needs at least (remaining - B) time
-      // after this subtask's completion.
-      const Time chain_deadline = t.deadline - (remaining - mid);
-      const analysis::CoreEntry e =
-          MakeEntry(t, mid, chain_deadline, consumed_resp, kind);
-      Time resp = 0;
-      const bool ok =
-          chain_deadline > consumed_resp && Admits(c, e, &resp);
-      if (ok) {
-        best = mid;
-        if (resp_out != nullptr) *resp_out = resp;
-        lo = mid + kBudgetGranularity;
-      } else {
-        hi = mid - kBudgetGranularity;
-      }
+    analysis::CoreEntry body;
+    Time body_resp = 0;
+    const Time budget = LargestAdmitted(
+        kMinBudget, chain.remaining - kMinBudget, [&](Time b) {
+          // Chain reserve: the remainder needs at least (remaining - b)
+          // time after this subtask's completion.
+          const Time chain_deadline = t.deadline - (chain.remaining - b);
+          if (chain_deadline <= chain.consumed_resp) return false;
+          const analysis::CoreEntry e =
+              MakeEntry(t, b, chain_deadline, chain.consumed_resp, kind);
+          if (!Admits(c, e, &body_resp)) return false;
+          body = e;
+          return true;
+        });
+    if (budget > 0) {
+      Commit(c, ti, body);
+      chain.remaining -= budget;
+      chain.consumed_resp += body_resp;
     }
-    return best;
-  }
-
-  void CommitBody(std::size_t ti, unsigned c, Time budget, Time remaining,
-                  Time consumed_resp) {
-    const rt::Task& t = ts_[ti];
-    const analysis::EntryKind kind = parts_[ti].empty()
-                                         ? analysis::EntryKind::kBodyFirst
-                                         : analysis::EntryKind::kBodyMiddle;
-    const analysis::CoreEntry e =
-        MakeEntry(t, budget, t.deadline - (remaining - budget),
-                  consumed_resp, kind);
-    Commit(c, ti, e);
+    return false;
   }
 
   /// Exact-RTA placement: first-fit the whole task; on overflow, split it
   /// greedily across cores in index order. Strictly dominates FFD: when a
   /// task fits whole somewhere the outcome is first-fit, and splitting
   /// only adds placements FFD does not have.
-  bool PlaceTaskFirstFit(std::size_t ti, PartitionResult& result) {
+  bool PlaceTaskFirstFit(std::size_t ti) {
+    Chain chain{.remaining = ts_[ti].wcet};
     for (unsigned c = 0; c < cfg_.num_cores; ++c) {
-      if (TryWhole(ti, c, ts_[ti].wcet, 0)) return true;
+      if (TryWhole(ti, c, chain)) return true;
     }
-    // Split across cores, largest feasible budget per core.
-    Time remaining = ts_[ti].wcet;
-    Time consumed_resp = 0;
-    for (unsigned c = 0; c < cfg_.num_cores && remaining > 0; ++c) {
-      if (!parts_[ti].empty() && TryWhole(ti, c, remaining, consumed_resp)) {
-        return true;
-      }
-      Time resp = 0;
-      const Time b =
-          MaxBodyBudget(ti, c, remaining, consumed_resp, &resp);
-      if (b >= kMinBudget) {
-        CommitBody(ti, c, b, remaining, consumed_resp);
-        remaining -= b;
-        consumed_resp += resp;
-      }
+    // The whole task failed everywhere: the remainder is tried whole
+    // again only once the chain has a body.
+    for (unsigned c = 0; c < cfg_.num_cores; ++c) {
+      if (ChainStep(ti, c, !parts_[ti].empty(), chain)) return true;
     }
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "tau%u: ran out of cores", ts_[ti].id);
-    result.failure_reason = buf;
     return false;
   }
 
   /// Literal SPA fill: fill core `cursor` to the utilization threshold,
   /// split the overflow onto the next core, never revisit.
-  bool PlaceTaskSequential(std::size_t ti, unsigned& cursor,
-                           PartitionResult& result) {
-    const rt::Task& t = ts_[ti];
-    Time remaining = t.wcet;
-    Time consumed_resp = 0;
-    while (true) {
-      if (cursor >= cfg_.num_cores) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), "tau%u: ran out of cores", t.id);
-        result.failure_reason = buf;
-        return false;
-      }
-      if (TryWhole(ti, cursor, remaining, consumed_resp)) return true;
-      Time resp = 0;
-      const Time b =
-          MaxBodyBudget(ti, cursor, remaining, consumed_resp, &resp);
-      if (b >= kMinBudget) {
-        CommitBody(ti, cursor, b, remaining, consumed_resp);
-        remaining -= b;
-        consumed_resp += resp;
-      }
-      ++cursor;  // core is full either way; SPA never goes back
+  bool PlaceTaskSequential(std::size_t ti, unsigned& cursor) {
+    Chain chain{.remaining = ts_[ti].wcet};
+    for (; cursor < cfg_.num_cores; ++cursor) {
+      if (ChainStep(ti, cursor, /*try_whole=*/true, chain)) return true;
     }
-  }
-
-  Partition Assemble() const {
-    Partition p;
-    p.num_cores = cfg_.num_cores;
-    for (std::size_t ti = 0; ti < ts_.size(); ++ti) {
-      PlacedTask pt;
-      pt.task = ts_[ti];
-      pt.parts = parts_[ti];
-      p.tasks.push_back(std::move(pt));
-    }
-    return p;
+    return false;
   }
 
   const rt::TaskSet& ts_;

@@ -43,9 +43,14 @@
 //     core at ~69-78% utilization, which an exact test beats by a wide
 //     margin; DESIGN.md discusses the substitution.
 //
-// Every produced partition passes the full verifier (verify.hpp),
-// including migration-chain conditions and all run-time overheads, so
-// acceptance verdicts are sound in both modes.
+// Both modes run one chain step per core: the task's remainder whole,
+// or else the largest body budget the core admits, found by the split-
+// budget search EDF-WM's windows use too (LargestAdmitted, the internal
+// partition/packing.hpp). SPA's admission test stays its own (utilization
+// bound or verdict-only RTA, unspanned). Every produced partition passes
+// the full verifier (verify.hpp, through FinishPartition as the packers
+// do), including migration-chain conditions and all run-time overheads,
+// so acceptance verdicts are sound in both modes.
 
 #include "overhead/model.hpp"
 #include "partition/placement.hpp"

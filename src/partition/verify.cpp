@@ -9,14 +9,23 @@
 
 namespace sps::partition {
 
-namespace {
-
-analysis::EntryKind KindOf(const PlacedTask& pt, std::size_t part) {
-  if (!pt.split()) return analysis::EntryKind::kNormal;
-  if (part == 0) return analysis::EntryKind::kBodyFirst;
-  if (part + 1 == pt.parts.size()) return analysis::EntryKind::kTail;
-  return analysis::EntryKind::kBodyMiddle;
+PartWindow WindowOfPart(const PlacedTask& pt, std::size_t k) {
+  const auto window_end = [&pt](std::size_t part) {
+    const Time d = pt.parts[part].rel_deadline;
+    return d > 0 ? d : pt.task.deadline;
+  };
+  PartWindow w;
+  w.length = window_end(k) - (k == 0 ? 0 : window_end(k - 1));
+  if (pt.split()) {
+    const bool last = k + 1 == pt.parts.size();
+    w.kind = k == 0 ? analysis::EntryKind::kBodyFirst
+             : last ? analysis::EntryKind::kTail
+                    : analysis::EntryKind::kBodyMiddle;
+  }
+  return w;
 }
+
+namespace {
 
 /// EDF partitions: per-core processor-demand test over window subtasks,
 /// per EDF-WM's original per-window analysis. Split part k is a plain
@@ -36,16 +45,14 @@ PartitionAnalysis AnalyzeEdf(const Partition& p,
 
   std::vector<std::vector<analysis::EdfCoreEntry>> cores(p.num_cores);
   for (const PlacedTask& pt : p.tasks) {
-    Time window_start = 0;
     for (std::size_t k = 0; k < pt.parts.size(); ++k) {
       const SubtaskPlacement& sp = pt.parts[k];
-      const Time window_end =
-          sp.rel_deadline > 0 ? sp.rel_deadline : pt.task.deadline;
+      const PartWindow w = WindowOfPart(pt, k);
       analysis::EdfCoreEntry e;
       e.exec = sp.budget;
       e.period = pt.task.period;
-      e.deadline = window_end - window_start;
-      e.kind = static_cast<int>(KindOf(pt, k));
+      e.deadline = w.length;
+      e.kind = static_cast<int>(w.kind);
       if (k + 1 < pt.parts.size()) {
         e.dest_queue_size =
             std::max<std::size_t>(core_n[pt.parts[k + 1].core], 1);
@@ -54,7 +61,6 @@ PartitionAnalysis AnalyzeEdf(const Partition& p,
           std::max<std::size_t>(core_n[pt.parts[0].core], 1);
       e.id = pt.task.id;
       cores[sp.core].push_back(e);
-      window_start = window_end;
     }
   }
 
@@ -107,7 +113,7 @@ std::vector<std::vector<analysis::CoreEntry>> BuildCoreEntries(
       e.deadline = pt.task.deadline;
       e.priority = sp.local_priority;
       e.jitter = jitters[ti][k];
-      e.kind = KindOf(pt, k);
+      e.kind = WindowOfPart(pt, k).kind;
       if (k + 1 < pt.parts.size()) {
         e.dest_queue_size = std::max<std::size_t>(
             core_n[pt.parts[k + 1].core], 1);

@@ -18,9 +18,11 @@
 // triggered migration chains; with OverheadModel::Zero() it degenerates to
 // the overhead-oblivious analysis used for the "theoretical" curves.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
+#include "analysis/overhead_aware.hpp"
 #include "overhead/model.hpp"
 #include "partition/placement.hpp"
 #include "rt/time.hpp"
@@ -44,5 +46,18 @@ struct PartitionAnalysis {
 
 PartitionAnalysis AnalyzePartition(const Partition& p,
                                    const overhead::OverheadModel& model);
+
+/// Part k of a placed task as the analysis sees it. `length` is its EDF
+/// window: from the previous part's window end (0 for the first part) to
+/// its own, which is its rel_deadline, or the task deadline where that
+/// is 0. `kind` is kNormal for an unsplit task, else kBodyFirst for the
+/// first part, kTail for the last and kBodyMiddle between. The verifier
+/// and the online state's CommitPlaced derive every entry from it; each
+/// sets its own queue sizes.
+struct PartWindow {
+  Time length = 0;
+  analysis::EntryKind kind = analysis::EntryKind::kNormal;
+};
+PartWindow WindowOfPart(const PlacedTask& pt, std::size_t k);
 
 }  // namespace sps::partition

@@ -60,7 +60,7 @@ TEST(MemoZobrist, EdfIncrementalMatchesScratch) {
       if (rng() % 4 == 0) {
         core.Commit(partition::MakeEdfWindowEntry(
             t, std::max<Time>(1, t.wcet / 2), t.deadline / 2,
-            rng() % 2 == 0, rng() % 2 == 0));
+            static_cast<analysis::EntryKind>(1 + rng() % 3)));
       } else {
         core.Commit(partition::MakeEdfEntry(t));
       }
