@@ -5,7 +5,10 @@
 // inside one kernel over all cores and tasks, so they check the
 // per-group kernels (DESIGN.md §9) against that engine, not only against
 // themselves. Every ready x sleep backend pair and several shard counts
-// must reproduce the same hash.
+// must reproduce the same hash. The scaled, zero-overhead and global
+// pins were taken from the engines that worked out every overhead charge
+// from the model on each event, so they check the per-core charge tables
+// (DESIGN.md §9) against those.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include "rt/generator.hpp"
 #include "rt/task.hpp"
 #include "sim/engine.hpp"
+#include "sim/global_engine.hpp"
 #include "trace/gantt.hpp"
 
 namespace sps::sim {
@@ -130,6 +134,14 @@ std::size_t SplitTasks(const partition::Partition& p) {
   return n;
 }
 
+/// PaperScaled(1.37) with a migration CPMD twice the local one, so that
+/// a charge that takes the wrong one of the two shows.
+overhead::OverheadModel CostlierMigration() {
+  overhead::OverheadModel m = overhead::OverheadModel::PaperScaled(1.37);
+  m.cpmd_migration = 2 * m.cpmd_local;
+  return m;
+}
+
 struct PinCase {
   const char* name;
   partition::Partition partition;
@@ -187,6 +199,43 @@ std::vector<PinCase> PinCases() {
   return cases;
 }
 
+const ArrivalModel::Kind kArrivals[3] = {ArrivalModel::Kind::kPeriodic,
+                                         ArrivalModel::Kind::kJittered,
+                                         ArrivalModel::Kind::kBursty};
+
+/// Simulates `c` under `model` with each arrival model, every ready x
+/// sleep backend pair and shard counts 1 and 3, and expects `expected`
+/// (one hash per arrival model) from each run.
+void ExpectPinned(const PinCase& c, const overhead::OverheadModel& model,
+                  const std::uint64_t (&expected)[3],
+                  const std::string& label) {
+  for (int a = 0; a < 3; ++a) {
+    for (const QueueBackend ready : containers::kAllQueueBackends) {
+      for (const QueueBackend sleep : containers::kAllQueueBackends) {
+        for (const unsigned shards : {1u, 3u}) {
+          SimConfig cfg;
+          cfg.horizon = Millis(300);
+          cfg.overheads = model;
+          cfg.exec.kind = ExecModel::Kind::kUniform;
+          cfg.arrivals.kind = kArrivals[a];
+          cfg.ready_backend = ready;
+          cfg.sleep_backend = sleep;
+          cfg.shards = shards;
+          cfg.record_trace = true;
+          cfg.record_metrics = true;
+          cfg.exec_generations = c.generations;
+          const SimResult r = Simulate(c.partition, cfg);
+          EXPECT_EQ(HashResult(r), expected[a])
+              << c.name << " " << label << " arrivals=" << a
+              << " ready=" << containers::to_string(ready)
+              << " sleep=" << containers::to_string(sleep)
+              << " shards=" << shards;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimPin, OutputsMatchTheOneKernelEngine) {
   const std::vector<PinCase> cases = PinCases();
   // The partitions have the shapes the pins are meant to cover.
@@ -196,34 +245,102 @@ TEST(SimPin, OutputsMatchTheOneKernelEngine) {
   EXPECT_GT(SplitTasks(cases[3].partition), 0u);
   EXPECT_EQ(cases[3].partition.policy, partition::SchedPolicy::kEdf);
 
-  const ArrivalModel::Kind arrivals[3] = {ArrivalModel::Kind::kPeriodic,
-                                          ArrivalModel::Kind::kJittered,
-                                          ArrivalModel::Kind::kBursty};
   for (const PinCase& c : cases) {
+    ExpectPinned(c, overhead::OverheadModel::PaperCoreI7(), c.expected,
+                 "PaperCoreI7");
+  }
+}
+
+// The split partitions under a non-integer scale (every charge goes
+// through scaled()'s rounding), under the all-zero model, and with a
+// migration CPMD unlike the local one. Their split tasks reach the
+// migrate and tail-finish charges.
+TEST(SimPin, ScaledAndZeroOverheadsMatchTheirPins) {
+  const std::vector<PinCase> cases = PinCases();
+  const PinCase& spa2 = cases[0];
+  const PinCase& edf_wm = cases[3];
+  ASSERT_STREQ(spa2.name, "spa2_m16");
+  ASSERT_STREQ(edf_wm.name, "edf_wm_m2");
+  EXPECT_GT(SplitTasks(spa2.partition), 0u);
+  EXPECT_GT(SplitTasks(edf_wm.partition), 0u);
+  struct ModelPin {
+    const PinCase* c;
+    const char* label;
+    overhead::OverheadModel model;
+    std::uint64_t expected[3];
+  };
+  const ModelPin pins[] = {
+      {&spa2, "PaperScaled(1.37)", overhead::OverheadModel::PaperScaled(1.37),
+       {11907056222789069531ull, 3096259637750136553ull,
+        5648035796625418623ull}},
+      {&spa2, "Zero", overhead::OverheadModel::Zero(),
+       {6117641417933661345ull, 17020092473706476069ull,
+        8253329922768315579ull}},
+      {&edf_wm, "PaperScaled(1.37)",
+       overhead::OverheadModel::PaperScaled(1.37),
+       {11453954295393444917ull, 14162047036198106440ull,
+        17134624260805679253ull}},
+      {&edf_wm, "Zero", overhead::OverheadModel::Zero(),
+       {3525610817856524113ull, 12926365820080589458ull,
+        6897021030375494848ull}},
+      {&spa2, "CostlierMigration", CostlierMigration(),
+       {1119755109515738731ull, 4792375942112523018ull,
+        8096388183403206816ull}},
+  };
+  for (const ModelPin& pin : pins) {
+    ExpectPinned(*pin.c, pin.model, pin.expected, pin.label);
+  }
+}
+
+// The global engine: one seeded set on 4 cores under global RM and
+// global EDF, with the paper's costs, with them scaled by 1.37, and
+// (EDF) with a migration CPMD unlike the local one.
+TEST(SimPin, GlobalEngineMatchesItsPins) {
+  const rt::TaskSet ts = Generated(16, 0.75 * 4, 11);
+  struct GlobalPin {
+    GlobalPolicy policy;
+    const char* label;
+    overhead::OverheadModel model;
+    std::uint64_t expected[3];
+  };
+  const GlobalPin pins[] = {
+      {GlobalPolicy::kGlobalRm, "RM PaperCoreI7",
+       overhead::OverheadModel::PaperCoreI7(),
+       {1646234956714418113ull, 12662636412500277068ull,
+        3684545289437327417ull}},
+      {GlobalPolicy::kGlobalRm, "RM PaperScaled(1.37)",
+       overhead::OverheadModel::PaperScaled(1.37),
+       {7914208885807819489ull, 15342961477947176697ull,
+        1063496517344871963ull}},
+      {GlobalPolicy::kGlobalEdf, "EDF PaperCoreI7",
+       overhead::OverheadModel::PaperCoreI7(),
+       {3867532055166174108ull, 9391593602986208925ull,
+        3684545289437327417ull}},
+      {GlobalPolicy::kGlobalEdf, "EDF PaperScaled(1.37)",
+       overhead::OverheadModel::PaperScaled(1.37),
+       {10377191586547424588ull, 12742457351935560622ull,
+        1063496517344871963ull}},
+      {GlobalPolicy::kGlobalEdf, "EDF CostlierMigration", CostlierMigration(),
+       {15736137407604664376ull, 2962795825729915835ull,
+        9002635567824198737ull}},
+  };
+  for (const GlobalPin& pin : pins) {
     for (int a = 0; a < 3; ++a) {
-      for (const QueueBackend ready : containers::kAllQueueBackends) {
-        for (const QueueBackend sleep : containers::kAllQueueBackends) {
-          for (const unsigned shards : {1u, 3u}) {
-            SimConfig cfg;
-            cfg.horizon = Millis(300);
-            cfg.overheads = overhead::OverheadModel::PaperCoreI7();
-            cfg.exec.kind = ExecModel::Kind::kUniform;
-            cfg.arrivals.kind = arrivals[a];
-            cfg.ready_backend = ready;
-            cfg.sleep_backend = sleep;
-            cfg.shards = shards;
-            cfg.record_trace = true;
-            cfg.record_metrics = true;
-            cfg.exec_generations = c.generations;
-            const SimResult r = Simulate(c.partition, cfg);
-            EXPECT_EQ(HashResult(r), c.expected[a])
-                << c.name << " arrivals=" << a
-                << " ready=" << containers::to_string(ready)
-                << " sleep=" << containers::to_string(sleep)
-                << " shards=" << shards;
-          }
-        }
-      }
+      GlobalSimConfig cfg;
+      cfg.num_cores = 4;
+      cfg.horizon = Millis(300);
+      cfg.overheads = pin.model;
+      cfg.exec.kind = ExecModel::Kind::kUniform;
+      cfg.arrivals.kind = kArrivals[a];
+      cfg.policy = pin.policy;
+      cfg.record_trace = true;
+      cfg.record_metrics = true;
+      const SimResult r = SimulateGlobal(ts, cfg);
+      // Preemptions and migrations reach every charge the engine makes.
+      EXPECT_GT(r.total_preemptions, 0u) << pin.label;
+      EXPECT_GT(r.total_migrations, 0u) << pin.label;
+      EXPECT_EQ(HashResult(r), pin.expected[a])
+          << pin.label << " arrivals=" << a;
     }
   }
 }
