@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <charconv>
@@ -131,10 +132,12 @@ struct ByteWriter {
   void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
 
  private:
-  void Put(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-    }
+  /// The low `bytes` bytes of v, least significant first: on a
+  /// little-endian host, the first bytes of its object representation.
+  void Put(std::uint64_t v, std::size_t bytes) {
+    static_assert(std::endian::native == std::endian::little,
+                  "ByteWriter appends host bytes as the little-endian wire");
+    buf.append(std::bit_cast<std::array<char, 8>>(v).data(), bytes);
   }
 };
 

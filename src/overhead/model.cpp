@@ -55,6 +55,19 @@ Time OverheadModel::cpmd(bool migration) const {
   return scaled(migration ? cpmd_migration : cpmd_local);
 }
 
+QueueCharges OverheadModel::Charges(std::size_t n) const {
+  return QueueCharges{.release = release_overhead(n),
+                      .sched = sched_overhead(n, false),
+                      .sched_preempt = sched_overhead(n, true),
+                      .sched_keep = scaled(sched_exec),
+                      .ctxsw_in = ctxsw_in_overhead(),
+                      .finish_normal = finish_overhead_normal(n),
+                      .finish_tail = finish_overhead_tail(n),
+                      .migrate = migrate_overhead(n),
+                      .cpmd_local = cpmd(false),
+                      .cpmd_migration = cpmd(true)};
+}
+
 OverheadModel OverheadModel::PaperCoreI7() {
   OverheadModel m;
   // Table 1, all values in microseconds.

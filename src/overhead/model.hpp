@@ -28,6 +28,12 @@
 // are O(log N)). `OverheadModel::PaperCoreI7()` is the paper's machine;
 // `Calibrate()` (calibrate.hpp) fills the same structure from live
 // measurements of this library's own queue implementations.
+//
+// Each `OpCost::at` works out a log2 and two roundings, so the
+// simulators do not call the accessors per event: a core's queue size N
+// is static, and `OverheadModel::Charges(N)` builds the `QueueCharges`
+// row each kernel reads from (DESIGN.md §9). The analysis calls the
+// accessors directly.
 
 #include <cstddef>
 
@@ -44,6 +50,23 @@ struct OpCost {
   /// Cost at queue size n, clamped to be non-negative; log-linear in n
   /// through the two anchors (exact at n = 4 and n = 64).
   [[nodiscard]] Time at(std::size_t n) const;
+};
+
+/// Every charge the simulators make at one queue size n, each with the
+/// exact bits of the accessor named beside it. A kernel builds one row
+/// per core (per shared queue pair in the global engine) when it is
+/// constructed; its event loop reads only these.
+struct QueueCharges {
+  Time release = 0;         ///< release_overhead(n)
+  Time sched = 0;           ///< sched_overhead(n, false)
+  Time sched_preempt = 0;   ///< sched_overhead(n, true)
+  Time sched_keep = 0;      ///< scaled(sched_exec): sch() kept its job
+  Time ctxsw_in = 0;        ///< ctxsw_in_overhead()
+  Time finish_normal = 0;   ///< finish_overhead_normal(n)
+  Time finish_tail = 0;     ///< finish_overhead_tail(n): n of the first core
+  Time migrate = 0;         ///< migrate_overhead(n): n of the destination
+  Time cpmd_local = 0;      ///< cpmd(false)
+  Time cpmd_migration = 0;  ///< cpmd(true)
 };
 
 struct OverheadModel {
@@ -105,6 +128,9 @@ struct OverheadModel {
   [[nodiscard]] Time scaled(Time t) const {
     return static_cast<Time>(static_cast<double>(t) * scale + 0.5);
   }
+
+  /// Every simulator charge at queue size n, from the accessors above.
+  [[nodiscard]] QueueCharges Charges(std::size_t n) const;
 
   // -- Factories ----------------------------------------------------------
 

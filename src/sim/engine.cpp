@@ -84,7 +84,6 @@ class Engine final
   static kernel::KernelConfig MakeKernelConfig(const SimConfig& cfg) {
     return kernel::KernelConfig{
         .horizon = cfg.horizon,
-        .overheads = cfg.overheads,
         .exec = cfg.exec,
         .arrivals = cfg.arrivals,
         .record_trace = cfg.record_trace,
@@ -97,8 +96,8 @@ class Engine final
          const std::vector<std::uint32_t>& local_core)
       : Base(MakeKernelConfig(cfg), group.cores, group.tasks),
         p_(p),
-        local_core_(local_core),
-        n_of_core_(group.cores.size(), 0) {
+        local_core_(local_core) {
+    std::vector<std::size_t> n_of_core(group.cores.size(), 0);
     for (std::size_t i = 0; i < group.tasks.size(); ++i) {
       const PlacedTask& pt = p.tasks[group.tasks[i]];
       tasks_[i].pt = &pt;
@@ -108,11 +107,15 @@ class Engine final
       // such task is in the core's group.
       for (std::size_t k = 0; k < pt.parts.size(); ++k) {
         if (pt.part_on(pt.parts[k].core) == k) {
-          ++n_of_core_[local_core[pt.parts[k].core]];
+          ++n_of_core[local_core[pt.parts[k].core]];
         }
       }
     }
-    for (std::size_t& n : n_of_core_) n = std::max<std::size_t>(1, n);
+    // N is fixed, so is every charge a core makes: one row per core.
+    charges_.reserve(n_of_core.size());
+    for (const std::size_t n : n_of_core) {
+      charges_.push_back(cfg.overheads.Charges(std::max<std::size_t>(1, n)));
+    }
   }
 
   using Base::Run;
@@ -239,8 +242,7 @@ class Engine final
     this->Trace(trace::EventKind::kRelease, c, j);
     core.ready.push(CurKey(j), j);
 
-    const Time cost = kcfg_.overheads.release_overhead(n_of_core_[c]);
-    InterruptCore(c, trace::OverheadKind::kRls, cost);
+    InterruptCore(c, trace::OverheadKind::kRls, charges_[c].release);
   }
 
   void OnOverheadEnd(const Ev& ev) {
@@ -275,7 +277,7 @@ class Engine final
   /// the winner in pending_start for the post-overhead switch-in.
   void MakeSchedulingDecision(std::uint32_t c) {
     Core& core = cores_[c];
-    const std::size_t n = n_of_core_[c];
+    const overhead::QueueCharges& charge = charges_[c];
     const bool have_top = !core.ready.empty();
 
     if (core.running != nullptr) {
@@ -287,31 +289,27 @@ class Engine final
         this->Trace(trace::EventKind::kPreempt, c, preempted);
         ++tasks_[preempted->task_idx].stats.preemptions;
         ++result_.total_preemptions;
-        preempted->cpmd_pending = std::max(
-            preempted->cpmd_pending, kcfg_.overheads.cpmd(false));
+        preempted->cpmd_pending =
+            std::max(preempted->cpmd_pending, charge.cpmd_local);
         Job* top = core.ready.pop_min().second;
         core.ready.push(run_key, preempted);
         core.pending_start = top;
         ++result_.cores[c].context_switches;
         this->BurnOverhead(c, trace::OverheadKind::kSch,
-                           kcfg_.overheads.sched_overhead(n, true));
-        this->BurnOverhead(c, trace::OverheadKind::kCnt1,
-                           kcfg_.overheads.ctxsw_in_overhead());
+                           charge.sched_preempt);
+        this->BurnOverhead(c, trace::OverheadKind::kCnt1, charge.ctxsw_in);
       } else {
         // Keep running the current job; sch() only inspected the queue.
         core.pending_start = core.running;
         core.running = nullptr;
-        this->BurnOverhead(c, trace::OverheadKind::kSch,
-                           kcfg_.overheads.scaled(kcfg_.overheads.sched_exec));
+        this->BurnOverhead(c, trace::OverheadKind::kSch, charge.sched_keep);
       }
     } else if (have_top) {
       Job* top = core.ready.pop_min().second;
       core.pending_start = top;
       ++result_.cores[c].context_switches;
-      this->BurnOverhead(c, trace::OverheadKind::kSch,
-                         kcfg_.overheads.sched_overhead(n, false));
-      this->BurnOverhead(c, trace::OverheadKind::kCnt1,
-                         kcfg_.overheads.ctxsw_in_overhead());
+      this->BurnOverhead(c, trace::OverheadKind::kSch, charge.sched);
+      this->BurnOverhead(c, trace::OverheadKind::kCnt1, charge.ctxsw_in);
     } else {
       core.state = CoreState::kIdle;
       this->Trace(trace::EventKind::kIdle, c, nullptr);
@@ -384,10 +382,8 @@ class Engine final
     this->Push(Ev{.t = wake, .kind = EvKind::kTimer, .core = first,
                   .task_idx = j->task_idx});
 
-    const Time cost =
-        (c == first)
-            ? kcfg_.overheads.finish_overhead_normal(n_of_core_[c])
-            : kcfg_.overheads.finish_overhead_tail(n_of_core_[first]);
+    const Time cost = (c == first) ? charges_[c].finish_normal
+                                   : charges_[first].finish_tail;
     core.running = nullptr;
     core.state = CoreState::kOvh;
     core.need_sched = true;
@@ -408,9 +404,9 @@ class Engine final
     j->budget_remaining = (j->part + 1 == pt.parts.size())
                               ? kTimeNever
                               : pt.parts[j->part].budget;
-    j->cpmd_pending = std::max(j->cpmd_pending, kcfg_.overheads.cpmd(true));
+    j->cpmd_pending = std::max(j->cpmd_pending, charges_[dest].cpmd_migration);
 
-    const Time cost = kcfg_.overheads.migrate_overhead(n_of_core_[dest]);
+    const Time cost = charges_[dest].migrate;
     core.running = nullptr;
     core.state = CoreState::kOvh;
     core.need_sched = true;
@@ -434,7 +430,7 @@ class Engine final
 
   const partition::Partition& p_;
   const std::vector<std::uint32_t>& local_core_;
-  std::vector<std::size_t> n_of_core_;  ///< by local core
+  std::vector<overhead::QueueCharges> charges_;  ///< by local core
 };
 
 /// One simulation as one kernel per core group (DESIGN.md §9). Every

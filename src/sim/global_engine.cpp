@@ -60,18 +60,19 @@ class GlobalEngine final
 
   GlobalEngine(const rt::TaskSet& ts, const GlobalSimConfig& cfg)
       : Base(kernel::KernelConfig{.horizon = cfg.horizon,
-                                  .overheads = cfg.overheads,
                                   .exec = cfg.exec,
                                   .arrivals = cfg.arrivals,
                                   .record_trace = cfg.record_trace,
                                   .record_metrics = cfg.record_metrics},
              Iota<std::uint32_t>(cfg.num_cores),
              Iota<std::size_t>(ts.size())),
-        ts_(ts), gpolicy_(cfg.policy) {
+        ts_(ts),
+        gpolicy_(cfg.policy),
+        // Both queues are shared, so every task counts towards N.
+        charges_(cfg.overheads.Charges(std::max<std::size_t>(1, ts.size()))) {
     for (std::size_t i = 0; i < ts.size(); ++i) {
       tasks_[i].stats.id = ts[i].id;
     }
-    n_queue_ = std::max<std::size_t>(1, ts.size());
   }
 
   using Base::Run;
@@ -132,10 +133,8 @@ class GlobalEngine final
         core.pending_start = ready_.pop_min().second;
         core.state = CoreState::kOvh;
         ++result_.cores[c].context_switches;
-        this->BurnOverhead(c, trace::OverheadKind::kSch,
-                           kcfg_.overheads.sched_overhead(n_queue_, false));
-        this->BurnOverhead(c, trace::OverheadKind::kCnt1,
-                           kcfg_.overheads.ctxsw_in_overhead());
+        this->BurnOverhead(c, trace::OverheadKind::kSch, charges_.sched);
+        this->BurnOverhead(c, trace::OverheadKind::kCnt1, charges_.ctxsw_in);
       }
     }
     if (ready_.empty()) return;
@@ -176,10 +175,8 @@ class GlobalEngine final
     core.pending_start = ready_.pop_min().second;
     core.state = CoreState::kOvh;
     ++result_.cores[c].context_switches;
-    this->BurnOverhead(c, trace::OverheadKind::kSch,
-                       kcfg_.overheads.sched_overhead(n_queue_, true));
-    this->BurnOverhead(c, trace::OverheadKind::kCnt1,
-                       kcfg_.overheads.ctxsw_in_overhead());
+    this->BurnOverhead(c, trace::OverheadKind::kSch, charges_.sched_preempt);
+    this->BurnOverhead(c, trace::OverheadKind::kCnt1, charges_.ctxsw_in);
   }
 
   // ---- event handlers ----------------------------------------------------
@@ -219,8 +216,8 @@ class GlobalEngine final
       cores_[irq_core].pending_start = cores_[irq_core].running;
       cores_[irq_core].running = nullptr;
     }
-    this->BurnOverhead(irq_core, trace::OverheadKind::kRls,
-                       kcfg_.overheads.release_overhead(n_queue_), j);
+    this->BurnOverhead(irq_core, trace::OverheadKind::kRls, charges_.release,
+                       j);
     Reschedule();
   }
 
@@ -244,7 +241,8 @@ class GlobalEngine final
     if (j->resume_pending) {
       const bool migrated = j->last_core >= 0 &&
                             j->last_core != static_cast<int>(c);
-      const Time cpmd = kcfg_.overheads.cpmd(migrated);
+      const Time cpmd =
+          migrated ? charges_.cpmd_migration : charges_.cpmd_local;
       if (migrated) {
         ++tasks_[j->task_idx].stats.migrations;
         ++result_.total_migrations;
@@ -283,8 +281,8 @@ class GlobalEngine final
 
     core.running = nullptr;
     core.state = CoreState::kOvh;
-    this->BurnOverhead(c, trace::OverheadKind::kCnt2,
-                       kcfg_.overheads.finish_overhead_normal(n_queue_), j);
+    this->BurnOverhead(c, trace::OverheadKind::kCnt2, charges_.finish_normal,
+                       j);
     Reschedule();
   }
 
@@ -292,7 +290,7 @@ class GlobalEngine final
   GlobalPolicy gpolicy_;
   ReadyQ ready_;
   SleepQ sleep_;
-  std::size_t n_queue_ = 1;
+  const overhead::QueueCharges charges_;
 };
 
 }  // namespace

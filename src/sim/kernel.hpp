@@ -80,7 +80,6 @@
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace_buffer.hpp"
-#include "overhead/model.hpp"
 #include "rt/task.hpp"
 #include "rt/time.hpp"
 #include "trace/trace.hpp"
@@ -314,7 +313,6 @@ struct TaskRunBase {
 /// The engine-independent slice of a simulation config.
 struct KernelConfig {
   Time horizon = 0;
-  overhead::OverheadModel overheads;
   ExecModel exec;
   ArrivalModel arrivals;
   /// Observability switches (DESIGN.md §10). Only honored when the

@@ -17,6 +17,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -52,6 +54,39 @@ TEST(Crc32, KnownVectorsAndIncrementalUpdates) {
   c.Update("12345");
   c.Update("6789");
   EXPECT_EQ(c.value(), 0xCBF43926u);
+}
+
+/// The plain bytewise CRC-32, one bit at a time: the reference the
+/// table-driven Update must reproduce.
+std::uint32_t BitwiseCrc32(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesTheBitwiseReferenceAtEveryLengthOffsetAndSplit) {
+  util::SplitMix64 rng(20260318);
+  std::vector<unsigned char> data(4096 + 8);
+  for (unsigned char& b : data) b = static_cast<unsigned char>(rng());
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    const unsigned char* p = data.data() + rng() % 8;  // any alignment
+    const std::uint32_t want = BitwiseCrc32(p, len);
+    ASSERT_EQ(util::Crc32Of(p, len), want) << "len=" << len;
+    // The same bytes through random incremental splits.
+    util::Crc32 c;
+    for (std::size_t done = 0; done < len;) {
+      const std::size_t step =
+          std::min<std::size_t>(len - done, rng() % 24);
+      c.Update(p + done, step);
+      done += step;
+    }
+    ASSERT_EQ(c.value(), want) << "len=" << len << " split";
+  }
 }
 
 TEST(FileIo, AtomicWriteRoundTripsAndFailsWithPathAndReason) {

@@ -1,8 +1,12 @@
 // Tests for the overhead model: the published Table 1 numbers, the
 // delta/theta condensation the paper derives from them, the log-N
-// interpolation, and the composite per-action costs.
+// interpolation, the composite per-action costs, and the per-queue-size
+// charge rows the simulators read.
 
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <utility>
 
 #include "overhead/calibrate.hpp"
 #include "overhead/model.hpp"
@@ -127,6 +131,32 @@ TEST(OverheadModel, MigrationVsLocalCpmdSameOrder) {
   EXPECT_GT(m.cpmd(true), 0);
   EXPECT_LE(m.cpmd(true), 2 * m.cpmd(false));
   EXPECT_LE(m.cpmd(false), 2 * m.cpmd(true));
+}
+
+TEST(OverheadModel, ChargesEqualTheAccessorsTheyReplace) {
+  const std::pair<const char*, OverheadModel> models[] = {
+      {"Zero", OverheadModel::Zero()},
+      {"PaperCoreI7", OverheadModel::PaperCoreI7()},
+      {"PaperScaled(0.5)", OverheadModel::PaperScaled(0.5)},
+      {"PaperScaled(1.37)", OverheadModel::PaperScaled(1.37)},
+      {"PaperScaled(4.0)", OverheadModel::PaperScaled(4.0)},
+  };
+  for (const auto& [name, m] : models) {
+    for (std::size_t n = 1; n <= 256; ++n) {
+      SCOPED_TRACE(testing::Message() << name << " n=" << n);
+      const QueueCharges q = m.Charges(n);
+      EXPECT_EQ(q.release, m.release_overhead(n));
+      EXPECT_EQ(q.sched, m.sched_overhead(n, false));
+      EXPECT_EQ(q.sched_preempt, m.sched_overhead(n, true));
+      EXPECT_EQ(q.sched_keep, m.scaled(m.sched_exec));
+      EXPECT_EQ(q.ctxsw_in, m.ctxsw_in_overhead());
+      EXPECT_EQ(q.finish_normal, m.finish_overhead_normal(n));
+      EXPECT_EQ(q.finish_tail, m.finish_overhead_tail(n));
+      EXPECT_EQ(q.migrate, m.migrate_overhead(n));
+      EXPECT_EQ(q.cpmd_local, m.cpmd(false));
+      EXPECT_EQ(q.cpmd_migration, m.cpmd(true));
+    }
+  }
 }
 
 // ---- live calibration (smoke: shapes, not absolute values) ---------------
