@@ -82,10 +82,32 @@ MemoKey ZobristOfFpTasks(std::span<const rt::Task> ts) {
 
 // ---- table -----------------------------------------------------------------
 
+namespace {
+
+std::atomic<std::uint32_t> g_next_thread{0};
+/// This thread's counter shard plus one; 0 until its first count. A
+/// constant-initialized thread_local, so reading it needs no TLS init
+/// guard: a single thread pays one TLS load and a predicted branch on
+/// top of the uncontended atomic add.
+thread_local std::uint32_t t_shard_plus1 = 0;
+
+}  // namespace
+
 AnalysisMemo::AnalysisMemo(std::size_t entries) {
   const std::size_t cap = std::bit_ceil(std::max<std::size_t>(entries, 1));
   slots_ = std::make_unique<Slot[]>(cap);
   mask_ = cap - 1;
+  counters_ = std::make_unique<Counters[]>(kCounterShards);
+}
+
+AnalysisMemo::Counters& AnalysisMemo::counters() {
+  std::uint32_t s = t_shard_plus1;
+  if (s == 0) [[unlikely]] {
+    const std::uint32_t thread =
+        g_next_thread.fetch_add(1, std::memory_order_relaxed);
+    s = t_shard_plus1 = thread % kCounterShards + 1;
+  }
+  return counters_[s - 1];
 }
 
 std::optional<AnalysisMemo::Verdict> AnalysisMemo::Lookup(
@@ -96,7 +118,7 @@ std::optional<AnalysisMemo::Verdict> AnalysisMemo::Lookup(
   // caller just computes the verdict itself.
   const std::uint64_t seq1 = s.seq.load(std::memory_order_acquire);
   if (seq1 < 2 || (seq1 & 1) != 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    counters().misses.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   const std::uint64_t lo = s.lo.load(std::memory_order_relaxed);
@@ -104,10 +126,10 @@ std::optional<AnalysisMemo::Verdict> AnalysisMemo::Lookup(
   std::atomic_thread_fence(std::memory_order_acquire);
   const std::uint64_t seq2 = s.seq.load(std::memory_order_relaxed);
   if (seq2 != seq1 || lo != verify.lo || (hi >> 2) != (verify.hi >> 2)) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    counters().misses.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  counters().hits.fetch_add(1, std::memory_order_relaxed);
   return Verdict{.admitted = (hi & 1) != 0, .via_density = (hi & 2) != 0};
 }
 
@@ -134,17 +156,21 @@ bool AnalysisMemo::Store(std::uint64_t slot_hash, const MemoKey& verify,
   s.lo.store(verify.lo, std::memory_order_relaxed);
   s.hi.store(packed, std::memory_order_relaxed);
   s.seq.store(seq + 2, std::memory_order_release);
-  stores_.fetch_add(1, std::memory_order_relaxed);
-  if (evict) evicts_.fetch_add(1, std::memory_order_relaxed);
+  Counters& c = counters();
+  c.stores.fetch_add(1, std::memory_order_relaxed);
+  if (evict) c.evicts.fetch_add(1, std::memory_order_relaxed);
   return evict;
 }
 
 MemoStats AnalysisMemo::stats() const {
   MemoStats st;
-  st.hits = hits_.load(std::memory_order_relaxed);
-  st.misses = misses_.load(std::memory_order_relaxed);
-  st.stores = stores_.load(std::memory_order_relaxed);
-  st.evicts = evicts_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kCounterShards; ++i) {
+    const Counters& c = counters_[i];
+    st.hits += c.hits.load(std::memory_order_relaxed);
+    st.misses += c.misses.load(std::memory_order_relaxed);
+    st.stores += c.stores.load(std::memory_order_relaxed);
+    st.evicts += c.evicts.load(std::memory_order_relaxed);
+  }
   return st;
 }
 

@@ -132,6 +132,8 @@ class AnalysisMemo {
   /// when racing another writer on the same slot.
   bool Store(std::uint64_t slot_hash, const MemoKey& verify, Verdict v);
 
+  /// Whole-table totals: the sum of every thread shard's counters
+  /// (exact once the counting threads are quiescent).
   [[nodiscard]] MemoStats stats() const;
   [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
 
@@ -146,13 +148,27 @@ class AnalysisMemo {
     std::atomic<std::uint64_t> hi{0};
   };
 
+  // One thread shard's counters in a block of their own. A thread
+  // counts into the shard fixed at its first count (a process-wide
+  // thread index modulo kCounterShards), so pool threads probing the
+  // table never write a cache line another thread counts on; stats()
+  // sums the shards. Threads that share a shard still add atomically,
+  // so the totals stay exact. A block is two 64-byte lines, the pair
+  // an adjacent-line prefetcher fetches together.
+  struct alignas(128) Counters {
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
+    std::atomic<std::uint64_t> stores{0};
+    std::atomic<std::uint64_t> evicts{0};
+  };
+  static constexpr std::size_t kCounterShards = 64;
+
+  /// This thread's counter shard.
+  [[nodiscard]] Counters& counters();
+
   std::unique_ptr<Slot[]> slots_;
   std::uint64_t mask_ = 0;
-
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> stores_{0};
-  std::atomic<std::uint64_t> evicts_{0};
+  std::unique_ptr<Counters[]> counters_;
 };
 
 /// Memoization knob threaded through AdmissionConfig,

@@ -394,5 +394,77 @@ TEST(MemoConcurrent, HammerSharedTableStaysDecisionIdentical) {
   EXPECT_GT(st.evicts, 0u);  // the small table really was contended
 }
 
+TEST(MemoConcurrency, StatsEqualTheExactTotals) {
+  // Each thread owns disjoint slots, so no Store races another writer
+  // and every Lookup's outcome is known: per slot a miss on the empty
+  // slot, a store, a hit, a miss on an absent key, an evicting store, a
+  // hit and a miss on the displaced key. The threads count into their
+  // own counter shards at the same time; stats() must sum them exactly.
+  constexpr std::uint64_t kThreads = 8;
+  constexpr std::uint64_t kSlotsPerThread = 512;
+  analysis::AnalysisMemo table(kThreads * kSlotsPerThread);
+  ASSERT_EQ(table.capacity(), kThreads * kSlotsPerThread);
+
+  std::atomic<bool> go{false};
+  std::atomic<std::uint64_t> evicts_seen{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::uint64_t ti = 0; ti < kThreads; ++ti) {
+    threads.emplace_back([&, ti] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      std::uint64_t evicts = 0;
+      for (std::uint64_t k = 0; k < kSlotsPerThread; ++k) {
+        const std::uint64_t slot = ti * kSlotsPerThread + k;
+        const analysis::MemoKey a{slot, (slot + 1) << 2};
+        const analysis::MemoKey b{slot, (slot + 1) << 3};
+        EXPECT_FALSE(table.Lookup(slot, a).has_value());
+        evicts += table.Store(slot, a, {.admitted = true}) ? 1 : 0;
+        EXPECT_TRUE(table.Lookup(slot, a).has_value());
+        EXPECT_FALSE(table.Lookup(slot, b).has_value());
+        evicts += table.Store(slot, b, {.admitted = false}) ? 1 : 0;
+        EXPECT_TRUE(table.Lookup(slot, b).has_value());
+        EXPECT_FALSE(table.Lookup(slot, a).has_value());
+      }
+      evicts_seen.fetch_add(evicts);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+
+  constexpr std::uint64_t kSlots = kThreads * kSlotsPerThread;
+  const analysis::MemoStats st = table.stats();
+  EXPECT_EQ(st.hits, 2 * kSlots);
+  EXPECT_EQ(st.misses, 3 * kSlots);
+  EXPECT_EQ(st.stores, 2 * kSlots);
+  EXPECT_EQ(st.evicts, kSlots);
+  EXPECT_EQ(evicts_seen.load(), kSlots);
+}
+
+TEST(MemoConcurrency, ThreadsSharingAShardStillCountExactly) {
+  // More threads over the process's life than there are counter
+  // shards, four at a time: later threads share shards with earlier
+  // ones, and every count must still land.
+  analysis::AnalysisMemo table(16);
+  constexpr int kWaves = 20;
+  constexpr int kPerWave = 4;
+  constexpr std::uint64_t kLookups = 100;
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::thread> threads;
+    threads.reserve(kPerWave);
+    for (int i = 0; i < kPerWave; ++i) {
+      threads.emplace_back([&] {
+        for (std::uint64_t k = 0; k < kLookups; ++k) {
+          (void)table.Lookup(k, analysis::MemoKey{k, ~k});
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  const analysis::MemoStats st = table.stats();
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_EQ(st.misses, kWaves * kPerWave * kLookups);
+  EXPECT_EQ(st.stores, 0u);
+}
+
 }  // namespace
 }  // namespace sps
