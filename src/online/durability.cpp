@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <ranges>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -130,6 +131,13 @@ struct ByteWriter {
   void U64(std::integral auto v) { Put(static_cast<std::uint64_t>(v), 8); }
   void I64(std::integral auto v) { U64(static_cast<std::int64_t>(v)); }
   void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
+
+  /// Overwrite the `bytes` bytes at `at` as Put would append them: a
+  /// length field written before the bytes it counts.
+  void Patch(std::size_t at, std::uint64_t v, std::size_t bytes) {
+    std::memcpy(buf.data() + at, std::bit_cast<std::array<char, 8>>(v).data(),
+                bytes);
+  }
 
  private:
   /// The low `bytes` bytes of v, least significant first: on a
@@ -573,17 +581,17 @@ void Visit(Ar& ar, CheckpointState& st) {
 
 std::string EncodeCheckpoint(const CheckpointState& st,
                              std::uint64_t fingerprint) {
-  ByteWriter payload;
-  Write(payload, st);
-
   // Frame: magic, fingerprint, payload length, payload, CRC over all of
-  // the preceding bytes.
+  // the preceding bytes. The payload is encoded in place and its length
+  // patched in after.
   ByteWriter out{std::string(kCheckpointMagic, sizeof(kCheckpointMagic))};
   out.U64(fingerprint);
-  out.U64(payload.buf.size());
-  out.buf += payload.buf;
+  const std::size_t len_at = out.buf.size();
+  out.U64(0);
+  Write(out, st);
+  out.Patch(len_at, out.buf.size() - len_at - 8, 8);
   out.U32(util::Crc32Of(out.buf));
-  return out.buf;
+  return std::move(out.buf);
 }
 
 bool DecodeCheckpoint(std::string_view bytes, const std::string& path,
@@ -734,20 +742,28 @@ void Visit(Ar& ar, EpochRecord& rec) {
 constexpr std::uint8_t kRequestRecord = 0;
 constexpr std::uint8_t kEpochRecord = 1;
 
+/// Encode one record's frame into `frame` (cleared first): its length,
+/// the payload (tag, then the record) and the payload's CRC32, which it
+/// returns.
 template <class T>
-std::string RecordPayload(std::uint8_t tag, const T& rec) {
-  ByteWriter p;
-  p.U8(tag);
-  Write(p, rec);
-  return std::move(p.buf);
+std::uint32_t EncodeRecordFrame(ByteWriter& frame, std::uint8_t tag,
+                                const T& rec) {
+  frame.buf.clear();
+  frame.U32(0);  // the length, patched below
+  frame.U8(tag);
+  Write(frame, rec);
+  const std::size_t len = frame.buf.size() - 4;
+  frame.Patch(0, len, 4);
+  const std::uint32_t crc = util::Crc32Of(frame.buf.data() + 4, len);
+  frame.U32(crc);
+  return crc;
 }
 
 /// A journal-prefix digest: the CRC32 of its records' frame CRCs (each
-/// little-endian), in journal order. One digest per record kind.
+/// little-endian, as ByteWriter lays out a U32), in journal order. One
+/// digest per record kind.
 void ChainRecord(util::Crc32& digest, std::uint32_t record_crc) {
-  ByteWriter le;
-  le.U32(record_crc);
-  digest.Update(le.buf);
+  digest.Update(std::bit_cast<std::array<char, 4>>(record_crc).data(), 4);
 }
 
 /// A journal's records as recovery keeps them: requests by seq, epoch
@@ -855,6 +871,33 @@ std::string CheckpointPath(const std::string& dir, std::uint64_t epoch) {
   return dir + "/" + name;
 }
 
+/// A checkpoint file on disk: its epoch index and its path.
+using CheckpointFile = std::pair<std::uint64_t, std::string>;
+
+/// The checkpoint files in `dir`, oldest (lowest epoch) first. Missing
+/// or unreadable directories yield an empty list.
+std::vector<CheckpointFile> CheckpointFiles(const std::string& dir) {
+  std::vector<CheckpointFile> found;
+  std::error_code ec;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir, ec)) {
+    const std::string name = e.path().filename().string();
+    // The whole digit run between the prefix and the suffix: the
+    // writer zero-pads to 10 digits but an epoch index may need more.
+    constexpr std::string_view kPrefix = "ckpt-", kSuffix = ".sps";
+    if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) continue;
+    const char* first = name.data() + kPrefix.size();
+    const char* last = name.data() + name.size() - kSuffix.size();
+    std::uint64_t epoch = 0;
+    const auto [ptr, err] = std::from_chars(first, last, epoch);
+    if (err == std::errc() && ptr == last) {
+      found.emplace_back(epoch, e.path().string());
+    }
+  }
+  std::sort(found.begin(), found.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return found;
+}
+
 /// The checkpoint/journal sink the replay loop drives. The replay calls
 /// it only when the config names a directory: every call is guarded by
 /// `durable`.
@@ -919,14 +962,12 @@ class DurabilityEngine {
   /// journaled seq cross-checks; new seqs append (+ crash/halt
   /// injection). Returns false on divergence (error() set).
   bool OnApplied(const JournalRecord& rec) {
-    const std::string payload = RecordPayload(kRequestRecord, rec);
-    const std::uint32_t crc = util::Crc32Of(payload);
-    ChainRecord(records_crc_, crc);
+    ChainRecord(records_crc_, EncodeRecordFrame(frame_, kRequestRecord, rec));
     if (rec.seq < journaled_.records.size()) {
       if (journaled_.records[rec.seq] == rec) return true;
       return Diverged("decision for request " + std::to_string(rec.seq));
     }
-    if (!Append(payload, crc)) return false;
+    if (!AppendFrame()) return false;
     ++appends_;
     if (cfg_.fsync == FsyncPolicy::kEveryN &&
         appends_ % std::max(1u, cfg_.fsync_every_n) == 0) {
@@ -958,10 +999,8 @@ class DurabilityEngine {
   /// batches finish: the row is journaled once; redo of an already
   /// journaled row cross-checks it. Returns false on divergence.
   bool OnEpochClosed(std::uint64_t row, const EpochStats& e) {
-    const std::string payload =
-        RecordPayload(kEpochRecord, EpochRecord{row, e});
-    const std::uint32_t crc = util::Crc32Of(payload);
-    ChainRecord(rows_crc_, crc);
+    ChainRecord(rows_crc_,
+                EncodeRecordFrame(frame_, kEpochRecord, EpochRecord{row, e}));
     rows_ = row + 1;
     // A taken checkpoint names the rows digest at exactly its cut.
     for (CheckpointState& st : taken_) {
@@ -971,7 +1010,7 @@ class DurabilityEngine {
       if (journaled_.rows[row] == e) return true;
       return Diverged("epoch row " + std::to_string(row));
     }
-    return Append(payload, crc);
+    return AppendFrame();
   }
 
   /// Epoch-boundary hook: per-epoch fsync, then the every-K checkpoint.
@@ -991,7 +1030,8 @@ class DurabilityEngine {
     // A redo re-entering an epoch whose checkpoint is on disk keeps it.
     if (cfg_.checkpoint_every != 0 &&
         epoch_index % cfg_.checkpoint_every == 0 &&
-        !fs::exists(CheckpointPath(cfg_.dir, epoch_index))) {
+        !std::ranges::binary_search(on_disk_, epoch_index, {},
+                                    &CheckpointFile::first)) {
       CheckpointState& st = taken_.emplace_back();
       st.next_request = next_request;
       st.epoch_start = epoch_start;
@@ -1035,6 +1075,11 @@ class DurabilityEngine {
                                  cfg_.fsync != FsyncPolicy::kOff, &err)) {
         return Fail(DurabilityError::Kind::kIo, path, 0, err);
       }
+      // Newer files than this one can be on disk: a recovering run keeps
+      // the checkpoints its journal did not cover.
+      on_disk_.insert(std::ranges::upper_bound(on_disk_, st.epoch_index, {},
+                                               &CheckpointFile::first),
+                      CheckpointFile{st.epoch_index, path});
     }
     PruneCheckpoints();
     return true;
@@ -1046,14 +1091,10 @@ class DurabilityEngine {
     return false;
   }
 
-  /// Append one record frame: length, payload, the payload's CRC32.
-  bool Append(std::string_view payload, std::uint32_t crc) {
-    ByteWriter frame;
-    frame.U32(payload.size());
-    frame.buf += payload;
-    frame.U32(crc);
-    if (std::fwrite(frame.buf.data(), 1, frame.buf.size(), journal_) !=
-        frame.buf.size()) {
+  /// Append the record frame last encoded into frame_.
+  bool AppendFrame() {
+    if (std::fwrite(frame_.buf.data(), 1, frame_.buf.size(), journal_) !=
+        frame_.buf.size()) {
       return Fail(DurabilityError::Kind::kIo, journal_path_, 0,
                   journal_path_ + ": journal append failed: " +
                       std::strerror(errno));
@@ -1079,11 +1120,12 @@ class DurabilityEngine {
     if (sync) ::fsync(::fileno(journal_));
   }
 
+  /// Remove the oldest checkpoints beyond the newest kKeepCheckpoints.
   void PruneCheckpoints() {
-    const std::vector<std::string> all = ListCheckpoints(cfg_.dir);
     std::error_code ec;
-    for (std::size_t i = kKeepCheckpoints; i < all.size(); ++i) {
-      fs::remove(all[i], ec);
+    while (on_disk_.size() > kKeepCheckpoints) {
+      fs::remove(on_disk_.front().second, ec);
+      on_disk_.erase(on_disk_.begin());
     }
   }
 
@@ -1134,7 +1176,8 @@ class DurabilityEngine {
                  c.records_crc &&
              journaled_.rows_crc[c.epoch_rows].value() == c.rows_crc;
     };
-    for (const std::string& path : ListCheckpoints(cfg_.dir)) {
+    on_disk_ = CheckpointFiles(cfg_.dir);
+    for (const auto& [epoch, path] : on_disk_ | std::views::reverse) {
       std::string bytes;
       std::string io_err;
       if (!util::ReadFileBytes(path, bytes, &io_err)) {
@@ -1197,6 +1240,12 @@ class DurabilityEngine {
   std::uint64_t rows_ = 0;  ///< epoch rows the chain above covers
   /// Checkpoints taken at entry and not yet written, oldest first.
   std::deque<CheckpointState> taken_;
+  /// The checkpoint files on disk, oldest first: recovery's listing (a
+  /// fresh run wipes the directory and starts empty), then every file
+  /// written, less the pruned ones.
+  std::vector<CheckpointFile> on_disk_;
+  /// The journal frame being encoded, reused for every record.
+  ByteWriter frame_;
   std::uint64_t appends_ = 0;
   bool halted_ = false;
   DurabilityError error_;
@@ -1333,27 +1382,12 @@ bool ScanJournal(const std::string& path, JournalScan& out,
 }
 
 std::vector<std::string> ListCheckpoints(const std::string& dir) {
-  std::vector<std::pair<std::uint64_t, std::string>> found;
-  std::error_code ec;
-  for (const fs::directory_entry& e : fs::directory_iterator(dir, ec)) {
-    const std::string name = e.path().filename().string();
-    // The whole digit run between the prefix and the suffix: the
-    // writer zero-pads to 10 digits but an epoch index may need more.
-    constexpr std::string_view kPrefix = "ckpt-", kSuffix = ".sps";
-    if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) continue;
-    const char* first = name.data() + kPrefix.size();
-    const char* last = name.data() + name.size() - kSuffix.size();
-    std::uint64_t epoch = 0;
-    const auto [ptr, err] = std::from_chars(first, last, epoch);
-    if (err == std::errc() && ptr == last) {
-      found.emplace_back(epoch, e.path().string());
-    }
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::vector<CheckpointFile> found = CheckpointFiles(dir);
   std::vector<std::string> out;
   out.reserve(found.size());
-  for (auto& [epoch, path] : found) out.push_back(std::move(path));
+  for (auto& [epoch, path] : found | std::views::reverse) {
+    out.push_back(std::move(path));
+  }
   return out;
 }
 

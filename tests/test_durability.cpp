@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -1616,6 +1617,95 @@ TEST(Durability, FreshRunWipesStaleArtifacts) {
   ASSERT_TRUE(second.durability_error.ok())
       << second.durability_error.message;
   fs::remove_all(durable.durability.dir);
+}
+
+/// Checkpoint files a run keeps on disk (the engine's kKeepCheckpoints).
+constexpr std::size_t kKeptCheckpoints = 4;
+
+/// The epochs of the checkpoint files in `dir`, newest first.
+std::vector<std::uint64_t> CheckpointEpochs(const std::string& dir) {
+  std::vector<std::uint64_t> epochs;
+  for (const std::string& p : ListCheckpoints(dir)) {
+    epochs.push_back(CheckpointEpoch(p));
+  }
+  return epochs;
+}
+
+TEST(Durability, CheckpointEveryEpochLeavesTheNewestFour) {
+  // Every epoch entered writes a checkpoint; each write prunes the
+  // oldest beyond the kept four, so the four newest entries remain.
+  const WorkloadStream s = SmallStream(61, 40);
+  ReplayConfig cfg = MakeReplayConfig(PlacePolicy::kFirstFit,
+                                      partition::SchedPolicy::kEdf, false);
+  cfg.durability.dir = FreshDir("prune_every");
+  cfg.durability.checkpoint_every = 1;
+  const ReplayResult r = ReplayStream(s, cfg);
+  ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
+
+  // Row 0 is the epoch the replay starts in and the last drain_epochs
+  // rows close after the stream ends; every row between was entered.
+  std::vector<std::uint64_t> entered;
+  for (std::size_t row = r.epochs.size() - cfg.drain_epochs; row-- > 1;) {
+    entered.push_back(static_cast<std::uint64_t>(r.epochs[row].start /
+                                                 cfg.epoch));
+  }
+  ASSERT_GT(entered.size(), kKeptCheckpoints);
+  entered.resize(kKeptCheckpoints);
+  EXPECT_EQ(CheckpointEpochs(cfg.durability.dir), entered);
+  fs::remove_all(cfg.durability.dir);
+}
+
+TEST(CrashRecovery, PrunesFromItsListingAndKeepsAStaleNewerCheckpoint) {
+  // A halted run's directory holds a corrupt newest checkpoint and, from
+  // an uninterrupted run of the same stream, a newer one whose journal
+  // prefix is missing. Recovery skips both and resumes from an older
+  // one. The stale file names an epoch the recovering run re-enters:
+  // being on disk, it is kept as it is, not rewritten. Pruning starts
+  // from recovery's listing, so the corrupt and the older files go and
+  // the four newest epochs stay.
+  const WorkloadStream s = SmallStream(61, 40);
+  const ReplayConfig base = MakeReplayConfig(
+      PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
+  const ReplayResult plain = ReplayStream(s, base);
+
+  ReplayConfig whole = base;
+  whole.durability.dir = FreshDir("prune_whole");
+  whole.durability.checkpoint_every = 1;
+  ASSERT_TRUE(ReplayStream(s, whole).durability_error.ok());
+  const std::vector<std::uint64_t> newest_four =
+      CheckpointEpochs(whole.durability.dir);
+  ASSERT_EQ(newest_four.size(), kKeptCheckpoints);
+  const std::string stale_src = ListCheckpoints(whole.durability.dir).front();
+
+  const std::string dir = MakeCrashArtifacts(s, base, 35, 1, "prune_rec");
+  const std::vector<std::string> halted = ListCheckpoints(dir);
+  ASSERT_GE(halted.size(), 2u);
+  ASSERT_LT(CheckpointEpoch(halted.front()), newest_four.front());
+  FlipByteAt(halted.front(), fs::file_size(halted.front()) / 2);
+  const std::string stale =
+      dir + "/" + fs::path(stale_src).filename().string();
+  fs::copy_file(stale_src, stale);
+  fs::last_write_time(stale, fs::file_time_type::clock::now() -
+                                 std::chrono::hours(24));
+  const fs::file_time_type stale_time = fs::last_write_time(stale);
+
+  ReplayConfig rec = base;
+  rec.durability.dir = dir;
+  rec.durability.checkpoint_every = 1;
+  rec.durability.recover = true;
+  const ReplayResult r = ReplayStream(s, rec);
+  ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
+  EXPECT_TRUE(r.recovery.recovered);
+  EXPECT_EQ(r.recovery.skipped,
+            (std::vector<DurabilityError::Kind>{
+                DurabilityError::Kind::kNone,
+                DurabilityError::Kind::kCrcMismatch}));
+  EXPECT_EQ(DecisionDiff(plain, r), "");
+
+  EXPECT_EQ(CheckpointEpochs(dir), newest_four);
+  EXPECT_EQ(fs::last_write_time(stale), stale_time);
+  fs::remove_all(dir);
+  fs::remove_all(whole.durability.dir);
 }
 
 TEST(Durability, BatchReplayGivesEachStreamItsOwnArtifacts) {
