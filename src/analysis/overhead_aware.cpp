@@ -94,24 +94,36 @@ std::vector<RtaTask> InflateCore(std::span<const CoreEntry> entries,
   return out;
 }
 
-Time CandidateResponse(std::span<const CoreEntry> residents,
-                       const CoreEntry& cand,
-                       const overhead::OverheadModel& model) {
-  const std::size_t last = residents.size();
-  const LocalCharges lc(model, last + 1);
-  std::vector<RtaTask> core;
-  core.reserve(last + 1);
-  for (const CoreEntry& e : residents) core.push_back(Inflate(e, lc, model));
-  core.push_back(Inflate(cand, lc, model));
-  // The verdict is the AND of independent per-task checks, so the order
-  // cannot change it: the candidate goes first, as it is the likeliest
-  // to miss, and the first miss ends the probe.
-  const Time r = CheckedResponse(core, last);
-  if (r == kTimeNever) return kTimeNever;
-  for (std::size_t i = 0; i < last; ++i) {
-    if (CheckedResponse(core, i) == kTimeNever) return kTimeNever;
+FpCoreProbe::FpCoreProbe(std::span<const CoreEntry> residents,
+                         const overhead::OverheadModel& model)
+    : model_(&model), charges_(model, residents.size() + 1) {
+  core_.reserve(residents.size() + 1);
+  for (const CoreEntry& e : residents) {
+    core_.push_back(Inflate(e, charges_, model));
   }
+  core_.emplace_back();
+}
+
+// The verdict is the AND of independent per-task checks, so the order
+// cannot change it: the candidate goes first, as it is the likeliest to
+// miss, and the first miss ends the probe.
+bool FpCoreProbe::Admits(const CoreEntry& cand) {
+  core_.back() = Inflate(cand, charges_, *model_);
+  return PassesCheck(core_, core_.size() - 1) && ResidentsPass();
+}
+
+Time FpCoreProbe::Response(const CoreEntry& cand) {
+  core_.back() = Inflate(cand, charges_, *model_);
+  const Time r = CheckedResponse(core_, core_.size() - 1);
+  if (r == kTimeNever || !ResidentsPass()) return kTimeNever;
   return r;
+}
+
+bool FpCoreProbe::ResidentsPass() const {
+  for (std::size_t i = 0; i + 1 < core_.size(); ++i) {
+    if (!PassesCheck(core_, i)) return false;
+  }
+  return true;
 }
 
 }  // namespace sps::analysis

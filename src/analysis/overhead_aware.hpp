@@ -40,6 +40,12 @@
 // With OverheadModel::Zero() all charges vanish and the analysis reduces
 // to exact overhead-oblivious RTA — that is how the "theoretical" curves
 // of the acceptance-ratio experiment are produced.
+//
+// Admission asks one question many times per core: does it stay
+// schedulable with this candidate added? FpCoreProbe answers it with the
+// core's residents inflated once (at N = residents + 1, the queue size
+// with the candidate) and each resident's check settled, where it can
+// be, by one demand evaluation at its budget (rta.hpp PassesCheck).
 
 #include <cstddef>
 #include <span>
@@ -107,16 +113,35 @@ std::vector<RtaTask> InflateCore(std::span<const CoreEntry> entries,
                                  const overhead::OverheadModel& model,
                                  std::size_t n_local = 0);
 
-/// Verdict-only admission probe: inflates `residents` plus `cand` as
-/// one core of residents.size() + 1 entries, `cand` last, and runs exact
-/// RTA, stopping at the first miss. Returns the candidate's response
-/// time, or kTimeNever if any checked entry misses. Same verdict as
-/// AnalyzeCore(InflateCore(residents + cand)), and on an accept the
-/// same value as its response.back(); the residents' responses are
-/// never kept.
-Time CandidateResponse(std::span<const CoreEntry> residents,
-                       const CoreEntry& cand,
-                       const overhead::OverheadModel& model);
+/// The fixed-priority admission probe of one core: its residents, as
+/// they stand, inflated once with the charges of N = residents + 1
+/// entries, plus one slot that each probe refills with its candidate.
+/// Admits and Response give AnalyzeCore(InflateCore(residents + cand))'s
+/// verdict and stop at the first miss, checking the candidate first; a
+/// resident's check runs through PassesCheck, which settles it with one
+/// demand evaluation where it can. The residents' responses are never
+/// kept. A probe is
+/// rebuilt whenever its core's residents change; `model` must outlive it.
+class FpCoreProbe {
+ public:
+  FpCoreProbe(std::span<const CoreEntry> residents,
+              const overhead::OverheadModel& model);
+
+  /// Would the core stay schedulable with `cand` added?
+  [[nodiscard]] bool Admits(const CoreEntry& cand);
+
+  /// The candidate's exact response time (AnalyzeCore's
+  /// response.back()) if the core stays schedulable with it, else
+  /// kTimeNever. SPA's split chain needs the value.
+  [[nodiscard]] Time Response(const CoreEntry& cand);
+
+ private:
+  bool ResidentsPass() const;
+
+  const overhead::OverheadModel* model_;
+  LocalCharges charges_;
+  std::vector<RtaTask> core_;  ///< the residents, then the candidate slot
+};
 
 /// Inflated cost of one entry (exposed for the Figure-1 bench and tests);
 /// computes the core's local charges for this one entry.

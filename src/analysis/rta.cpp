@@ -4,21 +4,27 @@
 
 namespace sps::analysis {
 
+Time RtaDemand(std::span<const RtaTask> tasks, std::size_t index, Time x) {
+  const RtaTask& ti = tasks[index];
+  Time demand = ti.wcet + ti.release_cost;
+  for (std::size_t j = 0; j < tasks.size(); ++j) {
+    if (j == index) continue;
+    const RtaTask& tj = tasks[j];
+    const Time arrivals = CeilDiv(x + tj.jitter, tj.period);
+    // Higher-priority tasks interfere with their full execution;
+    // every task's releases interfere with their release overhead.
+    if (tj.priority < ti.priority) demand += arrivals * tj.wcet;
+    demand += arrivals * tj.release_cost;
+  }
+  return demand;
+}
+
 Time ResponseTime(std::span<const RtaTask> tasks, std::size_t index,
                   Time limit) {
   const RtaTask& ti = tasks[index];
   Time r = ti.wcet + ti.release_cost;
   while (true) {
-    Time next = ti.wcet + ti.release_cost;
-    for (std::size_t j = 0; j < tasks.size(); ++j) {
-      if (j == index) continue;
-      const RtaTask& tj = tasks[j];
-      const Time arrivals = CeilDiv(r + tj.jitter, tj.period);
-      // Higher-priority tasks interfere with their full execution;
-      // every task's releases interfere with their release overhead.
-      if (tj.priority < ti.priority) next += arrivals * tj.wcet;
-      next += arrivals * tj.release_cost;
-    }
+    const Time next = RtaDemand(tasks, index, r);
     if (next == r) return r;
     if (next > limit) return kTimeNever;
     r = next;
@@ -104,6 +110,17 @@ Time CheckedResponse(std::span<const RtaTask> tasks, std::size_t i) {
   if (!tasks[i].check) return 0;
   const Time r = CoreResponse(tasks, i);
   return MeetsDeadline(tasks[i], r) ? r : kTimeNever;
+}
+
+bool PassesCheck(std::span<const RtaTask> tasks, std::size_t i) {
+  const RtaTask& t = tasks[i];
+  if (!t.check) return true;
+  const Time budget = t.deadline - t.jitter;
+  if (t.deadline <= t.period && budget >= t.wcet &&
+      RtaDemand(tasks, i, budget) <= budget) {
+    return true;
+  }
+  return CheckedResponse(tasks, i) != kTimeNever;
 }
 
 RtaResult AnalyzeCore(std::span<const RtaTask> tasks) {

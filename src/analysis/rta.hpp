@@ -47,6 +47,13 @@ struct RtaResult {
   std::size_t first_failure = SIZE_MAX;
 };
 
+/// The RTA demand f(x) of tasks[index] in a window of length x: its own
+/// cost and release cost, plus each other task's arrivals within x (its
+/// jitter included) times its release cost, and times its WCET too if it
+/// has higher priority. f is monotone in x, and ResponseTime returns its
+/// least fixed point.
+Time RtaDemand(std::span<const RtaTask> tasks, std::size_t index, Time x);
+
 /// Worst-case response time of tasks[index] among all tasks on the core.
 /// Returns kTimeNever if the fixpoint exceeds `limit` (divergence guard;
 /// pass the deadline budget: D_i - J_i).
@@ -76,5 +83,12 @@ RtaResult AnalyzeCore(std::span<const RtaTask> tasks);
 /// AnalyzeCore's check of tasks[i] alone: its response time if it meets
 /// R_i + J_i <= D_i, else kTimeNever; 0 for a check=false entry.
 Time CheckedResponse(std::span<const RtaTask> tasks, std::size_t i);
+
+/// CheckedResponse(tasks, i) != kTimeNever, settled by one demand
+/// evaluation where it can be: for D <= T, f(B) <= B at the budget
+/// B = D_i - J_i means the least fixed point is <= B (iterating the
+/// monotone f from below never passes a point where f(x) <= x), so the
+/// check passes. Otherwise it runs CheckedResponse.
+bool PassesCheck(std::span<const RtaTask> tasks, std::size_t i);
 
 }  // namespace sps::analysis

@@ -89,9 +89,8 @@ bool FpCoreAdmits(const FpCoreState& bin, const rt::Task& cand,
         std::vector<analysis::CoreEntry> residents;
         residents.reserve(bin.tasks.size());
         for (const rt::Task& t : bin.tasks) residents.push_back(entry(t));
-        return {.admitted = analysis::CandidateResponse(
-                                residents, entry(cand), cfg.model) !=
-                            kTimeNever};
+        return {.admitted = analysis::FpCoreProbe(residents, cfg.model)
+                                .Admits(entry(cand))};
       },
       stats, memo);
 }

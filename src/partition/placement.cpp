@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <set>
-#include <unordered_set>
+#include <utility>
 
 namespace sps::partition {
 
@@ -20,10 +19,15 @@ std::size_t PlacedTask::part_on(CoreId core) const {
   return SIZE_MAX;
 }
 
-std::size_t Partition::entries_on(CoreId core) const {
-  std::size_t n = 0;
+std::vector<std::size_t> Partition::entries_per_core() const {
+  std::vector<std::size_t> n(num_cores, 0);
   for (const PlacedTask& pt : tasks) {
-    if (pt.part_on(core) != SIZE_MAX) ++n;
+    for (std::size_t k = 0; k < pt.parts.size(); ++k) {
+      // Only an invalid partition has two parts of a task on one core
+      // (counted once) or a part on an out-of-range core (not counted).
+      const CoreId c = pt.parts[k].core;
+      if (c < num_cores && pt.part_on(c) == k) ++n[c];
+    }
   }
   return n;
 }
@@ -56,19 +60,21 @@ unsigned Partition::migrations_per_period() const {
 }
 
 bool Partition::valid() const {
-  std::vector<std::set<rt::Priority>> prios(num_cores);
+  // (core, priority) of every FP part; sorted below, a repeat is two
+  // parts sharing a priority on one core.
+  std::vector<std::pair<CoreId, rt::Priority>> fp_slots;
+  if (policy == SchedPolicy::kFixedPriority) fp_slots.reserve(tasks.size());
   for (const PlacedTask& pt : tasks) {
     if (pt.parts.empty()) return false;
     if (pt.total_budget() != pt.task.wcet) return false;
-    std::unordered_set<CoreId> cores_seen;
     Time last_window = 0;
-    for (const SubtaskPlacement& p : pt.parts) {
+    for (std::size_t k = 0; k < pt.parts.size(); ++k) {
+      const SubtaskPlacement& p = pt.parts[k];
       if (p.core >= num_cores) return false;
       if (p.budget <= 0) return false;
-      if (!cores_seen.insert(p.core).second) return false;  // dup core
+      if (pt.part_on(p.core) != k) return false;  // dup core
       if (policy == SchedPolicy::kFixedPriority) {
-        // FP needs unique per-core priorities.
-        if (!prios[p.core].insert(p.local_priority).second) return false;
+        fp_slots.emplace_back(p.core, p.local_priority);
       } else if (pt.split()) {
         // EDF split parts need strictly increasing window deadlines that
         // end exactly at the task deadline.
@@ -81,7 +87,10 @@ bool Partition::valid() const {
       return false;
     }
   }
-  return true;
+  // FP needs unique per-core priorities.
+  std::sort(fp_slots.begin(), fp_slots.end());
+  return std::adjacent_find(fp_slots.begin(), fp_slots.end()) ==
+         fp_slots.end();
 }
 
 std::string Partition::summary() const {
@@ -92,9 +101,10 @@ std::string Partition::summary() const {
                 num_cores, tasks.size(), num_split_tasks(),
                 migrations_per_period());
   out += buf;
+  const std::vector<std::size_t> entries = entries_per_core();
   for (CoreId c = 0; c < num_cores; ++c) {
     std::snprintf(buf, sizeof(buf), "  core %u: U=%.3f, %zu entries:", c,
-                  core_utilization(c), entries_on(c));
+                  core_utilization(c), entries[c]);
     out += buf;
     for (const PlacedTask& pt : tasks) {
       const std::size_t k = pt.part_on(c);

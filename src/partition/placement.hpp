@@ -82,9 +82,9 @@ struct Partition {
   SchedPolicy policy = SchedPolicy::kFixedPriority;
   std::vector<PlacedTask> tasks;
 
-  /// Number of entries (normal tasks + subtasks) on a core — the queue
-  /// size parameter N of the overhead model.
-  [[nodiscard]] std::size_t entries_on(CoreId core) const;
+  /// Number of entries (normal tasks + subtasks) on each core — the
+  /// queue size parameter N of the overhead model — in one pass.
+  [[nodiscard]] std::vector<std::size_t> entries_per_core() const;
 
   /// Utilization assigned to a core (subtasks contribute budget/period).
   [[nodiscard]] double core_utilization(CoreId core) const;

@@ -19,14 +19,23 @@ double HeavyThreshold(std::size_t n) {
 namespace {
 
 struct CoreState {
+  explicit CoreState(const overhead::OverheadModel& model)
+      : probe({}, model) {}
+
   std::vector<analysis::CoreEntry> entries;
   double utilization = 0.0;
+  /// The exact-RTA probe of `entries`, rebuilt by every Commit, so all
+  /// the probes of a placement step share one inflation of the core.
+  analysis::FpCoreProbe probe;
 };
 
 class SpaRunner {
  public:
   SpaRunner(const rt::TaskSet& ts, const SpaConfig& cfg)
-      : ts_(ts), cfg_(cfg), cores_(cfg.num_cores), parts_(ts.size()) {}
+      : ts_(ts),
+        cfg_(cfg),
+        cores_(cfg.num_cores, CoreState(cfg.model)),
+        parts_(ts.size()) {}
 
   PartitionResult Run() {
     PartitionResult result;
@@ -78,9 +87,10 @@ class SpaRunner {
   };
 
   /// Admission: is core `c` schedulable with `cand` appended? On success
-  /// returns the candidate's response time via `resp_out`.
+  /// returns the candidate's response time via `resp_out`; without it
+  /// the probe may settle the candidate's check in one evaluation too.
   bool Admits(unsigned c, const analysis::CoreEntry& cand,
-              Time* resp_out) const {
+              Time* resp_out) {
     const double u = cores_[c].utilization +
                      static_cast<double>(cand.exec) /
                          static_cast<double>(cand.period);
@@ -94,13 +104,13 @@ class SpaRunner {
     // The bin packers' O(1) screen, exact for RTA: at raw U > 1 the
     // lowest-priority entry has no response fixpoint within its period
     // (or busy window), and inflation and jitter only add to that.
-    // Unspanned, like the probe below: the kUtilScreen and kAnalysis
-    // span counts stay FFD/WFD's.
+    // Unspanned, like the core's probe after it: the kUtilScreen and
+    // kAnalysis span counts stay FFD/WFD's.
     if (u > 1.0 + 1e-12) return false;
-    const Time r =
-        analysis::CandidateResponse(cores_[c].entries, cand, cfg_.model);
+    if (resp_out == nullptr) return cores_[c].probe.Admits(cand);
+    const Time r = cores_[c].probe.Response(cand);
     if (r == kTimeNever) return false;
-    if (resp_out != nullptr) *resp_out = r;
+    *resp_out = r;
     return true;
   }
 
@@ -125,9 +135,11 @@ class SpaRunner {
   }
 
   void Commit(unsigned c, std::size_t ti, const analysis::CoreEntry& e) {
-    cores_[c].entries.push_back(e);
-    cores_[c].utilization += static_cast<double>(e.exec) /
-                             static_cast<double>(e.period);
+    CoreState& core = cores_[c];
+    core.entries.push_back(e);
+    core.utilization += static_cast<double>(e.exec) /
+                        static_cast<double>(e.period);
+    core.probe = analysis::FpCoreProbe(core.entries, cfg_.model);
     parts_[ti].push_back(SubtaskPlacement{c, e.exec, e.priority});
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include "analysis/edf.hpp"
 #include "analysis/overhead_aware.hpp"
@@ -40,8 +41,7 @@ namespace {
 PartitionAnalysis AnalyzeEdf(const Partition& p,
                              const overhead::OverheadModel& model) {
   PartitionAnalysis out;
-  std::vector<std::size_t> core_n(p.num_cores);
-  for (CoreId c = 0; c < p.num_cores; ++c) core_n[c] = p.entries_on(c);
+  const std::vector<std::size_t> core_n = p.entries_per_core();
 
   std::vector<std::vector<analysis::EdfCoreEntry>> cores(p.num_cores);
   for (const PlacedTask& pt : p.tasks) {
@@ -96,12 +96,10 @@ PartitionAnalysis AnalyzeEdf(const Partition& p,
 
 /// The per-core analysis entries of a fixed-priority partition, with the
 /// given per-(task, part) jitters (outer index = task position in
-/// p.tasks).
+/// p.tasks) and `core_n` = p.entries_per_core().
 std::vector<std::vector<analysis::CoreEntry>> BuildCoreEntries(
-    const Partition& p, const std::vector<std::vector<Time>>& jitters) {
-  std::vector<std::size_t> core_n(p.num_cores);
-  for (CoreId c = 0; c < p.num_cores; ++c) core_n[c] = p.entries_on(c);
-
+    const Partition& p, const std::vector<std::vector<Time>>& jitters,
+    std::span<const std::size_t> core_n) {
   std::vector<std::vector<analysis::CoreEntry>> cores(p.num_cores);
   for (std::size_t ti = 0; ti < p.tasks.size(); ++ti) {
     const PlacedTask& pt = p.tasks[ti];
@@ -147,13 +145,14 @@ PartitionAnalysis AnalyzePartition(const Partition& p,
     jitters[ti].assign(p.tasks[ti].parts.size(), 0);
   }
 
+  const std::vector<std::size_t> core_n = p.entries_per_core();
   constexpr int kMaxIterations = 32;
   std::vector<std::vector<Time>> responses(p.tasks.size());
   bool converged = false;
   bool diverged = false;
 
   for (int iter = 0; iter < kMaxIterations && !converged; ++iter) {
-    const auto cores = BuildCoreEntries(p, jitters);
+    const auto cores = BuildCoreEntries(p, jitters, core_n);
 
     // Inflate each core once, then pull per-entry responses out.
     std::vector<std::vector<analysis::RtaTask>> inflated(p.num_cores);

@@ -103,7 +103,7 @@ class Engine final
       tasks_[i].pt = &pt;
       tasks_[i].stats.id = pt.task.id;
       // Static queue-size parameter N per core, as in the analysis: the
-      // tasks with a part on the core (Partition::entries_on). Every
+      // tasks with a part on the core (Partition::entries_per_core). Every
       // such task is in the core's group.
       for (std::size_t k = 0; k < pt.parts.size(); ++k) {
         if (pt.part_on(pt.parts[k].core) == k) {

@@ -341,117 +341,197 @@ TEST(OverheadAware, PerCoreChargesEqualPerEntrySums) {
   }
 }
 
-// ---- verdict-only admission probe -----------------------------------------
+// ---- prepared FP admission probe ------------------------------------------
 
-// One seeded core plus a candidate, everything drawn independently: all
-// four entry kinds, jitter, D < T, D = T and D > T (the busy-window
-// path), interference-only (check == false) entries and random unique
-// priorities. Every fourth case is built at raw U == 1 exactly, from
-// harmonic periods with one 1000 s entry nudged by -1, 0 or +1 ns, so
-// raw U is 1 - 1e-12, 1 or 1 + 1e-12.
+// One seeded core of residents plus fresh candidates for it, everything
+// drawn independently: all four entry kinds, jitter, D < T, D = T and
+// D > T (the busy-window path), interference-only (check == false)
+// entries and random priorities, unique on the core (residents take odd
+// values, candidates even ones, so a candidate can rank anywhere). Every
+// fourth case is built at raw U == 1 exactly, from harmonic periods with
+// one 1000 s entry nudged by -1, 0 or +1 ns, so raw U is 1 - 1e-12, 1 or
+// 1 + 1e-12. Every candidate of a case has the same share of raw U, so
+// the case's raw U is the same for each.
 struct ProbeCase {
   std::vector<CoreEntry> residents;
-  CoreEntry cand;
+  bool near_one = false;
+  Time cand_share = 0;     ///< the candidates' raw U, in thousandths
+  bool cand_long = false;  ///< near-one: the candidates are the 1000 s entry
   int nudge = 0;  ///< near-one cases: the sign of raw U - 1, exactly
 };
 
+Time Pick(std::mt19937_64& rng, Time lo, Time hi) {
+  return lo + static_cast<Time>(rng() % static_cast<std::uint64_t>(
+                                          hi - lo + 1));
+}
+
+CoreEntry DrawEntry(std::mt19937_64& rng, bool near_one, Time share,
+                    bool long_period) {
+  CoreEntry e;
+  e.kind = static_cast<EntryKind>(rng() % 4);
+  e.dest_queue_size = 1 + rng() % 64;
+  e.first_core_queue_size = 1 + rng() % 64;
+  if (near_one) {
+    // Harmonic: 1/2/4/8 ms and 1000 s (a multiple of 8 ms), D = T,
+    // no jitter, all checked.
+    e.period = long_period ? Time{1'000'000'000'000}
+                           : Millis(Time{1} << (rng() % 4));
+    e.exec = share * e.period / 1000;
+    e.deadline = e.period;
+  } else {
+    e.period = Micros(Pick(rng, 500, 100'000));
+    e.exec = std::max<Time>(1, share * e.period / 1000);
+    switch (rng() % 3) {
+      case 0: e.deadline = e.period; break;
+      case 1: e.deadline = Pick(rng, e.exec, e.period); break;
+      default: e.deadline = Pick(rng, e.period + 1, 3 * e.period); break;
+    }
+    if (rng() % 3 == 0) e.jitter = Pick(rng, 0, (e.deadline - e.exec) / 2);
+    e.check = rng() % 6 != 0;
+  }
+  return e;
+}
+
 ProbeCase DrawProbeCase(std::mt19937_64& rng, bool near_one) {
-  auto pick = [&rng](Time lo, Time hi) {
-    return lo + static_cast<Time>(rng() % static_cast<std::uint64_t>(
-                                              hi - lo + 1));
-  };
   const std::size_t n = 1 + rng() % 7;
-  std::vector<rt::Priority> prio(n + 1);
+  std::vector<rt::Priority> prio(n);
   std::iota(prio.begin(), prio.end(), rt::Priority{0});
   std::shuffle(prio.begin(), prio.end(), rng);
-  // Shares of raw U in thousandths (each >= 10, so every entry matters).
-  const Time total = near_one ? 1000 : pick(300, 1100);
+  // Shares of raw U in thousandths (each >= 10, so every entry matters);
+  // the last is the candidates'.
+  const Time total = near_one ? 1000 : Pick(rng, 300, 1100);
   std::vector<Time> share(n + 1, 10);
   for (Time left = total - 10 * static_cast<Time>(n + 1); left > 0; --left) {
     ++share[rng() % (n + 1)];
   }
-  std::vector<CoreEntry> core;
-  for (std::size_t i = 0; i <= n; ++i) {
-    CoreEntry e;
-    e.priority = prio[i];
-    e.id = static_cast<rt::TaskId>(i);
-    e.kind = static_cast<EntryKind>(rng() % 4);
-    e.dest_queue_size = 1 + rng() % 64;
-    e.first_core_queue_size = 1 + rng() % 64;
-    if (near_one) {
-      // Harmonic: 1/2/4/8 ms and 1000 s (a multiple of 8 ms), D = T,
-      // no jitter, all checked.
-      e.period = i == 0 ? Time{1'000'000'000'000}
-                        : Millis(Time{1} << (rng() % 4));
-      e.exec = share[i] * e.period / 1000;
-      e.deadline = e.period;
-    } else {
-      e.period = Micros(pick(500, 100'000));
-      e.exec = std::max<Time>(1, share[i] * e.period / 1000);
-      switch (rng() % 3) {
-        case 0: e.deadline = e.period; break;
-        case 1: e.deadline = pick(e.exec, e.period); break;
-        default: e.deadline = pick(e.period + 1, 3 * e.period); break;
-      }
-      if (rng() % 3 == 0) e.jitter = pick(0, (e.deadline - e.exec) / 2);
-      e.check = rng() % 6 != 0;
-    }
-    core.push_back(e);
-  }
   ProbeCase pc;
-  if (near_one) {
-    pc.nudge = static_cast<int>(rng() % 3) - 1;
-    core[0].exec += pc.nudge;
+  pc.near_one = near_one;
+  pc.cand_share = share[n];
+  // Any entry may hold the 1000 s period, a candidate included.
+  const std::size_t long_one = rng() % (n + 1);
+  pc.cand_long = near_one && long_one == n;
+  if (near_one) pc.nudge = static_cast<int>(rng() % 3) - 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    CoreEntry e = DrawEntry(rng, near_one, share[i], i == long_one);
+    if (near_one && i == long_one) e.exec += pc.nudge;
+    e.priority = 2 * prio[i] + 1;
+    e.id = static_cast<rt::TaskId>(i);
+    pc.residents.push_back(e);
   }
-  // Any entry may be the candidate, the 1000 s one included.
-  std::swap(core[rng() % core.size()], core.back());
-  pc.cand = core.back();
-  core.pop_back();
-  pc.residents = std::move(core);
   return pc;
+}
+
+CoreEntry FreshCandidate(std::mt19937_64& rng, const ProbeCase& pc) {
+  CoreEntry e = DrawEntry(rng, pc.near_one, pc.cand_share, pc.cand_long);
+  if (pc.cand_long) e.exec += pc.nudge;
+  const std::size_t n = pc.residents.size();
+  e.priority = 2 * static_cast<rt::Priority>(rng() % (n + 1));
+  e.id = static_cast<rt::TaskId>(n);
+  return e;
 }
 
 TEST(AdmissionProbe, MatchesFullCoreAnalysis) {
   std::mt19937_64 rng(20110318);
   const OverheadModel models[] = {OverheadModel::Zero(),
                                   OverheadModel::PaperCoreI7()};
+  constexpr int kCandidates = 8;
   int accepts = 0, rejects = 0, screened = 0, full_accepts = 0;
+  // The checks each path of PassesCheck settles, over every checked
+  // D <= T entry of every probed core: one demand evaluation, the
+  // fixpoint after it passing or missing, and the least fixed point
+  // exactly at the budget (a one-shot pass at f(B) == B).
+  int one_shot = 0, fallback_passes = 0, fallback_misses = 0, at_budget = 0;
   for (int iter = 0; iter < 6000; ++iter) {
     const bool near_one = iter % 4 == 0;
     const ProbeCase pc = DrawProbeCase(rng, near_one);
-    std::vector<CoreEntry> all = pc.residents;
-    all.push_back(pc.cand);
-    double raw_u = 0.0;
-    bool all_checked = true;
-    for (const CoreEntry& e : all) {
-      raw_u += static_cast<double>(e.exec) / static_cast<double>(e.period);
-      all_checked = all_checked && e.check;
+    std::vector<CoreEntry> cands;
+    for (int k = 0; k < kCandidates; ++k) {
+      cands.push_back(FreshCandidate(rng, pc));
     }
     for (const OverheadModel& m : models) {
-      const RtaResult oracle = AnalyzeCore(InflateCore(all, m));
-      const Time r = CandidateResponse(pc.residents, pc.cand, m);
-      ASSERT_EQ(r != kTimeNever, oracle.schedulable) << "case " << iter;
-      if (oracle.schedulable) {
-        EXPECT_EQ(r, oracle.response.back()) << "case " << iter;
-        ++accepts;
-      } else {
-        ++rejects;
+      // One probe for the resident set, reused for every candidate.
+      FpCoreProbe probe(pc.residents, m);
+      for (int k = 0; k < kCandidates; ++k) {
+        std::vector<CoreEntry> all = pc.residents;
+        all.push_back(cands[k]);
+        RtaResult oracle = AnalyzeCore(InflateCore(all, m));
+        // The last candidate's deadline is pulled in to J + R, so its
+        // least fixed point sits exactly at its budget. R does not
+        // depend on the candidate's own deadline, nor does any other
+        // entry's check.
+        if (k == kCandidates - 1 && all.back().check &&
+            all.back().deadline <= all.back().period &&
+            oracle.response.back() != kTimeNever) {
+          all.back().deadline = all.back().jitter + oracle.response.back();
+          oracle = AnalyzeCore(InflateCore(all, m));
+        }
+        const CoreEntry& cand = all.back();
+        // Either call may be the first to see this candidate.
+        bool admits = false;
+        Time r = kTimeNever;
+        if (k % 2 == 0) {
+          admits = probe.Admits(cand);
+          r = probe.Response(cand);
+        } else {
+          r = probe.Response(cand);
+          admits = probe.Admits(cand);
+        }
+        ASSERT_EQ(admits, oracle.schedulable)
+            << "case " << iter << " candidate " << k;
+        ASSERT_EQ(r != kTimeNever, oracle.schedulable)
+            << "case " << iter << " candidate " << k;
+        if (oracle.schedulable) {
+          EXPECT_EQ(r, oracle.response.back()) << "case " << iter;
+          ++accepts;
+        } else {
+          ++rejects;
+        }
+        double raw_u = 0.0;
+        bool all_checked = true;
+        for (const CoreEntry& e : all) {
+          raw_u += static_cast<double>(e.exec) / static_cast<double>(e.period);
+          all_checked = all_checked && e.check;
+        }
+        // The partitioners' O(1) screen is exact: a fully checked core
+        // over raw U 1 never passes RTA, not even at 1 + 1e-12.
+        if (all_checked && (raw_u > 1.0 + 1e-12 || pc.nudge > 0)) {
+          EXPECT_FALSE(oracle.schedulable) << "case " << iter;
+          ++screened;
+        }
+        if (near_one && pc.nudge == 0 && oracle.schedulable) ++full_accepts;
+
+        const std::vector<RtaTask> core = InflateCore(all, m);
+        for (std::size_t i = 0; i < core.size(); ++i) {
+          const RtaTask& t = core[i];
+          const Time budget = t.deadline - t.jitter;
+          if (!t.check || t.deadline > t.period || budget < t.wcet) continue;
+          const Time ri = oracle.response[i];
+          const bool passes = ri != kTimeNever && ri <= budget;
+          if (RtaDemand(core, i, budget) <= budget) {
+            // The lemma: one evaluation at the budget settles a pass.
+            EXPECT_TRUE(passes) << "case " << iter << " entry " << i;
+            ++one_shot;
+            if (ri == budget) ++at_budget;
+          } else if (passes) {
+            ++fallback_passes;
+          } else {
+            ++fallback_misses;
+          }
+        }
       }
-      // The partitioners' O(1) screen is exact: a fully checked core
-      // over raw U 1 never passes RTA, not even at 1 + 1e-12.
-      if (all_checked && (raw_u > 1.0 + 1e-12 || pc.nudge > 0)) {
-        EXPECT_FALSE(oracle.schedulable) << "case " << iter;
-        ++screened;
-      }
-      if (near_one && pc.nudge == 0 && oracle.schedulable) ++full_accepts;
     }
   }
-  // Both verdicts, the screen and RTA's accepts at U == 1 are all well
-  // represented (2931, 9069, 1450 and 65 at this seed).
-  EXPECT_GT(accepts, 2000);
-  EXPECT_GT(rejects, 6000);
-  EXPECT_GT(screened, 1000);
-  EXPECT_GT(full_accepts, 20);
+  // Both verdicts, the screen, RTA's accepts at U == 1 and every path
+  // of the check are well represented (23845, 72155, 11910 and 582 at
+  // this seed; the paths 184817, 2321, 130967 and 5689).
+  EXPECT_GT(accepts, 20000);
+  EXPECT_GT(rejects, 60000);
+  EXPECT_GT(screened, 10000);
+  EXPECT_GT(full_accepts, 400);
+  EXPECT_GT(one_shot, 150000);
+  EXPECT_GT(fallback_passes, 1500);
+  EXPECT_GT(fallback_misses, 100000);
+  EXPECT_GT(at_budget, 4000);
 }
 
 }  // namespace

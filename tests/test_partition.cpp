@@ -50,7 +50,7 @@ TEST(Placement, ValidityChecks) {
   EXPECT_TRUE(p.valid());
   EXPECT_EQ(p.num_split_tasks(), 1u);
   EXPECT_EQ(p.migrations_per_period(), 1u);
-  EXPECT_EQ(p.entries_on(0), 1u);
+  EXPECT_EQ(p.entries_per_core(), (std::vector<std::size_t>{1, 1}));
   EXPECT_NEAR(p.core_utilization(0), 0.3, 1e-9);
   EXPECT_NEAR(p.core_utilization(1), 0.1, 1e-9);
 
@@ -79,6 +79,10 @@ TEST(Placement, DuplicatePrioritiesOnCoreInvalid) {
     p.tasks.push_back(pt);
   }
   EXPECT_FALSE(p.valid());
+  // The same priority on two cores is fine.
+  p.num_cores = 2;
+  p.tasks[1].parts[0].core = 1;
+  EXPECT_TRUE(p.valid());
 }
 
 TEST(Placement, SummaryMentionsSplitBudgets) {
@@ -132,8 +136,8 @@ TEST(BinPack, FfdPlacesGreedilyOnFirstCore) {
   cfg.admission = AdmissionTest::kLiuLayland;
   const PartitionResult r = Ffd(ts, cfg);
   ASSERT_TRUE(r.success) << r.failure_reason;
-  EXPECT_EQ(r.partition.entries_on(0), 2u);
-  EXPECT_EQ(r.partition.entries_on(1), 2u);
+  EXPECT_EQ(r.partition.entries_per_core(),
+            (std::vector<std::size_t>{2, 2}));
   EXPECT_EQ(r.partition.num_split_tasks(), 0u);
 }
 
@@ -145,8 +149,8 @@ TEST(BinPack, WfdBalancesLoad) {
   const PartitionResult r = Wfd(ts, cfg);
   ASSERT_TRUE(r.success);
   // Worst-fit alternates between the emptiest cores: 2 + 2.
-  EXPECT_EQ(r.partition.entries_on(0), 2u);
-  EXPECT_EQ(r.partition.entries_on(1), 2u);
+  EXPECT_EQ(r.partition.entries_per_core(),
+            (std::vector<std::size_t>{2, 2}));
 }
 
 TEST(BinPack, FfdConcentratesWithExactRta) {
@@ -162,8 +166,8 @@ TEST(BinPack, FfdConcentratesWithExactRta) {
   cfg.admission = AdmissionTest::kRta;
   const PartitionResult r = Ffd(ts, cfg);
   ASSERT_TRUE(r.success);
-  EXPECT_EQ(r.partition.entries_on(0), 3u);
-  EXPECT_EQ(r.partition.entries_on(1), 1u);
+  EXPECT_EQ(r.partition.entries_per_core(),
+            (std::vector<std::size_t>{3, 1}));
 }
 
 TEST(BinPack, FailsWhenNothingFits) {

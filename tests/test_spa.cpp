@@ -257,7 +257,7 @@ TEST_P(SpaUtilizationSweep, AcceptedPartitionsAlwaysVerify) {
 INSTANTIATE_TEST_SUITE_P(Utils, SpaUtilizationSweep,
                          ::testing::Values(0.4, 0.6, 0.7, 0.8, 0.9));
 
-// ---- admission screen and verdict-only probe -------------------------------
+// ---- admission screen and prepared probe ----------------------------------
 
 TaskSet HarmonicFullCore(Time extra_ns) {
   // C = (1, 1, 2) ms, T = (2, 4, 8) ms: raw U == 1, schedulable by RTA
@@ -362,7 +362,7 @@ TEST(AdmissionProbe, SpaReproducesTheFullCoreAnalysisDecisions) {
   // The fingerprint was taken with every exact-mode SPA probe running
   // InflateCore + AnalyzeCore over a copy of the core with the
   // candidate appended, with no utilization screen. The screened,
-  // verdict-only probe must reproduce every decision bit for bit.
+  // prepared per-core probe must reproduce every decision bit for bit.
   const std::vector<ProbeSet> sets = ProbeSets();
   std::uint64_t h = 14695981039346656037ull;
   int accepted = 0;
@@ -386,7 +386,7 @@ TEST(AdmissionProbe, SpaReproducesTheFullCoreAnalysisDecisions) {
   EXPECT_EQ(h, 13698025758033858574ull);
 }
 
-// The bin packers' path before the verdict-only probe: the same O(1)
+// The oracle of the bin packers' admission: the same O(1)
 // screen, then the full-core analysis of residents plus candidate.
 bool OracleAdmits(const FpCoreState& core, const rt::Task& cand,
                   const OverheadModel& m, AdmitStats& s) {
