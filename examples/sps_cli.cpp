@@ -31,7 +31,8 @@
 //       (DESIGN.md §14): --checkpoint-dir turns on the write-ahead
 //       journal and checkpoints; a --recover run's stdout is
 //       byte-identical to the uninterrupted run (with
-//       --analysis-cache=off the cache counters match too).
+//       --analysis-cache=off, or --online-policy=fp, which is never
+//       cached, the cache counters match too).
 //
 // Channels (DESIGN.md §15, §16): --profile, the heartbeat, request
 // tracing and recovery narration write to stderr or their own files,
@@ -41,10 +42,12 @@
 // the cwd); inspect its files with tools/trace_summary.py.
 //
 // --analysis-cache sizes (rounded up to a power of two) or disables the
-// shared schedulability-verdict table (DESIGN.md §12); decisions are
-// identical either way. --shards=N lets one simulation run the
-// partition's core groups — cores joined by split tasks — on up to N
-// threads (DESIGN.md §9); results are bit-identical to --shards=1.
+// shared EDF schedulability-verdict table (DESIGN.md §12); decisions are
+// identical either way. Fixed-priority verdicts (FFD/WFD/BFD, SPA,
+// --online-policy=fp) are never cached, so their runs read 0 lookups.
+// --shards=N lets one simulation run the partition's core groups —
+// cores joined by split tasks — on up to N threads (DESIGN.md §9);
+// results are bit-identical to --shards=1.
 //
 // Examples:
 //   ./build/examples/sps_cli --algo=edf-wm --tasks=24 --trace
@@ -289,7 +292,8 @@ std::vector<Flag> FlagTable(Options& o) {
       {"--jobs", &o.jobs, "sweep threads; 0 = one per hardware thread"},
       {"--exec", OneOf(&o.exec_model, kExecModels),
        "execution times in validation simulations"},
-      {"--analysis-cache", &o.memo, "verdict table slots", kAny, kAtLeastOne},
+      {"--analysis-cache", &o.memo, "EDF verdict table slots", kAny,
+       kAtLeastOne},
       {"--online", &o.online, "online admission replay"},
       {"--online-requests", &o.online_requests, "admits in the stream",
        kOnline},

@@ -1,32 +1,34 @@
 #pragma once
 // Memoized schedulability: a Zobrist-keyed, lock-free transposition
-// table for analysis verdicts (DESIGN.md §12, ROADMAP item 2).
+// table for EDF admission verdicts (DESIGN.md §12, ROADMAP item 2).
 //
-// The demand test / RTA is the hot kernel of every decision path in this
-// repo — admission screens, repartition fallbacks, unsplit probes, EDF
-// split-window budget searches, and acceptance-sweep partitioning all
-// recompute it for per-core resident sets that recur thousands of
-// times. Both per-core admission tests are PURE functions of
-// (resident entry multiset, candidate entry, overhead model / test
-// kind), so their verdicts are safely memoizable — the same trick chess
-// engines use for position evaluation:
+// The EDF demand test is the hot kernel of the EDF decision paths —
+// admission screens, repartition fallbacks, unsplit probes, EDF-WM
+// split-window budget searches and EDF acceptance sweeps all recompute
+// it for per-core resident sets that recur thousands of times. The
+// per-core test is a PURE function of (resident entry multiset,
+// candidate entry, overhead model), so its verdicts are safely
+// memoizable — the same trick chess engines use for position
+// evaluation. Fixed-priority verdicts are not cached: a verdict is one
+// prepared FpCoreProbe call (overhead_aware.hpp), and at the acceptance
+// sweep's 4% hit ratio the key and table probe cost more than the calls
+// they save (DESIGN.md §12).
 //
 //   * ZOBRIST HASH: every analysis entry (task id, kind, exec, window
 //     deadline, ...) gets a 128-bit code from independent
 //     splitmix64-derived streams. A core's resident-set hash is the XOR
-//     of its entries' codes — XORed in on Commit/Restore and out on
-//     Remove/Take, so maintenance is O(1) per entry in the online
-//     AdmissionState and recomputable from scratch by the offline
-//     partitioners' probe loops (ZobristOfEdfEntries / ZobristOfFpTasks).
-//     Codes include the task id, so a legal resident set never holds two
-//     identical codes (one entry per task per core) and XOR cancellation
-//     cannot alias two reachable states.
+//     of its entries' codes — XORed in on Commit and out on Remove, so
+//     maintenance is O(1) per entry (EdfCoreState::zobrist) and
+//     recomputable from scratch (ZobristOfEdfEntries). Codes include the
+//     task id, so a legal resident set never holds two identical codes
+//     (one entry per task per core) and XOR cancellation cannot alias
+//     two reachable states.
 //
 //   * QUERY KEY: the candidate's code is NOT XORed into the resident
 //     hash (that would alias "e resident, probing e" with the empty
 //     core); resident hash, candidate code and the config fingerprint
-//     (overhead model + test domain) are mixed asymmetrically into a
-//     128-bit verification key. The low word doubles as the slot index.
+//     (the overhead model) are mixed asymmetrically into a 128-bit
+//     verification key. The low word doubles as the slot index.
 //
 //   * TABLE: fixed-size, power-of-two, replace-on-collision. Entries
 //     publish via a per-slot seqlock (sequence word + two key/payload
@@ -54,7 +56,6 @@
 
 #include "analysis/edf.hpp"
 #include "overhead/model.hpp"
-#include "rt/task.hpp"
 
 namespace sps::analysis {
 
@@ -77,13 +78,8 @@ struct MemoKey {
 /// deadline, queue sizes).
 [[nodiscard]] MemoKey EdfEntryCode(const EdfCoreEntry& e);
 
-/// Zobrist code of one fixed-priority resident task (id, C, T, D,
-/// priority — everything FpCoreAdmits reads).
-[[nodiscard]] MemoKey FpTaskCode(const rt::Task& t);
-
-/// From-scratch resident-set hashes (offline probe loops, tests).
+/// From-scratch resident-set hash (checkpoint cross-check, tests).
 [[nodiscard]] MemoKey ZobristOfEdfEntries(std::span<const EdfCoreEntry> es);
-[[nodiscard]] MemoKey ZobristOfFpTasks(std::span<const rt::Task> ts);
 
 /// Global (whole-table) counters — the acceptance sweep has no
 /// AdmitStats plumbing, so the CLI reports these snapshots instead.
@@ -172,8 +168,8 @@ class AnalysisMemo {
 };
 
 /// Memoization knob threaded through AdmissionConfig,
-/// EdfPartitionConfig, BinPackConfig and AcceptanceConfig
-/// (sps_cli --analysis-cache=off|<N>).
+/// EdfPartitionConfig and AcceptanceConfig (sps_cli
+/// --analysis-cache=off|<N>); only the EDF demand test reads it.
 struct MemoConfig {
   bool enabled = true;
   /// Size hint for the process-wide shared table; only the FIRST
@@ -196,8 +192,8 @@ AnalysisMemo& SharedMemo(
 void ResizeSharedMemo(std::size_t entries);
 
 /// Per-run resolved memoization state: the table (null = off) and the
-/// config fingerprint (overhead model + test domain) mixed into every
-/// query key so verdicts can never leak across configs. Built once per
+/// config fingerprint (the overhead model) mixed into every query key so
+/// verdicts can never leak across configs. Built once per
 /// partitioner run / AdmissionState, passed down the admission tests.
 struct MemoContext {
   AnalysisMemo* table = nullptr;
@@ -207,15 +203,9 @@ struct MemoContext {
   [[nodiscard]] bool active() const { return table != nullptr; }
 };
 
-/// EDF demand-test domain: fingerprint = model fields + EDF tag.
+/// The EDF demand test's context: fingerprint = the model's fields.
 [[nodiscard]] MemoContext MakeEdfMemoContext(
     const MemoConfig& cfg, const overhead::OverheadModel& model);
-
-/// Fixed-priority domain: fingerprint additionally folds the admission
-/// test kind (LL / hyperbolic / RTA verdicts never alias).
-[[nodiscard]] MemoContext MakeFpMemoContext(
-    const MemoConfig& cfg, const overhead::OverheadModel& model,
-    int admission_kind);
 
 /// The query key for "would `cand` fit on a core whose resident hash is
 /// `core`": asymmetric mix of resident hash, candidate code and config

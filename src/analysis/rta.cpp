@@ -4,19 +4,30 @@
 
 namespace sps::analysis {
 
-Time RtaDemand(std::span<const RtaTask> tasks, std::size_t index, Time x) {
+namespace {
+
+/// What every other task puts into a window of length x before tau_i
+/// finishes: higher-priority tasks their full execution per arrival, and
+/// every task the release overhead of each arrival.
+Time Interference(std::span<const RtaTask> tasks, std::size_t index,
+                  Time x) {
   const RtaTask& ti = tasks[index];
-  Time demand = ti.wcet + ti.release_cost;
+  Time demand = 0;
   for (std::size_t j = 0; j < tasks.size(); ++j) {
     if (j == index) continue;
     const RtaTask& tj = tasks[j];
     const Time arrivals = CeilDiv(x + tj.jitter, tj.period);
-    // Higher-priority tasks interfere with their full execution;
-    // every task's releases interfere with their release overhead.
     if (tj.priority < ti.priority) demand += arrivals * tj.wcet;
     demand += arrivals * tj.release_cost;
   }
   return demand;
+}
+
+}  // namespace
+
+Time RtaDemand(std::span<const RtaTask> tasks, std::size_t index, Time x) {
+  const RtaTask& ti = tasks[index];
+  return ti.wcet + ti.release_cost + Interference(tasks, index, x);
 }
 
 Time ResponseTime(std::span<const RtaTask> tasks, std::size_t index,
@@ -34,23 +45,14 @@ Time ResponseTime(std::span<const RtaTask> tasks, std::size_t index,
 Time ResponseTimeArbitrary(std::span<const RtaTask> tasks,
                            std::size_t index, Time limit) {
   const RtaTask& ti = tasks[index];
+  const Time job = ti.wcet + ti.release_cost;
 
   // Level-i busy window: all of tau_i's own arrivals plus everything of
   // higher priority (and every task's release overhead).
-  Time window = ti.wcet + ti.release_cost;
+  Time window = job;
   while (true) {
-    Time next = 0;
-    {
-      const Time own_arrivals = CeilDiv(window + ti.jitter, ti.period);
-      next += own_arrivals * (ti.wcet + ti.release_cost);
-    }
-    for (std::size_t j = 0; j < tasks.size(); ++j) {
-      if (j == index) continue;
-      const RtaTask& tj = tasks[j];
-      const Time arrivals = CeilDiv(window + tj.jitter, tj.period);
-      if (tj.priority < ti.priority) next += arrivals * tj.wcet;
-      next += arrivals * tj.release_cost;
-    }
+    const Time next = CeilDiv(window + ti.jitter, ti.period) * job +
+                      Interference(tasks, index, window);
     if (next == window) break;
     if (next > limit) return kTimeNever;
     window = next;
@@ -62,14 +64,7 @@ Time ResponseTimeArbitrary(std::span<const RtaTask> tasks,
     // Finish time of the (q+1)-th job in the busy window.
     Time f = (q + 1) * ti.wcet + ti.release_cost;
     while (true) {
-      Time next = (q + 1) * (ti.wcet + ti.release_cost);
-      for (std::size_t j = 0; j < tasks.size(); ++j) {
-        if (j == index) continue;
-        const RtaTask& tj = tasks[j];
-        const Time arrivals = CeilDiv(f + tj.jitter, tj.period);
-        if (tj.priority < ti.priority) next += arrivals * tj.wcet;
-        next += arrivals * tj.release_cost;
-      }
+      const Time next = (q + 1) * job + Interference(tasks, index, f);
       if (next == f) break;
       if (next > limit) return kTimeNever;
       f = next;

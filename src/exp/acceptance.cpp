@@ -37,7 +37,6 @@ partition::PartitionResult RunAlgorithm(Algo a, const rt::TaskSet& ts,
       cfg.num_cores = num_cores;
       cfg.admission = partition::AdmissionTest::kRta;
       cfg.model = model;
-      cfg.memo = memo;
       const auto policy = a == Algo::kFfd   ? partition::FitPolicy::kFirstFit
                           : a == Algo::kWfd ? partition::FitPolicy::kWorstFit
                                             : partition::FitPolicy::kBestFit;

@@ -32,9 +32,8 @@ enum class Algo {
 const char* ToString(Algo a);
 
 /// Run one algorithm on one task set under one overhead model. `memo`
-/// configures the admission-verdict transposition table of the
-/// bin-packing and EDF algorithms (SPA runs its own preassignment
-/// analysis and stays uncached).
+/// configures the admission-verdict transposition table of the EDF
+/// algorithms; the fixed-priority ones (FFD/WFD/BFD, SPA) are uncached.
 partition::PartitionResult RunAlgorithm(
     Algo a, const rt::TaskSet& ts, unsigned num_cores,
     const overhead::OverheadModel& model,
@@ -67,8 +66,9 @@ struct AcceptanceConfig {
   /// cross-check: a sound analysis must score 1.0.
   bool validate_by_simulation = false;
   sim::SimConfig validate_sim;
-  /// Admission-verdict transposition table, shared by every (point, set)
-  /// unit across the pool's threads (analysis/memo.hpp). Verdicts are
+  /// Admission-verdict transposition table of the EDF algorithms, shared
+  /// by every (point, set) unit across the pool's threads
+  /// (analysis/memo.hpp). Verdicts are
   /// decision-identical to uncached, so the sweep stays bit-identical
   /// for every jobs value AND every cache state.
   analysis::MemoConfig memo;

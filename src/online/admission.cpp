@@ -19,7 +19,6 @@ partition::BinPackConfig DeriveBinPackConfig(const AdmissionConfig& cfg) {
   partition::BinPackConfig out;
   out.num_cores = cfg.num_cores;
   out.model = cfg.model;
-  out.memo = cfg.memo;
   return out;
 }
 
@@ -31,8 +30,6 @@ AdmissionState::AdmissionState(const AdmissionConfig& cfg)
     memo_ = analysis::MakeEdfMemoContext(cfg.memo, cfg.model);
     edf_cores_.resize(cfg.num_cores);
   } else {
-    memo_ = analysis::MakeFpMemoContext(
-        cfg.memo, cfg.model, static_cast<int>(fp_cfg_.admission));
     fp_cores_.resize(cfg.num_cores);
   }
 }
@@ -47,8 +44,7 @@ partition::TaskPlacement AdmissionState::Place(
   // Fixed priority: whole-task placement only (splitting in this repo is
   // the EDF-WM window mechanism; FP splitting is the offline SPA
   // preassignment, which is not an incremental step).
-  return partition::PlaceFpTask(fp_cores_, t, core_order, fp_cfg_, &stats_,
-                                &memo_);
+  return partition::PlaceFpTask(fp_cores_, t, core_order, fp_cfg_, &stats_);
 }
 
 void AdmissionState::Remove(

@@ -33,8 +33,9 @@ struct AdmissionConfig {
   unsigned num_cores = 4;
   partition::SchedPolicy policy = partition::SchedPolicy::kEdf;
   overhead::OverheadModel model = overhead::OverheadModel::Zero();
-  /// Admission-verdict transposition table (analysis/memo.hpp), shared
-  /// with the offline configs the builders below derive.
+  /// Admission-verdict transposition table (analysis/memo.hpp) of the
+  /// EDF demand test, shared with the EDF config the builders derive;
+  /// fixed-priority verdicts are never cached.
   analysis::MemoConfig memo;
 };
 
@@ -135,7 +136,7 @@ class AdmissionState {
   AdmissionConfig cfg_;
   partition::EdfPartitionConfig edf_cfg_;  // derived from cfg_
   partition::BinPackConfig fp_cfg_;        // derived from cfg_
-  analysis::MemoContext memo_;             // resolved once from cfg_.memo
+  analysis::MemoContext memo_;  // EDF: resolved once from cfg_.memo
   std::vector<partition::EdfCoreState> edf_cores_;
   std::vector<partition::FpCoreState> fp_cores_;
   partition::AdmitStats stats_;

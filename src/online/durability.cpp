@@ -102,7 +102,7 @@ namespace fs = std::filesystem;
 // but never read out of bounds.
 
 constexpr char kCheckpointMagic[8] = {'S', 'P', 'S', 'C', 'K', 'P',
-                                      'T', '\x04'};
+                                      'T', '\x05'};
 constexpr char kJournalMagic[8] = {'S', 'P', 'S', 'J', 'R', 'N',
                                    'L', '\x02'};
 constexpr std::size_t kJournalHeaderSize = 8 + 8 + 4;
@@ -405,7 +405,6 @@ template <class Ar>
 void Visit(Ar& ar, partition::FpCoreState& core) {
   Seq(ar, core.tasks);
   ar.F64(core.utilization);
-  Visit(ar, core.zobrist);
 }
 
 /// One tag byte (0 = EDF, 1 = FP) picks which core vector is on the wire;
@@ -639,22 +638,26 @@ bool DecodeCheckpoint(std::string_view bytes, const std::string& path,
                 "checkpoint payload undecodable");
   }
 
-  // Integrity cross-check beyond the CRC: the per-core Zobrist hashes
-  // must re-derive from the entries they claim to cover (order-free XOR,
-  // so this catches mixed-up sections that still CRC fine), and the
-  // placement parts must account for exactly the per-core entry counts.
+  // Integrity cross-check beyond the CRC, which mixed-up sections can
+  // still pass. EDF: the per-core Zobrist hashes must re-derive from the
+  // entries they claim to cover (order-free XOR), and the placement parts
+  // must account for exactly the per-core entry counts. FP: each core
+  // must hold exactly the residents placed on it, ids and task fields
+  // alike.
   const ControllerSnapshot& c = st.ctrl;
   const AdmissionSnapshot& a = c.admission;
   const bool edf = a.fp_cores.empty();
   const std::size_t n_cores = edf ? a.edf_cores.size() : a.fp_cores.size();
   std::vector<std::size_t> parts_on(n_cores, 0);
-  for (const auto& [id, r] : c.residents) {
+  std::vector<std::vector<rt::Task>> placed_on(edf ? 0 : n_cores);
+  for (const auto& [id, r] : c.residents) {  // ascending id
     for (const partition::SubtaskPlacement& sp : r.placed.parts) {
       if (sp.core >= n_cores) {
         return fail(DurabilityError::Kind::kStateMismatch, 0,
                     "placement names a core outside the configuration");
       }
       ++parts_on[sp.core];
+      if (!edf) placed_on[sp.core].push_back(r.placed.task);
     }
   }
   for (std::size_t ci = 0; ci < n_cores; ++ci) {
@@ -669,12 +672,9 @@ bool DecodeCheckpoint(std::string_view bytes, const std::string& path,
                     "per-core entries disagree with placements");
       }
     } else {
-      const partition::FpCoreState& core = a.fp_cores[ci];
-      if (analysis::ZobristOfFpTasks(core.tasks) != core.zobrist) {
-        return fail(DurabilityError::Kind::kStateMismatch, 0,
-                    "core zobrist does not match its tasks");
-      }
-      if (core.tasks.size() != parts_on[ci]) {
+      std::vector<rt::Task> tasks = a.fp_cores[ci].tasks;
+      std::ranges::sort(tasks, {}, &rt::Task::id);
+      if (tasks != placed_on[ci]) {
         return fail(DurabilityError::Kind::kStateMismatch, 0,
                     "per-core tasks disagree with placements");
       }

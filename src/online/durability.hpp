@@ -99,7 +99,8 @@ struct DurabilityError {
                            ///< stream/config than the one replaying
     kJournalDivergence,    ///< redo decision != journaled decision
     kStateMismatch,        ///< checkpoint state fails its integrity
-                           ///< cross-check (zobrist/placement recount)
+                           ///< cross-check (EDF zobrist and placement
+                           ///< recount, FP tasks vs placements)
   };
   Kind kind = Kind::kNone;
   std::string path;

@@ -31,14 +31,12 @@ const char* ToString(AdmissionTest t) {
 void FpCoreState::Commit(const rt::Task& t) {
   tasks.push_back(t);
   utilization += t.utilization();
-  zobrist ^= analysis::FpTaskCode(t);
 }
 
 bool FpCoreState::RemoveTask(rt::TaskId id) {
   for (auto it = tasks.begin(); it != tasks.end(); ++it) {
     if (it->id == id) {
       utilization -= it->utilization();
-      zobrist ^= analysis::FpTaskCode(*it);
       tasks.erase(it);
       if (tasks.empty()) utilization = 0.0;  // flush float residue
       return true;
@@ -58,14 +56,12 @@ AdmitStats& AdmitStats::operator+=(const AdmitStats& o) {
 }
 
 bool FpCoreAdmits(const FpCoreState& bin, const rt::Task& cand,
-                  const BinPackConfig& cfg, AdmitStats* stats,
-                  const analysis::MemoContext* memo) {
+                  const BinPackConfig& cfg, AdmitStats* stats) {
   // The screen holds for every FP test: the LL and hyperbolic bounds are
   // below 1, and RTA diverges past it for constrained deadlines.
-  return MemoizedAdmits(
-      bin.utilization + cand.utilization(), bin.zobrist,
-      [&] { return analysis::FpTaskCode(cand); },
-      [&]() -> analysis::AnalysisMemo::Verdict {
+  return ScreenedAdmits(
+      bin.utilization + cand.utilization(), NoVerdictCache{},
+      [&]() -> Verdict {
         if (cfg.admission != AdmissionTest::kRta) {
           std::vector<double> utils;
           utils.reserve(bin.tasks.size() + 1);
@@ -92,17 +88,16 @@ bool FpCoreAdmits(const FpCoreState& bin, const rt::Task& cand,
         return {.admitted = analysis::FpCoreProbe(residents, cfg.model)
                                 .Admits(entry(cand))};
       },
-      stats, memo);
+      stats);
 }
 
 TaskPlacement PlaceFpTask(std::vector<FpCoreState>& cores, const rt::Task& t,
                           std::span<const unsigned> core_order,
-                          const BinPackConfig& cfg, AdmitStats* stats,
-                          const analysis::MemoContext* memo) {
+                          const BinPackConfig& cfg, AdmitStats* stats) {
   TaskPlacement out;
   for (const unsigned c : core_order) {
     ++out.probes;
-    if (FpCoreAdmits(cores[c], t, cfg, stats, memo)) {
+    if (FpCoreAdmits(cores[c], t, cfg, stats)) {
       cores[c].Commit(t);
       out.placed = true;
       out.parts.push_back(
@@ -143,16 +138,13 @@ PartitionResult FinishPartition(
 
 PartitionResult BinPackDecreasing(const rt::TaskSet& ts, FitPolicy policy,
                                   const BinPackConfig& cfg) {
-  const analysis::MemoContext memo =
-      analysis::MakeFpMemoContext(cfg.memo, cfg.model,
-                                  static_cast<int>(cfg.admission));
   return PackDecreasing<FpCoreState>(
       ts, policy, cfg.num_cores, SchedPolicy::kFixedPriority, cfg.model,
       std::string(ToString(policy)) + "/" + ToString(cfg.admission),
       " fits no core",
       [&](std::vector<FpCoreState>& cores, const rt::Task& t,
           std::span<const unsigned> order) {
-        return PlaceFpTask(cores, t, order, cfg, nullptr, &memo);
+        return PlaceFpTask(cores, t, order, cfg);
       });
 }
 

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/memo.hpp"
 #include "overhead/model.hpp"
 #include "partition/placement.hpp"
 #include "rt/taskset.hpp"
@@ -45,8 +44,6 @@ struct BinPackConfig {
   AdmissionTest admission = AdmissionTest::kRta;
   /// Overheads charged by the kRta admission test and the final verifier.
   overhead::OverheadModel model = overhead::OverheadModel::Zero();
-  /// Admission-verdict transposition table (analysis/memo.hpp).
-  analysis::MemoConfig memo;
 };
 
 const char* ToString(FitPolicy p);
@@ -98,13 +95,11 @@ std::span<const unsigned> ProbeOrder(FitPolicy policy, unsigned num_cores,
 // exposed (mirroring partition/edf_wm.hpp's EdfCoreState) so the online
 // admission controller can run one fixed-priority step per ADMIT request.
 
-/// One fixed-priority core: resident whole tasks + cached utilization +
-/// the incrementally maintained Zobrist hash of the resident set (the
-/// memo key half that Commit/RemoveTask keep current in O(1)).
+/// One fixed-priority core: resident whole tasks + cached utilization
+/// (the O(1) reject filter).
 struct FpCoreState {
   std::vector<rt::Task> tasks;
   double utilization = 0.0;
-  analysis::MemoKey zobrist;
 
   void Commit(const rt::Task& t);
   /// Remove the task with this id (if resident); returns true if removed.
@@ -116,7 +111,8 @@ struct FpCoreState {
 /// Counters of how admission decisions were reached, shared by the EDF
 /// and fixed-priority per-core tests (the online bench reports them;
 /// the filters are what keep per-admit cost flat). density_accepts is
-/// EDF-only.
+/// EDF-only, and so are the memo_* counters (FP verdicts are never
+/// cached).
 struct AdmitStats {
   std::uint64_t util_rejects = 0;     ///< O(1): raw utilization > 1
   std::uint64_t density_accepts = 0;  ///< O(n): inflated density <= 1 (EDF)
@@ -140,13 +136,10 @@ struct AdmitStats {
 /// Would `cand` be schedulable on this core under cfg.admission — exactly
 /// the offline packer's per-core test (utilization bounds, or the
 /// overhead-aware exact RTA with cfg.model charged). Screened by the O(1)
-/// utilization filter (U > 1 cannot pass any of the three tests). With an
-/// active `memo` context the post-screen verdict is served from /
-/// published to the transposition table (decision-identical; the key
-/// covers resident hash + candidate + model + test kind).
+/// utilization filter (U > 1 cannot pass any of the three tests). The
+/// verdict is never cached (DESIGN.md §12).
 bool FpCoreAdmits(const FpCoreState& core, const rt::Task& cand,
-                  const BinPackConfig& cfg, AdmitStats* stats = nullptr,
-                  const analysis::MemoContext* memo = nullptr);
+                  const BinPackConfig& cfg, AdmitStats* stats = nullptr);
 
 /// Outcome of placing one task: its subtask placements (entries already
 /// committed into the core states) or placed == false with states
@@ -169,7 +162,6 @@ struct TaskPlacement {
 TaskPlacement PlaceFpTask(std::vector<FpCoreState>& cores, const rt::Task& t,
                           std::span<const unsigned> core_order,
                           const BinPackConfig& cfg,
-                          AdmitStats* stats = nullptr,
-                          const analysis::MemoContext* memo = nullptr);
+                          AdmitStats* stats = nullptr);
 
 }  // namespace sps::partition

@@ -1,6 +1,7 @@
 #include "partition/edf_wm.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "analysis/edf.hpp"
@@ -59,6 +60,41 @@ analysis::EdfCoreEntry MakeEdfWindowEntry(const rt::Task& t, Time budget,
   return e;
 }
 
+namespace {
+
+/// The verdict cache of one EDF probe (analysis/memo.hpp): the query key
+/// of the resident hash and the candidate, looked up in a sampled
+/// kMemoProbe span and stored after a miss. Inert without an active
+/// `memo` context. The out-of-line table calls get local copies of the
+/// key, so that no member's address escapes and this object stays in
+/// registers on the cached replays' hot path.
+struct EdfVerdictCache {
+  const analysis::MemoContext* memo;
+  const analysis::MemoKey& resident;
+  const analysis::EdfCoreEntry& cand;
+  analysis::MemoKey key{};
+  bool probed = false;
+
+  std::optional<Verdict> Lookup(obs::SpanProfiler* prof, AdmitStats& s) {
+    if (memo == nullptr || !memo->active()) return std::nullopt;
+    probed = true;
+    obs::SampledSpan span(prof, obs::SpanStage::kMemoProbe);
+    const analysis::MemoKey k = analysis::CombineQuery(
+        resident, analysis::EdfEntryCode(cand), *memo);
+    key = k;
+    const std::optional<Verdict> hit = memo->table->Lookup(k.lo, k);
+    ++(hit ? s.memo_hits : s.memo_misses);
+    return hit;
+  }
+
+  void Store(const Verdict& v, AdmitStats& s) {
+    const analysis::MemoKey k = key;
+    if (probed && memo->table->Store(k.lo, k, v)) ++s.memo_evicts;
+  }
+};
+
+}  // namespace
+
 bool EdfCoreAdmits(const EdfCoreState& core,
                    const analysis::EdfCoreEntry& cand,
                    const overhead::OverheadModel& model,
@@ -66,11 +102,11 @@ bool EdfCoreAdmits(const EdfCoreState& core,
                    const analysis::MemoContext* memo) {
   // The screen: inflation only adds demand, and the demand test opens by
   // rejecting U > 1 (same epsilon).
-  return MemoizedAdmits(
+  return ScreenedAdmits(
       core.utilization +
           static_cast<double>(cand.exec) / static_cast<double>(cand.period),
-      core.zobrist, [&] { return analysis::EdfEntryCode(cand); },
-      [&]() -> analysis::AnalysisMemo::Verdict {
+      EdfVerdictCache{memo, core.zobrist, cand},
+      [&]() -> Verdict {
         std::vector<analysis::EdfCoreEntry> probe = core.entries;
         probe.push_back(cand);
         const auto inflated = analysis::InflateEdfCore(probe, model);
@@ -91,7 +127,7 @@ bool EdfCoreAdmits(const EdfCoreState& core,
         }
         return {.admitted = analysis::EdfSchedulable(inflated)};
       },
-      stats, memo);
+      stats);
 }
 
 TaskPlacement PlaceEdfTask(std::vector<EdfCoreState>& cores,

@@ -47,8 +47,9 @@
 // (tests/test_online.cpp) holds by construction. Both partitioners run
 // the one decreasing-utilization loop (PackDecreasing, packing.hpp)
 // with the shared probe order (ProbeOrder, binpack.hpp); EdfCoreAdmits
-// runs the shared memo protocol (MemoizedAdmits, packing.hpp). The
-// fixed-priority twin of the step is PlaceFpTask (binpack.hpp).
+// runs the shared admission protocol (ScreenedAdmits, packing.hpp) with
+// the analysis memo as its verdict cache. The fixed-priority twin of the
+// step is PlaceFpTask (binpack.hpp).
 
 #include <span>
 #include <vector>

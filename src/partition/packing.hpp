@@ -1,7 +1,8 @@
 #pragma once
 // Internal to partition/: the placement path that the partitioners
-// (binpack.cpp, edf_wm.cpp, spa.cpp) share, coded once — the verdict-memo
-// protocol of a per-core admission test (MemoizedAdmits), the split-budget
+// (binpack.cpp, edf_wm.cpp, spa.cpp) share, coded once — the screen and
+// stage-counting protocol of a per-core admission test (ScreenedAdmits;
+// EDF runs it with its verdict cache, FP without one), the split-budget
 // search of SPA and EDF-WM (LargestAdmitted), the decreasing-utilization
 // loop (PackDecreasing) that BinPackDecreasing, EdfBinPack and EdfWm all
 // run, and the verifier gate every partitioner ends in (FinishPartition).
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -24,22 +26,23 @@
 
 namespace sps::partition {
 
-/// The verdict-memo protocol of a per-core admission test
-/// (analysis/memo.hpp): the O(1) screen rejects when `utilization`, the
-/// raw utilization of residents plus candidate, exceeds 1 (never
-/// cached); then the query key of `resident_hash` and `cand_code()` is
-/// looked up, and on a miss `test()` decides and its verdict is stored.
-/// Each decision is credited to the stage that made it, on a hit too
-/// (util_rejects, or density_accepts / full_tests by the verdict's
-/// stage), so only the memo_* counters depend on the cache. The screen
-/// and the probe are sampled spans (obs::SampledSpan); the test runs in
-/// the kAnalysis span. Always inlined, so each admission test compiles
-/// to one function as it did before the protocol was shared.
-template <class CandCode, class Test>
-[[gnu::always_inline]] inline bool MemoizedAdmits(
-    double utilization, const analysis::MemoKey& resident_hash,
-    CandCode cand_code, Test test, AdmitStats* stats,
-    const analysis::MemoContext* memo) {
+/// A per-core admission verdict and the stage that reached it.
+using Verdict = analysis::AnalysisMemo::Verdict;
+
+/// The protocol of a per-core admission test, shared by FP and EDF: the
+/// O(1) screen rejects when `utilization`, the raw utilization of
+/// residents plus candidate, exceeds 1; then `cache.Lookup` may serve
+/// the verdict, and otherwise `test()` decides and `cache.Store` keeps
+/// its verdict. Each decision is credited to the stage that made it, a
+/// served one too (util_rejects, or density_accepts / full_tests by the
+/// verdict's stage), so only the memo_* counters, which the cache keeps,
+/// depend on it. The screen is a sampled span (obs::SampledSpan); the
+/// test and the store run in the kAnalysis span. Always inlined, so each
+/// admission test compiles to one function.
+template <class Cache, class Test>
+[[gnu::always_inline]] inline bool ScreenedAdmits(double utilization,
+                                                  Cache&& cache, Test test,
+                                                  AdmitStats* stats) {
   AdmitStats local;
   AdmitStats& s = stats != nullptr ? *stats : local;
   obs::SpanProfiler* const prof = obs::InstalledProfiler();
@@ -50,24 +53,25 @@ template <class CandCode, class Test>
       return false;
     }
   }
-  const bool use_memo = memo != nullptr && memo->active();
-  analysis::MemoKey qk;
-  if (use_memo) {
-    obs::SampledSpan span(prof, obs::SpanStage::kMemoProbe);
-    qk = analysis::CombineQuery(resident_hash, cand_code(), *memo);
-    if (const auto hit = memo->table->Lookup(qk.lo, qk)) {
-      ++s.memo_hits;
-      ++(hit->via_density ? s.density_accepts : s.full_tests);
-      return hit->admitted;
-    }
-    ++s.memo_misses;
+  if (const std::optional<Verdict> hit = cache.Lookup(prof, s)) {
+    ++(hit->via_density ? s.density_accepts : s.full_tests);
+    return hit->admitted;
   }
   obs::ScopedSpan analysis_span(prof, obs::SpanStage::kAnalysis);
-  const analysis::AnalysisMemo::Verdict v = test();
+  const Verdict v = test();
   ++(v.via_density ? s.density_accepts : s.full_tests);
-  if (use_memo && memo->table->Store(qk.lo, qk, v)) ++s.memo_evicts;
+  cache.Store(v, s);
   return v.admitted;
 }
+
+/// The cache of a test whose verdicts are never kept: fixed priority,
+/// where a verdict is one prepared FpCoreProbe call (DESIGN.md §12).
+struct NoVerdictCache {
+  static std::optional<Verdict> Lookup(obs::SpanProfiler*, AdmitStats&) {
+    return std::nullopt;
+  }
+  static void Store(const Verdict&, AdmitStats&) {}
+};
 
 /// The split-budget search of SPA's body subtasks and EDF-WM's windows:
 /// the largest budget in [lo, hi] that `admits(budget)` accepts, or 0 if
@@ -75,7 +79,7 @@ template <class CandCode, class Test>
 /// search: each probe is the midpoint rounded down to kBudgetGranularity
 /// (never below kMinBudget), and an admit moves lo one granularity step
 /// above it, a reject moves hi one step below it. Always inlined, as
-/// MemoizedAdmits is: EDF-WM's search makes most of the online
+/// ScreenedAdmits is: EDF-WM's search makes most of the online
 /// service's placement probes.
 template <class Admits>
 [[gnu::always_inline]] inline Time LargestAdmitted(Time lo, Time hi,

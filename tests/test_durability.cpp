@@ -22,7 +22,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <ranges>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -842,10 +844,10 @@ TEST(CorruptArtifacts, JournalOfAnotherFormatVersionIsATypedError) {
 }
 
 TEST(CorruptArtifacts, CheckpointOfTheOldFormatVersionIsSkipped) {
-  // Version 3 checkpoints flattened the controller's ledgers into
-  // id-sorted lists; version 4 stores its one id-ordered resident map.
-  // A version-3 newest checkpoint is skipped like a corrupt one:
-  // recovery loads the older checkpoint and redoes the rest.
+  // Version 4 checkpoints stored a Zobrist hash per fixed-priority core;
+  // version 5 stores none. A version-4 newest checkpoint is skipped like
+  // a corrupt one: recovery loads the older checkpoint and redoes the
+  // rest.
   const WorkloadStream s = SmallStream(61, 40);
   const ReplayConfig base = MakeReplayConfig(
       PlacePolicy::kFirstFit, partition::SchedPolicy::kEdf, false);
@@ -854,7 +856,7 @@ TEST(CorruptArtifacts, CheckpointOfTheOldFormatVersionIsSkipped) {
 
   const std::vector<std::string> ckpts = ListCheckpoints(dir);
   ASSERT_GE(ckpts.size(), 2u);
-  SetByteAt(ckpts.front(), 7, '\x03');
+  SetByteAt(ckpts.front(), 7, '\x04');
 
   ReplayConfig rec = base;
   rec.durability.dir = dir;
@@ -864,6 +866,85 @@ TEST(CorruptArtifacts, CheckpointOfTheOldFormatVersionIsSkipped) {
   EXPECT_TRUE(r.recovery.recovered);
   EXPECT_EQ(r.recovery.skipped, std::vector<DurabilityError::Kind>{
                                     DurabilityError::Kind::kBadVersion});
+  EXPECT_EQ(DecisionDiff(plain, r), "");
+  fs::remove_all(dir);
+}
+
+/// `t` as a checkpoint encodes it (little-endian, field by field).
+std::string TaskBytes(const rt::Task& t) {
+  std::string out;
+  const auto put = [&out](std::uint64_t v, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+    }
+  };
+  put(t.id, 4);
+  put(static_cast<std::uint64_t>(t.wcet), 8);
+  put(static_cast<std::uint64_t>(t.period), 8);
+  put(static_cast<std::uint64_t>(t.deadline), 8);
+  put(t.priority, 4);
+  put(t.soft() ? 1 : 0, 1);
+  put(static_cast<std::uint64_t>(t.tardiness_bound), 8);
+  put(static_cast<std::uint64_t>(t.degraded_wcet), 8);
+  put(t.value, 4);
+  return out;
+}
+
+TEST(CorruptArtifacts, FpCheckpointWithTasksSwappedAcrossCoresIsSkipped) {
+  // Two fixed-priority residents on different cores trade places in the
+  // per-core task lists, and the CRC is resealed. Every core keeps its
+  // task count, so only the check of each core's tasks against the
+  // residents placed on it can tell: the newest checkpoint is skipped as
+  // kStateMismatch and recovery loads the older one.
+  const WorkloadStream s = SmallStream(61, 40, /*soft=*/0.0);
+  const ReplayConfig base = MakeReplayConfig(
+      PlacePolicy::kFirstFit, partition::SchedPolicy::kFixedPriority, false);
+  const ReplayResult plain = ReplayStream(s, base);
+  const std::string dir = MakeCrashArtifacts(s, base, 35, 2, "fpswap");
+  const std::vector<std::string> ckpts = ListCheckpoints(dir);
+  ASSERT_GE(ckpts.size(), 2u);
+  std::string bytes;
+  std::string err;
+  ASSERT_TRUE(util::ReadFileBytes(ckpts.front(), bytes, &err)) << err;
+
+  // A resident's task is encoded first in the resident ledger, followed
+  // by its part count and first part's core, and last in its core's
+  // task list.
+  struct OnCore {
+    std::size_t at = 0;
+    std::uint32_t core = 0;
+  };
+  std::vector<OnCore> found;
+  for (const Request& r : s.requests()) {
+    if (r.kind != RequestKind::kAdmit) continue;
+    const std::string tb = TaskBytes(r.task);
+    const std::size_t first = bytes.find(tb);
+    const std::size_t last = bytes.rfind(tb);
+    if (first == std::string::npos || first == last) continue;
+    ASSERT_EQ(U32At(bytes, first + tb.size()), 1u);  // one part
+    found.push_back({last, U32At(bytes, first + tb.size() + 4)});
+  }
+  const auto other = std::ranges::find_if(found, [&](const OnCore& f) {
+    return f.core != found.front().core;
+  });
+  ASSERT_NE(other, found.end());
+  const std::size_t len = TaskBytes(rt::Task{}).size();
+  const std::string a = bytes.substr(found.front().at, len);
+  bytes.replace(found.front().at, len, bytes.substr(other->at, len));
+  bytes.replace(other->at, len, a);
+  const std::size_t body = bytes.size() - 4;
+  bytes.replace(body, 4, U32Bytes(util::Crc32Of(
+                             std::string_view(bytes).substr(0, body))));
+  ASSERT_TRUE(util::WriteFileAtomic(ckpts.front(), bytes, false, &err)) << err;
+
+  ReplayConfig rec = base;
+  rec.durability.dir = dir;
+  rec.durability.recover = true;
+  const ReplayResult r = ReplayStream(s, rec);
+  ASSERT_TRUE(r.durability_error.ok()) << r.durability_error.message;
+  EXPECT_TRUE(r.recovery.recovered);
+  EXPECT_EQ(r.recovery.skipped, std::vector<DurabilityError::Kind>{
+                                    DurabilityError::Kind::kStateMismatch});
   EXPECT_EQ(DecisionDiff(plain, r), "");
   fs::remove_all(dir);
 }

@@ -77,35 +77,16 @@ TEST(MemoZobrist, EdfIncrementalMatchesScratch) {
   EXPECT_EQ(core.zobrist, analysis::MemoKey{});  // empty set hashes to 0
 }
 
-TEST(MemoZobrist, FpIncrementalMatchesScratch) {
-  util::SplitMix64 rng(2);
-  partition::FpCoreState core;
-  std::vector<rt::TaskId> resident;
-  rt::TaskId next_id = 0;
-  for (int step = 0; step < 200; ++step) {
-    if (resident.empty() || rng() % 3 != 0) {
-      const rt::TaskId id = next_id++;
-      core.Commit(SmallTask(id, rng()));
-      resident.push_back(id);
-    } else {
-      const std::size_t k = rng() % resident.size();
-      EXPECT_TRUE(core.RemoveTask(resident[k]));
-      resident.erase(resident.begin() +
-                     static_cast<std::ptrdiff_t>(k));
-    }
-    EXPECT_EQ(core.zobrist, analysis::ZobristOfFpTasks(core.tasks));
-  }
-}
-
 TEST(MemoZobrist, CodesDependOnEveryField) {
-  const rt::Task a = rt::MakeTask(1, Millis(2), Millis(10));
-  rt::Task b = a;
-  EXPECT_EQ(analysis::FpTaskCode(a), analysis::FpTaskCode(b));
-  b.wcet += 1;
-  EXPECT_NE(analysis::FpTaskCode(a), analysis::FpTaskCode(b));
+  const analysis::EdfCoreEntry a =
+      partition::MakeEdfEntry(rt::MakeTask(1, Millis(2), Millis(10)));
+  analysis::EdfCoreEntry b = a;
+  EXPECT_EQ(analysis::EdfEntryCode(a), analysis::EdfEntryCode(b));
+  b.exec += 1;
+  EXPECT_NE(analysis::EdfEntryCode(a), analysis::EdfEntryCode(b));
   b = a;
   b.id = 2;  // id is hashed: equal-parameter tasks never cancel
-  EXPECT_NE(analysis::FpTaskCode(a), analysis::FpTaskCode(b));
+  EXPECT_NE(analysis::EdfEntryCode(a), analysis::EdfEntryCode(b));
 }
 
 // ---- the table itself ------------------------------------------------------
@@ -229,48 +210,6 @@ TEST(MemoDifferential, EdfOfflinePartitioners) {
   }
 }
 
-TEST(MemoDifferential, FpBinPackAllTestsAllPolicies) {
-  const OverheadModel model = OverheadModel::PaperCoreI7();
-  const partition::AdmissionTest tests[] = {
-      partition::AdmissionTest::kLiuLayland,
-      partition::AdmissionTest::kHyperbolic,
-      partition::AdmissionTest::kRta};
-  const partition::FitPolicy policies[] = {
-      partition::FitPolicy::kFirstFit, partition::FitPolicy::kBestFit,
-      partition::FitPolicy::kWorstFit, partition::FitPolicy::kNextFit};
-  for (const double u : {0.5, 0.7}) {
-    const rt::TaskSet ts = RandomSet(7, u, 4, 12);
-    for (const partition::AdmissionTest at : tests) {
-      for (const partition::FitPolicy p : policies) {
-        partition::BinPackConfig off;
-        off.num_cores = 4;
-        off.admission = at;
-        off.model = model;
-        off.memo.enabled = false;
-
-        analysis::AnalysisMemo table(std::size_t{1} << 10);
-        partition::BinPackConfig on = off;
-        on.memo.enabled = true;
-        on.memo.table = &table;
-
-        analysis::AnalysisMemo tiny(1);
-        partition::BinPackConfig forced = off;
-        forced.memo.enabled = true;
-        forced.memo.table = &tiny;
-
-        const auto r0 = partition::BinPackDecreasing(ts, p, off);
-        const auto r1 = partition::BinPackDecreasing(ts, p, on);
-        const auto r2 = partition::BinPackDecreasing(ts, p, on);
-        const auto r3 = partition::BinPackDecreasing(ts, p, forced);
-        for (const auto* r : {&r1, &r2, &r3}) {
-          EXPECT_EQ(r0.success, r->success);
-          EXPECT_EQ(r0.partition.summary(), r->partition.summary());
-        }
-      }
-    }
-  }
-}
-
 TEST(MemoDifferential, OnlineReplayAllPoliciesAndTableSizes) {
   online::StreamConfig scfg;
   scfg.num_admits = 48;
@@ -289,10 +228,6 @@ TEST(MemoDifferential, OnlineReplayAllPoliciesAndTableSizes) {
        true},
       {partition::SchedPolicy::kEdf, online::PlacePolicy::kSpaOrder, true,
        true},
-      {partition::SchedPolicy::kFixedPriority,
-       online::PlacePolicy::kFirstFit, false, false},
-      {partition::SchedPolicy::kFixedPriority,
-       online::PlacePolicy::kWorstFit, false, false},
   };
   for (const Combo& c : combos) {
     online::ReplayConfig rcfg;
@@ -329,6 +264,7 @@ TEST(MemoDifferential, AcceptanceSweepSharedTableAcrossPool) {
   a.sets_per_point = 8;
   a.norm_util_points = {0.65, 0.85, 1.0};
   a.model = OverheadModel::PaperCoreI7();
+  a.algorithms = {exp::Algo::kEdfFfd, exp::Algo::kEdfWm};
   a.jobs = 4;  // units share the table across pool threads
   exp::AcceptanceConfig b = a;
   a.memo.enabled = false;
@@ -344,6 +280,72 @@ TEST(MemoDifferential, AcceptanceSweepSharedTableAcrossPool) {
     EXPECT_EQ(ra.points[i].mean_splits, rb.points[i].mean_splits);
   }
   EXPECT_GT(table.stats().stores, 0u);
+}
+
+// ---- fixed priority is uncached ------------------------------------------
+
+void ExpectUntouched(const analysis::AnalysisMemo& table) {
+  const analysis::MemoStats st = table.stats();
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_EQ(st.misses, 0u);
+  EXPECT_EQ(st.stores, 0u);
+}
+
+TEST(MemoFixedPriority, AcceptanceSweepNeverProbesTheTable) {
+  for (const exp::Algo algo : {exp::Algo::kFfd, exp::Algo::kWfd,
+                               exp::Algo::kBfd, exp::Algo::kSpa1,
+                               exp::Algo::kSpa2}) {
+    SCOPED_TRACE(exp::ToString(algo));
+    exp::AcceptanceConfig off;
+    off.num_cores = 4;
+    off.num_tasks = 10;
+    off.sets_per_point = 6;
+    off.norm_util_points = {0.65, 0.85, 1.0};
+    off.model = OverheadModel::PaperCoreI7();
+    off.algorithms = {algo};
+    off.jobs = 2;
+    off.memo.enabled = false;
+    analysis::AnalysisMemo table(std::size_t{1} << 10);
+    exp::AcceptanceConfig on = off;
+    on.memo.enabled = true;
+    on.memo.table = &table;
+
+    const exp::AcceptanceResult r0 = exp::RunAcceptance(off);
+    const exp::AcceptanceResult r1 = exp::RunAcceptance(on);
+    ASSERT_EQ(r0.points.size(), r1.points.size());
+    for (std::size_t i = 0; i < r0.points.size(); ++i) {
+      EXPECT_EQ(r0.points[i].acceptance, r1.points[i].acceptance);
+      EXPECT_EQ(r0.points[i].mean_splits, r1.points[i].mean_splits);
+    }
+    ExpectUntouched(table);
+  }
+}
+
+TEST(MemoFixedPriority, OnlineReplayNeverProbesTheTable) {
+  online::StreamConfig scfg;
+  scfg.num_admits = 48;
+  const online::WorkloadStream stream = online::GenerateStream(scfg);
+  for (const online::PlacePolicy place :
+       {online::PlacePolicy::kFirstFit, online::PlacePolicy::kWorstFit,
+        online::PlacePolicy::kSpaOrder}) {
+    online::ReplayConfig rcfg;
+    rcfg.controller.admission.num_cores = 4;
+    rcfg.controller.admission.policy = partition::SchedPolicy::kFixedPriority;
+    rcfg.controller.admission.model = OverheadModel::PaperCoreI7();
+    rcfg.controller.place = place;
+    rcfg.controller.repartition_fallback = true;
+    rcfg.controller.admission.memo.enabled = false;
+    const online::ReplayResult r0 = online::ReplayStream(stream, rcfg);
+
+    analysis::AnalysisMemo table(std::size_t{1} << 10);
+    rcfg.controller.admission.memo.enabled = true;
+    rcfg.controller.admission.memo.table = &table;
+    const online::ReplayResult r1 = online::ReplayStream(stream, rcfg);
+    EXPECT_EQ(online::DecisionDiff(r0, r1), "");
+    EXPECT_EQ(r1.admission.memo_hits + r1.admission.memo_misses, 0u);
+    EXPECT_GT(r1.admission.decisions(), 0u);
+    ExpectUntouched(table);
+  }
 }
 
 // ---- concurrency (the TSan lane runs this binary) --------------------------

@@ -299,12 +299,11 @@ TEST(Spa, ExactModeRejectsRawUtilizationJustAboveOne) {
   core.Commit(ts[1]);
   BinPackConfig bp;
   AdmitStats stats;
-  EXPECT_FALSE(FpCoreAdmits(core, ts[2], bp, &stats, nullptr));
+  EXPECT_FALSE(FpCoreAdmits(core, ts[2], bp, &stats));
   EXPECT_EQ(stats.util_rejects, 1u);
   EXPECT_EQ(stats.full_tests, 0u);
   // At raw U == 1 the same core goes to RTA and fits.
-  EXPECT_TRUE(FpCoreAdmits(core, HarmonicFullCore(0)[2], bp, &stats,
-                           nullptr));
+  EXPECT_TRUE(FpCoreAdmits(core, HarmonicFullCore(0)[2], bp, &stats));
   EXPECT_EQ(stats.full_tests, 1u);
 }
 
@@ -441,8 +440,7 @@ TEST(AdmissionProbe, BinPackingMatchesTheFullCoreOracle) {
                              });
           }
           for (const unsigned c : order) {
-            const bool admits =
-                FpCoreAdmits(cores[c], ts[ti], cfg, &got, nullptr);
+            const bool admits = FpCoreAdmits(cores[c], ts[ti], cfg, &got);
             ASSERT_EQ(admits, OracleAdmits(cores[c], ts[ti], m, want))
                 << "set " << si << " task " << ti << " core " << c;
             if (admits) {
