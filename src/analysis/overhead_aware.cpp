@@ -96,10 +96,17 @@ std::vector<RtaTask> InflateCore(std::span<const CoreEntry> entries,
 
 FpCoreProbe::FpCoreProbe(std::span<const CoreEntry> residents,
                          const overhead::OverheadModel& model)
-    : model_(&model), charges_(model, residents.size() + 1) {
+    : model_(&model) {
+  Prepare(residents, LocalCharges(model, residents.size() + 1));
+}
+
+void FpCoreProbe::Prepare(std::span<const CoreEntry> residents,
+                          const LocalCharges& charges) {
+  charges_ = charges;
+  core_.clear();
   core_.reserve(residents.size() + 1);
   for (const CoreEntry& e : residents) {
-    core_.push_back(Inflate(e, charges_, model));
+    core_.push_back(Inflate(e, charges_, *model_));
   }
   core_.emplace_back();
 }

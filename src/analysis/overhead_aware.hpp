@@ -45,7 +45,12 @@
 // schedulable with this candidate added? FpCoreProbe answers it with the
 // core's residents inflated once (at N = residents + 1, the queue size
 // with the candidate) and each resident's check settled, where it can
-// be, by one demand evaluation at its budget (rta.hpp PassesCheck).
+// be, by one demand evaluation at its budget (rta.hpp PassesCheck), and
+// otherwise by a fixpoint that starts at its utilization bound
+// (rta.hpp ResponseTime). A packing run keeps one prepared probe per
+// core until a commit changes that core, and one LocalCharges row per
+// queue size N (partition::FpProbeSlots): the queue size takes only as
+// many values as there are residents on the fullest core.
 
 #include <cstddef>
 #include <span>
@@ -88,6 +93,7 @@ struct CoreEntry {
 /// own queue size N: computed once per core and shared by its entries,
 /// so only the remote finish terms are per entry.
 struct LocalCharges {
+  LocalCharges() = default;
   LocalCharges(const overhead::OverheadModel& m, std::size_t n_local);
 
   /// Every job: start and finish sch(), switch-in, and the preempted
@@ -124,8 +130,18 @@ std::vector<RtaTask> InflateCore(std::span<const CoreEntry> entries,
 /// rebuilt whenever its core's residents change; `model` must outlive it.
 class FpCoreProbe {
  public:
+  /// A probe with nothing prepared: Prepare it before the first Admits
+  /// or Response.
+  explicit FpCoreProbe(const overhead::OverheadModel& model)
+      : model_(&model) {}
   FpCoreProbe(std::span<const CoreEntry> residents,
               const overhead::OverheadModel& model);
+
+  /// Rebuild the probe for `residents` in place, with `charges`, which
+  /// must be LocalCharges(model, residents.size() + 1): a packing run
+  /// keeps one row per N (partition::FpProbeSlots).
+  void Prepare(std::span<const CoreEntry> residents,
+               const LocalCharges& charges);
 
   /// Would the core stay schedulable with `cand` added?
   [[nodiscard]] bool Admits(const CoreEntry& cand);

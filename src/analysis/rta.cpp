@@ -33,7 +33,36 @@ Time RtaDemand(std::span<const RtaTask> tasks, std::size_t index, Time x) {
 Time ResponseTime(std::span<const RtaTask> tasks, std::size_t index,
                   Time limit) {
   const RtaTask& ti = tasks[index];
-  Time r = ti.wcet + ti.release_cost;
+  const Time a = ti.wcet + ti.release_cost;
+  // The start value r0 = max(a + sum p_j, floor(a / (1 - b + eps))), a
+  // lower bound of the least fixed point (rta.hpp), with p_j what one
+  // arrival of task j costs and b = sum p_j / T_j. eps is additive: it
+  // absorbs the rounding of b, which a relative margin cannot once
+  // 1 - b is as small as that rounding.
+  constexpr double kStartSlack = 1e-9;
+  Time sum_p = 0;
+  double b = 0.0;
+  for (std::size_t j = 0; j < tasks.size(); ++j) {
+    if (j == index) continue;
+    const RtaTask& tj = tasks[j];
+    const Time p =
+        (tj.priority < ti.priority ? tj.wcet : 0) + tj.release_cost;
+    sum_p += p;
+    b += static_cast<double>(p) / static_cast<double>(tj.period);
+  }
+  Time r = a;
+  // Without interference (or own demand) r0 is a itself, and the loop
+  // below is the plain iteration: f(a) == a returns a even past limit.
+  if (a > 0 && sum_p > 0) {
+    const double slack = 1.0 - b + kStartSlack;
+    // b >= 1: f(x) - x >= a > 0 for every x, so there is no fixed point.
+    if (slack <= 0.0) return kTimeNever;
+    const double bound = static_cast<double>(a) / slack;
+    const Time from_b = bound < 9.0e18 ? static_cast<Time>(bound) : kTimeNever;
+    r = std::max(a + sum_p, from_b);
+    // r0 > a, so the plain iteration would have climbed past limit too.
+    if (r > limit) return kTimeNever;
+  }
   while (true) {
     const Time next = RtaDemand(tasks, index, r);
     if (next == r) return r;
@@ -77,6 +106,19 @@ Time ResponseTimeArbitrary(std::span<const RtaTask> tasks,
   return worst;
 }
 
+Time WorstCaseResponse(std::span<const RtaTask> tasks, std::size_t i,
+                       Time limit) {
+  const RtaTask& t = tasks[i];
+  // Arbitrary deadlines (D > T) need the busy-window analysis: the
+  // window legitimately spans several jobs, so its fixpoint limit must
+  // be far beyond one deadline.
+  if (t.deadline > t.period) {
+    return ResponseTimeArbitrary(tasks, i,
+                                 std::max<Time>(limit, 64 * t.period));
+  }
+  return ResponseTime(tasks, i, limit);
+}
+
 namespace {
 
 /// R_i as AnalyzeCore reports it: kTimeNever when the budget D_i - J_i
@@ -85,14 +127,7 @@ Time CoreResponse(std::span<const RtaTask> tasks, std::size_t i) {
   const RtaTask& t = tasks[i];
   const Time budget = t.deadline - t.jitter;
   if (budget < t.wcet) return kTimeNever;
-  // Arbitrary deadlines (D > T) need the busy-window analysis: the
-  // window legitimately spans several jobs, so its fixpoint limit must
-  // be far beyond one deadline.
-  if (t.deadline > t.period) {
-    return ResponseTimeArbitrary(tasks, i,
-                                 std::max<Time>(budget, 64 * t.period));
-  }
-  return ResponseTime(tasks, i, budget);
+  return WorstCaseResponse(tasks, i, budget);
 }
 
 bool MeetsDeadline(const RtaTask& t, Time r) {

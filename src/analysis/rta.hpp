@@ -59,9 +59,29 @@ Time RtaDemand(std::span<const RtaTask> tasks, std::size_t index, Time x);
 /// pass the deadline budget: D_i - J_i).
 /// Precondition: single-job analysis is only exact while a job finishes
 /// before its successor arrives (D <= T); use ResponseTimeArbitrary for
-/// arbitrary deadlines.
+/// arbitrary deadlines, or WorstCaseResponse, which picks.
+///
+/// The iteration starts at a lower bound of the least fixed point, not
+/// at a = C_i + rls_i (Sjodin & Hansson, RTCSA 1998). With
+/// p_j = (C_j if j has higher priority) + rls_j and b = sum_j p_j / T_j,
+/// every fixed point x >= a has ceil((x + J_j)/T_j) >= 1 and
+/// >= x / T_j, so x >= a + sum_j p_j and x >= a + b x, i.e.
+/// x >= a / (1 - b); for b >= 1 there is none. Iterating the monotone f
+/// from any r0 at or below the least fixed point climbs to it, so the
+/// result, kTimeNever included (r0 > limit means the plain climb from a
+/// would pass limit too), is the plain iteration's bit for bit. b is
+/// summed in floating point; an additive 1e-9 on 1 - b keeps the
+/// rounded bound below the exact one.
 Time ResponseTime(std::span<const RtaTask> tasks, std::size_t index,
                   Time limit);
+
+/// The response time by the analysis tasks[i]'s deadline needs:
+/// ResponseTime with `limit` for D <= T, the busy window
+/// (ResponseTimeArbitrary, its limit raised to at least 64 periods) for
+/// D > T. Admission (AnalyzeCore, the probes) and the partition verifier
+/// both dispatch through it.
+Time WorstCaseResponse(std::span<const RtaTask> tasks, std::size_t i,
+                       Time limit);
 
 /// Worst-case response time for ARBITRARY deadlines (D may exceed T):
 /// Lehoczky's busy-window analysis. Examines every job instance inside

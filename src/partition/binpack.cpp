@@ -1,5 +1,6 @@
 #include "partition/binpack.hpp"
 
+#include <optional>
 #include <vector>
 
 #include "analysis/bounds.hpp"
@@ -55,8 +56,19 @@ AdmitStats& AdmitStats::operator+=(const AdmitStats& o) {
   return *this;
 }
 
-bool FpCoreAdmits(const FpCoreState& bin, const rt::Task& cand,
-                  const BinPackConfig& cfg, AdmitStats* stats) {
+FpProbeSlots::FpProbeSlots(const overhead::OverheadModel& model,
+                           unsigned num_cores)
+    : model_(&model), slots_(num_cores, Slot{analysis::FpCoreProbe(model)}) {}
+
+const analysis::LocalCharges& FpProbeSlots::Charges(std::size_t n) {
+  if (n >= rows_.size()) rows_.resize(n + 1);
+  if (!rows_[n]) rows_[n].emplace(*model_, n);
+  return *rows_[n];
+}
+
+bool FpCoreAdmits(const FpCoreState& bin, unsigned c, const rt::Task& cand,
+                  const BinPackConfig& cfg, FpProbeSlots& slots,
+                  AdmitStats* stats) {
   // The screen holds for every FP test: the LL and hyperbolic bounds are
   // below 1, and RTA diverges past it for constrained deadlines.
   return ScreenedAdmits(
@@ -82,23 +94,29 @@ bool FpCoreAdmits(const FpCoreState& bin, const rt::Task& cand,
           e.id = t.id;
           return e;
         };
-        std::vector<analysis::CoreEntry> residents;
-        residents.reserve(bin.tasks.size());
-        for (const rt::Task& t : bin.tasks) residents.push_back(entry(t));
-        return {.admitted = analysis::FpCoreProbe(residents, cfg.model)
-                                .Admits(entry(cand))};
+        analysis::FpCoreProbe& probe =
+            slots.Probe(c, [&](std::vector<analysis::CoreEntry>& out) {
+              for (const rt::Task& t : bin.tasks) out.push_back(entry(t));
+            });
+        return {.admitted = probe.Admits(entry(cand))};
       },
       stats);
 }
 
 TaskPlacement PlaceFpTask(std::vector<FpCoreState>& cores, const rt::Task& t,
                           std::span<const unsigned> core_order,
-                          const BinPackConfig& cfg, AdmitStats* stats) {
+                          const BinPackConfig& cfg, AdmitStats* stats,
+                          FpProbeSlots* slots) {
+  std::optional<FpProbeSlots> own;
+  if (slots == nullptr) {
+    slots = &own.emplace(cfg.model, static_cast<unsigned>(cores.size()));
+  }
   TaskPlacement out;
   for (const unsigned c : core_order) {
     ++out.probes;
-    if (FpCoreAdmits(cores[c], t, cfg, stats)) {
+    if (FpCoreAdmits(cores[c], c, t, cfg, *slots, stats)) {
       cores[c].Commit(t);
+      slots->Empty(c);
       out.placed = true;
       out.parts.push_back(
           SubtaskPlacement{c, t.wcet, t.priority + kNormalPriorityBase, 0});
@@ -138,13 +156,14 @@ PartitionResult FinishPartition(
 
 PartitionResult BinPackDecreasing(const rt::TaskSet& ts, FitPolicy policy,
                                   const BinPackConfig& cfg) {
+  FpProbeSlots slots(cfg.model, cfg.num_cores);
   return PackDecreasing<FpCoreState>(
       ts, policy, cfg.num_cores, SchedPolicy::kFixedPriority, cfg.model,
       std::string(ToString(policy)) + "/" + ToString(cfg.admission),
       " fits no core",
       [&](std::vector<FpCoreState>& cores, const rt::Task& t,
           std::span<const unsigned> order) {
-        return PlaceFpTask(cores, t, order, cfg);
+        return PlaceFpTask(cores, t, order, cfg, nullptr, &slots);
       });
 }
 

@@ -16,10 +16,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "analysis/overhead_aware.hpp"
 #include "overhead/model.hpp"
 #include "partition/placement.hpp"
 #include "rt/taskset.hpp"
@@ -133,13 +135,58 @@ struct AdmitStats {
   friend bool operator==(const AdmitStats&, const AdmitStats&) = default;
 };
 
-/// Would `cand` be schedulable on this core under cfg.admission — exactly
-/// the offline packer's per-core test (utilization bounds, or the
-/// overhead-aware exact RTA with cfg.model charged). Screened by the O(1)
+/// One packing run's prepared fixed-priority RTA state (DESIGN.md §11):
+/// a probe slot per core, built on the core's first full test after a
+/// commit and emptied by the commit that changes the core, and one
+/// LocalCharges row per queue size N, built on first use. It is only
+/// right while every change to the run's cores empties its slot: the
+/// packers empty it in each commit, and the online controller, whose
+/// cores also change between requests, takes a fresh one per request.
+class FpProbeSlots {
+ public:
+  FpProbeSlots(const overhead::OverheadModel& model, unsigned num_cores);
+
+  /// Core c's prepared probe. An empty slot is built first, from the
+  /// residents `append(out)` adds to `out`.
+  template <class Append>
+  analysis::FpCoreProbe& Probe(unsigned c, Append append) {
+    Slot& slot = slots_[c];
+    if (!slot.ready) {
+      residents_.clear();
+      append(residents_);
+      slot.probe.Prepare(residents_, Charges(residents_.size() + 1));
+      slot.ready = true;
+    }
+    return slot.probe;
+  }
+
+  /// Core c's residents changed: its next Probe rebuilds.
+  void Empty(unsigned c) { slots_[c].ready = false; }
+
+ private:
+  struct Slot {
+    analysis::FpCoreProbe probe;
+    bool ready = false;
+  };
+
+  /// LocalCharges(model, n), built once per n.
+  const analysis::LocalCharges& Charges(std::size_t n);
+
+  const overhead::OverheadModel* model_;
+  std::vector<Slot> slots_;
+  std::vector<std::optional<analysis::LocalCharges>> rows_;  ///< by N
+  std::vector<analysis::CoreEntry> residents_;  ///< Probe's build buffer
+};
+
+/// Would `cand` be schedulable on core c (state `core`) under
+/// cfg.admission — exactly the offline packer's per-core test
+/// (utilization bounds, or the overhead-aware exact RTA with cfg.model
+/// charged, through slot c of `slots`). Screened by the O(1)
 /// utilization filter (U > 1 cannot pass any of the three tests). The
 /// verdict is never cached (DESIGN.md §12).
-bool FpCoreAdmits(const FpCoreState& core, const rt::Task& cand,
-                  const BinPackConfig& cfg, AdmitStats* stats = nullptr);
+bool FpCoreAdmits(const FpCoreState& core, unsigned c, const rt::Task& cand,
+                  const BinPackConfig& cfg, FpProbeSlots& slots,
+                  AdmitStats* stats = nullptr);
 
 /// Outcome of placing one task: its subtask placements (entries already
 /// committed into the core states) or placed == false with states
@@ -156,12 +203,15 @@ struct TaskPlacement {
 
 /// One fixed-priority placement step, the FP twin of PlaceEdfTask's
 /// whole-task step: the task goes whole onto the first core of
-/// `core_order` that admits it (FpCoreAdmits) and is committed there.
-/// This IS the loop body of BinPackDecreasing; the online controller
-/// calls it per ADMIT.
+/// `core_order` that admits it (FpCoreAdmits) and is committed there,
+/// emptying that core's slot. This IS the loop body of
+/// BinPackDecreasing, which passes its run's `slots`; the online
+/// controller calls it per ADMIT without, and each call then probes
+/// through slots of its own.
 TaskPlacement PlaceFpTask(std::vector<FpCoreState>& cores, const rt::Task& t,
                           std::span<const unsigned> core_order,
                           const BinPackConfig& cfg,
-                          AdmitStats* stats = nullptr);
+                          AdmitStats* stats = nullptr,
+                          FpProbeSlots* slots = nullptr);
 
 }  // namespace sps::partition

@@ -19,14 +19,8 @@ double HeavyThreshold(std::size_t n) {
 namespace {
 
 struct CoreState {
-  explicit CoreState(const overhead::OverheadModel& model)
-      : probe({}, model) {}
-
   std::vector<analysis::CoreEntry> entries;
   double utilization = 0.0;
-  /// The exact-RTA probe of `entries`, rebuilt by every Commit, so all
-  /// the probes of a placement step share one inflation of the core.
-  analysis::FpCoreProbe probe;
 };
 
 class SpaRunner {
@@ -34,7 +28,8 @@ class SpaRunner {
   SpaRunner(const rt::TaskSet& ts, const SpaConfig& cfg)
       : ts_(ts),
         cfg_(cfg),
-        cores_(cfg.num_cores, CoreState(cfg.model)),
+        cores_(cfg.num_cores),
+        probes_(cfg.model, cfg.num_cores),
         parts_(ts.size()) {}
 
   PartitionResult Run() {
@@ -107,8 +102,12 @@ class SpaRunner {
     // Unspanned, like the core's probe after it: the kUtilScreen and
     // kAnalysis span counts stay FFD/WFD's.
     if (u > 1.0 + 1e-12) return false;
-    if (resp_out == nullptr) return cores_[c].probe.Admits(cand);
-    const Time r = cores_[c].probe.Response(cand);
+    analysis::FpCoreProbe& probe =
+        probes_.Probe(c, [&](std::vector<analysis::CoreEntry>& out) {
+          out = cores_[c].entries;
+        });
+    if (resp_out == nullptr) return probe.Admits(cand);
+    const Time r = probe.Response(cand);
     if (r == kTimeNever) return false;
     *resp_out = r;
     return true;
@@ -139,7 +138,7 @@ class SpaRunner {
     core.entries.push_back(e);
     core.utilization += static_cast<double>(e.exec) /
                         static_cast<double>(e.period);
-    core.probe = analysis::FpCoreProbe(core.entries, cfg_.model);
+    probes_.Empty(c);
     parts_[ti].push_back(SubtaskPlacement{c, e.exec, e.priority});
   }
 
@@ -261,6 +260,10 @@ class SpaRunner {
   const rt::TaskSet& ts_;
   const SpaConfig& cfg_;
   std::vector<CoreState> cores_;
+  /// One exact-RTA probe per core, prepared on its first probe after a
+  /// Commit, so SPA's whole-task sweep and the probes of each budget
+  /// search share one inflation of the core.
+  FpProbeSlots probes_;
   std::vector<std::vector<SubtaskPlacement>> parts_;
 };
 

@@ -47,11 +47,12 @@
 // or else the largest body budget the core admits, found by the split-
 // budget search EDF-WM's windows use too (LargestAdmitted, the internal
 // partition/packing.hpp). SPA's admission test stays its own (utilization
-// bound, or exact RTA through one FpCoreProbe per core that each commit
-// rebuilds; unspanned). Every produced partition passes
-// the full verifier (verify.hpp, through FinishPartition as the packers
-// do), including migration-chain conditions and all run-time overheads,
-// so acceptance verdicts are sound in both modes.
+// bound, or exact RTA through the run's FpProbeSlots, one prepared probe
+// per core that each commit empties; unspanned). Every produced
+// partition passes the full verifier (verify.hpp, through
+// FinishPartition as the packers do), including migration-chain
+// conditions and all run-time overheads, so acceptance verdicts are
+// sound in both modes.
 
 #include "overhead/model.hpp"
 #include "partition/placement.hpp"

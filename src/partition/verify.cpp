@@ -172,7 +172,7 @@ PartitionAnalysis AnalyzePartition(const Partition& p,
         const std::size_t idx = cursor[c]++;
         const Time limit = pt.task.deadline;  // divergence guard
         responses[ti][k] =
-            analysis::ResponseTime(inflated[c], idx, limit);
+            analysis::WorstCaseResponse(inflated[c], idx, limit);
       }
     }
 

@@ -4,7 +4,9 @@
 // as its final acceptance gate, and the acceptance-ratio experiment (E5)
 // counts exactly these verdicts.
 //
-// Normal tasks: overhead-aware exact RTA on their core (analysis/).
+// Normal tasks: overhead-aware exact RTA on their core (analysis/), by
+// the analysis admission uses for the task's deadline: the single-job
+// fixpoint for D <= T, the busy window for D > T (WorstCaseResponse).
 //
 // Split tasks: subtask k is released when subtask k-1 exhausts its budget
 // on the previous core, so its release wanders within a window bounded by

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "analysis/bounds.hpp"
@@ -135,6 +136,132 @@ TEST(Rta, ResponseMonotoneInWcet) {
       EXPECT_LE(AnalyzeCore(prev).response[1], AnalyzeCore(ts).response[1]);
     }
   }
+}
+
+// ResponseTime as it was before its start value: the plain iteration
+// from C + rls.
+Time PlainResponseTime(std::span<const RtaTask> tasks, std::size_t index,
+                       Time limit) {
+  Time r = tasks[index].wcet + tasks[index].release_cost;
+  while (true) {
+    const Time next = RtaDemand(tasks, index, r);
+    if (next == r) return r;
+    if (next > limit) return kTimeNever;
+    r = next;
+  }
+}
+
+// A seeded core of 1-8 tasks with unique random priorities, jitter and
+// release costs on some, and raw U from 0.3 to 1.3.
+std::vector<RtaTask> DrawRtaCore(std::mt19937_64& rng) {
+  const auto pick = [&rng](Time lo, Time hi) {
+    return lo + static_cast<Time>(rng() % static_cast<std::uint64_t>(
+                                              hi - lo + 1));
+  };
+  const std::size_t n = 1 + rng() % 8;
+  std::vector<rt::Priority> prio(n);
+  std::iota(prio.begin(), prio.end(), rt::Priority{0});
+  std::shuffle(prio.begin(), prio.end(), rng);
+  const double total = 0.3 + static_cast<double>(rng() % 1001) / 1000.0;
+  std::vector<RtaTask> core;
+  for (std::size_t i = 0; i < n; ++i) {
+    RtaTask t;
+    t.period = pick(50, 20'000);
+    t.wcet = std::max<Time>(
+        1, static_cast<Time>(total / static_cast<double>(n) *
+                             static_cast<double>(t.period)));
+    t.deadline = pick(t.wcet, t.period);
+    if (rng() % 3 == 0) t.jitter = pick(0, t.period / 4);
+    if (rng() % 2 == 0) t.release_cost = pick(0, 5);
+    t.priority = prio[i];
+    core.push_back(t);
+  }
+  return core;
+}
+
+// A core whose task 0 has its least fixed point exactly at
+// a / (1 - b): every interfering period divides L, so one window of L
+// holds whole arrivals only, and their costs fill L - a. With a small
+// and L in the 10^8-10^9 range, 1 - b is of the order of the rounding
+// of b.
+std::vector<RtaTask> DrawTightCore(std::mt19937_64& rng, Time& lfp) {
+  const Time a = 1 + static_cast<Time>(rng() % 20);
+  const Time L = 40 * (5'000'000 + static_cast<Time>(rng() % 100'000'000));
+  std::vector<RtaTask> core(1);
+  core[0].wcet = a;
+  core[0].period = 2 * L;
+  core[0].deadline = 2 * L;
+  core[0].priority = 50;
+  Time left = L - a;
+  for (const Time d : {2, 4, 5, 8, 10, 40}) {
+    if (rng() % 2 == 0) continue;
+    RtaTask t;
+    t.period = L / d;
+    t.deadline = t.period;
+    t.release_cost = static_cast<Time>(rng() % 3);
+    const bool higher = rng() % 4 != 0;
+    t.priority = higher ? static_cast<rt::Priority>(d)
+                        : static_cast<rt::Priority>(100 + d);
+    t.wcet = 1 + static_cast<Time>(rng() % 1000);
+    // One arrival's cost to task 0: a lower-priority task's rls only.
+    const Time p = (higher ? t.wcet : 0) + t.release_cost;
+    if (p == 0 || d * p >= left) continue;
+    left -= d * p;
+    core.push_back(t);
+  }
+  RtaTask whole;  // the period-L task takes what is left
+  whole.period = L;
+  whole.deadline = L;
+  whole.wcet = left;
+  whole.priority = 0;
+  core.push_back(whole);
+  lfp = L;
+  return core;
+}
+
+TEST(Rta, LowerBoundStartMatchesPlainIteration) {
+  std::mt19937_64 rng(19980603);
+  int tight = 0, started_above_a = 0, at_limit = 0, past_limit = 0;
+  int never_fixed = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const bool tight_case = iter % 5 == 0;
+    Time tight_lfp = 0;
+    std::vector<RtaTask> core =
+        tight_case ? DrawTightCore(rng, tight_lfp) : DrawRtaCore(rng);
+    const std::size_t checked = tight_case ? 1 : core.size();
+    for (std::size_t i = 0; i < checked; ++i) {
+      const RtaTask& t = core[i];
+      const Time a = t.wcet + t.release_cost;
+      // The least fixed point, or none below 64 periods of the slowest
+      // task (every core here has one by then unless it is overloaded).
+      Time cap = 0;
+      for (const RtaTask& x : core) cap = std::max(cap, 64 * x.period);
+      const Time lfp = PlainResponseTime(core, i, cap);
+      if (tight_case) {
+        ASSERT_EQ(lfp, tight_lfp) << "case " << iter;
+        ++tight;
+      }
+      if (lfp == kTimeNever) ++never_fixed;
+      if (lfp != kTimeNever && lfp > a + 1) ++started_above_a;
+      std::vector<Time> limits = {a - 1, a, t.deadline - t.jitter, cap};
+      if (lfp != kTimeNever) {
+        limits.insert(limits.end(), {lfp - 1, lfp, lfp + 1});
+      }
+      for (const Time limit : limits) {
+        const Time want = PlainResponseTime(core, i, limit);
+        ASSERT_EQ(ResponseTime(core, i, limit), want)
+            << "case " << iter << " task " << i << " limit " << limit;
+        if (lfp != kTimeNever && limit == lfp) ++at_limit;
+        if (want == kTimeNever && lfp != kTimeNever) ++past_limit;
+      }
+    }
+  }
+  // Every family the start value must get right showed up.
+  EXPECT_EQ(tight, 4000);
+  EXPECT_GT(started_above_a, 50000);
+  EXPECT_GT(at_limit, 60000);
+  EXPECT_GT(past_limit, 200000);
+  EXPECT_GT(never_fixed, 500);
 }
 
 // ---- arbitrary-deadline (busy-window) RTA ---------------------------------

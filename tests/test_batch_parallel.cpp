@@ -219,7 +219,7 @@ exp::AcceptanceConfig SmallAcceptanceConfig() {
   cfg.norm_util_points = {0.7, 0.85, 0.95};
   cfg.sets_per_point = 12;
   cfg.model = overhead::OverheadModel::PaperCoreI7();
-  cfg.algorithms = {exp::Algo::kFfd, exp::Algo::kSpa2};
+  cfg.algorithms = {exp::Algo::kFfd, exp::Algo::kWfd, exp::Algo::kSpa2};
   return cfg;
 }
 

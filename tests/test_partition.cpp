@@ -576,6 +576,36 @@ TEST(Verify, ElevatedTailBeatsNormalTasks) {
   EXPECT_EQ(a.verdicts[1].completion, Millis(7));
 }
 
+TEST(Verify, ArbitraryDeadlineUsesTheBusyWindow) {
+  // Lehoczky's core: (26/70 us) above (62/100 us, D = 117 us). The first
+  // job of the second task completes at 114 us, but its level-2 busy
+  // window holds seven jobs and the fifth completes 118 us after its
+  // release. The verifier must find 118 us, as FFD's admission does.
+  for (const Time d : {Micros(117), Micros(118)}) {
+    TaskSet ts;
+    ts.add(MakeTask(0, Micros(26), Micros(70)));
+    rt::Task late = MakeTask(1, Micros(62), Micros(100));
+    late.deadline = d;
+    ts.add(late);
+    rt::AssignRateMonotonic(ts);
+    Partition p;
+    p.num_cores = 1;
+    for (const rt::Task& t : ts) {
+      PlacedTask pt;
+      pt.task = t;
+      pt.parts = {{0, t.wcet, t.priority + kNormalPriorityBase}};
+      p.tasks.push_back(pt);
+    }
+    const PartitionAnalysis a = AnalyzePartition(p, OverheadModel::Zero());
+    ASSERT_EQ(a.verdicts.size(), 2u);
+    EXPECT_EQ(a.verdicts[1].completion, Micros(118));
+    EXPECT_EQ(a.schedulable, d == Micros(118)) << a.failure_reason;
+    BinPackConfig cfg;
+    cfg.num_cores = 1;
+    EXPECT_EQ(Ffd(ts, cfg).success, d == Micros(118));
+  }
+}
+
 TEST(Verify, OverheadsTightenTheVerdict) {
   // Feasible with zero overheads, infeasible at 10x paper overheads with
   // microsecond-scale budgets.

@@ -298,12 +298,14 @@ TEST(Spa, ExactModeRejectsRawUtilizationJustAboveOne) {
   core.Commit(ts[0]);
   core.Commit(ts[1]);
   BinPackConfig bp;
+  FpProbeSlots slots(bp.model, 1);
   AdmitStats stats;
-  EXPECT_FALSE(FpCoreAdmits(core, ts[2], bp, &stats));
+  EXPECT_FALSE(FpCoreAdmits(core, 0, ts[2], bp, slots, &stats));
   EXPECT_EQ(stats.util_rejects, 1u);
   EXPECT_EQ(stats.full_tests, 0u);
   // At raw U == 1 the same core goes to RTA and fits.
-  EXPECT_TRUE(FpCoreAdmits(core, HarmonicFullCore(0)[2], bp, &stats));
+  EXPECT_TRUE(
+      FpCoreAdmits(core, 0, HarmonicFullCore(0)[2], bp, slots, &stats));
   EXPECT_EQ(stats.full_tests, 1u);
 }
 
@@ -411,9 +413,12 @@ bool OracleAdmits(const FpCoreState& core, const rt::Task& cand,
 }
 
 TEST(AdmissionProbe, BinPackingMatchesTheFullCoreOracle) {
-  // Replays FFD and WFD probe by probe with FpCoreAdmits and the oracle
-  // side by side: every verdict, the admission counters and the final
-  // placement must agree, and BinPackDecreasing must place the same.
+  // Replays FFD and WFD task by task: the oracle walks the probe order
+  // to the first core it admits on, then PlaceFpTask places the task
+  // through the run's reused probe slots. Since a placement is the first
+  // admit after a run of rejects, the same core on both sides means
+  // every verdict agreed; the admission counters must agree too, and
+  // BinPackDecreasing must place the same.
   const std::vector<ProbeSet> sets = ProbeSets();
   for (const OverheadModel& m :
        {OverheadModel::Zero(), OverheadModel::PaperCoreI7()}) {
@@ -425,6 +430,7 @@ TEST(AdmissionProbe, BinPackingMatchesTheFullCoreOracle) {
         cfg.num_cores = sets[si].cores;
         cfg.model = m;
         std::vector<FpCoreState> cores(cfg.num_cores);
+        FpProbeSlots slots(cfg.model, cfg.num_cores);
         std::vector<int> core_of(ts.size(), -1);
         AdmitStats got;
         AdmitStats want;
@@ -440,19 +446,21 @@ TEST(AdmissionProbe, BinPackingMatchesTheFullCoreOracle) {
                              });
           }
           for (const unsigned c : order) {
-            const bool admits = FpCoreAdmits(cores[c], ts[ti], cfg, &got);
-            ASSERT_EQ(admits, OracleAdmits(cores[c], ts[ti], m, want))
-                << "set " << si << " task " << ti << " core " << c;
-            if (admits) {
+            if (OracleAdmits(cores[c], ts[ti], m, want)) {
               core_of[ti] = static_cast<int>(c);
               break;
             }
           }
+          const TaskPlacement placed =
+              PlaceFpTask(cores, ts[ti], order, cfg, &got, &slots);
+          ASSERT_EQ(placed.placed ? static_cast<int>(placed.parts[0].core)
+                                  : -1,
+                    core_of[ti])
+              << "set " << si << " task " << ti;
           if (core_of[ti] < 0) {
             placed_all = false;
             break;
           }
-          cores[static_cast<unsigned>(core_of[ti])].Commit(ts[ti]);
         }
         EXPECT_EQ(got.util_rejects, want.util_rejects) << "set " << si;
         EXPECT_EQ(got.full_tests, want.full_tests) << "set " << si;
